@@ -22,9 +22,11 @@ from .emos import (
     EmosCoefficients,
     FitOptions,
     FitResult,
+    FitTask,
     MixedEmosCoefficients,
     ModelWeights,
     NonConvergenceError,
+    fit_batch,
     fit_mixed,
     fit_single,
     model_weights,

@@ -375,9 +375,10 @@ def cmd_train(args) -> int:
     any_nonconverged = False
     for issue in issues:
         keys = _keys_for_issue(cfg, issue, station_ids, leads, coverage, exclude=taper_exclude)
-        updates = fit_for_issue(archive, issue, keys, window, options, store, n_jobs=args.jobs)
+        updates = fit_for_issue(archive, issue, keys, window, options, store)
         store.update(updates)
         if tspec.scheme == "t1":
+            taper_bounds = {}
             for sid in station_ids:
                 anchor = store.get(CoefficientKey(sid, tspec.anchor_lead, mixed_name, issue))
                 if anchor is None:
@@ -385,13 +386,13 @@ def cmd_train(args) -> int:
                     return 1
                 bounds = transition1_bounds(anchor.coefficients, tspec)
                 for lead in tspec.taper_leads:
-                    if not all(lead in coverage.get(m, ()) for m in parse_strategy(mixed_name)[1]):
-                        continue
-                    key = CoefficientKey(sid, lead, mixed_name, issue)
-                    bounded = replace(options, bounds=bounds[lead])
-                    taper_updates = fit_for_issue(archive, issue, [key], window, bounded, store)
-                    store.update(taper_updates)
-                    updates.update(taper_updates)
+                    if all(lead in coverage.get(m, ()) for m in parse_strategy(mixed_name)[1]):
+                        taper_bounds[CoefficientKey(sid, lead, mixed_name, issue)] = bounds[lead]
+            taper_updates = fit_for_issue(
+                archive, issue, list(taper_bounds), window, options, store, bounds=taper_bounds
+            )
+            store.update(taper_updates)
+            updates.update(taper_updates)
         any_nonconverged = any_nonconverged or any(not r.converged for r in updates.values())
 
     eio.write_store(args.store, store)
@@ -422,14 +423,13 @@ def cmd_predict(args) -> int:
     n_errors = 0
     for issue in _issue_dates(forecasts, args.issue_start, args.issue_end):
         todays = [fc for fcs in forecasts.values() for fc in fcs if fc.init_time.date() == issue]
-        init_times = sorted({fc.init_time for fc in todays})
-        if not init_times:
+        if not todays:
             continue
-        init_time = init_times[0]
         keys = _keys_for_issue(cfg, issue, station_ids, leads, coverage)
         outcome = predict_for_issue(store, todays, issue, keys, min_sigma=options.min_sigma)
+        init_time = {fc.station_id: fc.init_time for fc in todays}
         for (sid, lead, strategy), pred in outcome.predictions.items():
-            rows.append(eio.PredictionRow(sid, init_time, lead, strategy, pred))
+            rows.append(eio.PredictionRow(sid, init_time[sid], lead, strategy, pred))
         for bad_key, message in sorted(outcome.errors.items()):
             print(f"error: {message}", file=sys.stderr)
             n_errors += 1
@@ -761,7 +761,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=["none", "t1", "t2"], default=None, help="transition scheme")
     p.add_argument("--issue-start", type=_date_arg, default=None)
     p.add_argument("--issue-end", type=_date_arg, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="parallel fit slots")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="ignored: each issue date is fitted in one batched solve"
+    )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="apply a coefficient store")

@@ -10,25 +10,47 @@ Two-predictor ("mixed") form, combining two models' ensemble statistics:
     mu    = a + b1 * xbar1 + b2 * xbar2
     sigma = sqrt(c^2 + d1^2 * s1^2 + d2^2 * s2^2)
 
-Coefficients are estimated by minimizing the mean Gaussian CRPS over a
-training set. The b and d coefficients are constrained non-negative via an
-internal squared parametrization (b = gamma^2, d = delta^2; c enters the
-sigma formula squared already, so it needs no constraint). Optimization is a
-quasi-Newton local minimizer (L-BFGS-B) fed the analytic CRPS gradient
-chained through the two equations above; optional upper bounds on b1 and d1
-become box constraints on the internal parameters, which is projected
-descent. If the gradient path fails to improve, a derivative-free simplex
-restart is attempted.
+with b, d >= 0. Coefficients minimize the mean Gaussian CRPS over a training
+window (Gneiting et al. 2005).
 
-The mixed fit is multi-started from a symmetric initialization and from
-perturbed embeddings of each single-model fit; the exact embeddings are also
-evaluated as candidates, so the mixed training objective can never end up
-above a single-model optimum (nesting).
+Fits are solved in batches: ``fit_batch`` stacks the training windows of many
+keys into padded, masked arrays and runs one projected Newton solve
+(Bertsekas 1982) over all of them at once. The solver works in the natural
+coordinates (a, b_k, c^2, d_k^2), in which mu is linear in (a, b) and sigma^2
+linear in (c^2, d^2), and every constraint is a box: b_k, c^2, d_k^2 >= 0,
+plus the optional upper bounds on b1 and d1 of the pre-horizon transition
+scheme, which become a per-row clip.
+
+* Gradient and Hessian are analytic: the closed-form CRPS derivatives
+  d2/dmu2 = 2 phi(z)/sigma, d2/dmu dsigma = 2 z phi(z)/sigma and
+  d2/dsigma2 = 2 z^2 phi(z)/sigma (as in crch, Messner et al. 2016), chained
+  through the coefficient map.
+* Coordinates at a bound whose gradient points outward are held there; on
+  the others the Hessian is made positive definite through its eigenvalues.
+* A backtracking line search along the projected path accepts the first
+  step that lowers the objective. A row stops when its next Newton step
+  predicts a relative decrease below 1e-13.
+
+The line search rejects steps that would put some sigma on its floor, where
+the objective is flat in c and d. A row whose line search finds no decrease
+is finished by scipy's L-BFGS-B on its own, in the squared parametrization
+b = gamma^2, d = delta^2, run both from the row's start and from where the
+row stalled.
+
+Every key contributes one row per start, and the best row wins; zero-cost
+candidate points are evaluated alongside. A single fit without a warm start
+starts from the default coefficients (a, b, c, d) = (0, 1, 1, 1) and from
+near-identity ones (c = 0.1); the identity and default coefficients are its
+candidates. The mixed fit is multi-started from a symmetric
+initialization and from a perturbed embedding of the better single-model fit;
+the exact embeddings of both single-model fits are candidates, so the mixed
+training objective can never end up above a single-model optimum (nesting).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,11 +66,13 @@ __all__ = [
     "FitOptions",
     "ModelWeights",
     "FitResult",
+    "FitTask",
     "NonConvergenceError",
     "predict_single",
     "predict_mixed",
     "fit_single",
     "fit_mixed",
+    "fit_batch",
     "model_weights",
     "identity_single",
     "identity_mixed",
@@ -98,6 +122,9 @@ class FitOptions:
     first predictor's coefficients in the mixed fit (used by the pre-horizon
     transition scheme). ``min_sigma`` floors every predicted sigma so CRPS
     and its gradient stay finite for degenerate ensembles.
+    ``max_iterations`` bounds the Newton iterations of each row.
+    ``objective_tolerance`` is the relative-decrease stop of the L-BFGS-B
+    fallback; the Newton solve stops at the smaller of it and 1e-13.
     """
 
     max_iterations: int = 1000
@@ -198,237 +225,415 @@ def model_weights(coef: MixedEmosCoefficients) -> ModelWeights:
     )
 
 
-# ---------------------------------------------------------------------------
-# Internal objective machinery.
-#
-# Parameter vectors:
-#   single: p = (a, gamma, c, delta),          b = gamma^2, d = delta^2
-#   mixed:  p = (a, g1, g2, c, t1, t2),        bi = gi^2,   di = ti^2
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class FitTask:
+    """One coefficient fit of a batch.
 
-
-class _SingleProblem:
-    n_params = 4
-
-    def __init__(self, xbar, std, y, min_sigma):
-        self.xbar = np.ascontiguousarray(xbar, dtype=float)
-        self.var = np.ascontiguousarray(std, dtype=float) ** 2
-        self.y = np.ascontiguousarray(y, dtype=float)
-        self.min_sigma = min_sigma
-        self.n = self.xbar.size
-
-    def params_from(self, coef: EmosCoefficients) -> np.ndarray:
-        return np.array([coef.a, math.sqrt(max(coef.b, 0.0)), coef.c, math.sqrt(max(coef.d, 0.0))])
-
-    def coef_from(self, p: np.ndarray) -> EmosCoefficients:
-        return EmosCoefficients(a=float(p[0]), b=float(p[1] ** 2), c=abs(float(p[2])), d=float(p[3] ** 2))
-
-    def box(self, bounds):
-        return None  # single fits take no upper bounds
-
-    def value_and_grad(self, p):
-        a, g, c, t = p
-        err = self.y - (a + (g * g) * self.xbar)
-        sig_raw = np.sqrt(c * c + t**4 * self.var)
-        floored = sig_raw < self.min_sigma
-        sig = np.maximum(sig_raw, self.min_sigma) if floored.any() else sig_raw
-
-        z = err / sig
-        two_cdf_m1 = 2.0 * ndtr(z) - 1.0
-        pdf = _std_normal_pdf(z)
-        n = self.n
-        # sig * z == err, so crps_i = err*(2F-1) + sig*(2*pdf - 1/sqrt(pi))
-        dc_dsig = 2.0 * pdf - _INV_SQRT_PI
-        f = (np.dot(err, two_cdf_m1) + np.dot(sig, dc_dsig)) / n
-
-        if floored.any():
-            dc_dsig = np.where(floored, 0.0, dc_dsig)  # floor freezes sigma
-        w_sig = dc_dsig / np.maximum(sig_raw, 1e-300)
-        g_a = -two_cdf_m1.sum() / n
-        g_g = -2.0 * g * np.dot(two_cdf_m1, self.xbar) / n
-        g_c = c * w_sig.sum() / n
-        g_t = 2.0 * t**3 * np.dot(w_sig, self.var) / n
-        return f, np.array([g_a, g_g, g_c, g_t])
-
-
-class _MixedProblem:
-    n_params = 6
-
-    def __init__(self, xbar1, std1, xbar2, std2, y, min_sigma):
-        self.xbar1 = np.ascontiguousarray(xbar1, dtype=float)
-        self.xbar2 = np.ascontiguousarray(xbar2, dtype=float)
-        self.var1 = np.ascontiguousarray(std1, dtype=float) ** 2
-        self.var2 = np.ascontiguousarray(std2, dtype=float) ** 2
-        self.y = np.ascontiguousarray(y, dtype=float)
-        self.min_sigma = min_sigma
-        self.n = self.y.size
-
-    def params_from(self, coef: MixedEmosCoefficients) -> np.ndarray:
-        return np.array(
-            [
-                coef.a,
-                math.sqrt(coef.b1),
-                math.sqrt(coef.b2),
-                coef.c,
-                math.sqrt(coef.d1),
-                math.sqrt(coef.d2),
-            ]
-        )
-
-    def coef_from(self, p: np.ndarray) -> MixedEmosCoefficients:
-        return MixedEmosCoefficients(
-            a=float(p[0]),
-            b1=float(p[1] ** 2),
-            b2=float(p[2] ** 2),
-            c=abs(float(p[3])),
-            d1=float(p[4] ** 2),
-            d2=float(p[5] ** 2),
-        )
-
-    def box(self, bounds):
-        if bounds is None:
-            return None
-        b1_max, d1_max = bounds
-        g1 = math.sqrt(b1_max)
-        t1 = math.sqrt(d1_max)
-        return [(None, None), (-g1, g1), (None, None), (None, None), (-t1, t1), (None, None)]
-
-    def value_and_grad(self, p):
-        a, g1, g2, c, t1, t2 = p
-        err = self.y - (a + (g1 * g1) * self.xbar1 + (g2 * g2) * self.xbar2)
-        sig_raw = np.sqrt(c * c + t1**4 * self.var1 + t2**4 * self.var2)
-        floored = sig_raw < self.min_sigma
-        sig = np.maximum(sig_raw, self.min_sigma) if floored.any() else sig_raw
-
-        z = err / sig
-        two_cdf_m1 = 2.0 * ndtr(z) - 1.0
-        pdf = _std_normal_pdf(z)
-        n = self.n
-        dc_dsig = 2.0 * pdf - _INV_SQRT_PI
-        f = (np.dot(err, two_cdf_m1) + np.dot(sig, dc_dsig)) / n
-
-        if floored.any():
-            dc_dsig = np.where(floored, 0.0, dc_dsig)
-        w_sig = dc_dsig / np.maximum(sig_raw, 1e-300)
-        g_a = -two_cdf_m1.sum() / n
-        g_g1 = -2.0 * g1 * np.dot(two_cdf_m1, self.xbar1) / n
-        g_g2 = -2.0 * g2 * np.dot(two_cdf_m1, self.xbar2) / n
-        g_c = c * w_sig.sum() / n
-        g_t1 = 2.0 * t1**3 * np.dot(w_sig, self.var1) / n
-        g_t2 = 2.0 * t2**3 * np.dot(w_sig, self.var2) / n
-        return f, np.array([g_a, g_g1, g_g2, g_c, g_t1, g_t2])
-
-
-def _clip_to_box(p, box):
-    if box is None:
-        return p
-    q = p.copy()
-    for i, (lo, hi) in enumerate(box):
-        if lo is not None:
-            q[i] = max(q[i], lo)
-        if hi is not None:
-            q[i] = min(q[i], hi)
-    return q
-
-
-def _run_lbfgsb(problem, p0, box, options: FitOptions):
-    trace: list[float] = []
-    if options.record_trace:
-        trace.append(problem.value_and_grad(p0)[0])
-
-        def callback(xk):
-            trace.append(problem.value_and_grad(xk)[0])
-
-    else:
-        callback = None
-
-    res = minimize(
-        problem.value_and_grad,
-        p0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=box,
-        callback=callback,
-        options={
-            "maxiter": options.max_iterations,
-            "ftol": options.objective_tolerance,
-            "gtol": 1e-12,
-            "maxls": 50,
-        },
-    )
-    return res, trace
-
-
-def _optimize(problem, starts, options: FitOptions, extra_candidates=()):
-    """Minimize from several starts; also consider zero-cost candidate points.
-
-    Returns (params, objective, converged, n_iterations, trace).
+    ``model_ids`` names the predictors: one model for a single-model fit, two
+    for a mixed fit. ``start`` warm-starts the solve. ``single_fits`` (mixed
+    only) are the two single-model fits on the same window, in ``model_ids``
+    order; they seed the multi-start and supply the nesting candidates, and
+    are computed when absent. ``bounds`` (mixed only) is (b1_max, d1_max) and
+    takes precedence over ``FitOptions.bounds``.
     """
-    box = problem.box(options.bounds)
-    best = None
-    any_converged = False
-    for p0 in starts:
-        p0 = _clip_to_box(np.asarray(p0, dtype=float), box)
-        res, trace = _run_lbfgsb(problem, p0, box, options)
-        f_run, p_run = float(res.fun), np.asarray(res.x)
-        n_iter = int(res.nit)
-        if res.status == 0:
-            converged = True
-        elif res.status == 1:  # max_iterations exhausted
-            converged = False
-        else:
-            # Gradient path stalled (line-search failure): simplex restart.
-            nm = minimize(
-                lambda q: problem.value_and_grad(_clip_to_box(q, box))[0],
-                p_run,
-                method="Nelder-Mead",
-                options={
-                    "maxiter": options.max_iterations * problem.n_params,
-                    "fatol": options.objective_tolerance,
-                    "xatol": 1e-8,
-                },
-            )
-            if float(nm.fun) < f_run:
-                p_run = _clip_to_box(np.asarray(nm.x), box)
-                f_run = float(nm.fun)
-                if options.record_trace:
-                    trace.append(f_run)
-            converged = bool(nm.success)
-            n_iter += int(nm.nit)
-        any_converged = any_converged or converged
-        if best is None or f_run < best[0]:
-            best = (f_run, p_run, n_iter, trace)
 
-    # Zero-cost candidate points may improve the answer but say nothing
-    # about convergence.
-    for p_fixed in extra_candidates:
-        p_fixed = _clip_to_box(np.asarray(p_fixed, dtype=float), box)
-        f_fixed = problem.value_and_grad(p_fixed)[0]
-        if f_fixed < best[0]:
-            best = (f_fixed, p_fixed, 0, [f_fixed] if options.record_trace else [])
-
-    f_best, p_best, n_iter, trace = best
-    return p_best, f_best, any_converged, n_iter, tuple(trace)
+    samples: Sequence[TrainingSample]
+    model_ids: tuple[str, ...]
+    start: EmosCoefficients | MixedEmosCoefficients | None = None
+    single_fits: tuple[FitResult, FitResult] | None = None
+    bounds: tuple[float, float] | None = None
 
 
-def _extract_single_arrays(samples: list[TrainingSample], model_id: str):
+# ---------------------------------------------------------------------------
+# Batched solver.
+#
+# Natural coordinates of a K-predictor row: theta = (a, b_1..b_K, C, D_1..D_K)
+# with C = c^2 and D_k = d_k^2, so that
+#   mu = U @ theta[:K+1],  U = (1, xbar_1..xbar_K)
+#   S  = V @ theta[K+1:],  V = (1, s_1^2..s_K^2),  sigma = max(sqrt(S), min_sigma)
+# ---------------------------------------------------------------------------
+
+# A row stops when its next Newton step predicts less than this relative
+# decrease of the objective; Newton converges quadratically, so the tight
+# threshold costs about one iteration.
+_NEWTON_RTOL = 1e-13
+_MAX_HALVINGS = 40
+# Bound on the epsilon of the epsilon-active set (Bertsekas 1982).
+_ACTIVE_EPS = 1e-3
+# Floor on the eigenvalues of the modified Hessian, relative to the largest.
+_EIG_FLOOR = 1e-10
+# Starts whose c lies below twice the sigma floor restart at c = 0.1, so that
+# no sample starts with a floored sigma (the line search keeps it so), where
+# the objective is flat in c and d and the Newton model breaks down.
+_WAKE_C2 = 0.01
+
+
+class _Stack:
+    """Training windows of a batch, padded to a common length.
+
+    Padding entries carry zero weight and harmless values (x = 0, s^2 = 1,
+    y = 0), so every entry stays finite.
+    """
+
+    def __init__(self, U, V, y, w, valid):
+        self.U, self.V, self.y, self.w, self.valid = U, V, y, w, valid
+
+    @classmethod
+    def from_windows(cls, windows):
+        """``windows``: (xbar (n, K), var (n, K), y (n,)) per row."""
+        k = windows[0][0].shape[1]
+        rows, width = len(windows), max(len(y) for _, _, y in windows)
+        U = np.zeros((rows, width, k + 1))
+        V = np.ones((rows, width, k + 1))
+        y = np.zeros((rows, width))
+        valid = np.zeros((rows, width), dtype=bool)
+        U[:, :, 0] = 1.0
+        for r, (xbar, var, obs) in enumerate(windows):
+            n = len(obs)
+            U[r, :n, 1:] = xbar
+            V[r, :n, 1:] = var
+            y[r, :n] = obs
+            valid[r, :n] = True
+        w = valid / valid.sum(axis=1, keepdims=True)
+        return cls(U, V, y, w, valid)
+
+    def take(self, rows) -> _Stack:
+        return _Stack(self.U[rows], self.V[rows], self.y[rows], self.w[rows], self.valid[rows])
+
+
+def _evaluate(theta, st: _Stack, min_sigma: float, order: int = 0):
+    """Mean CRPS of every row at ``theta`` (rows, P).
+
+    Returns (f, floored) for ``order`` 0, where ``floored`` flags rows with a
+    floored sigma on some sample; (f, g) for order 1 and (f, g, H) for order
+    2. A floored sigma is constant, so it contributes nothing to the
+    derivatives in C and D.
+    """
+    k1 = st.U.shape[2]
+    mu = np.matmul(st.U, theta[:, :k1, None])[..., 0]
+    s2 = np.matmul(st.V, theta[:, k1:, None])[..., 0]
+    sig_raw = np.sqrt(s2)
+    floored = sig_raw < min_sigma
+    sig = np.maximum(sig_raw, min_sigma)
+    err = st.y - mu
+    z = err / sig
+    two_cdf_m1 = 2.0 * ndtr(z) - 1.0
+    pdf = _std_normal_pdf(z)
+    f_sig = 2.0 * pdf - _INV_SQRT_PI
+    # sig * z == err, so crps = err*(2F-1) + sig*(2*pdf - 1/sqrt(pi))
+    f = np.sum(st.w * (err * two_cdf_m1 + sig * f_sig), axis=1)
+    if order == 0:
+        return f, np.any(floored & st.valid, axis=1)
+
+    sig_s = np.where(floored, 0.0, 0.5 / sig)  # d sigma / d S
+    g_mu = st.w * -two_cdf_m1
+    g_s = st.w * f_sig * sig_s
+    g = np.concatenate([np.matmul(g_mu[:, None, :], st.U)[:, 0], np.matmul(g_s[:, None, :], st.V)[:, 0]], axis=1)
+    if order == 1:
+        return f, g
+
+    # d2/dmu2 = 2 pdf/sig, d2/dmu dsig = 2 z pdf/sig, d2/dsig2 = 2 z^2 pdf/sig,
+    # chained through sigma = sqrt(S): d2 sigma/dS2 = -1/(4 sig^3).
+    h_mm = st.w * 2.0 * pdf / sig
+    h_ms = h_mm * z * sig_s
+    h_ss = h_mm * (z * sig_s) ** 2 - st.w * f_sig * np.where(floored, 0.0, 0.25 / sig**3)
+    Ut = st.U.transpose(0, 2, 1)
+    Vt = st.V.transpose(0, 2, 1)
+    H_mm = np.matmul(Ut * h_mm[:, None, :], st.U)
+    H_ms = np.matmul(Ut * h_ms[:, None, :], st.V)
+    H_ss = np.matmul(Vt * h_ss[:, None, :], st.V)
+    H = np.block([[H_mm, H_ms], [H_ms.transpose(0, 2, 1), H_ss]])
+    return f, g, H
+
+
+def _newton_direction(theta, g, H, lower, upper):
+    """Projected Newton step of every row and its predicted decrease.
+
+    Coordinates within epsilon of a bound whose gradient points outward are
+    held (moved onto the bound); the Hessian of the others is made positive
+    definite through its eigenvalues (absolute values, floored).
+    """
+    pg = theta - np.clip(theta - g, lower, upper)
+    eps = np.minimum(_ACTIVE_EPS, np.abs(pg).max(axis=1))[:, None]
+    at_lower = (theta - lower <= eps) & (g > 0.0)
+    at_upper = (upper - theta <= eps) & (g < 0.0)
+    held = at_lower | at_upper
+    free = ~held
+    p = theta.shape[1]
+    Hf = np.where(free[:, :, None] & free[:, None, :], H, 0.0)
+    Hf[:, np.arange(p), np.arange(p)] += held
+    gf = np.where(free, g, 0.0)
+    lam, vec = np.linalg.eigh(Hf)
+    lam = np.abs(lam)
+    lam = np.maximum(lam, _EIG_FLOOR * np.maximum(lam.max(axis=1, keepdims=True), 1e-300))
+    gv = np.matmul(gf[:, None, :], vec)[:, 0] / lam
+    step = -np.matmul(vec, gv[:, :, None])[..., 0]
+    target = np.where(at_lower, lower, np.where(at_upper, upper, theta))
+    step = np.where(held, target - theta, step)
+    decrease = np.sum(gv * gv * lam, axis=1) + np.sum(np.where(held, g * (theta - target), 0.0), axis=1)
+    return step, decrease
+
+
+@dataclass
+class _Solved:
+    theta: np.ndarray
+    f: np.ndarray
+    converged: np.ndarray
+    n_iterations: np.ndarray
+    traces: list[list[float]]
+
+
+def _newton(theta, st: _Stack, lower, upper, options: FitOptions) -> _Solved:
+    """Projected Newton on every row at once; each row runs until it
+    converges, exhausts max_iterations or stalls (no decrease along the
+    projected path). Stalled rows are finished by L-BFGS-B one at a time."""
+    start, theta = theta, theta.copy()
+    rows = theta.shape[0]
+    m = options.min_sigma
+    rtol = min(options.objective_tolerance, _NEWTON_RTOL)
+    f, _ = _evaluate(theta, st, m)
+    converged = np.zeros(rows, dtype=bool)
+    stalled = np.zeros(rows, dtype=bool)
+    n_iter = np.zeros(rows, dtype=int)
+    traces = [[float(v)] for v in f] if options.record_trace else []
+
+    live = np.arange(rows)
+    for it in range(options.max_iterations + 1):
+        if live.size == 0:
+            break
+        sub = st.take(live)
+        th, lo, hi = theta[live], lower[live], upper[live]
+        f_live, g, H = _evaluate(th, sub, m, order=2)
+        step, decrease = _newton_direction(th, g, H, lo, hi)
+        done = decrease <= rtol * np.abs(f_live)
+        converged[live[done]] = True
+        if it == options.max_iterations:
+            break
+        search = np.flatnonzero(~done)
+        alpha = np.ones(search.size)
+        accepted = np.zeros(search.size, dtype=bool)
+        pending = np.arange(search.size)
+        for _ in range(_MAX_HALVINGS):
+            if pending.size == 0:
+                break
+            r = search[pending]
+            trial = np.clip(th[r] + alpha[pending, None] * step[r], lo[r], hi[r])
+            f_trial, floored = _evaluate(trial, sub.take(r), m)
+            ok = (f_trial < f_live[r]) & ~floored
+            idx = live[r[ok]]
+            theta[idx] = trial[ok]
+            f[idx] = f_trial[ok]
+            accepted[pending[ok]] = True
+            alpha[pending[~ok]] *= 0.5
+            pending = pending[~ok]
+        moved = live[search[accepted]]
+        n_iter[moved] += 1
+        if options.record_trace:
+            for i in moved:
+                traces[i].append(float(f[i]))
+        stalled[live[search[~accepted]]] = True
+        live = live[search[accepted]]
+
+    for i in np.flatnonzero(stalled):
+        theta[i], f[i], converged[i], extra = _lbfgsb_row(
+            (start[i], theta[i]), st.take([i]), upper[i], theta[i], f[i], options
+        )
+        n_iter[i] += extra
+        if options.record_trace and f[i] < traces[i][-1]:
+            traces[i].append(float(f[i]))
+    return _Solved(theta, f, converged, n_iter, traces)
+
+
+def _lbfgsb_row(points, st: _Stack, upper, theta, f, options: FitOptions):
+    """Finish one stalled row with L-BFGS-B in the squared parametrization
+    p = (a, gamma_k, c, delta_k), b_k = gamma_k^2, C = c^2, D_k = delta_k^4,
+    run from each of ``points`` (the row's start and its stall point).
+
+    Returns (theta, f, converged, iterations): the best of the runs and of
+    the input (``theta``, ``f``), converged when any run converged.
+    """
+    k1 = theta.size // 2
+    power = np.concatenate([[1.0], np.full(k1 - 1, 2.0), [2.0], np.full(k1 - 1, 4.0)])
+    root = upper ** (1.0 / power)
+    box = [(None, None)] + [(None, None) if np.isinf(r) else (-r, r) for r in root[1:]]
+
+    def value_and_grad(p):
+        fv, g = _evaluate((p**power)[None], st, options.min_sigma, order=1)
+        return float(fv[0]), g[0] * power * p ** (power - 1.0)
+
+    converged, iterations = False, 0
+    for point in points:
+        p0 = np.concatenate([[point[0]], point[1:] ** (1.0 / power[1:])])
+        p0[1:] = np.where(p0[1:] < 1e-8, 0.1, p0[1:])  # zero is stationary in these coordinates
+        p0[1:] = np.minimum(p0[1:], root[1:])
+        res = minimize(
+            value_and_grad,
+            p0,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=box,
+            options={"maxiter": options.max_iterations, "ftol": options.objective_tolerance, "gtol": 1e-12, "maxls": 50},
+        )
+        converged = converged or res.status == 0
+        iterations += int(res.nit)
+        if float(res.fun) < f:
+            theta, f = np.minimum(np.asarray(res.x) ** power, upper), float(res.fun)
+    return theta, f, converged, iterations
+
+
+# ---------------------------------------------------------------------------
+# Tasks -> rows -> results.
+# ---------------------------------------------------------------------------
+
+
+def _window_arrays(samples, model_ids):
+    if len(samples) == 0:
+        raise ValueError("cannot fit on an empty training set")
     try:
-        xbar = np.array([s.stats_per_model[model_id].mean for s in samples])
-        std = np.array([s.stats_per_model[model_id].std for s in samples])
+        stats = [[s.stats_per_model[m] for m in model_ids] for s in samples]
     except KeyError:
-        raise ValueError(f"model {model_id!r} missing from at least one training sample") from None
+        missing = next(m for m in model_ids if any(m not in s.stats_per_model for s in samples))
+        raise ValueError(f"model {missing!r} missing from at least one training sample") from None
+    xbar = np.array([[st.mean for st in row] for row in stats])
+    std = np.array([[st.std for st in row] for row in stats])
     y = np.array([s.observation for s in samples])
-    return xbar, std, y
+    return xbar, std * std, y
 
 
-def _wake_dormant(p: np.ndarray, indices, eps: float = 0.1) -> np.ndarray:
-    """Nudge (near-)zero squared-parametrization entries off their stationary
-    point so the optimizer can move them again."""
-    q = p.copy()
-    for i in indices:
-        if abs(q[i]) < 1e-8:
-            q[i] = eps
-    return q
+def _theta_from(coef) -> np.ndarray:
+    if isinstance(coef, EmosCoefficients):
+        return np.array([coef.a, coef.b, coef.c**2, coef.d**2])
+    return np.array([coef.a, coef.b1, coef.b2, coef.c**2, coef.d1**2, coef.d2**2])
+
+
+def _coef_from(theta, bounds):
+    a, c = float(theta[0]), math.sqrt(theta[len(theta) // 2])
+    if len(theta) == 4:
+        return EmosCoefficients(a=a, b=float(theta[1]), c=c, d=math.sqrt(theta[3]))
+    d1 = math.sqrt(theta[4])
+    if bounds is not None:
+        d1 = min(d1, bounds[1])  # sqrt(d1_max**2) may round one ulp above d1_max
+    return MixedEmosCoefficients(a=a, b1=float(theta[1]), b2=float(theta[2]), c=c, d1=d1, d2=math.sqrt(theta[5]))
+
+
+def _wake(theta: np.ndarray, min_sigma: float) -> np.ndarray:
+    k1 = len(theta) // 2
+    if theta[k1] < (2.0 * min_sigma) ** 2:
+        theta = theta.copy()
+        theta[k1] = _WAKE_C2
+    return theta
+
+
+_DEFAULT_SINGLE = np.array([0.0, 1.0, 1.0, 1.0])  # a=0, b=1, c=1, d=1
+_NEAR_IDENTITY_SINGLE = np.array([0.0, 1.0, 0.01, 1.0])  # c nudged off zero
+_IDENTITY_SINGLE = np.array([0.0, 1.0, 0.0, 1.0])
+_SYMMETRIC_MIXED = np.array([0.0, 0.5, 0.5, 1.0, 0.5, 0.5])
+
+
+def _starts_and_candidates(task: FitTask, single_fits, min_sigma):
+    """Natural-coordinate start rows and zero-cost candidate points of a task."""
+    if len(task.model_ids) == 1:
+        if task.start is not None:
+            starts = [_wake(_theta_from(task.start), min_sigma)]
+        else:
+            starts = [_DEFAULT_SINGLE, _NEAR_IDENTITY_SINGLE]
+        return starts, [_IDENTITY_SINGLE, _DEFAULT_SINGLE]
+
+    s1, s2 = (_theta_from(fit.coefficients) for fit in single_fits)
+    embeds = [
+        np.array([s1[0], s1[1], 0.0, s1[2], s1[3], 0.0]),
+        np.array([s2[0], 0.0, s2[1], s2[2], 0.0, s2[3]]),
+    ]
+    if task.start is not None:
+        starts = [_wake(_theta_from(task.start), min_sigma)]
+    else:
+        # Start from the better single fit with the other predictor switched
+        # on a little, and from a symmetric combination.
+        better = 0 if single_fits[0].objective <= single_fits[1].objective else 1
+        perturbed = embeds[better].copy()
+        dormant_b, dormant_d = ((2, 5), (1, 4))[better]
+        perturbed[dormant_b], perturbed[dormant_d] = 0.09, 0.0081
+        starts = [_wake(perturbed, min_sigma), _SYMMETRIC_MIXED]
+    return starts, embeds
+
+
+def _bounds_arrays(k: int, bounds):
+    p = 2 * k + 2
+    lower = np.zeros(p)
+    lower[0] = -np.inf
+    upper = np.full(p, np.inf)
+    if k == 2 and bounds is not None:
+        upper[1], upper[4] = bounds[0], bounds[1] ** 2
+    return lower, upper
+
+
+def fit_batch(tasks: Sequence[FitTask], options: FitOptions = FitOptions()) -> list[FitResult]:
+    """Fit every task in one batched projected-Newton solve.
+
+    All tasks take the same number of predictors. Mixed tasks without
+    ``single_fits`` first get them from a batched single-model solve. Each
+    task contributes one row per start; its best row wins unless a candidate
+    point scores lower. Results are returned in task order, flagged
+    ``converged`` when any of the task's rows converged; nothing is raised for
+    a fit that did not converge.
+    """
+    if not tasks:
+        return []
+    k = len(tasks[0].model_ids)
+    if k not in (1, 2) or any(len(t.model_ids) != k for t in tasks):
+        raise ValueError("a batch takes tasks of one kind: all single-model or all two-model")
+    stack = _Stack.from_windows([_window_arrays(t.samples, t.model_ids) for t in tasks])
+    task_bounds = [None] * len(tasks)
+    singles = [None] * len(tasks)
+    if k == 2:
+        task_bounds = [t.bounds if t.bounds is not None else options.bounds for t in tasks]
+        singles = [t.single_fits for t in tasks]
+        need = [i for i, s in enumerate(singles) if s is None]
+        if need:
+            # Seeding fits never take the mixed fit's b1/d1 bounds.
+            seed_options = replace(options, bounds=None, record_trace=False)
+            seeds = fit_batch(
+                [FitTask(tasks[i].samples, (m,)) for i in need for m in tasks[i].model_ids], seed_options
+            )
+            for j, i in enumerate(need):
+                singles[i] = (seeds[2 * j], seeds[2 * j + 1])
+
+    rows, cands = [], []  # (task, theta, lower, upper) per start row; (task, theta) per candidate
+    task_rows, task_cands = [], []
+    for i, task in enumerate(tasks):
+        lower, upper = _bounds_arrays(k, task_bounds[i])
+        starts, candidates = _starts_and_candidates(task, singles[i], options.min_sigma)
+        task_rows.append(range(len(rows), len(rows) + len(starts)))
+        task_cands.append(range(len(cands), len(cands) + len(candidates)))
+        rows += [(i, np.clip(p, lower, upper), lower, upper) for p in starts]
+        cands += [(i, np.clip(p, lower, upper)) for p in candidates]
+    row_task, row_theta, row_lower, row_upper = (list(col) for col in zip(*rows))
+    cand_task, cand_theta = (list(col) for col in zip(*cands))
+    solved = _newton(np.array(row_theta), stack.take(row_task), np.array(row_lower), np.array(row_upper), options)
+    f_cand, _ = _evaluate(np.array(cand_theta), stack.take(cand_task), options.min_sigma)
+
+    results = []
+    for i, task in enumerate(tasks):
+        best = min(task_rows[i], key=lambda r: solved.f[r])
+        theta, f, n_iter = solved.theta[best], float(solved.f[best]), int(solved.n_iterations[best])
+        trace = solved.traces[best] if options.record_trace else []
+        for c in task_cands[i]:
+            # Zero-cost points may improve the answer but say nothing about
+            # convergence.
+            if f_cand[c] < f:
+                theta, f, n_iter = cand_theta[c], float(f_cand[c]), 0
+                trace = [f] if options.record_trace else []
+        results.append(
+            FitResult(
+                coefficients=_coef_from(theta, task_bounds[i]),
+                objective=f,
+                converged=bool(solved.converged[task_rows[i]].any()),
+                n_iterations=n_iter,
+                n_samples=len(task.samples),
+                trace=tuple(trace),
+            )
+        )
+    return results
 
 
 def fit_single(
@@ -439,45 +644,20 @@ def fit_single(
 ) -> FitResult:
     """Fit single-model coefficients by minimizing mean Gaussian CRPS.
 
-    ``start`` warm-starts the optimizer (e.g. from the previous issue date's
-    coefficients). Whatever the starting point, the achieved objective is
-    never above the objective at the default initialization or at the
-    identity (pass-through) coefficients: both are evaluated as candidates.
+    A batch of one task (see ``fit_batch``). ``start`` warm-starts the solver
+    (e.g. from the previous issue date's coefficients). Whatever the starting
+    point, the achieved objective is never above the objective at the
+    default initialization or at the identity (pass-through) coefficients:
+    both are evaluated as candidates.
 
     Raises
     ------
     NonConvergenceError
-        If max_iterations is exhausted before the relative objective change
-        drops below the tolerance; the best-so-far fit rides on the error.
+        If max_iterations is exhausted before the solver converges; the
+        best-so-far fit rides on the error.
     """
-    if len(samples) == 0:
-        raise ValueError("cannot fit on an empty training set")
-    xbar, std, y = _extract_single_arrays(samples, model_id)
-    problem = _SingleProblem(xbar, std, y, options.min_sigma)
-
-    default_start = np.array([0.0, 1.0, 1.0, 1.0])  # a=0, b=1, c=1, d=1
-    identity_p = problem.params_from(identity_single())
-    if start is not None:
-        p0 = _wake_dormant(problem.params_from(start), (1, 2, 3))
-    else:
-        # better of the default and near-identity starts (c nudged off zero)
-        near_identity = np.array([0.0, 1.0, 0.1, 1.0])
-        f_default = problem.value_and_grad(default_start)[0]
-        f_near = problem.value_and_grad(near_identity)[0]
-        p0 = near_identity if f_near < f_default else default_start
-
-    p, f, converged, n_iter, trace = _optimize(
-        problem, [p0], options, extra_candidates=[identity_p, default_start]
-    )
-    result = FitResult(
-        coefficients=problem.coef_from(p),
-        objective=f,
-        converged=converged,
-        n_iterations=n_iter,
-        n_samples=len(samples),
-        trace=trace,
-    )
-    if not converged:
+    result = fit_batch([FitTask(samples, (model_id,), start=start)], options)[0]
+    if not result.converged:
         raise NonConvergenceError(
             f"single-model fit for {model_id!r} did not converge in {options.max_iterations} iterations",
             result,
@@ -495,71 +675,19 @@ def fit_mixed(
     """Fit two-predictor coefficients subject to b, d >= 0 and optional
     upper bounds on b1 and d1.
 
-    ``single_fits`` may carry precomputed single-model fits for the two
-    models (in model_ids order) to seed the multi-start; otherwise they are
-    computed internally. Embedding a single-model optimum into the mixed
-    space gives the same objective value, so the returned objective is never
-    above either single-model optimum (up to the bound clamp, when bounds
-    exclude that embedding). ``start`` warm-starts the optimizer and skips
-    the symmetric multi-start run.
+    A batch of one task (see ``fit_batch``). ``single_fits`` may carry
+    precomputed single-model fits for the two models (in model_ids order) to
+    seed the multi-start; otherwise they are computed internally. Embedding a
+    single-model optimum into the mixed space gives the same objective value,
+    so the returned objective is never above either single-model optimum (up
+    to the bound clamp, when bounds exclude that embedding). ``start``
+    warm-starts the solver and skips the multi-start.
     """
-    if len(samples) == 0:
-        raise ValueError("cannot fit on an empty training set")
-    m1, m2 = model_ids
-    xbar1, std1, _ = _extract_single_arrays(samples, m1)
-    xbar2, std2, y = _extract_single_arrays(samples, m2)
-    problem = _MixedProblem(xbar1, std1, xbar2, std2, y, options.min_sigma)
-
-    if single_fits is None:
-        single_fits = (
-            _best_effort_single(samples, m1, options),
-            _best_effort_single(samples, m2, options),
-        )
-
-    def embed(coef: EmosCoefficients, first: bool) -> MixedEmosCoefficients:
-        if first:
-            return MixedEmosCoefficients(a=coef.a, b1=coef.b, b2=0.0, c=coef.c, d1=coef.d, d2=0.0)
-        return MixedEmosCoefficients(a=coef.a, b1=0.0, b2=coef.b, c=coef.c, d1=0.0, d2=coef.d)
-
-    embeds = [
-        problem.params_from(embed(single_fits[0].coefficients, True)),
-        problem.params_from(embed(single_fits[1].coefficients, False)),
-    ]
-    if start is not None:
-        starts = [_wake_dormant(problem.params_from(start), (1, 2, 3, 4, 5))]
-    else:
-        # b=0 is a stationary point of the squared parametrization, so an
-        # exact embedding cannot move; perturb the dormant predictor of the
-        # better single fit to let the optimizer discover genuine mixing,
-        # and keep both exact points as candidates to preserve nesting.
-        better = 0 if single_fits[0].objective <= single_fits[1].objective else 1
-        perturbed = embeds[better].copy()
-        for dormant in ((2, 5), (1, 4))[better]:
-            perturbed[dormant] = 0.3
-        half = math.sqrt(0.5)
-        symmetric = np.array([0.0, half, half, 1.0, 0.5**0.25, 0.5**0.25])
-        starts = [perturbed, symmetric]
-
-    p, f, converged, n_iter, trace = _optimize(problem, starts, options, extra_candidates=embeds)
-    result = FitResult(
-        coefficients=problem.coef_from(p),
-        objective=f,
-        converged=converged,
-        n_iterations=n_iter,
-        n_samples=len(samples),
-        trace=trace,
-    )
-    if not converged:
+    task = FitTask(samples, tuple(model_ids), start=start, single_fits=single_fits)
+    result = fit_batch([task], options)[0]
+    if not result.converged:
         raise NonConvergenceError(
-            f"mixed fit for {model_ids!r} did not converge in {options.max_iterations} iterations",
+            f"mixed fit for {tuple(model_ids)!r} did not converge in {options.max_iterations} iterations",
             result,
         )
     return result
-
-
-def _best_effort_single(samples, model_id, options: FitOptions) -> FitResult:
-    # Internal seeding fits never take the mixed fit's b1/d1 bounds.
-    try:
-        return fit_single(samples, model_id, replace(options, bounds=None, record_trace=False))
-    except NonConvergenceError as err:
-        return err.result

@@ -4,14 +4,14 @@ Coefficients are refit once per issue date, separately for every (station,
 lead time, strategy) key, on the trailing window of aligned
 forecast-observation pairs. Keys without enough window samples fall back to
 the most recent stored coefficients (up to 10 days old) and finally to
-pass-through identity coefficients; fallback records are flagged. A fitting
-pass never aborts because one key fails: optimizer failures are recorded
-per key with the best-so-far coefficients.
+pass-through identity coefficients; fallback records are flagged. All keys
+of an issue date are fitted together by the batched solver of ``emos``. A
+fit that does not converge is recorded with its best-so-far coefficients;
+any other failure aborts the pass.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 
@@ -20,10 +20,9 @@ from .emos import (
     EmosCoefficients,
     FitOptions,
     FitResult,
+    FitTask,
     MixedEmosCoefficients,
-    NonConvergenceError,
-    fit_mixed,
-    fit_single,
+    fit_batch,
     identity_mixed,
     identity_single,
     predict_mixed,
@@ -212,71 +211,10 @@ def _identity_record(strategy: str, n_samples: int) -> StoredFit:
     return StoredFit(coefficients=coef, n_samples=n_samples, objective=float("nan"), converged=True, fallback=True)
 
 
-def _fit_group(
-    group: list[CoefficientKey],
-    samples: list[TrainingSample],
-    spec: RollingWindowSpec,
-    options: FitOptions,
-    store: CoefficientStore,
-    issue_date: date,
-) -> dict[CoefficientKey, StoredFit]:
-    """Fit all strategies of one (station, lead) slot; singles first so the
-    mixed fit can be seeded from them."""
-    updates: dict[CoefficientKey, StoredFit] = {}
-    single_results: dict[str, FitResult] = {}
-
-    def fallback(key: CoefficientKey) -> StoredFit:
-        prior = store.latest_before(key.station_id, key.lead_time, key.strategy, issue_date, REUSE_WINDOW_DAYS)
-        if prior is not None:
-            return replace(prior, n_samples=len(samples), fallback=True)
-        return _identity_record(key.strategy, len(samples))
-
-    def warm_start(key: CoefficientKey, want_type):
-        # Yesterday's coefficients are an excellent starting point on a
-        # rolling window that shifts by one day.
-        prior = store.latest_before(key.station_id, key.lead_time, key.strategy, issue_date, 5)
-        if prior is None or not isinstance(prior.coefficients, want_type):
-            return None
-        return prior.coefficients
-
-    ordered = sorted(group, key=lambda k: (parse_strategy(k.strategy)[0] != "single", k.strategy))
-    for key in ordered:
-        kind, models = parse_strategy(key.strategy)
-        if kind == "raw":
-            raise ValueError(f"raw strategy {key.strategy!r} takes no coefficients")
-        if len(samples) < spec.min_samples:
-            updates[key] = fallback(key)
-            continue
-        try:
-            if kind == "single":
-                result = fit_single(samples, models[0], options, start=warm_start(key, EmosCoefficients))
-                single_results[models[0]] = result
-            else:
-                hints = None
-                if models[0] in single_results and models[1] in single_results:
-                    hints = (single_results[models[0]], single_results[models[1]])
-                result = fit_mixed(
-                    samples,
-                    (models[0], models[1]),
-                    options,
-                    single_fits=hints,
-                    start=warm_start(key, MixedEmosCoefficients),
-                )
-            converged = True
-        except NonConvergenceError as err:
-            result = err.result
-            converged = False
-        except ValueError:
-            updates[key] = fallback(key)
-            continue
-        updates[key] = StoredFit(
-            coefficients=result.coefficients,
-            n_samples=result.n_samples,
-            objective=result.objective,
-            converged=converged,
-            fallback=False,
-        )
-    return updates
+def _stored_as_fit(record: StoredFit | None) -> FitResult | None:
+    if record is None or record.fallback:
+        return None
+    return FitResult(record.coefficients, record.objective, record.converged, 0, record.n_samples)
 
 
 def fit_for_issue(
@@ -286,38 +224,88 @@ def fit_for_issue(
     spec: RollingWindowSpec = RollingWindowSpec(),
     options: FitOptions = FitOptions(),
     store: CoefficientStore | None = None,
-    n_jobs: int = 1,
+    bounds: dict[CoefficientKey, tuple[float, float]] | None = None,
 ) -> dict[CoefficientKey, StoredFit]:
     """Compute store updates for one issue date.
 
-    ``store`` supplies the history consulted by the stale-coefficient
-    fallback; it is not modified (merge the returned updates yourself, which
-    keeps the parallel path single-writer).
+    The keys are fitted in two batched solves: all single-model keys, then
+    all mixed keys, each seeded from the single-model fits of its slot on
+    this issue date (fitted in this call or already in ``store``). Keys
+    whose window has fewer than ``spec.min_samples`` samples, or lacks one of
+    the key's models, fall back to stale or identity coefficients; any other
+    error propagates.
+
+    ``bounds`` maps mixed keys to (b1_max, d1_max) upper bounds, as the t1
+    taper refits need; ``options.bounds`` applies to the other mixed keys.
+    ``store`` supplies warm starts, single-model fits and the history of the
+    stale-coefficient fallback; it is not modified (merge the returned
+    updates yourself).
     """
     if store is None:
         store = CoefficientStore()
+    bounds = bounds or {}
+    windows: dict[tuple[str, int], list[TrainingSample]] = {}
+    updates: dict[CoefficientKey, StoredFit] = {}
+    to_fit: dict[str, list[CoefficientKey]] = {"single": [], "mixed": []}
     for key in keys:
         if key.issue_date != issue_date:
             raise ValueError(f"key {key} does not belong to issue date {issue_date}")
+        kind, models = parse_strategy(key.strategy)
+        if kind == "raw":
+            raise ValueError(f"raw strategy {key.strategy!r} takes no coefficients")
+        slot = (key.station_id, key.lead_time)
+        if slot not in windows:
+            windows[slot] = select_window(archive.get(slot, []), issue_date, spec)
+        samples = windows[slot]
+        if len(samples) < spec.min_samples or any(m not in s.stats_per_model for s in samples for m in models):
+            prior = store.latest_before(key.station_id, key.lead_time, key.strategy, issue_date, REUSE_WINDOW_DAYS)
+            if prior is not None:
+                updates[key] = replace(prior, n_samples=len(samples), fallback=True)
+            else:
+                updates[key] = _identity_record(key.strategy, len(samples))
+        else:
+            to_fit[kind].append(key)
 
-    groups: dict[tuple[str, int], list[CoefficientKey]] = {}
-    for key in keys:
-        groups.setdefault((key.station_id, key.lead_time), []).append(key)
+    def warm_start(key: CoefficientKey, want_type):
+        # Yesterday's coefficients are an excellent starting point on a
+        # rolling window that shifts by one day.
+        prior = store.latest_before(key.station_id, key.lead_time, key.strategy, issue_date, 5)
+        if prior is None or not isinstance(prior.coefficients, want_type):
+            return None
+        return prior.coefficients
 
-    def run(slot):
-        group = groups[slot]
-        samples = select_window(archive.get(slot, []), issue_date, spec)
-        return _fit_group(group, samples, spec, options, store, issue_date)
+    fitted: dict[CoefficientKey, FitResult] = {}
+    for kind in ("single", "mixed"):
+        tasks = []
+        for key in to_fit[kind]:
+            models = parse_strategy(key.strategy)[1]
+            samples = windows[(key.station_id, key.lead_time)]
+            if kind == "single":
+                tasks.append(FitTask(samples, models, start=warm_start(key, EmosCoefficients)))
+                continue
+            hints = []
+            for m in models:
+                single_key = replace(key, strategy=single_strategy(m))
+                hints.append(fitted.get(single_key) or _stored_as_fit(store.get(single_key)))
+            tasks.append(
+                FitTask(
+                    samples,
+                    models,
+                    start=warm_start(key, MixedEmosCoefficients),
+                    single_fits=None if None in hints else tuple(hints),
+                    bounds=bounds.get(key),
+                )
+            )
+        fitted.update(zip(to_fit[kind], fit_batch(tasks, options)))
 
-    slots = sorted(groups)
-    updates: dict[CoefficientKey, StoredFit] = {}
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            for result in pool.map(run, slots):
-                updates.update(result)
-    else:
-        for slot in slots:
-            updates.update(run(slot))
+    for key, result in fitted.items():
+        updates[key] = StoredFit(
+            coefficients=result.coefficients,
+            n_samples=result.n_samples,
+            objective=result.objective,
+            converged=result.converged,
+            fallback=False,
+        )
     return updates
 
 
@@ -337,11 +325,22 @@ def predict_for_issue(
     """Apply stored coefficients to the issue date's forecasts.
 
     Missing coefficients or missing forecasts produce per-key error entries;
-    all other keys are unaffected.
+    all other keys are unaffected. Predictions are keyed by station, lead and
+    strategy, so a station with forecasts from more than one init time on
+    the issue date is rejected with ValueError.
     """
+    init_times: dict[str, set] = {}
     stats: dict[tuple[str, str, int], EnsembleStats] = {}
     for fc in forecasts:
+        init_times.setdefault(fc.station_id, set()).add(fc.init_time)
         stats[(fc.station_id, fc.model_id, fc.lead_time)] = ensemble_stats(fc)
+    for station_id, times in sorted(init_times.items()):
+        if len(times) > 1:
+            listed = ", ".join(t.strftime("%H:%M") for t in sorted(times))
+            raise ValueError(
+                f"station {station_id} has forecasts from {len(times)} init times on {issue_date} ({listed}); "
+                "only one run per day is supported"
+            )
 
     predictions: dict[tuple[str, int, str], GaussianPredictive] = {}
     errors: dict[tuple[str, int, str], str] = {}

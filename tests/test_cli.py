@@ -1,3 +1,4 @@
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,29 @@ class TestPredict:
             # predictions.csv carries 9 significant digits
             assert r.predictive.mu == pytest.approx(stats.mean, rel=1e-8)
             assert r.predictive.sigma == pytest.approx(max(stats.std, 1e-3), rel=1e-8)
+
+    def test_two_init_times_per_day_rejected(self, basic_run, tmp_path, capsys):
+        # A 12 UTC run next to the 00 UTC one on the last day: one ensemble per
+        # (station, model, lead) and day is all a prediction can be keyed by.
+        data = tmp_path / "data"
+        shutil.copytree(basic_run["data"], data)
+        path = data / "forecasts_hires.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        extra = [
+            line.replace("T00:00:00Z", "T12:00:00Z", 1)
+            for line in lines[1:]
+            if line.startswith("S001,2017-02-27T00:00:00Z")
+        ]
+        assert extra
+        path.write_text("".join(lines + extra))
+        preds = tmp_path / "predictions.csv"
+        code = main(
+            ["predict", "--config", basic_run["cfg"], "--data", str(data), "--store", str(basic_run["store"]),
+             "--out", str(preds), "--issue-start", "2017-02-27", "--issue-end", "2017-02-27"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "S001" in err and "2017-02-27" in err
 
 
 class TestVerifyReports:
@@ -379,6 +403,25 @@ class TestErrors:
              "--reference", "raw:nonexistent"]
         )
         assert code == 1
+
+    def test_non_finite_fit_exit_1(self, basic_run, tmp_path, monkeypatch, capsys):
+        import emoskit.emos as emos
+
+        real = emos._newton
+
+        def broken(theta, st, lower, upper, options):
+            solved = real(theta, st, lower, upper, options)
+            solved.theta[:] = np.nan
+            return solved
+
+        monkeypatch.setattr(emos, "_newton", broken)
+        code = main(
+            ["train", "--config", basic_run["cfg"], "--data", str(basic_run["data"]),
+             "--store", str(tmp_path / "s.csv"), "--issue-start", "2017-02-27", "--issue-end", "2017-02-27"]
+        )
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestRandomizedPit:

@@ -7,8 +7,10 @@ from emoskit.domain import EnsembleStats
 from emoskit.emos import (
     EmosCoefficients,
     FitOptions,
+    FitTask,
     MixedEmosCoefficients,
     NonConvergenceError,
+    fit_batch,
     fit_mixed,
     fit_single,
     identity_single,
@@ -287,3 +289,26 @@ class TestOptionsValidation:
     def test_mixed_coefficients_non_negative(self):
         with pytest.raises(ValueError):
             MixedEmosCoefficients(a=0.0, b1=-0.1, b2=0.0, c=0.0, d1=0.0, d2=0.0)
+
+
+class TestBatch:
+    def test_stalled_rows_finish_with_lbfgsb(self, monkeypatch):
+        # With no line-search halvings every Newton row stalls at once and is
+        # handed to L-BFGS-B, which must still reach the same optimum.
+        import emoskit.emos as emos
+
+        samples = linear_gaussian_samples(n=45, a=1.0, b=0.9, noise_std=0.5, seed=21, second_model="informative")
+        newton = fit_mixed(samples, ("A", "B"))
+        calls = []
+        real = emos.minimize
+        monkeypatch.setattr(emos, "minimize", lambda *a, **k: calls.append(1) or real(*a, **k))
+        monkeypatch.setattr(emos, "_MAX_HALVINGS", 0)
+        fallback = fit_mixed(samples, ("A", "B"))
+        assert calls
+        assert fallback.converged
+        assert fallback.objective == pytest.approx(newton.objective, abs=1e-7)
+
+    def test_mixed_batch_rejected(self):
+        samples = linear_gaussian_samples(n=45)
+        with pytest.raises(ValueError):
+            fit_batch([FitTask(samples, ("A",)), FitTask(samples, ("A", "B"))])

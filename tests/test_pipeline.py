@@ -1,5 +1,8 @@
+import math
+from dataclasses import replace
 from datetime import timedelta
 
+import numpy as np
 import pytest
 
 from emoskit.domain import EnsembleForecast, EnsembleStats
@@ -145,14 +148,46 @@ class TestFitForIssue:
         b = fit_for_issue(archive, issue_on(50), keys_for(issue_on(50)))
         assert a == b
 
-    def test_parallel_matches_sequential(self):
+    def test_batch_composition(self):
+        # Keys share one batched solve per stage; a key's fit must not depend
+        # on which other keys ride along (different window lengths included).
         samples_a = linear_gaussian_samples(n=60, seed=1, second_model="informative")
-        samples_b = linear_gaussian_samples(n=60, seed=2, second_model="informative")
+        samples_b = linear_gaussian_samples(n=60, seed=2, second_model="informative")[10:]
         archive = {("S1", 12): samples_a, ("S2", 12): samples_b}
         keys = keys_for(issue_on(50), station="S1") + keys_for(issue_on(50), station="S2")
-        seq = fit_for_issue(archive, issue_on(50), keys, n_jobs=1)
-        par = fit_for_issue(archive, issue_on(50), keys, n_jobs=3)
-        assert seq == par
+        together = fit_for_issue(archive, issue_on(50), keys)
+        for station in ("S1", "S2"):
+            alone = fit_for_issue(archive, issue_on(50), keys_for(issue_on(50), station=station))
+            for key, record in alone.items():
+                assert not record.fallback
+                assert together[key].objective == pytest.approx(record.objective, abs=1e-12)
+
+    def test_missing_model_falls_back(self):
+        archive = make_archive(60)
+        stripped = {
+            slot: [replace(s, stats_per_model={"A": s.stats_per_model["A"]}) for s in samples]
+            for slot, samples in archive.items()
+        }
+        updates = fit_for_issue(stripped, issue_on(50), keys_for(issue_on(50)))
+        assert not updates[keys_for(issue_on(50))[0]].fallback
+        for key in keys_for(issue_on(50))[1:]:
+            assert updates[key].fallback
+            assert math.isnan(updates[key].objective)
+
+    def test_solver_error_propagates(self, monkeypatch):
+        # Only too few samples or a missing model may fall back; a solver
+        # that returns non-finite coefficients must surface.
+        import emoskit.emos as emos
+
+        def broken(theta, st, lower, upper, options):
+            solved = real(theta, st, lower, upper, options)
+            solved.theta[:] = np.nan
+            return solved
+
+        real = emos._newton
+        monkeypatch.setattr(emos, "_newton", broken)
+        with pytest.raises(ValueError, match="finite"):
+            fit_for_issue(make_archive(60), issue_on(50), keys_for(issue_on(50)))
 
     def test_raw_strategy_rejected(self):
         archive = make_archive(50)
