@@ -23,15 +23,14 @@ from .emos import (
     FitOptions,
     FitResult,
     FitTask,
-    MixedEmosCoefficients,
     ModelWeights,
     NonConvergenceError,
     fit_batch,
     fit_mixed,
     fit_single,
+    identity,
     model_weights,
-    predict_mixed,
-    predict_single,
+    predict,
 )
 from .pipeline import (
     CoefficientKey,
@@ -39,12 +38,16 @@ from .pipeline import (
     RollingWindowSpec,
     StoredFit,
     build_archive,
+    coefficient_slots,
     fit_for_issue,
     mixed_strategy,
     parse_strategy,
     predict_for_issue,
+    predict_issues,
+    prepare_forecasts,
     select_window,
     single_strategy,
+    train,
 )
 from .scoring import (
     Conclusion,
@@ -82,6 +85,7 @@ from .transition import (
     DEFAULT_TRANSITION_WEIGHTS,
     SeamDiagnostics,
     TransitionSpec,
+    assemble_seam,
     seam_diagnostics,
     transition1_bounds,
     transition2_blend,

@@ -24,24 +24,23 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import io as eio
-from .domain import EnsembleForecast
+from .domain import EnsembleForecast, GaussianPredictive
 from .emos import FitOptions, model_weights
 from .pipeline import (
-    CoefficientKey,
-    CoefficientStore,
     RollingWindowSpec,
     build_archive,
-    fit_for_issue,
+    coefficient_slots,
     mixed_strategy,
     parse_strategy,
-    predict_for_issue,
+    predict_issues,
+    prepare_forecasts,
+    train,
 )
 from .scoring import (
     ScoreSeries,
@@ -52,9 +51,9 @@ from .scoring import (
     pit_value,
     stratified_report,
 )
-from .synth import ModelErrorSpec, ScenarioSpec, TruthSpec, generate_scenario, interpolate_leads
-from .terrain import ElevationGrid, lapse_correct, read_esri_ascii, tpi_at_station, write_esri_ascii
-from .transition import TransitionSpec, seam_diagnostics, transition1_bounds, transition2_blend
+from .synth import ModelErrorSpec, ScenarioSpec, TruthSpec, generate_scenario
+from .terrain import ElevationGrid, read_esri_ascii, tpi_at_station, write_esri_ascii
+from .transition import TransitionSpec, assemble_seam, seam_diagnostics
 
 __all__ = ["main", "randomized_ensemble_pit"]
 
@@ -83,13 +82,6 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # Config plumbing
 # ---------------------------------------------------------------------------
-
-
-def _cfg_str(cfg, key, default=None):
-    value = cfg.get(key, default)
-    if value is None:
-        raise ValueError(f"missing config key {key!r}")
-    return value
 
 
 def _cfg_float(cfg, key, default):
@@ -171,7 +163,7 @@ def _scenario_spec(cfg, seed_override=None) -> ScenarioSpec:
         seed=seed,
         n_stations=_cfg_int(cfg, "scenario.n_stations", 10),
         n_days=_cfg_int(cfg, "scenario.n_days", 100),
-        lead_hours=_parse_leads(cfg.get("scenario.leads", "0-126")),
+        lead_hours=_leads(cfg),
         start=start,
         truth=truth,
         models=models,
@@ -245,40 +237,20 @@ def _load_data(cfg, data_dir: Path):
     """Read stations/observations/forecasts; lapse-correct members to station
     elevation and fill coarse lead grids by linear interpolation."""
     stations = eio.read_stations(data_dir / "stations.csv")
-    by_station = {s.station_id: s for s in stations}
     observations = eio.read_observations(data_dir / "observations.csv")
     forecasts: dict[str, list[EnsembleForecast]] = {}
     for model_id in _model_ids(cfg):
-        path = data_dir / f"forecasts_{model_id}.csv"
-        raw = eio.read_forecasts(path, model_id)
-        corrected = []
-        for fc in raw:
-            station = by_station.get(fc.station_id)
-            if station is None:
-                raise ValueError(f"{path}: unknown station {fc.station_id!r}")
-            members = lapse_correct(fc.members, station.grid_elevation[model_id], station.elevation)
-            corrected.append(replace(fc, members=members))
-        step = _cfg_int(cfg, f"model.{model_id}.coarse_step", 3)
-        forecasts[model_id] = interpolate_leads(corrected, source_step=step)
+        raw = eio.read_forecasts(data_dir / f"forecasts_{model_id}.csv", model_id)
+        forecasts[model_id] = prepare_forecasts(raw, stations, _cfg_int(cfg, f"model.{model_id}.coarse_step", 3))
     return stations, observations, forecasts
 
 
-def _coverage(forecasts: dict[str, list[EnsembleForecast]]) -> dict[str, set[int]]:
-    return {m: {fc.lead_time for fc in fcs} for m, fcs in forecasts.items()}
+def _leads(cfg) -> tuple[int, ...]:
+    return _parse_leads(cfg.get("scenario.leads", "0-126"))
 
 
-def _keys_for_issue(cfg, issue: date, station_ids, leads, coverage, exclude=()):
-    keys = []
-    strategies = [s for s in _strategies(cfg) if parse_strategy(s)[0] != "raw"]
-    for sid in sorted(station_ids):
-        for lead in leads:
-            for strat in strategies:
-                if (strat, lead) in exclude:
-                    continue
-                _, models = parse_strategy(strat)
-                if all(lead in coverage.get(m, ()) for m in models):
-                    keys.append(CoefficientKey(sid, lead, strat, issue))
-    return keys
+def _slots(cfg, forecasts, observations):
+    return coefficient_slots(forecasts, sorted(observations), _leads(cfg), _strategies(cfg))
 
 
 def _issue_dates(forecasts, start=None, end=None) -> list[date]:
@@ -346,59 +318,20 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = eio.parse_config(args.config)
-    data_dir = Path(args.data)
-    stations, observations, forecasts = _load_data(cfg, data_dir)
-    window = _window_spec(cfg)
-    options = _fit_options(cfg)
+    _, observations, forecasts = _load_data(cfg, Path(args.data))
     tspec = _transition_spec(cfg, scheme_override=args.scheme)
-    leads = _parse_leads(cfg.get("scenario.leads", "0-126"))
-    coverage = _coverage(forecasts)
-    station_ids = sorted(observations)
-
-    mixed_name = None
-    taper_exclude = ()
-    if tspec.scheme == "t1":
-        mixed_name = _mixed_strategy_name(cfg)
-        needed = (tspec.anchor_lead, *tspec.taper_leads)
-        missing = [t for t in needed if t not in leads]
-        if missing:
-            print(f"error: transition t1 needs leads {missing} in the configured lead set", file=sys.stderr)
-            return 1
-        taper_exclude = tuple((mixed_name, t) for t in tspec.taper_leads)
-
-    archive, dropped = build_archive(forecasts, observations, leads)
+    taper = (tspec, _mixed_strategy_name(cfg)) if tspec.scheme == "t1" else None
+    archive, dropped = build_archive(forecasts, observations, _leads(cfg))
     if dropped:
         print(f"note: {dropped} incomplete init times dropped during alignment", file=sys.stderr)
 
     issues = _issue_dates(forecasts, args.issue_start, args.issue_end)
-    store = CoefficientStore()
-    any_nonconverged = False
-    for issue in issues:
-        keys = _keys_for_issue(cfg, issue, station_ids, leads, coverage, exclude=taper_exclude)
-        updates = fit_for_issue(archive, issue, keys, window, options, store)
-        store.update(updates)
-        if tspec.scheme == "t1":
-            taper_bounds = {}
-            for sid in station_ids:
-                anchor = store.get(CoefficientKey(sid, tspec.anchor_lead, mixed_name, issue))
-                if anchor is None:
-                    print(f"error: no anchor coefficients at lead {tspec.anchor_lead} for {sid} {issue}", file=sys.stderr)
-                    return 1
-                bounds = transition1_bounds(anchor.coefficients, tspec)
-                for lead in tspec.taper_leads:
-                    if all(lead in coverage.get(m, ()) for m in parse_strategy(mixed_name)[1]):
-                        taper_bounds[CoefficientKey(sid, lead, mixed_name, issue)] = bounds[lead]
-            taper_updates = fit_for_issue(
-                archive, issue, list(taper_bounds), window, options, store, bounds=taper_bounds
-            )
-            store.update(taper_updates)
-            updates.update(taper_updates)
-        any_nonconverged = any_nonconverged or any(not r.converged for r in updates.values())
-
+    slots = _slots(cfg, forecasts, observations)
+    store = train(archive, issues, slots, _window_spec(cfg), _fit_options(cfg), taper)
     eio.write_store(args.store, store)
     n_fallback = sum(1 for _, r in store.items() if r.fallback)
     print(f"trained {len(store)} records over {len(issues)} issue dates ({n_fallback} fallbacks) -> {args.store}")
-    if any_nonconverged:
+    if any(not r.converged for _, r in store.items()):
         print("warning: at least one fit did not converge (flagged in store)", file=sys.stderr)
         return 2
     return 0
@@ -411,32 +344,18 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = eio.parse_config(args.config)
-    data_dir = Path(args.data)
-    _, observations, forecasts = _load_data(cfg, data_dir)
+    _, observations, forecasts = _load_data(cfg, Path(args.data))
     store = eio.read_store(args.store)
-    options = _fit_options(cfg)
-    leads = _parse_leads(cfg.get("scenario.leads", "0-126"))
-    coverage = _coverage(forecasts)
-    station_ids = sorted(observations)
+    issues = _issue_dates(forecasts, args.issue_start, args.issue_end)
+    slots = _slots(cfg, forecasts, observations)
+    predictions, errors = predict_issues(store, forecasts, issues, slots, min_sigma=_fit_options(cfg).min_sigma)
+    for message in errors:
+        print(f"error: {message}", file=sys.stderr)
 
-    rows: list[eio.PredictionRow] = []
-    n_errors = 0
-    for issue in _issue_dates(forecasts, args.issue_start, args.issue_end):
-        todays = [fc for fcs in forecasts.values() for fc in fcs if fc.init_time.date() == issue]
-        if not todays:
-            continue
-        keys = _keys_for_issue(cfg, issue, station_ids, leads, coverage)
-        outcome = predict_for_issue(store, todays, issue, keys, min_sigma=options.min_sigma)
-        init_time = {fc.station_id: fc.init_time for fc in todays}
-        for (sid, lead, strategy), pred in outcome.predictions.items():
-            rows.append(eio.PredictionRow(sid, init_time[sid], lead, strategy, pred))
-        for bad_key, message in sorted(outcome.errors.items()):
-            print(f"error: {message}", file=sys.stderr)
-            n_errors += 1
-
+    rows = [eio.PredictionRow(*key, pred) for key, pred in predictions.items()]
     eio.write_predictions(args.out, rows)
     print(f"wrote {len(rows)} predictions -> {args.out}")
-    return 1 if n_errors else 0
+    return 1 if errors else 0
 
 
 # ---------------------------------------------------------------------------
@@ -447,40 +366,21 @@ def cmd_predict(args) -> int:
 def cmd_transition(args) -> int:
     cfg = eio.parse_config(args.config)
     tspec = _transition_spec(cfg, scheme_override=args.scheme)
-    options = _fit_options(cfg)
-    mixed_name = _mixed_strategy_name(cfg)
-    continuing = _continuing_strategy(cfg)
-
-    rows = eio.read_predictions(args.predictions)
-    by_case: dict[tuple[str, datetime], dict[str, dict[int, eio.PredictionRow]]] = {}
-    for r in rows:
-        by_case.setdefault((r.station_id, r.init_time), {}).setdefault(r.strategy, {})[r.lead_time] = r
+    cases: dict[tuple[str, datetime], dict[str, dict[int, GaussianPredictive]]] = {}
+    for r in eio.read_predictions(args.predictions):
+        cases.setdefault((r.station_id, r.init_time), {}).setdefault(r.strategy, {})[r.lead_time] = r.predictive
+    seam = assemble_seam(
+        cases, tspec, _mixed_strategy_name(cfg), _continuing_strategy(cfg), min_sigma=_fit_options(cfg).min_sigma
+    )
 
     label = f"seam_{tspec.scheme}"
-    out_rows: list[eio.PredictionRow] = []
-    for (sid, init_time), per_strategy in sorted(by_case.items()):
-        mixed_rows = per_strategy.get(mixed_name, {})
-        single_rows = per_strategy.get(continuing, {})
-        if not single_rows:
-            print(f"error: no {continuing!r} predictions for {sid} {init_time}", file=sys.stderr)
-            return 1
-        single_series = {lead: r.predictive for lead, r in single_rows.items()}
-        beyond = {lead: pred for lead, pred in single_series.items() if lead > tspec.horizon}
-        if tspec.scheme == "t2":
-            mixed_at_h = mixed_rows.get(tspec.horizon)
-            if mixed_at_h is None:
-                print(f"error: no {mixed_name!r} prediction at the horizon for {sid} {init_time}", file=sys.stderr)
-                return 1
-            blended = transition2_blend(mixed_at_h.predictive, single_series, tspec, min_sigma=options.min_sigma)
-            beyond = {lead: pred for lead, pred in blended.items() if lead > tspec.horizon}
-        for lead, row in sorted(mixed_rows.items()):
-            if lead <= tspec.horizon:
-                out_rows.append(eio.PredictionRow(sid, init_time, lead, label, row.predictive))
-        for lead, pred in sorted(beyond.items()):
-            out_rows.append(eio.PredictionRow(sid, init_time, lead, label, pred))
-
-    eio.write_predictions(args.out, out_rows)
-    print(f"wrote {len(out_rows)} seam predictions ({label}) -> {args.out}")
+    rows = [
+        eio.PredictionRow(sid, init, lead, label, pred)
+        for (sid, init), leads in seam.items()
+        for lead, pred in leads.items()
+    ]
+    eio.write_predictions(args.out, rows)
+    print(f"wrote {len(rows)} seam predictions ({label}) -> {args.out}")
     return 0
 
 
@@ -489,51 +389,39 @@ def cmd_transition(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_report_tables(out_dir: Path, report, label_columns):
-    import csv
+def _fmt_optional(x) -> str:
+    return "" if x is None else eio.fmt_float(x)
 
-    with (out_dir / "crps_overall.csv").open("w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["strategy", "n", "mean_crps", "crpss", "frac_stations_crpss_pos"])
-        for strategy in sorted(report.overall):
-            stat = report.overall[strategy]
-            frac = report.station_skill_fraction.get(strategy)
-            w.writerow(
-                [
-                    strategy,
-                    stat.count,
-                    eio.fmt_float(stat.mean_crps),
-                    "" if stat.crpss is None else eio.fmt_float(stat.crpss),
-                    "" if frac is None else eio.fmt_float(frac),
-                ]
-            )
-    for strat_name, label_col in label_columns.items():
+
+# stratum -> label column of its crps_by_<stratum>.csv table
+_STRATUM_COLUMNS = {"season": "season", "daynight": "stratum", "lead": "lead_h", "station": "station_id"}
+
+
+def _write_report_tables(out_dir: Path, report):
+    eio.write_table(
+        out_dir / "crps_overall.csv",
+        ["strategy", "n", "mean_crps", "crpss", "frac_stations_crpss_pos"],
+        (
+            [strategy, stat.count, eio.fmt_float(stat.mean_crps), _fmt_optional(stat.crpss),
+             _fmt_optional(report.station_skill_fraction.get(strategy))]
+            for strategy, stat in sorted(report.overall.items())
+        ),
+    )
+    for strat_name, label_col in _STRATUM_COLUMNS.items():
         table = report.by_stratum.get(strat_name)
         if table is None:
             continue
-        with (out_dir / f"crps_by_{strat_name}.csv").open("w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["strategy", label_col, "n", "mean_crps", "crpss"])
-            for strategy in sorted(table):
-                for label in sorted(table[strategy], key=lambda s: (len(s), s) if strat_name == "lead" else s):
-                    stat = table[strategy][label]
-                    w.writerow(
-                        [
-                            strategy,
-                            label,
-                            stat.count,
-                            eio.fmt_float(stat.mean_crps),
-                            "" if stat.crpss is None else eio.fmt_float(stat.crpss),
-                        ]
-                    )
+        rows = []
+        for strategy in sorted(table):
+            for label in sorted(table[strategy], key=lambda s: (len(s), s) if strat_name == "lead" else s):
+                stat = table[strategy][label]
+                rows.append([strategy, label, stat.count, eio.fmt_float(stat.mean_crps), _fmt_optional(stat.crpss)])
+        eio.write_table(out_dir / f"crps_by_{strat_name}.csv", ["strategy", label_col, "n", "mean_crps", "crpss"], rows)
 
 
 def cmd_verify(args) -> int:
-    import csv
-
     cfg = eio.parse_config(args.config)
-    data_dir = Path(args.data)
-    stations, observations, forecasts = _load_data(cfg, data_dir)
+    _, observations, forecasts = _load_data(cfg, Path(args.data))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reference = args.reference or cfg.get("reference") or _strategies(cfg)[0]
@@ -613,93 +501,70 @@ def cmd_verify(args) -> int:
         )
         pits[strategy] = pit_list
 
-    report = stratified_report(scores, reference)
-    _write_report_tables(
-        out_dir,
-        report,
-        {"season": "season", "daynight": "stratum", "lead": "lead_h", "station": "station_id"},
+    _write_report_tables(out_dir, stratified_report(scores, reference))
+
+    pit_rows = []
+    for strategy in strategies:
+        hist = pit_histogram(pits[strategy], pit_bins)
+        for lo, hi, count in zip(hist.edges, hist.edges[1:], hist.counts):
+            pit_rows.append([eio.fmt_float(lo), eio.fmt_float(hi), count, strategy])
+    eio.write_table(out_dir / "pit_hist.csv", ["bin_lo", "bin_hi", "count", "strategy"], pit_rows)
+
+    dm_rows = []
+    for i, sa in enumerate(strategies):
+        for sb in strategies[i + 1 :]:
+            result = diebold_mariano(scores[sa], scores[sb], alpha=alpha)
+            dm_rows.append(
+                [sa, sb, len(cases), eio.fmt_float(result.statistic), eio.fmt_float(result.p_value),
+                 result.conclusion.value]
+            )
+    eio.write_table(
+        out_dir / "dm_matrix.csv", ["strategy_a", "strategy_b", "n", "statistic", "p_value", "conclusion"], dm_rows
     )
 
-    with (out_dir / "pit_hist.csv").open("w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["bin_lo", "bin_hi", "count", "strategy"])
-        for strategy in strategies:
-            hist = pit_histogram(pits[strategy], pit_bins)
-            edges = hist.edges
-            for i, count in enumerate(hist.counts):
-                w.writerow([eio.fmt_float(edges[i]), eio.fmt_float(edges[i + 1]), count, strategy])
-
-    with (out_dir / "dm_matrix.csv").open("w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["strategy_a", "strategy_b", "n", "statistic", "p_value", "conclusion"])
-        for i, sa in enumerate(strategies):
-            for sb in strategies[i + 1 :]:
-                result = diebold_mariano(scores[sa], scores[sb], alpha=alpha)
-                w.writerow(
-                    [
-                        sa,
-                        sb,
-                        len(cases),
-                        eio.fmt_float(result.statistic),
-                        eio.fmt_float(result.p_value),
-                        result.conclusion.value,
-                    ]
-                )
-
     if args.store:
-        store = eio.read_store(args.store)
-        with (out_dir / "weights.csv").open("w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["station_id", "init_time", "lead_h", "weight_mean", "weight_std"])
-            for key, record in store.items():
-                if parse_strategy(key.strategy)[0] != "mixed":
-                    continue
-                wt = model_weights(record.coefficients)
-                init_time = datetime(key.issue_date.year, key.issue_date.month, key.issue_date.day, tzinfo=timezone.utc)
-                w.writerow(
-                    [
-                        key.station_id,
-                        eio.format_timestamp(init_time),
-                        key.lead_time,
-                        eio.fmt_float(wt.weight_mean),
-                        eio.fmt_float(wt.weight_std),
-                    ]
-                )
+        weight_rows = []
+        for key, record in eio.read_store(args.store).items():
+            if parse_strategy(key.strategy)[0] != "mixed":
+                continue
+            wt = model_weights(record.coefficients)
+            init_time = datetime(key.issue_date.year, key.issue_date.month, key.issue_date.day, tzinfo=timezone.utc)
+            weight_rows.append(
+                [key.station_id, eio.format_timestamp(init_time), key.lead_time, eio.fmt_float(wt.weight_mean),
+                 eio.fmt_float(wt.weight_std)]
+            )
+        eio.write_table(
+            out_dir / "weights.csv", ["station_id", "init_time", "lead_h", "weight_mean", "weight_std"], weight_rows
+        )
 
     seam_raw = cfg.get("verify.seam_window", "")
     if seam_raw:
         lo, hi = (int(v) for v in seam_raw.replace("-", ",").split(",")[:2])
         window = list(range(lo, hi + 1))
-        with (out_dir / "seam_diagnostics.csv").open("w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["strategy", "lead_h", "mu_step", "sigma_step", "mean_crps"])
-            for strategy in gaussian_strategies:
-                series = {}
-                obs_per_case = {}
-                for (sid, init, lead), row in preds[strategy].items():
-                    if lo <= lead <= hi:
-                        series.setdefault((sid, init), {})[lead] = row.predictive
-                complete = {}
-                for case, table in sorted(series.items()):
-                    obs_vals = {
-                        lead: obs_maps.get(case[0], {}).get(case[1] + timedelta(hours=lead)) for lead in window
-                    }
-                    if all(lead in table for lead in window) and all(v is not None for v in obs_vals.values()):
-                        complete[case] = table
-                        obs_per_case[case] = obs_vals
-                if not complete:
-                    continue
-                diag = seam_diagnostics(complete, obs_per_case, window)
-                for lead in window:
-                    w.writerow(
-                        [
-                            strategy,
-                            lead,
-                            "" if lead not in diag.mu_steps else eio.fmt_float(diag.mu_steps[lead]),
-                            "" if lead not in diag.sigma_steps else eio.fmt_float(diag.sigma_steps[lead]),
-                            eio.fmt_float(diag.mean_crps[lead]),
-                        ]
-                    )
+        seam_rows = []
+        for strategy in gaussian_strategies:
+            series = {}
+            obs_per_case = {}
+            for (sid, init, lead), row in preds[strategy].items():
+                if lo <= lead <= hi:
+                    series.setdefault((sid, init), {})[lead] = row.predictive
+            complete = {}
+            for case, table in sorted(series.items()):
+                obs_vals = {lead: obs_maps.get(case[0], {}).get(case[1] + timedelta(hours=lead)) for lead in window}
+                if all(lead in table for lead in window) and all(v is not None for v in obs_vals.values()):
+                    complete[case] = table
+                    obs_per_case[case] = obs_vals
+            if not complete:
+                continue
+            diag = seam_diagnostics(complete, obs_per_case, window)
+            for lead in window:
+                seam_rows.append(
+                    [strategy, lead, _fmt_optional(diag.mu_steps.get(lead)), _fmt_optional(diag.sigma_steps.get(lead)),
+                     eio.fmt_float(diag.mean_crps[lead])]
+                )
+        eio.write_table(
+            out_dir / "seam_diagnostics.csv", ["strategy", "lead_h", "mu_step", "sigma_step", "mean_crps"], seam_rows
+        )
 
     print(f"verified {len(cases)} cases x {len(strategies)} strategies -> {out_dir}")
     return 0
@@ -711,24 +576,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tpi(args) -> int:
-    import csv
-
     grid = read_esri_ascii(args.grid)
     stations = eio.read_stations(args.stations)
-    failures = 0
-    with Path(args.out).open("w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["station_id", "tpi_m"])
-        for station in sorted(stations, key=lambda s: s.station_id):
-            try:
-                value = tpi_at_station(grid, station)
-            except ValueError as err:
-                print(f"error: {station.station_id}: {err}", file=sys.stderr)
-                failures += 1
-                continue
-            w.writerow([station.station_id, eio.fmt_float(value)])
-    print(f"wrote TPI for {len(stations) - failures}/{len(stations)} stations -> {args.out}")
-    return 1 if failures else 0
+    rows = []
+    for station in sorted(stations, key=lambda s: s.station_id):
+        try:
+            value = tpi_at_station(grid, station)
+        except ValueError as err:
+            print(f"error: {station.station_id}: {err}", file=sys.stderr)
+            continue
+        rows.append([station.station_id, eio.fmt_float(value)])
+    eio.write_table(args.out, ["station_id", "tpi_m"], rows)
+    print(f"wrote TPI for {len(rows)}/{len(stations)} stations -> {args.out}")
+    return 1 if len(rows) < len(stations) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,20 @@
 """Nonhomogeneous Gaussian regression (EMOS) fit by CRPS minimization.
 
-Single-model form:
+One model with K predictors, the ensemble statistics of K forecast models:
 
-    mu    = a + b * xbar
-    sigma = sqrt(c^2 + d^2 * s^2)
+    mu      = a + sum_k b_k * xbar_k
+    sigma^2 = c^2 + sum_k d_k^2 * s_k^2
 
-Two-predictor ("mixed") form, combining two models' ensemble statistics:
-
-    mu    = a + b1 * xbar1 + b2 * xbar2
-    sigma = sqrt(c^2 + d1^2 * s1^2 + d2^2 * s2^2)
-
-with b, d >= 0. Coefficients minimize the mean Gaussian CRPS over a training
-window (Gneiting et al. 2005).
+with b_k, d_k >= 0. A single-model fit is K = 1; the two-model ("mixed")
+combination is K = 2. Coefficients minimize the mean Gaussian CRPS over a
+training window (Gneiting et al. 2005).
 
 Fits are solved in batches: ``fit_batch`` stacks the training windows of many
 keys into padded, masked arrays and runs one projected Newton solve
 (Bertsekas 1982) over all of them at once. The solver works in the natural
 coordinates (a, b_k, c^2, d_k^2), in which mu is linear in (a, b) and sigma^2
 linear in (c^2, d^2), and every constraint is a box: b_k, c^2, d_k^2 >= 0,
-plus the optional upper bounds on b1 and d1 of the pre-horizon transition
+plus the optional upper bounds on b_1 and d_1 of the pre-horizon transition
 scheme, which become a per-row clip.
 
 * Gradient and Hessian are analytic: the closed-form CRPS derivatives
@@ -38,12 +34,12 @@ b = gamma^2, d = delta^2, run both from the row's start and from where the
 row stalled.
 
 Every key contributes one row per start, and the best row wins; zero-cost
-candidate points are evaluated alongside. A single fit without a warm start
+candidate points are evaluated alongside. A K = 1 fit without a warm start
 starts from the default coefficients (a, b, c, d) = (0, 1, 1, 1) and from
 near-identity ones (c = 0.1); the identity and default coefficients are its
-candidates. The mixed fit is multi-started from a symmetric
-initialization and from a perturbed embedding of the better single-model fit;
-the exact embeddings of both single-model fits are candidates, so the mixed
+candidates. A K > 1 fit is multi-started from a symmetric initialization and
+from a perturbed embedding of the best single-model fit; the exact
+embeddings of all K single-model fits are candidates, so the combined
 training objective can never end up above a single-model optimum (nesting).
 """
 
@@ -51,7 +47,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -62,55 +58,42 @@ from .scoring import _INV_SQRT_PI, _std_normal_pdf
 
 __all__ = [
     "EmosCoefficients",
-    "MixedEmosCoefficients",
     "FitOptions",
     "ModelWeights",
     "FitResult",
     "FitTask",
     "NonConvergenceError",
-    "predict_single",
-    "predict_mixed",
+    "predict",
+    "identity",
     "fit_single",
     "fit_mixed",
     "fit_batch",
     "model_weights",
-    "identity_single",
-    "identity_mixed",
 ]
 
 
 @dataclass(frozen=True)
 class EmosCoefficients:
-    """Single-model regression coefficients (a, b, c, d)."""
+    """Coefficients (a, b, c, d) of a K-predictor model; ``b`` and ``d`` hold
+    one non-negative entry per predictor, in model order."""
 
     a: float
-    b: float
+    b: tuple[float, ...]
     c: float
-    d: float
+    d: tuple[float, ...]
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            if not math.isfinite(getattr(self, name)):
+        object.__setattr__(self, "b", tuple(self.b))
+        object.__setattr__(self, "d", tuple(self.d))
+        if not self.b or len(self.b) != len(self.d):
+            raise ValueError("b and d need one entry per predictor")
+        named = [("a", self.a), ("c", self.c)]
+        named += [(f"b{k}", v) for k, v in enumerate(self.b, 1)] + [(f"d{k}", v) for k, v in enumerate(self.d, 1)]
+        for name, value in named:
+            if not math.isfinite(value):
                 raise ValueError(f"coefficient {name} must be finite")
-
-
-@dataclass(frozen=True)
-class MixedEmosCoefficients:
-    """Two-predictor coefficients; b1, b2, d1, d2 are constrained non-negative."""
-
-    a: float
-    b1: float
-    b2: float
-    c: float
-    d1: float
-    d2: float
-
-    def __post_init__(self):
-        for name in ("a", "b1", "b2", "c", "d1", "d2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"coefficient {name} must be finite")
-        for name in ("b1", "b2", "d1", "d2"):
-            if getattr(self, name) < 0.0:
+        for name, value in named[2:]:
+            if value < 0.0:
                 raise ValueError(f"coefficient {name} must be >= 0")
 
 
@@ -118,36 +101,28 @@ class MixedEmosCoefficients:
 class FitOptions:
     """Optimizer settings.
 
-    ``bounds``, when given, is (b1_max, d1_max): upper bounds applied to the
-    first predictor's coefficients in the mixed fit (used by the pre-horizon
-    transition scheme). ``min_sigma`` floors every predicted sigma so CRPS
-    and its gradient stay finite for degenerate ensembles.
-    ``max_iterations`` bounds the Newton iterations of each row.
-    ``objective_tolerance`` is the relative-decrease stop of the L-BFGS-B
-    fallback; the Newton solve stops at the smaller of it and 1e-13.
+    ``min_sigma`` floors every predicted sigma so CRPS and its gradient stay
+    finite for degenerate ensembles. ``max_iterations`` bounds the Newton
+    iterations of each row. ``objective_tolerance`` is the relative-decrease
+    stop of the L-BFGS-B fallback; the Newton solve stops at the smaller of
+    it and 1e-13.
     """
 
     max_iterations: int = 1000
     objective_tolerance: float = 1e-8
-    bounds: tuple[float, float] | None = None
     min_sigma: float = 1e-3
-    record_trace: bool = False
 
     def __post_init__(self):
         if self.objective_tolerance <= 0.0:
             raise ValueError("objective_tolerance must be > 0")
         if self.min_sigma <= 0.0:
             raise ValueError("min_sigma must be > 0")
-        if self.bounds is not None:
-            b1_max, d1_max = self.bounds
-            if b1_max < 0.0 or d1_max < 0.0:
-                raise ValueError("upper bounds must be >= 0")
 
 
 @dataclass(frozen=True)
 class ModelWeights:
-    """Relative weight of predictor 1: b1/(b1+b2) for the mean, d1/(d1+d2)
-    for the spread. Degenerate zero sums report 0.5 with the defined flag
+    """Relative weight of predictor 1: b1/sum(b) for the mean, d1/sum(d) for
+    the spread. Degenerate zero sums report 0.5 with the defined flag
     cleared."""
 
     weight_mean: float
@@ -158,18 +133,13 @@ class ModelWeights:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of one coefficient fit.
+    """Outcome of one coefficient fit."""
 
-    ``trace`` holds the objective value at successive accepted iterates of
-    the winning optimizer run (populated when FitOptions.record_trace).
-    """
-
-    coefficients: EmosCoefficients | MixedEmosCoefficients
+    coefficients: EmosCoefficients
     objective: float
     converged: bool
     n_iterations: int
     n_samples: int
-    trace: tuple[float, ...] = ()
 
 
 class NonConvergenceError(RuntimeError):
@@ -180,46 +150,35 @@ class NonConvergenceError(RuntimeError):
         self.result = result
 
 
-def identity_single() -> EmosCoefficients:
-    """Pass-through coefficients: mu = ensemble mean, sigma = ensemble std."""
-    return EmosCoefficients(a=0.0, b=1.0, c=0.0, d=1.0)
+def identity(k: int) -> EmosCoefficients:
+    """Equal-weight pass-through for k models: b_k = 1/k and d_k = sqrt(1/k)
+    keep mu the average of the ensemble means and sigma^2 the average of the
+    ensemble variances (for k = 1, mu = ensemble mean, sigma = ensemble std)."""
+    return EmosCoefficients(a=0.0, b=(1.0 / k,) * k, c=0.0, d=(math.sqrt(1.0 / k),) * k)
 
 
-def identity_mixed() -> MixedEmosCoefficients:
-    """Equal-weight pass-through for two models; d1 = d2 = sqrt(1/2) keeps
-    sigma^2 the average of the two ensemble variances."""
-    half_sqrt = math.sqrt(0.5)
-    return MixedEmosCoefficients(a=0.0, b1=0.5, b2=0.5, c=0.0, d1=half_sqrt, d2=half_sqrt)
+def predict(coef: EmosCoefficients, stats_seq: Sequence[EnsembleStats], min_sigma: float = 1e-3) -> GaussianPredictive:
+    """Apply coefficients to the ensemble statistics of their models, in
+    model order."""
+    if len(stats_seq) != len(coef.b):
+        raise ValueError(f"{len(coef.b)}-predictor coefficients got statistics of {len(stats_seq)} models")
+    mu = coef.a
+    var = coef.c**2
+    for b, d, stats in zip(coef.b, coef.d, stats_seq):
+        mu = mu + b * stats.mean
+        var = var + d**2 * stats.std**2
+    return GaussianPredictive(mu=mu, sigma=max(math.sqrt(var), min_sigma))
 
 
-def predict_single(coef: EmosCoefficients, stats: EnsembleStats, min_sigma: float = 1e-3) -> GaussianPredictive:
-    """Apply single-model coefficients to ensemble statistics."""
-    mu = coef.a + coef.b * stats.mean
-    sigma = math.sqrt(coef.c**2 + coef.d**2 * stats.std**2)
-    return GaussianPredictive(mu=mu, sigma=max(sigma, min_sigma))
-
-
-def predict_mixed(
-    coef: MixedEmosCoefficients,
-    stats1: EnsembleStats,
-    stats2: EnsembleStats,
-    min_sigma: float = 1e-3,
-) -> GaussianPredictive:
-    """Apply two-predictor coefficients to both models' ensemble statistics."""
-    mu = coef.a + coef.b1 * stats1.mean + coef.b2 * stats2.mean
-    sigma = math.sqrt(coef.c**2 + coef.d1**2 * stats1.std**2 + coef.d2**2 * stats2.std**2)
-    return GaussianPredictive(mu=mu, sigma=max(sigma, min_sigma))
-
-
-def model_weights(coef: MixedEmosCoefficients) -> ModelWeights:
+def model_weights(coef: EmosCoefficients) -> ModelWeights:
     """Fractional weight of predictor 1 for the mean and the spread."""
-    sum_b = coef.b1 + coef.b2
-    sum_d = coef.d1 + coef.d2
+    sum_b = sum(coef.b)
+    sum_d = sum(coef.d)
     defined_mean = sum_b > 0.0
     defined_std = sum_d > 0.0
     return ModelWeights(
-        weight_mean=coef.b1 / sum_b if defined_mean else 0.5,
-        weight_std=coef.d1 / sum_d if defined_std else 0.5,
+        weight_mean=coef.b[0] / sum_b if defined_mean else 0.5,
+        weight_std=coef.d[0] / sum_d if defined_std else 0.5,
         defined_mean=defined_mean,
         defined_std=defined_std,
     )
@@ -229,19 +188,22 @@ def model_weights(coef: MixedEmosCoefficients) -> ModelWeights:
 class FitTask:
     """One coefficient fit of a batch.
 
-    ``model_ids`` names the predictors: one model for a single-model fit, two
-    for a mixed fit. ``start`` warm-starts the solve. ``single_fits`` (mixed
-    only) are the two single-model fits on the same window, in ``model_ids``
-    order; they seed the multi-start and supply the nesting candidates, and
-    are computed when absent. ``bounds`` (mixed only) is (b1_max, d1_max) and
-    takes precedence over ``FitOptions.bounds``.
+    ``model_ids`` names the K predictors. ``start`` warm-starts the solve.
+    ``single_fits`` (K > 1 only) are the K single-model fits on the same
+    window, in ``model_ids`` order; they seed the multi-start and supply the
+    nesting candidates, and are computed when absent. ``bounds`` is
+    (b1_max, d1_max), upper bounds on the first predictor's coefficients.
     """
 
     samples: Sequence[TrainingSample]
     model_ids: tuple[str, ...]
-    start: EmosCoefficients | MixedEmosCoefficients | None = None
-    single_fits: tuple[FitResult, FitResult] | None = None
+    start: EmosCoefficients | None = None
+    single_fits: tuple[FitResult, ...] | None = None
     bounds: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if self.bounds is not None and min(self.bounds) < 0.0:
+            raise ValueError("upper bounds must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +342,6 @@ class _Solved:
     f: np.ndarray
     converged: np.ndarray
     n_iterations: np.ndarray
-    traces: list[list[float]]
 
 
 def _newton(theta, st: _Stack, lower, upper, options: FitOptions) -> _Solved:
@@ -395,7 +356,6 @@ def _newton(theta, st: _Stack, lower, upper, options: FitOptions) -> _Solved:
     converged = np.zeros(rows, dtype=bool)
     stalled = np.zeros(rows, dtype=bool)
     n_iter = np.zeros(rows, dtype=int)
-    traces = [[float(v)] for v in f] if options.record_trace else []
 
     live = np.arange(rows)
     for it in range(options.max_iterations + 1):
@@ -426,11 +386,7 @@ def _newton(theta, st: _Stack, lower, upper, options: FitOptions) -> _Solved:
             accepted[pending[ok]] = True
             alpha[pending[~ok]] *= 0.5
             pending = pending[~ok]
-        moved = live[search[accepted]]
-        n_iter[moved] += 1
-        if options.record_trace:
-            for i in moved:
-                traces[i].append(float(f[i]))
+        n_iter[live[search[accepted]]] += 1
         stalled[live[search[~accepted]]] = True
         live = live[search[accepted]]
 
@@ -439,9 +395,7 @@ def _newton(theta, st: _Stack, lower, upper, options: FitOptions) -> _Solved:
             (start[i], theta[i]), st.take([i]), upper[i], theta[i], f[i], options
         )
         n_iter[i] += extra
-        if options.record_trace and f[i] < traces[i][-1]:
-            traces[i].append(float(f[i]))
-    return _Solved(theta, f, converged, n_iter, traces)
+    return _Solved(theta, f, converged, n_iter)
 
 
 def _lbfgsb_row(points, st: _Stack, upper, theta, f, options: FitOptions):
@@ -500,20 +454,17 @@ def _window_arrays(samples, model_ids):
     return xbar, std * std, y
 
 
-def _theta_from(coef) -> np.ndarray:
-    if isinstance(coef, EmosCoefficients):
-        return np.array([coef.a, coef.b, coef.c**2, coef.d**2])
-    return np.array([coef.a, coef.b1, coef.b2, coef.c**2, coef.d1**2, coef.d2**2])
+def _theta_from(coef: EmosCoefficients) -> np.ndarray:
+    return np.array([coef.a, *coef.b, coef.c**2, *(d**2 for d in coef.d)])
 
 
-def _coef_from(theta, bounds):
-    a, c = float(theta[0]), math.sqrt(theta[len(theta) // 2])
-    if len(theta) == 4:
-        return EmosCoefficients(a=a, b=float(theta[1]), c=c, d=math.sqrt(theta[3]))
-    d1 = math.sqrt(theta[4])
+def _coef_from(theta, bounds) -> EmosCoefficients:
+    k = len(theta) // 2 - 1
+    d = [math.sqrt(v) for v in theta[k + 2 :]]
     if bounds is not None:
-        d1 = min(d1, bounds[1])  # sqrt(d1_max**2) may round one ulp above d1_max
-    return MixedEmosCoefficients(a=a, b1=float(theta[1]), b2=float(theta[2]), c=c, d1=d1, d2=math.sqrt(theta[5]))
+        d[0] = min(d[0], bounds[1])  # sqrt(d1_max**2) may round one ulp above d1_max
+    b = tuple(float(v) for v in theta[1 : k + 1])
+    return EmosCoefficients(a=float(theta[0]), b=b, c=math.sqrt(theta[k + 1]), d=tuple(d))
 
 
 def _wake(theta: np.ndarray, min_sigma: float) -> np.ndarray:
@@ -527,33 +478,35 @@ def _wake(theta: np.ndarray, min_sigma: float) -> np.ndarray:
 _DEFAULT_SINGLE = np.array([0.0, 1.0, 1.0, 1.0])  # a=0, b=1, c=1, d=1
 _NEAR_IDENTITY_SINGLE = np.array([0.0, 1.0, 0.01, 1.0])  # c nudged off zero
 _IDENTITY_SINGLE = np.array([0.0, 1.0, 0.0, 1.0])
-_SYMMETRIC_MIXED = np.array([0.0, 0.5, 0.5, 1.0, 0.5, 0.5])
 
 
 def _starts_and_candidates(task: FitTask, single_fits, min_sigma):
     """Natural-coordinate start rows and zero-cost candidate points of a task."""
-    if len(task.model_ids) == 1:
+    k = len(task.model_ids)
+    if k == 1:
         if task.start is not None:
             starts = [_wake(_theta_from(task.start), min_sigma)]
         else:
             starts = [_DEFAULT_SINGLE, _NEAR_IDENTITY_SINGLE]
         return starts, [_IDENTITY_SINGLE, _DEFAULT_SINGLE]
 
-    s1, s2 = (_theta_from(fit.coefficients) for fit in single_fits)
-    embeds = [
-        np.array([s1[0], s1[1], 0.0, s1[2], s1[3], 0.0]),
-        np.array([s2[0], 0.0, s2[1], s2[2], 0.0, s2[3]]),
-    ]
+    # Predictor j's single fit embedded with every other predictor off.
+    embeds = []
+    for j, fit in enumerate(single_fits):
+        embed = np.zeros(2 * k + 2)
+        embed[[0, 1 + j, k + 1, k + 2 + j]] = _theta_from(fit.coefficients)
+        embeds.append(embed)
     if task.start is not None:
         starts = [_wake(_theta_from(task.start), min_sigma)]
     else:
-        # Start from the better single fit with the other predictor switched
+        # Start from the best single fit with the other predictors switched
         # on a little, and from a symmetric combination.
-        better = 0 if single_fits[0].objective <= single_fits[1].objective else 1
-        perturbed = embeds[better].copy()
-        dormant_b, dormant_d = ((2, 5), (1, 4))[better]
-        perturbed[dormant_b], perturbed[dormant_d] = 0.09, 0.0081
-        starts = [_wake(perturbed, min_sigma), _SYMMETRIC_MIXED]
+        best = min(range(k), key=lambda j: single_fits[j].objective)
+        perturbed = embeds[best].copy()
+        dormant = np.array([j for j in range(k) if j != best])
+        perturbed[1 + dormant], perturbed[k + 2 + dormant] = 0.09, 0.0081
+        symmetric = np.concatenate([[0.0], np.full(k, 1.0 / k), [1.0], np.full(k, 1.0 / k)])
+        starts = [_wake(perturbed, min_sigma), symmetric]
     return starts, embeds
 
 
@@ -562,46 +515,38 @@ def _bounds_arrays(k: int, bounds):
     lower = np.zeros(p)
     lower[0] = -np.inf
     upper = np.full(p, np.inf)
-    if k == 2 and bounds is not None:
-        upper[1], upper[4] = bounds[0], bounds[1] ** 2
+    if bounds is not None:
+        upper[1], upper[k + 2] = bounds[0], bounds[1] ** 2
     return lower, upper
 
 
 def fit_batch(tasks: Sequence[FitTask], options: FitOptions = FitOptions()) -> list[FitResult]:
     """Fit every task in one batched projected-Newton solve.
 
-    All tasks take the same number of predictors. Mixed tasks without
-    ``single_fits`` first get them from a batched single-model solve. Each
-    task contributes one row per start; its best row wins unless a candidate
-    point scores lower. Results are returned in task order, flagged
+    All tasks take the same number K of predictors. Tasks with K > 1 and
+    without ``single_fits`` first get them from a batched single-model solve.
+    Each task contributes one row per start; its best row wins unless a
+    candidate point scores lower. Results are returned in task order, flagged
     ``converged`` when any of the task's rows converged; nothing is raised for
     a fit that did not converge.
     """
     if not tasks:
         return []
     k = len(tasks[0].model_ids)
-    if k not in (1, 2) or any(len(t.model_ids) != k for t in tasks):
-        raise ValueError("a batch takes tasks of one kind: all single-model or all two-model")
+    if any(len(t.model_ids) != k for t in tasks):
+        raise ValueError("a batch takes tasks with one number of predictors")
     stack = _Stack.from_windows([_window_arrays(t.samples, t.model_ids) for t in tasks])
-    task_bounds = [None] * len(tasks)
-    singles = [None] * len(tasks)
-    if k == 2:
-        task_bounds = [t.bounds if t.bounds is not None else options.bounds for t in tasks]
-        singles = [t.single_fits for t in tasks]
-        need = [i for i, s in enumerate(singles) if s is None]
-        if need:
-            # Seeding fits never take the mixed fit's b1/d1 bounds.
-            seed_options = replace(options, bounds=None, record_trace=False)
-            seeds = fit_batch(
-                [FitTask(tasks[i].samples, (m,)) for i in need for m in tasks[i].model_ids], seed_options
-            )
-            for j, i in enumerate(need):
-                singles[i] = (seeds[2 * j], seeds[2 * j + 1])
+    singles = [t.single_fits for t in tasks]
+    need = [i for i, fits in enumerate(singles) if k > 1 and fits is None]
+    if need:
+        seeds = fit_batch([FitTask(tasks[i].samples, (m,)) for i in need for m in tasks[i].model_ids], options)
+        for j, i in enumerate(need):
+            singles[i] = tuple(seeds[k * j : k * (j + 1)])
 
     rows, cands = [], []  # (task, theta, lower, upper) per start row; (task, theta) per candidate
     task_rows, task_cands = [], []
     for i, task in enumerate(tasks):
-        lower, upper = _bounds_arrays(k, task_bounds[i])
+        lower, upper = _bounds_arrays(k, task.bounds)
         starts, candidates = _starts_and_candidates(task, singles[i], options.min_sigma)
         task_rows.append(range(len(rows), len(rows) + len(starts)))
         task_cands.append(range(len(cands), len(cands) + len(candidates)))
@@ -616,24 +561,30 @@ def fit_batch(tasks: Sequence[FitTask], options: FitOptions = FitOptions()) -> l
     for i, task in enumerate(tasks):
         best = min(task_rows[i], key=lambda r: solved.f[r])
         theta, f, n_iter = solved.theta[best], float(solved.f[best]), int(solved.n_iterations[best])
-        trace = solved.traces[best] if options.record_trace else []
         for c in task_cands[i]:
             # Zero-cost points may improve the answer but say nothing about
             # convergence.
             if f_cand[c] < f:
                 theta, f, n_iter = cand_theta[c], float(f_cand[c]), 0
-                trace = [f] if options.record_trace else []
         results.append(
             FitResult(
-                coefficients=_coef_from(theta, task_bounds[i]),
+                coefficients=_coef_from(theta, task.bounds),
                 objective=f,
                 converged=bool(solved.converged[task_rows[i]].any()),
                 n_iterations=n_iter,
                 n_samples=len(task.samples),
-                trace=tuple(trace),
             )
         )
     return results
+
+
+def _fit_one(task: FitTask, options: FitOptions) -> FitResult:
+    result = fit_batch([task], options)[0]
+    if not result.converged:
+        raise NonConvergenceError(
+            f"fit for {task.model_ids!r} did not converge in {options.max_iterations} iterations", result
+        )
+    return result
 
 
 def fit_single(
@@ -642,7 +593,7 @@ def fit_single(
     options: FitOptions = FitOptions(),
     start: EmosCoefficients | None = None,
 ) -> FitResult:
-    """Fit single-model coefficients by minimizing mean Gaussian CRPS.
+    """Fit K = 1 coefficients by minimizing mean Gaussian CRPS.
 
     A batch of one task (see ``fit_batch``). ``start`` warm-starts the solver
     (e.g. from the previous issue date's coefficients). Whatever the starting
@@ -656,13 +607,7 @@ def fit_single(
         If max_iterations is exhausted before the solver converges; the
         best-so-far fit rides on the error.
     """
-    result = fit_batch([FitTask(samples, (model_id,), start=start)], options)[0]
-    if not result.converged:
-        raise NonConvergenceError(
-            f"single-model fit for {model_id!r} did not converge in {options.max_iterations} iterations",
-            result,
-        )
-    return result
+    return _fit_one(FitTask(samples, (model_id,), start=start), options)
 
 
 def fit_mixed(
@@ -670,24 +615,17 @@ def fit_mixed(
     model_ids: tuple[str, str],
     options: FitOptions = FitOptions(),
     single_fits: tuple[FitResult, FitResult] | None = None,
-    start: MixedEmosCoefficients | None = None,
+    start: EmosCoefficients | None = None,
 ) -> FitResult:
-    """Fit two-predictor coefficients subject to b, d >= 0 and optional
-    upper bounds on b1 and d1.
+    """Fit K = 2 coefficients subject to b, d >= 0.
 
-    A batch of one task (see ``fit_batch``). ``single_fits`` may carry
-    precomputed single-model fits for the two models (in model_ids order) to
-    seed the multi-start; otherwise they are computed internally. Embedding a
-    single-model optimum into the mixed space gives the same objective value,
-    so the returned objective is never above either single-model optimum (up
-    to the bound clamp, when bounds exclude that embedding). ``start``
-    warm-starts the solver and skips the multi-start.
+    A batch of one task (see ``fit_batch``; upper bounds go through
+    ``FitTask.bounds``). ``single_fits`` may carry precomputed single-model
+    fits for the two models (in model_ids order) to seed the multi-start;
+    otherwise they are computed internally. Embedding a single-model optimum
+    into the two-predictor space gives the same objective value, so the
+    returned objective is never above either single-model optimum.
+    ``start`` warm-starts the solver and skips the multi-start. Raises
+    NonConvergenceError like ``fit_single``.
     """
-    task = FitTask(samples, tuple(model_ids), start=start, single_fits=single_fits)
-    result = fit_batch([task], options)[0]
-    if not result.converged:
-        raise NonConvergenceError(
-            f"mixed fit for {tuple(model_ids)!r} did not converge in {options.max_iterations} iterations",
-            result,
-        )
-    return result
+    return _fit_one(FitTask(samples, tuple(model_ids), start=start, single_fits=single_fits), options)

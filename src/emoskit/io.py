@@ -23,10 +23,11 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 from .domain import EnsembleForecast, GaussianPredictive, ObservationSeries, StationMetadata
-from .emos import EmosCoefficients, MixedEmosCoefficients
+from .emos import EmosCoefficients
 from .pipeline import CoefficientKey, CoefficientStore, StoredFit, parse_strategy
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "read_store",
     "write_store",
     "parse_config",
+    "write_table",
 ]
 
 
@@ -184,23 +186,26 @@ class _Row:
             raise SchemaError(self.path, self.line_no, column, f"not an ISO date: {raw!r}") from None
 
 
-def _open_writer(path):
-    return Path(path).open("w", encoding="utf-8", newline="")
+def write_table(path, header: list[str], rows) -> None:
+    """Write a CSV table in the format of every file here: the header, then
+    each row of the iterable ``rows``."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 # -- observations -----------------------------------------------------------
 
 
 def write_observations(path, observations: dict[str, ObservationSeries]) -> None:
-    with _open_writer(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["station_id", "valid_time", "temp_c"])
-        for sid in sorted(observations):
-            series = observations[sid]
-            for t, v in zip(series.timestamps, series.values):
-                if math.isnan(v):
-                    continue  # missing observations are simply absent rows
-                w.writerow([sid, format_timestamp(t), fmt_float(v)])
+    rows = (
+        [sid, format_timestamp(t), fmt_float(v)]
+        for sid in sorted(observations)
+        for t, v in zip(observations[sid].timestamps, observations[sid].values)
+        if not math.isnan(v)  # missing observations are simply absent rows
+    )
+    write_table(path, ["station_id", "valid_time", "temp_c"], rows)
 
 
 def read_observations(path) -> dict[str, ObservationSeries]:
@@ -228,13 +233,13 @@ def read_observations(path) -> dict[str, ObservationSeries]:
 
 
 def write_forecasts(path, forecasts: list[EnsembleForecast]) -> None:
-    with _open_writer(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["station_id", "init_time", "lead_h", "member_idx", "temp_c"])
-        for fc in sorted(forecasts, key=lambda f: (f.station_id, f.init_time, f.lead_time)):
-            init = format_timestamp(fc.init_time)
-            for idx, v in enumerate(fc.members):
-                w.writerow([fc.station_id, init, fc.lead_time, idx, fmt_float(v)])
+    def member_rows(fc):
+        init = format_timestamp(fc.init_time)
+        return [[fc.station_id, init, fc.lead_time, idx, fmt_float(v)] for idx, v in enumerate(fc.members)]
+
+    ordered = sorted(forecasts, key=lambda f: (f.station_id, f.init_time, f.lead_time))
+    rows = chain.from_iterable(map(member_rows, ordered))
+    write_table(path, ["station_id", "init_time", "lead_h", "member_idx", "temp_c"], rows)
 
 
 def read_forecasts(path, model_id: str) -> list[EnsembleForecast]:
@@ -265,13 +270,12 @@ def read_forecasts(path, model_id: str) -> list[EnsembleForecast]:
 
 
 def write_stations(path, stations: list[StationMetadata], model_ids: list[str]) -> None:
-    with _open_writer(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["station_id", "lat", "lon", "elev_m"] + [f"grid_elev_{m}" for m in model_ids])
-        for s in sorted(stations, key=lambda s: s.station_id):
-            row = [s.station_id, fmt_float(s.latitude), fmt_float(s.longitude), fmt_float(s.elevation)]
-            row += [fmt_float(s.grid_elevation[m]) for m in model_ids]
-            w.writerow(row)
+    rows = (
+        [s.station_id, fmt_float(s.latitude), fmt_float(s.longitude), fmt_float(s.elevation)]
+        + [fmt_float(s.grid_elevation[m]) for m in model_ids]
+        for s in sorted(stations, key=lambda s: s.station_id)
+    )
+    write_table(path, ["station_id", "lat", "lon", "elev_m"] + [f"grid_elev_{m}" for m in model_ids], rows)
 
 
 def read_stations(path) -> list[StationMetadata]:
@@ -308,20 +312,12 @@ class PredictionRow:
 
 
 def write_predictions(path, rows: list[PredictionRow]) -> None:
-    with _open_writer(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["station_id", "init_time", "lead_h", "strategy", "mu", "sigma"])
-        for r in sorted(rows, key=lambda r: (r.station_id, r.init_time, r.lead_time, r.strategy)):
-            w.writerow(
-                [
-                    r.station_id,
-                    format_timestamp(r.init_time),
-                    r.lead_time,
-                    r.strategy,
-                    fmt_float(r.predictive.mu),
-                    fmt_float(r.predictive.sigma),
-                ]
-            )
+    cells = (
+        [r.station_id, format_timestamp(r.init_time), r.lead_time, r.strategy, fmt_float(r.predictive.mu),
+         fmt_float(r.predictive.sigma)]
+        for r in sorted(rows, key=lambda r: (r.station_id, r.init_time, r.lead_time, r.strategy))
+    )
+    write_table(path, ["station_id", "init_time", "lead_h", "strategy", "mu", "sigma"], cells)
 
 
 def read_predictions(path) -> list[PredictionRow]:
@@ -361,33 +357,30 @@ _STORE_COLUMNS = [
     "converged",
     "fallback",
 ]
+_MAX_PREDICTORS = 2  # the store has b1, b2, d1, d2 columns
 
 
 def write_store(path, store: CoefficientStore) -> None:
     """One record per key, ordered by (issue_date, station, lead, strategy)."""
-    with _open_writer(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(_STORE_COLUMNS)
+
+    def rows():
         for key, record in store.items():
             coef = record.coefficients
-            if isinstance(coef, MixedEmosCoefficients):
-                values = [coef.a, coef.b1, coef.b2, coef.c, coef.d1, coef.d2]
-                cells = [fmt_float(v) for v in values]
-            else:
-                cells = [fmt_float(coef.a), fmt_float(coef.b), "", fmt_float(coef.c), fmt_float(coef.d), ""]
-            w.writerow(
-                [
-                    key.station_id,
-                    key.lead_time,
-                    key.strategy,
-                    key.issue_date.isoformat(),
-                    *cells,
-                    record.n_samples,
-                    fmt_float(record.objective),
-                    "true" if record.converged else "false",
-                    "true" if record.fallback else "false",
-                ]
-            )
+            absent = [""] * (_MAX_PREDICTORS - len(parse_strategy(key.strategy)[1]))
+            b, d = [fmt_float(v) for v in coef.b], [fmt_float(v) for v in coef.d]
+            yield [
+                key.station_id,
+                key.lead_time,
+                key.strategy,
+                key.issue_date.isoformat(),
+                fmt_float(coef.a), *b, *absent, fmt_float(coef.c), *d, *absent,
+                record.n_samples,
+                fmt_float(record.objective),
+                "true" if record.converged else "false",
+                "true" if record.fallback else "false",
+            ]
+
+    write_table(path, _STORE_COLUMNS, rows())
 
 
 def read_store(path) -> CoefficientStore:
@@ -395,21 +388,17 @@ def read_store(path) -> CoefficientStore:
     with _TableReader(path, _STORE_COLUMNS) as reader:
         for line_no, row in reader.rows():
             strategy = row.str("strategy")
-            kind, _ = parse_strategy(strategy)
-            if kind == "mixed":
-                coef = MixedEmosCoefficients(
-                    a=row.float("a"),
-                    b1=row.float("b1"),
-                    b2=row.float("b2"),
-                    c=row.float("c"),
-                    d1=row.float("d1"),
-                    d2=row.float("d2"),
-                )
-            else:
-                for absent in ("b2", "d2"):
+            k = len(parse_strategy(strategy)[1])
+            for j in range(k + 1, _MAX_PREDICTORS + 1):
+                for absent in (f"b{j}", f"d{j}"):
                     if row.optional_float(absent) is not None:
                         raise SchemaError(path, line_no, absent, "must be empty for single-model records")
-                coef = EmosCoefficients(a=row.float("a"), b=row.float("b1"), c=row.float("c"), d=row.float("d1"))
+            coef = EmosCoefficients(
+                a=row.float("a"),
+                b=tuple(row.float(f"b{j}") for j in range(1, k + 1)),
+                c=row.float("c"),
+                d=tuple(row.float(f"d{j}") for j in range(1, k + 1)),
+            )
             key = CoefficientKey(
                 station_id=row.str("station_id"),
                 lead_time=row.int("lead_h"),

@@ -4,30 +4,28 @@ Coefficients are refit once per issue date, separately for every (station,
 lead time, strategy) key, on the trailing window of aligned
 forecast-observation pairs. Keys without enough window samples fall back to
 the most recent stored coefficients (up to 10 days old) and finally to
-pass-through identity coefficients; fallback records are flagged. All keys
-of an issue date are fitted together by the batched solver of ``emos``. A
-fit that does not converge is recorded with its best-so-far coefficients;
-any other failure aborts the pass.
+pass-through identity coefficients; fallback records are flagged. The keys
+of an issue date are fitted together by the batched solver of ``emos``, one
+solve per number of predictors K. A fit that does not converge is recorded
+with its best-so-far coefficients; any other failure aborts the pass.
+
+The drivers run the whole chain over many issue dates: ``prepare_forecasts``
+(lapse correction and lead interpolation of loaded forecasts),
+``coefficient_slots`` (the keys to fit), ``train`` (the rolling fits, with
+the t1 taper refits) and ``predict_issues`` (the per-date predictions).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 
-from .domain import EnsembleForecast, EnsembleStats, GaussianPredictive, TrainingSample, ensemble_stats
-from .emos import (
-    EmosCoefficients,
-    FitOptions,
-    FitResult,
-    FitTask,
-    MixedEmosCoefficients,
-    fit_batch,
-    identity_mixed,
-    identity_single,
-    predict_mixed,
-    predict_single,
-)
+from .domain import EnsembleForecast, EnsembleStats, GaussianPredictive, StationMetadata, TrainingSample, ensemble_stats
+from .emos import EmosCoefficients, FitOptions, FitResult, FitTask, fit_batch, identity, predict
+from .synth import interpolate_leads
+from .terrain import lapse_correct
+from .transition import TransitionSpec, transition1_bounds
 
 __all__ = [
     "RollingWindowSpec",
@@ -42,6 +40,10 @@ __all__ = [
     "fit_for_issue",
     "predict_for_issue",
     "build_archive",
+    "prepare_forecasts",
+    "coefficient_slots",
+    "train",
+    "predict_issues",
 ]
 
 # How far back stale coefficients may be reused before the identity fallback.
@@ -104,7 +106,7 @@ class CoefficientKey:
 
 @dataclass(frozen=True)
 class StoredFit:
-    coefficients: EmosCoefficients | MixedEmosCoefficients
+    coefficients: EmosCoefficients
     n_samples: int
     objective: float
     converged: bool
@@ -206,8 +208,7 @@ def build_archive(
 
 
 def _identity_record(strategy: str, n_samples: int) -> StoredFit:
-    kind, _ = parse_strategy(strategy)
-    coef = identity_mixed() if kind == "mixed" else identity_single()
+    coef = identity(len(parse_strategy(strategy)[1]))
     return StoredFit(coefficients=coef, n_samples=n_samples, objective=float("nan"), converged=True, fallback=True)
 
 
@@ -228,25 +229,24 @@ def fit_for_issue(
 ) -> dict[CoefficientKey, StoredFit]:
     """Compute store updates for one issue date.
 
-    The keys are fitted in two batched solves: all single-model keys, then
-    all mixed keys, each seeded from the single-model fits of its slot on
-    this issue date (fitted in this call or already in ``store``). Keys
-    whose window has fewer than ``spec.min_samples`` samples, or lacks one of
-    the key's models, fall back to stale or identity coefficients; any other
-    error propagates.
+    The keys are fitted in one batched solve per number of predictors K, in
+    increasing K: the single-model keys first, then the combined keys, each
+    seeded from the single-model fits of its slot on this issue date (fitted
+    in this call or already in ``store``). Keys whose window has fewer than
+    ``spec.min_samples`` samples, or lacks one of the key's models, fall back
+    to stale or identity coefficients; any other error propagates.
 
-    ``bounds`` maps mixed keys to (b1_max, d1_max) upper bounds, as the t1
-    taper refits need; ``options.bounds`` applies to the other mixed keys.
-    ``store`` supplies warm starts, single-model fits and the history of the
-    stale-coefficient fallback; it is not modified (merge the returned
-    updates yourself).
+    ``bounds`` maps keys to (b1_max, d1_max) upper bounds, as the t1 taper
+    refits need. ``store`` supplies warm starts, single-model fits and the
+    history of the stale-coefficient fallback; it is not modified (merge the
+    returned updates yourself).
     """
     if store is None:
         store = CoefficientStore()
     bounds = bounds or {}
     windows: dict[tuple[str, int], list[TrainingSample]] = {}
     updates: dict[CoefficientKey, StoredFit] = {}
-    to_fit: dict[str, list[CoefficientKey]] = {"single": [], "mixed": []}
+    to_fit: dict[int, list[CoefficientKey]] = {}
     for key in keys:
         if key.issue_date != issue_date:
             raise ValueError(f"key {key} does not belong to issue date {issue_date}")
@@ -264,39 +264,32 @@ def fit_for_issue(
             else:
                 updates[key] = _identity_record(key.strategy, len(samples))
         else:
-            to_fit[kind].append(key)
-
-    def warm_start(key: CoefficientKey, want_type):
-        # Yesterday's coefficients are an excellent starting point on a
-        # rolling window that shifts by one day.
-        prior = store.latest_before(key.station_id, key.lead_time, key.strategy, issue_date, 5)
-        if prior is None or not isinstance(prior.coefficients, want_type):
-            return None
-        return prior.coefficients
+            to_fit.setdefault(len(models), []).append(key)
 
     fitted: dict[CoefficientKey, FitResult] = {}
-    for kind in ("single", "mixed"):
+    for k in sorted(to_fit):
         tasks = []
-        for key in to_fit[kind]:
+        for key in to_fit[k]:
             models = parse_strategy(key.strategy)[1]
-            samples = windows[(key.station_id, key.lead_time)]
-            if kind == "single":
-                tasks.append(FitTask(samples, models, start=warm_start(key, EmosCoefficients)))
-                continue
-            hints = []
-            for m in models:
-                single_key = replace(key, strategy=single_strategy(m))
-                hints.append(fitted.get(single_key) or _stored_as_fit(store.get(single_key)))
+            # Yesterday's coefficients are an excellent starting point on a
+            # rolling window that shifts by one day.
+            prior = store.latest_before(key.station_id, key.lead_time, key.strategy, issue_date, 5)
+            hints = None
+            if k > 1:
+                hints = []
+                for m in models:
+                    single_key = replace(key, strategy=single_strategy(m))
+                    hints.append(fitted.get(single_key) or _stored_as_fit(store.get(single_key)))
             tasks.append(
                 FitTask(
-                    samples,
+                    windows[(key.station_id, key.lead_time)],
                     models,
-                    start=warm_start(key, MixedEmosCoefficients),
-                    single_fits=None if None in hints else tuple(hints),
+                    start=None if prior is None else prior.coefficients,
+                    single_fits=None if hints is None or None in hints else tuple(hints),
                     bounds=bounds.get(key),
                 )
             )
-        fitted.update(zip(to_fit[kind], fit_batch(tasks, options)))
+        fitted.update(zip(to_fit[k], fit_batch(tasks, options)))
 
     for key, result in fitted.items():
         updates[key] = StoredFit(
@@ -350,7 +343,7 @@ def predict_for_issue(
         if record is None:
             errors[out_key] = f"no coefficients stored for {key}"
             continue
-        kind, models = parse_strategy(key.strategy)
+        models = parse_strategy(key.strategy)[1]
         model_stats = []
         missing = None
         for m in models:
@@ -362,10 +355,132 @@ def predict_for_issue(
         if missing is not None:
             errors[out_key] = f"no forecast for model {missing!r} at {key.station_id} lead {key.lead_time}"
             continue
-        if kind == "single":
-            predictions[out_key] = predict_single(record.coefficients, model_stats[0], min_sigma=min_sigma)
-        elif kind == "mixed":
-            predictions[out_key] = predict_mixed(record.coefficients, model_stats[0], model_stats[1], min_sigma=min_sigma)
-        else:
-            errors[out_key] = f"strategy {key.strategy!r} has no coefficient-based prediction"
+        predictions[out_key] = predict(record.coefficients, model_stats, min_sigma=min_sigma)
     return PredictionOutcome(predictions=predictions, errors=errors)
+
+
+# ---------------------------------------------------------------------------
+# Drivers over many issue dates
+# ---------------------------------------------------------------------------
+
+
+def prepare_forecasts(
+    forecasts: list[EnsembleForecast], stations: Sequence[StationMetadata], coarse_step: int | None
+) -> list[EnsembleForecast]:
+    """Lapse-correct one model's members from its grid-point elevation to the
+    station elevation, then fill a coarse lead grid of native step
+    ``coarse_step`` hourly by linear interpolation (None: no interpolation).
+
+    A forecast for a station missing from ``stations`` raises ValueError.
+    """
+    by_station = {s.station_id: s for s in stations}
+    corrected = []
+    for fc in forecasts:
+        station = by_station.get(fc.station_id)
+        if station is None:
+            raise ValueError(f"{fc.model_id} forecasts: unknown station {fc.station_id!r}")
+        members = lapse_correct(fc.members, station.grid_elevation[fc.model_id], station.elevation)
+        corrected.append(replace(fc, members=members))
+    return corrected if coarse_step is None else interpolate_leads(corrected, source_step=coarse_step)
+
+
+Slot = tuple[str, int, str]  # (station, lead, strategy): a CoefficientKey without its issue date
+
+
+def coefficient_slots(
+    forecasts_by_model: dict[str, list[EnsembleForecast]], station_ids, leads, strategies
+) -> list[Slot]:
+    """Every station x lead x coefficient strategy (``raw:`` ones are left
+    out) whose models all have forecasts at the lead, in that nesting order
+    with stations sorted."""
+    coverage = {m: {fc.lead_time for fc in fcs} for m, fcs in forecasts_by_model.items()}
+    fitted = []
+    for strategy in strategies:
+        kind, models = parse_strategy(strategy)
+        if kind != "raw":
+            fitted.append((strategy, models))
+    return [
+        (sid, lead, strategy)
+        for sid in sorted(station_ids)
+        for lead in leads
+        for strategy, models in fitted
+        if all(lead in coverage.get(m, ()) for m in models)
+    ]
+
+
+def train(
+    archive: Archive,
+    issue_dates: Sequence[date],
+    slots: Sequence[Slot],
+    spec: RollingWindowSpec = RollingWindowSpec(),
+    options: FitOptions = FitOptions(),
+    taper: tuple[TransitionSpec, str] | None = None,
+) -> CoefficientStore:
+    """Fit every slot on every issue date, in date order, into a new store;
+    each date warm-starts from the fits of the dates before it.
+
+    ``taper`` = (spec, combined strategy) selects the t1 scheme: the combined
+    strategy's slots at the taper leads are left out of each date's first
+    solve and refit in a second one, under the upper bounds that
+    ``transition1_bounds`` derives from that date's fit at the anchor lead.
+    Slots without the anchor or taper leads, or a station without an anchor
+    fit, raise ValueError.
+    """
+    store = CoefficientStore()
+    tapered: list[Slot] = []
+    if taper is not None:
+        tspec, combined = taper
+        present = {lead for _, lead, _ in slots}
+        missing = [t for t in (tspec.anchor_lead, *tspec.taper_leads) if t not in present]
+        if missing:
+            raise ValueError(f"transition t1 needs leads {missing} in the configured lead set")
+        tapered = [slot for slot in slots if slot[2] == combined and slot[1] in tspec.taper_leads]
+        stations = sorted({sid for sid, _, _ in slots})
+    taper_set = set(tapered)
+    plain = [slot for slot in slots if slot not in taper_set]
+    for issue in issue_dates:
+        keys = [CoefficientKey(sid, lead, strategy, issue) for sid, lead, strategy in plain]
+        store.update(fit_for_issue(archive, issue, keys, spec, options, store))
+        if taper is None:
+            continue
+        station_bounds = {}
+        for sid in stations:
+            anchor = store.get(CoefficientKey(sid, tspec.anchor_lead, combined, issue))
+            if anchor is None:
+                raise ValueError(f"no anchor coefficients at lead {tspec.anchor_lead} for {sid} {issue}")
+            station_bounds[sid] = transition1_bounds(anchor.coefficients, tspec)
+        bounds = {CoefficientKey(sid, lead, s, issue): station_bounds[sid][lead] for sid, lead, s in tapered}
+        store.update(fit_for_issue(archive, issue, list(bounds), spec, options, store, bounds=bounds))
+    return store
+
+
+def predict_issues(
+    store: CoefficientStore,
+    forecasts_by_model: dict[str, list[EnsembleForecast]],
+    issue_dates: Sequence[date],
+    slots: Sequence[Slot],
+    min_sigma: float = 1e-3,
+) -> tuple[dict[tuple[str, datetime, int, str], GaussianPredictive], list[str]]:
+    """Apply stored coefficients to the forecasts of each issue date.
+
+    Returns the predictions, keyed by (station, the station's init time,
+    lead, strategy), and the per-key error messages of ``predict_for_issue``
+    in date and key order. Dates without forecasts are skipped.
+    """
+    by_date: dict[date, list[EnsembleForecast]] = {}
+    for fcs in forecasts_by_model.values():
+        for fc in fcs:
+            by_date.setdefault(fc.init_time.date(), []).append(fc)
+    predictions: dict[tuple[str, datetime, int, str], GaussianPredictive] = {}
+    errors: list[str] = []
+    for issue in issue_dates:
+        todays = by_date.get(issue)
+        if not todays:
+            continue
+        keys = [CoefficientKey(sid, lead, strategy, issue) for sid, lead, strategy in slots]
+        outcome = predict_for_issue(store, todays, issue, keys, min_sigma=min_sigma)
+        init_time = {fc.station_id: fc.init_time for fc in todays}
+        for (sid, lead, strategy), pred in outcome.predictions.items():
+            predictions[(sid, init_time[sid], lead, strategy)] = pred
+        errors += [message for _, message in sorted(outcome.errors.items())]
+    return predictions, errors

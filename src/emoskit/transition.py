@@ -9,17 +9,19 @@ single-model stream. Two smoothing schemes are supported:
 * t2 carries the combined-minus-single difference of mu and sigma at the
   horizon into the following three hours with decaying weights.
 
-Both schemes use the weights 0.75, 0.5, 0.25.
+Both schemes use the weights 0.75, 0.5, 0.25. ``assemble_seam`` builds the
+seam product of either scheme, or of none, from per-case predictions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from datetime import datetime
 
 import numpy as np
 
 from .domain import GaussianPredictive
-from .emos import MixedEmosCoefficients
+from .emos import EmosCoefficients
 from .scoring import gaussian_crps
 
 __all__ = [
@@ -28,6 +30,7 @@ __all__ = [
     "SeamDiagnostics",
     "transition1_bounds",
     "transition2_blend",
+    "assemble_seam",
     "seam_diagnostics",
 ]
 
@@ -70,9 +73,10 @@ class TransitionSpec:
 
 
 def transition1_bounds(
-    coef_at_anchor: MixedEmosCoefficients, spec: TransitionSpec
+    coef_at_anchor: EmosCoefficients, spec: TransitionSpec
 ) -> dict[int, tuple[float, float]]:
-    """Upper bounds (b1_max, d1_max) per taper lead, from the anchor-lead fit.
+    """Upper bounds (b1_max, d1_max) per taper lead, from the anchor-lead fit
+    of the combined model (predictor 1 is the shorter model).
 
     At taper lead t with weight w(t), the refit must satisfy
     b1(t) <= b1(anchor) * w(t) and d1(t) <= d1(anchor) * w(t).
@@ -80,7 +84,7 @@ def transition1_bounds(
     if coef_at_anchor is None:
         raise ValueError(f"no coefficients available at the anchor lead ({spec.anchor_lead} h)")
     return {
-        lead: (coef_at_anchor.b1 * w, coef_at_anchor.d1 * w)
+        lead: (coef_at_anchor.b[0] * w, coef_at_anchor.d[0] * w)
         for lead, w in zip(spec.taper_leads, spec.weights)
     }
 
@@ -119,6 +123,38 @@ def transition2_blend(
                 mu=pred.mu + w * delta_mu,
                 sigma=max(pred.sigma + w * delta_sigma, min_sigma),
             )
+    return out
+
+
+def assemble_seam(
+    cases: dict[tuple[str, datetime], dict[str, dict[int, GaussianPredictive]]],
+    spec: TransitionSpec,
+    combined: str,
+    continuing: str,
+    min_sigma: float = 1e-3,
+) -> dict[tuple[str, datetime], dict[int, GaussianPredictive]]:
+    """Seam product per case: the ``combined`` strategy up to the horizon,
+    the ``continuing`` one beyond it, blended under scheme t2.
+
+    ``cases`` maps a (station, init time) case to its per-lead predictions
+    per strategy. A case without ``continuing`` predictions, or
+    (t2) without a ``combined`` prediction at the horizon, raises ValueError.
+    Schemes none and t1 assemble alike: t1 acts in training.
+    """
+    out = {}
+    for (sid, init_time), per_strategy in sorted(cases.items()):
+        combined_series = per_strategy.get(combined, {})
+        single_series = per_strategy.get(continuing, {})
+        if not single_series:
+            raise ValueError(f"no {continuing!r} predictions for {sid} {init_time}")
+        if spec.scheme == "t2":
+            at_horizon = combined_series.get(spec.horizon)
+            if at_horizon is None:
+                raise ValueError(f"no {combined!r} prediction at the horizon for {sid} {init_time}")
+            single_series = transition2_blend(at_horizon, single_series, spec, min_sigma=min_sigma)
+        seam = {lead: pred for lead, pred in sorted(combined_series.items()) if lead <= spec.horizon}
+        seam.update((lead, pred) for lead, pred in sorted(single_series.items()) if lead > spec.horizon)
+        out[(sid, init_time)] = seam
     return out
 
 

@@ -352,9 +352,9 @@ class TestTransitionCommand:
             # the store file rounds both sides to 9 significant digits, so a
             # bound rebuilt from the rounded anchor can be off by ~5 ulps of
             # the anchor's last kept digit
-            slack = 1e-12 + 1e-8 * max(anchor.coefficients.b1, anchor.coefficients.d1, 1.0)
-            assert record.coefficients.b1 <= anchor.coefficients.b1 * w + slack
-            assert record.coefficients.d1 <= anchor.coefficients.d1 * w + slack
+            slack = 1e-12 + 1e-8 * max(anchor.coefficients.b[0], anchor.coefficients.d[0], 1.0)
+            assert record.coefficients.b[0] <= anchor.coefficients.b[0] * w + slack
+            assert record.coefficients.d[0] <= anchor.coefficients.d[0] * w + slack
             checked += 1
         assert checked > 0
 
@@ -403,6 +403,33 @@ class TestErrors:
              "--reference", "raw:nonexistent"]
         )
         assert code == 1
+
+    def test_t1_without_taper_leads_exit_1(self, basic_run, tmp_path, capsys):
+        code = main(
+            ["train", "--config", basic_run["cfg"], "--data", str(basic_run["data"]),
+             "--store", str(tmp_path / "s.csv"), "--scheme", "t1"]
+        )
+        assert code == 1
+        assert "needs leads" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_t1_missing_anchor_exit_1(self, tmp_path, capsys):
+        # Without hires forecasts up to 117 h no interpolation can fill the
+        # anchor lead, so no mixed key exists there.
+        cfg = write_cfg(tmp_path, SEAM_CFG.replace("scenario.leads = 116-124", "scenario.leads = 117-123"))
+        data = tmp_path / "data"
+        assert main(["simulate", "--config", cfg, "--out", str(data)]) == 0
+        path = data / "forecasts_hires.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + "".join(line for line in lines[1:] if int(line.split(",")[2]) > 117))
+        code = main(
+            ["train", "--config", cfg, "--data", str(data), "--store", str(tmp_path / "s.csv"), "--scheme", "t1",
+             "--issue-start", "2017-01-05", "--issue-end", "2017-01-05"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "117" in err and "S000" in err and "2017-01-05" in err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_non_finite_fit_exit_1(self, basic_run, tmp_path, monkeypatch, capsys):
         import emoskit.emos as emos

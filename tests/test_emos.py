@@ -8,96 +8,96 @@ from emoskit.emos import (
     EmosCoefficients,
     FitOptions,
     FitTask,
-    MixedEmosCoefficients,
     NonConvergenceError,
     fit_batch,
     fit_mixed,
     fit_single,
-    identity_single,
+    identity,
     model_weights,
-    predict_mixed,
-    predict_single,
+    predict,
 )
 from emoskit.scoring import gaussian_crps
 
 from conftest import linear_gaussian_samples
 
 
-def mean_objective_single(coef, samples, model_id, min_sigma=1e-3):
+def mean_objective(coef, samples, model_ids, min_sigma=1e-3):
     return float(
         np.mean(
             [
-                gaussian_crps(predict_single(coef, s.stats_per_model[model_id], min_sigma), s.observation)
+                gaussian_crps(predict(coef, [s.stats_per_model[m] for m in model_ids], min_sigma), s.observation)
                 for s in samples
             ]
         )
     )
 
 
-def mean_objective_mixed(coef, samples, model_ids, min_sigma=1e-3):
-    return float(
-        np.mean(
-            [
-                gaussian_crps(
-                    predict_mixed(coef, s.stats_per_model[model_ids[0]], s.stats_per_model[model_ids[1]], min_sigma),
-                    s.observation,
-                )
-                for s in samples
-            ]
-        )
-    )
+def single_coef(a, b, c, d):
+    return EmosCoefficients(a, (b,), c, (d,))
+
+
+def mixed_coef(a, b1, b2, c, d1, d2):
+    return EmosCoefficients(a, (b1, b2), c, (d1, d2))
 
 
 class TestPredict:
     def test_identity_coefficients(self):
-        pred = predict_single(EmosCoefficients(0, 1, 0, 1), EnsembleStats(5.0, 2.0, 21))
+        pred = predict(single_coef(0, 1, 0, 1), [EnsembleStats(5.0, 2.0, 21)])
         assert pred.mu == 5.0
         assert pred.sigma == 2.0
 
     def test_spread_ignores_ensemble(self):
-        pred = predict_single(EmosCoefficients(2, 0.5, 1, 0), EnsembleStats(4.0, 3.0, 21))
+        pred = predict(single_coef(2, 0.5, 1, 0), [EnsembleStats(4.0, 3.0, 21)])
         assert pred.mu == 4.0
         assert pred.sigma == 1.0
 
     def test_three_four_five(self):
-        pred = predict_single(EmosCoefficients(0, 1, 3, 4), EnsembleStats(0.0, 1.0, 21))
+        pred = predict(single_coef(0, 1, 3, 4), [EnsembleStats(0.0, 1.0, 21)])
         assert pred.sigma == 5.0
 
     def test_sigma_floor(self):
-        pred = predict_single(EmosCoefficients(0, 1, 0, 0), EnsembleStats(5.0, 2.0, 21), min_sigma=1e-3)
+        pred = predict(single_coef(0, 1, 0, 0), [EnsembleStats(5.0, 2.0, 21)], min_sigma=1e-3)
         assert pred.sigma == 1e-3
 
     def test_mixed_nests_single(self):
-        coef = MixedEmosCoefficients(a=1.0, b1=0.8, b2=0.0, c=0.5, d1=1.2, d2=0.0)
+        coef = mixed_coef(a=1.0, b1=0.8, b2=0.0, c=0.5, d1=1.2, d2=0.0)
         stats1 = EnsembleStats(3.0, 1.5, 21)
         stats2 = EnsembleStats(-7.0, 4.0, 51)
-        nested = predict_mixed(coef, stats1, stats2)
-        single = predict_single(EmosCoefficients(1.0, 0.8, 0.5, 1.2), stats1)
-        assert nested == single
+        nested = predict(coef, [stats1, stats2])
+        assert nested == predict(single_coef(1.0, 0.8, 0.5, 1.2), [stats1])
 
     def test_mixed_mean_average(self):
-        coef = MixedEmosCoefficients(a=0.0, b1=0.5, b2=0.5, c=0.0, d1=1.0, d2=1.0)
-        pred = predict_mixed(coef, EnsembleStats(2.0, 0.0, 21), EnsembleStats(4.0, 0.0, 51))
+        coef = mixed_coef(a=0.0, b1=0.5, b2=0.5, c=0.0, d1=1.0, d2=1.0)
+        pred = predict(coef, [EnsembleStats(2.0, 0.0, 21), EnsembleStats(4.0, 0.0, 51)])
         assert pred.mu == 3.0
 
     def test_mixed_three_four_five_stds(self):
-        coef = MixedEmosCoefficients(a=0.0, b1=1.0, b2=0.0, c=0.0, d1=1.0, d2=1.0)
-        pred = predict_mixed(coef, EnsembleStats(0.0, 3.0, 21), EnsembleStats(0.0, 4.0, 51))
+        coef = mixed_coef(a=0.0, b1=1.0, b2=0.0, c=0.0, d1=1.0, d2=1.0)
+        pred = predict(coef, [EnsembleStats(0.0, 3.0, 21), EnsembleStats(0.0, 4.0, 51)])
         assert pred.sigma == 5.0
+
+
+    def test_identity(self):
+        assert identity(1) == single_coef(0.0, 1.0, 0.0, 1.0)
+        assert identity(2) == mixed_coef(0.0, 0.5, 0.5, 0.0, math.sqrt(0.5), math.sqrt(0.5))
+
+    def test_predictor_count_must_match(self):
+        with pytest.raises(ValueError):
+            predict(single_coef(0, 1, 0, 1), [EnsembleStats(5.0, 2.0, 21), EnsembleStats(4.0, 1.0, 51)])
 
 
 class TestModelWeights:
     def test_symmetric(self):
-        w = model_weights(MixedEmosCoefficients(0, 2, 2, 0, 1, 1))
+        w = model_weights(mixed_coef(0, 2, 2, 0, 1, 1))
         assert w.weight_mean == 0.5
         assert w.defined_mean
 
     def test_three_to_one(self):
-        w = model_weights(MixedEmosCoefficients(0, 3, 1, 0, 1, 1))
+        w = model_weights(mixed_coef(0, 3, 1, 0, 1, 1))
         assert w.weight_mean == 0.75
 
     def test_degenerate_zero_sum(self):
-        w = model_weights(MixedEmosCoefficients(0, 0, 0, 1, 0, 0))
+        w = model_weights(mixed_coef(0, 0, 0, 1, 0, 0))
         assert not w.defined_mean
         assert not w.defined_std
         assert w.weight_mean == 0.5
@@ -107,7 +107,7 @@ class TestModelWeights:
         rng = np.random.default_rng(0)
         for _ in range(50):
             b1, b2, d1, d2 = rng.uniform(0.01, 3, 4)
-            w = model_weights(MixedEmosCoefficients(0, b1, b2, 0, d1, d2))
+            w = model_weights(mixed_coef(0, b1, b2, 0, d1, d2))
             assert w.weight_mean + b2 / (b1 + b2) == pytest.approx(1.0, abs=1e-12)
             assert w.weight_std + d2 / (d1 + d2) == pytest.approx(1.0, abs=1e-12)
 
@@ -118,14 +118,14 @@ class TestFitSingle:
         result = fit_single(samples, "A")
         assert result.converged
         assert result.coefficients.a == pytest.approx(2.0, abs=0.05)
-        assert result.coefficients.b == pytest.approx(1.0, abs=0.05)
+        assert result.coefficients.b[0] == pytest.approx(1.0, abs=0.05)
         assert result.n_samples == 45
 
     def test_perfect_predictor(self):
         samples = linear_gaussian_samples(n=45, a=0.0, b=1.0, noise_std=0.0, seed=4)
         result = fit_single(samples, "A")
         assert result.coefficients.a == pytest.approx(0.0, abs=1e-3)
-        assert result.coefficients.b == pytest.approx(1.0, abs=1e-3)
+        assert result.coefficients.b[0] == pytest.approx(1.0, abs=1e-3)
         # objective collapses toward the min_sigma-limited value
         assert result.objective < 1e-3
 
@@ -148,7 +148,7 @@ class TestFitSingle:
             for s, obs in zip(samples, y)
         ]
         result = fit_single(samples, "A")
-        sigma_pred = predict_single(result.coefficients, samples[0].stats_per_model["A"]).sigma
+        sigma_pred = predict(result.coefficients, [samples[0].stats_per_model["A"]]).sigma
         assert result.coefficients.a == pytest.approx(float(y.mean()), abs=0.1)
         assert sigma_pred == pytest.approx(float(y.std()), abs=0.1)
 
@@ -157,8 +157,8 @@ class TestFitSingle:
             samples = linear_gaussian_samples(n=45, a=1.0, b=0.7, noise_std=0.8, seed=seed)
             options = FitOptions()
             result = fit_single(samples, "A", options)
-            f_identity = mean_objective_single(identity_single(), samples, "A", options.min_sigma)
-            f_init = mean_objective_single(EmosCoefficients(0, 1, 1, 1), samples, "A", options.min_sigma)
+            f_identity = mean_objective(identity(1), samples, ["A"], options.min_sigma)
+            f_init = mean_objective(single_coef(0, 1, 1, 1), samples, ["A"], options.min_sigma)
             assert result.objective <= f_identity + options.objective_tolerance
             assert result.objective <= f_init + options.objective_tolerance
 
@@ -166,14 +166,7 @@ class TestFitSingle:
         # anti-correlated predictor: unconstrained b would be negative
         samples = linear_gaussian_samples(n=45, a=0.0, b=-1.0, noise_std=0.3, seed=6)
         result = fit_single(samples, "A")
-        assert result.coefficients.b >= 0.0
-
-    def test_trace_monotone_decreasing(self):
-        samples = linear_gaussian_samples(n=45, seed=7)
-        result = fit_single(samples, "A", FitOptions(record_trace=True))
-        trace = result.trace
-        assert len(trace) >= 2
-        assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+        assert result.coefficients.b[0] >= 0.0
 
     def test_non_convergence_carries_best_so_far(self):
         samples = linear_gaussian_samples(n=45, seed=8)
@@ -203,8 +196,8 @@ class TestFitMixed:
     def test_uninformative_second_model(self):
         samples = linear_gaussian_samples(n=200, a=0.0, b=1.0, noise_std=0.3, seed=10, second_model="noise")
         result = fit_mixed(samples, ("A", "B"))
-        assert result.coefficients.b2 <= 0.05
-        assert result.coefficients.b1 == pytest.approx(1.0, abs=0.08)
+        assert result.coefficients.b[1] <= 0.05
+        assert result.coefficients.b[0] == pytest.approx(1.0, abs=0.08)
 
     def test_collinear_predictors_objective(self):
         samples = linear_gaussian_samples(n=45, a=1.0, b=0.8, noise_std=0.4, seed=11, second_model="copy")
@@ -215,21 +208,23 @@ class TestFitMixed:
 
     def test_zero_bounds_reduce_to_other_model(self):
         samples = linear_gaussian_samples(n=45, a=0.5, b=1.2, noise_std=0.3, seed=12, second_model="informative")
-        bounded = fit_mixed(samples, ("A", "B"), FitOptions(bounds=(0.0, 0.0)))
+        bounded = fit_batch([FitTask(samples, ("A", "B"), bounds=(0.0, 0.0))])[0]
         single_b = fit_single(samples, "B")
-        assert bounded.coefficients.b1 == 0.0
-        assert bounded.coefficients.d1 == 0.0
+        assert bounded.converged
+        assert bounded.coefficients.b[0] == 0.0
+        assert bounded.coefficients.d[0] == 0.0
         assert bounded.objective <= single_b.objective + FitOptions().objective_tolerance
         assert bounded.objective >= single_b.objective - 1e-6
 
     def test_upper_bounds_respected(self):
         samples = linear_gaussian_samples(n=45, a=0.0, b=1.0, noise_std=0.2, seed=13, second_model="informative")
         unbounded = fit_mixed(samples, ("A", "B"))
-        b1_max = unbounded.coefficients.b1 * 0.5
-        d1_max = max(unbounded.coefficients.d1 * 0.5, 1e-6)
-        bounded = fit_mixed(samples, ("A", "B"), FitOptions(bounds=(b1_max, d1_max)))
-        assert bounded.coefficients.b1 <= b1_max + 1e-12
-        assert bounded.coefficients.d1 <= d1_max + 1e-12
+        b1_max = unbounded.coefficients.b[0] * 0.5
+        d1_max = max(unbounded.coefficients.d[0] * 0.5, 1e-6)
+        bounded = fit_batch([FitTask(samples, ("A", "B"), bounds=(b1_max, d1_max))])[0]
+        assert bounded.converged
+        assert bounded.coefficients.b[0] <= b1_max + 1e-12
+        assert bounded.coefficients.d[0] <= d1_max + 1e-12
 
     def test_nesting_property(self):
         tol = FitOptions().objective_tolerance
@@ -263,13 +258,13 @@ class TestFitMixed:
         f_base = fit_single(base, "A")
         f_mapped = fit_single(mapped, "A")
         assert f_mapped.objective == pytest.approx(f_base.objective, abs=1e-6)
-        assert f_mapped.coefficients.b == pytest.approx(f_base.coefficients.b / alpha, rel=5e-2)
+        assert f_mapped.coefficients.b[0] == pytest.approx(f_base.coefficients.b[0] / alpha, rel=5e-2)
 
     def test_predicted_sigma_floor(self):
         samples = linear_gaussian_samples(n=45, noise_std=0.0, seed=15)
         result = fit_mixed(samples, ("A", "B"))
         for s in samples:
-            pred = predict_mixed(result.coefficients, s.stats_per_model["A"], s.stats_per_model["B"])
+            pred = predict(result.coefficients, [s.stats_per_model["A"], s.stats_per_model["B"]])
             assert pred.sigma >= 1e-3
 
 
@@ -284,11 +279,15 @@ class TestOptionsValidation:
 
     def test_bounds_non_negative(self):
         with pytest.raises(ValueError):
-            FitOptions(bounds=(-1.0, 0.5))
+            FitTask(linear_gaussian_samples(n=10), ("A", "B"), bounds=(-1.0, 0.5))
 
     def test_mixed_coefficients_non_negative(self):
         with pytest.raises(ValueError):
-            MixedEmosCoefficients(a=0.0, b1=-0.1, b2=0.0, c=0.0, d1=0.0, d2=0.0)
+            mixed_coef(a=0.0, b1=-0.1, b2=0.0, c=0.0, d1=0.0, d2=0.0)
+        with pytest.raises(ValueError):
+            single_coef(0.0, 1.0, 0.0, -0.5)
+        with pytest.raises(ValueError):
+            EmosCoefficients(0.0, (1.0, 0.5), 0.0, (1.0,))
 
 
 class TestBatch:

@@ -170,7 +170,7 @@ def test_batched_objective_not_above_oracle(data, k, size):
         assert result.converged
         assert result.objective <= oracle(window, b, singles) + 1e-9
         if b is not None:
-            assert result.coefficients.b1 <= b[0] and result.coefficients.d1 <= b[1]
+            assert result.coefficients.b[0] <= b[0] and result.coefficients.d[0] <= b[1]
 
 
 @PROPERTY_SETTINGS

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from emoskit.domain import EnsembleForecast, GaussianPredictive, ObservationSeries, StationMetadata
-from emoskit.emos import EmosCoefficients, MixedEmosCoefficients
+from emoskit.emos import EmosCoefficients
 from emoskit.io import (
     PredictionRow,
     SchemaError,
@@ -148,11 +148,11 @@ class TestStore:
         issue = T0.date()
         store.put(
             CoefficientKey("S1", 12, "single:hires", issue),
-            StoredFit(EmosCoefficients(0.125, 0.875, 1.5, 0.25), 45, 0.456789123, True, False),
+            StoredFit(EmosCoefficients(0.125, (0.875,), 1.5, (0.25,)), 45, 0.456789123, True, False),
         )
         store.put(
             CoefficientKey("S1", 12, "mixed:hires+global", issue),
-            StoredFit(MixedEmosCoefficients(0.1, 0.6, 0.3, 0.2, 0.7, 0.35), 45, 0.25, False, True),
+            StoredFit(EmosCoefficients(0.1, (0.6, 0.3), 0.2, (0.7, 0.35)), 45, 0.25, False, True),
         )
         path = tmp_path / "coeffs.csv"
         write_store(path, store)
@@ -166,7 +166,7 @@ class TestStore:
         store = CoefficientStore()
         store.put(
             CoefficientKey("S1", 12, "single:hires", T0.date()),
-            StoredFit(EmosCoefficients(0, 1, 0, 1), 10, float("nan"), True, True),
+            StoredFit(EmosCoefficients(0, (1,), 0, (1,)), 10, float("nan"), True, True),
         )
         path = tmp_path / "coeffs.csv"
         write_store(path, store)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from emoskit.domain import EnsembleForecast, EnsembleStats
-from emoskit.emos import EmosCoefficients, MixedEmosCoefficients
+from emoskit.emos import EmosCoefficients, identity, predict
 from emoskit.pipeline import (
     CoefficientKey,
     CoefficientStore,
@@ -98,9 +98,9 @@ class TestFitForIssue:
             assert record.n_samples == 10
             kind, _ = parse_strategy(key.strategy)
             if kind == "single":
-                assert record.coefficients == EmosCoefficients(0.0, 1.0, 0.0, 1.0)
+                assert record.coefficients == EmosCoefficients(0.0, (1.0,), 0.0, (1.0,))
             else:
-                assert record.coefficients.b1 == record.coefficients.b2 == 0.5
+                assert record.coefficients.b == (0.5, 0.5)
 
     def test_stale_reuse_within_ten_days(self):
         archive = make_archive(60)
@@ -124,7 +124,7 @@ class TestFitForIssue:
         for key, record in updates.items():
             assert record.fallback
             if parse_strategy(key.strategy)[0] == "single":
-                assert record.coefficients == EmosCoefficients(0.0, 1.0, 0.0, 1.0)
+                assert record.coefficients == EmosCoefficients(0.0, (1.0,), 0.0, (1.0,))
 
     def test_key_issue_date_must_match(self):
         archive = make_archive(50)
@@ -212,7 +212,7 @@ class TestPredictForIssue:
         issue = issue_on(50)
         store = CoefficientStore()
         key = CoefficientKey("S1", 12, "single:A", issue)
-        store.put(key, StoredFit(EmosCoefficients(0, 1, 0, 1), 45, 0.1, True, False))
+        store.put(key, StoredFit(identity(1), 45, 0.1, True, False))
         fcs = self.forecasts()
         outcome = predict_for_issue(store, fcs, issue, [key])
         pred = outcome.predictions[("S1", 12, "single:A")]
@@ -222,16 +222,15 @@ class TestPredictForIssue:
 
     def test_matches_direct_predict_bitwise(self):
         from emoskit.domain import ensemble_stats
-        from emoskit.emos import predict_mixed
 
         issue = issue_on(50)
         store = CoefficientStore()
-        coef = MixedEmosCoefficients(a=0.3, b1=0.6, b2=0.35, c=0.2, d1=0.8, d2=0.4)
+        coef = EmosCoefficients(a=0.3, b=(0.6, 0.35), c=0.2, d=(0.8, 0.4))
         key = CoefficientKey("S1", 12, "mixed:A+B", issue)
         store.put(key, StoredFit(coef, 45, 0.2, True, False))
         fcs = self.forecasts()
         outcome = predict_for_issue(store, fcs, issue, [key])
-        direct = predict_mixed(coef, ensemble_stats(fcs[0]), ensemble_stats(fcs[1]))
+        direct = predict(coef, [ensemble_stats(fcs[0]), ensemble_stats(fcs[1])])
         assert outcome.predictions[("S1", 12, "mixed:A+B")] == direct
 
     def test_missing_key_reported(self):
@@ -239,7 +238,7 @@ class TestPredictForIssue:
         store = CoefficientStore()
         present = CoefficientKey("S1", 12, "single:A", issue)
         absent = CoefficientKey("S1", 12, "single:B", issue)
-        store.put(present, StoredFit(EmosCoefficients(0, 1, 0, 1), 45, 0.1, True, False))
+        store.put(present, StoredFit(identity(1), 45, 0.1, True, False))
         outcome = predict_for_issue(store, self.forecasts(), issue, [present, absent])
         assert ("S1", 12, "single:A") in outcome.predictions
         assert ("S1", 12, "single:B") in outcome.errors
@@ -248,7 +247,7 @@ class TestPredictForIssue:
         issue = issue_on(50)
         store = CoefficientStore()
         key = CoefficientKey("S9", 12, "single:A", issue)
-        store.put(key, StoredFit(EmosCoefficients(0, 1, 0, 1), 45, 0.1, True, False))
+        store.put(key, StoredFit(identity(1), 45, 0.1, True, False))
         outcome = predict_for_issue(store, self.forecasts(), issue, [key])
         assert ("S9", 12, "single:A") in outcome.errors
 
@@ -284,7 +283,7 @@ class TestStoreRoundTrip:
     def test_put_get_identity(self):
         store = CoefficientStore()
         key = CoefficientKey("S1", 12, "single:A", issue_on(50))
-        record = StoredFit(EmosCoefficients(0.1, 0.9, 0.3, 1.1), 45, 0.23, True, False)
+        record = StoredFit(EmosCoefficients(0.1, (0.9,), 0.3, (1.1,)), 45, 0.23, True, False)
         store.put(key, record)
         assert store.get(key) == record
         assert len(store) == 1
@@ -294,7 +293,7 @@ class TestStoreRoundTrip:
         store = CoefficientStore()
         for day in (40, 44, 47):
             key = CoefficientKey("S1", 12, "single:A", issue_on(day))
-            store.put(key, StoredFit(EmosCoefficients(float(day), 1, 0, 1), 45, 0.1, True, False))
+            store.put(key, StoredFit(EmosCoefficients(float(day), (1,), 0, (1,)), 45, 0.1, True, False))
         hit = store.latest_before("S1", 12, "single:A", issue_on(50), 10)
         assert hit.coefficients.a == 47.0
         miss = store.latest_before("S1", 12, "single:A", issue_on(60), 10)

@@ -1,7 +1,7 @@
 import pytest
 
 from emoskit.domain import GaussianPredictive
-from emoskit.emos import MixedEmosCoefficients
+from emoskit.emos import EmosCoefficients
 from emoskit.transition import (
     DEFAULT_TRANSITION_WEIGHTS,
     SeamDiagnostics,
@@ -33,7 +33,7 @@ class TestSpec:
 
 class TestTransition1Bounds:
     def coef(self, b1=2.0, d1=1.0):
-        return MixedEmosCoefficients(a=0.0, b1=b1, b2=0.5, c=0.3, d1=d1, d2=0.6)
+        return EmosCoefficients(a=0.0, b=(b1, 0.5), c=0.3, d=(d1, 0.6))
 
     def test_decaying_b1_bounds(self):
         bounds = transition1_bounds(self.coef(b1=2.0), TransitionSpec(scheme="t1"))
