@@ -2,7 +2,9 @@
 training samples and Gaussian predictive distributions.
 
 All records are immutable after construction and every operation here is a
-pure function, so everything in this module is safe to share across threads.
+pure function, so everything in this module is safe to share across threads
+(an ObservationSeries caches its timestamp map on first use; two threads
+racing there only build it twice).
 Timestamps are whole hours, UTC; no time-zone logic lives in the core.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +115,12 @@ class ObservationSeries:
 
     def as_mapping(self) -> dict[datetime, float]:
         """Timestamp -> value for the non-missing entries."""
+        return dict(self._present)
+
+    @cached_property
+    def _present(self) -> dict[datetime, float]:
+        # Built on first use and kept, so aligning many leads against one
+        # series builds it once; never handed out, so never mutated.
         return {t: v for t, v in zip(self.timestamps, self.values) if not math.isnan(v)}
 
 
@@ -192,23 +201,38 @@ def align(
 
     if model_ids is None:
         model_ids = sorted({fc.model_id for fc in forecasts})
-    obs_map = obs.as_mapping()
+    obs_map = obs._present
 
-    samples: list[TrainingSample] = []
-    dropped = 0
+    kept: list[tuple[datetime, dict[str, EnsembleForecast], float]] = []
     for init_time in sorted(by_init):
         group = by_init[init_time]
-        valid_time = init_time + timedelta(hours=lead_time)
-        y = obs_map.get(valid_time)
-        if y is None or any(m not in group for m in model_ids):
-            dropped += 1
-            continue
-        samples.append(
-            TrainingSample(
-                valid_time=valid_time,
-                init_time=init_time,
-                stats_per_model={m: ensemble_stats(group[m]) for m in model_ids},
-                observation=y,
-            )
+        y = obs_map.get(init_time + timedelta(hours=lead_time))
+        if y is not None and all(m in group for m in model_ids):
+            kept.append((init_time, group, y))
+    stats = {m: _stats_rows([group[m].members for _, group, _ in kept]) for m in model_ids}
+    samples = [
+        TrainingSample(
+            valid_time=init_time + timedelta(hours=lead_time),
+            init_time=init_time,
+            stats_per_model={m: stats[m][i] for m in model_ids},
+            observation=y,
         )
-    return samples, dropped
+        for i, (init_time, _, y) in enumerate(kept)
+    ]
+    return samples, len(by_init) - len(kept)
+
+
+def _stats_rows(ensembles: list[tuple[float, ...]]) -> list[EnsembleStats]:
+    """``ensemble_stats`` of many ensembles, one row-wise reduction per
+    member count. numpy sums each row of a C-ordered matrix as it sums a
+    vector, so the results are bit-identical to ``ensemble_stats``
+    (tests/test_domain.py checks this for 1-200 members)."""
+    out: list[EnsembleStats | None] = [None] * len(ensembles)
+    by_size: dict[int, list[int]] = {}
+    for i, members in enumerate(ensembles):
+        by_size.setdefault(len(members), []).append(i)
+    for size, rows in by_size.items():
+        matrix = np.array([ensembles[i] for i in rows], dtype=float)
+        for i, mean, std in zip(rows, matrix.mean(axis=1).tolist(), matrix.std(axis=1).tolist()):
+            out[i] = EnsembleStats(mean=mean, std=std, member_count=size)
+    return out

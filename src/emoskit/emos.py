@@ -50,7 +50,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import ndtr
 
 from .domain import EnsembleStats, GaussianPredictive, TrainingSample
@@ -396,6 +395,14 @@ def _newton(theta, st: _Stack, lower, upper, options: FitOptions) -> _Solved:
         )
         n_iter[i] += extra
     return _Solved(theta, f, converged, n_iter)
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call: it is needed
+    only for stalled rows, and the import costs every process about 0.5 s."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _lbfgsb_row(points, st: _Stack, upper, theta, f, options: FitOptions):

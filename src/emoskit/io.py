@@ -13,6 +13,13 @@ digits, which round-trips losslessly at that precision. Schemas:
                            fallback   (b2 and d2 are empty for single fits)
 
 Schema violations raise SchemaError naming the file, line and column.
+Tables are read row by row with the csv module, except forecast files, which
+hold one row per member and are the bulk of every load: numpy's C tokenizer
+(``np.loadtxt``, with the csv module's quoting) parses their body in one
+call, each distinct station and init-time cell is parsed once, and members
+are grouped by one sort. A forecast file that this bulk reader cannot take
+as valid is read again row by row; that pass raises the SchemaError, so its
+line and column are the same as a row reader's.
 Config files are flat "key = value" text with dotted keys; blank lines and
 "#" comments are ignored.
 """
@@ -25,6 +32,8 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .domain import EnsembleForecast, GaussianPredictive, ObservationSeries, StationMetadata
 from .emos import EmosCoefficients
@@ -110,6 +119,7 @@ class _TableReader:
             if extra:
                 raise SchemaError(self.path, 1, extra[0], "unexpected column")
         self.header = header
+        self.body = self._fh  # positioned after the header row
         self._reader = reader
         return self
 
@@ -242,9 +252,85 @@ def write_forecasts(path, forecasts: list[EnsembleForecast]) -> None:
     write_table(path, ["station_id", "init_time", "lead_h", "member_idx", "temp_c"], rows)
 
 
+_FORECAST_COLUMNS = {"station_id": object, "init_time": object, "lead_h": np.int64, "member_idx": np.int64,
+                     "temp_c": np.float64}
+
+
 def read_forecasts(path, model_id: str) -> list[EnsembleForecast]:
+    """One model's ensembles, sorted by (station, init time, lead).
+
+    The body is tokenized in bulk (``_read_forecast_table``). A file that the
+    bulk reader cannot take as it stands (a cell numpy rejects, an empty
+    station id, members not contiguous from 0) is read again row by row,
+    which raises the file's first SchemaError. Both readers build the
+    ensembles in sorted order, so one that ``EnsembleForecast`` rejects
+    raises the same ValueError either way.
+    """
+    with _TableReader(path, list(_FORECAST_COLUMNS)) as reader:
+        forecasts = _read_forecast_table(reader, model_id)
+    return _read_forecast_rows(path, model_id) if forecasts is None else forecasts
+
+
+def _read_forecast_table(reader: _TableReader, model_id: str) -> list[EnsembleForecast] | None:
+    """Parse the rest of ``reader``'s file with numpy's C tokenizer, or
+    return None when it cannot be taken as valid without the row reader.
+
+    Each distinct station and init-time cell is stripped or parsed once,
+    the rows are sorted with one lexsort, and member indices are checked
+    with vectorized comparisons. Cell rules differ from the row reader only
+    where numpy rejects a cell ``int``/``float`` would take, such as "1_0";
+    such a file goes to the row reader too.
+    """
+    # numpy warns on a body without rows; the row reader skips blank lines.
+    first = next((line for line in reader.body if line.strip()), None)
+    if first is None:
+        return []
+    dtype = [(name, _FORECAST_COLUMNS[name]) for name in reader.header]
+    try:
+        table = np.loadtxt(chain([first], reader.body), dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                           encoding="utf-8", ndmin=1)
+        station, stations = _factorize(table["station_id"], str.strip)
+        init, inits = _factorize(table["init_time"], parse_timestamp)
+    except (ValueError, OverflowError):
+        return None
+    if "" in stations:
+        return None
+    lead, member, value = table["lead_h"], table["member_idx"], table["temp_c"]
+    order = np.lexsort((member, lead, init, station))
+    station, init, lead, member, value = station[order], init[order], lead[order], member[order], value[order]
+    new_group = np.ones(len(order), dtype=bool)
+    new_group[1:] = (station[1:] != station[:-1]) | (init[1:] != init[:-1]) | (lead[1:] != lead[:-1])
+    starts = np.flatnonzero(new_group)
+    ends = np.append(starts[1:], len(order))
+    if (member != np.arange(len(order)) - np.repeat(starts, ends - starts)).any():
+        return None  # members not contiguous from 0
+    values = value.tolist()
+    return [
+        EnsembleForecast(stations[s], model_id, inits[t], lt, tuple(values[a:b]))
+        for s, t, lt, a, b in zip(station[starts].tolist(), init[starts].tolist(), lead[starts].tolist(),
+                                  starts.tolist(), ends.tolist())
+    ]
+
+
+def _factorize(cells: np.ndarray, parse) -> tuple[np.ndarray, list]:
+    """Codes into the sorted distinct values of ``parse(cell)``, and those
+    values. ``parse`` runs once per distinct cell, and only cells that differ
+    from the one above are hashed: one lookup per run in a sorted file.
+    """
+    head = np.ones(len(cells), dtype=bool)
+    head[1:] = cells[1:] != cells[:-1]
+    slot: dict[str, int] = {}
+    head_slots = [slot.setdefault(cell, len(slot)) for cell in cells[head].tolist()]
+    parsed = [parse(cell) for cell in slot]
+    values = sorted(set(parsed))
+    rank = {v: i for i, v in enumerate(values)}
+    code_of_slot = np.array([rank[v] for v in parsed], dtype=np.intp)
+    return code_of_slot[head_slots][np.cumsum(head) - 1], values
+
+
+def _read_forecast_rows(path, model_id: str) -> list[EnsembleForecast]:
     groups: dict[tuple[str, datetime, int], list[tuple[int, float]]] = {}
-    with _TableReader(path, ["station_id", "init_time", "lead_h", "member_idx", "temp_c"]) as reader:
+    with _TableReader(path, list(_FORECAST_COLUMNS)) as reader:
         for line_no, row in reader.rows():
             key = (row.str("station_id"), row.timestamp("init_time"), row.int("lead_h"))
             groups.setdefault(key, []).append((row.int("member_idx"), row.float("temp_c")))

@@ -180,27 +180,27 @@ def build_archive(
     """
     from .domain import align
 
-    by_station_model: dict[str, dict[str, list[EnsembleForecast]]] = {}
-    lead_sets: dict[str, set[int]] = {m: set() for m in forecasts_by_model}
-    for model_id, fcs in forecasts_by_model.items():
-        for fc in fcs:
-            by_station_model.setdefault(fc.station_id, {}).setdefault(model_id, []).append(fc)
-            lead_sets[model_id].add(fc.lead_time)
-    models_at_lead = {
-        lead: [m for m in sorted(forecasts_by_model) if lead in lead_sets[m]] for lead in lead_times
-    }
+    # Every forecast of a station at a lead, models in sorted order: the pool
+    # ``align`` pairs for that (station, lead).
+    pools: dict[tuple[str, int], list[EnsembleForecast]] = {}
+    models_at_lead: dict[int, list[str]] = {}
+    for model_id in sorted(forecasts_by_model):
+        leads = set()
+        for fc in forecasts_by_model[model_id]:
+            pools.setdefault((fc.station_id, fc.lead_time), []).append(fc)
+            leads.add(fc.lead_time)
+        for lead in leads:
+            models_at_lead.setdefault(lead, []).append(model_id)
 
     archive: Archive = {}
     total_dropped = 0
     for station_id in sorted(observations):
         obs = observations[station_id]
-        station_fcs = by_station_model.get(station_id, {})
         for lead in lead_times:
-            model_ids = models_at_lead[lead]
+            model_ids = models_at_lead.get(lead)
             if not model_ids:
                 continue
-            pool = [fc for m in model_ids for fc in station_fcs.get(m, [])]
-            samples, dropped = align(pool, obs, lead, model_ids=model_ids)
+            samples, dropped = align(pools.get((station_id, lead), []), obs, lead, model_ids=model_ids)
             total_dropped += dropped
             if samples:
                 archive[(station_id, lead)] = samples
@@ -322,11 +322,14 @@ def predict_for_issue(
     strategy, so a station with forecasts from more than one init time on
     the issue date is rejected with ValueError.
     """
+    read = {(key.station_id, m, key.lead_time) for key in keys for m in parse_strategy(key.strategy)[1]}
     init_times: dict[str, set] = {}
     stats: dict[tuple[str, str, int], EnsembleStats] = {}
     for fc in forecasts:
         init_times.setdefault(fc.station_id, set()).add(fc.init_time)
-        stats[(fc.station_id, fc.model_id, fc.lead_time)] = ensemble_stats(fc)
+        triple = (fc.station_id, fc.model_id, fc.lead_time)
+        if triple in read:
+            stats[triple] = ensemble_stats(fc)
     for station_id, times in sorted(init_times.items()):
         if len(times) > 1:
             listed = ", ".join(t.strftime("%H:%M") for t in sorted(times))

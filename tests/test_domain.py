@@ -13,6 +13,7 @@ from emoskit.domain import (
     align,
     ensemble_stats,
 )
+from emoskit.domain import _stats_rows
 
 T0 = datetime(2017, 6, 1, tzinfo=timezone.utc)
 
@@ -131,6 +132,43 @@ class TestAlign:
         assert valid_times == sorted(valid_times)
         obs_map = obs.as_mapping()
         assert all(s.valid_time in obs_map for s in samples)
+
+    def test_member_counts_differ_between_inits(self):
+        # Stats come from one reduction per member count; each sample must
+        # still carry its own ensemble's statistics, bit for bit.
+        rng = np.random.default_rng(5)
+        sizes = [3, 5, 3, 1, 5, 4]
+        forecasts = [
+            fc(rng.normal(10.0, 2.0, size=n).tolist(), init=T0 + timedelta(days=d), model=m)
+            for d, n in enumerate(sizes)
+            for m in ("A", "B")
+        ]
+        samples, dropped = align(forecasts, self.obs_for_days(range(len(sizes))), 12, model_ids=["A", "B"])
+        assert dropped == 0
+        by_key = {(f.init_time, f.model_id): f for f in forecasts}
+        for s in samples:
+            for m in ("A", "B"):
+                assert s.stats_per_model[m] == ensemble_stats(by_key[(s.init_time, m)])
+                assert s.stats_per_model[m].member_count == len(by_key[(s.init_time, m)].members)
+
+    def test_as_mapping_is_a_fresh_dict(self):
+        obs = self.obs_for_days([0, 1])
+        first = obs.as_mapping()
+        first.clear()
+        assert len(obs.as_mapping()) == 2
+        assert len(align(self.make_forecasts(2), obs, 12)[0]) == 2
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 9, 16, 21, 51, 100, 128, 129, 200])
+def test_row_wise_stats_bit_identical_to_ensemble_stats(size):
+    # align reduces the ensembles of one member count as matrix rows; that
+    # must give exactly the floats ensemble_stats gives for each ensemble.
+    rng = np.random.default_rng(size)
+    ensembles = [tuple((rng.normal(0.0, 10.0, size) * 10.0 ** rng.integers(-3, 4)).tolist()) for _ in range(40)]
+    rows = _stats_rows(ensembles)
+    for members, got in zip(ensembles, rows):
+        want = ensemble_stats(fc(members))
+        assert (got.mean.hex(), got.std.hex(), got.member_count) == (want.mean.hex(), want.std.hex(), want.member_count)
 
 
 class TestInvariants:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,3 +315,15 @@ class TestBatch:
         samples = linear_gaussian_samples(n=45)
         with pytest.raises(ValueError):
             fit_batch([FitTask(samples, ("A",)), FitTask(samples, ("A", "B"))])
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize serves only the L-BFGS-B fallback; each CLI process
+    # would otherwise pay its import before doing any work.
+    import emoskit
+
+    src = str(Path(emoskit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, emoskit.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

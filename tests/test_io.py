@@ -1,4 +1,5 @@
 import math
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -102,6 +103,13 @@ class TestForecasts:
         )
         with pytest.raises(SchemaError):
             read_forecasts(path, "m")
+
+    def test_header_only_is_empty_without_warning(self, tmp_path):
+        path = tmp_path / "forecasts_m.csv"
+        path.write_text("station_id,init_time,lead_h,member_idx,temp_c\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_forecasts(path, "m") == []
 
 
 class TestStations:

@@ -233,6 +233,21 @@ class TestPredictForIssue:
         direct = predict(coef, [ensemble_stats(fcs[0]), ensemble_stats(fcs[1])])
         assert outcome.predictions[("S1", 12, "mixed:A+B")] == direct
 
+    def test_stats_only_for_forecasts_keys_read(self, monkeypatch):
+        import emoskit.pipeline as pipeline
+
+        issue = issue_on(50)
+        store = CoefficientStore()
+        key = CoefficientKey("S1", 12, "single:A", issue)
+        store.put(key, StoredFit(identity(1), 45, 0.1, True, False))
+        unread = [replace(f, lead_time=13) for f in self.forecasts()]
+        seen = []
+        real = pipeline.ensemble_stats
+        monkeypatch.setattr(pipeline, "ensemble_stats", lambda f: seen.append((f.model_id, f.lead_time)) or real(f))
+        outcome = predict_for_issue(store, self.forecasts() + unread, issue, [key])
+        assert seen == [("A", 12)]
+        assert outcome.predictions[("S1", 12, "single:A")] == predict(identity(1), [real(self.forecasts()[0])])
+
     def test_missing_key_reported(self):
         issue = issue_on(50)
         store = CoefficientStore()
