@@ -2,9 +2,7 @@
 training samples and Gaussian predictive distributions.
 
 All records are immutable after construction and every operation here is a
-pure function, so everything in this module is safe to share across threads
-(an ObservationSeries caches its timestamp map on first use; two threads
-racing there only build it twice).
+pure function, so everything in this module is safe to share across threads.
 Timestamps are whole hours, UTC; no time-zone logic lives in the core.
 """
 
@@ -13,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from functools import cached_property
 
 import numpy as np
 
@@ -115,12 +112,6 @@ class ObservationSeries:
 
     def as_mapping(self) -> dict[datetime, float]:
         """Timestamp -> value for the non-missing entries."""
-        return dict(self._present)
-
-    @cached_property
-    def _present(self) -> dict[datetime, float]:
-        # Built on first use and kept, so aligning many leads against one
-        # series builds it once; never handed out, so never mutated.
         return {t: v for t, v in zip(self.timestamps, self.values) if not math.isnan(v)}
 
 
@@ -201,7 +192,7 @@ def align(
 
     if model_ids is None:
         model_ids = sorted({fc.model_id for fc in forecasts})
-    obs_map = obs._present
+    obs_map = obs.as_mapping()
 
     kept: list[tuple[datetime, dict[str, EnsembleForecast], float]] = []
     for init_time in sorted(by_init):

@@ -16,10 +16,11 @@ Schema violations raise SchemaError naming the file, line and column.
 Tables are read row by row with the csv module, except forecast files, which
 hold one row per member and are the bulk of every load: numpy's C tokenizer
 (``np.loadtxt``, with the csv module's quoting) parses their body in one
-call, each distinct station and init-time cell is parsed once, and members
-are grouped by one sort. A forecast file that this bulk reader cannot take
-as valid is read again row by row; that pass raises the SchemaError, so its
-line and column are the same as a row reader's.
+call, each distinct station and init-time cell is parsed once, lead and
+member cells are parsed by ``int`` as the row reader parses them, and
+members are grouped by one sort. A forecast file that this bulk reader
+cannot take as valid is read again row by row; that pass raises the
+SchemaError, so its line and column are the same as a row reader's.
 Config files are flat "key = value" text with dotted keys; blank lines and
 "#" comments are ignored.
 """
@@ -254,6 +255,10 @@ def write_forecasts(path, forecasts: list[EnsembleForecast]) -> None:
 
 _FORECAST_COLUMNS = {"station_id": object, "init_time": object, "lead_h": np.int64, "member_idx": np.int64,
                      "temp_c": np.float64}
+# Integer cells go through int(), as in the row reader: the integer parser of
+# older numpy releases (deprecated in 1.23, not yet removed) reads "12.5" as
+# 12 with only a DeprecationWarning.
+_FORECAST_INT_COLUMNS = ("lead_h", "member_idx")
 
 
 def read_forecasts(path, model_id: str) -> list[EnsembleForecast]:
@@ -277,18 +282,20 @@ def _read_forecast_table(reader: _TableReader, model_id: str) -> list[EnsembleFo
 
     Each distinct station and init-time cell is stripped or parsed once,
     the rows are sorted with one lexsort, and member indices are checked
-    with vectorized comparisons. Cell rules differ from the row reader only
-    where numpy rejects a cell ``int``/``float`` would take, such as "1_0";
-    such a file goes to the row reader too.
+    with vectorized comparisons. Lead and member cells are parsed by
+    ``int``. Cell rules differ from the row reader only where numpy rejects
+    a temperature ``float`` would take, such as "1_0"; such a file goes to
+    the row reader too.
     """
     # numpy warns on a body without rows; the row reader skips blank lines.
     first = next((line for line in reader.body if line.strip()), None)
     if first is None:
         return []
     dtype = [(name, _FORECAST_COLUMNS[name]) for name in reader.header]
+    converters = {i: int for i, name in enumerate(reader.header) if name in _FORECAST_INT_COLUMNS}
     try:
         table = np.loadtxt(chain([first], reader.body), dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                           encoding="utf-8", ndmin=1)
+                           encoding="utf-8", ndmin=1, converters=converters)
         station, stations = _factorize(table["station_id"], str.strip)
         init, inits = _factorize(table["init_time"], parse_timestamp)
     except (ValueError, OverflowError):

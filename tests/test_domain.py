@@ -151,13 +151,6 @@ class TestAlign:
                 assert s.stats_per_model[m] == ensemble_stats(by_key[(s.init_time, m)])
                 assert s.stats_per_model[m].member_count == len(by_key[(s.init_time, m)].members)
 
-    def test_as_mapping_is_a_fresh_dict(self):
-        obs = self.obs_for_days([0, 1])
-        first = obs.as_mapping()
-        first.clear()
-        assert len(obs.as_mapping()) == 2
-        assert len(align(self.make_forecasts(2), obs, 12)[0]) == 2
-
 
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 9, 16, 21, 51, 100, 128, 129, 200])
 def test_row_wise_stats_bit_identical_to_ensemble_stats(size):

@@ -116,8 +116,8 @@ def test_valid_files_read_equal_to_oracle(tmp_path_factory, rows, blanks):
         assert exact(bulk_result(path)) == exact(expected)
 
 
-CORRUPTIONS = ["empty", "non_numeric", "bad_timestamp", "extra_field", "missing_field", "member_gap", "nan_member",
-               "negative_lead"]
+CORRUPTIONS = ["empty", "non_numeric", "fractional_int", "bad_timestamp", "extra_field", "missing_field",
+               "member_gap", "nan_member", "negative_lead"]
 
 
 def corrupt(rows, row, kind, column):
@@ -127,6 +127,10 @@ def corrupt(rows, row, kind, column):
         cells[column] = " " if column == 0 else ""
     elif kind == "non_numeric":
         cells[2 + column % 3] = "x1"
+    elif kind == "fractional_int":
+        # A lead or member index written as a float: "12.0", "12.5", "0.0".
+        cell = 2 + column % 2
+        cells[cell] = f"{int(cells[cell])}.{'5' if column > 2 else '0'}"
     elif kind == "bad_timestamp":
         cells[1] = "2017-13-01T00:00:00Z"
     elif kind == "extra_field":
@@ -158,6 +162,23 @@ def test_corrupt_files_fail_like_oracle(tmp_path_factory, rows, data):
     assert str(got.value) == str(expected.value)
     if isinstance(expected.value, SchemaError):
         assert (got.value.line_no, got.value.column) == (expected.value.line_no, expected.value.column)
+
+
+@pytest.mark.parametrize(("lead", "member"), [("12.5", "0"), ("12", "0.0"), ("1e1", "0"), ("9" * 20, "0"),
+                                               ("1_2", "0"), ("+12", " 0 ")])
+def test_integer_cells_follow_int(tmp_path, lead, member):
+    # Lead and member cells are read as int() reads them: a float cell is an
+    # error, never truncated, and a big integer is not an overflow.
+    path = tmp_path / "forecasts_m.csv"
+    path.write_text(f"station_id,init_time,lead_h,member_idx,temp_c\nS1,2017-03-01T00:00:00Z,{lead},{member},1.5\n")
+    try:
+        expected = exact(oracle_read_forecasts(path, "m"))
+    except SchemaError as error:
+        with pytest.raises(SchemaError) as got:
+            read_forecasts(path, "m")
+        assert str(got.value) == str(error)
+    else:
+        assert exact(read_forecasts(path, "m")) == expected
 
 
 def test_single_data_row(tmp_path):
