@@ -13,8 +13,8 @@ from .domain import (
     EnsembleStats,
     GaussianPredictive,
     ObservationSeries,
+    SampleTable,
     StationMetadata,
-    TrainingSample,
     align,
     ensemble_stats,
 )

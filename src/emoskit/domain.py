@@ -1,5 +1,5 @@
 """Core record types shared by all stages: stations, ensembles, observations,
-training samples and Gaussian predictive distributions.
+training tables and Gaussian predictive distributions.
 
 All records are immutable after construction and every operation here is a
 pure function, so everything in this module is safe to share across threads.
@@ -19,7 +19,7 @@ __all__ = [
     "EnsembleForecast",
     "EnsembleStats",
     "ObservationSeries",
-    "TrainingSample",
+    "SampleTable",
     "GaussianPredictive",
     "ensemble_stats",
     "align",
@@ -115,24 +115,42 @@ class ObservationSeries:
         return {t: v for t, v in zip(self.timestamps, self.values) if not math.isnan(v)}
 
 
-@dataclass(frozen=True)
-class TrainingSample:
-    """One aligned (ensemble statistics, observation) pair of the archive.
+@dataclass(frozen=True, eq=False)
+class SampleTable:
+    """The aligned (ensemble statistics, observation) samples of one
+    (station, lead), one row per init time, in init-time order.
 
-    ``init_time`` is carried so rolling windows can be selected by init date
-    without re-deriving it from the valid time.
+    ``mean`` and ``std`` are (n, K), column k for ``models[k]``; ``init_days``
+    holds the UTC init dates as day numbers (``date.toordinal``). Writable
+    input arrays are copied, and all arrays are read-only, row slices too.
     """
 
-    valid_time: datetime
-    init_time: datetime
-    stats_per_model: dict[str, EnsembleStats]
-    observation: float
+    models: tuple[str, ...]
+    init_days: np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
+    observation: np.ndarray
 
     def __post_init__(self):
-        if not math.isfinite(self.observation):
-            raise ValueError("observation must be finite")
-        if len(self.stats_per_model) == 0:
-            raise ValueError("at least one model must be present")
+        for name, dtype in (("init_days", np.int64), ("mean", float), ("std", float), ("observation", float)):
+            array = np.asarray(getattr(self, name), dtype=dtype)
+            if array.flags.writeable:
+                array = array.copy()
+                array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        n, k = len(self.observation), len(self.models)
+        if self.init_days.shape != (n,) or self.mean.shape != (n, k) or self.std.shape != (n, k):
+            raise ValueError(f"{k} models and {n} observations do not match the array shapes")
+        if (self.init_days[1:] < self.init_days[:-1]).any():
+            raise ValueError("rows must be in init-time order")
+        if not np.isfinite(self.observation).all():
+            raise ValueError("observations must be finite")
+
+    def __len__(self) -> int:
+        return len(self.observation)
+
+    def __getitem__(self, rows) -> SampleTable:
+        return SampleTable(self.models, self.init_days[rows], self.mean[rows], self.std[rows], self.observation[rows])
 
 
 @dataclass(frozen=True)
@@ -166,7 +184,7 @@ def align(
     obs: ObservationSeries,
     lead_time: int,
     model_ids: list[str] | None = None,
-) -> tuple[list[TrainingSample], int]:
+) -> tuple[SampleTable, int]:
     """Pair forecasts at ``lead_time`` with observations at the valid time.
 
     One sample is produced per init time for which the observation at
@@ -176,9 +194,9 @@ def align(
 
     Returns
     -------
-    (samples, n_dropped)
-        Samples sorted by valid time, and the count of candidate init times
-        that were dropped for missing data.
+    (table, n_dropped)
+        The samples, columns in ``model_ids`` order (default: all models,
+        sorted), and the count of init times dropped for missing data.
     """
     by_init: dict[datetime, dict[str, EnsembleForecast]] = {}
     for fc in forecasts:
@@ -200,30 +218,17 @@ def align(
         y = obs_map.get(init_time + timedelta(hours=lead_time))
         if y is not None and all(m in group for m in model_ids):
             kept.append((init_time, group, y))
-    stats = {m: _stats_rows([group[m].members for _, group, _ in kept]) for m in model_ids}
-    samples = [
-        TrainingSample(
-            valid_time=init_time + timedelta(hours=lead_time),
-            init_time=init_time,
-            stats_per_model={m: stats[m][i] for m in model_ids},
-            observation=y,
-        )
-        for i, (init_time, _, y) in enumerate(kept)
-    ]
-    return samples, len(by_init) - len(kept)
-
-
-def _stats_rows(ensembles: list[tuple[float, ...]]) -> list[EnsembleStats]:
-    """``ensemble_stats`` of many ensembles, one row-wise reduction per
-    member count. numpy sums each row of a C-ordered matrix as it sums a
-    vector, so the results are bit-identical to ``ensemble_stats``
-    (tests/test_domain.py checks this for 1-200 members)."""
-    out: list[EnsembleStats | None] = [None] * len(ensembles)
-    by_size: dict[int, list[int]] = {}
-    for i, members in enumerate(ensembles):
-        by_size.setdefault(len(members), []).append(i)
-    for size, rows in by_size.items():
-        matrix = np.array([ensembles[i] for i in rows], dtype=float)
-        for i, mean, std in zip(rows, matrix.mean(axis=1).tolist(), matrix.std(axis=1).tolist()):
-            out[i] = EnsembleStats(mean=mean, std=std, member_count=size)
-    return out
+    mean = np.empty((len(kept), len(model_ids)))
+    std = np.empty_like(mean)
+    for k, m in enumerate(model_ids):
+        by_size: dict[int, list[int]] = {}
+        for i, (_, group, _) in enumerate(kept):
+            by_size.setdefault(len(group[m].members), []).append(i)
+        for rows in by_size.values():
+            # numpy sums each row of a C-ordered matrix as it sums a vector, so these
+            # equal ensemble_stats bit for bit (tests/test_domain.py, 1-200 members).
+            matrix = np.array([kept[i][1][m].members for i in rows], dtype=float)
+            mean[rows, k] = matrix.mean(axis=1)
+            std[rows, k] = matrix.std(axis=1)  # population estimator, ddof=0
+    days = [init_time.date().toordinal() for init_time, _, _ in kept]
+    return SampleTable(tuple(model_ids), days, mean, std, [y for _, _, y in kept]), len(by_init) - len(kept)

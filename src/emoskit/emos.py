@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .domain import EnsembleStats, GaussianPredictive, TrainingSample
+from .domain import EnsembleStats, GaussianPredictive, SampleTable
 from .scoring import _INV_SQRT_PI, _std_normal_pdf
 
 __all__ = [
@@ -185,22 +185,23 @@ def model_weights(coef: EmosCoefficients) -> ModelWeights:
 
 @dataclass(frozen=True)
 class FitTask:
-    """One coefficient fit of a batch.
-
-    ``model_ids`` names the K predictors. ``start`` warm-starts the solve.
-    ``single_fits`` (K > 1 only) are the K single-model fits on the same
-    window, in ``model_ids`` order; they seed the multi-start and supply the
-    nesting candidates, and are computed when absent. ``bounds`` is
+    """One coefficient fit of a batch: a training window ``table`` and the K
+    predictors ``model_ids``, some of its models. ``start`` warm-starts the
+    solve. ``single_fits`` (K > 1 only) are the K single-model fits on the
+    same window, in ``model_ids`` order; they seed the multi-start and supply
+    the nesting candidates, and are computed when absent. ``bounds`` is
     (b1_max, d1_max), upper bounds on the first predictor's coefficients.
     """
 
-    samples: Sequence[TrainingSample]
+    table: SampleTable
     model_ids: tuple[str, ...]
     start: EmosCoefficients | None = None
     single_fits: tuple[FitResult, ...] | None = None
     bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
+        if len(self.table) == 0:
+            raise ValueError("cannot fit on an empty training set")
         if self.bounds is not None and min(self.bounds) < 0.0:
             raise ValueError("upper bounds must be >= 0")
 
@@ -240,20 +241,24 @@ class _Stack:
         self.U, self.V, self.y, self.w, self.valid = U, V, y, w, valid
 
     @classmethod
-    def from_windows(cls, windows):
-        """``windows``: (xbar (n, K), var (n, K), y (n,)) per row."""
-        k = windows[0][0].shape[1]
-        rows, width = len(windows), max(len(y) for _, _, y in windows)
+    def from_windows(cls, tasks: Sequence[FitTask]):
+        """One row per task: its table's columns of the task's models, in
+        ``model_ids`` order, with variances std * std."""
+        k = len(tasks[0].model_ids)
+        rows, width = len(tasks), max(len(t.table) for t in tasks)
         U = np.zeros((rows, width, k + 1))
         V = np.ones((rows, width, k + 1))
         y = np.zeros((rows, width))
         valid = np.zeros((rows, width), dtype=bool)
         U[:, :, 0] = 1.0
-        for r, (xbar, var, obs) in enumerate(windows):
-            n = len(obs)
-            U[r, :n, 1:] = xbar
-            V[r, :n, 1:] = var
-            y[r, :n] = obs
+        for r, task in enumerate(tasks):
+            table = task.table
+            cols = [table.models.index(m) for m in task.model_ids]
+            n = len(table)
+            std = table.std[:, cols]
+            U[r, :n, 1:] = table.mean[:, cols]
+            V[r, :n, 1:] = std * std
+            y[r, :n] = table.observation
             valid[r, :n] = True
         w = valid / valid.sum(axis=1, keepdims=True)
         return cls(U, V, y, w, valid)
@@ -447,20 +452,6 @@ def _lbfgsb_row(points, st: _Stack, upper, theta, f, options: FitOptions):
 # ---------------------------------------------------------------------------
 
 
-def _window_arrays(samples, model_ids):
-    if len(samples) == 0:
-        raise ValueError("cannot fit on an empty training set")
-    try:
-        stats = [[s.stats_per_model[m] for m in model_ids] for s in samples]
-    except KeyError:
-        missing = next(m for m in model_ids if any(m not in s.stats_per_model for s in samples))
-        raise ValueError(f"model {missing!r} missing from at least one training sample") from None
-    xbar = np.array([[st.mean for st in row] for row in stats])
-    std = np.array([[st.std for st in row] for row in stats])
-    y = np.array([s.observation for s in samples])
-    return xbar, std * std, y
-
-
 def _theta_from(coef: EmosCoefficients) -> np.ndarray:
     return np.array([coef.a, *coef.b, coef.c**2, *(d**2 for d in coef.d)])
 
@@ -542,11 +533,11 @@ def fit_batch(tasks: Sequence[FitTask], options: FitOptions = FitOptions()) -> l
     k = len(tasks[0].model_ids)
     if any(len(t.model_ids) != k for t in tasks):
         raise ValueError("a batch takes tasks with one number of predictors")
-    stack = _Stack.from_windows([_window_arrays(t.samples, t.model_ids) for t in tasks])
+    stack = _Stack.from_windows(tasks)
     singles = [t.single_fits for t in tasks]
     need = [i for i, fits in enumerate(singles) if k > 1 and fits is None]
     if need:
-        seeds = fit_batch([FitTask(tasks[i].samples, (m,)) for i in need for m in tasks[i].model_ids], options)
+        seeds = fit_batch([FitTask(tasks[i].table, (m,)) for i in need for m in tasks[i].model_ids], options)
         for j, i in enumerate(need):
             singles[i] = tuple(seeds[k * j : k * (j + 1)])
 
@@ -579,7 +570,7 @@ def fit_batch(tasks: Sequence[FitTask], options: FitOptions = FitOptions()) -> l
                 objective=f,
                 converged=bool(solved.converged[task_rows[i]].any()),
                 n_iterations=n_iter,
-                n_samples=len(task.samples),
+                n_samples=len(task.table),
             )
         )
     return results
@@ -595,7 +586,7 @@ def _fit_one(task: FitTask, options: FitOptions) -> FitResult:
 
 
 def fit_single(
-    samples: list[TrainingSample],
+    table: SampleTable,
     model_id: str,
     options: FitOptions = FitOptions(),
     start: EmosCoefficients | None = None,
@@ -614,11 +605,11 @@ def fit_single(
         If max_iterations is exhausted before the solver converges; the
         best-so-far fit rides on the error.
     """
-    return _fit_one(FitTask(samples, (model_id,), start=start), options)
+    return _fit_one(FitTask(table, (model_id,), start=start), options)
 
 
 def fit_mixed(
-    samples: list[TrainingSample],
+    table: SampleTable,
     model_ids: tuple[str, str],
     options: FitOptions = FitOptions(),
     single_fits: tuple[FitResult, FitResult] | None = None,
@@ -635,4 +626,4 @@ def fit_mixed(
     ``start`` warm-starts the solver and skips the multi-start. Raises
     NonConvergenceError like ``fit_single``.
     """
-    return _fit_one(FitTask(samples, tuple(model_ids), start=start, single_fits=single_fits), options)
+    return _fit_one(FitTask(table, tuple(model_ids), start=start, single_fits=single_fits), options)

@@ -106,19 +106,23 @@ class _TableReader:
 
     def __enter__(self):
         self._fh = self.path.open("r", encoding="utf-8", newline="")
-        reader = csv.reader(self._fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(self.path, 1, None, "file is empty, expected a header row") from None
-        header = [h.strip() for h in header]
-        for col in self.required:
-            if col not in header:
-                raise SchemaError(self.path, 1, col, "missing required column")
-        if not self.allow_extra:
-            extra = [h for h in header if h not in self.required]
-            if extra:
-                raise SchemaError(self.path, 1, extra[0], "unexpected column")
+            reader = csv.reader(self._fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError(self.path, 1, None, "file is empty, expected a header row") from None
+            header = [h.strip() for h in header]
+            for col in self.required:
+                if col not in header:
+                    raise SchemaError(self.path, 1, col, "missing required column")
+            if not self.allow_extra:
+                extra = [h for h in header if h not in self.required]
+                if extra:
+                    raise SchemaError(self.path, 1, extra[0], "unexpected column")
+        except BaseException:
+            self._fh.close()  # __exit__ does not run when __enter__ raises
+            raise
         self.header = header
         self.body = self._fh  # positioned after the header row
         self._reader = reader

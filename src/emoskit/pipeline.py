@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta
 
-from .domain import EnsembleForecast, EnsembleStats, GaussianPredictive, StationMetadata, TrainingSample, ensemble_stats
+from .domain import EnsembleForecast, EnsembleStats, GaussianPredictive, SampleTable, StationMetadata, ensemble_stats
 from .emos import EmosCoefficients, FitOptions, FitResult, FitTask, fit_batch, identity, predict
 from .synth import interpolate_leads
 from .terrain import lapse_correct
@@ -150,20 +150,18 @@ class CoefficientStore:
         return None
 
 
-def select_window(
-    archive: list[TrainingSample], issue_date: date, spec: RollingWindowSpec
-) -> list[TrainingSample]:
-    """Samples whose init dates fall in [issue - window_days, issue - 1].
+def select_window(table: SampleTable, issue_date: date, spec: RollingWindowSpec) -> SampleTable:
+    """The rows whose init dates fall in [issue - window_days, issue - 1].
 
     The issue date itself is excluded, so a fit can never see data that
     would only become known on the day it is issued.
     """
-    lo = issue_date - timedelta(days=spec.window_days)
-    hi = issue_date - timedelta(days=1)
-    return [s for s in archive if lo <= s.init_time.date() <= hi]
+    issue = issue_date.toordinal()
+    lo, hi = table.init_days.searchsorted([issue - spec.window_days, issue])
+    return table[lo:hi]
 
 
-Archive = dict[tuple[str, int], list[TrainingSample]]
+Archive = dict[tuple[str, int], SampleTable]
 
 
 def build_archive(
@@ -171,7 +169,7 @@ def build_archive(
     observations,
     lead_times,
 ) -> tuple[Archive, int]:
-    """Align forecasts and observations into per-(station, lead) sample lists.
+    """Align forecasts and observations into per-(station, lead) sample tables.
 
     For each lead time, alignment requires every model that provides any
     forecast at that lead; models whose horizon ends earlier simply drop out
@@ -200,10 +198,10 @@ def build_archive(
             model_ids = models_at_lead.get(lead)
             if not model_ids:
                 continue
-            samples, dropped = align(pools.get((station_id, lead), []), obs, lead, model_ids=model_ids)
+            table, dropped = align(pools.get((station_id, lead), []), obs, lead, model_ids=model_ids)
             total_dropped += dropped
-            if samples:
-                archive[(station_id, lead)] = samples
+            if len(table):
+                archive[(station_id, lead)] = table
     return archive, total_dropped
 
 
@@ -244,7 +242,7 @@ def fit_for_issue(
     if store is None:
         store = CoefficientStore()
     bounds = bounds or {}
-    windows: dict[tuple[str, int], list[TrainingSample]] = {}
+    windows: dict[tuple[str, int], SampleTable | None] = {}
     updates: dict[CoefficientKey, StoredFit] = {}
     to_fit: dict[int, list[CoefficientKey]] = {}
     for key in keys:
@@ -255,14 +253,15 @@ def fit_for_issue(
             raise ValueError(f"raw strategy {key.strategy!r} takes no coefficients")
         slot = (key.station_id, key.lead_time)
         if slot not in windows:
-            windows[slot] = select_window(archive.get(slot, []), issue_date, spec)
-        samples = windows[slot]
-        if len(samples) < spec.min_samples or any(m not in s.stats_per_model for s in samples for m in models):
+            windows[slot] = select_window(archive[slot], issue_date, spec) if slot in archive else None
+        window = windows[slot]
+        n_samples = len(window) if window else 0
+        if n_samples < spec.min_samples or not set(models) <= set(window.models):
             prior = store.latest_before(key.station_id, key.lead_time, key.strategy, issue_date, REUSE_WINDOW_DAYS)
             if prior is not None:
-                updates[key] = replace(prior, n_samples=len(samples), fallback=True)
+                updates[key] = replace(prior, n_samples=n_samples, fallback=True)
             else:
-                updates[key] = _identity_record(key.strategy, len(samples))
+                updates[key] = _identity_record(key.strategy, n_samples)
         else:
             to_fit.setdefault(len(models), []).append(key)
 

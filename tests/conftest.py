@@ -1,9 +1,9 @@
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
-from emoskit.domain import EnsembleStats, TrainingSample
+from emoskit.domain import SampleTable
 
 T0 = datetime(2017, 1, 1, tzinfo=timezone.utc)
 
@@ -17,17 +17,17 @@ def linear_gaussian_samples(
     predictor_std=2.0,
     spread=0.5,
     second_model="noise",
-    lead=12,
 ):
-    """Training samples with y = a + b * mean_1 + N(0, noise_std).
+    """A training table of models ("A", "B") on n daily init dates from T0,
+    with y = a + b * mean_A + N(0, noise_std).
 
     Model "B" is either pure noise uncorrelated with y ("noise"), an exact
     copy of model A ("copy"), or a second noisy view of the same signal
     ("informative").
     """
     rng = np.random.default_rng(seed)
-    samples = []
-    for i in range(n):
+    rows = []
+    for _ in range(n):
         m1 = rng.normal(0.0, predictor_std)
         y = a + b * m1 + rng.normal(0.0, noise_std)
         if second_model == "copy":
@@ -36,19 +36,9 @@ def linear_gaussian_samples(
             m2, s2 = m1 + rng.normal(0.0, 1.0), 0.7
         else:
             m2, s2 = rng.normal(0.0, predictor_std), 0.7
-        init = T0 + timedelta(days=i)
-        samples.append(
-            TrainingSample(
-                valid_time=init + timedelta(hours=lead),
-                init_time=init,
-                stats_per_model={
-                    "A": EnsembleStats(mean=float(m1), std=float(spread), member_count=21),
-                    "B": EnsembleStats(mean=float(m2), std=float(s2), member_count=51),
-                },
-                observation=float(y),
-            )
-        )
-    return samples
+        rows.append((m1, m2, spread, s2, y))
+    rows = np.array(rows, dtype=float).reshape(n, 5)
+    return SampleTable(("A", "B"), T0.date().toordinal() + np.arange(n), rows[:, :2], rows[:, 2:4], rows[:, 4])
 
 
 @pytest.fixture

@@ -9,11 +9,11 @@ from emoskit.domain import (
     EnsembleStats,
     GaussianPredictive,
     ObservationSeries,
+    SampleTable,
     StationMetadata,
     align,
     ensemble_stats,
 )
-from emoskit.domain import _stats_rows
 
 T0 = datetime(2017, 6, 1, tzinfo=timezone.utc)
 
@@ -90,31 +90,31 @@ class TestAlign:
         return obs_series([(24 * d + lead, 15.0 + d) for d in days])
 
     def test_complete_obs_three_samples(self):
-        samples, dropped = align(self.make_forecasts(3), self.obs_for_days([0, 1, 2]), 12)
-        assert len(samples) == 3
+        table, dropped = align(self.make_forecasts(3), self.obs_for_days([0, 1, 2]), 12)
+        assert len(table) == 3
         assert dropped == 0
-        assert [s.observation for s in samples] == [15.0, 16.0, 17.0]
-        assert all(s.valid_time == s.init_time + timedelta(hours=12) for s in samples)
+        assert table.observation.tolist() == [15.0, 16.0, 17.0]
+        assert (table.init_days - T0.date().toordinal()).tolist() == [0, 1, 2]
 
     def test_missing_middle_observation(self):
-        samples, dropped = align(self.make_forecasts(3), self.obs_for_days([0, 2]), 12)
-        assert len(samples) == 2
+        table, dropped = align(self.make_forecasts(3), self.obs_for_days([0, 2]), 12)
+        assert len(table) == 2
         assert dropped == 1
 
     def test_nan_observation_is_missing(self):
         obs = obs_series([(12, 15.0), (36, math.nan), (60, 17.0)])
-        samples, dropped = align(self.make_forecasts(3), obs, 12)
-        assert len(samples) == 2
+        table, dropped = align(self.make_forecasts(3), obs, 12)
+        assert len(table) == 2
         assert dropped == 1
 
     def test_two_models_intersection(self):
         forecasts = self.make_forecasts(3, models=("A", "B"))
         # model B loses its middle init
         forecasts = [f for f in forecasts if not (f.model_id == "B" and f.init_time == T0 + timedelta(days=1))]
-        samples, dropped = align(forecasts, self.obs_for_days([0, 1, 2]), 12)
-        assert len(samples) == 2
+        table, dropped = align(forecasts, self.obs_for_days([0, 1, 2]), 12)
+        assert len(table) == 2
         assert dropped == 1
-        assert all(set(s.stats_per_model) == {"A", "B"} for s in samples)
+        assert table.models == ("A", "B") and table.mean.shape == table.std.shape == (2, 2)
 
     def test_station_mismatch_rejected(self):
         other = obs_series([(12, 15.0)], station="S2")
@@ -126,15 +126,14 @@ class TestAlign:
         forecasts = self.make_forecasts(10)
         rng.shuffle(forecasts)
         obs = self.obs_for_days(range(10))
-        samples, _ = align(forecasts, obs, 12)
-        assert len(samples) <= min(len(forecasts), len(obs.timestamps))
-        valid_times = [s.valid_time for s in samples]
-        assert valid_times == sorted(valid_times)
-        obs_map = obs.as_mapping()
-        assert all(s.valid_time in obs_map for s in samples)
+        table, _ = align(forecasts, obs, 12)
+        assert len(table) <= min(len(forecasts), len(obs.timestamps))
+        days = table.init_days - T0.date().toordinal()
+        assert days.tolist() == sorted(days.tolist())
+        assert table.observation.tolist() == [15.0 + d for d in days]
 
     def test_member_counts_differ_between_inits(self):
-        # Stats come from one reduction per member count; each sample must
+        # Stats come from one reduction per member count; each row must
         # still carry its own ensemble's statistics, bit for bit.
         rng = np.random.default_rng(5)
         sizes = [3, 5, 3, 1, 5, 4]
@@ -143,13 +142,12 @@ class TestAlign:
             for d, n in enumerate(sizes)
             for m in ("A", "B")
         ]
-        samples, dropped = align(forecasts, self.obs_for_days(range(len(sizes))), 12, model_ids=["A", "B"])
-        assert dropped == 0
-        by_key = {(f.init_time, f.model_id): f for f in forecasts}
-        for s in samples:
-            for m in ("A", "B"):
-                assert s.stats_per_model[m] == ensemble_stats(by_key[(s.init_time, m)])
-                assert s.stats_per_model[m].member_count == len(by_key[(s.init_time, m)].members)
+        table, dropped = align(forecasts, self.obs_for_days(range(len(sizes))), 12, model_ids=["B", "A"])
+        assert (dropped, table.models) == (0, ("B", "A"))
+        for f in forecasts:
+            d, k = (f.init_time - T0).days, table.models.index(f.model_id)
+            want = ensemble_stats(f)
+            assert (table.mean[d, k].hex(), table.std[d, k].hex()) == (want.mean.hex(), want.std.hex())
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 9, 16, 21, 51, 100, 128, 129, 200])
@@ -157,11 +155,35 @@ def test_row_wise_stats_bit_identical_to_ensemble_stats(size):
     # align reduces the ensembles of one member count as matrix rows; that
     # must give exactly the floats ensemble_stats gives for each ensemble.
     rng = np.random.default_rng(size)
-    ensembles = [tuple((rng.normal(0.0, 10.0, size) * 10.0 ** rng.integers(-3, 4)).tolist()) for _ in range(40)]
-    rows = _stats_rows(ensembles)
-    for members, got in zip(ensembles, rows):
-        want = ensemble_stats(fc(members))
-        assert (got.mean.hex(), got.std.hex(), got.member_count) == (want.mean.hex(), want.std.hex(), want.member_count)
+    ensembles = [(rng.normal(0.0, 10.0, size) * 10.0 ** rng.integers(-3, 4)).tolist() for _ in range(40)]
+    forecasts = [fc(members, init=T0 + timedelta(days=d)) for d, members in enumerate(ensembles)]
+    table, _ = align(forecasts, obs_series([(24 * d + 12, 0.0) for d in range(40)]), 12)
+    for d, forecast in enumerate(forecasts):
+        want = ensemble_stats(forecast)
+        assert (table.mean[d, 0].hex(), table.std[d, 0].hex()) == (want.mean.hex(), want.std.hex())
+
+
+class TestSampleTable:
+    def test_arrays_and_row_slices_are_read_only(self):
+        mean = np.ones((5, 1))
+        table = SampleTable(("A",), np.arange(5), mean, np.ones((5, 1)), np.arange(5.0))
+        mean[0, 0] = 5.0  # writable inputs are copied
+        window = table[1:4]
+        assert (table.mean[0, 0], window.observation.tolist()) == (1.0, [1.0, 2.0, 3.0])
+        assert np.shares_memory(window.mean, table.mean)
+        for array in (table.init_days, table.mean, table.std, table.observation, window.mean):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_validation(self):
+        ones = np.ones((2, 1))
+        for models, days, obs, match in [
+            (("A", "B"), [1, 2], [0.0, 1.0], "shapes"),
+            (("A",), [2, 1], [0.0, 1.0], "init-time order"),
+            (("A",), [1, 2], [0.0, math.nan], "finite"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                SampleTable(models, days, ones, ones, obs)
 
 
 class TestInvariants:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +26,17 @@ from emoskit.scoring import gaussian_crps
 from conftest import linear_gaussian_samples
 
 
+def row_stats(table, i, model_ids):
+    cols = [table.models.index(m) for m in model_ids]
+    return [EnsembleStats(float(table.mean[i, k]), float(table.std[i, k]), 21) for k in cols]
+
+
 def mean_objective(coef, samples, model_ids, min_sigma=1e-3):
     return float(
         np.mean(
             [
-                gaussian_crps(predict(coef, [s.stats_per_model[m] for m in model_ids], min_sigma), s.observation)
-                for s in samples
+                gaussian_crps(predict(coef, row_stats(samples, i, model_ids), min_sigma), float(samples.observation[i]))
+                for i in range(len(samples))
             ]
         )
     )
@@ -139,20 +145,9 @@ class TestFitSingle:
         rng = np.random.default_rng(12)
         y = rng.normal(3.0, 1.0, 500)
         samples = linear_gaussian_samples(n=500, a=0.0, b=0.0, noise_std=0.0, seed=5)
-        samples = [
-            s.__class__(
-                valid_time=s.valid_time,
-                init_time=s.init_time,
-                stats_per_model={
-                    "A": EnsembleStats(0.0, s.stats_per_model["A"].std, 21),
-                    "B": s.stats_per_model["B"],
-                },
-                observation=float(obs),
-            )
-            for s, obs in zip(samples, y)
-        ]
+        samples = replace(samples, mean=np.column_stack([np.zeros(500), samples.mean[:, 1]]), observation=y)
         result = fit_single(samples, "A")
-        sigma_pred = predict(result.coefficients, [samples[0].stats_per_model["A"]]).sigma
+        sigma_pred = predict(result.coefficients, row_stats(samples, 0, ["A"])).sigma
         assert result.coefficients.a == pytest.approx(float(y.mean()), abs=0.1)
         assert sigma_pred == pytest.approx(float(y.std()), abs=0.1)
 
@@ -187,7 +182,7 @@ class TestFitSingle:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fit_single([], "A")
+            fit_single(linear_gaussian_samples(n=10)[:0], "A")
 
     def test_warm_start_beats_nothing(self):
         samples = linear_gaussian_samples(n=45, seed=9)
@@ -243,22 +238,7 @@ class TestFitMixed:
         # affine map of a predictor's mean series leaves the optimum unchanged
         base = linear_gaussian_samples(n=45, a=0.3, b=1.1, noise_std=0.4, seed=14, second_model="informative")
         alpha, beta = 2.5, -7.0
-        mapped = [
-            s.__class__(
-                valid_time=s.valid_time,
-                init_time=s.init_time,
-                stats_per_model={
-                    "A": EnsembleStats(
-                        alpha * s.stats_per_model["A"].mean + beta,
-                        s.stats_per_model["A"].std,
-                        s.stats_per_model["A"].member_count,
-                    ),
-                    "B": s.stats_per_model["B"],
-                },
-                observation=s.observation,
-            )
-            for s in base
-        ]
+        mapped = replace(base, mean=base.mean * [alpha, 1.0] + [beta, 0.0])
         f_base = fit_single(base, "A")
         f_mapped = fit_single(mapped, "A")
         assert f_mapped.objective == pytest.approx(f_base.objective, abs=1e-6)
@@ -267,8 +247,8 @@ class TestFitMixed:
     def test_predicted_sigma_floor(self):
         samples = linear_gaussian_samples(n=45, noise_std=0.0, seed=15)
         result = fit_mixed(samples, ("A", "B"))
-        for s in samples:
-            pred = predict(result.coefficients, [s.stats_per_model["A"], s.stats_per_model["B"]])
+        for i in range(len(samples)):
+            pred = predict(result.coefficients, row_stats(samples, i, ["A", "B"]))
             assert pred.sigma >= 1e-3
 
 

@@ -6,15 +6,13 @@ gradient, the same starts and candidates), is the oracle: on every row of a
 batch the batched objective must not end above it.
 """
 
-from datetime import timedelta
-
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import ndtr
 
-from emoskit.domain import EnsembleStats, TrainingSample
+from emoskit.domain import SampleTable
 from emoskit.emos import FitOptions, FitTask, _evaluate, _Stack, fit_batch
 
 from conftest import T0
@@ -56,15 +54,10 @@ def bounds_or_none():
     return st.one_of(st.none(), st.tuples(st.floats(0.0, 1.2), st.floats(0.0, 1.2)))
 
 
-def as_samples(window):
+def as_table(window):
     xbar, std, y = window
-    models = ("A", "B")
-    out = []
-    for i in range(len(y)):
-        init = T0 + timedelta(days=i)
-        stats = {m: EnsembleStats(float(xbar[i, j]), float(std[i, j]), 21) for j, m in enumerate(models[: xbar.shape[1]])}
-        out.append(TrainingSample(init + timedelta(hours=12), init, stats, float(y[i])))
-    return out
+    days = T0.date().toordinal() + np.arange(len(y))
+    return SampleTable(("A", "B")[: xbar.shape[1]], days, xbar, std, y)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +156,7 @@ def single_oracle_fit(window, j):
 def test_batched_objective_not_above_oracle(data, k, size):
     batch = [data.draw(windows(k)) for _ in range(size)]
     bounds = [data.draw(bounds_or_none()) if k == 2 else None for _ in range(size)]
-    tasks = [FitTask(as_samples(w), ("A", "B")[:k], bounds=b) for w, b in zip(batch, bounds)]
+    tasks = [FitTask(as_table(w), ("A", "B")[:k], bounds=b) for w, b in zip(batch, bounds)]
     results = fit_batch(tasks, OPTIONS)
     for window, b, result in zip(batch, bounds, results):
         singles = [single_oracle_fit(window, j) for j in range(k)] if k == 2 else None
@@ -179,8 +172,7 @@ def test_batched_objective_not_above_oracle(data, k, size):
     st.floats(0.05, 2.0), st.floats(0.05, 2.0), st.floats(0.0, 2.0),
 ))
 def test_hessian_matches_central_differences(window, point):
-    xbar, std, y = window
-    stack = _Stack.from_windows([(xbar, std * std, y)])
+    stack = _Stack.from_windows([FitTask(as_table(window), ("A", "B"))])
     theta = np.array([point])
     f, g, H = _evaluate(theta, stack, OPTIONS.min_sigma, order=2)
     for j in range(theta.shape[1]):
@@ -199,7 +191,7 @@ def test_hessian_matches_central_differences(window, point):
 @given(data=st.data(), size=st.integers(1, 5))
 def test_mixed_nests_singles_within_a_batch(data, size):
     batch = [data.draw(windows(2)) for _ in range(size)]
-    samples = [as_samples(w) for w in batch]
+    samples = [as_table(w) for w in batch]
     singles = fit_batch([FitTask(s, (m,)) for s in samples for m in ("A", "B")], OPTIONS)
     pairs = [(singles[2 * i], singles[2 * i + 1]) for i in range(size)]
     mixed = fit_batch([FitTask(s, ("A", "B"), single_fits=p) for s, p in zip(samples, pairs)], OPTIONS)

@@ -4,8 +4,10 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emoskit.domain import EnsembleForecast, EnsembleStats
+from emoskit.domain import EnsembleForecast, EnsembleStats, SampleTable
 from emoskit.emos import EmosCoefficients, identity, predict
 from emoskit.pipeline import (
     CoefficientKey,
@@ -49,8 +51,8 @@ class TestSelectWindow:
         archive = linear_gaussian_samples(n=60)
         window = select_window(archive, issue_on(60), RollingWindowSpec(window_days=45))
         assert len(window) == 45
-        assert min(s.init_time for s in window).date() == issue_on(15)
-        assert max(s.init_time for s in window).date() == issue_on(59)
+        assert window.init_days.min() == issue_on(15).toordinal()
+        assert window.init_days.max() == issue_on(59).toordinal()
 
     def test_short_archive(self):
         archive = linear_gaussian_samples(n=10)
@@ -60,17 +62,34 @@ class TestSelectWindow:
     def test_issue_date_excluded(self):
         archive = linear_gaussian_samples(n=50)
         window = select_window(archive, issue_on(49), RollingWindowSpec(window_days=45))
-        assert all(s.init_time.date() <= issue_on(48) for s in window)
-        assert not any(s.init_time.date() == issue_on(49) for s in window)
+        assert window.init_days.max() == issue_on(48).toordinal()
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RollingWindowSpec(window_days=10, min_samples=11)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        hours=st.lists(st.integers(0, 24 * 60), max_size=40),
+        issue_day=st.integers(-70, 130),
+        window_days=st.integers(1, 60),
+    )
+    def test_matches_list_filter(self, hours, issue_day, window_days):
+        # Sorted init times with gaps, repeated days and any hour; the oracle
+        # is the per-sample filter select_window used to run.
+        init_times = [T0 + timedelta(hours=h) for h in sorted(hours)]
+        n, init_days = len(init_times), [t.date().toordinal() for t in init_times]
+        table = SampleTable(("A",), init_days, np.zeros((n, 1)), np.ones((n, 1)), range(n))
+        issue = issue_on(issue_day)
+        lo, hi = issue - timedelta(days=window_days), issue - timedelta(days=1)
+        expected = [i for i, t in enumerate(init_times) if lo <= t.date() <= hi]
+        window = select_window(table, issue, RollingWindowSpec(window_days=window_days, min_samples=1))
+        assert window.observation.tolist() == expected
+
 
 def make_archive(n_days=60):
-    samples = linear_gaussian_samples(n=n_days, a=1.0, b=0.9, noise_std=0.4, second_model="informative")
-    return {("S1", 12): samples}
+    table = linear_gaussian_samples(n=n_days, a=1.0, b=0.9, noise_std=0.4, second_model="informative")
+    return {("S1", 12): table}
 
 
 STRATS = ["single:A", "single:B", "mixed:A+B"]
@@ -134,10 +153,7 @@ class TestFitForIssue:
     def test_no_leakage(self):
         archive = make_archive(60)
         issue = issue_on(50)
-        truncated = {
-            slot: [s for s in samples if s.init_time.date() < issue]
-            for slot, samples in archive.items()
-        }
+        truncated = {slot: table[table.init_days < issue.toordinal()] for slot, table in archive.items()}
         full = fit_for_issue(archive, issue, keys_for(issue))
         cut = fit_for_issue(truncated, issue, keys_for(issue))
         assert full == cut
@@ -165,8 +181,8 @@ class TestFitForIssue:
     def test_missing_model_falls_back(self):
         archive = make_archive(60)
         stripped = {
-            slot: [replace(s, stats_per_model={"A": s.stats_per_model["A"]}) for s in samples]
-            for slot, samples in archive.items()
+            slot: SampleTable(("A",), t.init_days, t.mean[:, :1], t.std[:, :1], t.observation)
+            for slot, t in archive.items()
         }
         updates = fit_for_issue(stripped, issue_on(50), keys_for(issue_on(50)))
         assert not updates[keys_for(issue_on(50))[0]].fallback
@@ -282,8 +298,8 @@ class TestBuildArchive:
         data = generate_scenario(spec)
         archive, dropped = build_archive(data.forecasts, data.observations, spec.lead_hours)
         assert dropped == 0
-        assert set(archive[("S000", 6)][0].stats_per_model) == {"long", "short"}
-        assert set(archive[("S000", 30)][0].stats_per_model) == {"long"}
+        assert archive[("S000", 6)].models == ("long", "short")
+        assert archive[("S000", 30)].models == ("long",)
 
     def test_sample_count_equals_window_size(self):
         archive = make_archive(60)
