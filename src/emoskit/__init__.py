@@ -62,6 +62,7 @@ from .scoring import (
     gaussian_crps_gradient,
     pit_histogram,
     pit_value,
+    randomized_ensemble_pit,
     stratified_report,
 )
 from .synth import (
@@ -90,5 +91,6 @@ from .transition import (
     transition1_bounds,
     transition2_blend,
 )
+from .verification import Cases, Verification, verify, write_reports
 
 __version__ = "0.1.0"

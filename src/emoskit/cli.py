@@ -24,14 +24,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 from . import io as eio
 from .domain import EnsembleForecast, GaussianPredictive
-from .emos import FitOptions, model_weights
+from .emos import FitOptions
 from .pipeline import (
     RollingWindowSpec,
     build_archive,
@@ -42,33 +40,12 @@ from .pipeline import (
     prepare_forecasts,
     train,
 )
-from .scoring import (
-    ScoreSeries,
-    diebold_mariano,
-    ensemble_crps,
-    gaussian_crps,
-    pit_histogram,
-    pit_value,
-    stratified_report,
-)
 from .synth import ModelErrorSpec, ScenarioSpec, TruthSpec, generate_scenario
 from .terrain import ElevationGrid, read_esri_ascii, tpi_at_station, write_esri_ascii
-from .transition import TransitionSpec, assemble_seam, seam_diagnostics
+from .transition import TransitionSpec, assemble_seam
+from .verification import verify, write_reports
 
-__all__ = ["main", "randomized_ensemble_pit"]
-
-
-def randomized_ensemble_pit(members, y: float, u: float) -> float:
-    """Randomized-rank PIT of an observation within a raw ensemble.
-
-    With r members strictly below y and t members equal to y, the PIT is
-    (r + u * (t + 1)) / (m + 1) for u ~ U(0, 1); uniform when the members
-    and the observation are exchangeable draws.
-    """
-    x = np.asarray(members, dtype=float)
-    r = int(np.sum(x < y))
-    t = int(np.sum(x == y))
-    return (r + u * (t + 1)) / (x.size + 1)
+__all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -389,184 +366,49 @@ def cmd_transition(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_optional(x) -> str:
-    return "" if x is None else eio.fmt_float(x)
-
-
-# stratum -> label column of its crps_by_<stratum>.csv table
-_STRATUM_COLUMNS = {"season": "season", "daynight": "stratum", "lead": "lead_h", "station": "station_id"}
-
-
-def _write_report_tables(out_dir: Path, report):
-    eio.write_table(
-        out_dir / "crps_overall.csv",
-        ["strategy", "n", "mean_crps", "crpss", "frac_stations_crpss_pos"],
-        (
-            [strategy, stat.count, eio.fmt_float(stat.mean_crps), _fmt_optional(stat.crpss),
-             _fmt_optional(report.station_skill_fraction.get(strategy))]
-            for strategy, stat in sorted(report.overall.items())
-        ),
-    )
-    for strat_name, label_col in _STRATUM_COLUMNS.items():
-        table = report.by_stratum.get(strat_name)
-        if table is None:
-            continue
-        rows = []
-        for strategy in sorted(table):
-            for label in sorted(table[strategy], key=lambda s: (len(s), s) if strat_name == "lead" else s):
-                stat = table[strategy][label]
-                rows.append([strategy, label, stat.count, eio.fmt_float(stat.mean_crps), _fmt_optional(stat.crpss)])
-        eio.write_table(out_dir / f"crps_by_{strat_name}.csv", ["strategy", label_col, "n", "mean_crps", "crpss"], rows)
+def _seam_window(cfg) -> tuple[int, int] | None:
+    raw = cfg.get("verify.seam_window", "")
+    if not raw:
+        return None
+    lo, sep, hi = raw.partition("-")
+    if not (sep and lo.strip().isdigit() and hi.strip().isdigit() and int(lo) < int(hi)):
+        raise ValueError(f"verify.seam_window must be 'lo-hi' with lo < hi, got {raw!r}")
+    return int(lo), int(hi)
 
 
 def cmd_verify(args) -> int:
     cfg = eio.parse_config(args.config)
+    seam_window = _seam_window(cfg)
     _, observations, forecasts = _load_data(cfg, Path(args.data))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reference = args.reference or cfg.get("reference") or _strategies(cfg)[0]
-    pit_bins = _cfg_int(cfg, "verify.pit_bins", 20)
-    alpha = _cfg_float(cfg, "verify.alpha", 0.05)
-    seed = _cfg_int(cfg, "seed", 0)
 
-    prediction_rows: list[eio.PredictionRow] = []
+    predictions: dict[tuple[str, datetime, int, str], GaussianPredictive] = {}
     for path in args.predictions:
-        prediction_rows.extend(eio.read_predictions(path))
-
-    gaussian_strategies = sorted({r.strategy for r in prediction_rows})
+        for r in eio.read_predictions(path):
+            key = (r.station_id, r.init_time, r.lead_time, r.strategy)
+            if key in predictions:
+                raise ValueError(
+                    f"duplicate prediction for {r.station_id} {eio.format_timestamp(r.init_time)} "
+                    f"lead {r.lead_time} {r.strategy} in {path}"
+                )
+            predictions[key] = r.predictive
+    gaussian_strategies = sorted({key[3] for key in predictions})
     raw_strategies = [s for s in _strategies(cfg) if parse_strategy(s)[0] == "raw"]
     if args.strategies:
         wanted = set(args.strategies.split(","))
         gaussian_strategies = [s for s in gaussian_strategies if s in wanted]
         raw_strategies = [s for s in raw_strategies if s in wanted]
-    strategies = gaussian_strategies + raw_strategies
-    if reference not in strategies:
-        print(f"error: reference strategy {reference!r} is not among scored strategies {strategies}", file=sys.stderr)
-        return 1
 
-    obs_maps = {sid: series.as_mapping() for sid, series in observations.items()}
-    preds: dict[str, dict[tuple[str, datetime, int], eio.PredictionRow]] = {s: {} for s in gaussian_strategies}
-    for r in prediction_rows:
-        if r.strategy in preds:
-            preds[r.strategy][(r.station_id, r.init_time, r.lead_time)] = r
-    ensembles: dict[str, dict[tuple[str, datetime, int], EnsembleForecast]] = {}
-    for raw in raw_strategies:
-        model = parse_strategy(raw)[1][0]
-        ensembles[raw] = {(fc.station_id, fc.init_time, fc.lead_time): fc for fc in forecasts.get(model, [])}
-
-    # Common aligned case set: observation present plus every strategy covering the case.
-    case_sets = [set(preds[s]) for s in gaussian_strategies] + [set(ensembles[s]) for s in raw_strategies]
-    if not case_sets:
-        print("error: nothing to verify", file=sys.stderr)
-        return 1
-    cases = set.intersection(*case_sets)
-    cases = sorted(
-        c
-        for c in cases
-        if (y := obs_maps.get(c[0], {}).get(c[1] + timedelta(hours=c[2]))) is not None and math.isfinite(y)
+    result = verify(
+        predictions, forecasts, observations, gaussian_strategies + raw_strategies, reference,
+        pit_bins=_cfg_int(cfg, "verify.pit_bins", 20), alpha=_cfg_float(cfg, "verify.alpha", 0.05),
+        seed=_cfg_int(cfg, "seed", 0), seam_window=seam_window,
+        store=eio.read_store(args.store) if args.store else None,
     )
-    if not cases:
-        print("error: no aligned cases with observations", file=sys.stderr)
-        return 1
-
-    valid_times = tuple(init + timedelta(hours=lead) for _, init, lead in cases)
-    station_ids = tuple(c[0] for c in cases)
-    lead_times = tuple(c[2] for c in cases)
-    ys = [obs_maps[c[0]][c[1] + timedelta(hours=c[2])] for c in cases]
-
-    scores: dict[str, ScoreSeries] = {}
-    pits: dict[str, list[float]] = {}
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(99,)))
-    for strategy in strategies:
-        values = []
-        pit_list = []
-        if strategy in preds:
-            table = preds[strategy]
-            for c, y in zip(cases, ys):
-                pred = table[c].predictive
-                values.append(gaussian_crps(pred, y))
-                pit_list.append(pit_value(pred, y))
-        else:
-            table = ensembles[strategy]
-            us = rng.random(len(cases))
-            for c, y, u in zip(cases, ys, us):
-                fc = table[c]
-                values.append(ensemble_crps(fc.members, y))
-                pit_list.append(randomized_ensemble_pit(fc.members, y, u))
-        scores[strategy] = ScoreSeries(
-            valid_times=valid_times,
-            crps_values=tuple(values),
-            station_ids=station_ids,
-            lead_times=lead_times,
-        )
-        pits[strategy] = pit_list
-
-    _write_report_tables(out_dir, stratified_report(scores, reference))
-
-    pit_rows = []
-    for strategy in strategies:
-        hist = pit_histogram(pits[strategy], pit_bins)
-        for lo, hi, count in zip(hist.edges, hist.edges[1:], hist.counts):
-            pit_rows.append([eio.fmt_float(lo), eio.fmt_float(hi), count, strategy])
-    eio.write_table(out_dir / "pit_hist.csv", ["bin_lo", "bin_hi", "count", "strategy"], pit_rows)
-
-    dm_rows = []
-    for i, sa in enumerate(strategies):
-        for sb in strategies[i + 1 :]:
-            result = diebold_mariano(scores[sa], scores[sb], alpha=alpha)
-            dm_rows.append(
-                [sa, sb, len(cases), eio.fmt_float(result.statistic), eio.fmt_float(result.p_value),
-                 result.conclusion.value]
-            )
-    eio.write_table(
-        out_dir / "dm_matrix.csv", ["strategy_a", "strategy_b", "n", "statistic", "p_value", "conclusion"], dm_rows
-    )
-
-    if args.store:
-        weight_rows = []
-        for key, record in eio.read_store(args.store).items():
-            if parse_strategy(key.strategy)[0] != "mixed":
-                continue
-            wt = model_weights(record.coefficients)
-            init_time = datetime(key.issue_date.year, key.issue_date.month, key.issue_date.day, tzinfo=timezone.utc)
-            weight_rows.append(
-                [key.station_id, eio.format_timestamp(init_time), key.lead_time, eio.fmt_float(wt.weight_mean),
-                 eio.fmt_float(wt.weight_std)]
-            )
-        eio.write_table(
-            out_dir / "weights.csv", ["station_id", "init_time", "lead_h", "weight_mean", "weight_std"], weight_rows
-        )
-
-    seam_raw = cfg.get("verify.seam_window", "")
-    if seam_raw:
-        lo, hi = (int(v) for v in seam_raw.replace("-", ",").split(",")[:2])
-        window = list(range(lo, hi + 1))
-        seam_rows = []
-        for strategy in gaussian_strategies:
-            series = {}
-            obs_per_case = {}
-            for (sid, init, lead), row in preds[strategy].items():
-                if lo <= lead <= hi:
-                    series.setdefault((sid, init), {})[lead] = row.predictive
-            complete = {}
-            for case, table in sorted(series.items()):
-                obs_vals = {lead: obs_maps.get(case[0], {}).get(case[1] + timedelta(hours=lead)) for lead in window}
-                if all(lead in table for lead in window) and all(v is not None for v in obs_vals.values()):
-                    complete[case] = table
-                    obs_per_case[case] = obs_vals
-            if not complete:
-                continue
-            diag = seam_diagnostics(complete, obs_per_case, window)
-            for lead in window:
-                seam_rows.append(
-                    [strategy, lead, _fmt_optional(diag.mu_steps.get(lead)), _fmt_optional(diag.sigma_steps.get(lead)),
-                     eio.fmt_float(diag.mean_crps[lead])]
-                )
-        eio.write_table(
-            out_dir / "seam_diagnostics.csv", ["strategy", "lead_h", "mu_step", "sigma_step", "mean_crps"], seam_rows
-        )
-
-    print(f"verified {len(cases)} cases x {len(strategies)} strategies -> {out_dir}")
+    write_reports(out_dir, result)
+    print(f"verified {len(result.cases)} cases x {len(result.strategies)} strategies -> {out_dir}")
     return 0
 
 

@@ -418,21 +418,20 @@ def write_predictions(path, rows: list[PredictionRow]) -> None:
 
 
 def read_predictions(path) -> list[PredictionRow]:
+    """The rows of a predictions file; a repeated (station, init time, lead,
+    strategy) raises SchemaError at its second line."""
     out = []
+    seen = set()
     with _TableReader(path, ["station_id", "init_time", "lead_h", "strategy", "mu", "sigma"]) as reader:
         for line_no, row in reader.rows():
             sigma = row.float("sigma")
             if sigma <= 0.0:
                 raise SchemaError(path, line_no, "sigma", f"sigma must be > 0, got {sigma}")
-            out.append(
-                PredictionRow(
-                    station_id=row.str("station_id"),
-                    init_time=row.timestamp("init_time"),
-                    lead_time=row.int("lead_h"),
-                    strategy=row.str("strategy"),
-                    predictive=GaussianPredictive(mu=row.float("mu"), sigma=sigma),
-                )
-            )
+            key = (row.str("station_id"), row.timestamp("init_time"), row.int("lead_h"), row.str("strategy"))
+            if key in seen:
+                raise SchemaError(path, line_no, None, "duplicate (station_id, init_time, lead_h, strategy) row")
+            seen.add(key)
+            out.append(PredictionRow(*key, GaussianPredictive(mu=row.float("mu"), sigma=sigma)))
     return out
 
 

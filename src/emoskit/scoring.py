@@ -36,11 +36,16 @@ __all__ = [
     "gaussian_crps",
     "gaussian_crps_gradient",
     "ensemble_crps",
+    "ensemble_crps_rows",
     "crpss",
     "pit_value",
     "pit_histogram",
+    "randomized_ensemble_pit",
     "diebold_mariano",
+    "dm_test",
     "stratified_report",
+    "aggregate_report",
+    "stratum_labels",
     "season_of",
     "is_day",
 ]
@@ -109,6 +114,16 @@ def ensemble_crps(members, y: float) -> float:
     return float(term_obs - term_pairs)
 
 
+def ensemble_crps_rows(members: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``ensemble_crps`` of each row of an (n, m) member matrix against y[i],
+    bit-identical to it: ``np.vecdot`` runs the dot kernel of ``np.dot`` per
+    row, where a matrix-vector product may round differently."""
+    m = members.shape[1]
+    term_obs = np.abs(members - y[:, None]).mean(axis=1)
+    weights = 2.0 * np.arange(m) - m + 1.0
+    return term_obs - np.vecdot(np.sort(members, axis=1), weights) / (m * m)
+
+
 def crpss(crps: float, crps_ref: float) -> float:
     """Skill score 1 - crps/crps_ref; positive means better than the reference."""
     if crps_ref <= 0.0:
@@ -121,6 +136,21 @@ def pit_value(pred: GaussianPredictive, y: float) -> float:
     if pred.sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {pred.sigma}")
     return float(ndtr((y - pred.mu) / pred.sigma))
+
+
+def randomized_ensemble_pit(members, y, u):
+    """Randomized-rank PIT of an observation within a raw ensemble.
+
+    With r members strictly below y and t members equal to y, the PIT is
+    (r + u * (t + 1)) / (m + 1) for u ~ U(0, 1); uniform when the members
+    and the observation are exchangeable draws. ``members`` may also be an
+    (n, m) matrix, with y and u of length n: one PIT per row.
+    """
+    x = np.asarray(members, dtype=float)
+    y = np.asarray(y, dtype=float)[..., None]
+    r = np.sum(x < y, axis=-1)
+    t = np.sum(x == y, axis=-1)
+    return (r + u * (t + 1)) / (x.shape[-1] + 1)
 
 
 @dataclass(frozen=True)
@@ -213,13 +243,17 @@ def diebold_mariano(scores_a: ScoreSeries, scores_b: ScoreSeries, alpha: float =
         raise ValueError("score series must have equal length")
     if scores_a.valid_times != scores_b.valid_times:
         raise ValueError("score series must cover identical valid times")
-    n = len(scores_a)
+    d = np.asarray(scores_a.crps_values, dtype=float) - np.asarray(scores_b.crps_values, dtype=float)
+    return dm_test(d, alpha)
+
+
+def dm_test(d: np.ndarray, alpha: float = 0.05) -> SignificanceResult:
+    """``diebold_mariano`` on the per-case score differential d = a - b."""
+    n = len(d)
     if n < 2:
         raise ValueError(f"need at least 2 paired scores, got {n}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-
-    d = np.asarray(scores_a.crps_values, dtype=float) - np.asarray(scores_b.crps_values, dtype=float)
     mean_d = float(d.mean())
     var_d = float(d.var(ddof=1))
     if var_d == 0.0:
@@ -258,7 +292,8 @@ class VerificationReport:
     """Stratified mean CRPS and skill relative to a reference strategy.
 
     ``by_stratum`` maps stratification name -> strategy -> stratum label ->
-    statistics. ``station_skill_fraction`` is the fraction of stations with
+    statistics, strategies and labels in sorted order (leads numerically).
+    ``station_skill_fraction`` is the fraction of stations with
     positive CRPSS against the reference (only present when station metadata
     was available).
     """
@@ -272,20 +307,25 @@ class VerificationReport:
 _ALL_STRATA = ("season", "daynight", "lead", "station")
 
 
-def _stratum_labels(series: ScoreSeries, stratification: str) -> list[str]:
-    if stratification == "season":
-        return [season_of(t) for t in series.valid_times]
-    if stratification == "daynight":
-        return ["day" if is_day(t) else "night" for t in series.valid_times]
-    if stratification == "lead":
-        if series.lead_times is None:
-            raise ValueError("lead stratification requires lead_times on every series")
-        return [str(lt) for lt in series.lead_times]
-    if stratification == "station":
-        if series.station_ids is None:
-            raise ValueError("station stratification requires station_ids on every series")
-        return list(series.station_ids)
-    raise ValueError(f"unknown stratification {stratification!r}")
+def stratum_labels(valid_times, station_ids, lead_times, strata=_ALL_STRATA) -> dict[str, list[str]]:
+    """Per-case stratum labels of each stratification in ``strata``."""
+    labels = {}
+    for stratification in strata:
+        if stratification == "season":
+            labels[stratification] = [season_of(t) for t in valid_times]
+        elif stratification == "daynight":
+            labels[stratification] = ["day" if is_day(t) else "night" for t in valid_times]
+        elif stratification == "lead":
+            if lead_times is None:
+                raise ValueError("lead stratification requires lead_times on every series")
+            labels[stratification] = [str(lt) for lt in lead_times]
+        elif stratification == "station":
+            if station_ids is None:
+                raise ValueError("station stratification requires station_ids on every series")
+            labels[stratification] = list(station_ids)
+        else:
+            raise ValueError(f"unknown stratification {stratification!r}")
+    return labels
 
 
 def stratified_report(
@@ -303,38 +343,40 @@ def stratified_report(
         raise ValueError(f"unknown reference strategy {reference!r}")
     ref_series = scores[reference]
     for name, series in scores.items():
-        if series.valid_times != ref_series.valid_times:
-            raise ValueError(f"series {name!r} is not aligned with the reference")
-        if (series.station_ids is None) != (ref_series.station_ids is None) or (
-            series.station_ids is not None and series.station_ids != ref_series.station_ids
-        ):
-            raise ValueError(f"series {name!r} has mismatched station metadata")
-        if (series.lead_times is None) != (ref_series.lead_times is None) or (
-            series.lead_times is not None and series.lead_times != ref_series.lead_times
-        ):
-            raise ValueError(f"series {name!r} has mismatched lead metadata")
+        for field_name in ("valid_times", "station_ids", "lead_times"):
+            if getattr(series, field_name) != getattr(ref_series, field_name):
+                raise ValueError(f"series {name!r} is not aligned with the reference in {field_name}")
+
+    crps = {name: np.asarray(series.crps_values, dtype=float) for name, series in scores.items()}
+    labels = stratum_labels(ref_series.valid_times, ref_series.station_ids, ref_series.lead_times, strata)
+    return aggregate_report(crps, labels, reference)
+
+
+def aggregate_report(
+    crps: dict[str, np.ndarray], labels: dict[str, list[str]], reference: str
+) -> VerificationReport:
+    """``stratified_report`` of aligned per-case CRPS arrays, one per strategy;
+    ``labels`` maps each stratification to the per-case stratum labels."""
 
     def mean_of(values) -> float:
         return float(np.mean(values)) if len(values) else math.nan
 
-    ref_overall = mean_of(ref_series.crps_values)
+    ref_overall = mean_of(crps[reference])
     overall: dict[str, StratumStat] = {}
-    for name in sorted(scores):
-        m = mean_of(scores[name].crps_values)
+    for name in sorted(crps):
+        m = mean_of(crps[name])
         skill = crpss(m, ref_overall) if ref_overall > 0.0 else None
-        overall[name] = StratumStat(mean_crps=m, count=len(scores[name]), crpss=skill)
+        overall[name] = StratumStat(mean_crps=m, count=len(crps[name]), crpss=skill)
 
     by_stratum: dict[str, dict[str, dict[str, StratumStat]]] = {}
-    for stratification in strata:
-        labels = _stratum_labels(ref_series, stratification)
-        stratum_keys = sorted(set(labels), key=lambda s: (len(s), s) if stratification == "lead" else s)
-        ref_values = np.asarray(ref_series.crps_values, dtype=float)
-        label_arr = np.asarray(labels)
-        ref_means = {k: mean_of(ref_values[label_arr == k]) for k in stratum_keys}
+    for stratification, case_labels in labels.items():
+        stratum_keys = sorted(set(case_labels), key=lambda s: (len(s), s) if stratification == "lead" else s)
+        label_arr = np.asarray(case_labels)
+        ref_means = {k: mean_of(crps[reference][label_arr == k]) for k in stratum_keys}
 
         table: dict[str, dict[str, StratumStat]] = {}
-        for name in sorted(scores):
-            values = np.asarray(scores[name].crps_values, dtype=float)
+        for name in sorted(crps):
+            values = crps[name]
             per_stratum: dict[str, StratumStat] = {}
             for k in stratum_keys:
                 mask = label_arr == k

@@ -19,7 +19,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 from scipy.stats import chisquare
 
-from emoskit.cli import main, randomized_ensemble_pit
+from emoskit.cli import main
 from emoskit.domain import GaussianPredictive
 from emoskit.emos import FitOptions, fit_mixed, fit_single, model_weights
 from emoskit.pipeline import (
@@ -31,10 +31,11 @@ from emoskit.pipeline import (
     prepare_forecasts,
     train,
 )
-from emoskit.scoring import ensemble_crps, gaussian_crps, gaussian_crps_gradient, pit_value
+from emoskit.scoring import ensemble_crps, gaussian_crps, gaussian_crps_gradient
 from emoskit.synth import ScenarioSpec, TruthSpec, generate_scenario
 from emoskit.terrain import LAPSE_RATE_C_PER_100M, lapse_correct
 from emoskit.transition import DEFAULT_TRANSITION_WEIGHTS, TransitionSpec, assemble_seam, transition1_bounds
+from emoskit.verification import verify
 
 from conftest import linear_gaussian_samples
 
@@ -58,8 +59,7 @@ class RollingRun:
     store: CoefficientStore
     corrected: dict
     observations: dict
-    # per strategy: case (sid, init, lead) -> (prediction, observation)
-    predictions: dict
+    predictions: dict  # (sid, init, lead, strategy) -> prediction, as predict_issues returns it
     elapsed_seconds: float
 
 
@@ -76,15 +76,8 @@ def run_rolling(spec, window=RollingWindowSpec(), options=FitOptions(), strategi
         first_issue = window.window_days
     issues = [(spec.start + timedelta(days=d)).date() for d in range(first_issue, spec.n_days)]
     store = train(archive, issues, slots, window, options)
-    outcome, errors = predict_issues(store, corrected, issues, slots, min_sigma=options.min_sigma)
+    predictions, errors = predict_issues(store, corrected, issues, slots, min_sigma=options.min_sigma)
     assert not errors, errors
-
-    obs_maps = {sid: s.as_mapping() for sid, s in data.observations.items()}
-    predictions = {s: {} for s in strategies}
-    for (sid, init, lead, strat), pred in outcome.items():
-        y = obs_maps[sid].get(init + timedelta(hours=lead))
-        if y is not None:
-            predictions[strat][(sid, init, lead)] = (pred, y)
     return RollingRun(
         spec=spec,
         store=store,
@@ -114,33 +107,11 @@ def preset_run():
 
 @pytest.fixture(scope="module")
 def preset_scores(preset_run):
-    """Aligned per-case CRPS for the three fitted strategies and the two
-    lapse-corrected raw ensembles, plus PIT values."""
+    """The library verification of the three fitted strategies and the two
+    lapse-corrected raw ensembles on their aligned cases."""
     run = preset_run
-    cases = sorted(set.intersection(*(set(run.predictions[s]) for s in STRATEGIES)))
-    ens_lookup = {
-        m: {(fc.station_id, fc.init_time, fc.lead_time): fc for fc in fcs} for m, fcs in run.corrected.items()
-    }
-    scores = {}
-    pits = {}
-    for strat in STRATEGIES:
-        table = run.predictions[strat]
-        scores[strat] = np.array([gaussian_crps(table[c][0], table[c][1]) for c in cases])
-        pits[strat] = np.array([pit_value(table[c][0], table[c][1]) for c in cases])
-    rng = np.random.default_rng(515)
-    for m in sorted(ens_lookup):
-        strat = f"raw:{m}"
-        values = []
-        pit_list = []
-        ys = {c: run.predictions[STRATEGIES[0]][c][1] for c in cases}
-        us = rng.random(len(cases))
-        for c, u in zip(cases, us):
-            fc = ens_lookup[m][c]
-            values.append(ensemble_crps(fc.members, ys[c]))
-            pit_list.append(randomized_ensemble_pit(fc.members, ys[c], u))
-        scores[strat] = np.array(values)
-        pits[strat] = np.array(pit_list)
-    return {"cases": cases, "scores": scores, "pits": pits}
+    return verify(run.predictions, run.corrected, run.observations, STRATEGIES + ["raw:global", "raw:hires"],
+                  reference=MIXED, seed=515)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +220,7 @@ def test_criterion_4_coefficient_recovery():
 
 
 def test_criterion_5_headline_ordering(preset_run, preset_scores):
-    means = {s: float(v.mean()) for s, v in preset_scores["scores"].items()}
+    means = {s: float(v.mean()) for s, v in preset_scores.crps.items()}
     raw_beaten = means["raw:hires"] > means["single:hires"] and means["raw:global"] > means["single:global"]
     singles_beaten = means[MIXED] < means["single:hires"] and means[MIXED] < means["single:global"]
     best_single = min(means["single:hires"], means["single:global"])
@@ -290,26 +261,15 @@ def calibration_run():
 
 def test_criterion_6_calibration(calibration_run, preset_scores):
     run = calibration_run
-    table = run.predictions[MIXED]
-    cases = sorted(table)
-    pits = np.array([pit_value(pred, y) for pred, y in (table[c] for c in cases)])
+    result = verify(run.predictions, run.corrected, run.observations, [MIXED, "raw:hires"], reference=MIXED, seed=77)
+    pits = result.pit[MIXED]
     assert pits.size >= 5000
-
-    counts = np.histogram(pits, bins=np.linspace(0, 1, 21))[0]
-    _, p_mixed = chisquare(counts)
-
-    ens_lookup = {(fc.station_id, fc.init_time, fc.lead_time): fc for fc in run.corrected["hires"]}
-    rng = np.random.default_rng(77)
-    us = rng.random(len(cases))
-    raw_pits = np.array(
-        [randomized_ensemble_pit(ens_lookup[c].members, table[c][1], u) for c, u in zip(cases, us)]
-    )
-    raw_counts = np.histogram(raw_pits, bins=np.linspace(0, 1, 21))[0]
-    _, p_raw = chisquare(raw_counts)
+    _, p_mixed = chisquare(result.pit_histograms[MIXED].counts)
+    _, p_raw = chisquare(result.pit_histograms["raw:hires"].counts)
 
     # honest context for the 45-day preset (see ledger): its held-out
     # standardized errors are over-dispersed by the small-sample fit
-    preset_pits = preset_scores["pits"][MIXED]
+    preset_pits = preset_scores.pit[MIXED]
     z_std = float(np.std(ndtri(np.clip(preset_pits, 1e-12, 1 - 1e-12))))
     print(f"    note: 45-day preset held-out z-std = {z_std:.3f} (overfit inflation, n={preset_pits.size})")
 
@@ -386,10 +346,11 @@ def seam_setup():
     # single-model stream beyond it
     cases = {}
     obs_per_case = {}
-    for strat in (MIXED, "single:global"):
-        for (sid, init, lead), (pred, y) in run.predictions[strat].items():
+    obs = {sid: series.as_mapping() for sid, series in run.observations.items()}
+    for (sid, init, lead, strat), pred in run.predictions.items():
+        if strat in (MIXED, "single:global"):
             cases.setdefault((sid, init), {}).setdefault(strat, {})[lead] = pred
-            obs_per_case.setdefault((sid, init), {})[lead] = y
+            obs_per_case.setdefault((sid, init), {})[lead] = obs[sid][init + timedelta(hours=lead)]
     series = {
         scheme: assemble_seam(cases, TransitionSpec(horizon=120, scheme=scheme), MIXED, "single:global")
         for scheme in ("none", "t2")

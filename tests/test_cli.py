@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emoskit.cli import main, randomized_ensemble_pit
+from emoskit import randomized_ensemble_pit
+from emoskit.cli import main
 from emoskit.domain import ensemble_stats
 from emoskit.io import read_forecasts, read_predictions, read_stations, read_store
 from emoskit.terrain import lapse_correct
@@ -373,6 +374,28 @@ class TestTransitionCommand:
         strategies = {line.split(",")[0] for line in lines}
         assert "seam_none" in strategies
         assert "single:global" in strategies
+
+
+    def test_verify_rejects_prediction_repeated_across_files(self, seam_run, capsys):
+        code = main(
+            ["verify", "--config", seam_run["cfg"], "--data", str(seam_run["data"]),
+             "--predictions", str(seam_run["preds"]), str(seam_run["preds"]),
+             "--out", str(seam_run["root"] / "dup_reports")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "duplicate prediction" in err and "S000" in err
+
+    @pytest.mark.parametrize("window", ["118", "123-118", "118-118", "a-b"])
+    def test_verify_rejects_bad_seam_window(self, seam_run, tmp_path, capsys, window):
+        cfg = write_cfg(tmp_path, SEAM_CFG.replace("verify.seam_window = 117-123", f"verify.seam_window = {window}"))
+        code = main(
+            ["verify", "--config", cfg, "--data", str(seam_run["data"]), "--predictions", str(seam_run["preds"]),
+             "--out", str(tmp_path / "reports")]
+        )
+        assert code == 1
+        assert "verify.seam_window" in capsys.readouterr().err
+        assert not (tmp_path / "reports" / "seam_diagnostics.csv").exists()
 
 
 class TestTpiCommand:

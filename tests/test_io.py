@@ -149,6 +149,19 @@ class TestPredictions:
             read_predictions(path)
         assert "sigma" in str(err.value)
 
+    def test_duplicate_row_rejected_with_line(self, tmp_path):
+        path = tmp_path / "predictions.csv"
+        path.write_text(
+            "station_id,init_time,lead_h,strategy,mu,sigma\n"
+            "S1,2017-03-01T00:00:00Z,12,single:m,1.0,0.5\n"
+            "S1,2017-03-01T00:00:00Z,13,single:m,1.0,0.5\n"
+            "S1,2017-03-01T00:00:00Z,12,single:m,2.0,0.5\n"
+        )
+        with pytest.raises(SchemaError) as err:
+            read_predictions(path)
+        assert err.value.line_no == 4
+        assert "duplicate" in str(err.value)
+
 
 class TestStore:
     def test_round_trip_single_and_mixed(self, tmp_path):

@@ -1,18 +1,20 @@
-"""Property tests of the file formats, the Gaussian CRPS and the lapse-rate
-correction (derandomized, like the solver properties)."""
+"""Property tests of the file formats, the Gaussian CRPS, the vectorised
+verification scores and the lapse-rate correction (derandomized, like the
+solver properties)."""
 
 import math
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emoskit.domain import GaussianPredictive
+from emoskit.domain import EnsembleForecast, GaussianPredictive, ObservationSeries
 from emoskit.emos import EmosCoefficients
 from emoskit.io import PredictionRow, read_predictions, read_store, write_predictions, write_store
 from emoskit.pipeline import CoefficientKey, CoefficientStore, StoredFit
-from emoskit.scoring import gaussian_crps
+from emoskit.scoring import ensemble_crps, gaussian_crps, pit_value
 from emoskit.terrain import lapse_correct
+from emoskit.verification import verify
 
 from test_scoring import crps_by_quadrature
 
@@ -66,7 +68,8 @@ def prediction_rows(draw):
 
 
 @PROPERTY_SETTINGS
-@given(rows=st.lists(prediction_rows(), min_size=1, max_size=8))
+@given(rows=st.lists(prediction_rows(), min_size=1, max_size=8,
+                     unique_by=lambda r: (r.station_id, r.init_time, r.lead_time, r.strategy)))
 def test_predictions_round_trip_is_byte_identical(tmp_path_factory, rows):
     root = tmp_path_factory.mktemp("predictions")
     write_predictions(root / "a.csv", rows)
@@ -93,6 +96,42 @@ def test_gaussian_crps_matches_quadrature(mu, sigma, z):
     y = mu + sigma * z
     closed = gaussian_crps(GaussianPredictive(mu, sigma), y)
     assert math.isclose(closed, crps_by_quadrature(mu, sigma, y), rel_tol=1e-9, abs_tol=1e-10 * sigma)
+
+
+# ---------------------------------------------------------------------------
+# Vectorised verification scores against the scalar references
+# ---------------------------------------------------------------------------
+
+T0 = datetime(2017, 1, 1, tzinfo=timezone.utc)
+# Quarter degrees make ties between members, and with the observation, common.
+temperature = st.one_of(st.integers(-12, 12).map(lambda v: v / 4), st.floats(-40.0, 40.0))
+
+
+@st.composite
+def scored_cases(draw):
+    """(mu, sigma, y, members) per case, 1-60 members; y often equals a member."""
+    cases = []
+    for _ in range(draw(st.integers(2, 12))):
+        members = draw(st.lists(temperature, min_size=1, max_size=60))
+        y = draw(st.one_of(st.sampled_from(members), temperature))
+        cases.append((draw(st.floats(-40.0, 40.0)), draw(st.floats(1e-3, 20.0)), y, members))
+    return cases
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(cases=scored_cases())
+def test_verify_scores_equal_the_scalar_scores(cases):
+    inits = [T0 + timedelta(days=i) for i in range(len(cases))]
+    predictions = {("S", t, 12, "single:m"): GaussianPredictive(c[0], c[1]) for t, c in zip(inits, cases)}
+    ensembles = {"m": [EnsembleForecast("S", "m", t, 12, tuple(c[3])) for t, c in zip(inits, cases)]}
+    valid = tuple(t + timedelta(hours=12) for t in inits)
+    observations = {"S": ObservationSeries("S", valid, tuple(c[2] for c in cases))}
+    result = verify(predictions, ensembles, observations, ["single:m", "raw:m"], "single:m")
+    for i, (mu, sigma, y, members) in enumerate(cases):
+        pred = GaussianPredictive(mu, sigma)
+        assert result.crps["single:m"][i].hex() == gaussian_crps(pred, y).hex()
+        assert result.pit["single:m"][i].hex() == pit_value(pred, y).hex()
+        assert result.crps["raw:m"][i].hex() == ensemble_crps(members, y).hex()
 
 
 # ---------------------------------------------------------------------------
