@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timedelta
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, stdtr
 
 from .domain import GaussianPredictive
 
@@ -189,16 +189,21 @@ class Conclusion(str, Enum):
     SECOND_BETTER = "second_better"
     NOT_SIGNIFICANT = "not_significant"
     DEGENERATE = "degenerate"
+    INSUFFICIENT = "insufficient"
 
 
 @dataclass(frozen=True)
 class SignificanceResult:
-    statistic: float
-    p_value: float
+    """A test's statistic and two-sided p-value (None when ``insufficient``)
+    on ``n`` init dates."""
+
+    statistic: float | None
+    p_value: float | None
     conclusion: Conclusion
+    n: int
 
     def __post_init__(self):
-        if not 0.0 <= self.p_value <= 1.0:
+        if self.p_value is not None and not 0.0 <= self.p_value <= 1.0:
             raise ValueError("p_value must lie in [0, 1]")
 
 
@@ -230,45 +235,61 @@ class ScoreSeries:
 
 
 def diebold_mariano(scores_a: ScoreSeries, scores_b: ScoreSeries, alpha: float = 0.05) -> SignificanceResult:
-    """Diebold-Mariano test on the score differential d_t = a_t - b_t.
-
-    statistic = mean(d) / sqrt(var(d) / n) with the n-1 sample variance and a
-    two-sided p-value from the standard normal. Daily scores at a fixed lead
-    time are treated as independent (lag-0 variance). Zero-variance
-    differentials yield a flagged ``degenerate`` conclusion instead of an
-    infinite statistic: p = 1 when the series are identical, p = 0 when the
-    constant differential is nonzero.
-    """
+    """``dm_test`` of the score differential a - b; a case's init time is its
+    valid time minus its lead time (0 h when the series carry no leads)."""
     if len(scores_a) != len(scores_b):
         raise ValueError("score series must have equal length")
-    if scores_a.valid_times != scores_b.valid_times:
-        raise ValueError("score series must cover identical valid times")
+    if scores_a.valid_times != scores_b.valid_times or scores_a.lead_times != scores_b.lead_times:
+        raise ValueError("score series must cover identical valid and lead times")
+    leads = scores_a.lead_times or (0,) * len(scores_a)
+    init_days = [(t - timedelta(hours=lead)).toordinal() for t, lead in zip(scores_a.valid_times, leads)]
     d = np.asarray(scores_a.crps_values, dtype=float) - np.asarray(scores_b.crps_values, dtype=float)
-    return dm_test(d, alpha)
+    return dm_test(d, np.asarray(init_days), max(leads, default=0), alpha)
 
 
-def dm_test(d: np.ndarray, alpha: float = 0.05) -> SignificanceResult:
-    """``diebold_mariano`` on the per-case score differential d = a - b."""
-    n = len(d)
-    if n < 2:
-        raise ValueError(f"need at least 2 paired scores, got {n}")
+def dm_test(d: np.ndarray, init_days: np.ndarray, max_lead: int, alpha: float = 0.05) -> SignificanceResult:
+    """Diebold-Mariano (1995) test of equal skill with the Harvey, Leybourne
+    and Newbold (1997) small-sample correction.
+
+    The per-case score differential d = a - b is averaged per init day
+    (``init_days``, over stations and leads), giving a series of n daily
+    means in day order. Forecasts up to ``max_lead`` hours overlap those of
+    the next h - 1 init days, h = ceil(max_lead / 24), so the variance of
+    the series' mean uses the Newey-West (Bartlett) estimate with lag h - 1,
+
+        V = g_0 + 2 * sum_{k=1}^{h-1} (1 - k/h) * g_k,
+
+    g_k the lag-k autocovariance with divisor n. The corrected statistic
+    mean / sqrt(V / c), c = n + 1 - 2h + h(h-1)/n, has a two-sided p-value
+    from Student t with n - 1 degrees of freedom. A constant daily
+    differential is ``degenerate`` (p = 1 when it is zero, else 0); fewer
+    than 2 init days, or V <= 0 or c <= 0, is ``insufficient``.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    mean_d = float(d.mean())
-    var_d = float(d.var(ddof=1))
-    if var_d == 0.0:
-        p = 1.0 if mean_d == 0.0 else 0.0
-        return SignificanceResult(statistic=0.0, p_value=p, conclusion=Conclusion.DEGENERATE)
-
-    stat = mean_d / math.sqrt(var_d / n)
-    p = 2.0 * float(ndtr(-abs(stat)))
+    _, day, counts = np.unique(init_days, return_inverse=True, return_counts=True)
+    daily = np.bincount(day, weights=d) / counts
+    n = len(daily)
+    if n < 2:
+        return SignificanceResult(None, None, Conclusion.INSUFFICIENT, n)
+    mean_d = float(daily.mean())
+    if np.ptp(daily) == 0.0:
+        return SignificanceResult(0.0, 1.0 if mean_d == 0.0 else 0.0, Conclusion.DEGENERATE, n)
+    h = max(1, math.ceil(max_lead / 24))
+    e = daily - mean_d
+    v = float(e @ e) / n + 2.0 * sum((1.0 - k / h) * float(e[k:] @ e[:-k]) / n for k in range(1, min(h, n)))
+    c = n + 1 - 2 * h + h * (h - 1) / n
+    if v <= 0.0 or c <= 0.0:
+        return SignificanceResult(None, None, Conclusion.INSUFFICIENT, n)
+    stat = mean_d / math.sqrt(v / c)
+    p = min(2.0 * float(stdtr(n - 1, -abs(stat))), 1.0)
     if p >= alpha:
         conclusion = Conclusion.NOT_SIGNIFICANT
     elif mean_d < 0.0:
         conclusion = Conclusion.FIRST_BETTER  # a has the lower scores
     else:
         conclusion = Conclusion.SECOND_BETTER
-    return SignificanceResult(statistic=stat, p_value=min(p, 1.0), conclusion=conclusion)
+    return SignificanceResult(stat, p, conclusion, n)
 
 
 def season_of(t: datetime) -> str:

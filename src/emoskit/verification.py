@@ -49,7 +49,7 @@ class Cases:
     Gaussian strategy's ``mu``/``sigma`` per case."""
 
     station_ids: tuple[str, ...]
-    init_times: tuple[datetime, ...]
+    init_days: np.ndarray  # date.toordinal() of the init time
     leads: np.ndarray
     valid_times: tuple[datetime, ...]
     y: np.ndarray
@@ -141,7 +141,7 @@ def verify(
     keys = sorted(obs)
     cases = Cases(
         station_ids=tuple(c[0] for c in keys),
-        init_times=tuple(c[1] for c in keys),
+        init_days=np.array([c[1].toordinal() for c in keys], dtype=np.int64),
         leads=np.array([c[2] for c in keys], dtype=np.int64),
         valid_times=tuple(init + timedelta(hours=lead) for _, init, lead in keys),
         y=np.array([obs[c] for c in keys], dtype=float),
@@ -179,7 +179,8 @@ def verify(
         pit=pit,
         report=aggregate_report(crps, stratum_labels(cases.valid_times, cases.station_ids, cases.leads), reference),
         pit_histograms={s: pit_histogram(pit[s], pit_bins) for s in strategies},
-        dm={(a, b): dm_test(crps[a] - crps[b], alpha) for i, a in enumerate(strategies) for b in strategies[i + 1:]},
+        dm={(a, b): dm_test(crps[a] - crps[b], cases.init_days, int(cases.leads.max()), alpha)
+            for i, a in enumerate(strategies) for b in strategies[i + 1:]},
         weights=None if store is None else [(key, model_weights(r.coefficients)) for key, r in store.items()
                                             if parse_strategy(key.strategy)[0] == "mixed"],
         seam_window=seam_window,
@@ -222,7 +223,7 @@ def write_reports(out_dir: Path, result: Verification) -> None:
     )
     tables["dm_matrix"] = (
         ["strategy_a", "strategy_b", "n", "statistic", "p_value", "conclusion"],
-        [[a, b, len(result.cases), f(r.statistic), f(r.p_value), r.conclusion.value]
+        [[a, b, r.n, opt(r.statistic), opt(r.p_value), r.conclusion.value]
          for (a, b), r in result.dm.items()],
     )
     if result.weights is not None:

@@ -11,8 +11,10 @@ from emoskit.domain import GaussianPredictive
 from emoskit.scoring import (
     Conclusion,
     ScoreSeries,
+    crps_normal_unit,
     crpss,
     diebold_mariano,
+    dm_test,
     ensemble_crps,
     gaussian_crps,
     gaussian_crps_gradient,
@@ -296,6 +298,59 @@ class TestDieboldMariano:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             diebold_mariano(series([1.0, 2.0]), series([1.0, 2.0, 3.0]))
+
+    def test_single_init_date_insufficient(self):
+        # 24 hourly cases of one init date: no variance across dates to test with
+        times = tuple(T0 + timedelta(hours=h) for h in range(24))
+        a = ScoreSeries(times, tuple(np.linspace(1.0, 2.0, 24)), lead_times=tuple(range(24)))
+        b = ScoreSeries(times, (1.5,) * 24, lead_times=tuple(range(24)))
+        result = diebold_mariano(a, b)
+        assert (result.statistic, result.p_value, result.conclusion, result.n) == (None, None,
+                                                                                    Conclusion.INSUFFICIENT, 1)
+
+    def test_cases_are_averaged_per_init_date(self):
+        # two init dates x two leads; per-date means 1 and 3 give mean 2, and
+        # with h = 1 the variance is the lag-0 one of the two daily means
+        d = np.array([0.5, 1.5, 2.0, 4.0])
+        result = dm_test(d, np.array([7, 7, 8, 8]), max_lead=21)
+        assert result.n == 2
+        assert result.statistic == pytest.approx(2.0 / math.sqrt(1.0 / 1.0))
+
+    def test_non_positive_correction_insufficient(self):
+        # h = 6 (126 h leads) on 5 init dates: n + 1 - 2h + h(h-1)/n = 0
+        rng = np.random.default_rng(3)
+        result = dm_test(rng.normal(size=5), np.arange(5), max_lead=126)
+        assert result.conclusion == Conclusion.INSUFFICIENT
+
+    @staticmethod
+    def ar1(rng, shape, rho):
+        """Unit-variance AR(1) series along the last axis."""
+        e = rng.standard_normal(shape)
+        e[..., 1:] *= math.sqrt(1.0 - rho**2)
+        for k in range(1, shape[-1]):
+            e[..., k] += rho * e[..., k - 1]
+        return e
+
+    def test_size_and_power_with_autocorrelated_leads(self):
+        """Toy model, 400 derandomized replications of 50 init dates x 43
+        hourly leads (84-126 h, so h = 6). Each forecast's standardized error
+        is AR(1) over the leads with rho = 0.98 per hour; the two forecasts
+        share 95 % of their error variance (what both miss against the same
+        observation). Scores are the CRPS of N(0, 1); for a 10 % CRPS
+        advantage, b's errors and spread are scaled by 0.9. A lag-0 test on
+        the pooled cases rejects equal skill in about 70 % of replications."""
+        rng = np.random.default_rng(1995)
+        reps, days, leads = 400, 50, 43
+        shared, own_a, own_b = (self.ar1(rng, (reps, days, leads), 0.98) for _ in range(3))
+        crps_a = crps_normal_unit(math.sqrt(0.95) * shared + math.sqrt(0.05) * own_a)
+        crps_b = crps_normal_unit(math.sqrt(0.95) * shared + math.sqrt(0.05) * own_b)
+        init_days = np.repeat(np.arange(days), leads)
+
+        def rejection_rate(d):
+            return np.mean([dm_test(rep.ravel(), init_days, max_lead=126).p_value < 0.05 for rep in d])
+
+        assert rejection_rate(crps_a - crps_b) <= 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / reps)
+        assert rejection_rate(crps_a - 0.9 * crps_b) > 0.5
 
     def test_mismatched_valid_times(self):
         a = series([1.0, 2.0])
