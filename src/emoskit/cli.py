@@ -12,7 +12,8 @@ transition  Assemble the seam product (combined stream up to the horizon,
             with the post-horizon scheme.
 verify      Score predictions and raw ensembles against observations and
             write stratified report tables, PIT histograms, a pairwise
-            significance matrix, weight time series and seam diagnostics.
+            Diebold-Mariano matrix over init dates, a calibration table,
+            weight time series and seam diagnostics.
 tpi         Topographic position index of each station on an elevation grid.
 
 Exit codes: 0 success, 1 input error, 2 at least one fit did not converge

@@ -12,6 +12,13 @@ is used (Gneiting et al. 2005). For a raw ensemble the classical kernel form
 of the empirical-CDF integral is used:
 
     crps = mean_i |x_i - y| - (1 / (2 m^2)) * sum_ij |x_i - x_j|
+
+The scalar scores take one case; ``crps_normal_unit``,
+``ensemble_crps_rows`` and ``randomized_ensemble_pit`` take arrays of cases
+and give the same numbers bit for bit. Significance is the Diebold-Mariano
+test with the Harvey-Leybourne-Newbold correction on the score differential
+averaged per init date (``dm_test``), so autocorrelated leads and stations
+of one run count as one observation of the differential.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ them, each model's ensembles from ``pipeline.prepare_forecasts`` for the
 strategy covers into arrays once and scores them in one pass: closed-form
 CRPS and PIT for Gaussian strategies, one row-wise kernel CRPS and
 randomized-rank PIT per member count for raw ones. The report, PIT
-histograms and Diebold-Mariano matrix derive from those scores.
+histograms, Diebold-Mariano matrix and calibration table derive from them.
 ``write_reports`` writes the result as the ``verify`` command's tables.
 """
 
@@ -63,8 +63,11 @@ class Cases:
 @dataclass(frozen=True, eq=False)
 class Verification:
     """What ``verify`` derives. ``dm`` holds the test of a against b for each
-    pair (a, b) in scored order; ``seam`` the strategies with a complete
-    seam window; ``weights`` the store's mixed records, if a store was given."""
+    pair (a, b) in scored order. ``calibration`` maps each Gaussian strategy
+    and lead to (n, z_std, spread_skill): the standard deviation of
+    (y - mu) / sigma, and sqrt(mean(sigma^2)) over the RMSE of mu. ``seam``
+    holds the strategies with a complete seam window; ``weights`` the
+    store's mixed records, if a store was given."""
 
     strategies: tuple[str, ...]
     cases: Cases
@@ -73,6 +76,7 @@ class Verification:
     report: VerificationReport
     pit_histograms: dict[str, PitHistogram]
     dm: dict[tuple[str, str], SignificanceResult]
+    calibration: dict[tuple[str, int], tuple[int, float, float]]
     weights: list[tuple[CoefficientKey, ModelWeights]] | None
     seam_window: tuple[int, int] | None
     seam: dict[str, SeamDiagnostics]
@@ -152,11 +156,17 @@ def verify(
     n = len(cases)
     crps = {s: np.empty(n) for s in strategies}
     pit = {s: np.empty(n) for s in strategies}
+    calibration = {}
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(99,)))
     for s in strategies:
         if s in tables:
-            z = (cases.y - cases.mu[s]) / cases.sigma[s]
-            crps[s], pit[s] = cases.sigma[s] * crps_normal_unit(z), ndtr(z)
+            mu, sigma = cases.mu[s], cases.sigma[s]
+            z = (cases.y - mu) / sigma
+            crps[s], pit[s] = sigma * crps_normal_unit(z), ndtr(z)
+            for lead in np.unique(cases.leads).tolist():
+                at = cases.leads == lead
+                spread, rmse = math.sqrt(np.mean(sigma[at] ** 2)), math.sqrt(np.mean((cases.y[at] - mu[at]) ** 2))
+                calibration[(s, lead)] = (int(at.sum()), float(np.std(z[at])), spread / rmse if rmse else math.inf)
             continue
         u = rng.random(n)
         rows = [members[s][c] for c in keys]
@@ -181,6 +191,7 @@ def verify(
         pit_histograms={s: pit_histogram(pit[s], pit_bins) for s in strategies},
         dm={(a, b): dm_test(crps[a] - crps[b], cases.init_days, int(cases.leads.max()), alpha)
             for i, a in enumerate(strategies) for b in strategies[i + 1:]},
+        calibration=calibration,
         weights=None if store is None else [(key, model_weights(r.coefficients)) for key, r in store.items()
                                             if parse_strategy(key.strategy)[0] == "mixed"],
         seam_window=seam_window,
@@ -198,8 +209,9 @@ _STRATUM_COLUMNS = {"season": "season", "daynight": "stratum", "lead": "lead_h",
 
 def write_reports(out_dir: Path, result: Verification) -> None:
     """Write ``result`` into ``out_dir``: crps_overall.csv, one
-    crps_by_<stratification>.csv each, pit_hist.csv and dm_matrix.csv, plus
-    weights.csv with a store and seam_diagnostics.csv with a seam window."""
+    crps_by_<stratification>.csv each, pit_hist.csv, dm_matrix.csv and
+    calibration.csv, plus weights.csv with a store and seam_diagnostics.csv
+    with a seam window."""
     out_dir.mkdir(parents=True, exist_ok=True)
     f, opt, report = eio.fmt_float, _fmt_optional, result.report
     tables = {
@@ -225,6 +237,10 @@ def write_reports(out_dir: Path, result: Verification) -> None:
         ["strategy_a", "strategy_b", "n", "statistic", "p_value", "conclusion"],
         [[a, b, r.n, opt(r.statistic), opt(r.p_value), r.conclusion.value]
          for (a, b), r in result.dm.items()],
+    )
+    tables["calibration"] = (
+        ["strategy", "lead_h", "n", "z_std", "spread_skill"],
+        [[s, lead, count, f(z_std), f(ratio)] for (s, lead), (count, z_std, ratio) in result.calibration.items()],
     )
     if result.weights is not None:
         tables["weights"] = (

@@ -1,4 +1,7 @@
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +265,29 @@ class TestVerifyReports:
             per_strategy[strategy] += int(count)
         counts = set(per_strategy.values())
         assert len(counts) == 1  # every strategy scored on the same case set
+
+    def test_calibration_table(self, basic_run):
+        lines = (basic_run["reports"] / "calibration.csv").read_text().strip().splitlines()
+        assert lines[0] == "strategy,lead_h,n,z_std,spread_skill"
+        rows = [line.split(",") for line in lines[1:]]
+        assert {(r[0], r[1]) for r in rows} == {
+            (s, lead) for s in ("single:hires", "single:global", "mixed:hires+global") for lead in ("12", "21")
+        }
+        overall = (basic_run["reports"] / "crps_overall.csv").read_text().splitlines()
+        assert sum(int(r[2]) for r in rows) == 3 * int(overall[1].split(",")[1])
+        assert all(float(r[3]) > 0.0 and float(r[4]) > 0.0 for r in rows)
+
+    def test_verify_leaves_scipy_stats_unimported(self, basic_run, tmp_path):
+        # importing scipy.stats costs a stage process about 0.3 s; the DM test
+        # takes its t distribution from scipy.special
+        argv = ["verify", "--config", basic_run["cfg"], "--data", str(basic_run["data"]),
+                "--predictions", str(basic_run["preds"]), "--out", str(tmp_path / "reports")]
+        code = "\n".join(["import sys", "from emoskit.cli import main", f"assert main({argv!r}) == 0",
+                          "print('scipy.stats' in sys.modules)"])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "False"
 
     def test_weights_in_unit_interval(self, basic_run):
         lines = (basic_run["reports"] / "weights.csv").read_text().strip().splitlines()[1:]
