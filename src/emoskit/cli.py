@@ -409,7 +409,7 @@ def cmd_verify(args) -> int:
         store=eio.read_store(args.store) if args.store else None,
     )
     write_reports(out_dir, result)
-    print(f"verified {len(result.cases)} cases x {len(result.strategies)} strategies -> {out_dir}")
+    print(f"verified {len(result.cases)} cases x {len(result.crps)} strategies -> {out_dir}")
     return 0
 
 

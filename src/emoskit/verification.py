@@ -62,14 +62,14 @@ class Cases:
 
 @dataclass(frozen=True, eq=False)
 class Verification:
-    """What ``verify`` derives. ``dm`` holds the test of a against b for each
-    pair (a, b) in scored order. ``calibration`` maps each Gaussian strategy
-    and lead to (n, z_std, spread_skill): the standard deviation of
-    (y - mu) / sigma, and sqrt(mean(sigma^2)) over the RMSE of mu. ``seam``
-    holds the strategies with a complete seam window; ``weights`` the
-    store's mixed records, if a store was given."""
+    """What ``verify`` derives, per strategy in scored order. ``dm`` holds
+    the test of a against b for each pair (a, b). ``calibration`` maps each
+    Gaussian strategy and lead to (n, z_std, spread_skill): the standard
+    deviation of (y - mu) / sigma, and sqrt(mean(sigma^2)) over the RMSE of
+    mu. ``seam`` holds the strategies with a complete seam window (None
+    without a window); ``weights`` the store's mixed records (None without
+    a store)."""
 
-    strategies: tuple[str, ...]
     cases: Cases
     crps: dict[str, np.ndarray]
     pit: dict[str, np.ndarray]
@@ -78,8 +78,7 @@ class Verification:
     dm: dict[tuple[str, str], SignificanceResult]
     calibration: dict[tuple[str, int], tuple[int, float, float]]
     weights: list[tuple[CoefficientKey, ModelWeights]] | None
-    seam_window: tuple[int, int] | None
-    seam: dict[str, SeamDiagnostics]
+    seam: dict[str, SeamDiagnostics] | None
 
 
 def _seam(table, obs, lo: int, hi: int) -> SeamDiagnostics | None:
@@ -177,13 +176,11 @@ def verify(
             crps[s][idx] = ensemble_crps_rows(x, cases.y[idx])
             pit[s][idx] = randomized_ensemble_pit(x, cases.y[idx], u[idx])
 
-    seam = {}
+    seam = None
     if seam_window is not None:
-        for s, table in tables.items():
-            if (diag := _seam(table, obs_maps, *seam_window)) is not None:
-                seam[s] = diag
+        diagnostics = {s: _seam(table, obs_maps, *seam_window) for s, table in tables.items()}
+        seam = {s: diag for s, diag in diagnostics.items() if diag is not None}
     return Verification(
-        strategies=tuple(strategies),
         cases=cases,
         crps=crps,
         pit=pit,
@@ -194,7 +191,6 @@ def verify(
         calibration=calibration,
         weights=None if store is None else [(key, model_weights(r.coefficients)) for key, r in store.items()
                                             if parse_strategy(key.strategy)[0] == "mixed"],
-        seam_window=seam_window,
         seam=seam,
     )
 
@@ -248,12 +244,11 @@ def write_reports(out_dir: Path, result: Verification) -> None:
             [[k.station_id, eio.format_timestamp(datetime.combine(k.issue_date, datetime.min.time(), timezone.utc)),
               k.lead_time, f(w.weight_mean), f(w.weight_std)] for k, w in result.weights],
         )
-    if result.seam_window is not None:
-        lo, hi = result.seam_window
+    if result.seam is not None:
         tables["seam_diagnostics"] = (
             ["strategy", "lead_h", "mu_step", "sigma_step", "mean_crps"],
             [[s, lead, opt(d.mu_steps.get(lead)), opt(d.sigma_steps.get(lead)), f(d.mean_crps[lead])]
-             for s, d in result.seam.items() for lead in range(lo, hi + 1)],
+             for s, d in result.seam.items() for lead in d.leads],
         )
     for name, (header, rows) in tables.items():
         eio.write_table(out_dir / f"{name}.csv", header, rows)
