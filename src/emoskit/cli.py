@@ -381,20 +381,10 @@ def cmd_verify(args) -> int:
     cfg = eio.parse_config(args.config)
     seam_window = _seam_window(cfg)
     _, observations, forecasts = _load_data(cfg, Path(args.data))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     reference = args.reference or cfg.get("reference") or _strategies(cfg)[0]
 
-    predictions: dict[tuple[str, datetime, int, str], GaussianPredictive] = {}
-    for path in args.predictions:
-        for r in eio.read_predictions(path):
-            key = (r.station_id, r.init_time, r.lead_time, r.strategy)
-            if key in predictions:
-                raise ValueError(
-                    f"duplicate prediction for {r.station_id} {eio.format_timestamp(r.init_time)} "
-                    f"lead {r.lead_time} {r.strategy} in {path}"
-                )
-            predictions[key] = r.predictive
+    rows = eio.read_predictions(*args.predictions)
+    predictions = {(r.station_id, r.init_time, r.lead_time, r.strategy): r.predictive for r in rows}
     gaussian_strategies = sorted({key[3] for key in predictions})
     raw_strategies = [s for s in _strategies(cfg) if parse_strategy(s)[0] == "raw"]
     if args.strategies:
@@ -408,6 +398,7 @@ def cmd_verify(args) -> int:
         seed=_cfg_int(cfg, "seed", 0), seam_window=seam_window,
         store=eio.read_store(args.store) if args.store else None,
     )
+    out_dir = Path(args.out)
     write_reports(out_dir, result)
     print(f"verified {len(result.cases)} cases x {len(result.crps)} strategies -> {out_dir}")
     return 0

@@ -417,21 +417,25 @@ def write_predictions(path, rows: list[PredictionRow]) -> None:
     write_table(path, ["station_id", "init_time", "lead_h", "strategy", "mu", "sigma"], cells)
 
 
-def read_predictions(path) -> list[PredictionRow]:
-    """The rows of a predictions file; a repeated (station, init time, lead,
-    strategy) raises SchemaError at its second line."""
+def read_predictions(*paths) -> list[PredictionRow]:
+    """The rows of one or more predictions files, file after file. A
+    (station, init time, lead, strategy) that repeats, within a file or
+    across them, raises SchemaError at its second line."""
     out = []
     seen = set()
-    with _TableReader(path, ["station_id", "init_time", "lead_h", "strategy", "mu", "sigma"]) as reader:
-        for line_no, row in reader.rows():
-            sigma = row.float("sigma")
-            if sigma <= 0.0:
-                raise SchemaError(path, line_no, "sigma", f"sigma must be > 0, got {sigma}")
-            key = (row.str("station_id"), row.timestamp("init_time"), row.int("lead_h"), row.str("strategy"))
-            if key in seen:
-                raise SchemaError(path, line_no, None, "duplicate (station_id, init_time, lead_h, strategy) row")
-            seen.add(key)
-            out.append(PredictionRow(*key, GaussianPredictive(mu=row.float("mu"), sigma=sigma)))
+    for path in paths:
+        with _TableReader(path, ["station_id", "init_time", "lead_h", "strategy", "mu", "sigma"]) as reader:
+            for line_no, row in reader.rows():
+                sigma = row.float("sigma")
+                if sigma <= 0.0:
+                    raise SchemaError(path, line_no, "sigma", f"sigma must be > 0, got {sigma}")
+                key = (row.str("station_id"), row.timestamp("init_time"), row.int("lead_h"), row.str("strategy"))
+                if key in seen:
+                    sid, init, lead, strategy = key
+                    raise SchemaError(path, line_no, None,
+                                      f"duplicate prediction for {sid} {format_timestamp(init)} lead {lead} {strategy}")
+                seen.add(key)
+                out.append(PredictionRow(*key, GaussianPredictive(mu=row.float("mu"), sigma=sigma)))
     return out
 
 

@@ -260,13 +260,14 @@ def dm_test(d: np.ndarray, init_days: np.ndarray, max_lead: int, alpha: float = 
 
     The per-case score differential d = a - b is averaged per init day
     (``init_days``, over stations and leads), giving a series of n daily
-    means in day order. Forecasts up to ``max_lead`` hours overlap those of
-    the next h - 1 init days, h = ceil(max_lead / 24), so the variance of
-    the series' mean uses the Newey-West (Bartlett) estimate with lag h - 1,
+    means. Forecasts up to ``max_lead`` hours overlap those of the next
+    h - 1 init days, h = ceil(max_lead / 24), so the variance of the
+    series' mean uses the Newey-West (Bartlett) estimate with lag h - 1,
 
         V = g_0 + 2 * sum_{k=1}^{h-1} (1 - k/h) * g_k,
 
-    g_k the lag-k autocovariance with divisor n. The corrected statistic
+    g_k the autocovariance over the pairs of days k days apart, with
+    divisor n (a day without cases pairs with none). The corrected statistic
     mean / sqrt(V / c), c = n + 1 - 2h + h(h-1)/n, has a two-sided p-value
     from Student t with n - 1 degrees of freedom. A constant daily
     differential is ``degenerate`` (p = 1 when it is zero, else 0); fewer
@@ -274,7 +275,7 @@ def dm_test(d: np.ndarray, init_days: np.ndarray, max_lead: int, alpha: float = 
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    _, day, counts = np.unique(init_days, return_inverse=True, return_counts=True)
+    days, day, counts = np.unique(init_days, return_inverse=True, return_counts=True)
     daily = np.bincount(day, weights=d) / counts
     n = len(daily)
     if n < 2:
@@ -283,8 +284,9 @@ def dm_test(d: np.ndarray, init_days: np.ndarray, max_lead: int, alpha: float = 
     if np.ptp(daily) == 0.0:
         return SignificanceResult(0.0, 1.0 if mean_d == 0.0 else 0.0, Conclusion.DEGENERATE, n)
     h = max(1, math.ceil(max_lead / 24))
-    e = daily - mean_d
-    v = float(e @ e) / n + 2.0 * sum((1.0 - k / h) * float(e[k:] @ e[:-k]) / n for k in range(1, min(h, n)))
+    e = np.zeros(days[-1] - days[0] + 1)  # one slot per calendar day
+    e[days - days[0]] = daily - mean_d
+    v = float(e @ e) / n + 2.0 * sum((1.0 - k / h) * float(e[k:] @ e[:-k]) / n for k in range(1, min(h, len(e))))
     c = n + 1 - 2 * h + h * (h - 1) / n
     if v <= 0.0 or c <= 0.0:
         return SignificanceResult(None, None, Conclusion.INSUFFICIENT, n)

@@ -55,7 +55,6 @@ STRATEGIES = ["single:hires", "single:global", MIXED]
 
 @dataclass
 class RollingRun:
-    spec: ScenarioSpec
     store: CoefficientStore
     corrected: dict
     observations: dict
@@ -79,7 +78,6 @@ def run_rolling(spec, window=RollingWindowSpec(), options=FitOptions(), strategi
     predictions, errors = predict_issues(store, corrected, issues, slots, min_sigma=options.min_sigma)
     assert not errors, errors
     return RollingRun(
-        spec=spec,
         store=store,
         corrected=corrected,
         observations=data.observations,

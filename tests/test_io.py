@@ -160,7 +160,7 @@ class TestPredictions:
         with pytest.raises(SchemaError) as err:
             read_predictions(path)
         assert err.value.line_no == 4
-        assert "duplicate" in str(err.value)
+        assert "duplicate prediction for S1 2017-03-01T00:00:00Z lead 12 single:m" in str(err.value)
 
 
 class TestStore:

@@ -316,6 +316,18 @@ class TestDieboldMariano:
         assert result.n == 2
         assert result.statistic == pytest.approx(2.0 / math.sqrt(1.0 / 1.0))
 
+    def test_autocovariance_pairs_days_by_calendar_lag(self):
+        # with h = 2 only days one calendar day apart are paired: not 2 and 10
+        days = np.array([0, 1, 2, 10, 11, 12])
+        daily = np.array([0.3, -0.1, 0.4, 0.2, 0.5, -0.2])
+        e = daily - daily.mean()
+        n = len(days)
+        lag1 = sum(e[i] * e[j] for i in range(n) for j in range(n) if days[i] - days[j] == 1)
+        v = (e @ e + 2 * 0.5 * lag1) / n
+        c = n + 1 - 2 * 2 + 2 * 1 / n
+        result = dm_test(daily, days, max_lead=48)
+        assert result.statistic == pytest.approx(daily.mean() / math.sqrt(v / c), rel=1e-12)
+
     def test_non_positive_correction_insufficient(self):
         # h = 6 (126 h leads) on 5 init dates: n + 1 - 2h + h(h-1)/n = 0
         rng = np.random.default_rng(3)
