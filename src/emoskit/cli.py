@@ -383,8 +383,10 @@ def cmd_verify(args) -> int:
     _, observations, forecasts = _load_data(cfg, Path(args.data))
     reference = args.reference or cfg.get("reference") or _strategies(cfg)[0]
 
-    rows = eio.read_predictions(*args.predictions)
-    predictions = {(r.station_id, r.init_time, r.lead_time, r.strategy): r.predictive for r in rows}
+    predictions = {
+        (r.station_id, r.init_time, r.lead_time, r.strategy): r.predictive
+        for r in eio.read_predictions(*args.predictions)
+    }
     gaussian_strategies = sorted({key[3] for key in predictions})
     raw_strategies = [s for s in _strategies(cfg) if parse_strategy(s)[0] == "raw"]
     if args.strategies:
