@@ -10,7 +10,7 @@ whole chain runnable end to end without any proprietary forecast archive.
 
 from .domain import (
     EnsembleForecast,
-    EnsembleStats,
+    ForecastCube,
     GaussianPredictive,
     ObservationSeries,
     SampleTable,

@@ -29,7 +29,7 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 
 from . import io as eio
-from .domain import EnsembleForecast, GaussianPredictive
+from .domain import ForecastCube, GaussianPredictive
 from .emos import FitOptions
 from .pipeline import (
     RollingWindowSpec,
@@ -212,11 +212,12 @@ def _mixed_strategy_name(cfg) -> str:
 
 
 def _load_data(cfg, data_dir: Path):
-    """Read stations/observations/forecasts; lapse-correct members to station
-    elevation and fill coarse lead grids by linear interpolation."""
+    """Read stations, observations and one forecast cube per model;
+    lapse-correct members to station elevation and fill coarse lead grids by
+    linear interpolation."""
     stations = eio.read_stations(data_dir / "stations.csv")
     observations = eio.read_observations(data_dir / "observations.csv")
-    forecasts: dict[str, list[EnsembleForecast]] = {}
+    forecasts: dict[str, ForecastCube] = {}
     for model_id in _model_ids(cfg):
         raw = eio.read_forecasts(data_dir / f"forecasts_{model_id}.csv", model_id)
         forecasts[model_id] = prepare_forecasts(raw, stations, _cfg_int(cfg, f"model.{model_id}.coarse_step", 3))
@@ -232,12 +233,8 @@ def _slots(cfg, forecasts, observations):
 
 
 def _issue_dates(forecasts, start=None, end=None) -> list[date]:
-    dates = sorted({fc.init_time.date() for fcs in forecasts.values() for fc in fcs})
-    if start is not None:
-        dates = [d for d in dates if d >= start]
-    if end is not None:
-        dates = [d for d in dates if d <= end]
-    return dates
+    dates = sorted({t.date() for cube in forecasts.values() for t in cube.init_times})
+    return [d for d in dates if (start is None or d >= start) and (end is None or d <= end)]
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .domain import EnsembleStats, GaussianPredictive, SampleTable
+from .domain import GaussianPredictive, SampleTable
 from .scoring import _INV_SQRT_PI, _std_normal_pdf
 
 __all__ = [
@@ -156,16 +156,18 @@ def identity(k: int) -> EmosCoefficients:
     return EmosCoefficients(a=0.0, b=(1.0 / k,) * k, c=0.0, d=(math.sqrt(1.0 / k),) * k)
 
 
-def predict(coef: EmosCoefficients, stats_seq: Sequence[EnsembleStats], min_sigma: float = 1e-3) -> GaussianPredictive:
-    """Apply coefficients to the ensemble statistics of their models, in
-    model order."""
-    if len(stats_seq) != len(coef.b):
-        raise ValueError(f"{len(coef.b)}-predictor coefficients got statistics of {len(stats_seq)} models")
+def predict(
+    coef: EmosCoefficients, mean: Sequence[float], std: Sequence[float], min_sigma: float = 1e-3
+) -> GaussianPredictive:
+    """Apply coefficients to the ensemble means and standard deviations of
+    their models, in model order."""
+    if not len(mean) == len(std) == len(coef.b):
+        raise ValueError(f"{len(coef.b)}-predictor coefficients got statistics of {len(mean)} models")
     mu = coef.a
     var = coef.c**2
-    for b, d, stats in zip(coef.b, coef.d, stats_seq):
-        mu = mu + b * stats.mean
-        var = var + d**2 * stats.std**2
+    for b, d, m, s in zip(coef.b, coef.d, mean, std):
+        mu = mu + b * m
+        var = var + d**2 * s**2
     return GaussianPredictive(mu=mu, sigma=max(math.sqrt(var), min_sigma))
 
 

@@ -12,15 +12,16 @@ digits, which round-trips losslessly at that precision. Schemas:
                            b2, c, d1, d2, n_samples, objective, converged,
                            fallback   (b2 and d2 are empty for single fits)
 
-Schema violations raise SchemaError naming the file, line and column.
+Schema violations raise SchemaError naming the file, line and column; a
+repeated key (station, observation, prediction) raises at its second line.
 Tables are read row by row with the csv module, except forecast files, which
 hold one row per member and are the bulk of every load: numpy's C tokenizer
 (``np.loadtxt``, with the csv module's quoting) parses their body in one
 call, each distinct station and init-time cell is parsed once, lead and
-member cells are parsed by ``int`` as the row reader parses them, and
-members are grouped by one sort. A forecast file that this bulk reader
-cannot take as valid is read again row by row; that pass raises the
-SchemaError, so its line and column are the same as a row reader's.
+member cells are parsed by ``int`` as the row reader parses them, and one
+sort groups the members into a ``domain.ForecastCube``. A forecast file with
+a cell this bulk reader cannot take is read again row by row; that pass
+raises the SchemaError, so its line and column are the same as a row reader's.
 Config files are flat "key = value" text with dotted keys; blank lines and
 "#" comments are ignored.
 """
@@ -36,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import EnsembleForecast, GaussianPredictive, ObservationSeries, StationMetadata
+from .domain import ForecastCube, GaussianPredictive, ObservationSeries, StationMetadata
 from .emos import EmosCoefficients
 from .pipeline import CoefficientKey, CoefficientStore, StoredFit, parse_strategy
 
@@ -174,9 +175,12 @@ class _Row:
     def int(self, column: str) -> int:
         raw = self.str(column)
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise SchemaError(self.path, self.line_no, column, f"not an integer: {raw!r}") from None
+        if not -(2**63) <= value < 2**63:  # the range of the int64 arrays it may go into
+            raise SchemaError(self.path, self.line_no, column, f"integer out of range: {raw!r}")
+        return value
 
     def bool(self, column: str) -> bool:
         raw = self.str(column).lower()
@@ -224,7 +228,7 @@ def write_observations(path, observations: dict[str, ObservationSeries]) -> None
 
 
 def read_observations(path) -> dict[str, ObservationSeries]:
-    collected: dict[str, list[tuple[datetime, float]]] = {}
+    collected: dict[str, list[tuple[datetime, int, float]]] = {}
     with _TableReader(path, ["station_id", "valid_time", "temp_c"]) as reader:
         for line_no, row in reader.rows():
             sid = row.str("station_id")
@@ -232,28 +236,31 @@ def read_observations(path) -> dict[str, ObservationSeries]:
             v = row.float("temp_c")
             if not math.isfinite(v):
                 raise SchemaError(path, line_no, "temp_c", "observation must be finite")
-            collected.setdefault(sid, []).append((t, v))
-    out = {}
-    for sid, pairs in collected.items():
-        pairs.sort(key=lambda p: p[0])
-        out[sid] = ObservationSeries(
-            station_id=sid,
-            timestamps=tuple(t for t, _ in pairs),
-            values=tuple(v for _, v in pairs),
-        )
-    return out
+            collected.setdefault(sid, []).append((t, line_no, v))
+    repeats = []
+    for sid, rows in collected.items():
+        rows.sort()  # by time, then line
+        repeats += [(line_no, sid, t) for (s, _, _), (t, line_no, _) in zip(rows, rows[1:]) if s == t]
+    if repeats:
+        line_no, sid, t = min(repeats)
+        raise SchemaError(path, line_no, None, f"duplicate observation for {sid} {format_timestamp(t)}")
+    return {sid: ObservationSeries(sid, tuple(t for t, _, _ in rows), tuple(v for _, _, v in rows))
+            for sid, rows in collected.items()}
 
 
 # -- forecasts ---------------------------------------------------------------
 
 
-def write_forecasts(path, forecasts: list[EnsembleForecast]) -> None:
-    def member_rows(fc):
-        init = format_timestamp(fc.init_time)
-        return [[fc.station_id, init, fc.lead_time, idx, fmt_float(v)] for idx, v in enumerate(fc.members)]
+def write_forecasts(path, forecasts: ForecastCube) -> None:
+    inits = [format_timestamp(t) for t in forecasts.init_times]
+    values = [matrix.tolist() for matrix in forecasts.members]
 
-    ordered = sorted(forecasts, key=lambda f: (f.station_id, f.init_time, f.lead_time))
-    rows = chain.from_iterable(map(member_rows, ordered))
+    def member_rows(s, t, lead, j, r):
+        sid, init = forecasts.station_ids[s], inits[t]
+        return [[sid, init, lead, idx, fmt_float(v)] for idx, v in enumerate(values[j][r])]
+
+    f = forecasts
+    rows = chain.from_iterable(map(member_rows, *(a.tolist() for a in (f.station, f.init, f.lead, f.block, f.row))))
     write_table(path, ["station_id", "init_time", "lead_h", "member_idx", "temp_c"], rows)
 
 
@@ -265,36 +272,34 @@ _FORECAST_COLUMNS = {"station_id": object, "init_time": object, "lead_h": np.int
 _FORECAST_INT_COLUMNS = ("lead_h", "member_idx")
 
 
-def read_forecasts(path, model_id: str) -> list[EnsembleForecast]:
-    """One model's ensembles, sorted by (station, init time, lead).
+def read_forecasts(path, model_id: str) -> ForecastCube:
+    """One model's ensembles, as a cube sorted by (station, init time, lead).
 
-    The body is tokenized in bulk (``_read_forecast_table``). A file that the
-    bulk reader cannot take as it stands (a cell numpy rejects, an empty
-    station id, members not contiguous from 0) is read again row by row,
-    which raises the file's first SchemaError. Both readers build the
-    ensembles in sorted order, so one that ``EnsembleForecast`` rejects
-    raises the same ValueError either way.
+    The body is tokenized in bulk (``_read_forecast_table``). A file with a
+    cell that the bulk tokenizer cannot take as it stands (one numpy rejects,
+    an empty station id) is read again row by row, which raises the file's
+    first SchemaError on a cell. Either way ``_forecast_cube`` groups the
+    member rows into the cube.
     """
     with _TableReader(path, list(_FORECAST_COLUMNS)) as reader:
-        forecasts = _read_forecast_table(reader, model_id)
-    return _read_forecast_rows(path, model_id) if forecasts is None else forecasts
+        columns = _read_forecast_table(reader)
+    return _forecast_cube(path, model_id, *(_read_forecast_rows(path) if columns is None else columns))
 
 
-def _read_forecast_table(reader: _TableReader, model_id: str) -> list[EnsembleForecast] | None:
-    """Parse the rest of ``reader``'s file with numpy's C tokenizer, or
-    return None when it cannot be taken as valid without the row reader.
+def _read_forecast_table(reader: _TableReader) -> tuple | None:
+    """(station codes, station ids, init-time codes, init times, lead, member,
+    value) columns of the rest of ``reader``'s file, parsed by numpy's C
+    tokenizer, or None when a cell needs the row reader or no row is left.
 
-    Each distinct station and init-time cell is stripped or parsed once,
-    the rows are sorted with one lexsort, and member indices are checked
-    with vectorized comparisons. Lead and member cells are parsed by
-    ``int``. Cell rules differ from the row reader only where numpy rejects
-    a temperature ``float`` would take, such as "1_0"; such a file goes to
-    the row reader too.
+    Each distinct station and init-time cell is stripped or parsed once. Lead
+    and member cells are parsed by ``int``. Cell rules differ from the row
+    reader only where numpy rejects a temperature ``float`` would take, such
+    as "1_0"; such a file goes to the row reader too.
     """
     # numpy warns on a body without rows; the row reader skips blank lines.
     first = next((line for line in reader.body if line.strip()), None)
     if first is None:
-        return []
+        return None
     dtype = [(name, _FORECAST_COLUMNS[name]) for name in reader.header]
     converters = {i: int for i, name in enumerate(reader.header) if name in _FORECAST_INT_COLUMNS}
     try:
@@ -306,21 +311,7 @@ def _read_forecast_table(reader: _TableReader, model_id: str) -> list[EnsembleFo
         return None
     if "" in stations:
         return None
-    lead, member, value = table["lead_h"], table["member_idx"], table["temp_c"]
-    order = np.lexsort((member, lead, init, station))
-    station, init, lead, member, value = station[order], init[order], lead[order], member[order], value[order]
-    new_group = np.ones(len(order), dtype=bool)
-    new_group[1:] = (station[1:] != station[:-1]) | (init[1:] != init[:-1]) | (lead[1:] != lead[:-1])
-    starts = np.flatnonzero(new_group)
-    ends = np.append(starts[1:], len(order))
-    if (member != np.arange(len(order)) - np.repeat(starts, ends - starts)).any():
-        return None  # members not contiguous from 0
-    values = value.tolist()
-    return [
-        EnsembleForecast(stations[s], model_id, inits[t], lt, tuple(values[a:b]))
-        for s, t, lt, a, b in zip(station[starts].tolist(), init[starts].tolist(), lead[starts].tolist(),
-                                  starts.tolist(), ends.tolist())
-    ]
+    return station, stations, init, inits, table["lead_h"], table["member_idx"], table["temp_c"]
 
 
 def _factorize(cells: np.ndarray, parse) -> tuple[np.ndarray, list]:
@@ -339,28 +330,41 @@ def _factorize(cells: np.ndarray, parse) -> tuple[np.ndarray, list]:
     return code_of_slot[head_slots][np.cumsum(head) - 1], values
 
 
-def _read_forecast_rows(path, model_id: str) -> list[EnsembleForecast]:
-    groups: dict[tuple[str, datetime, int], list[tuple[int, float]]] = {}
+def _read_forecast_rows(path) -> tuple:
+    """The columns of ``_read_forecast_table``, read row by row."""
+    cells = []
     with _TableReader(path, list(_FORECAST_COLUMNS)) as reader:
-        for line_no, row in reader.rows():
-            key = (row.str("station_id"), row.timestamp("init_time"), row.int("lead_h"))
-            groups.setdefault(key, []).append((row.int("member_idx"), row.float("temp_c")))
-    out = []
-    for (sid, init_time, lead), members in sorted(groups.items()):
-        members.sort(key=lambda m: m[0])
-        indices = [i for i, _ in members]
-        if indices != list(range(len(members))):
-            raise SchemaError(path, None, "member_idx", f"members of {sid} {format_timestamp(init_time)} lead {lead} are not contiguous from 0")
-        out.append(
-            EnsembleForecast(
-                station_id=sid,
-                model_id=model_id,
-                init_time=init_time,
-                lead_time=lead,
-                members=tuple(v for _, v in members),
-            )
-        )
-    return out
+        for _, row in reader.rows():
+            cells.append((row.str("station_id"), row.timestamp("init_time"), row.int("lead_h"), row.int("member_idx"),
+                           row.float("temp_c")))
+    sids, inits, leads, members, values = zip(*cells) if cells else [()] * 5
+    return (*_factorize(np.array(sids, dtype=object), str), *_factorize(np.array(inits, dtype=object), lambda t: t),
+            np.array(leads, dtype=np.int64), np.array(members, dtype=np.int64), np.array(values, dtype=float))
+
+
+def _forecast_cube(path, model_id: str, station, stations, init, inits, lead, member, value) -> ForecastCube:
+    """Group member rows into ensembles by one sort, and those into a cube.
+
+    Members of a (station, init time, lead) not numbered 0..m-1 raise
+    SchemaError, unless an ensemble before them is one the cube rejects (a
+    negative lead, a non-finite member); then the cube raises its ValueError,
+    as a reader that checks each ensemble in turn would.
+    """
+    order = np.lexsort((member, lead, init, station))
+    station, init, lead, member, value = station[order], init[order], lead[order], member[order], value[order]
+    new_group = np.ones(len(order), dtype=bool)
+    new_group[1:] = (station[1:] != station[:-1]) | (init[1:] != init[:-1]) | (lead[1:] != lead[:-1])
+    starts = np.flatnonzero(new_group)
+    counts = np.diff(np.append(starts, len(order)))
+    misplaced = np.flatnonzero(member != np.arange(len(order)) - np.repeat(starts, counts))
+    if misplaced.size:
+        first = starts[np.searchsorted(starts, misplaced[0], side="right") - 1]
+        if (lead[starts[starts < first]] >= 0).all() and np.isfinite(value[:first]).all():
+            raise SchemaError(path, None, "member_idx", f"members of {stations[station[first]]} "
+                              f"{format_timestamp(inits[init[first]])} lead {lead[first]} are not contiguous from 0")
+    widths, block = np.unique(counts, return_inverse=True)
+    members = [value[starts[block == j, None] + np.arange(width)] for j, width in enumerate(widths.tolist())]
+    return ForecastCube(model_id, stations, inits, station[starts], init[starts], lead[starts], block, members)
 
 
 # -- stations ----------------------------------------------------------------
@@ -382,18 +386,19 @@ def read_stations(path) -> list[StationMetadata]:
         unknown = [h for h in reader.header if h not in ("station_id", "lat", "lon", "elev_m") and not h.startswith(prefix)]
         if unknown:
             raise SchemaError(path, 1, unknown[0], "unexpected column")
-        out = []
-        for _, row in reader.rows():
-            out.append(
-                StationMetadata(
-                    station_id=row.str("station_id"),
-                    latitude=row.float("lat"),
-                    longitude=row.float("lon"),
-                    elevation=row.float("elev_m"),
-                    grid_elevation={m: row.float(f"{prefix}{m}") for m in models},
-                )
+        out: dict[str, StationMetadata] = {}
+        for line_no, row in reader.rows():
+            sid = row.str("station_id")
+            if sid in out:
+                raise SchemaError(path, line_no, "station_id", f"duplicate station {sid}")
+            out[sid] = StationMetadata(
+                station_id=sid,
+                latitude=row.float("lat"),
+                longitude=row.float("lon"),
+                elevation=row.float("elev_m"),
+                grid_elevation={m: row.float(f"{prefix}{m}") for m in models},
             )
-    return out
+    return list(out.values())
 
 
 # -- predictions -------------------------------------------------------------

@@ -9,19 +9,22 @@ of an issue date are fitted together by the batched solver of ``emos``, one
 solve per number of predictors K. A fit that does not converge is recorded
 with its best-so-far coefficients; any other failure aborts the pass.
 
-The drivers run the whole chain over many issue dates: ``prepare_forecasts``
-(lapse correction and lead interpolation of loaded forecasts),
-``coefficient_slots`` (the keys to fit), ``train`` (the rolling fits, with
-the t1 taper refits) and ``predict_issues`` (the per-date predictions).
+The drivers run the whole chain over many issue dates on one
+``domain.ForecastCube`` per model: ``prepare_forecasts`` (lapse correction
+and lead interpolation of a loaded cube), ``coefficient_slots`` (the keys to
+fit), ``train`` (the rolling fits, with the t1 taper refits) and
+``predict_issues`` (the per-date predictions).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta
 
-from .domain import EnsembleForecast, EnsembleStats, GaussianPredictive, SampleTable, StationMetadata, ensemble_stats
+import numpy as np
+
+from .domain import ForecastCube, GaussianPredictive, SampleTable, StationMetadata, align
 from .emos import EmosCoefficients, FitOptions, FitResult, FitTask, fit_batch, identity, predict
 from .synth import interpolate_leads
 from .terrain import lapse_correct
@@ -165,7 +168,7 @@ Archive = dict[tuple[str, int], SampleTable]
 
 
 def build_archive(
-    forecasts_by_model: dict[str, list[EnsembleForecast]],
+    forecasts_by_model: Mapping[str, ForecastCube],
     observations,
     lead_times,
 ) -> tuple[Archive, int]:
@@ -176,29 +179,17 @@ def build_archive(
     of the samples at longer leads. Returns the archive and the total number
     of dropped (incomplete) init times.
     """
-    from .domain import align
-
-    # Every forecast of a station at a lead, models in sorted order: the pool
-    # ``align`` pairs for that (station, lead).
-    pools: dict[tuple[str, int], list[EnsembleForecast]] = {}
-    models_at_lead: dict[int, list[str]] = {}
-    for model_id in sorted(forecasts_by_model):
-        leads = set()
-        for fc in forecasts_by_model[model_id]:
-            pools.setdefault((fc.station_id, fc.lead_time), []).append(fc)
-            leads.add(fc.lead_time)
-        for lead in leads:
-            models_at_lead.setdefault(lead, []).append(model_id)
-
+    cubes = [forecasts_by_model[m] for m in sorted(forecasts_by_model)]
+    leads_of = [set(np.unique(cube.lead).tolist()) for cube in cubes]
+    covered = set().union(*(cube.station_ids for cube in cubes))
     archive: Archive = {}
     total_dropped = 0
-    for station_id in sorted(observations):
-        obs = observations[station_id]
+    for station_id in sorted(covered.intersection(observations)):
         for lead in lead_times:
-            model_ids = models_at_lead.get(lead)
-            if not model_ids:
+            at_lead = [cube for cube, leads in zip(cubes, leads_of) if lead in leads]
+            if not at_lead:
                 continue
-            table, dropped = align(pools.get((station_id, lead), []), obs, lead, model_ids=model_ids)
+            table, dropped = align(at_lead, observations[station_id], lead)
             total_dropped += dropped
             if len(table):
                 archive[(station_id, lead)] = table
@@ -303,32 +294,37 @@ def fit_for_issue(
 
 @dataclass(frozen=True)
 class PredictionOutcome:
+    """Predictions and per-key errors, keyed by (station, lead, strategy),
+    and the init time of each station's forecasts on the issue date."""
+
     predictions: dict[tuple[str, int, str], GaussianPredictive]
     errors: dict[tuple[str, int, str], str] = field(default_factory=dict)
+    init_times: dict[str, datetime] = field(default_factory=dict)
 
 
 def predict_for_issue(
     store: CoefficientStore,
-    forecasts: list[EnsembleForecast],
+    forecasts: Mapping[str, ForecastCube],
     issue_date: date,
     keys: list[CoefficientKey],
     min_sigma: float = 1e-3,
 ) -> PredictionOutcome:
-    """Apply stored coefficients to the issue date's forecasts.
+    """Apply stored coefficients to the ensembles initialized on the issue
+    date, by their means and spreads.
 
     Missing coefficients or missing forecasts produce per-key error entries;
     all other keys are unaffected. Predictions are keyed by station, lead and
     strategy, so a station with forecasts from more than one init time on
     the issue date is rejected with ValueError.
     """
-    read = {(key.station_id, m, key.lead_time) for key in keys for m in parse_strategy(key.strategy)[1]}
-    init_times: dict[str, set] = {}
-    stats: dict[tuple[str, str, int], EnsembleStats] = {}
-    for fc in forecasts:
-        init_times.setdefault(fc.station_id, set()).add(fc.init_time)
-        triple = (fc.station_id, fc.model_id, fc.lead_time)
-        if triple in read:
-            stats[triple] = ensemble_stats(fc)
+    stats: dict[tuple[str, str, int], tuple[float, float]] = {}
+    init_times: dict[str, set[datetime]] = {}
+    for cube in forecasts.values():
+        rows = np.flatnonzero(cube.init_days[cube.init] == issue_date.toordinal())
+        columns = (a[rows].tolist() for a in (cube.station, cube.init, cube.lead, cube.mean, cube.std))
+        for s, t, lead, mean, std in zip(*columns):
+            init_times.setdefault(cube.station_ids[s], set()).add(cube.init_times[t])
+            stats[(cube.station_ids[s], cube.model_id, lead)] = (mean, std)
     for station_id, times in sorted(init_times.items()):
         if len(times) > 1:
             listed = ", ".join(t.strftime("%H:%M") for t in sorted(times))
@@ -346,19 +342,13 @@ def predict_for_issue(
             errors[out_key] = f"no coefficients stored for {key}"
             continue
         models = parse_strategy(key.strategy)[1]
-        model_stats = []
-        missing = None
-        for m in models:
-            s = stats.get((key.station_id, m, key.lead_time))
-            if s is None:
-                missing = m
-                break
-            model_stats.append(s)
-        if missing is not None:
-            errors[out_key] = f"no forecast for model {missing!r} at {key.station_id} lead {key.lead_time}"
+        missing = [m for m in models if (key.station_id, m, key.lead_time) not in stats]
+        if missing:
+            errors[out_key] = f"no forecast for model {missing[0]!r} at {key.station_id} lead {key.lead_time}"
             continue
-        predictions[out_key] = predict(record.coefficients, model_stats, min_sigma=min_sigma)
-    return PredictionOutcome(predictions=predictions, errors=errors)
+        mean, std = zip(*(stats[(key.station_id, m, key.lead_time)] for m in models))
+        predictions[out_key] = predict(record.coefficients, mean, std, min_sigma=min_sigma)
+    return PredictionOutcome(predictions, errors, {sid: next(iter(times)) for sid, times in init_times.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -367,22 +357,33 @@ def predict_for_issue(
 
 
 def prepare_forecasts(
-    forecasts: list[EnsembleForecast], stations: Sequence[StationMetadata], coarse_step: int | None
-) -> list[EnsembleForecast]:
+    forecasts: ForecastCube, stations: Sequence[StationMetadata], coarse_step: int | None
+) -> ForecastCube:
     """Lapse-correct one model's members from its grid-point elevation to the
-    station elevation, then fill a coarse lead grid of native step
-    ``coarse_step`` hourly by linear interpolation (None: no interpolation).
+    station elevation, one add per station and member matrix, then fill a
+    coarse lead grid of native step ``coarse_step`` hourly by linear
+    interpolation (None: no interpolation).
 
-    A forecast for a station missing from ``stations`` raises ValueError.
+    A station missing from ``stations``, or without a grid elevation for the
+    model, raises ValueError.
     """
     by_station = {s.station_id: s for s in stations}
-    corrected = []
-    for fc in forecasts:
-        station = by_station.get(fc.station_id)
+    model = forecasts.model_id
+    elevations = []
+    for sid in forecasts.station_ids:
+        station = by_station.get(sid)
         if station is None:
-            raise ValueError(f"{fc.model_id} forecasts: unknown station {fc.station_id!r}")
-        members = lapse_correct(fc.members, station.grid_elevation[fc.model_id], station.elevation)
-        corrected.append(replace(fc, members=members))
+            raise ValueError(f"{model} forecasts: unknown station {sid!r}")
+        if model not in station.grid_elevation:
+            raise ValueError(f"station {sid} has no grid elevation for model {model!r} (column grid_elev_{model})")
+        elevations.append((station.grid_elevation[model], station.elevation))
+    members = []
+    for j, matrix in enumerate(forecasts.members):
+        codes = forecasts.station[forecasts.block == j]  # sorted, as the rows are in ensemble order
+        members.append(np.concatenate([lapse_correct(matrix[codes == code], *elevation)
+                                       for code, elevation in enumerate(elevations)]))
+    corrected = ForecastCube(model, forecasts.station_ids, forecasts.init_times, forecasts.station, forecasts.init,
+                             forecasts.lead, forecasts.block, members)
     return corrected if coarse_step is None else interpolate_leads(corrected, source_step=coarse_step)
 
 
@@ -390,12 +391,12 @@ Slot = tuple[str, int, str]  # (station, lead, strategy): a CoefficientKey witho
 
 
 def coefficient_slots(
-    forecasts_by_model: dict[str, list[EnsembleForecast]], station_ids, leads, strategies
+    forecasts_by_model: Mapping[str, ForecastCube], station_ids, leads, strategies
 ) -> list[Slot]:
     """Every station x lead x coefficient strategy (``raw:`` ones are left
     out) whose models all have forecasts at the lead, in that nesting order
     with stations sorted."""
-    coverage = {m: {fc.lead_time for fc in fcs} for m, fcs in forecasts_by_model.items()}
+    coverage = {m: set(np.unique(cube.lead).tolist()) for m, cube in forecasts_by_model.items()}
     fitted = []
     for strategy in strategies:
         kind, models = parse_strategy(strategy)
@@ -458,7 +459,7 @@ def train(
 
 def predict_issues(
     store: CoefficientStore,
-    forecasts_by_model: dict[str, list[EnsembleForecast]],
+    forecasts_by_model: Mapping[str, ForecastCube],
     issue_dates: Sequence[date],
     slots: Sequence[Slot],
     min_sigma: float = 1e-3,
@@ -469,20 +470,14 @@ def predict_issues(
     lead, strategy), and the per-key error messages of ``predict_for_issue``
     in date and key order. Dates without forecasts are skipped.
     """
-    by_date: dict[date, list[EnsembleForecast]] = {}
-    for fcs in forecasts_by_model.values():
-        for fc in fcs:
-            by_date.setdefault(fc.init_time.date(), []).append(fc)
     predictions: dict[tuple[str, datetime, int, str], GaussianPredictive] = {}
     errors: list[str] = []
     for issue in issue_dates:
-        todays = by_date.get(issue)
-        if not todays:
-            continue
         keys = [CoefficientKey(sid, lead, strategy, issue) for sid, lead, strategy in slots]
-        outcome = predict_for_issue(store, todays, issue, keys, min_sigma=min_sigma)
-        init_time = {fc.station_id: fc.init_time for fc in todays}
+        outcome = predict_for_issue(store, forecasts_by_model, issue, keys, min_sigma=min_sigma)
+        if not outcome.init_times:
+            continue
         for (sid, lead, strategy), pred in outcome.predictions.items():
-            predictions[(sid, init_time[sid], lead, strategy)] = pred
+            predictions[(sid, outcome.init_times[sid], lead, strategy)] = pred
         errors += [message for _, message in sorted(outcome.errors.items())]
     return predictions, errors

@@ -29,7 +29,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .domain import EnsembleForecast, ObservationSeries, StationMetadata
+from .domain import ForecastCube, ObservationSeries, StationMetadata
 from .terrain import LAPSE_RATE_C_PER_100M
 
 __all__ = [
@@ -170,7 +170,7 @@ class ScenarioSpec:
 class ScenarioData:
     stations: list[StationMetadata]
     observations: dict[str, ObservationSeries]
-    forecasts: dict[str, list[EnsembleForecast]]
+    forecasts: dict[str, ForecastCube]
 
 
 def _substream(seed: int, *key: int) -> np.random.Generator:
@@ -244,7 +244,7 @@ def generate_model_ensemble(
     model_id: str,
     truth: dict[str, ObservationSeries],
     stations: list[StationMetadata] | None = None,
-) -> list[EnsembleForecast]:
+) -> ForecastCube:
     """Ensemble forecasts of one model at its native lead grid.
 
     Member values are built as truth at the model grid elevation, plus the
@@ -259,17 +259,17 @@ def generate_model_ensemble(
     lo, hi = min(spec.lead_hours), max(spec.lead_hours)
     leads = model.native_leads(max(0, lo - model.coarse_step), hi + model.coarse_step)
     if not leads:
-        return []
+        return ForecastCube(model_id, (), (), [], [], [], [], ())
     rho = model.error_lead_correlation
 
-    forecasts = []
+    keys, rows = [], []
     for i, sid in enumerate(sorted(truth)):
         series = truth[sid]
         obs_map = dict(zip(series.timestamps, series.values))
         station = by_id[sid]
         elev_offset = -LAPSE_RATE_C_PER_100M / 100.0 * (station.grid_elevation[model_id] - station.elevation)
         rng = _substream(spec.seed, 2, model_index, i)
-        for init_time in spec.init_times:
+        for d, init_time in enumerate(spec.init_times):
             eta = 1.0 + model.bias_variability * rng.standard_normal()
             shocks = rng.standard_normal(len(leads))
             member_noise = rng.standard_normal((len(leads), model.member_count))
@@ -297,17 +297,11 @@ def generate_model_ensemble(
                     + shared[j]
                 )
                 noise_std = model.dispersion * model.error_std(lead)
-                members = center + noise_std * member_noise[j]
-                forecasts.append(
-                    EnsembleForecast(
-                        station_id=sid,
-                        model_id=model_id,
-                        init_time=init_time,
-                        lead_time=lead,
-                        members=tuple(float(v) for v in members),
-                    )
-                )
-    return forecasts
+                keys.append((i, d, lead))
+                rows.append(center + noise_std * member_noise[j])
+    station, init, lead = np.array(keys, dtype=np.int64).T
+    block = np.zeros_like(lead)  # one member count
+    return ForecastCube(model_id, sorted(truth), spec.init_times, station, init, lead, block, [np.array(rows)])
 
 
 def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
@@ -321,52 +315,43 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
     return ScenarioData(stations=stations, observations=truth, forecasts=forecasts)
 
 
-def interpolate_leads(
-    forecasts: list[EnsembleForecast],
-    source_step: int = 3,
-    target_step: int = 1,
-) -> list[EnsembleForecast]:
+def interpolate_leads(forecasts: ForecastCube, source_step: int = 3, target_step: int = 1) -> ForecastCube:
     """Fill a coarse lead grid to ``target_step`` by member-wise linear
-    interpolation between bracketing leads; native leads pass through
-    unchanged. A gap between consecutive source leads larger than
-    ``source_step`` raises."""
+    interpolation between bracketing leads, (1 - w) * lo + w * hi on each
+    member matrix; native leads pass through unchanged. A gap between
+    consecutive source leads larger than ``source_step``, or a member count
+    that changes across a gap to fill, raises."""
     if target_step < 1:
         raise ValueError("target_step must be >= 1")
-    model_ids = {fc.model_id for fc in forecasts}
-    if len(model_ids) > 1:
-        raise ValueError(f"interpolate_leads expects a single model, got {sorted(model_ids)}")
+    f = forecasts
+    same_run = (f.station[1:] == f.station[:-1]) & (f.init[1:] == f.init[:-1])
+    gap = np.where(same_run, f.lead[1:] - f.lead[:-1], 0)
+    fill = gap > target_step
+    bad = np.flatnonzero((gap > source_step) | fill & (f.block[1:] != f.block[:-1]))
+    if bad.size:
+        i = bad[0]
+        lo, hi = f.lead[i], f.lead[i + 1]
+        if gap[i] <= source_step:
+            raise ValueError(f"member count changes between leads {lo} and {hi}")
+        raise ValueError(
+            f"lead gap {lo}..{hi} exceeds the native step of {source_step} h "
+            f"for station {f.station_ids[f.station[i]]} init {f.init_times[f.init[i]]:%Y-%m-%dT%H}"
+        )
+    if not fill.any():
+        return forecasts
 
-    groups: dict[tuple[str, datetime], dict[int, EnsembleForecast]] = {}
-    for fc in forecasts:
-        groups.setdefault((fc.station_id, fc.init_time), {})[fc.lead_time] = fc
-
-    out = list(forecasts)
-    for (sid, init_time), by_lead in sorted(groups.items()):
-        leads = sorted(by_lead)
-        for lo, hi in zip(leads, leads[1:]):
-            gap = hi - lo
-            if gap > source_step:
-                raise ValueError(
-                    f"lead gap {lo}..{hi} exceeds the native step of {source_step} h "
-                    f"for station {sid} init {init_time:%Y-%m-%dT%H}"
-                )
-            if gap <= target_step:
-                continue
-            lo_members = np.asarray(by_lead[lo].members)
-            hi_members = np.asarray(by_lead[hi].members)
-            if lo_members.size != hi_members.size:
-                raise ValueError(f"member count changes between leads {lo} and {hi}")
-            for t in range(lo + target_step, hi, target_step):
-                w = (t - lo) / gap
-                members = (1.0 - w) * lo_members + w * hi_members
-                out.append(
-                    EnsembleForecast(
-                        station_id=sid,
-                        model_id=by_lead[lo].model_id,
-                        init_time=init_time,
-                        lead_time=t,
-                        members=tuple(float(v) for v in members),
-                    )
-                )
-    out.sort(key=lambda fc: (fc.station_id, fc.init_time, fc.lead_time))
-    return out
+    # One new ensemble per interpolated lead, placed after ensemble ``lo``.
+    steps = (gap[fill] - 1) // target_step
+    lo = np.repeat(np.flatnonzero(fill), steps)
+    offset = target_step * (np.arange(len(lo)) - np.repeat(np.cumsum(steps) - steps, steps) + 1)
+    w, place = (offset / gap[lo])[:, None], lo + 0.5
+    members = []
+    for j, matrix in enumerate(f.members):
+        at = f.block[lo] == j
+        filled = (1.0 - w[at]) * matrix[f.row[lo[at]]] + w[at] * matrix[f.row[lo[at] + 1]]
+        order = np.argsort(np.concatenate([np.flatnonzero(f.block == j), place[at]]), kind="stable")
+        members.append(np.concatenate([matrix, filled])[order])
+    order = np.argsort(np.concatenate([np.arange(len(f)), place]), kind="stable")
+    station, init, lead, block = (np.concatenate(pair)[order] for pair in (
+        (f.station, f.station[lo]), (f.init, f.init[lo]), (f.lead, f.lead[lo] + offset), (f.block, f.block[lo])))
+    return ForecastCube(f.model_id, f.station_ids, f.init_times, station, init, lead, block, members)

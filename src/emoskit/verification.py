@@ -2,13 +2,14 @@
 
 ``verify`` takes what the drivers produce: Gaussian predictions keyed by
 (station, init time, lead, strategy) as ``pipeline.predict_issues`` returns
-them, each model's ensembles from ``pipeline.prepare_forecasts`` for the
-``raw:`` strategies, and the observations. It aligns the cases every scored
-strategy covers into arrays once and scores them in one pass: closed-form
-CRPS and PIT for Gaussian strategies, one row-wise kernel CRPS and
-randomized-rank PIT per member count for raw ones. The report, PIT
-histograms, Diebold-Mariano matrix and calibration table derive from them.
-``write_reports`` writes the result as the ``verify`` command's tables.
+them, each model's ``ForecastCube`` from ``pipeline.prepare_forecasts`` for
+the ``raw:`` strategies, and the observations. It aligns the cases every
+scored strategy covers into arrays once and scores them in one pass:
+closed-form CRPS and PIT for Gaussian strategies, one row-wise kernel CRPS
+and randomized-rank PIT per member matrix of the cube for raw ones. The
+report, PIT histograms, Diebold-Mariano matrix and calibration table derive
+from them. ``write_reports`` writes the result as the ``verify`` command's
+tables.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import io as eio
-from .domain import EnsembleForecast, GaussianPredictive, ObservationSeries
+from .domain import ForecastCube, GaussianPredictive, ObservationSeries
 from .emos import ModelWeights, model_weights
 from .pipeline import CoefficientKey, CoefficientStore, parse_strategy
 from .scoring import (
@@ -100,7 +101,7 @@ def _seam(table, obs, lo: int, hi: int) -> SeamDiagnostics | None:
 
 def verify(
     predictions: Mapping[tuple[str, datetime, int, str], GaussianPredictive],
-    ensembles: Mapping[str, Sequence[EnsembleForecast]],
+    ensembles: Mapping[str, ForecastCube],
     observations: Mapping[str, ObservationSeries],
     strategies: Sequence[str],
     reference: str,
@@ -114,10 +115,10 @@ def verify(
     """Score ``strategies`` on the cases they all cover that have a finite
     observation.
 
-    ``raw:<model>`` is scored on ``ensembles[model]``, any other strategy on
-    its ``predictions``. The raw strategies' randomized PIT draws one uniform
-    per case, strategy after strategy, from ``SeedSequence(entropy=seed,
-    spawn_key=(99,))``. ``seam_window`` (lo, hi) adds seam diagnostics over
+    ``raw:<model>`` is scored on the cube ``ensembles[model]``, any other
+    strategy on its ``predictions``. The raw strategies' randomized PIT draws
+    one uniform per case, strategy after strategy, from
+    ``SeedSequence(entropy=seed, spawn_key=(99,))``. ``seam_window`` (lo, hi) adds seam diagnostics over
     leads lo..hi. Raises ValueError when ``reference`` is not scored or no
     case is left.
     """
@@ -128,14 +129,14 @@ def verify(
     for (sid, init, lead, strategy), pred in predictions.items():
         if strategy in tables:
             tables[strategy][(sid, init, lead)] = pred
-    members = {}
+    raw = {}  # strategy -> (cube, case -> ensemble index)
     for s in strategies:
         if s not in tables:
-            fcs = ensembles.get(parse_strategy(s)[1][0], [])
-            members[s] = {(fc.station_id, fc.init_time, fc.lead_time): fc.members for fc in fcs}
+            cube = ensembles.get(parse_strategy(s)[1][0])
+            raw[s] = (cube, {} if cube is None else dict(zip(cube.keys(), range(len(cube)))))
     obs_maps = {sid: series.as_mapping() for sid, series in observations.items()}
     obs = {}
-    for c in set.intersection(*(set(t) for t in (*tables.values(), *members.values()))):
+    for c in set.intersection(*(set(t) for t in (*tables.values(), *(index for _, index in raw.values())))):
         y = obs_maps.get(c[0], {}).get(c[1] + timedelta(hours=c[2]))
         if y is not None and math.isfinite(y):
             obs[c] = y
@@ -168,11 +169,11 @@ def verify(
                 calibration[(s, lead)] = (int(at.sum()), float(np.std(z[at])), spread / rmse if rmse else math.inf)
             continue
         u = rng.random(n)
-        rows = [members[s][c] for c in keys]
-        sizes = np.array([len(r) for r in rows])
-        for m in np.unique(sizes):
-            idx = np.flatnonzero(sizes == m)
-            x = np.array([rows[i] for i in idx], dtype=float)
+        cube, index = raw[s]
+        rows = np.array([index[c] for c in keys])
+        for j in np.unique(cube.block[rows]):
+            idx = np.flatnonzero(cube.block[rows] == j)
+            x = cube.members[j][cube.row[rows[idx]]]
             crps[s][idx] = ensemble_crps_rows(x, cases.y[idx])
             pit[s][idx] = randomized_ensemble_pit(x, cases.y[idx], u[idx])
 

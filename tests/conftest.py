@@ -3,7 +3,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from emoskit.domain import SampleTable
+from emoskit.domain import ForecastCube, SampleTable
 
 T0 = datetime(2017, 1, 1, tzinfo=timezone.utc)
 
@@ -39,6 +39,18 @@ def linear_gaussian_samples(
         rows.append((m1, m2, spread, s2, y))
     rows = np.array(rows, dtype=float).reshape(n, 5)
     return SampleTable(("A", "B"), T0.date().toordinal() + np.arange(n), rows[:, :2], rows[:, 2:4], rows[:, 4])
+
+
+def forecast_cube(model_id, ensembles):
+    """The cube of (station_id, init_time, lead, members) tuples, given in
+    any order."""
+    ensembles = sorted(ensembles, key=lambda e: e[:3])
+    stations, inits = (sorted({e[i] for e in ensembles}) for i in (0, 1))
+    widths, block = np.unique([len(e[3]) for e in ensembles], return_inverse=True)
+    members = [np.array([e[3] for e, b in zip(ensembles, block) if b == j], dtype=float).reshape(sum(block == j), width)
+               for j, width in enumerate(widths)]
+    return ForecastCube(model_id, stations, inits, [stations.index(e[0]) for e in ensembles],
+                        [inits.index(e[1]) for e in ensembles], [e[2] for e in ensembles], block.astype(np.int64), members)
 
 
 @pytest.fixture

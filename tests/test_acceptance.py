@@ -395,7 +395,7 @@ def test_criterion_9_constants():
         DEFAULT_TRANSITION_WEIGHTS == (0.75, 0.5, 0.25)
         and TransitionSpec().weights == (0.75, 0.5, 0.25)
         and LAPSE_RATE_C_PER_100M == 0.6
-        and lapse_correct([5.0], 1500.0, 1000.0) == (8.0,)
+        and lapse_correct([5.0], 1500.0, 1000.0).tolist() == [8.0]
     )
     report(9, ok, "transition weights (0.75, 0.5, 0.25) and lapse rate 0.6 C/100 m in defaults")
 

@@ -171,18 +171,10 @@ class TestPredict:
         for r in rows:
             fc = lookup[(r.station_id, r.init_time, r.lead_time)]
             st = stations[r.station_id]
-            stats = ensemble_stats(
-                fc.__class__(
-                    station_id=fc.station_id,
-                    model_id=fc.model_id,
-                    init_time=fc.init_time,
-                    lead_time=fc.lead_time,
-                    members=lapse_correct(fc.members, st.grid_elevation["hires"], st.elevation),
-                )
-            )
+            mean, std = ensemble_stats(lapse_correct(fc.members, st.grid_elevation["hires"], st.elevation))
             # predictions.csv carries 9 significant digits
-            assert r.predictive.mu == pytest.approx(stats.mean, rel=1e-8)
-            assert r.predictive.sigma == pytest.approx(max(stats.std, 1e-3), rel=1e-8)
+            assert r.predictive.mu == pytest.approx(mean, rel=1e-8)
+            assert r.predictive.sigma == pytest.approx(max(std, 1e-3), rel=1e-8)
 
     def test_two_init_times_per_day_rejected(self, basic_run, tmp_path, capsys):
         # A 12 UTC run next to the 00 UTC one on the last day: one ensemble per
@@ -479,6 +471,31 @@ class TestErrors:
         assert code == 1
         assert "117" in err and "S000" in err and "2017-01-05" in err
         assert not (tmp_path / "s.csv").exists()
+
+    def test_repeated_station_exit_1(self, basic_run, tmp_path, capsys):
+        # S000 again, 100 m high: the second row must not silently win.
+        data = tmp_path / "data"
+        shutil.copytree(basic_run["data"], data)
+        path = data / "stations.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[1].split(",")
+        cells[3] = "100"
+        path.write_text("".join(lines) + ",".join(cells))
+        code = main(["train", "--config", basic_run["cfg"], "--data", str(data), "--store", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert f"error: {path}:{len(lines) + 1} (column 'station_id'): duplicate station S000" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_missing_grid_elevation_column_exit_1(self, basic_run, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(basic_run["data"], data)
+        path = data / "stations.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        drop = rows[0].index("grid_elev_hires")
+        path.write_text("".join(",".join(row[:drop] + row[drop + 1:]) + "\n" for row in rows))
+        code = main(["train", "--config", basic_run["cfg"], "--data", str(data), "--store", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert "station S000 has no grid elevation for model 'hires' (column grid_elev_hires)" in capsys.readouterr().err
 
     def test_non_finite_fit_exit_1(self, basic_run, tmp_path, monkeypatch, capsys):
         import emoskit.emos as emos

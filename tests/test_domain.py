@@ -6,7 +6,7 @@ import pytest
 
 from emoskit.domain import (
     EnsembleForecast,
-    EnsembleStats,
+    ForecastCube,
     GaussianPredictive,
     ObservationSeries,
     SampleTable,
@@ -15,59 +15,62 @@ from emoskit.domain import (
     ensemble_stats,
 )
 
+from conftest import forecast_cube
+
 T0 = datetime(2017, 6, 1, tzinfo=timezone.utc)
 
 
-def fc(members, init=T0, lead=12, station="S1", model="A"):
-    return EnsembleForecast(station_id=station, model_id=model, init_time=init, lead_time=lead, members=tuple(members))
+def cube(ensembles, model="A"):
+    """A cube of (members, init, lead, station) tuples; see ``fc``."""
+    return forecast_cube(model, [(station, init, lead, members) for members, init, lead, station in ensembles])
+
+
+def fc(members, init=T0, lead=12, station="S1"):
+    return (tuple(members), init, lead, station)
 
 
 class TestEnsembleStats:
     def test_constant_members(self):
-        stats = ensemble_stats(fc([1.0, 1.0, 1.0]))
-        assert stats.mean == 1.0
-        assert stats.std == 0.0
-        assert stats.member_count == 3
+        assert ensemble_stats([1.0, 1.0, 1.0]) == (1.0, 0.0)
 
     def test_two_point_symmetric(self):
-        stats = ensemble_stats(fc([0.0, 2.0]))
-        assert stats.mean == 1.0
-        assert stats.std == 1.0
+        assert ensemble_stats([0.0, 2.0]) == (1.0, 1.0)
 
     def test_four_members_population_std(self):
         # independent one-line cross-check of the population (1/m) estimator
         members = [1.0, 2.0, 3.0, 4.0]
         mean = sum(members) / 4
         expected_std = math.sqrt(sum((x - mean) ** 2 for x in members) / 4)
-        stats = ensemble_stats(fc(members))
-        assert stats.mean == pytest.approx(2.5, abs=0)
-        assert stats.std == pytest.approx(expected_std, rel=1e-12)
-        assert stats.std == pytest.approx(1.118034, abs=1e-6)
+        got_mean, got_std = ensemble_stats(members)
+        assert got_mean == pytest.approx(2.5, abs=0)
+        assert got_std == pytest.approx(expected_std, rel=1e-12)
+        assert got_std == pytest.approx(1.118034, abs=1e-6)
 
     def test_empty_members_rejected(self):
         with pytest.raises(ValueError):
-            fc([])
+            ensemble_stats([])
+        with pytest.raises(ValueError, match="at least one member"):
+            cube([fc([])])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             members = rng.normal(0, 5, size=rng.integers(2, 12)).tolist()
-            a = ensemble_stats(fc(members))
-            b = ensemble_stats(fc(list(reversed(members))))
+            a = ensemble_stats(members)
+            b = ensemble_stats(list(reversed(members)))
             perm = rng.permutation(len(members))
-            c = ensemble_stats(fc([members[i] for i in perm]))
-            assert a.mean == pytest.approx(b.mean, rel=1e-12) == pytest.approx(c.mean, rel=1e-12)
-            assert a.std == pytest.approx(b.std, rel=1e-12) == pytest.approx(c.std, rel=1e-12)
+            c = ensemble_stats([members[i] for i in perm])
+            assert b == pytest.approx(a, rel=1e-12) and c == pytest.approx(a, rel=1e-12)
 
     def test_affine_equivariance(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             members = rng.normal(2, 3, size=8)
             alpha, beta = rng.normal(0, 2), rng.normal(0, 10)
-            base = ensemble_stats(fc(members.tolist()))
-            mapped = ensemble_stats(fc((alpha * members + beta).tolist()))
-            assert mapped.mean == pytest.approx(alpha * base.mean + beta, abs=1e-9)
-            assert mapped.std == pytest.approx(abs(alpha) * base.std, abs=1e-9)
+            base_mean, base_std = ensemble_stats(members)
+            mapped_mean, mapped_std = ensemble_stats(alpha * members + beta)
+            assert mapped_mean == pytest.approx(alpha * base_mean + beta, abs=1e-9)
+            assert mapped_std == pytest.approx(abs(alpha) * base_std, abs=1e-9)
 
 
 def obs_series(hours_and_values, station="S1"):
@@ -79,39 +82,35 @@ def obs_series(hours_and_values, station="S1"):
 
 
 class TestAlign:
-    def make_forecasts(self, n_days=3, models=("A",), lead=12, station="S1"):
-        out = []
-        for d in range(n_days):
-            for m in models:
-                out.append(fc([1.0, 2.0], init=T0 + timedelta(days=d), lead=lead, station=station, model=m))
-        return out
+    def make_forecasts(self, n_days=3, lead=12, station="S1", model="A"):
+        return cube([fc([1.0, 2.0], init=T0 + timedelta(days=d), lead=lead, station=station) for d in range(n_days)],
+                    model)
 
     def obs_for_days(self, days, lead=12):
         return obs_series([(24 * d + lead, 15.0 + d) for d in days])
 
     def test_complete_obs_three_samples(self):
-        table, dropped = align(self.make_forecasts(3), self.obs_for_days([0, 1, 2]), 12)
+        table, dropped = align([self.make_forecasts(3)], self.obs_for_days([0, 1, 2]), 12)
         assert len(table) == 3
         assert dropped == 0
         assert table.observation.tolist() == [15.0, 16.0, 17.0]
         assert (table.init_days - T0.date().toordinal()).tolist() == [0, 1, 2]
 
     def test_missing_middle_observation(self):
-        table, dropped = align(self.make_forecasts(3), self.obs_for_days([0, 2]), 12)
+        table, dropped = align([self.make_forecasts(3)], self.obs_for_days([0, 2]), 12)
         assert len(table) == 2
         assert dropped == 1
 
     def test_nan_observation_is_missing(self):
         obs = obs_series([(12, 15.0), (36, math.nan), (60, 17.0)])
-        table, dropped = align(self.make_forecasts(3), obs, 12)
+        table, dropped = align([self.make_forecasts(3)], obs, 12)
         assert len(table) == 2
         assert dropped == 1
 
     def test_two_models_intersection(self):
-        forecasts = self.make_forecasts(3, models=("A", "B"))
-        # model B loses its middle init
-        forecasts = [f for f in forecasts if not (f.model_id == "B" and f.init_time == T0 + timedelta(days=1))]
-        table, dropped = align(forecasts, self.obs_for_days([0, 1, 2]), 12)
+        # model B lacks the middle init
+        b = cube([fc([1.0, 2.0], init=T0 + timedelta(days=d)) for d in (0, 2)], "B")
+        table, dropped = align([self.make_forecasts(3), b], self.obs_for_days([0, 1, 2]), 12)
         assert len(table) == 2
         assert dropped == 1
         assert table.models == ("A", "B") and table.mean.shape == table.std.shape == (2, 2)
@@ -119,18 +118,29 @@ class TestAlign:
     def test_station_mismatch_rejected(self):
         other = obs_series([(12, 15.0)], station="S2")
         with pytest.raises(ValueError):
-            align(self.make_forecasts(1), other, 12)
+            align([self.make_forecasts(1)], other, 12)
 
     def test_sorted_and_bounded(self):
         rng = np.random.default_rng(3)
-        forecasts = self.make_forecasts(10)
-        rng.shuffle(forecasts)
+        ensembles = [fc([1.0, 2.0], init=T0 + timedelta(days=d)) for d in range(10)]
+        rng.shuffle(ensembles)
+        forecasts = cube(ensembles + [fc([5.0], init=T0 + timedelta(days=d), lead=6) for d in range(10)])
         obs = self.obs_for_days(range(10))
-        table, _ = align(forecasts, obs, 12)
+        table, _ = align([forecasts], obs, 12)
         assert len(table) <= min(len(forecasts), len(obs.timestamps))
         days = table.init_days - T0.date().toordinal()
         assert days.tolist() == sorted(days.tolist())
         assert table.observation.tolist() == [15.0 + d for d in days]
+
+    def test_init_times_match_exactly(self):
+        # Valid times are matched as integers: fractional seconds and naive
+        # (UTC) timestamps pair as the datetimes themselves would.
+        for t0 in (T0 + timedelta(microseconds=123457), datetime(2017, 6, 1, 0, 0, 0, 999999)):
+            inits = [t0 + timedelta(days=d) for d in range(3)]
+            obs = ObservationSeries("S1", tuple(t + timedelta(hours=12, microseconds=m) for t, m in zip(inits, (0, 1, 0))),
+                                    (1.0, 2.0, 3.0))
+            table, dropped = align([cube([fc([1.0, 2.0], init=t) for t in inits])], obs, 12)
+            assert (table.observation.tolist(), dropped) == ([1.0, 3.0], 1)
 
     def test_member_counts_differ_between_inits(self):
         # Stats come from one reduction per member count; each row must
@@ -138,16 +148,17 @@ class TestAlign:
         rng = np.random.default_rng(5)
         sizes = [3, 5, 3, 1, 5, 4]
         forecasts = [
-            fc(rng.normal(10.0, 2.0, size=n).tolist(), init=T0 + timedelta(days=d), model=m)
-            for d, n in enumerate(sizes)
-            for m in ("A", "B")
+            cube([fc(rng.normal(10.0, 2.0, size=n).tolist(), init=T0 + timedelta(days=d)) for d, n in enumerate(sizes)], m)
+            for m in ("B", "A")
         ]
-        table, dropped = align(forecasts, self.obs_for_days(range(len(sizes))), 12, model_ids=["B", "A"])
+        assert [len(c.members) for c in forecasts] == [4, 4]
+        table, dropped = align(forecasts, self.obs_for_days(range(len(sizes))), 12)
         assert (dropped, table.models) == (0, ("B", "A"))
-        for f in forecasts:
-            d, k = (f.init_time - T0).days, table.models.index(f.model_id)
-            want = ensemble_stats(f)
-            assert (table.mean[d, k].hex(), table.std[d, k].hex()) == (want.mean.hex(), want.std.hex())
+        for k, forecast in enumerate(forecasts):
+            for f in forecast:
+                d = (f.init_time - T0).days
+                want_mean, want_std = ensemble_stats(f.members)
+                assert (table.mean[d, k].hex(), table.std[d, k].hex()) == (want_mean.hex(), want_std.hex())
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 9, 16, 21, 51, 100, 128, 129, 200])
@@ -156,11 +167,11 @@ def test_row_wise_stats_bit_identical_to_ensemble_stats(size):
     # must give exactly the floats ensemble_stats gives for each ensemble.
     rng = np.random.default_rng(size)
     ensembles = [(rng.normal(0.0, 10.0, size) * 10.0 ** rng.integers(-3, 4)).tolist() for _ in range(40)]
-    forecasts = [fc(members, init=T0 + timedelta(days=d)) for d, members in enumerate(ensembles)]
-    table, _ = align(forecasts, obs_series([(24 * d + 12, 0.0) for d in range(40)]), 12)
-    for d, forecast in enumerate(forecasts):
-        want = ensemble_stats(forecast)
-        assert (table.mean[d, 0].hex(), table.std[d, 0].hex()) == (want.mean.hex(), want.std.hex())
+    forecasts = cube([fc(members, init=T0 + timedelta(days=d)) for d, members in enumerate(ensembles)])
+    table, _ = align([forecasts], obs_series([(24 * d + 12, 0.0) for d in range(40)]), 12)
+    for d, members in enumerate(ensembles):
+        want_mean, want_std = ensemble_stats(members)
+        assert (table.mean[d, 0].hex(), table.std[d, 0].hex()) == (want_mean.hex(), want_std.hex())
 
 
 class TestSampleTable:
@@ -207,6 +218,44 @@ class TestInvariants:
         with pytest.raises(ValueError):
             ObservationSeries("S1", timestamps=(T0, T0), values=(1.0, 2.0))
 
-    def test_ensemble_stats_type_validation(self):
-        with pytest.raises(ValueError):
-            EnsembleStats(mean=1.0, std=-0.1, member_count=3)
+
+
+class TestForecastCube:
+    def test_iterates_sorted_ensembles_with_their_statistics(self):
+        later = T0 + timedelta(days=1)
+        forecasts = cube([fc([3.0, 5.0], init=later), fc([1.0], lead=6, station="S2"), fc([0.0, 2.0, 4.0])])
+        assert (forecasts.station_ids, forecasts.init_times, len(forecasts)) == (("S1", "S2"), (T0, later), 3)
+        assert list(forecasts) == [
+            EnsembleForecast("S1", "A", T0, 12, (0.0, 2.0, 4.0)),
+            EnsembleForecast("S1", "A", later, 12, (3.0, 5.0)),
+            EnsembleForecast("S2", "A", T0, 6, (1.0,)),
+        ]
+        assert forecasts.keys() == [(f.station_id, f.init_time, f.lead_time) for f in forecasts]
+        assert [m.shape for m in forecasts.members] == [(1, 1), (1, 2), (1, 3)]
+        assert forecasts.mean.tolist() == [2.0, 4.0, 1.0] and forecasts.std.tolist()[1:] == [1.0, 0.0]
+        assert forecasts.init_days.tolist() == [T0.toordinal(), later.toordinal()]
+        assert forecasts.rows("S1", 12).tolist() == [0, 1] and forecasts.rows("S1", 6).tolist() == []
+
+    def test_arrays_are_read_only(self):
+        matrix = np.ones((2, 3))
+        forecasts = ForecastCube("A", ("S1",), (T0,), [0, 0], [0, 0], [1, 2], [0, 0], [matrix])
+        matrix[0, 0] = 5.0  # writable inputs are copied
+        assert forecasts.members[0][0, 0] == 1.0
+        for array in (forecasts.lead, forecasts.members[0], forecasts.mean, forecasts.row, forecasts.init_days):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_validation(self):
+        one = [np.ones((1, 2))]
+        for args, match in [
+            ((("S1",), (T0,), [0], [0], [-3], [0], one), "lead_time must be >= 0, got -3"),
+            ((("S1",), (T0,), [0], [0], [1], [0], [np.full((1, 2), np.inf)]), "finite"),
+            ((("S1", "S2"), (T0,), [0], [0], [1], [0], one), "labels"),
+            ((("S2", "S1"), (T0,), [1, 0], [0, 0], [1, 1], [0, 0], [np.ones((2, 2))]), "labels"),
+            ((("S1",), (T0,), [0, 0], [0, 0], [1, 1], [0, 0], [np.ones((2, 2))]), "each key once"),
+            ((("S1",), (T0,), [0], [0], [1], [0], [np.ones((2, 2))]), "one row per ensemble"),
+            ((("S1",), (T0,), [0], [0], [1], [1], one), "one row per ensemble"),
+            ((("S1",), (T0,), [0, 0], [0, 0], [1, 2], [0, 1], [np.ones((1, 2)), np.ones((1, 2))]), "per member count"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                ForecastCube("A", *args)

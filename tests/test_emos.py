@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emoskit.domain import EnsembleStats
 from emoskit.emos import (
     EmosCoefficients,
     FitOptions,
@@ -27,15 +26,16 @@ from conftest import linear_gaussian_samples
 
 
 def row_stats(table, i, model_ids):
+    """The (means, stds) of row i for ``model_ids``, as ``predict`` takes them."""
     cols = [table.models.index(m) for m in model_ids]
-    return [EnsembleStats(float(table.mean[i, k]), float(table.std[i, k]), 21) for k in cols]
+    return [float(table.mean[i, k]) for k in cols], [float(table.std[i, k]) for k in cols]
 
 
 def mean_objective(coef, samples, model_ids, min_sigma=1e-3):
     return float(
         np.mean(
             [
-                gaussian_crps(predict(coef, row_stats(samples, i, model_ids), min_sigma), float(samples.observation[i]))
+                gaussian_crps(predict(coef, *row_stats(samples, i, model_ids), min_sigma), float(samples.observation[i]))
                 for i in range(len(samples))
             ]
         )
@@ -52,38 +52,36 @@ def mixed_coef(a, b1, b2, c, d1, d2):
 
 class TestPredict:
     def test_identity_coefficients(self):
-        pred = predict(single_coef(0, 1, 0, 1), [EnsembleStats(5.0, 2.0, 21)])
+        pred = predict(single_coef(0, 1, 0, 1), [5.0], [2.0])
         assert pred.mu == 5.0
         assert pred.sigma == 2.0
 
     def test_spread_ignores_ensemble(self):
-        pred = predict(single_coef(2, 0.5, 1, 0), [EnsembleStats(4.0, 3.0, 21)])
+        pred = predict(single_coef(2, 0.5, 1, 0), [4.0], [3.0])
         assert pred.mu == 4.0
         assert pred.sigma == 1.0
 
     def test_three_four_five(self):
-        pred = predict(single_coef(0, 1, 3, 4), [EnsembleStats(0.0, 1.0, 21)])
+        pred = predict(single_coef(0, 1, 3, 4), [0.0], [1.0])
         assert pred.sigma == 5.0
 
     def test_sigma_floor(self):
-        pred = predict(single_coef(0, 1, 0, 0), [EnsembleStats(5.0, 2.0, 21)], min_sigma=1e-3)
+        pred = predict(single_coef(0, 1, 0, 0), [5.0], [2.0], min_sigma=1e-3)
         assert pred.sigma == 1e-3
 
     def test_mixed_nests_single(self):
         coef = mixed_coef(a=1.0, b1=0.8, b2=0.0, c=0.5, d1=1.2, d2=0.0)
-        stats1 = EnsembleStats(3.0, 1.5, 21)
-        stats2 = EnsembleStats(-7.0, 4.0, 51)
-        nested = predict(coef, [stats1, stats2])
-        assert nested == predict(single_coef(1.0, 0.8, 0.5, 1.2), [stats1])
+        nested = predict(coef, [3.0, -7.0], [1.5, 4.0])
+        assert nested == predict(single_coef(1.0, 0.8, 0.5, 1.2), [3.0], [1.5])
 
     def test_mixed_mean_average(self):
         coef = mixed_coef(a=0.0, b1=0.5, b2=0.5, c=0.0, d1=1.0, d2=1.0)
-        pred = predict(coef, [EnsembleStats(2.0, 0.0, 21), EnsembleStats(4.0, 0.0, 51)])
+        pred = predict(coef, [2.0, 4.0], [0.0, 0.0])
         assert pred.mu == 3.0
 
     def test_mixed_three_four_five_stds(self):
         coef = mixed_coef(a=0.0, b1=1.0, b2=0.0, c=0.0, d1=1.0, d2=1.0)
-        pred = predict(coef, [EnsembleStats(0.0, 3.0, 21), EnsembleStats(0.0, 4.0, 51)])
+        pred = predict(coef, [0.0, 0.0], [3.0, 4.0])
         assert pred.sigma == 5.0
 
 
@@ -93,7 +91,7 @@ class TestPredict:
 
     def test_predictor_count_must_match(self):
         with pytest.raises(ValueError):
-            predict(single_coef(0, 1, 0, 1), [EnsembleStats(5.0, 2.0, 21), EnsembleStats(4.0, 1.0, 51)])
+            predict(single_coef(0, 1, 0, 1), [5.0, 4.0], [2.0, 1.0])
 
 
 class TestModelWeights:
@@ -147,7 +145,7 @@ class TestFitSingle:
         samples = linear_gaussian_samples(n=500, a=0.0, b=0.0, noise_std=0.0, seed=5)
         samples = replace(samples, mean=np.column_stack([np.zeros(500), samples.mean[:, 1]]), observation=y)
         result = fit_single(samples, "A")
-        sigma_pred = predict(result.coefficients, row_stats(samples, 0, ["A"])).sigma
+        sigma_pred = predict(result.coefficients, *row_stats(samples, 0, ["A"])).sigma
         assert result.coefficients.a == pytest.approx(float(y.mean()), abs=0.1)
         assert sigma_pred == pytest.approx(float(y.std()), abs=0.1)
 
@@ -248,7 +246,7 @@ class TestFitMixed:
         samples = linear_gaussian_samples(n=45, noise_std=0.0, seed=15)
         result = fit_mixed(samples, ("A", "B"))
         for i in range(len(samples)):
-            pred = predict(result.coefficients, row_stats(samples, i, ["A", "B"]))
+            pred = predict(result.coefficients, *row_stats(samples, i, ["A", "B"]))
             assert pred.sigma >= 1e-3
 
 

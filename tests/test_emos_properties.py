@@ -36,6 +36,11 @@ def windows(draw, k):
     seed = draw(st.integers(0, 2**32 - 1))
     a = draw(st.floats(-3.0, 3.0))
     b = draw(st.floats(-0.5, 1.5))
+    # Noise stays well above 0.01 degC. Nearer 1e-3 the optimum puts sigma on
+    # the min_sigma floor, where fit_batch may stop above the oracle: a
+    # 1,500-example run with noise down to 1e-3 found single-model rows 1.3e-6
+    # and 1e-5 above it, and with noise >= 0.01 all 1,500 examples passed.
+    # Temperature observations are never that exact.
     noise = draw(st.floats(0.05, 2.0))
     spread = draw(st.sampled_from(["normal", "zero", "some_zero"]))
     rng = np.random.default_rng(seed)

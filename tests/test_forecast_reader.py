@@ -1,9 +1,11 @@
 """Differential tests of the bulk forecast reader against the row-by-row
-reader it replaced (``oracle_read_forecasts`` below, kept verbatim): valid
-files must read equal, bit for bit, and corrupt files must fail alike."""
+reader it replaced (``oracle_read_forecasts`` below, kept as it was, with the
+checks of the per-ensemble record it built written out): valid files must
+read equal, bit for bit, and corrupt files must fail alike."""
 
 import csv
 import io as textio
+import math
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -33,6 +35,10 @@ def oracle_read_forecasts(path, model_id: str) -> list[EnsembleForecast]:
         indices = [i for i, _ in members]
         if indices != list(range(len(members))):
             raise SchemaError(path, None, "member_idx", f"members of {sid} {format_timestamp(init_time)} lead {lead} are not contiguous from 0")
+        if lead < 0:
+            raise ValueError(f"lead_time must be >= 0, got {lead}")
+        if not all(math.isfinite(v) for _, v in members):
+            raise ValueError("all member values must be finite")
         out.append(
             EnsembleForecast(
                 station_id=sid,
@@ -46,19 +52,21 @@ def oracle_read_forecasts(path, model_id: str) -> list[EnsembleForecast]:
 
 
 def exact(forecasts):
-    """Forecasts with members as float bit patterns and leads with their type,
-    so equality below is bitwise and type-exact."""
+    """Forecasts (a cube, or the oracle's records) with members as float bit
+    patterns and leads with their type, so equality below is bitwise and
+    type-exact."""
     return [
         (f.station_id, f.model_id, f.init_time, type(f.lead_time), f.lead_time, tuple(v.hex() for v in f.members))
         for f in forecasts
     ]
 
 
-def bulk_result(path):
-    """What the bulk tokenizer alone returns (None: it hands the file to the
-    row reader)."""
+def bulk_result(path, model_id="m"):
+    """The cube of what the bulk tokenizer alone returns (None: it hands the
+    file to the row reader)."""
     with _TableReader(path, HEADER) as reader:
-        return eio._read_forecast_table(reader, "m")
+        columns = eio._read_forecast_table(reader)
+    return None if columns is None else eio._forecast_cube(path, model_id, *columns)
 
 
 def to_text(rows, blank_lines=()):
@@ -185,7 +193,7 @@ def test_single_data_row(tmp_path):
     path = tmp_path / "forecasts_m.csv"
     path.write_text("station_id,init_time,lead_h,member_idx,temp_c\nS1,2017-03-01T00:00:00Z,12,0,1.5\n")
     assert exact(bulk_result(path)) == exact(oracle_read_forecasts(path, "m"))
-    assert read_forecasts(path, "m") == [EnsembleForecast("S1", "m", datetime(2017, 3, 1, tzinfo=timezone.utc), 12, (1.5,))]
+    assert list(read_forecasts(path, "m")) == [EnsembleForecast("S1", "m", datetime(2017, 3, 1, tzinfo=timezone.utc), 12, (1.5,))]
 
 
 def test_columns_in_any_order(tmp_path):
@@ -211,7 +219,6 @@ def test_simulated_workload_files_read_bitwise_equal(tmp_path, workload):
     for model in ("hires", "global"):
         path = tmp_path / "data" / f"forecasts_{model}.csv"
         expected = exact(oracle_read_forecasts(path, model))
-        with _TableReader(path, HEADER) as reader:
-            assert exact(eio._read_forecast_table(reader, model)) == expected
+        assert exact(bulk_result(path, model)) == expected
         assert exact(read_forecasts(path, model)) == expected
 

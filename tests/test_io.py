@@ -27,6 +27,8 @@ from emoskit.io import (
 )
 from emoskit.pipeline import CoefficientKey, CoefficientStore, StoredFit
 
+from conftest import forecast_cube
+
 T0 = datetime(2017, 3, 1, tzinfo=timezone.utc)
 
 
@@ -79,20 +81,33 @@ class TestObservations:
         with pytest.raises(SchemaError):
             read_observations(path)
 
+    def test_repeated_observation_rejected_with_line(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text(
+            "station_id,valid_time,temp_c\n"
+            "S1,2017-03-01T01:00:00Z,1.5\n"
+            "S2,2017-03-01T01:00:00Z,2.5\n"
+            "S2,2017-03-01T00:00:00Z,2.0\n"
+            "S2,2017-03-01T01:00:00+00:00,3.5\n"
+            "S1,2017-03-01T01:00:00Z,4.5\n"
+        )
+        with pytest.raises(SchemaError) as err:
+            read_observations(path)
+        # the first line that repeats an earlier one
+        assert str(err.value) == f"{path}:5: duplicate observation for S2 2017-03-01T01:00:00Z"
+
 
 class TestForecasts:
     def test_round_trip(self, tmp_path):
         fcs = [
             EnsembleForecast("S1", "m", T0, 12, (1.25, -2.5, 3.75)),
-            EnsembleForecast("S1", "m", T0 + timedelta(days=1), 12, (0.5, 0.25, -0.125)),
+            EnsembleForecast("S1", "m", T0 + timedelta(days=1), 12, (0.5, 0.25)),
             EnsembleForecast("S2", "m", T0, 6, (7.0, 8.0, 9.0)),
         ]
         path = tmp_path / "forecasts_m.csv"
-        write_forecasts(path, fcs)
-        back = read_forecasts(path, "m")
-        assert sorted(back, key=lambda f: (f.station_id, f.init_time, f.lead_time)) == sorted(
-            fcs, key=lambda f: (f.station_id, f.init_time, f.lead_time)
-        )
+        write_forecasts(path, forecast_cube("m", [(f.station_id, f.init_time, f.lead_time, f.members)
+                                                                for f in reversed(fcs)]))
+        assert list(read_forecasts(path, "m")) == fcs
 
     def test_non_contiguous_members_rejected(self, tmp_path):
         path = tmp_path / "forecasts_m.csv"
@@ -109,7 +124,7 @@ class TestForecasts:
         path.write_text("station_id,init_time,lead_h,member_idx,temp_c\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert read_forecasts(path, "m") == []
+            assert len(read_forecasts(path, "m")) == 0
 
 
 class TestStations:
@@ -128,6 +143,14 @@ class TestStations:
         path.write_text("station_id,lat,lon,elev_m,bogus\nS1,46,7,100,1\n")
         with pytest.raises(SchemaError):
             read_stations(path)
+
+    def test_repeated_station_rejected_with_line(self, tmp_path):
+        path = tmp_path / "stations.csv"
+        path.write_text("station_id,lat,lon,elev_m\nS1,46,7,100\nS2,46,7,200\n S1 ,46,7,300\n")
+        with pytest.raises(SchemaError) as err:
+            read_stations(path)
+        assert (err.value.line_no, err.value.column) == (4, "station_id")
+        assert "duplicate station S1" in str(err.value)
 
 
 class TestPredictions:

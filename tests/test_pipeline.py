@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emoskit.domain import EnsembleForecast, EnsembleStats, SampleTable
+from emoskit.domain import SampleTable, ensemble_stats
 from emoskit.emos import EmosCoefficients, identity, predict
 from emoskit.pipeline import (
     CoefficientKey,
@@ -23,7 +22,7 @@ from emoskit.pipeline import (
     single_strategy,
 )
 
-from conftest import T0, linear_gaussian_samples
+from conftest import T0, forecast_cube, linear_gaussian_samples
 
 
 def issue_on(day):
@@ -212,57 +211,45 @@ class TestFitForIssue:
 
 
 class TestPredictForIssue:
-    def forecasts(self, issue_day=50, mean=5.0, std=2.0):
+    MEMBERS = (3.0, 5.0, 7.0, 5.0, 3.0, 7.0)  # mean 5, population std 2 * sqrt(2/3)
+
+    def forecasts(self, issue_day=50, leads=(12,)):
         init = T0 + timedelta(days=issue_day)
-        out = []
-        for model in ("A", "B"):
-            out.append(
-                EnsembleForecast(
-                    station_id="S1", model_id=model, init_time=init, lead_time=12,
-                    members=(mean - std, mean, mean + std, mean, mean - std, mean + std),
-                )
-            )
-        return out
+        return {m: forecast_cube(m, [("S1", init, lead, self.MEMBERS) for lead in leads]) for m in "AB"}
 
     def test_identity_coefficients_pass_through(self):
         issue = issue_on(50)
         store = CoefficientStore()
         key = CoefficientKey("S1", 12, "single:A", issue)
         store.put(key, StoredFit(identity(1), 45, 0.1, True, False))
-        fcs = self.forecasts()
-        outcome = predict_for_issue(store, fcs, issue, [key])
+        outcome = predict_for_issue(store, self.forecasts(), issue, [key])
         pred = outcome.predictions[("S1", 12, "single:A")]
-        stats = EnsembleStats(5.0, float((2 * (2.0**2) / 3) ** 0.5), 6)
-        assert pred.mu == pytest.approx(stats.mean)
-        assert pred.sigma == pytest.approx(stats.std)
+        assert pred.mu == pytest.approx(5.0)
+        assert pred.sigma == pytest.approx(float((2 * (2.0**2) / 3) ** 0.5))
+        assert outcome.init_times == {"S1": T0 + timedelta(days=50)}
 
     def test_matches_direct_predict_bitwise(self):
-        from emoskit.domain import ensemble_stats
-
         issue = issue_on(50)
         store = CoefficientStore()
         coef = EmosCoefficients(a=0.3, b=(0.6, 0.35), c=0.2, d=(0.8, 0.4))
         key = CoefficientKey("S1", 12, "mixed:A+B", issue)
         store.put(key, StoredFit(coef, 45, 0.2, True, False))
-        fcs = self.forecasts()
-        outcome = predict_for_issue(store, fcs, issue, [key])
-        direct = predict(coef, [ensemble_stats(fcs[0]), ensemble_stats(fcs[1])])
-        assert outcome.predictions[("S1", 12, "mixed:A+B")] == direct
+        outcome = predict_for_issue(store, self.forecasts(), issue, [key])
+        mean, std = ensemble_stats(self.MEMBERS)
+        assert outcome.predictions[("S1", 12, "mixed:A+B")] == predict(coef, [mean, mean], [std, std])
 
-    def test_stats_only_for_forecasts_keys_read(self, monkeypatch):
-        import emoskit.pipeline as pipeline
-
+    def test_stats_only_for_forecasts_keys_read(self):
+        # Forecasts of other leads and other days are read by no key and
+        # change no prediction.
         issue = issue_on(50)
         store = CoefficientStore()
         key = CoefficientKey("S1", 12, "single:A", issue)
         store.put(key, StoredFit(identity(1), 45, 0.1, True, False))
-        unread = [replace(f, lead_time=13) for f in self.forecasts()]
-        seen = []
-        real = pipeline.ensemble_stats
-        monkeypatch.setattr(pipeline, "ensemble_stats", lambda f: seen.append((f.model_id, f.lead_time)) or real(f))
-        outcome = predict_for_issue(store, self.forecasts() + unread, issue, [key])
-        assert seen == [("A", 12)]
-        assert outcome.predictions[("S1", 12, "single:A")] == predict(identity(1), [real(self.forecasts()[0])])
+        ensembles = [("S1", T0 + timedelta(days=day), lead, self.MEMBERS if day == 50 else (float(day),) * 3)
+                     for day in (49, 50, 51) for lead in (12, 13)]
+        more = {m: forecast_cube(m, ensembles) for m in "AB"}
+        outcome = predict_for_issue(store, more, issue, [key])
+        assert outcome.predictions == predict_for_issue(store, self.forecasts(), issue, [key]).predictions
 
     def test_missing_key_reported(self):
         issue = issue_on(50)

@@ -8,13 +8,15 @@ from datetime import datetime, timedelta, timezone
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emoskit.domain import EnsembleForecast, GaussianPredictive, ObservationSeries
+from emoskit.domain import GaussianPredictive, ObservationSeries
 from emoskit.emos import EmosCoefficients
 from emoskit.io import PredictionRow, read_predictions, read_store, write_predictions, write_store
 from emoskit.pipeline import CoefficientKey, CoefficientStore, StoredFit
 from emoskit.scoring import ensemble_crps, gaussian_crps, pit_value
 from emoskit.terrain import lapse_correct
 from emoskit.verification import verify
+
+from conftest import forecast_cube
 
 from test_scoring import crps_by_quadrature
 
@@ -123,7 +125,7 @@ def scored_cases(draw):
 def test_verify_scores_equal_the_scalar_scores(cases):
     inits = [T0 + timedelta(days=i) for i in range(len(cases))]
     predictions = {("S", t, 12, "single:m"): GaussianPredictive(c[0], c[1]) for t, c in zip(inits, cases)}
-    ensembles = {"m": [EnsembleForecast("S", "m", t, 12, tuple(c[3])) for t, c in zip(inits, cases)]}
+    ensembles = {"m": forecast_cube("m", [("S", t, 12, c[3]) for t, c in zip(inits, cases)])}
     valid = tuple(t + timedelta(hours=12) for t in inits)
     observations = {"S": ObservationSeries("S", valid, tuple(c[2] for c in cases))}
     result = verify(predictions, ensembles, observations, ["single:m", "raw:m"], "single:m")

@@ -1,7 +1,8 @@
+from datetime import timedelta
+
 import numpy as np
 import pytest
 
-from emoskit.domain import EnsembleForecast
 from emoskit.synth import (
     ModelErrorSpec,
     ScenarioSpec,
@@ -13,7 +14,7 @@ from emoskit.synth import (
     interpolate_leads,
 )
 
-from conftest import T0
+from conftest import T0, forecast_cube
 
 
 def one_model_spec(**kwargs):
@@ -73,7 +74,8 @@ class TestModelEnsemble:
         forecasts = generate_model_ensemble(spec, "m", truth)
         obs = dict(zip(truth["S000"].timestamps, truth["S000"].values))
         for fc in forecasts:
-            expected = obs[fc.valid_time] + spec.models["m"].bias(fc.valid_time.hour)
+            valid = fc.init_time + timedelta(hours=fc.lead_time)
+            expected = obs[valid] + spec.models["m"].bias(valid.hour)
             assert all(v == pytest.approx(expected, abs=1e-9) for v in fc.members)
 
     def test_flat_bias_curve_is_constant_shift(self):
@@ -118,7 +120,7 @@ class TestModelEnsemble:
         spec = ScenarioSpec(seed=9, n_stations=2, n_days=3, lead_hours=(0, 6), models={"m": one_model_spec()})
         a = generate_scenario(spec)
         b = generate_scenario(spec)
-        assert a.forecasts == b.forecasts
+        assert {m: list(c) for m, c in a.forecasts.items()} == {m: list(c) for m, c in b.forecasts.items()}
         assert a.stations == b.stations
 
     def test_elevation_offset_recoverable(self):
@@ -140,38 +142,52 @@ class TestModelEnsemble:
 
 
 class TestInterpolateLeads:
-    def fc(self, lead, members, station="S1", model="m"):
-        return EnsembleForecast(station_id=station, model_id=model, init_time=T0, lead_time=lead, members=members)
+    def cube(self, *ensembles):
+        """A cube of (lead, members) ensembles at S1 and T0, or (lead, members,
+        init day) ones."""
+        return forecast_cube("m", [("S1", T0 + timedelta(days=e[2] if len(e) > 2 else 0), e[0], e[1])
+                                                 for e in ensembles])
 
     def test_linear_fill(self):
-        out = interpolate_leads([self.fc(90, (0.0,)), self.fc(93, (3.0,))], source_step=3)
+        out = interpolate_leads(self.cube((90, (0.0,)), (93, (3.0,))), source_step=3)
         by_lead = {f.lead_time: f.members for f in out}
         assert by_lead[91] == (1.0,)
         assert by_lead[92] == (2.0,)
 
     def test_native_pass_through_unchanged(self):
-        src = [self.fc(90, (0.5, 1.5)), self.fc(93, (3.5, -1.5))]
+        src = self.cube((90, (0.5, 1.5)), (93, (3.5, -1.5)))
         out = interpolate_leads(src, source_step=3)
         by_lead = {f.lead_time: f for f in out}
-        assert by_lead[90] is src[0]
-        assert by_lead[93] is src[1]
+        assert [by_lead[90], by_lead[93]] == list(src)
+        assert [f.lead_time for f in out] == [90, 91, 92, 93]
 
     def test_constant_members(self):
-        out = interpolate_leads([self.fc(0, (7.0, 7.0)), self.fc(3, (7.0, 7.0))], source_step=3)
+        out = interpolate_leads(self.cube((0, (7.0, 7.0)), (3, (7.0, 7.0))), source_step=3)
         assert all(f.members == (7.0, 7.0) for f in out)
 
     def test_exact_for_linear_series(self):
         leads = [0, 3, 6, 9]
-        src = [self.fc(h, (2.0 * h + 1.0, -0.5 * h)) for h in leads]
+        src = self.cube(*((h, (2.0 * h + 1.0, -0.5 * h)) for h in leads))
         out = interpolate_leads(src, source_step=3)
+        assert len(out) == 10
         for f in out:
             assert f.members[0] == pytest.approx(2.0 * f.lead_time + 1.0, abs=1e-12)
             assert f.members[1] == pytest.approx(-0.5 * f.lead_time, abs=1e-12)
 
     def test_gap_too_large_rejected(self):
-        with pytest.raises(ValueError):
-            interpolate_leads([self.fc(90, (0.0,)), self.fc(96, (1.0,))], source_step=3)
+        with pytest.raises(ValueError, match="lead gap 90..96 exceeds"):
+            interpolate_leads(self.cube((90, (0.0,)), (96, (1.0,))), source_step=3)
 
-    def test_multiple_models_rejected(self):
-        with pytest.raises(ValueError):
-            interpolate_leads([self.fc(0, (1.0,), model="a"), self.fc(3, (1.0,), model="b")])
+    def test_member_count_change_rejected(self):
+        with pytest.raises(ValueError, match="member count changes between leads 3 and 6"):
+            interpolate_leads(self.cube((0, (1.0,)), (3, (1.0,)), (6, (1.0, 2.0))), source_step=3)
+
+    def test_runs_and_member_counts_fill_apart(self):
+        # Two init times, one with 1 member and one with 2: each run fills
+        # from its own ensembles, each member count in its own matrix.
+        src = self.cube((0, (0.0,)), (3, (3.0,)), (0, (0.0, 6.0), 1), (3, (3.0, 0.0), 1), (6, (6.0, 3.0), 1))
+        out = interpolate_leads(src, source_step=3, target_step=2)
+        got = [((f.init_time - T0).days, f.lead_time, f.members) for f in out]
+        assert got == [(0, 0, (0.0,)), (0, 2, (2.0,)), (0, 3, (3.0,)),
+                       (1, 0, (0.0, 6.0)), (1, 2, (2.0, 2.0)), (1, 3, (3.0, 0.0)), (1, 5, (5.0, 2.0)), (1, 6, (6.0, 3.0))]
+        assert [m.shape for m in out.members] == [(3, 1), (5, 2)]

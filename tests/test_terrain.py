@@ -27,10 +27,10 @@ def grid_from_array(arr, cell_size=1.0, origin=(0.0, 0.0), nodata=-9999.0):
 
 class TestLapseCorrect:
     def test_grid_above_station_warms(self):
-        assert lapse_correct([5.0], 1500.0, 1000.0) == (8.0,)
+        assert lapse_correct([5.0], 1500.0, 1000.0).tolist() == [8.0]
 
     def test_no_offset(self):
-        assert lapse_correct([5.0, 6.0], 800.0, 800.0) == (5.0, 6.0)
+        assert lapse_correct([5.0, 6.0], 800.0, 800.0).tolist() == [5.0, 6.0]
 
     def test_grid_below_station_cools(self):
         assert lapse_correct([5.0], 800.0, 1000.0)[0] == pytest.approx(3.8)

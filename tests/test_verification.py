@@ -7,9 +7,11 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from emoskit.domain import EnsembleForecast, GaussianPredictive, ObservationSeries
+from emoskit.domain import GaussianPredictive, ObservationSeries
 from emoskit.scoring import Conclusion, dm_test, ensemble_crps
 from emoskit.verification import verify
+
+from conftest import forecast_cube
 
 T0 = datetime(2017, 1, 1, tzinfo=timezone.utc)
 
@@ -23,7 +25,7 @@ def test_cases_are_the_common_set_with_observations():
     predictions = {("S", T0, lead, "single:m"): GaussianPredictive(0.0, 1.0) for lead in (1, 2, 40)}
     predictions[("S", T0, 3, "mixed:m+n")] = GaussianPredictive(0.0, 1.0)
     predictions.update({("S", T0, lead, "mixed:m+n"): GaussianPredictive(0.5, 1.0) for lead in (2, 1)})
-    ensembles = {"m": [EnsembleForecast("S", "m", T0, lead, (0.0, 1.0)) for lead in (1, 2, 3)]}
+    ensembles = {"m": forecast_cube("m", [("S", T0, lead, (0.0, 1.0)) for lead in (1, 2, 3)])}
     result = verify(predictions, ensembles, obs, ["single:m", "mixed:m+n", "raw:m"], "single:m")
     # lead 3 lacks single:m, lead 40 has no observation
     assert result.cases.leads.tolist() == [1, 2]
