@@ -89,6 +89,8 @@ def _parse_leads(raw: str) -> tuple[int, ...]:
             continue
         if "-" in chunk:
             lo, _, hi = chunk.partition("-")
+            if int(hi) < int(lo):
+                raise ValueError(f"lead range {chunk!r} in {raw!r} runs backwards")
             leads.update(range(int(lo), int(hi) + 1))
         else:
             leads.add(int(chunk))
@@ -232,6 +234,12 @@ def _slots(cfg, forecasts, observations):
     return coefficient_slots(forecasts, sorted(observations), _leads(cfg), _strategies(cfg))
 
 
+def _check_issue_range(args) -> None:
+    """Reject ``--issue-start`` after ``--issue-end`` before any data is read."""
+    if args.issue_start is not None and args.issue_end is not None and args.issue_start > args.issue_end:
+        raise ValueError(f"--issue-start {args.issue_start} is after --issue-end {args.issue_end}")
+
+
 def _issue_dates(forecasts, start=None, end=None) -> list[date]:
     dates = sorted({t.date() for cube in forecasts.values() for t in cube.init_times})
     return [d for d in dates if (start is None or d >= start) and (end is None or d <= end)]
@@ -293,6 +301,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = eio.parse_config(args.config)
+    _check_issue_range(args)
     _, observations, forecasts = _load_data(cfg, Path(args.data))
     tspec = _transition_spec(cfg, scheme_override=args.scheme)
     taper = (tspec, _mixed_strategy_name(cfg)) if tspec.scheme == "t1" else None
@@ -319,6 +328,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = eio.parse_config(args.config)
+    _check_issue_range(args)
     _, observations, forecasts = _load_data(cfg, Path(args.data))
     store = eio.read_store(args.store)
     issues = _issue_dates(forecasts, args.issue_start, args.issue_end)

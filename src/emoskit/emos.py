@@ -41,6 +41,10 @@ candidates. A K > 1 fit is multi-started from a symmetric initialization and
 from a perturbed embedding of the best single-model fit; the exact
 embeddings of all K single-model fits are candidates, so the combined
 training objective can never end up above a single-model optimum (nesting).
+
+scipy is imported on first use, not with this module: ``scipy.special``
+through ``scoring.ndtr`` at the first objective evaluation, and
+``scipy.optimize`` only when a row falls back to L-BFGS-B (``minimize``).
 """
 
 from __future__ import annotations
@@ -50,10 +54,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .domain import GaussianPredictive, SampleTable
-from .scoring import _INV_SQRT_PI, _std_normal_pdf
+from .scoring import _INV_SQRT_PI, _std_normal_pdf, ndtr
 
 __all__ = [
     "EmosCoefficients",

@@ -18,10 +18,13 @@ Tables are read row by row with the csv module, except forecast files, which
 hold one row per member and are the bulk of every load: numpy's C tokenizer
 (``np.loadtxt``, with the csv module's quoting) parses their body in one
 call, each distinct station and init-time cell is parsed once, lead and
-member cells are parsed by ``int`` as the row reader parses them, and one
-sort groups the members into a ``domain.ForecastCube``. A forecast file with
-a cell this bulk reader cannot take is read again row by row; that pass
-raises the SchemaError, so its line and column are the same as a row reader's.
+member cells are parsed by numpy's int64 parser, and one sort groups the
+members into a ``domain.ForecastCube``. That parser (numpy >= 2.4; older
+releases read "12.5" as 12) takes a subset of the integer cells ``int``
+takes: it rejects "12.5", "12.0", "1e1", "1_2" and values beyond int64. A
+forecast file with a cell this bulk reader cannot take is read again row by
+row; that pass reads the cell as ``int`` does or raises the SchemaError, so
+its line and column are the same as a row reader's.
 Config files are flat "key = value" text with dotted keys; blank lines and
 "#" comments are ignored.
 """
@@ -266,10 +269,6 @@ def write_forecasts(path, forecasts: ForecastCube) -> None:
 
 _FORECAST_COLUMNS = {"station_id": object, "init_time": object, "lead_h": np.int64, "member_idx": np.int64,
                      "temp_c": np.float64}
-# Integer cells go through int(), as in the row reader: the integer parser of
-# older numpy releases (deprecated in 1.23, not yet removed) reads "12.5" as
-# 12 with only a DeprecationWarning.
-_FORECAST_INT_COLUMNS = ("lead_h", "member_idx")
 
 
 def read_forecasts(path, model_id: str) -> ForecastCube:
@@ -291,20 +290,19 @@ def _read_forecast_table(reader: _TableReader) -> tuple | None:
     value) columns of the rest of ``reader``'s file, parsed by numpy's C
     tokenizer, or None when a cell needs the row reader or no row is left.
 
-    Each distinct station and init-time cell is stripped or parsed once. Lead
-    and member cells are parsed by ``int``. Cell rules differ from the row
-    reader only where numpy rejects a temperature ``float`` would take, such
-    as "1_0"; such a file goes to the row reader too.
+    Each distinct station and init-time cell is stripped or parsed once.
+    Cell rules differ from the row reader only where numpy rejects a cell
+    ``int`` or ``float`` would take, such as "1_0"; such a file goes to the
+    row reader too.
     """
     # numpy warns on a body without rows; the row reader skips blank lines.
     first = next((line for line in reader.body if line.strip()), None)
     if first is None:
         return None
     dtype = [(name, _FORECAST_COLUMNS[name]) for name in reader.header]
-    converters = {i: int for i, name in enumerate(reader.header) if name in _FORECAST_INT_COLUMNS}
     try:
         table = np.loadtxt(chain([first], reader.body), dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                           encoding="utf-8", ndmin=1, converters=converters)
+                           encoding="utf-8", ndmin=1)
         station, stations = _factorize(table["station_id"], str.strip)
         init, inits = _factorize(table["init_time"], parse_timestamp)
     except (ValueError, OverflowError):

@@ -19,6 +19,10 @@ and give the same numbers bit for bit. Significance is the Diebold-Mariano
 test with the Harvey-Leybourne-Newbold correction on the score differential
 averaged per init date (``dm_test``), so autocorrelated leads and stations
 of one run count as one observation of the differential.
+
+``scipy.special`` is imported on the first call that needs ``ndtr`` or
+``stdtr``, not with this module: its import costs a process about 0.3 s, and
+the ``simulate``, ``predict`` and ``transition`` stages never score.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from datetime import datetime, timedelta
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtr, stdtr
 
 from .domain import GaussianPredictive
 
@@ -69,6 +72,20 @@ _SEASON_BY_MONTH = {
     6: "JJA", 7: "JJA", 8: "JJA",
     9: "SON", 10: "SON", 11: "SON",
 }
+
+
+def ndtr(x):
+    """``scipy.special.ndtr``, the standard normal CDF, imported on the first call."""
+    from scipy.special import ndtr as scipy_ndtr
+
+    return scipy_ndtr(x)
+
+
+def stdtr(df, t):
+    """``scipy.special.stdtr``, the Student t CDF, imported on the first call."""
+    from scipy.special import stdtr as scipy_stdtr
+
+    return scipy_stdtr(df, t)
 
 
 def _std_normal_pdf(z):

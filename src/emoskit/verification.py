@@ -21,7 +21,6 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import io as eio
 from .domain import ForecastCube, GaussianPredictive, ObservationSeries
@@ -35,6 +34,7 @@ from .scoring import (
     crps_normal_unit,
     dm_test,
     ensemble_crps_rows,
+    ndtr,
     pit_histogram,
     randomized_ensemble_pit,
     stratum_labels,

@@ -303,6 +303,23 @@ def seam_run(tmp_path_factory):
     return {"root": root, "cfg": cfg, "data": data, "store": store, "preds": preds}
 
 
+def test_simulate_predict_transition_leave_scipy_unimported(seam_run, tmp_path):
+    # These stages neither fit nor score, so their processes never pay for
+    # importing scipy.
+    data, preds, seam = tmp_path / "data", tmp_path / "predictions.csv", tmp_path / "seam.csv"
+    cfg = seam_run["cfg"]
+    argvs = [["simulate", "--config", cfg, "--out", str(data)],
+             ["predict", "--config", cfg, "--data", str(data), "--store", str(seam_run["store"]), "--out", str(preds)],
+             ["transition", "--config", cfg, "--predictions", str(preds), "--out", str(seam), "--scheme", "t2"]]
+    code = "\n".join(["import sys", "from emoskit.cli import main", *(f"assert main({a!r}) == 0" for a in argvs),
+                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert preds.read_bytes() == seam_run["preds"].read_bytes()
+
+
 class TestTransitionCommand:
     def test_scheme_none_is_pure_assembly(self, seam_run):
         out = seam_run["root"] / "seam_none.csv"
@@ -496,6 +513,23 @@ class TestErrors:
         code = main(["train", "--config", basic_run["cfg"], "--data", str(data), "--store", str(tmp_path / "s.csv")])
         assert code == 1
         assert "station S000 has no grid elevation for model 'hires' (column grid_elev_hires)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["train", "predict"])
+    def test_reversed_issue_range_exit_1(self, basic_run, tmp_path, capsys, stage):
+        out = tmp_path / "out.csv"
+        argv = {"train": ["--store", str(out)], "predict": ["--store", str(basic_run["store"]), "--out", str(out)]}
+        code = main([stage, "--config", basic_run["cfg"], "--data", str(basic_run["data"]), *argv[stage],
+                     "--issue-start", "2017-02-27", "--issue-end", "2017-02-01"])
+        assert code == 1
+        assert "error: --issue-start 2017-02-27 is after --issue-end 2017-02-01" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reversed_lead_range_exit_1(self, basic_run, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASIC_CFG.replace("scenario.leads = 12,21", "scenario.leads = 12,21-15"))
+        code = main(["train", "--config", cfg, "--data", str(basic_run["data"]), "--store", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert "error: lead range '21-15'" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_non_finite_fit_exit_1(self, basic_run, tmp_path, monkeypatch, capsys):
         import emoskit.emos as emos

@@ -296,12 +296,13 @@ class TestBatch:
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize serves only the L-BFGS-B fallback; each CLI process
-    # would otherwise pay its import before doing any work.
+    # scipy.optimize serves only the L-BFGS-B fallback, and scipy.special
+    # only scoring and fitting; each CLI process would otherwise pay their
+    # imports before doing any work.
     import emoskit
 
     src = str(Path(emoskit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, emoskit.cli; print('scipy.optimize' in sys.modules)"
+    code = "import sys, emoskit.cli; print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -9,6 +9,7 @@ import math
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,6 +188,17 @@ def test_integer_cells_follow_int(tmp_path, lead, member):
         assert str(got.value) == str(error)
     else:
         assert exact(read_forecasts(path, "m")) == expected
+
+
+@pytest.mark.parametrize("cell", ["12.5", "12.0", "1e1"])
+def test_numpy_int64_parser_rejects_non_integer_cells(cell):
+    # The bulk reader parses lead and member cells with numpy's int64 parser
+    # and hands a file it rejects to the row reader. Older numpy releases read
+    # "12.5" as 12 with only a DeprecationWarning; under such a numpy this
+    # fails instead of the reader taking a wrong lead.
+    with pytest.raises(ValueError):
+        np.loadtxt([f"S1,{cell}"], dtype=[("station_id", object), ("lead_h", np.int64)], delimiter=",",
+                   comments=None, encoding="utf-8")
 
 
 def test_single_data_row(tmp_path):
