@@ -241,8 +241,15 @@ def _check_issue_range(args) -> None:
 
 
 def _issue_dates(forecasts, start=None, end=None) -> list[date]:
+    """The forecast init dates in [start, end]; a range that holds none is an
+    error, not an empty store or prediction file."""
     dates = sorted({t.date() for cube in forecasts.values() for t in cube.init_times})
-    return [d for d in dates if (start is None or d >= start) and (end is None or d <= end)]
+    issues = [d for d in dates if (start is None or d >= start) and (end is None or d <= end)]
+    if not issues:
+        first, last = (dates[0], dates[-1]) if dates else (None, None)
+        raise ValueError(f"no issue dates between {start or first} and {end or last} "
+                         f"(forecast init dates run from {first} to {last})")
+    return issues
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +310,13 @@ def cmd_train(args) -> int:
     cfg = eio.parse_config(args.config)
     _check_issue_range(args)
     _, observations, forecasts = _load_data(cfg, Path(args.data))
+    issues = _issue_dates(forecasts, args.issue_start, args.issue_end)
     tspec = _transition_spec(cfg, scheme_override=args.scheme)
     taper = (tspec, _mixed_strategy_name(cfg)) if tspec.scheme == "t1" else None
     archive, dropped = build_archive(forecasts, observations, _leads(cfg))
     if dropped:
         print(f"note: {dropped} incomplete init times dropped during alignment", file=sys.stderr)
 
-    issues = _issue_dates(forecasts, args.issue_start, args.issue_end)
     slots = _slots(cfg, forecasts, observations)
     store = train(archive, issues, slots, _window_spec(cfg), _fit_options(cfg), taper)
     eio.write_store(args.store, store)
@@ -330,8 +337,8 @@ def cmd_predict(args) -> int:
     cfg = eio.parse_config(args.config)
     _check_issue_range(args)
     _, observations, forecasts = _load_data(cfg, Path(args.data))
-    store = eio.read_store(args.store)
     issues = _issue_dates(forecasts, args.issue_start, args.issue_end)
+    store = eio.read_store(args.store)
     slots = _slots(cfg, forecasts, observations)
     predictions, errors = predict_issues(store, forecasts, issues, slots, min_sigma=_fit_options(cfg).min_sigma)
     for message in errors:

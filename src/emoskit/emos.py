@@ -42,9 +42,9 @@ from a perturbed embedding of the best single-model fit; the exact
 embeddings of all K single-model fits are candidates, so the combined
 training objective can never end up above a single-model optimum (nesting).
 
-scipy is imported on first use, not with this module: ``scipy.special``
-through ``scoring.ndtr`` at the first objective evaluation, and
-``scipy.optimize`` only when a row falls back to L-BFGS-B (``minimize``).
+The objective's Phi is ``scoring.ndtr``, which needs no scipy. scipy is
+imported only when a row falls back to L-BFGS-B (``minimize`` loads
+``scipy.optimize``), so a batch that never falls back loads no scipy module.
 """
 
 from __future__ import annotations

@@ -20,9 +20,11 @@ test with the Harvey-Leybourne-Newbold correction on the score differential
 averaged per init date (``dm_test``), so autocorrelated leads and stations
 of one run count as one observation of the differential.
 
-``scipy.special`` is imported on the first call that needs ``ndtr`` or
-``stdtr``, not with this module: its import costs a process about 0.3 s, and
-the ``simulate``, ``predict`` and ``transition`` stages never score.
+Phi comes from ``ndtr``, a numpy port of the cephes ``ndtr``/``erf``/``erfc``
+that ``scipy.special.ndtr`` evaluates, equal to it bit for bit; the DM
+p-value's Student t CDF from ``stdtr``, a ``math`` series and continued
+fraction. Neither imports scipy, whose ``scipy.special`` import costs a
+stage process about 0.35 s.
 """
 
 from __future__ import annotations
@@ -74,18 +76,153 @@ _SEASON_BY_MONTH = {
 }
 
 
+# cephes (S. L. Moshier) erf and erfc, as scipy.special.ndtr evaluates them:
+# erf(x) = x T(x^2) / U(x^2) for |x| < 1; erfc(x) = exp(-x^2) P(x) / Q(x) for
+# 1 <= x < 8 and exp(-x^2) R(x) / S(x) from 8 on. Coefficients run from the
+# highest power down; a leading 1.0 is cephes' implicit one (p1evl).
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_M_SQRT1_2 = 0.70710678118654752440  # C's M_SQRT1_2; 1 / math.sqrt(2) is one ulp lower
+_MAXLOG = 7.09782712893383996843e2  # erfc is 0 once x^2 exceeds it
+
+
+def _polevl(x, coef):
+    """coef[0] * x^n + ... + coef[n] by Horner's rule, rounded step by step as
+    cephes ``polevl`` rounds it; x a float or an array (updated in place)."""
+    ans = coef[0] * x + coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _ndtr_float(a: float) -> float:
+    x = a * _M_SQRT1_2
+    z = abs(x)
+    if z < _M_SQRT1_2:
+        zz = x * x
+        return 0.5 + 0.5 * (x * _polevl(zz, _ERF_T) / _polevl(zz, _ERF_U))
+    if z < 1.0:
+        zz = z * z
+        t = 0.5 * (1.0 - z * _polevl(zz, _ERF_T) / _polevl(zz, _ERF_U))
+    elif z * z > _MAXLOG:
+        t = 0.0
+    elif z < 8.0:
+        t = 0.5 * (math.exp(-z * z) * _polevl(z, _ERFC_P) / _polevl(z, _ERFC_Q))
+    else:
+        t = 0.5 * (math.exp(-z * z) * _polevl(z, _ERFC_R) / _polevl(z, _ERFC_S))
+    return 1.0 - t if x > 0.0 else t
+
+
 def ndtr(x):
-    """``scipy.special.ndtr``, the standard normal CDF, imported on the first call."""
-    from scipy.special import ndtr as scipy_ndtr
+    """Standard normal CDF, bit for bit ``scipy.special.ndtr`` on float64.
 
-    return scipy_ndtr(x)
+    A float64 array of x's shape, or a numpy float for a scalar. exp(-x^2)
+    comes from ``math.exp`` (the C library's, as in cephes): numpy's vector
+    ``exp`` differs from it in the last bit on about 1 % of tail points. The
+    array path evaluates erfc only on the elements with |x| >= sqrt(2).
+    """
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim == 0:
+        return np.float64(_ndtr_float(float(a)))
+    x = a.ravel() * _M_SQRT1_2
+    z = np.abs(x)
+    # the erf polynomials overflow on huge x and the erfc ones on inf, in
+    # elements whose branch discards them
+    with np.errstate(over="ignore", invalid="ignore"):
+        zz = x * x
+        r = x * _polevl(zz, _ERF_T) / _polevl(zz, _ERF_U)  # erf(x) where z < 1
+        t = 0.5 * (1.0 - np.abs(r))  # Phi(-|a|) where 1/sqrt(2) <= z < 1
+        tail = np.flatnonzero(z >= 1.0)
+        if tail.size:
+            zt = z[tail]
+            zz = zt * zt
+            e = np.fromiter(map(math.exp, (-zz).tolist()), np.float64, tail.size)
+            erfc = e * _polevl(zt, _ERFC_P) / _polevl(zt, _ERFC_Q)
+            far = np.flatnonzero(zt >= 8.0)
+            if far.size:
+                erfc[far] = e[far] * _polevl(zt[far], _ERFC_R) / _polevl(zt[far], _ERFC_S)
+                erfc[far[zz[far] > _MAXLOG]] = 0.0
+            t[tail] = 0.5 * erfc
+    y = np.where(z < _M_SQRT1_2, 0.5 + 0.5 * r, np.where(x > 0.0, 1.0 - t, t))
+    return y.reshape(a.shape)
 
 
-def stdtr(df, t):
-    """``scipy.special.stdtr``, the Student t CDF, imported on the first call."""
-    from scipy.special import stdtr as scipy_stdtr
+def stdtr(df: int, t: float) -> float:
+    """Student t CDF with ``df`` >= 1 degrees of freedom (an integer) at t.
 
-    return scipy_stdtr(df, t)
+    For |t| <= 2 the finite series of cephes ``stdtr`` in atan and powers of
+    1 / (1 + t^2/df); beyond it half the regularized incomplete beta
+    I_x(df/2, 1/2), x = df / (df + t^2), by its continued fraction. Within
+    1e-12 relative of ``scipy.special.stdtr`` for df <= 1000 and |t| <= 40,
+    and closer to the exact value where scipy's df = 1 loses digits at tiny t.
+    """
+    if df != int(df) or df < 1:
+        raise ValueError(f"df must be an integer >= 1, got {df}")
+    df = int(df)
+    if math.isnan(t):
+        return math.nan
+    x = abs(t)
+    if x > 2.0:
+        tail = 0.0 if math.isinf(x * x) else _t_lower_tail(df, x * x)
+        return tail if t < 0.0 else 1.0 - tail
+    if x == 0.0:
+        return 0.5
+    z = 1.0 + x * x / df
+    f = term = 1.0
+    for j in range(3 if df % 2 else 2, df - 1, 2):
+        if term / f <= 2.0**-53:
+            break
+        term *= (j - 1) / (z * j)
+        f += term
+    if df % 2:
+        xsqk = x / math.sqrt(df)
+        p = 2.0 / math.pi * (math.atan(xsqk) + (f * xsqk / z if df > 1 else 0.0))
+    else:
+        p = f * x / math.sqrt(z * df)
+    return 0.5 - 0.5 * p if t < 0.0 else 0.5 + 0.5 * p
+
+
+def _t_lower_tail(df: int, tt: float) -> float:
+    """P(T <= -t) for T ~ Student t with ``df`` degrees of freedom, tt = t^2 > 3:
+    I_x(a, 1/2) / 2, a = df/2, x = df / (df + tt), by the modified Lentz
+    evaluation of the incomplete beta's continued fraction (Numerical Recipes
+    ``betacf``), which converges fast for x < (a+1)/(a+3/2), i.e. tt > 3."""
+    a, b, x = 0.5 * df, 0.5, df / (df + tt)
+    # Gamma(a + 1/2) / Gamma(a) by its recurrence from a = 1/2 or 1:
+    # differencing math.lgamma costs up to 5e-13 relative at a ~ 500
+    a0, ratio = (0.5, 1.0 / math.sqrt(math.pi)) if df % 2 else (1.0, 0.5 * math.sqrt(math.pi))
+    while a0 < a:
+        ratio *= (a0 + 0.5) / a0
+        a0 += 1.0
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10_000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            front = math.exp(a * math.log(x)) * math.sqrt(tt / (df + tt)) * ratio / (a * math.sqrt(math.pi))
+            return 0.5 * front * h
+    raise ArithmeticError(f"Student t tail did not converge at df={df}, t^2={tt}")
 
 
 def _std_normal_pdf(z):

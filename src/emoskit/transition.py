@@ -22,7 +22,7 @@ import numpy as np
 
 from .domain import GaussianPredictive
 from .emos import EmosCoefficients
-from .scoring import gaussian_crps
+from .scoring import crps_normal_unit
 
 __all__ = [
     "DEFAULT_TRANSITION_WEIGHTS",
@@ -209,20 +209,19 @@ def seam_diagnostics(
     mu_steps: dict[int, float] = {}
     sigma_steps: dict[int, float] = {}
     mean_crps: dict[int, float] = {}
-    for i, lead in enumerate(leads):
-        crps_vals = []
-        for case in cases:
-            y = observations[case].get(lead)
-            if y is None:
+    prev_mu = prev_sigma = None
+    for lead in leads:
+        y = [observations[case].get(lead) for case in cases]
+        for case, obs in zip(cases, y):
+            if obs is None:
                 raise ValueError(f"case {case!r} has no observation at lead {lead}")
-            crps_vals.append(gaussian_crps(series[case][lead], y))
-        mean_crps[lead] = float(np.mean(crps_vals))
-        if i > 0:
-            prev = leads[i - 1]
-            mu_steps[lead] = float(
-                np.mean([abs(series[c][lead].mu - series[c][prev].mu) for c in cases])
-            )
-            sigma_steps[lead] = float(
-                np.mean([abs(series[c][lead].sigma - series[c][prev].sigma) for c in cases])
-            )
+        mu = np.array([series[c][lead].mu for c in cases])
+        sigma = np.array([series[c][lead].sigma for c in cases])
+        # per case the same floats as gaussian_crps: scoring's array and
+        # scalar scores agree bit for bit
+        mean_crps[lead] = float(np.mean(sigma * crps_normal_unit((np.array(y, dtype=float) - mu) / sigma)))
+        if prev_mu is not None:
+            mu_steps[lead] = float(np.mean(np.abs(mu - prev_mu)))
+            sigma_steps[lead] = float(np.mean(np.abs(sigma - prev_sigma)))
+        prev_mu, prev_sigma = mu, sigma
     return SeamDiagnostics(leads=tuple(leads), mu_steps=mu_steps, sigma_steps=sigma_steps, mean_crps=mean_crps)

@@ -271,7 +271,7 @@ class TestVerifyReports:
 
     def test_verify_leaves_scipy_stats_unimported(self, basic_run, tmp_path):
         # importing scipy.stats costs a stage process about 0.3 s; the DM test
-        # takes its t distribution from scipy.special
+        # takes its t CDF from scoring.stdtr
         argv = ["verify", "--config", basic_run["cfg"], "--data", str(basic_run["data"]),
                 "--predictions", str(basic_run["preds"]), "--out", str(tmp_path / "reports")]
         code = "\n".join(["import sys", "from emoskit.cli import main", f"assert main({argv!r}) == 0",
@@ -288,6 +288,26 @@ class TestVerifyReports:
             _, _, _, wm, ws = line.split(",")
             assert 0.0 <= float(wm) <= 1.0
             assert 0.0 <= float(ws) <= 1.0
+
+
+def test_train_and_verify_leave_scipy_unimported(basic_run, tmp_path):
+    # Phi and the t CDF come from scoring, so a train that never falls back to
+    # L-BFGS-B and a verify load no scipy module, and produce the fixture's
+    # store and reports.
+    store, reports = tmp_path / "coeffs.csv", tmp_path / "reports"
+    common = ["--config", basic_run["cfg"], "--data", str(basic_run["data"])]
+    argvs = [["train", *common, "--store", str(store)],
+             ["verify", *common, "--predictions", str(basic_run["preds"]), "--out", str(reports),
+              "--store", str(basic_run["store"])]]
+    code = "\n".join(["import sys", "from emoskit.cli import main", *(f"assert main({a!r}) == 0" for a in argvs),
+                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert store.read_bytes() == basic_run["store"].read_bytes()
+    for path in sorted(basic_run["reports"].iterdir()):
+        assert (reports / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 @pytest.fixture(scope="module")
@@ -513,6 +533,22 @@ class TestErrors:
         code = main(["train", "--config", basic_run["cfg"], "--data", str(data), "--store", str(tmp_path / "s.csv")])
         assert code == 1
         assert "station S000 has no grid elevation for model 'hires' (column grid_elev_hires)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["train", "predict"])
+    def test_empty_issue_range_exit_1(self, basic_run, tmp_path, capsys, stage):
+        # a range past the data would write a header-only store, or no
+        # predictions, and "succeed"
+        out = tmp_path / "out.csv"
+        argv = {"train": ["--store", str(out)], "predict": ["--store", str(basic_run["store"]), "--out", str(out)]}
+        code = main([stage, "--config", basic_run["cfg"], "--data", str(basic_run["data"]), *argv[stage],
+                     "--issue-start", "2030-01-01"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: no issue dates between 2030-01-01 and 2017-02-27 (forecast init dates run from 2017-01-01 to 2017-02-27)"
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize("stage", ["train", "predict"])
     def test_reversed_issue_range_exit_1(self, basic_run, tmp_path, capsys, stage):

@@ -296,9 +296,9 @@ class TestBatch:
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize serves only the L-BFGS-B fallback, and scipy.special
-    # only scoring and fitting; each CLI process would otherwise pay their
-    # imports before doing any work.
+    # scipy.optimize serves only the L-BFGS-B fallback, and scoring computes
+    # Phi and the t CDF without scipy.special; each CLI process would
+    # otherwise pay their imports before doing any work.
     import emoskit
 
     src = str(Path(emoskit.__file__).resolve().parents[1])

@@ -1,11 +1,17 @@
 import math
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import chisquare
+
+from emoskit import scoring
 
 from emoskit.domain import GaussianPredictive
 from emoskit.scoring import (
@@ -432,3 +438,114 @@ class TestStratifiedReport:
     def test_unknown_reference_rejected(self):
         with pytest.raises(ValueError):
             stratified_report({"x": series([1.0])}, "nope")
+
+
+# ---------------------------------------------------------------------------
+# Phi and the Student t CDF against scipy.special
+# ---------------------------------------------------------------------------
+
+ORACLE_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+SQRT1_2 = 0.70710678118654752440
+
+
+def assert_bits_equal(got, want):
+    """Same type, shape and dtype, and the same float64 bits (any NaN
+    matching any NaN)."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    same = (got.view(np.uint64) == want.view(np.uint64)) | (np.isnan(got) & np.isnan(want))
+    assert same.all(), list(zip(got[~same].tolist(), want[~same].tolist()))
+
+
+def ndtr_special_points():
+    """Branch edges of cephes ndtr (|x|/sqrt(2) at 1/sqrt(2), 1, 8 and the
+    underflow bound sqrt(MAXLOG)) with 4 ulps either side, and special values,
+    of both signs."""
+    edges = np.array([SQRT1_2, 1.0, 8.0, math.sqrt(scoring._MAXLOG)]) * math.sqrt(2.0)
+    near = (edges.view(np.int64)[:, None] + np.arange(-4, 5)).view(np.float64).ravel()
+    special = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 38.5, 1e308, np.finfo(float).max, np.inf]
+    points = np.concatenate([near, np.sqrt(2.0) * np.array([SQRT1_2, 1.0, 8.0]), special])
+    return np.concatenate([points, -points, [np.nan]])
+
+
+class TestNdtrOracle:
+    def test_bit_equal_on_dense_grid_and_branch_edges(self):
+        grid = np.concatenate([np.linspace(-40.0, 40.0, 400_001), ndtr_special_points()])
+        assert_bits_equal(scoring.ndtr(grid), scipy.special.ndtr(grid))
+
+    def test_bit_equal_on_scalars_at_branch_edges(self):
+        for x in ndtr_special_points().tolist():
+            assert_bits_equal(scoring.ndtr(x), scipy.special.ndtr(x))
+
+    @ORACLE_SETTINGS
+    @given(st.lists(st.floats(), max_size=40), st.booleans())
+    def test_bit_equal_on_any_float64(self, values, as_matrix):
+        # st.floats() draws finite, subnormal, +-0, +-inf and NaN values
+        x = np.array(values, dtype=float)
+        if as_matrix:
+            x = np.concatenate([x, x]).reshape(2, -1)
+        assert_bits_equal(scoring.ndtr(x), scipy.special.ndtr(x))
+
+    @ORACLE_SETTINGS
+    @given(st.floats())
+    def test_bit_equal_on_any_scalar(self, x):
+        assert_bits_equal(scoring.ndtr(x), scipy.special.ndtr(x))
+
+    @pytest.mark.parametrize(
+        "x",
+        [0.3, np.float64(-1.7), np.array(2.5), np.array([0.1, -3.0, 9.0]), np.arange(-8, 8).reshape(4, 4),
+         np.linspace(-12.0, 12.0, 60).reshape(6, 10)[:, ::3]],
+        ids=["float", "np-float", "0-d", "1-d", "2-d-int", "2-d-strided"],
+    )
+    def test_shape_and_type_follow_scipy(self, x):
+        assert_bits_equal(scoring.ndtr(x), scipy.special.ndtr(x))
+
+    def test_no_runtime_warning(self):
+        points = ndtr_special_points()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scoring.ndtr(points)
+            scoring.ndtr(points[1:].reshape(-1, 2)[::-1])
+            for x in points.tolist():
+                scoring.ndtr(x)
+
+
+def cauchy_cdf(t):
+    return 0.5 + math.atan(t) / math.pi
+
+
+class TestStdtrOracle:
+    # scipy's stdtr loses digits for df = 1 at tiny t (6e-11 relative at
+    # t = -1e-10), so df = 1 is checked against the Cauchy CDF instead.
+
+    @staticmethod
+    def oracle(df, t):
+        return cauchy_cdf(t) if df == 1 else float(scipy.special.stdtr(df, t))
+
+    def test_within_1e12_on_grid(self):
+        ts = np.concatenate([np.linspace(-40.0, 40.0, 161), [-2.0, 2.0], np.nextafter([-2.0, 2.0], 0.0),
+                             np.nextafter([-2.0, 2.0], [-3.0, 3.0]), [-1e-3, 1e-3, -1e-8, 1e-8]]).tolist()
+        for df in [*range(1, 41), *range(41, 1001, 23), 999, 1000]:
+            for t in ts:
+                assert scoring.stdtr(df, t) == pytest.approx(self.oracle(df, t), rel=1e-12, abs=0.0), (df, t)
+
+    @ORACLE_SETTINGS
+    @given(st.integers(1, 1000), st.floats(-40.0, 40.0))
+    def test_within_1e12_anywhere(self, df, t):
+        assert scoring.stdtr(df, t) == pytest.approx(self.oracle(df, t), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("t", [-1e-300, -1e-10, -1e-5, 1e-7, -0.5])
+    def test_closed_forms_at_tiny_t(self, t):
+        assert scoring.stdtr(1, t) == pytest.approx(cauchy_cdf(t), rel=1e-15)
+        assert scoring.stdtr(2, t) == pytest.approx(0.5 + t / (2.0 * math.sqrt(2.0 + t * t)), rel=1e-15)
+
+    def test_special_values(self):
+        assert scoring.stdtr(5, 0.0) == 0.5
+        assert (scoring.stdtr(5, -math.inf), scoring.stdtr(5, math.inf)) == (0.0, 1.0)
+        assert math.isnan(scoring.stdtr(5, math.nan))
+        for df in (0, -3, 2.5):
+            with pytest.raises(ValueError):
+                scoring.stdtr(df, 1.0)
+
