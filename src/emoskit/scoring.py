@@ -22,9 +22,9 @@ of one run count as one observation of the differential.
 
 Phi comes from ``ndtr``, a numpy port of the cephes ``ndtr``/``erf``/``erfc``
 that ``scipy.special.ndtr`` evaluates, equal to it bit for bit; the DM
-p-value's Student t CDF from ``stdtr``, a ``math`` series and continued
-fraction. Neither imports scipy, whose ``scipy.special`` import costs a
-stage process about 0.35 s.
+p-value's Student t tail from ``student_t_tail``, a ``math`` series and
+continued fraction. Neither imports scipy, whose ``scipy.special`` import
+costs a stage process about 0.35 s.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ _MAXLOG = 7.09782712893383996843e2  # erfc is 0 once x^2 exceeds it
 
 def _polevl(x, coef):
     """coef[0] * x^n + ... + coef[n] by Horner's rule, rounded step by step as
-    cephes ``polevl`` rounds it; x a float or an array (updated in place)."""
+    cephes ``polevl`` rounds it, for an array x."""
     ans = coef[0] * x + coef[1]
     for c in coef[2:]:
         ans *= x
@@ -108,35 +108,15 @@ def _polevl(x, coef):
     return ans
 
 
-def _ndtr_float(a: float) -> float:
-    x = a * _M_SQRT1_2
-    z = abs(x)
-    if z < _M_SQRT1_2:
-        zz = x * x
-        return 0.5 + 0.5 * (x * _polevl(zz, _ERF_T) / _polevl(zz, _ERF_U))
-    if z < 1.0:
-        zz = z * z
-        t = 0.5 * (1.0 - z * _polevl(zz, _ERF_T) / _polevl(zz, _ERF_U))
-    elif z * z > _MAXLOG:
-        t = 0.0
-    elif z < 8.0:
-        t = 0.5 * (math.exp(-z * z) * _polevl(z, _ERFC_P) / _polevl(z, _ERFC_Q))
-    else:
-        t = 0.5 * (math.exp(-z * z) * _polevl(z, _ERFC_R) / _polevl(z, _ERFC_S))
-    return 1.0 - t if x > 0.0 else t
-
-
 def ndtr(x):
     """Standard normal CDF, bit for bit ``scipy.special.ndtr`` on float64.
 
     A float64 array of x's shape, or a numpy float for a scalar. exp(-x^2)
     comes from ``math.exp`` (the C library's, as in cephes): numpy's vector
-    ``exp`` differs from it in the last bit on about 1 % of tail points. The
-    array path evaluates erfc only on the elements with |x| >= sqrt(2).
+    ``exp`` differs from it in the last bit on about 1 % of tail points. erfc
+    is evaluated only on the elements with |x| >= sqrt(2).
     """
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim == 0:
-        return np.float64(_ndtr_float(float(a)))
     x = a.ravel() * _M_SQRT1_2
     z = np.abs(x)
     # the erf polynomials overflow on huge x and the erfc ones on inf, in
@@ -157,29 +137,23 @@ def ndtr(x):
                 erfc[far[zz[far] > _MAXLOG]] = 0.0
             t[tail] = 0.5 * erfc
     y = np.where(z < _M_SQRT1_2, 0.5 + 0.5 * r, np.where(x > 0.0, 1.0 - t, t))
-    return y.reshape(a.shape)
+    return y.reshape(a.shape)[()]
 
 
-def stdtr(df: int, t: float) -> float:
-    """Student t CDF with ``df`` >= 1 degrees of freedom (an integer) at t.
+def student_t_tail(df: int, t: float) -> float:
+    """P(T <= -|t|) for T ~ Student t with ``df`` >= 1 degrees of freedom
+    (an integer): the lower tail a two-sided p-value doubles.
 
     For |t| <= 2 the finite series of cephes ``stdtr`` in atan and powers of
     1 / (1 + t^2/df); beyond it half the regularized incomplete beta
     I_x(df/2, 1/2), x = df / (df + t^2), by its continued fraction. Within
-    1e-12 relative of ``scipy.special.stdtr`` for df <= 1000 and |t| <= 40,
-    and closer to the exact value where scipy's df = 1 loses digits at tiny t.
+    1e-12 relative of ``scipy.special.stdtr(df, -|t|)`` for df <= 1000 and
+    |t| <= 40, and closer to the exact value where scipy's df = 1 loses
+    digits at tiny t.
     """
-    if df != int(df) or df < 1:
-        raise ValueError(f"df must be an integer >= 1, got {df}")
-    df = int(df)
-    if math.isnan(t):
-        return math.nan
     x = abs(t)
     if x > 2.0:
-        tail = 0.0 if math.isinf(x * x) else _t_lower_tail(df, x * x)
-        return tail if t < 0.0 else 1.0 - tail
-    if x == 0.0:
-        return 0.5
+        return 0.0 if math.isinf(x * x) else _student_t_tail_cf(df, x * x)
     z = 1.0 + x * x / df
     f = term = 1.0
     for j in range(3 if df % 2 else 2, df - 1, 2):
@@ -192,10 +166,10 @@ def stdtr(df: int, t: float) -> float:
         p = 2.0 / math.pi * (math.atan(xsqk) + (f * xsqk / z if df > 1 else 0.0))
     else:
         p = f * x / math.sqrt(z * df)
-    return 0.5 - 0.5 * p if t < 0.0 else 0.5 + 0.5 * p
+    return 0.5 - 0.5 * p
 
 
-def _t_lower_tail(df: int, tt: float) -> float:
+def _student_t_tail_cf(df: int, tt: float) -> float:
     """P(T <= -t) for T ~ Student t with ``df`` degrees of freedom, tt = t^2 > 3:
     I_x(a, 1/2) / 2, a = df/2, x = df / (df + tt), by the modified Lentz
     evaluation of the incomplete beta's continued fraction (Numerical Recipes
@@ -445,7 +419,7 @@ def dm_test(d: np.ndarray, init_days: np.ndarray, max_lead: int, alpha: float = 
     if v <= 0.0 or c <= 0.0:
         return SignificanceResult(None, None, Conclusion.INSUFFICIENT, n)
     stat = mean_d / math.sqrt(v / c)
-    p = min(2.0 * float(stdtr(n - 1, -abs(stat))), 1.0)
+    p = min(2.0 * student_t_tail(n - 1, stat), 1.0)
     if p >= alpha:
         conclusion = Conclusion.NOT_SIGNIFICANT
     elif mean_d < 0.0:

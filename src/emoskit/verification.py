@@ -8,8 +8,8 @@ scored strategy covers into arrays once and scores them in one pass:
 closed-form CRPS and PIT for Gaussian strategies, one row-wise kernel CRPS
 and randomized-rank PIT per member matrix of the cube for raw ones. The
 report, PIT histograms, Diebold-Mariano matrix and calibration table derive
-from them. Phi and the DM test's t CDF are ``scoring.ndtr`` and
-``scoring.stdtr``, so verifying loads no scipy module. ``write_reports``
+from them. Phi and the DM test's t tail are ``scoring.ndtr`` and
+``scoring.student_t_tail``, so verifying loads no scipy module. ``write_reports``
 writes the result as the ``verify`` command's tables.
 """
 

@@ -271,7 +271,7 @@ class TestVerifyReports:
 
     def test_verify_leaves_scipy_stats_unimported(self, basic_run, tmp_path):
         # importing scipy.stats costs a stage process about 0.3 s; the DM test
-        # takes its t CDF from scoring.stdtr
+        # takes its t tail from scoring.student_t_tail
         argv = ["verify", "--config", basic_run["cfg"], "--data", str(basic_run["data"]),
                 "--predictions", str(basic_run["preds"]), "--out", str(tmp_path / "reports")]
         code = "\n".join(["import sys", "from emoskit.cli import main", f"assert main({argv!r}) == 0",
