@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 from datetime import date, datetime, timezone
 from pathlib import Path
 
@@ -35,6 +36,8 @@ from .pipeline import (
     RollingWindowSpec,
     build_archive,
     coefficient_slots,
+    grid_elevations,
+    lead_coverage,
     mixed_strategy,
     parse_strategy,
     predict_issues,
@@ -213,25 +216,36 @@ def _mixed_strategy_name(cfg) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _load_data(cfg, data_dir: Path):
-    """Read stations, observations and one forecast cube per model;
-    lapse-correct members to station elevation and fill coarse lead grids by
-    linear interpolation."""
+def _load_data(cfg, data_dir: Path, keep=None):
+    """Read observations and one forecast cube per model; lapse-correct
+    members to station elevation and fill coarse lead grids by linear
+    interpolation. ``keep``, a test on UTC init dates, limits the cubes to
+    the ensembles of the dates it takes (``io.read_forecasts``).
+
+    Returns the observations, the cubes, the init dates of the forecast files
+    and each model's lead coverage; those two, and the station check, take
+    every row of the files, kept or not."""
     stations = eio.read_stations(data_dir / "stations.csv")
     observations = eio.read_observations(data_dir / "observations.csv")
     forecasts: dict[str, ForecastCube] = {}
+    init_dates: set[date] = set()
+    coverage: dict[str, set[int]] = {}
     for model_id in _model_ids(cfg):
-        raw = eio.read_forecasts(data_dir / f"forecasts_{model_id}.csv", model_id)
-        forecasts[model_id] = prepare_forecasts(raw, stations, _cfg_int(cfg, f"model.{model_id}.coarse_step", 3))
-    return stations, observations, forecasts
+        raw = eio.read_forecasts(data_dir / f"forecasts_{model_id}.csv", model_id, keep)
+        coarse_step = _cfg_int(cfg, f"model.{model_id}.coarse_step", 3)
+        grid_elevations(model_id, raw.file_station_ids, stations)
+        forecasts[model_id] = prepare_forecasts(raw, stations, coarse_step)
+        init_dates.update(t.date() for t in raw.file_init_times)
+        coverage[model_id] = lead_coverage(raw.file_lead_grids, coarse_step)
+    return observations, forecasts, sorted(init_dates), coverage
 
 
 def _leads(cfg) -> tuple[int, ...]:
     return _parse_leads(cfg.get("scenario.leads", "0-126"))
 
 
-def _slots(cfg, forecasts, observations):
-    return coefficient_slots(forecasts, sorted(observations), _leads(cfg), _strategies(cfg))
+def _slots(cfg, coverage, observations):
+    return coefficient_slots(coverage, sorted(observations), _leads(cfg), _strategies(cfg))
 
 
 def _check_issue_range(args) -> None:
@@ -240,11 +254,14 @@ def _check_issue_range(args) -> None:
         raise ValueError(f"--issue-start {args.issue_start} is after --issue-end {args.issue_end}")
 
 
-def _issue_dates(forecasts, start=None, end=None) -> list[date]:
-    """The forecast init dates in [start, end]; a range that holds none is an
-    error, not an empty store or prediction file."""
-    dates = sorted({t.date() for cube in forecasts.values() for t in cube.init_times})
-    issues = [d for d in dates if (start is None or d >= start) and (end is None or d <= end)]
+def _in_range(d: date, start=None, end=None) -> bool:
+    return (start is None or d >= start) and (end is None or d <= end)
+
+
+def _issue_dates(dates, start=None, end=None) -> list[date]:
+    """The forecast init dates (sorted ``dates``) in [start, end]; a range
+    that holds none is an error, not an empty store or prediction file."""
+    issues = [d for d in dates if _in_range(d, start, end)]
     if not issues:
         first, last = (dates[0], dates[-1]) if dates else (None, None)
         raise ValueError(f"no issue dates between {start or first} and {end or last} "
@@ -309,15 +326,15 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     cfg = eio.parse_config(args.config)
     _check_issue_range(args)
-    _, observations, forecasts = _load_data(cfg, Path(args.data))
-    issues = _issue_dates(forecasts, args.issue_start, args.issue_end)
+    observations, forecasts, init_dates, coverage = _load_data(cfg, Path(args.data))
+    issues = _issue_dates(init_dates, args.issue_start, args.issue_end)
     tspec = _transition_spec(cfg, scheme_override=args.scheme)
     taper = (tspec, _mixed_strategy_name(cfg)) if tspec.scheme == "t1" else None
     archive, dropped = build_archive(forecasts, observations, _leads(cfg))
     if dropped:
         print(f"note: {dropped} incomplete init times dropped during alignment", file=sys.stderr)
 
-    slots = _slots(cfg, forecasts, observations)
+    slots = _slots(cfg, coverage, observations)
     store = train(archive, issues, slots, _window_spec(cfg), _fit_options(cfg), taper)
     eio.write_store(args.store, store)
     n_fallback = sum(1 for _, r in store.items() if r.fallback)
@@ -336,10 +353,12 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     cfg = eio.parse_config(args.config)
     _check_issue_range(args)
-    _, observations, forecasts = _load_data(cfg, Path(args.data))
-    issues = _issue_dates(forecasts, args.issue_start, args.issue_end)
+    start, end = args.issue_start, args.issue_end
+    keep = None if start is None and end is None else partial(_in_range, start=start, end=end)
+    observations, forecasts, init_dates, coverage = _load_data(cfg, Path(args.data), keep)
+    issues = _issue_dates(init_dates, start, end)
     store = eio.read_store(args.store)
-    slots = _slots(cfg, forecasts, observations)
+    slots = _slots(cfg, coverage, observations)
     predictions, errors = predict_issues(store, forecasts, issues, slots, min_sigma=_fit_options(cfg).min_sigma)
     for message in errors:
         print(f"error: {message}", file=sys.stderr)
@@ -394,9 +413,6 @@ def _seam_window(cfg) -> tuple[int, int] | None:
 def cmd_verify(args) -> int:
     cfg = eio.parse_config(args.config)
     seam_window = _seam_window(cfg)
-    _, observations, forecasts = _load_data(cfg, Path(args.data))
-    reference = args.reference or cfg.get("reference") or _strategies(cfg)[0]
-
     predictions = {
         (r.station_id, r.init_time, r.lead_time, r.strategy): r.predictive
         for r in eio.read_predictions(*args.predictions)
@@ -404,9 +420,19 @@ def cmd_verify(args) -> int:
     gaussian_strategies = sorted({key[3] for key in predictions})
     raw_strategies = [s for s in _strategies(cfg) if parse_strategy(s)[0] == "raw"]
     if args.strategies:
-        wanted = set(args.strategies.split(","))
+        known = gaussian_strategies + raw_strategies
+        wanted = [s.strip() for s in args.strategies.split(",") if s.strip()]
+        unknown = [s for s in wanted if s not in known]
+        if unknown:
+            raise ValueError(f"unknown strategy {unknown[0]!r} in --strategies (known: {', '.join(known)})")
         gaussian_strategies = [s for s in gaussian_strategies if s in wanted]
         raw_strategies = [s for s in raw_strategies if s in wanted]
+    # The cases are those every scored strategy covers, so the raw ensembles
+    # needed are those of the init dates the Gaussian strategies predict.
+    scored = set(gaussian_strategies)
+    init_dates = {key[1].date() for key in predictions if key[3] in scored}
+    observations, forecasts, _, _ = _load_data(cfg, Path(args.data), init_dates.__contains__ if init_dates else None)
+    reference = args.reference or cfg.get("reference") or _strategies(cfg)[0]
 
     result = verify(
         predictions, forecasts, observations, gaussian_strategies + raw_strategies, reference,

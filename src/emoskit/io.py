@@ -25,6 +25,17 @@ takes: it rejects "12.5", "12.0", "1e1", "1_2" and values beyond int64. A
 forecast file with a cell this bulk reader cannot take is read again row by
 row; that pass reads the cell as ``int`` does or raises the SchemaError, so
 its line and column are the same as a row reader's.
+
+Which forecast rows are parsed depends on the stage. ``train`` reads every
+row. ``predict`` with an issue range and ``verify`` pass ``read_forecasts``
+a filter on init dates: a line scan reads every station, init-time and lead
+cell (each ensemble's first member row, once per distinct init cell), and
+only the rows of kept dates are tokenized. A bad station, init-time or lead
+cell anywhere still raises as without a filter, since the scan hands such a
+file to the full read; a bad member or value cell, or a broken ensemble
+(members not numbered 0..m-1, a lead gap interpolation cannot fill), on a
+date that is not kept is not seen. The file's stations, init times and lead
+grids come with the cube either way (``ForecastFile``).
 Config files are flat "key = value" text with dotted keys; blank lines and
 "#" comments are ignored.
 """
@@ -33,6 +44,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from itertools import chain
@@ -271,7 +283,19 @@ _FORECAST_COLUMNS = {"station_id": object, "init_time": object, "lead_h": np.int
                      "temp_c": np.float64}
 
 
-def read_forecasts(path, model_id: str) -> ForecastCube:
+@dataclass(frozen=True, eq=False)
+class ForecastFile(ForecastCube):
+    """What ``read_forecasts`` returns: the cube of the ensembles it kept, and
+    the labels of every row of the file, kept or not. ``file_lead_grids``
+    holds the distinct lead sequences of the file's (station, init time)
+    runs, each sorted."""
+
+    file_station_ids: tuple[str, ...] = ()
+    file_init_times: tuple[datetime, ...] = ()
+    file_lead_grids: frozenset[tuple[int, ...]] = frozenset()
+
+
+def read_forecasts(path, model_id: str, keep: Callable[[date], bool] | None = None) -> ForecastFile:
     """One model's ensembles, as a cube sorted by (station, init time, lead).
 
     The body is tokenized in bulk (``_read_forecast_table``). A file with a
@@ -279,29 +303,103 @@ def read_forecasts(path, model_id: str) -> ForecastCube:
     an empty station id) is read again row by row, which raises the file's
     first SchemaError on a cell. Either way ``_forecast_cube`` groups the
     member rows into the cube.
+
+    ``keep``, a test on the UTC date of an init time, limits the cube to the
+    ensembles of the dates it takes. Their rows are found by a line scan
+    (``_scan_forecast_lines``) and only they are tokenized, so the member and
+    value cells of other rows, and the ensembles they form, are not checked.
+    Every station, init-time and lead cell still is: when the scan cannot
+    take a line apart exactly, the file is read as without ``keep`` and then
+    cut to the kept dates.
     """
+    if keep is not None:
+        with _TableReader(path, list(_FORECAST_COLUMNS)) as reader:
+            scan = _scan_forecast_lines(reader, keep)
+        if scan is not None:
+            header, lines, labels = scan
+            columns = _read_forecast_table(header, lines)
+            if columns is not None:
+                return _forecast_cube(path, model_id, *columns, labels=labels)
     with _TableReader(path, list(_FORECAST_COLUMNS)) as reader:
-        columns = _read_forecast_table(reader)
-    return _forecast_cube(path, model_id, *(_read_forecast_rows(path) if columns is None else columns))
+        columns = _read_forecast_table(reader.header, reader.body)
+    columns = columns or _read_forecast_rows(path)
+    if keep is None or (columns[4] < 0).any():  # the cube of every row raises on a negative lead
+        return _forecast_cube(path, model_id, *columns)
+    station, stations, init, inits = columns[:4]
+    labels = tuple(stations), tuple(inits), _lead_grids(station, init, columns[4])
+    return _forecast_cube(path, model_id, *_restrict(columns, keep), labels=labels)
 
 
-def _read_forecast_table(reader: _TableReader) -> tuple | None:
+def _scan_forecast_lines(reader: _TableReader, keep) -> tuple | None:
+    """(header, the lines of ``reader``'s body with an init date ``keep``
+    takes, the labels of ``ForecastFile`` for every line), or None when a
+    line cannot be taken apart exactly: a header that does not start
+    station_id,init_time,lead_h, a quote character, fewer than four cells,
+    an empty station id, or an init-time or lead cell that the row reader
+    might read otherwise.
+
+    The member rows of an ensemble share the text of its station, init-time
+    and lead cells, so a line that starts as the last split line did is taken
+    without a split; each distinct init-time cell is parsed once.
+    """
+    if reader.header[:3] != ["station_id", "init_time", "lead_h"]:
+        return None
+    lines: list[str] = []
+    stations: dict[str, int] = {}
+    times: dict[datetime, int] = {}
+    init_cells: dict[str, tuple[int, bool]] = {}  # cell -> (init-time code, kept)
+    heads = []  # (station code, init-time code, lead) of each split line
+    prefix, take = "\n", False  # no run yet: only a blank line starts with "\n"
+    for line in reader.body:
+        if line.startswith(prefix):
+            if take:
+                lines.append(line)
+            continue
+        if not line.strip():
+            continue
+        cells = line.split(",", 3)
+        if '"' in line or len(cells) < 4:
+            return None
+        sid, init, lead = cells[0].strip(), cells[1], cells[2]
+        if not (sid and lead.isascii() and lead.isdigit()):
+            return None
+        if init not in init_cells:
+            try:
+                t = parse_timestamp(init)
+            except (ValueError, OverflowError):
+                return None
+            init_cells[init] = times.setdefault(t, len(times)), keep(t.date())
+        code, take = init_cells[init]
+        heads.append((stations.setdefault(sid, len(stations)), code, int(lead)))
+        prefix = line[:len(cells[0]) + len(init) + len(lead) + 3]
+        if take:
+            lines.append(line)
+    try:
+        station, init, lead = np.array(heads, dtype=np.int64).reshape(-1, 3).T
+    except OverflowError:  # a lead beyond int64, which the row reader rejects
+        return None
+    return reader.header, lines, (tuple(sorted(stations)), tuple(sorted(times)), _lead_grids(station, init, lead))
+
+
+def _read_forecast_table(header: list[str], lines) -> tuple | None:
     """(station codes, station ids, init-time codes, init times, lead, member,
-    value) columns of the rest of ``reader``'s file, parsed by numpy's C
-    tokenizer, or None when a cell needs the row reader or no row is left.
+    value) columns of the forecast rows in ``lines`` under ``header``, parsed
+    by numpy's C tokenizer, or None when a cell needs the row reader.
 
     Each distinct station and init-time cell is stripped or parsed once.
     Cell rules differ from the row reader only where numpy rejects a cell
     ``int`` or ``float`` would take, such as "1_0"; such a file goes to the
     row reader too.
     """
-    # numpy warns on a body without rows; the row reader skips blank lines.
-    first = next((line for line in reader.body if line.strip()), None)
+    # numpy warns on input without rows; the row reader skips blank lines.
+    lines = iter(lines)
+    first = next((line for line in lines if line.strip()), None)
     if first is None:
-        return None
-    dtype = [(name, _FORECAST_COLUMNS[name]) for name in reader.header]
+        none = np.array([], dtype=np.int64)
+        return none, [], none, [], none, none, np.array([])
+    dtype = [(name, _FORECAST_COLUMNS[name]) for name in header]
     try:
-        table = np.loadtxt(chain([first], reader.body), dtype=dtype, delimiter=",", quotechar='"', comments=None,
+        table = np.loadtxt(chain([first], lines), dtype=dtype, delimiter=",", quotechar='"', comments=None,
                            encoding="utf-8", ndmin=1)
         station, stations = _factorize(table["station_id"], str.strip)
         init, inits = _factorize(table["init_time"], parse_timestamp)
@@ -340,8 +438,35 @@ def _read_forecast_rows(path) -> tuple:
             np.array(leads, dtype=np.int64), np.array(members, dtype=np.int64), np.array(values, dtype=float))
 
 
-def _forecast_cube(path, model_id: str, station, stations, init, inits, lead, member, value) -> ForecastCube:
+def _restrict(columns: tuple, keep) -> tuple:
+    """``columns`` cut to the rows with an init date ``keep`` takes, with
+    only the labels those rows use."""
+    station, stations, init, inits, *rest = columns
+    rows = np.flatnonzero(np.array([keep(t.date()) for t in inits], dtype=bool)[init])
+    used_stations, station = np.unique(station[rows], return_inverse=True)
+    used_inits, init = np.unique(init[rows], return_inverse=True)
+    return (station, [stations[s] for s in used_stations.tolist()], init, [inits[t] for t in used_inits.tolist()],
+            *(column[rows] for column in rest))
+
+
+def _lead_grids(station: np.ndarray, init: np.ndarray, lead: np.ndarray) -> frozenset[tuple[int, ...]]:
+    """The distinct lead sequences of the (station, init time) runs of these
+    keys, each sorted and without repeats."""
+    if not len(lead):
+        return frozenset()
+    order = np.lexsort((lead, init, station))
+    station, init, lead = station[order], init[order], lead[order]
+    run = np.ones(len(order), dtype=bool)
+    run[1:] = (station[1:] != station[:-1]) | (init[1:] != init[:-1])
+    new = run.copy()
+    new[1:] |= lead[1:] != lead[:-1]
+    return frozenset(tuple(grid.tolist()) for grid in np.split(lead[new], np.flatnonzero(run[new])[1:]))
+
+
+def _forecast_cube(path, model_id: str, station, stations, init, inits, lead, member, value,
+                   labels: tuple | None = None) -> ForecastFile:
     """Group member rows into ensembles by one sort, and those into a cube.
+    ``labels`` are its ``ForecastFile`` labels (default: those of the rows).
 
     Members of a (station, init time, lead) not numbered 0..m-1 raise
     SchemaError, unless an ensemble before them is one the cube rejects (a
@@ -362,7 +487,10 @@ def _forecast_cube(path, model_id: str, station, stations, init, inits, lead, me
                               f"{format_timestamp(inits[init[first]])} lead {lead[first]} are not contiguous from 0")
     widths, block = np.unique(counts, return_inverse=True)
     members = [value[starts[block == j, None] + np.arange(width)] for j, width in enumerate(widths.tolist())]
-    return ForecastCube(model_id, stations, inits, station[starts], init[starts], lead[starts], block, members)
+    keys = station[starts], init[starts], lead[starts]
+    if labels is None:
+        labels = tuple(stations), tuple(inits), _lead_grids(*keys)
+    return ForecastFile(model_id, stations, inits, *keys, block, members, *labels)
 
 
 # -- stations ----------------------------------------------------------------

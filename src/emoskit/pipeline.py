@@ -12,13 +12,13 @@ with its best-so-far coefficients; any other failure aborts the pass.
 The drivers run the whole chain over many issue dates on one
 ``domain.ForecastCube`` per model: ``prepare_forecasts`` (lapse correction
 and lead interpolation of a loaded cube), ``coefficient_slots`` (the keys to
-fit), ``train`` (the rolling fits, with the t1 taper refits) and
-``predict_issues`` (the per-date predictions).
+fit, from each model's ``lead_coverage``), ``train`` (the rolling fits, with
+the t1 taper refits) and ``predict_issues`` (the per-date predictions).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta
 
@@ -44,6 +44,8 @@ __all__ = [
     "predict_for_issue",
     "build_archive",
     "prepare_forecasts",
+    "grid_elevations",
+    "lead_coverage",
     "coefficient_slots",
     "train",
     "predict_issues",
@@ -365,18 +367,10 @@ def prepare_forecasts(
     interpolation (None: no interpolation).
 
     A station missing from ``stations``, or without a grid elevation for the
-    model, raises ValueError.
+    model, raises ValueError (``grid_elevations``).
     """
-    by_station = {s.station_id: s for s in stations}
     model = forecasts.model_id
-    elevations = []
-    for sid in forecasts.station_ids:
-        station = by_station.get(sid)
-        if station is None:
-            raise ValueError(f"{model} forecasts: unknown station {sid!r}")
-        if model not in station.grid_elevation:
-            raise ValueError(f"station {sid} has no grid elevation for model {model!r} (column grid_elev_{model})")
-        elevations.append((station.grid_elevation[model], station.elevation))
+    elevations = grid_elevations(model, forecasts.station_ids, stations)
     members = []
     for j, matrix in enumerate(forecasts.members):
         codes = forecasts.station[forecasts.block == j]  # sorted, as the rows are in ensemble order
@@ -387,16 +381,40 @@ def prepare_forecasts(
     return corrected if coarse_step is None else interpolate_leads(corrected, source_step=coarse_step)
 
 
+def grid_elevations(model_id: str, station_ids, stations: Sequence[StationMetadata]) -> list[tuple[float, float]]:
+    """(grid-point elevation of the model, station elevation) of each station
+    id, in order. The first id missing from ``stations``, or without a grid
+    elevation for the model, raises ValueError."""
+    by_station = {s.station_id: s for s in stations}
+    elevations = []
+    for sid in station_ids:
+        station = by_station.get(sid)
+        if station is None:
+            raise ValueError(f"{model_id} forecasts: unknown station {sid!r}")
+        if model_id not in station.grid_elevation:
+            raise ValueError(f"station {sid} has no grid elevation for model {model_id!r} (column grid_elev_{model_id})")
+        elevations.append((station.grid_elevation[model_id], station.elevation))
+    return elevations
+
+
+def lead_coverage(lead_grids, coarse_step: int | None) -> set[int]:
+    """The leads ``prepare_forecasts`` leaves in a cube whose (station, init
+    time) runs have these lead grids (sorted lead tuples): the grids' leads,
+    and with a ``coarse_step`` every hour from a run's first lead to its last,
+    which interpolation fills (or raises)."""
+    if coarse_step is None:
+        return {lead for grid in lead_grids for lead in grid}
+    return {lead for grid in lead_grids for lead in range(grid[0], grid[-1] + 1)}
+
+
 Slot = tuple[str, int, str]  # (station, lead, strategy): a CoefficientKey without its issue date
 
 
-def coefficient_slots(
-    forecasts_by_model: Mapping[str, ForecastCube], station_ids, leads, strategies
-) -> list[Slot]:
+def coefficient_slots(coverage: Mapping[str, Collection[int]], station_ids, leads, strategies) -> list[Slot]:
     """Every station x lead x coefficient strategy (``raw:`` ones are left
     out) whose models all have forecasts at the lead, in that nesting order
-    with stations sorted."""
-    coverage = {m: set(np.unique(cube.lead).tolist()) for m, cube in forecasts_by_model.items()}
+    with stations sorted. ``coverage`` maps each model to the leads it has
+    forecasts at."""
     fitted = []
     for strategy in strategies:
         kind, models = parse_strategy(strategy)

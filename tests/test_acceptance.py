@@ -62,6 +62,11 @@ class RollingRun:
     elapsed_seconds: float
 
 
+def lead_sets(cubes):
+    """Each model's leads, the coverage ``coefficient_slots`` takes."""
+    return {m: set(cube.lead.tolist()) for m, cube in cubes.items()}
+
+
 def run_rolling(spec, window=RollingWindowSpec(), options=FitOptions(), strategies=STRATEGIES, first_issue=None):
     """Simulate, then train and predict every issue date from ``first_issue``
     days after the start (default: one window) with the library drivers."""
@@ -70,7 +75,7 @@ def run_rolling(spec, window=RollingWindowSpec(), options=FitOptions(), strategi
     steps = {m: model.coarse_step if model.coarse_after is not None else None for m, model in spec.models.items()}
     corrected = {m: prepare_forecasts(fcs, data.stations, steps[m]) for m, fcs in data.forecasts.items()}
     archive, _ = build_archive(corrected, data.observations, spec.lead_hours)
-    slots = coefficient_slots(corrected, data.observations, spec.lead_hours, strategies)
+    slots = coefficient_slots(lead_sets(corrected), data.observations, spec.lead_hours, strategies)
     if first_issue is None:
         first_issue = window.window_days
     issues = [(spec.start + timedelta(days=d)).date() for d in range(first_issue, spec.n_days)]
@@ -326,7 +331,7 @@ def seam_setup():
     leads = (tspec.anchor_lead, *tspec.taper_leads)
     archive, _ = build_archive(run.corrected, run.observations, leads)
     issues = sorted({key.issue_date for key, _ in run.store.items()})
-    t1_store = train(archive, issues, coefficient_slots(run.corrected, run.observations, leads, STRATEGIES),
+    t1_store = train(archive, issues, coefficient_slots(lead_sets(run.corrected), run.observations, leads, STRATEGIES),
                      taper=(tspec, MIXED))
     n_taper = 0
     bound_ok = True

@@ -200,6 +200,65 @@ class TestPredict:
         assert "S001" in err and "2017-02-27" in err
 
 
+def last_date_args(store, out):
+    return ["--store", str(store), "--out", str(out), "--issue-start", "2017-02-27", "--issue-end", "2017-02-27"]
+
+
+class TestIssueDateFilter:
+    """``predict`` and ``verify`` tokenize only the forecast rows of the init
+    dates they score; ``train`` reads every row."""
+
+    def test_bad_value_on_other_date_seen_by_train_only(self, basic_run, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(basic_run["data"], data)
+        path = data / "forecasts_hires.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[1].startswith("S000,2017-01-01T00:00:00Z,")
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",x1\n"
+        path.write_text("".join(lines))
+        cfg = basic_run["cfg"]
+        outputs = []
+        for d, root in ((basic_run["data"], tmp_path / "clean"), (data, tmp_path / "bad")):
+            root.mkdir()
+            preds = root / "predictions.csv"
+            assert main(["predict", "--config", cfg, "--data", str(d), *last_date_args(basic_run["store"], preds)]) == 0
+            assert main(["verify", "--config", cfg, "--data", str(d), "--predictions", str(preds),
+                         "--out", str(root / "reports")]) == 0
+            outputs.append({f.relative_to(root): f.read_bytes() for f in root.rglob("*") if f.is_file()})
+            assert capsys.readouterr().err == ""
+        assert outputs[0] == outputs[1]
+        code = main(["train", "--config", cfg, "--data", str(data), "--store", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}:2 (column 'temp_c'): not a number: 'x1'\n"
+
+    def test_unknown_station_on_other_date_exit_1(self, basic_run, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(basic_run["data"], data)
+        path = data / "forecasts_hires.csv"
+        with path.open("a") as fh:
+            fh.write("S999,2017-01-01T00:00:00Z,12,0,1.5\n")
+        code = main(["predict", "--config", basic_run["cfg"], "--data", str(data),
+                     *last_date_args(basic_run["store"], tmp_path / "p.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: hires forecasts: unknown station 'S999'\n"
+
+    def test_issue_date_without_a_lead_exit_1(self, basic_run, tmp_path, capsys):
+        # Lead 21 is in the file, so its keys are predicted on every date; an
+        # issue date whose hires runs end at 20 h is an error, not a smaller
+        # prediction file.
+        data = tmp_path / "data"
+        shutil.copytree(basic_run["data"], data)
+        path = data / "forecasts_hires.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if not (
+            line.split(",")[1] == "2017-02-27T00:00:00Z" and int(line.split(",")[2]) >= 21)))
+        assert len(path.read_text().splitlines()) < len(lines)
+        code = main(["predict", "--config", basic_run["cfg"], "--data", str(data),
+                     *last_date_args(basic_run["store"], tmp_path / "p.csv")])
+        assert code == 1
+        assert "error: no forecast for model 'hires' at S000 lead 21" in capsys.readouterr().err
+
+
 class TestVerifyReports:
     def test_report_files_exist(self, basic_run):
         reports = basic_run["reports"]
@@ -481,6 +540,39 @@ class TestErrors:
              "--reference", "raw:nonexistent"]
         )
         assert code == 1
+
+    def test_unknown_verify_strategy_exit_1(self, basic_run, tmp_path, capsys):
+        code = main(["verify", "--config", basic_run["cfg"], "--data", str(basic_run["data"]),
+                     "--predictions", str(basic_run["preds"]), "--out", str(tmp_path / "r"),
+                     "--strategies", "raw:hires,mixd:hires+global"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: unknown strategy 'mixd:hires+global' in --strategies (known: mixed:hires+global, "
+            "single:global, single:hires, raw:hires, raw:global)\n")
+        assert not (tmp_path / "r").exists()
+
+    def test_verify_strategies_are_stripped(self, basic_run, tmp_path, capsys):
+        code = main(["verify", "--config", basic_run["cfg"], "--data", str(basic_run["data"]),
+                     "--predictions", str(basic_run["preds"]), "--out", str(tmp_path / "r"),
+                     "--strategies", "raw:hires, single:hires"])
+        assert code == 0
+        assert "x 2 strategies" in capsys.readouterr().out
+
+    def test_raw_only_verify_reads_every_date(self, basic_run, tmp_path, capsys):
+        # Raw strategies are scored on every forecast date whatever dates the
+        # predictions hold: a one-date predictions file gives the same report.
+        one_date = tmp_path / "one_date.csv"
+        assert main(["predict", "--config", basic_run["cfg"], "--data", str(basic_run["data"]),
+                     *last_date_args(basic_run["store"], one_date)]) == 0
+        reports = {}
+        for preds in (basic_run["preds"], one_date):
+            out = tmp_path / preds.stem
+            assert main(["verify", "--config", basic_run["cfg"], "--data", str(basic_run["data"]),
+                         "--predictions", str(preds), "--out", str(out), "--strategies", "raw:hires,raw:global"]) == 0
+            reports[preds.stem] = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert reports["predictions"] == reports["one_date"]
+        overall = {row.split(",")[0]: row.split(",") for row in reports["one_date"]["crps_overall.csv"].decode().split()}
+        assert int(overall["raw:hires"][1]) > 3 * 2 * 50  # stations x leads x dates
 
     def test_t1_without_taper_leads_exit_1(self, basic_run, tmp_path, capsys):
         code = main(

@@ -1,7 +1,9 @@
 """Differential tests of the bulk forecast reader against the row-by-row
 reader it replaced (``oracle_read_forecasts`` below, kept as it was, with the
 checks of the per-ensemble record it built written out): valid files must
-read equal, bit for bit, and corrupt files must fail alike."""
+read equal, bit for bit, and corrupt files must fail alike. A read filtered
+to some init dates must equal the oracle's ensembles of those dates, and
+fail like the oracle on any station, init-time or lead cell."""
 
 import csv
 import io as textio
@@ -20,6 +22,9 @@ from emoskit.domain import EnsembleForecast
 from emoskit.io import SchemaError, _TableReader, format_timestamp, parse_config, read_forecasts
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+# More examples where a drawn filter splits them between the line scan and
+# the full read it falls back to.
+FILTER_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=60)
 HEADER = ["station_id", "init_time", "lead_h", "member_idx", "temp_c"]
 T0 = datetime(2017, 1, 1, tzinfo=timezone.utc)
 
@@ -66,18 +71,19 @@ def bulk_result(path, model_id="m"):
     """The cube of what the bulk tokenizer alone returns (None: it hands the
     file to the row reader)."""
     with _TableReader(path, HEADER) as reader:
-        columns = eio._read_forecast_table(reader)
+        columns = eio._read_forecast_table(reader.header, reader.body)
     return None if columns is None else eio._forecast_cube(path, model_id, *columns)
 
 
-def to_text(rows, blank_lines=()):
+def to_text(rows, blank_lines=(), order=range(5)):
     """CSV text of the header and ``rows`` (lists of cells, quoted as the
-    csv module quotes them), with blank lines inserted before the given row
-    positions."""
+    csv module quotes them) with the columns in ``order`` (a missing last
+    cell stays missing, an extra one stays last), and blank lines inserted
+    before the given row positions."""
     lines = []
     for cells in [HEADER, *rows]:
         buf = textio.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow(cells)
+        csv.writer(buf, lineterminator="\n").writerow([cells[i] for i in order if i < len(cells)] + cells[5:])
         lines.append(buf.getvalue())
     for position, blank in sorted(blank_lines, reverse=True):
         lines.insert(1 + min(position, len(rows)), blank)
@@ -87,7 +93,16 @@ def to_text(rows, blank_lines=()):
 # Station ids with characters that need quoting (",", '"') or that a reader
 # with comments on would cut ("#"), and spaces that the reader strips.
 station_ids = st.text(alphabet='AS09,"# ', min_size=1, max_size=5).filter(lambda s: s.strip())
+plain_station_ids = st.text(alphabet="AS09# ", min_size=1, max_size=5).filter(lambda s: s.strip())
 members = st.floats(min_value=-60.0, max_value=60.0, allow_nan=False, allow_infinity=False)
+# No filter, or the init dates (days after T0) a filtered read keeps.
+init_days = st.none() | st.sets(st.integers(0, 16), max_size=17)
+# The header order, half the time the written one.
+column_orders = st.just(list(range(5))) | st.permutations(range(5))
+
+
+def date_filter(days):
+    return None if days is None else {(T0 + timedelta(days=d)).date() for d in days}.__contains__
 
 
 @st.composite
@@ -95,8 +110,10 @@ def forecast_rows(draw):
     """Member rows of up to 3 stations x 2 init times x 2 leads, each
     ensemble with its own member count, numbers written with repr or 9
     significant digits, some padded with spaces, timestamps in either UTC
-    spelling; shuffled."""
-    stations = draw(st.lists(station_ids, min_size=1, max_size=3, unique=True))
+    spelling; shuffled. Half the files are plain, the files a filtered read
+    scans: no quoted station ids and no padded lead cells."""
+    plain = draw(st.booleans())
+    stations = draw(st.lists(plain_station_ids if plain else station_ids, min_size=1, max_size=3, unique=True))
     inits = draw(st.lists(st.integers(0, 400), min_size=1, max_size=2, unique=True))
     leads = draw(st.lists(st.integers(0, 240), min_size=1, max_size=2, unique=True))
     keys = [(s, i, lead) for s in stations for i in inits for lead in leads]
@@ -109,17 +126,32 @@ def forecast_rows(draw):
             text = draw(st.sampled_from([repr(value), eio.fmt_float(value)]))
             pad = draw(st.sampled_from(["", " ", "  "]))
             init = draw(st.sampled_from([format_timestamp(t), t.isoformat()]))
-            rows.append([station, init, f"{pad}{lead}{pad}", f"{pad}{idx}", f"{text}{pad}"])
+            lead_cell = str(lead) if plain else f"{pad}{lead}{pad}"
+            rows.append([station, init, lead_cell, f"{pad}{idx}", f"{text}{pad}"])
     return draw(st.permutations(rows))
 
 
-@PROPERTY_SETTINGS
-@given(rows=forecast_rows(), blanks=st.lists(st.tuples(st.integers(0, 40), st.sampled_from(["\n", "  \n"])), max_size=3))
-def test_valid_files_read_equal_to_oracle(tmp_path_factory, rows, blanks):
+def kept_by(keep, forecasts):
+    return forecasts if keep is None else [f for f in forecasts if keep(f.init_time.date())]
+
+
+@FILTER_SETTINGS
+@given(rows=forecast_rows(), blanks=st.lists(st.tuples(st.integers(0, 40), st.sampled_from(["\n", "  \n"])), max_size=3),
+       order=column_orders, days=init_days)
+def test_valid_files_read_equal_to_oracle(tmp_path_factory, rows, blanks, order, days):
     path = tmp_path_factory.mktemp("fc") / "forecasts_m.csv"
-    path.write_text(to_text(rows, blanks), encoding="utf-8")
+    path.write_text(to_text(rows, blanks, order), encoding="utf-8")
     expected = oracle_read_forecasts(path, "m")
-    assert exact(read_forecasts(path, "m")) == exact(expected)
+    keep = date_filter(days)
+    got = read_forecasts(path, "m", keep)
+    assert exact(got) == exact(kept_by(keep, expected))
+    # The labels of the whole file, whatever the filter kept.
+    grids = {}
+    for f in expected:
+        grids.setdefault((f.station_id, f.init_time), []).append(f.lead_time)
+    assert got.file_station_ids == tuple(sorted({f.station_id for f in expected}))
+    assert got.file_init_times == tuple(sorted({f.init_time for f in expected}))
+    assert got.file_lead_grids == frozenset(map(tuple, grids.values()))
     # Only a whitespace-only line (a one-field row to numpy) needs the row reader.
     if "  \n" not in [blank for _, blank in blanks]:
         assert exact(bulk_result(path)) == exact(expected)
@@ -155,22 +187,40 @@ def corrupt(rows, row, kind, column):
     return rows
 
 
-@PROPERTY_SETTINGS
+def label_cell_corrupted(kind, column) -> bool:
+    """Whether ``corrupt`` spoils a station, init-time or lead cell."""
+    return (kind in ("bad_timestamp", "negative_lead") or kind == "empty" and column < 3
+            or kind == "non_numeric" and column % 3 == 0 or kind == "fractional_int" and column % 2 == 0)
+
+
+@FILTER_SETTINGS
 @given(rows=forecast_rows(), data=st.data())
 def test_corrupt_files_fail_like_oracle(tmp_path_factory, rows, data):
     kind = data.draw(st.sampled_from(CORRUPTIONS))
     row = data.draw(st.integers(0, len(rows) - 1))
     column = data.draw(st.integers(0, 4))
-    path = tmp_path_factory.mktemp("bad") / "forecasts_m.csv"
-    path.write_text(to_text(corrupt(rows, row, kind, column)), encoding="utf-8")
+    order = data.draw(column_orders)
+    keep = date_filter(data.draw(init_days))
+    root = tmp_path_factory.mktemp("bad")
+    path = root / "forecasts_m.csv"
+    path.write_text(to_text(corrupt(rows, row, kind, column), order=order), encoding="utf-8")
     with pytest.raises(Exception) as expected:
         oracle_read_forecasts(path, "m")
-    with pytest.raises(Exception) as got:
-        read_forecasts(path, "m")
-    assert type(got.value) is type(expected.value)
-    assert str(got.value) == str(expected.value)
-    if isinstance(expected.value, SchemaError):
-        assert (got.value.line_no, got.value.column) == (expected.value.line_no, expected.value.column)
+    try:
+        got = read_forecasts(path, "m", keep)
+    except Exception as error:
+        assert type(error) is type(expected.value)
+        assert str(error) == str(expected.value)
+        if isinstance(expected.value, SchemaError):
+            assert (error.line_no, error.column) == (expected.value.line_no, expected.value.column)
+    else:
+        # Unseen: a member or value fault, or the ensemble it breaks, on a
+        # date the filter skips. The kept ensembles are those of the clean file.
+        assert keep is not None and not label_cell_corrupted(kind, column)
+        assert not keep(eio.parse_timestamp(rows[row][1]).date())
+        clean = root / "clean.csv"
+        clean.write_text(to_text(rows, order=order), encoding="utf-8")
+        assert exact(got) == exact(kept_by(keep, oracle_read_forecasts(clean, "m")))
 
 
 @pytest.mark.parametrize(("lead", "member"), [("12.5", "0"), ("12", "0.0"), ("1e1", "0"), ("9" * 20, "0"),
