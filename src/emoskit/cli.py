@@ -25,8 +25,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from functools import partial
 from datetime import date, datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from . import io as eio

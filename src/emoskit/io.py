@@ -33,9 +33,11 @@ cell (each ensemble's first member row, once per distinct init cell), and
 only the rows of kept dates are tokenized. A bad station, init-time or lead
 cell anywhere still raises as without a filter, since the scan hands such a
 file to the full read; a bad member or value cell, or a broken ensemble
-(members not numbered 0..m-1, a lead gap interpolation cannot fill), on a
-date that is not kept is not seen. The file's stations, init times and lead
-grids come with the cube either way (``ForecastFile``).
+(members not numbered 0..m-1, or a lead gap that ``pipeline``'s lead
+interpolation cannot fill), on a date that is not kept is not seen. The
+file's stations, init times and lead grids come with the cube either way
+(``ForecastFile``), so the issue dates, lead coverage and station check of
+the stages still take every row.
 Config files are flat "key = value" text with dotted keys; blank lines and
 "#" comments are ignored.
 """
@@ -64,6 +66,7 @@ __all__ = [
     "parse_timestamp",
     "read_observations",
     "write_observations",
+    "ForecastFile",
     "read_forecasts",
     "write_forecasts",
     "read_stations",
@@ -316,8 +319,8 @@ def read_forecasts(path, model_id: str, keep: Callable[[date], bool] | None = No
         with _TableReader(path, list(_FORECAST_COLUMNS)) as reader:
             scan = _scan_forecast_lines(reader, keep)
         if scan is not None:
-            header, lines, labels = scan
-            columns = _read_forecast_table(header, lines)
+            lines, labels = scan
+            columns = _read_forecast_table(reader.header, lines)
             if columns is not None:
                 return _forecast_cube(path, model_id, *columns, labels=labels)
     with _TableReader(path, list(_FORECAST_COLUMNS)) as reader:
@@ -331,8 +334,8 @@ def read_forecasts(path, model_id: str, keep: Callable[[date], bool] | None = No
 
 
 def _scan_forecast_lines(reader: _TableReader, keep) -> tuple | None:
-    """(header, the lines of ``reader``'s body with an init date ``keep``
-    takes, the labels of ``ForecastFile`` for every line), or None when a
+    """(the lines of ``reader``'s body with an init date ``keep`` takes, the
+    ``ForecastFile`` labels of every line), or None when a
     line cannot be taken apart exactly: a header that does not start
     station_id,init_time,lead_h, a quote character, fewer than four cells,
     an empty station id, or an init-time or lead cell that the row reader
@@ -378,7 +381,7 @@ def _scan_forecast_lines(reader: _TableReader, keep) -> tuple | None:
         station, init, lead = np.array(heads, dtype=np.int64).reshape(-1, 3).T
     except OverflowError:  # a lead beyond int64, which the row reader rejects
         return None
-    return reader.header, lines, (tuple(sorted(stations)), tuple(sorted(times)), _lead_grids(station, init, lead))
+    return lines, (tuple(sorted(stations)), tuple(sorted(times)), _lead_grids(station, init, lead))
 
 
 def _read_forecast_table(header: list[str], lines) -> tuple | None:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emoskit.domain import SampleTable, ensemble_stats
+from emoskit.domain import SampleTable, StationMetadata, ensemble_stats
 from emoskit.emos import EmosCoefficients, identity, predict
 from emoskit.pipeline import (
     CoefficientKey,
@@ -15,9 +15,11 @@ from emoskit.pipeline import (
     StoredFit,
     build_archive,
     fit_for_issue,
+    lead_coverage,
     mixed_strategy,
     parse_strategy,
     predict_for_issue,
+    prepare_forecasts,
     select_window,
     single_strategy,
 )
@@ -295,6 +297,29 @@ class TestBuildArchive:
         updates = fit_for_issue(archive, issue, keys_for(issue), spec)
         expected = len(select_window(archive[("S1", 12)], issue, spec))
         assert all(r.n_samples == expected for r in updates.values())
+
+
+@st.composite
+def lead_grids(draw):
+    """Sorted lead runs from a start of 0-10 h in steps of 1-3 h."""
+    leads = [draw(st.integers(0, 10))]
+    for step in draw(st.lists(st.integers(1, 3), max_size=5)):
+        leads.append(leads[-1] + step)
+    return tuple(leads)
+
+
+class TestLeadCoverage:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(runs=st.dictionaries(st.tuples(st.sampled_from(["S1", "S2"]), st.integers(0, 2)), lead_grids(), min_size=1))
+    def test_equals_leads_of_prepared_cube(self, runs):
+        # The coverage that predict and verify take from a file's lead grids
+        # is that of the cube prepare_forecasts makes of the whole file.
+        cube = forecast_cube("A", [(sid, T0 + timedelta(days=day), lead, (1.0, 2.0))
+                                   for (sid, day), grid in runs.items() for lead in grid])
+        stations = [StationMetadata(sid, 0.0, 0.0, 500.0, {"A": 400.0}) for sid in ("S1", "S2")]
+        grids = set(runs.values())
+        for coarse_step in (None, 3):
+            assert lead_coverage(grids, coarse_step) == set(prepare_forecasts(cube, stations, coarse_step).lead.tolist())
 
 
 class TestStoreRoundTrip:
