@@ -293,9 +293,9 @@ class ForecastFile(ForecastCube):
     holds the distinct lead sequences of the file's (station, init time)
     runs, each sorted."""
 
-    file_station_ids: tuple[str, ...] = ()
-    file_init_times: tuple[datetime, ...] = ()
-    file_lead_grids: frozenset[tuple[int, ...]] = frozenset()
+    file_station_ids: tuple[str, ...]
+    file_init_times: tuple[datetime, ...]
+    file_lead_grids: frozenset[tuple[int, ...]]
 
 
 def read_forecasts(path, model_id: str, keep: Callable[[date], bool] | None = None) -> ForecastFile:
