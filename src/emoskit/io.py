@@ -15,29 +15,31 @@ digits, which round-trips losslessly at that precision. Schemas:
 Schema violations raise SchemaError naming the file, line and column; a
 repeated key (station, observation, prediction) raises at its second line.
 Tables are read row by row with the csv module, except forecast files, which
-hold one row per member and are the bulk of every load: numpy's C tokenizer
-(``np.loadtxt``, with the csv module's quoting) parses their body in one
-call, each distinct station and init-time cell is parsed once, lead and
-member cells are parsed by numpy's int64 parser, and one sort groups the
-members into a ``domain.ForecastCube``. That parser (numpy >= 2.4; older
-releases read "12.5" as 12) takes a subset of the integer cells ``int``
-takes: it rejects "12.5", "12.0", "1e1", "1_2" and values beyond int64. A
-forecast file with a cell this bulk reader cannot take is read again row by
-row; that pass reads the cell as ``int`` does or raises the SchemaError, so
-its line and column are the same as a row reader's.
+hold one row per member and are the bulk of every load. Those are read in one
+pass over the lines: the member rows of an ensemble repeat its station,
+init-time and lead text, so only the first line of each run of such rows is
+split, and each distinct init-time cell is parsed once. The member and value
+cells of the kept rows go to numpy's C tokenizer in chunks of a fixed number
+of lines, member cells through its int64 parser. That parser (numpy >= 2.4;
+older releases read "12.5" as 12) takes a subset of the integer cells ``int``
+takes: it rejects "12.5", "12.0", "1e1", "1_2" and values beyond int64. A read
+holds the numeric arrays, four integers per run and one chunk of text, so
+it peaks below twice the file's size; one sort of the runs groups the members
+into a ``domain.ForecastCube``. A forecast file with a line the pass cannot
+take apart exactly (a quote character, another column order, a cell numpy
+rejects) is read again row by row; that pass reads the cell as ``int`` does
+or raises the SchemaError, so its line and column are the same as a row
+reader's.
 
-Which forecast rows are parsed depends on the stage. ``train`` reads every
-row. ``predict`` with an issue range and ``verify`` pass ``read_forecasts``
-a filter on init dates: a line scan reads every station, init-time and lead
-cell (each ensemble's first member row, once per distinct init cell), and
-only the rows of kept dates are tokenized. A bad station, init-time or lead
-cell anywhere still raises as without a filter, since the scan hands such a
-file to the full read; a bad member or value cell, or a broken ensemble
-(members not numbered 0..m-1, or a lead gap that ``pipeline``'s lead
-interpolation cannot fill), on a date that is not kept is not seen. The
-file's stations, init times and lead grids come with the cube either way
-(``ForecastFile``), so the issue dates, lead coverage and station check of
-the stages still take every row.
+Every stage reads forecasts this way. ``train`` keeps every row; ``predict``
+with an issue range and ``verify`` pass ``read_forecasts`` a filter on init
+dates, and only the rows of kept dates go to numpy. A bad station, init-time
+or lead cell anywhere still raises as without a filter; a bad member or value
+cell, or a broken ensemble (members not numbered 0..m-1, or a lead gap that
+``pipeline``'s lead interpolation cannot fill), on a date that is not kept is
+not seen. The file's stations, init times and lead grids come with the cube
+either way (``ForecastFile``), so the issue dates, lead coverage and station
+check of the stages still take every row.
 Config files are flat "key = value" text with dotted keys; blank lines and
 "#" comments are ignored.
 """
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
@@ -212,7 +215,7 @@ class _Row:
         raw = self.str(column)
         try:
             return parse_timestamp(raw)
-        except ValueError:
+        except (ValueError, OverflowError):  # OverflowError: past the datetime range in UTC
             raise SchemaError(self.path, self.line_no, column, f"not an ISO-8601 timestamp: {raw!r}") from None
 
     def date(self, column: str) -> date:
@@ -269,6 +272,9 @@ def read_observations(path) -> dict[str, ObservationSeries]:
 # -- forecasts ---------------------------------------------------------------
 
 
+_FORECAST_COLUMNS = ["station_id", "init_time", "lead_h", "member_idx", "temp_c"]
+
+
 def write_forecasts(path, forecasts: ForecastCube) -> None:
     inits = [format_timestamp(t) for t in forecasts.init_times]
     values = [matrix.tolist() for matrix in forecasts.members]
@@ -279,11 +285,13 @@ def write_forecasts(path, forecasts: ForecastCube) -> None:
 
     f = forecasts
     rows = chain.from_iterable(map(member_rows, *(a.tolist() for a in (f.station, f.init, f.lead, f.block, f.row))))
-    write_table(path, ["station_id", "init_time", "lead_h", "member_idx", "temp_c"], rows)
+    write_table(path, _FORECAST_COLUMNS, rows)
 
 
-_FORECAST_COLUMNS = {"station_id": object, "init_time": object, "lead_h": np.int64, "member_idx": np.int64,
-                     "temp_c": np.float64}
+_MEMBER_CELLS = {"member_idx": np.int64, "temp_c": np.float64}
+# Kept lines per np.loadtxt call: the text a read holds at once, whatever the
+# file's size.
+_CHUNK_LINES = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,155 +309,115 @@ class ForecastFile(ForecastCube):
 def read_forecasts(path, model_id: str, keep: Callable[[date], bool] | None = None) -> ForecastFile:
     """One model's ensembles, as a cube sorted by (station, init time, lead).
 
-    The body is tokenized in bulk (``_read_forecast_table``). A file with a
-    cell that the bulk tokenizer cannot take as it stands (one numpy rejects,
-    an empty station id) is read again row by row, which raises the file's
-    first SchemaError on a cell. Either way ``_forecast_cube`` groups the
-    member rows into the cube.
+    One pass over the lines (``_scan_forecasts``) reads the station,
+    init-time and lead cells of each run of member rows from its first line,
+    and hands the member and value cells of the kept rows to numpy in chunks.
+    A file the scan cannot take apart exactly is read row by row instead
+    (``_read_forecast_rows``), which raises the file's first SchemaError on a
+    cell. Either way ``_forecast_cube`` groups the member rows into the cube.
 
-    ``keep``, a test on the UTC date of an init time, limits the cube to the
-    ensembles of the dates it takes. Their rows are found by a line scan
-    (``_scan_forecast_lines``) and only they are tokenized, so the member and
-    value cells of other rows, and the ensembles they form, are not checked.
-    Every station, init-time and lead cell still is: when the scan cannot
-    take a line apart exactly, the file is read as without ``keep`` and then
-    cut to the kept dates.
+    ``keep``, a test on the UTC date of an init time (None: every date),
+    limits the cube to the ensembles of the dates it takes. The member and
+    value cells of other rows, and the ensembles they form, are not checked;
+    every station, init-time and lead cell is.
     """
-    if keep is not None:
-        with _TableReader(path, list(_FORECAST_COLUMNS)) as reader:
-            scan = _scan_forecast_lines(reader, keep)
-        if scan is not None:
-            lines, labels = scan
-            columns = _read_forecast_table(reader.header, lines)
-            if columns is not None:
-                return _forecast_cube(path, model_id, *columns, labels=labels)
-    with _TableReader(path, list(_FORECAST_COLUMNS)) as reader:
-        columns = _read_forecast_table(reader.header, reader.body)
-    columns = columns or _read_forecast_rows(path)
-    if keep is None or (columns[4] < 0).any():  # the cube of every row raises on a negative lead
-        return _forecast_cube(path, model_id, *columns)
-    station, stations, init, inits = columns[:4]
-    labels = tuple(stations), tuple(inits), _lead_grids(station, init, columns[4])
-    return _forecast_cube(path, model_id, *_restrict(columns, keep), labels=labels)
+    with _TableReader(path, _FORECAST_COLUMNS) as reader:
+        runs = _scan_forecasts(reader, keep)
+    return _forecast_cube(path, model_id, *(runs or _read_forecast_rows(path, keep)))
 
 
-def _scan_forecast_lines(reader: _TableReader, keep) -> tuple | None:
-    """(the lines of ``reader``'s body with an init date ``keep`` takes, the
-    ``ForecastFile`` labels of every line), or None when a
-    line cannot be taken apart exactly: a header that does not start
-    station_id,init_time,lead_h, a quote character, fewer than four cells,
-    an empty station id, or an init-time or lead cell that the row reader
-    might read otherwise.
+def _scan_forecasts(reader: _TableReader, keep) -> tuple | None:
+    """The runs of ``reader``'s body, in one pass (see ``_forecast_cube``), or
+    None when a line cannot be taken apart exactly: a header that does not
+    start station_id,init_time,lead_h, a quote character, fewer than four
+    cells, an empty station id, or a cell that the row reader might read
+    otherwise.
 
     The member rows of an ensemble share the text of its station, init-time
-    and lead cells, so a line that starts as the last split line did is taken
-    without a split; each distinct init-time cell is parsed once.
+    and lead cells, so a line that starts as the last split line did belongs
+    to that line's run and is not split; each distinct init-time cell is
+    parsed once. A kept line goes to ``np.loadtxt`` from its fourth cell on,
+    ``_CHUNK_LINES`` lines per call.
     """
-    if reader.header[:3] != ["station_id", "init_time", "lead_h"]:
+    if reader.header[:3] != _FORECAST_COLUMNS[:3]:
         return None
-    lines: list[str] = []
+    dtype = [(name, _MEMBER_CELLS[name]) for name in reader.header[3:]]
     stations: dict[str, int] = {}
     times: dict[datetime, int] = {}
     init_cells: dict[str, tuple[int, bool]] = {}  # cell -> (init-time code, kept)
-    heads = []  # (station code, init-time code, lead) of each split line
-    prefix, take = "\n", False  # no run yet: only a blank line starts with "\n"
-    for line in reader.body:
-        if line.startswith(prefix):
+    heads = array("q")  # (station code, init-time code, lead, first kept row) of each run
+    parts, chunk, done, limit = [], [], 0, _CHUNK_LINES  # done: the kept rows in parts
+    append = chunk.append
+    prefix, take, cut = "\n", False, 0  # no run yet: only a blank line starts with "\n"
+    try:
+        for line in reader.body:
+            if not line.startswith(prefix):
+                if not line.strip():
+                    continue
+                cells = line.split(",", 3)
+                if '"' in line or len(cells) < 4:
+                    return None
+                sid, init, lead = cells[0].strip(), cells[1], cells[2].strip()
+                if not (sid and lead.isascii() and lead.isdigit()):
+                    return None
+                if init not in init_cells:
+                    t = parse_timestamp(init)
+                    init_cells[init] = times.setdefault(t, len(times)), keep is None or keep(t.date())
+                code, take = init_cells[init]
+                heads.extend((stations.setdefault(sid, len(stations)), code, int(lead), done + len(chunk)))
+                cut = len(line) - len(cells[3])
+                prefix = line[:cut]
             if take:
-                lines.append(line)
-            continue
-        if not line.strip():
-            continue
-        cells = line.split(",", 3)
-        if '"' in line or len(cells) < 4:
-            return None
-        sid, init, lead = cells[0].strip(), cells[1], cells[2]
-        if not (sid and lead.isascii() and lead.isdigit()):
-            return None
-        if init not in init_cells:
-            try:
-                t = parse_timestamp(init)
-            except (ValueError, OverflowError):
-                return None
-            init_cells[init] = times.setdefault(t, len(times)), keep(t.date())
-        code, take = init_cells[init]
-        heads.append((stations.setdefault(sid, len(stations)), code, int(lead)))
-        prefix = line[:len(cells[0]) + len(init) + len(lead) + 3]
-        if take:
-            lines.append(line)
-    try:
-        station, init, lead = np.array(heads, dtype=np.int64).reshape(-1, 3).T
-    except OverflowError:  # a lead beyond int64, which the row reader rejects
+                append(line[cut:])
+                if len(chunk) == limit:
+                    parts.append(_member_cells(chunk, dtype))
+                    done += limit
+                    chunk.clear()
+        parts.append(_member_cells(chunk, dtype))
+    except (ValueError, OverflowError):  # a cell the row reader must judge
         return None
-    return lines, (tuple(sorted(stations)), tuple(sorted(times)), _lead_grids(station, init, lead))
-
-
-def _read_forecast_table(header: list[str], lines) -> tuple | None:
-    """(station codes, station ids, init-time codes, init times, lead, member,
-    value) columns of the forecast rows in ``lines`` under ``header``, parsed
-    by numpy's C tokenizer, or None when a cell needs the row reader.
-
-    Each distinct station and init-time cell is stripped or parsed once.
-    Cell rules differ from the row reader only where numpy rejects a cell
-    ``int`` or ``float`` would take, such as "1_0"; such a file goes to the
-    row reader too.
-    """
-    # numpy warns on input without rows; the row reader skips blank lines.
-    lines = iter(lines)
-    first = next((line for line in lines if line.strip()), None)
-    if first is None:
-        none = np.array([], dtype=np.int64)
-        return none, [], none, [], none, none, np.array([])
-    dtype = [(name, _FORECAST_COLUMNS[name]) for name in header]
-    try:
-        table = np.loadtxt(chain([first], lines), dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                           encoding="utf-8", ndmin=1)
-        station, stations = _factorize(table["station_id"], str.strip)
-        init, inits = _factorize(table["init_time"], parse_timestamp)
-    except (ValueError, OverflowError):
+    table = np.concatenate(parts)
+    if len(table) != done + len(chunk):  # numpy skips a line of no cells
         return None
-    if "" in stations:
-        return None
-    return station, stations, init, inits, table["lead_h"], table["member_idx"], table["temp_c"]
+    heads = np.frombuffer(heads, dtype=np.int64).reshape(-1, 4)
+    return list(stations), list(times), heads, table["member_idx"], table["temp_c"]
 
 
-def _factorize(cells: np.ndarray, parse) -> tuple[np.ndarray, list]:
-    """Codes into the sorted distinct values of ``parse(cell)``, and those
-    values. ``parse`` runs once per distinct cell, and only cells that differ
-    from the one above are hashed: one lookup per run in a sorted file.
-    """
-    head = np.ones(len(cells), dtype=bool)
-    head[1:] = cells[1:] != cells[:-1]
-    slot: dict[str, int] = {}
-    head_slots = [slot.setdefault(cell, len(slot)) for cell in cells[head].tolist()]
-    parsed = [parse(cell) for cell in slot]
-    values = sorted(set(parsed))
-    rank = {v: i for i, v in enumerate(values)}
-    code_of_slot = np.array([rank[v] for v in parsed], dtype=np.intp)
-    return code_of_slot[head_slots][np.cumsum(head) - 1], values
+def _member_cells(lines: list[str], dtype) -> np.ndarray:
+    """The member and value cells of ``lines`` (each from its fourth cell on),
+    by numpy's C tokenizer and its int64 and float64 parsers."""
+    if not lines:
+        return np.empty(0, dtype=dtype)  # numpy warns on input without rows
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
-def _read_forecast_rows(path) -> tuple:
-    """The columns of ``_read_forecast_table``, read row by row."""
-    cells = []
-    with _TableReader(path, list(_FORECAST_COLUMNS)) as reader:
+def _read_forecast_rows(path, keep) -> tuple:
+    """The runs of ``_scan_forecasts``, one per row, read row by row: the
+    file's first bad cell raises its SchemaError. A negative lead keeps every
+    row, so the cube of every row raises, whatever ``keep`` takes."""
+    stations: dict[str, int] = {}
+    times: dict[datetime, int] = {}
+    heads, member, value = [], [], []
+    with _TableReader(path, _FORECAST_COLUMNS) as reader:
         for _, row in reader.rows():
-            cells.append((row.str("station_id"), row.timestamp("init_time"), row.int("lead_h"), row.int("member_idx"),
-                           row.float("temp_c")))
-    sids, inits, leads, members, values = zip(*cells) if cells else [()] * 5
-    return (*_factorize(np.array(sids, dtype=object), str), *_factorize(np.array(inits, dtype=object), lambda t: t),
-            np.array(leads, dtype=np.int64), np.array(members, dtype=np.int64), np.array(values, dtype=float))
+            sid, t, lead = row.str("station_id"), row.timestamp("init_time"), row.int("lead_h")
+            heads.append((stations.setdefault(sid, len(stations)), times.setdefault(t, len(times)), lead))
+            member.append(row.int("member_idx"))
+            value.append(row.float("temp_c"))
+    heads = np.array(heads, dtype=np.int64).reshape(-1, 3)
+    taken = np.ones(len(heads), dtype=bool)
+    if keep is not None and (heads[:, 2] >= 0).all():
+        taken = np.array([keep(t.date()) for t in times], dtype=bool)[heads[:, 1]]
+    first = np.cumsum(taken) - taken
+    return (list(stations), list(times), np.column_stack([heads, first]), np.array(member, dtype=np.int64)[taken],
+            np.array(value, dtype=float)[taken])
 
 
-def _restrict(columns: tuple, keep) -> tuple:
-    """``columns`` cut to the rows with an init date ``keep`` takes, with
-    only the labels those rows use."""
-    station, stations, init, inits, *rest = columns
-    rows = np.flatnonzero(np.array([keep(t.date()) for t in inits], dtype=bool)[init])
-    used_stations, station = np.unique(station[rows], return_inverse=True)
-    used_inits, init = np.unique(init[rows], return_inverse=True)
-    return (station, [stations[s] for s in used_stations.tolist()], init, [inits[t] for t in used_inits.tolist()],
-            *(column[rows] for column in rest))
+def _sorted_codes(labels: list, codes: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct ``labels`` sorted, and ``codes`` (indices into ``labels``)
+    as indices into the sorted list."""
+    ranked, rank = np.unique(np.array(labels, dtype=object), return_inverse=True)
+    return ranked.tolist(), rank[codes]
 
 
 def _lead_grids(station: np.ndarray, init: np.ndarray, lead: np.ndarray) -> frozenset[tuple[int, ...]]:
@@ -466,34 +434,63 @@ def _lead_grids(station: np.ndarray, init: np.ndarray, lead: np.ndarray) -> froz
     return frozenset(tuple(grid.tolist()) for grid in np.split(lead[new], np.flatnonzero(run[new])[1:]))
 
 
-def _forecast_cube(path, model_id: str, station, stations, init, inits, lead, member, value,
-                   labels: tuple | None = None) -> ForecastFile:
-    """Group member rows into ensembles by one sort, and those into a cube.
-    ``labels`` are its ``ForecastFile`` labels (default: those of the rows).
+def _misplaced(member: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The rows whose member index is not their place in their ensemble, the
+    ensembles taking ``counts`` rows from ``starts`` on."""
+    return np.flatnonzero(member != np.arange(len(member)) - np.repeat(starts, counts))
+
+
+def _forecast_cube(path, model_id: str, stations: list, times: list, heads: np.ndarray, member: np.ndarray,
+                   value: np.ndarray) -> ForecastFile:
+    """Group the kept member rows into ensembles, and those into a cube, with
+    the ``ForecastFile`` labels of every run.
+
+    ``stations`` and ``times`` are the file's station ids and init times in
+    order of first appearance. ``heads`` holds the (station code, init-time
+    code, lead, first kept row) of each run of rows with one key, in file
+    order, and ``member`` and ``value`` the cells of the kept rows, so a run
+    that starts where the next one does keeps no row. A key may have several
+    runs, and its members may come in any order.
 
     Members of a (station, init time, lead) not numbered 0..m-1 raise
     SchemaError, unless an ensemble before them is one the cube rejects (a
     negative lead, a non-finite member); then the cube raises its ValueError,
     as a reader that checks each ensemble in turn would.
     """
-    order = np.lexsort((member, lead, init, station))
-    station, init, lead, member, value = station[order], init[order], lead[order], member[order], value[order]
-    new_group = np.ones(len(order), dtype=bool)
-    new_group[1:] = (station[1:] != station[:-1]) | (init[1:] != init[:-1]) | (lead[1:] != lead[:-1])
-    starts = np.flatnonzero(new_group)
-    counts = np.diff(np.append(starts, len(order)))
-    misplaced = np.flatnonzero(member != np.arange(len(order)) - np.repeat(starts, counts))
+    station_ids, station = _sorted_codes(stations, heads[:, 0])
+    init_times, init = _sorted_codes(times, heads[:, 1])
+    lead, size = heads[:, 2], np.diff(heads[:, 3], append=len(member))
+    labels = tuple(station_ids), tuple(init_times), _lead_grids(station, init, lead)
+    kept = size > 0
+    used_stations, station = np.unique(station[kept], return_inverse=True)
+    used_inits, init = np.unique(init[kept], return_inverse=True)
+    station_ids = [station_ids[s] for s in used_stations.tolist()]
+    init_times = [init_times[t] for t in used_inits.tolist()]
+    lead, size = lead[kept], size[kept]
+    order = np.lexsort((lead, init, station))  # the runs by key, a key's runs in file order
+    station, init, lead = station[order], init[order], lead[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (station[1:] != station[:-1]) | (init[1:] != init[:-1]) | (lead[1:] != lead[:-1])
+    ensemble = np.empty_like(order)
+    ensemble[order] = np.cumsum(new) - 1
+    counts = np.add.reduceat(size[order], np.flatnonzero(new))
+    starts = np.cumsum(counts) - counts
+    misplaced = _misplaced(member, starts, counts)
+    if misplaced.size or (np.diff(ensemble) < 0).any():  # the rows are not in (ensemble, member) order
+        rows = np.lexsort((member, np.repeat(ensemble, size)))
+        member, value = member[rows], value[rows]
+        misplaced = _misplaced(member, starts, counts)
+    station, init, lead = station[new], init[new], lead[new]
     if misplaced.size:
-        first = starts[np.searchsorted(starts, misplaced[0], side="right") - 1]
-        if (lead[starts[starts < first]] >= 0).all() and np.isfinite(value[:first]).all():
-            raise SchemaError(path, None, "member_idx", f"members of {stations[station[first]]} "
-                              f"{format_timestamp(inits[init[first]])} lead {lead[first]} are not contiguous from 0")
+        first = np.searchsorted(starts, misplaced[0], side="right") - 1
+        if (lead[:first] >= 0).all() and np.isfinite(value[:starts[first]]).all():
+            raise SchemaError(path, None, "member_idx", f"members of {station_ids[station[first]]} "
+                              f"{format_timestamp(init_times[init[first]])} lead {lead[first]} are not contiguous from 0")
     widths, block = np.unique(counts, return_inverse=True)
     members = [value[starts[block == j, None] + np.arange(width)] for j, width in enumerate(widths.tolist())]
-    keys = station[starts], init[starts], lead[starts]
-    if labels is None:
-        labels = tuple(stations), tuple(inits), _lead_grids(*keys)
-    return ForecastFile(model_id, stations, inits, *keys, block, members, *labels)
+    for matrix in members:
+        matrix.flags.writeable = False  # so the cube holds these new arrays instead of copies
+    return ForecastFile(model_id, station_ids, init_times, station, init, lead, block, members, *labels)
 
 
 # -- stations ----------------------------------------------------------------

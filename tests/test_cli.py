@@ -533,6 +533,22 @@ class TestErrors:
         cfg = write_cfg(tmp_path, BASIC_CFG)
         assert main(["train", "--config", cfg, "--data", str(tmp_path / "nope"), "--store", str(tmp_path / "s.csv")]) == 1
 
+    @pytest.mark.parametrize("stage", ["train", "predict"])
+    def test_init_time_out_of_range_exit_1(self, basic_run, tmp_path, capsys, stage):
+        # ISO-8601 that leaves the datetime range in UTC is a located error,
+        # not a traceback, on a date predict does not score too.
+        data = tmp_path / "data"
+        shutil.copytree(basic_run["data"], data)
+        path = data / "forecasts_hires.csv"
+        with path.open("a") as fh:
+            fh.write("S000,0001-01-01T00:00:00+01:00,12,0,1.5\n")
+        line_no = len(path.read_text().splitlines())
+        args = {"train": ["--store", str(tmp_path / "s.csv")],
+                "predict": last_date_args(basic_run["store"], tmp_path / "p.csv")}[stage]
+        assert main([stage, "--config", basic_run["cfg"], "--data", str(data), *args]) == 1
+        assert capsys.readouterr().err == (f"error: {path}:{line_no} (column 'init_time'): "
+                                           "not an ISO-8601 timestamp: '0001-01-01T00:00:00+01:00'\n")
+
     def test_bad_reference_exit_1(self, basic_run, tmp_path):
         code = main(
             ["verify", "--config", basic_run["cfg"], "--data", str(basic_run["data"]),

@@ -8,6 +8,7 @@ fail like the oracle on any station, init-time or lead cell."""
 import csv
 import io as textio
 import math
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -68,11 +69,16 @@ def exact(forecasts):
 
 
 def bulk_result(path, model_id="m"):
-    """The cube of what the bulk tokenizer alone returns (None: it hands the
-    file to the row reader)."""
+    """The cube of an unfiltered read: the streaming scan's, or the row
+    reader's where the scan hands the file over."""
+    return read_forecasts(path, model_id)
+
+
+def scan_takes(path) -> bool:
+    """Whether the streaming scan reads the file itself, without the row
+    reader."""
     with _TableReader(path, HEADER) as reader:
-        columns = eio._read_forecast_table(reader.header, reader.body)
-    return None if columns is None else eio._forecast_cube(path, model_id, *columns)
+        return eio._scan_forecasts(reader, None) is not None
 
 
 def to_text(rows, blank_lines=(), order=range(5)):
@@ -158,7 +164,7 @@ def test_valid_files_read_equal_to_oracle(tmp_path_factory, rows, blanks, order,
 
 
 CORRUPTIONS = ["empty", "non_numeric", "fractional_int", "bad_timestamp", "extra_field", "missing_field",
-               "member_gap", "nan_member", "negative_lead"]
+               "blank_tail", "member_gap", "nan_member", "negative_lead"]
 
 
 def corrupt(rows, row, kind, column):
@@ -173,11 +179,16 @@ def corrupt(rows, row, kind, column):
         cell = 2 + column % 2
         cells[cell] = f"{int(cells[cell])}.{'5' if column > 2 else '0'}"
     elif kind == "bad_timestamp":
-        cells[1] = "2017-13-01T00:00:00Z"
+        # No month 13, or ISO-8601 that leaves the datetime range in UTC.
+        cells[1] = "2017-13-01T00:00:00Z" if column < 3 else "0001-01-01T00:00:00+01:00"
     elif kind == "extra_field":
         cells.append("0")
     elif kind == "missing_field":
         cells.pop()
+    elif kind == "blank_tail":
+        # Four cells, the last one empty: what follows the lead cell is a
+        # blank line to a tokenizer that reads it alone.
+        cells[3:] = [""]
     elif kind == "member_gap":
         cells[3] = str(int(cells[3]) + 7)
     elif kind == "nan_member":
@@ -221,6 +232,45 @@ def test_corrupt_files_fail_like_oracle(tmp_path_factory, rows, data):
         clean = root / "clean.csv"
         clean.write_text(to_text(rows, order=order), encoding="utf-8")
         assert exact(got) == exact(kept_by(keep, oracle_read_forecasts(clean, "m")))
+
+
+@pytest.mark.parametrize("chunk_lines", [3, 7])
+def test_differential_tests_with_chunk_edges_inside_ensembles(tmp_path_factory, monkeypatch, chunk_lines):
+    # Ensembles of up to 5 members: chunks of 3 or 7 lines end inside them.
+    monkeypatch.setattr(eio, "_CHUNK_LINES", chunk_lines)
+    test_valid_files_read_equal_to_oracle(tmp_path_factory)
+    test_corrupt_files_fail_like_oracle(tmp_path_factory)
+
+
+@pytest.mark.parametrize("chunk_lines", [2, eio._CHUNK_LINES])
+def test_ensemble_in_non_adjacent_runs(tmp_path, monkeypatch, chunk_lines):
+    # The members of S1 lead 12 sit in two runs with lead 13's between them,
+    # out of order; the scan takes the file, and it reads as the oracle does.
+    monkeypatch.setattr(eio, "_CHUNK_LINES", chunk_lines)
+    path = tmp_path / "forecasts_m.csv"
+    path.write_text("station_id,init_time,lead_h,member_idx,temp_c\n"
+                    "S1,2017-03-01T00:00:00Z,12,1,2.5\n"
+                    "S1,2017-03-01T00:00:00Z,13,0,0.25\n"
+                    "S1,2017-03-01T00:00:00Z,13,1,0.75\n"
+                    "S1,2017-03-01T00:00:00Z,12,2,3.5\n"
+                    "S1,2017-03-01T00:00:00Z,12,0,1.5\n")
+    assert scan_takes(path)
+    assert exact(read_forecasts(path, "m")) == exact(oracle_read_forecasts(path, "m"))
+    assert [f.members for f in read_forecasts(path, "m")] == [(1.5, 2.5, 3.5), (0.25, 0.75)]
+
+
+def test_row_ending_after_lead_fails_like_oracle(tmp_path):
+    # What follows "12," on line 3 is a blank line to numpy, which skips it.
+    path = tmp_path / "forecasts_m.csv"
+    path.write_text("station_id,init_time,lead_h,member_idx,temp_c\n"
+                    "S1,2017-03-01T00:00:00Z,12,0,1.5\n"
+                    "S1,2017-03-01T00:00:00Z,12,\n"
+                    "S1,2017-03-01T00:00:00Z,12,1,2.5\n")
+    with pytest.raises(SchemaError) as expected:
+        oracle_read_forecasts(path, "m")
+    with pytest.raises(SchemaError) as got:
+        read_forecasts(path, "m")
+    assert str(got.value) == str(expected.value) == f"{path}:3: expected 5 fields, got 4"
 
 
 @pytest.mark.parametrize(("lead", "member"), [("12.5", "0"), ("12", "0.0"), ("1e1", "0"), ("9" * 20, "0"),
@@ -281,6 +331,35 @@ def test_simulated_workload_files_read_bitwise_equal(tmp_path, workload):
     for model in ("hires", "global"):
         path = tmp_path / "data" / f"forecasts_{model}.csv"
         expected = exact(oracle_read_forecasts(path, model))
+        assert scan_takes(path)
         assert exact(bulk_result(path, model)) == expected
         assert exact(read_forecasts(path, model)) == expected
 
+
+
+@pytest.fixture(scope="module")
+def megabyte_file(tmp_path_factory):
+    """A simulated ``operational`` forecast file of more than 1 MB."""
+    root = tmp_path_factory.mktemp("mb")
+    cfg = parse_config(Path(__file__).resolve().parents[1] / "bench" / "workloads" / "operational.cfg")
+    cfg.update({"scenario.n_days": "24", "scenario.n_stations": "1"})
+    cfg_path = root / "run.cfg"
+    cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(root / "data"), "--seed", "1"]) == 0
+    path = root / "data" / "forecasts_global.csv"
+    assert path.stat().st_size > 1_000_000
+    return path
+
+
+@pytest.mark.parametrize("days", [None, {23}, set(range(24))], ids=["no_filter", "one_date", "every_date"])
+def test_read_peaks_under_twice_the_file_size(megabyte_file, days):
+    keep = date_filter(days)
+    read_forecasts(megabyte_file, "global", keep)  # first calls may import or cache
+    tracemalloc.start()
+    try:
+        cube = read_forecasts(megabyte_file, "global", keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cube) > 0
+    assert peak <= 2 * megabyte_file.stat().st_size

@@ -70,6 +70,15 @@ class TestObservations:
         assert ":3" in str(err.value)
         assert "valid_time" in str(err.value)
 
+    def test_timestamp_out_of_range_cites_line(self, tmp_path):
+        # ISO-8601 that leaves the datetime range when converted to UTC.
+        path = tmp_path / "obs.csv"
+        path.write_text("station_id,valid_time,temp_c\nS1,2017-03-01T00:00:00Z,1.5\nS1,0001-01-01T00:00:00+01:00,2.0\n")
+        with pytest.raises(SchemaError) as err:
+            read_observations(path)
+        assert str(err.value) == (f"{path}:3 (column 'valid_time'): "
+                                  "not an ISO-8601 timestamp: '0001-01-01T00:00:00+01:00'")
+
     def test_header_only_is_empty(self, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text("station_id,valid_time,temp_c\n")
