@@ -1,4 +1,4 @@
-"""Differential tests of the bulk forecast reader against the row-by-row
+"""Differential tests of the streaming forecast reader against the row-by-row
 reader it replaced (``oracle_read_forecasts`` below, kept as it was, with the
 checks of the per-ensemble record it built written out): valid files must
 read equal, bit for bit, and corrupt files must fail alike. A read filtered
@@ -158,7 +158,7 @@ def test_valid_files_read_equal_to_oracle(tmp_path_factory, rows, blanks, order,
     assert got.file_station_ids == tuple(sorted({f.station_id for f in expected}))
     assert got.file_init_times == tuple(sorted({f.init_time for f in expected}))
     assert got.file_lead_grids == frozenset(map(tuple, grids.values()))
-    # Only a whitespace-only line (a one-field row to numpy) needs the row reader.
+    # The same file read without a filter.
     if "  \n" not in [blank for _, blank in blanks]:
         assert exact(bulk_result(path)) == exact(expected)
 
@@ -292,10 +292,10 @@ def test_integer_cells_follow_int(tmp_path, lead, member):
 
 @pytest.mark.parametrize("cell", ["12.5", "12.0", "1e1"])
 def test_numpy_int64_parser_rejects_non_integer_cells(cell):
-    # The bulk reader parses lead and member cells with numpy's int64 parser
-    # and hands a file it rejects to the row reader. Older numpy releases read
+    # The streaming reader parses member cells with numpy's int64 parser and
+    # hands a file it rejects to the row reader. Older numpy releases read
     # "12.5" as 12 with only a DeprecationWarning; under such a numpy this
-    # fails instead of the reader taking a wrong lead.
+    # fails instead of the reader taking a wrong member index.
     with pytest.raises(ValueError):
         np.loadtxt([f"S1,{cell}"], dtype=[("station_id", object), ("lead_h", np.int64)], delimiter=",",
                    comments=None, encoding="utf-8")
@@ -321,7 +321,7 @@ def test_columns_in_any_order(tmp_path):
 @pytest.mark.parametrize("workload", ["hindcast", "operational"])
 def test_simulated_workload_files_read_bitwise_equal(tmp_path, workload):
     # The benchmark workloads' generator settings (ensemble sizes, leads, lead
-    # interpolation), shortened to 12 days: the bulk reader must take these
+    # interpolation), shortened to 12 days: the streaming scan must take these
     # files itself and give the oracle's floats bit for bit.
     cfg = parse_config(Path(__file__).resolve().parents[1] / "bench" / "workloads" / f"{workload}.cfg")
     cfg.update({"scenario.n_days": "12", "scenario.n_stations": "1"})
