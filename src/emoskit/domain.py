@@ -243,7 +243,13 @@ class SampleTable:
         return len(self.observation)
 
     def __getitem__(self, rows) -> SampleTable:
-        return SampleTable(self.models, self.init_days[rows], self.mean[rows], self.std[rows], self.observation[rows])
+        arrays = [self.init_days[rows], self.mean[rows], self.std[rows], self.observation[rows]]
+        if isinstance(rows, slice) and (rows.step or 1) > 0:
+            # A forward row range of a checked table needs no checks: its views are read-only and in order.
+            table = object.__new__(SampleTable)
+            table.__dict__.update(zip(("models", "init_days", "mean", "std", "observation"), [self.models, *arrays]))
+            return table
+        return SampleTable(self.models, *arrays)
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,17 @@ scheme, which become a per-row clip.
 * Coordinates at a bound whose gradient points outward are held there; on
   the others the Hessian is made positive definite through its eigenvalues.
 * A backtracking line search along the projected path accepts the first
-  step that lowers the objective. A row stops when its next Newton step
-  predicts a relative decrease below 1e-13.
+  step 1, 1/2, 1/4, ... that lowers the objective without putting some sigma
+  on its floor, where the objective is flat in c and d. The full step is
+  tried for every row in one pass, then the next 8 halvings of each row still
+  searching together, in passes of bounded size, so that each row accepts the
+  step of halving one at a time. Each point is evaluated once: the forward
+  pass at the accepted point gives the next iteration's derivatives. A row
+  stops when its next Newton step predicts a relative decrease below 1e-13.
 
-The line search rejects steps that would put some sigma on its floor, where
-the objective is flat in c and d. A row whose line search finds no decrease
-is finished by scipy's L-BFGS-B on its own, in the squared parametrization
-b = gamma^2, d = delta^2, run both from the row's start and from where the
-row stalled.
+A row whose line search finds no decrease is finished by scipy's L-BFGS-B on
+its own, in the squared parametrization b = gamma^2, d = delta^2, run both
+from the row's start and from where the row stalled.
 
 Every key contributes one row per start, and the best row wins; zero-cost
 candidate points are evaluated alongside. A K = 1 fit without a warm start
@@ -225,6 +228,10 @@ class FitTask:
 # threshold costs about one iteration.
 _NEWTON_RTOL = 1e-13
 _MAX_HALVINGS = 40
+_HALVING_BATCH = 8  # halvings per forward pass once alpha = 1 failed
+# Samples (rows x window length) per halving pass; bounds the memory that
+# the replicated rows of a batch of halvings take.
+_PASS_SAMPLES = 2**14
 # Bound on the epsilon of the epsilon-active set (Bertsekas 1982).
 _ACTIVE_EPS = 1e-3
 # Floor on the eigenvalues of the modified Hessian, relative to the largest.
@@ -272,14 +279,9 @@ class _Stack:
         return _Stack(self.U[rows], self.V[rows], self.y[rows], self.w[rows], self.valid[rows])
 
 
-def _evaluate(theta, st: _Stack, min_sigma: float, order: int = 0):
-    """Mean CRPS of every row at ``theta`` (rows, P).
-
-    Returns (f, floored) for ``order`` 0, where ``floored`` flags rows with a
-    floored sigma on some sample; (f, g) for order 1 and (f, g, H) for order
-    2. A floored sigma is constant, so it contributes nothing to the
-    derivatives in C and D.
-    """
+def _forward(theta, st: _Stack, min_sigma: float):
+    """Mean CRPS of every row at ``theta`` (rows, P), and the per-sample state
+    (sigma, z, 2 Phi(z) - 1, pdf(z), floored) of its derivatives."""
     k1 = st.U.shape[2]
     mu = np.matmul(st.U, theta[:, :k1, None])[..., 0]
     s2 = np.matmul(st.V, theta[:, k1:, None])[..., 0]
@@ -290,18 +292,22 @@ def _evaluate(theta, st: _Stack, min_sigma: float, order: int = 0):
     z = err / sig
     two_cdf_m1 = 2.0 * ndtr(z) - 1.0
     pdf = _std_normal_pdf(z)
-    f_sig = 2.0 * pdf - _INV_SQRT_PI
     # sig * z == err, so crps = err*(2F-1) + sig*(2*pdf - 1/sqrt(pi))
-    f = np.sum(st.w * (err * two_cdf_m1 + sig * f_sig), axis=1)
-    if order == 0:
-        return f, np.any(floored & st.valid, axis=1)
+    f = (st.w * (err * two_cdf_m1 + sig * (2.0 * pdf - _INV_SQRT_PI))).sum(axis=1)
+    return f, (sig, z, two_cdf_m1, pdf, floored)
 
+
+def _derivatives(state, st: _Stack, order: int):
+    """(g,) for ``order`` 1 and (g, H) for order 2 at a forward pass's state;
+    a floored sigma is constant and adds nothing to the C and D derivatives."""
+    sig, z, two_cdf_m1, pdf, floored = state
+    f_sig = 2.0 * pdf - _INV_SQRT_PI
     sig_s = np.where(floored, 0.0, 0.5 / sig)  # d sigma / d S
     g_mu = st.w * -two_cdf_m1
     g_s = st.w * f_sig * sig_s
     g = np.concatenate([np.matmul(g_mu[:, None, :], st.U)[:, 0], np.matmul(g_s[:, None, :], st.V)[:, 0]], axis=1)
     if order == 1:
-        return f, g
+        return (g,)
 
     # d2/dmu2 = 2 pdf/sig, d2/dmu dsig = 2 z pdf/sig, d2/dsig2 = 2 z^2 pdf/sig,
     # chained through sigma = sqrt(S): d2 sigma/dS2 = -1/(4 sig^3).
@@ -310,11 +316,20 @@ def _evaluate(theta, st: _Stack, min_sigma: float, order: int = 0):
     h_ss = h_mm * (z * sig_s) ** 2 - st.w * f_sig * np.where(floored, 0.0, 0.25 / sig**3)
     Ut = st.U.transpose(0, 2, 1)
     Vt = st.V.transpose(0, 2, 1)
-    H_mm = np.matmul(Ut * h_mm[:, None, :], st.U)
-    H_ms = np.matmul(Ut * h_ms[:, None, :], st.V)
-    H_ss = np.matmul(Vt * h_ss[:, None, :], st.V)
-    H = np.block([[H_mm, H_ms], [H_ms.transpose(0, 2, 1), H_ss]])
-    return f, g, H
+    k1 = Ut.shape[1]
+    H = np.empty((len(g), 2 * k1, 2 * k1))
+    H[:, :k1, :k1] = np.matmul(Ut * h_mm[:, None, :], st.U)
+    H[:, :k1, k1:] = H_ms = np.matmul(Ut * h_ms[:, None, :], st.V)
+    H[:, k1:, :k1] = H_ms.transpose(0, 2, 1)
+    H[:, k1:, k1:] = np.matmul(Vt * h_ss[:, None, :], st.V)
+    return g, H
+
+
+def _evaluate(theta, st: _Stack, min_sigma: float, order: int):
+    """Mean CRPS of every row at ``theta`` (rows, P) and its derivatives:
+    (f, g) for ``order`` 1 and (f, g, H) for order 2."""
+    f, state = _forward(theta, st, min_sigma)
+    return (f, *_derivatives(state, st, order))
 
 
 def _newton_direction(theta, g, H, lower, upper):
@@ -330,19 +345,48 @@ def _newton_direction(theta, g, H, lower, upper):
     at_upper = (upper - theta <= eps) & (g < 0.0)
     held = at_lower | at_upper
     free = ~held
-    p = theta.shape[1]
+    rows, p = theta.shape
     Hf = np.where(free[:, :, None] & free[:, None, :], H, 0.0)
-    Hf[:, np.arange(p), np.arange(p)] += held
-    gf = np.where(free, g, 0.0)
+    Hf.reshape(rows, p * p)[:, :: p + 1] += held  # the diagonal
     lam, vec = np.linalg.eigh(Hf)
     lam = np.abs(lam)
     lam = np.maximum(lam, _EIG_FLOOR * np.maximum(lam.max(axis=1, keepdims=True), 1e-300))
-    gv = np.matmul(gf[:, None, :], vec)[:, 0] / lam
-    step = -np.matmul(vec, gv[:, :, None])[..., 0]
+    gv = np.matmul(np.where(free, g, 0.0)[:, None, :], vec)[:, 0] / lam
     target = np.where(at_lower, lower, np.where(at_upper, upper, theta))
-    step = np.where(held, target - theta, step)
-    decrease = np.sum(gv * gv * lam, axis=1) + np.sum(np.where(held, g * (theta - target), 0.0), axis=1)
+    step = np.where(held, target - theta, -np.matmul(vec, gv[:, :, None])[..., 0])
+    decrease = (gv * gv * lam).sum(axis=1) + np.where(held, g * (theta - target), 0.0).sum(axis=1)
     return step, decrease
+
+
+def _line_search(theta, step, lower, upper, f, st: _Stack, min_sigma: float):
+    """Backtracking along the projected path: each row's first step alpha = 1,
+    1/2, ..., 2^-(_MAX_HALVINGS - 1) that lowers ``f`` with no sigma on its
+    floor. alpha = 1 is tried for all rows in one forward pass, then the rows
+    still searching try _HALVING_BATCH halvings per pass (of at most
+    _PASS_SAMPLES samples); alpha is a power of two, so each row accepts the
+    point of halving one step at a time. Returns (rows, theta, f, *state) of
+    the accepted points, ``rows`` indexing the rows that found one, or None
+    when all did at alpha = 1."""
+    pending, parts, first = np.arange(len(f)), [], 0
+    while pending.size and first < _MAX_HALVINGS:
+        j = np.arange(first, min(first + (_HALVING_BATCH if first else 1), _MAX_HALVINGS))  # alpha = 2^-j
+        n, failed = j.size, []
+        passes = min(pending.size, -(-pending.size * n * st.y.shape[1] // _PASS_SAMPLES))  # ceil, no empty pass
+        for rows in np.array_split(pending, passes) if first else [pending]:
+            r = np.repeat(rows, n) if first else slice(None)
+            alpha = np.tile(np.ldexp(1.0, -j), rows.size)[:, None] if first else 1.0
+            trial = np.clip(theta[r] + alpha * step[r], lower[r], upper[r])
+            trial_st = st.take(r)
+            f_trial, state = _forward(trial, trial_st, min_sigma)
+            ok = ((f_trial < f[r]) & ~(state[-1] & trial_st.valid).any(axis=1)).reshape(-1, n)
+            if not first and ok.all():
+                return (None, trial, f_trial, *state)
+            hit = ok.any(axis=1)
+            pick = np.flatnonzero(hit) * n + ok.argmax(axis=1)[hit]
+            parts.append((rows[hit], trial[pick], f_trial[pick], *(a[pick] for a in state)))
+            failed.append(rows[~hit])
+        pending, first = np.concatenate(failed), first + n
+    return tuple(np.concatenate(column) for column in zip(*parts)) or (pending[:0], theta[:0], f[:0])
 
 
 @dataclass
@@ -356,48 +400,38 @@ class _Solved:
 def _newton(theta, st: _Stack, lower, upper, options: FitOptions) -> _Solved:
     """Projected Newton on every row at once; each row runs until it
     converges, exhausts max_iterations or stalls (no decrease along the
-    projected path). Stalled rows are finished by L-BFGS-B one at a time."""
+    projected path). Stalled rows are finished by L-BFGS-B one at a time.
+
+    Each point is evaluated once: the forward pass at a row's start or at its
+    accepted line-search point gives the derivatives of its next iteration.
+    A row boxed to one point (lower == upper) is evaluated only.
+    """
     start, theta = theta, theta.copy()
-    rows = theta.shape[0]
     m = options.min_sigma
     rtol = min(options.objective_tolerance, _NEWTON_RTOL)
-    f, _ = _evaluate(theta, st, m)
-    converged = np.zeros(rows, dtype=bool)
-    stalled = np.zeros(rows, dtype=bool)
-    n_iter = np.zeros(rows, dtype=int)
+    f, state = _forward(theta, st, m)
+    converged, stalled = np.zeros((2, len(theta)), dtype=bool)
+    n_iter = np.zeros(len(theta), dtype=int)
 
-    live = np.arange(rows)
+    live = np.flatnonzero((lower != upper).any(axis=1))
+    state = tuple(a[live] for a in state)  # of the live rows
     for it in range(options.max_iterations + 1):
         if live.size == 0:
             break
-        sub = st.take(live)
-        th, lo, hi = theta[live], lower[live], upper[live]
-        f_live, g, H = _evaluate(th, sub, m, order=2)
+        sub, th, lo, hi, f_live = st.take(live), theta[live], lower[live], upper[live], f[live]
+        g, H = _derivatives(state, sub, 2)
         step, decrease = _newton_direction(th, g, H, lo, hi)
         done = decrease <= rtol * np.abs(f_live)
         converged[live[done]] = True
-        if it == options.max_iterations:
+        if it == options.max_iterations or done.all():
             break
-        search = np.flatnonzero(~done)
-        alpha = np.ones(search.size)
-        accepted = np.zeros(search.size, dtype=bool)
-        pending = np.arange(search.size)
-        for _ in range(_MAX_HALVINGS):
-            if pending.size == 0:
-                break
-            r = search[pending]
-            trial = np.clip(th[r] + alpha[pending, None] * step[r], lo[r], hi[r])
-            f_trial, floored = _evaluate(trial, sub.take(r), m)
-            ok = (f_trial < f_live[r]) & ~floored
-            idx = live[r[ok]]
-            theta[idx] = trial[ok]
-            f[idx] = f_trial[ok]
-            accepted[pending[ok]] = True
-            alpha[pending[~ok]] *= 0.5
-            pending = pending[~ok]
-        n_iter[live[search[accepted]]] += 1
-        stalled[live[search[~accepted]]] = True
-        live = live[search[accepted]]
+        s = np.flatnonzero(~done) if done.any() else slice(None)  # the rows still searching
+        found, trial, f_trial, *state = _line_search(th[s], step[s], lo[s], hi[s], f_live[s], sub.take(s), m)
+        stalled[live[s]] = True
+        live = live[s] if found is None else live[s][found]
+        stalled[live] = False
+        theta[live], f[live] = trial, f_trial
+        n_iter[live] += 1
 
     for i in np.flatnonzero(stalled):
         theta[i], f[i], converged[i], extra = _lbfgsb_row(
@@ -486,12 +520,9 @@ _IDENTITY_SINGLE = np.array([0.0, 1.0, 0.0, 1.0])
 def _starts_and_candidates(task: FitTask, single_fits, min_sigma):
     """Natural-coordinate start rows and zero-cost candidate points of a task."""
     k = len(task.model_ids)
+    warm = None if task.start is None else [_wake(_theta_from(task.start), min_sigma)]
     if k == 1:
-        if task.start is not None:
-            starts = [_wake(_theta_from(task.start), min_sigma)]
-        else:
-            starts = [_DEFAULT_SINGLE, _NEAR_IDENTITY_SINGLE]
-        return starts, [_IDENTITY_SINGLE, _DEFAULT_SINGLE]
+        return warm or [_DEFAULT_SINGLE, _NEAR_IDENTITY_SINGLE], [_IDENTITY_SINGLE, _DEFAULT_SINGLE]
 
     # Predictor j's single fit embedded with every other predictor off.
     embeds = []
@@ -499,28 +530,16 @@ def _starts_and_candidates(task: FitTask, single_fits, min_sigma):
         embed = np.zeros(2 * k + 2)
         embed[[0, 1 + j, k + 1, k + 2 + j]] = _theta_from(fit.coefficients)
         embeds.append(embed)
-    if task.start is not None:
-        starts = [_wake(_theta_from(task.start), min_sigma)]
-    else:
-        # Start from the best single fit with the other predictors switched
-        # on a little, and from a symmetric combination.
-        best = min(range(k), key=lambda j: single_fits[j].objective)
-        perturbed = embeds[best].copy()
-        dormant = np.array([j for j in range(k) if j != best])
-        perturbed[1 + dormant], perturbed[k + 2 + dormant] = 0.09, 0.0081
-        symmetric = np.concatenate([[0.0], np.full(k, 1.0 / k), [1.0], np.full(k, 1.0 / k)])
-        starts = [_wake(perturbed, min_sigma), symmetric]
-    return starts, embeds
-
-
-def _bounds_arrays(k: int, bounds):
-    p = 2 * k + 2
-    lower = np.zeros(p)
-    lower[0] = -np.inf
-    upper = np.full(p, np.inf)
-    if bounds is not None:
-        upper[1], upper[k + 2] = bounds[0], bounds[1] ** 2
-    return lower, upper
+    if warm:
+        return warm, embeds
+    # Start from the best single fit with the other predictors switched on a
+    # little, and from a symmetric combination.
+    best = min(range(k), key=lambda j: single_fits[j].objective)
+    perturbed = embeds[best].copy()
+    dormant = np.array([j for j in range(k) if j != best])
+    perturbed[1 + dormant], perturbed[k + 2 + dormant] = 0.09, 0.0081
+    symmetric = np.concatenate([[0.0], np.full(k, 1.0 / k), [1.0], np.full(k, 1.0 / k)])
+    return [_wake(perturbed, min_sigma), symmetric], embeds
 
 
 def fit_batch(tasks: Sequence[FitTask], options: FitOptions = FitOptions()) -> list[FitResult]:
@@ -546,35 +565,32 @@ def fit_batch(tasks: Sequence[FitTask], options: FitOptions = FitOptions()) -> l
         for j, i in enumerate(need):
             singles[i] = tuple(seeds[k * j : k * (j + 1)])
 
-    rows, cands = [], []  # (task, theta, lower, upper) per start row; (task, theta) per candidate
-    task_rows, task_cands = [], []
+    # A row per start, then per zero-cost candidate point boxed to itself:
+    # evaluated, not solved, it may improve the answer but says nothing of convergence.
+    rows, spans = [], []  # (task, point, candidate) per row; the rows of each task
     for i, task in enumerate(tasks):
-        lower, upper = _bounds_arrays(k, task.bounds)
         starts, candidates = _starts_and_candidates(task, singles[i], options.min_sigma)
-        task_rows.append(range(len(rows), len(rows) + len(starts)))
-        task_cands.append(range(len(cands), len(cands) + len(candidates)))
-        rows += [(i, np.clip(p, lower, upper), lower, upper) for p in starts]
-        cands += [(i, np.clip(p, lower, upper)) for p in candidates]
-    row_task, row_theta, row_lower, row_upper = (list(col) for col in zip(*rows))
-    cand_task, cand_theta = (list(col) for col in zip(*cands))
-    solved = _newton(np.array(row_theta), stack.take(row_task), np.array(row_lower), np.array(row_upper), options)
-    f_cand, _ = _evaluate(np.array(cand_theta), stack.take(cand_task), options.min_sigma)
+        spans.append(range(len(rows), len(rows) + len(starts) + len(candidates)))
+        rows += [(i, p, False) for p in starts] + [(i, p, True) for p in candidates]
+    row_task, points, fixed = (np.array(col) for col in zip(*rows))
+    # b, c^2, d^2 >= 0, and the upper bounds on b_1 and d_1^2
+    caps = np.array([(np.inf, np.inf) if t.bounds is None else (t.bounds[0], t.bounds[1] ** 2) for t in tasks])
+    lower, upper = np.zeros(points.shape), np.full(points.shape, np.inf)
+    lower[:, 0] = -np.inf
+    upper[:, 1], upper[:, k + 2] = caps[row_task].T
+    theta = np.clip(points, lower, upper)
+    lower[fixed] = upper[fixed] = theta[fixed]
+    solved = _newton(theta, stack.take(row_task), lower, upper, options)
 
     results = []
-    for i, task in enumerate(tasks):
-        best = min(task_rows[i], key=lambda r: solved.f[r])
-        theta, f, n_iter = solved.theta[best], float(solved.f[best]), int(solved.n_iterations[best])
-        for c in task_cands[i]:
-            # Zero-cost points may improve the answer but say nothing about
-            # convergence.
-            if f_cand[c] < f:
-                theta, f, n_iter = cand_theta[c], float(f_cand[c]), 0
+    for task, span in zip(tasks, spans):
+        best = min(span, key=lambda r: solved.f[r])  # the first of the lowest, starts before candidates
         results.append(
             FitResult(
-                coefficients=_coef_from(theta, task.bounds),
-                objective=f,
-                converged=bool(solved.converged[task_rows[i]].any()),
-                n_iterations=n_iter,
+                coefficients=_coef_from(solved.theta[best], task.bounds),
+                objective=float(solved.f[best]),
+                converged=bool(solved.converged[span].any()),
+                n_iterations=int(solved.n_iterations[best]),
                 n_samples=len(task.table),
             )
         )

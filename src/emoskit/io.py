@@ -135,6 +135,9 @@ class _TableReader:
             except StopIteration:
                 raise SchemaError(self.path, 1, None, "file is empty, expected a header row") from None
             header = [h.strip() for h in header]
+            for i, name in enumerate(header):
+                if name in header[:i]:
+                    raise SchemaError(self.path, 1, name, "duplicate column")
             for col in self.required:
                 if col not in header:
                     raise SchemaError(self.path, 1, col, "missing required column")

@@ -4,7 +4,16 @@ scipy's L-BFGS-B, run the way single fits were solved before the batched
 solver (squared parametrization b = gamma^2, d = delta^2, analytic
 gradient, the same starts and candidates), is the oracle: on every row of a
 batch the batched objective must not end above it.
+
+The Newton loop has a second, differential oracle: the loop as it was
+before it reused line-search evaluations and batched the backtracking
+(``oracle_newton`` below, kept as it was, with the evaluation and Newton
+direction it called), which evaluated every point again for its derivatives
+and halved the step one forward pass at a time. ``fit_batch`` must give its
+results bit for bit.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -12,8 +21,11 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import ndtr
 
+import emoskit.emos as emos
 from emoskit.domain import SampleTable
-from emoskit.emos import FitOptions, FitTask, _evaluate, _Stack, fit_batch
+from emoskit.emos import EmosCoefficients, FitOptions, FitTask, _evaluate, _Stack, fit_batch
+from emoskit.scoring import _INV_SQRT_PI, _std_normal_pdf
+from emoskit.scoring import ndtr as emos_ndtr
 
 from conftest import T0
 
@@ -202,3 +214,243 @@ def test_mixed_nests_singles_within_a_batch(data, size):
     mixed = fit_batch([FitTask(s, ("A", "B"), single_fits=p) for s, p in zip(samples, pairs)], OPTIONS)
     for (fit_a, fit_b), fit in zip(pairs, mixed):
         assert fit.objective <= min(fit_a.objective, fit_b.objective) + 3e-8
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the sequential-halving Newton loop
+# ---------------------------------------------------------------------------
+
+
+def oracle_evaluate(theta, st: _Stack, min_sigma: float, order: int = 0):
+    k1 = st.U.shape[2]
+    mu = np.matmul(st.U, theta[:, :k1, None])[..., 0]
+    s2 = np.matmul(st.V, theta[:, k1:, None])[..., 0]
+    sig_raw = np.sqrt(s2)
+    floored = sig_raw < min_sigma
+    sig = np.maximum(sig_raw, min_sigma)
+    err = st.y - mu
+    z = err / sig
+    two_cdf_m1 = 2.0 * emos_ndtr(z) - 1.0
+    pdf = _std_normal_pdf(z)
+    f_sig = 2.0 * pdf - _INV_SQRT_PI
+    f = np.sum(st.w * (err * two_cdf_m1 + sig * f_sig), axis=1)
+    if order == 0:
+        return f, np.any(floored & st.valid, axis=1)
+
+    sig_s = np.where(floored, 0.0, 0.5 / sig)
+    g_mu = st.w * -two_cdf_m1
+    g_s = st.w * f_sig * sig_s
+    g = np.concatenate([np.matmul(g_mu[:, None, :], st.U)[:, 0], np.matmul(g_s[:, None, :], st.V)[:, 0]], axis=1)
+    if order == 1:
+        return f, g
+
+    h_mm = st.w * 2.0 * pdf / sig
+    h_ms = h_mm * z * sig_s
+    h_ss = h_mm * (z * sig_s) ** 2 - st.w * f_sig * np.where(floored, 0.0, 0.25 / sig**3)
+    Ut = st.U.transpose(0, 2, 1)
+    Vt = st.V.transpose(0, 2, 1)
+    H_mm = np.matmul(Ut * h_mm[:, None, :], st.U)
+    H_ms = np.matmul(Ut * h_ms[:, None, :], st.V)
+    H_ss = np.matmul(Vt * h_ss[:, None, :], st.V)
+    H = np.block([[H_mm, H_ms], [H_ms.transpose(0, 2, 1), H_ss]])
+    return f, g, H
+
+
+def oracle_newton_direction(theta, g, H, lower, upper):
+    pg = theta - np.clip(theta - g, lower, upper)
+    eps = np.minimum(emos._ACTIVE_EPS, np.abs(pg).max(axis=1))[:, None]
+    at_lower = (theta - lower <= eps) & (g > 0.0)
+    at_upper = (upper - theta <= eps) & (g < 0.0)
+    held = at_lower | at_upper
+    free = ~held
+    p = theta.shape[1]
+    Hf = np.where(free[:, :, None] & free[:, None, :], H, 0.0)
+    Hf[:, np.arange(p), np.arange(p)] += held
+    gf = np.where(free, g, 0.0)
+    lam, vec = np.linalg.eigh(Hf)
+    lam = np.abs(lam)
+    lam = np.maximum(lam, emos._EIG_FLOOR * np.maximum(lam.max(axis=1, keepdims=True), 1e-300))
+    gv = np.matmul(gf[:, None, :], vec)[:, 0] / lam
+    step = -np.matmul(vec, gv[:, :, None])[..., 0]
+    target = np.where(at_lower, lower, np.where(at_upper, upper, theta))
+    step = np.where(held, target - theta, step)
+    decrease = np.sum(gv * gv * lam, axis=1) + np.sum(np.where(held, g * (theta - target), 0.0), axis=1)
+    return step, decrease
+
+
+def oracle_newton(theta, st: _Stack, lower, upper, options: FitOptions):
+    start, theta = theta, theta.copy()
+    rows = theta.shape[0]
+    m = options.min_sigma
+    rtol = min(options.objective_tolerance, emos._NEWTON_RTOL)
+    f, _ = oracle_evaluate(theta, st, m)
+    converged = np.zeros(rows, dtype=bool)
+    stalled = np.zeros(rows, dtype=bool)
+    n_iter = np.zeros(rows, dtype=int)
+
+    live = np.arange(rows)
+    for it in range(options.max_iterations + 1):
+        if live.size == 0:
+            break
+        sub = st.take(live)
+        th, lo, hi = theta[live], lower[live], upper[live]
+        f_live, g, H = oracle_evaluate(th, sub, m, order=2)
+        step, decrease = oracle_newton_direction(th, g, H, lo, hi)
+        done = decrease <= rtol * np.abs(f_live)
+        converged[live[done]] = True
+        if it == options.max_iterations:
+            break
+        search = np.flatnonzero(~done)
+        alpha = np.ones(search.size)
+        accepted = np.zeros(search.size, dtype=bool)
+        pending = np.arange(search.size)
+        for _ in range(40):  # _MAX_HALVINGS
+            if pending.size == 0:
+                break
+            r = search[pending]
+            trial = np.clip(th[r] + alpha[pending, None] * step[r], lo[r], hi[r])
+            f_trial, floored = oracle_evaluate(trial, sub.take(r), m)
+            ok = (f_trial < f_live[r]) & ~floored
+            idx = live[r[ok]]
+            theta[idx] = trial[ok]
+            f[idx] = f_trial[ok]
+            accepted[pending[ok]] = True
+            alpha[pending[~ok]] *= 0.5
+            pending = pending[~ok]
+        n_iter[live[search[accepted]]] += 1
+        stalled[live[search[~accepted]]] = True
+        live = live[search[accepted]]
+
+    for i in np.flatnonzero(stalled):
+        theta[i], f[i], converged[i], extra = emos._lbfgsb_row(
+            (start[i], theta[i]), st.take([i]), upper[i], theta[i], f[i], options
+        )
+        n_iter[i] += extra
+    return emos._Solved(theta, f, converged, n_iter)
+
+
+def oracle_solve(theta, st: _Stack, lower, upper, options: FitOptions):
+    """``_newton``'s contract on the oracle loop: ``fit_batch`` boxes each
+    candidate point to itself, and such rows are only evaluated, as
+    ``fit_batch`` evaluated its candidates before."""
+    point = (lower == upper).all(axis=1)
+    rows, points = np.flatnonzero(~point), np.flatnonzero(point)
+    solved = oracle_newton(theta[rows], st.take(rows), lower[rows], upper[rows], options)
+    out = emos._Solved(theta.copy(), np.empty(len(theta)), np.zeros(len(theta), bool), np.zeros(len(theta), int))
+    out.theta[rows], out.f[rows], out.converged[rows], out.n_iterations[rows] = (
+        solved.theta, solved.f, solved.converged, solved.n_iterations
+    )
+    out.f[points] = oracle_evaluate(theta[points], st.take(points), options.min_sigma)[0]
+    return out
+
+
+def bits(results):
+    """Every number of a list of fit results, by its float64 bits."""
+    out = []
+    for r in results:
+        c = r.coefficients
+        out.append(([v.hex() for v in (c.a, *c.b, c.c, *c.d, r.objective)], r.converged, r.n_iterations))
+    return out
+
+
+def oracle_fit_batch(tasks, options=OPTIONS):
+    with mock.patch.object(emos, "_newton", oracle_solve):
+        return fit_batch(tasks, options)
+
+
+@st.composite
+def oracle_tasks(draw, k):
+    """A task on a drawn window: some exact (zero noise and spread, whose
+    sigma heads for the floor and whose rows stall into L-BFGS-B), some
+    warm-started at c = 0 (woken) or with a far from the data (more than
+    _HALVING_BATCH halvings), some under t1 upper bounds."""
+    xbar, std, y = draw(windows(k))
+    if draw(st.booleans()):
+        std = np.zeros_like(std)
+        y = 0.5 + 0.9 * xbar[:, 0]
+    start = draw(st.one_of(
+        st.none(),
+        st.builds(
+            lambda a, c, b: EmosCoefficients(a, (b,) * k, c, (1.0,) * k),
+            st.sampled_from([0.0, 1.0, 30.0, -200.0]), st.sampled_from([0.0, 1e-4, 0.5]), st.floats(0.1, 1.5),
+        ),
+    ))
+    bounds = draw(bounds_or_none()) if k == 2 else None
+    return FitTask(as_table((xbar, std, y)), ("A", "B")[:k], start=start, bounds=bounds)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), k=st.sampled_from([1, 2]), size=st.integers(1, 4))
+def test_fit_batch_matches_sequential_halving_oracle(data, k, size):
+    tasks = [data.draw(oracle_tasks(k)) for _ in range(size)]
+    assert bits(fit_batch(tasks, OPTIONS)) == bits(oracle_fit_batch(tasks))
+
+
+def test_oracle_cases_cover_long_searches_stalls_and_wakes():
+    """One batch of each kind the property test draws, checked to reach the
+    branches it is drawn for: a line search past the first batch of
+    halvings, a woken start and a row that stalls into L-BFGS-B; with the
+    halving passes whole and split."""
+    rng = np.random.default_rng(5)
+    n = 45
+    truth = rng.normal(8.0, 4.0, n)
+    xbar = truth[:, None] + rng.normal(0.0, [0.5, 1.5], (n, 2)) + [1.0, -2.0]
+    std = rng.uniform(0.2, 1.5, (n, 2))
+    y = 0.5 + 0.9 * truth + rng.normal(0.0, 0.5, n)
+    exact = as_table((xbar, np.zeros_like(std), 0.5 + 0.9 * xbar[:, 0]))
+    noisy = as_table((xbar, std, y))
+    batches = [
+        [FitTask(noisy, ("A",), start=EmosCoefficients(30.0, (1.0,), 0.5, (1.0,))),
+         FitTask(noisy, ("B",), start=EmosCoefficients(0.0, (1.0,), 0.0, (1.0,))),
+         FitTask(exact, ("A",))],
+        [FitTask(noisy, ("A", "B"), bounds=(0.5, 0.4)),
+         FitTask(noisy, ("A", "B"), start=EmosCoefficients(-200.0, (0.5, 0.5), 0.0, (0.5, 0.5))),
+         FitTask(exact, ("A", "B"))],
+    ]
+    rounds, stalls, wakes, forwards = [], [], [], [0]
+    real_search, real_forward, real_lbfgsb, real_wake = emos._line_search, emos._forward, emos._lbfgsb_row, emos._wake
+
+    def search(*args):
+        before = forwards[0]
+        out = real_search(*args)
+        rounds.append(forwards[0] - before)
+        return out
+
+    def forward(*args):
+        forwards[0] += 1
+        return real_forward(*args)
+
+    def lbfgsb(*args):
+        stalls.append(1)
+        return real_lbfgsb(*args)
+
+    def wake(theta, min_sigma):
+        woken = real_wake(theta, min_sigma)
+        wakes.append(woken is not theta)
+        return woken
+
+    spies = {"_line_search": search, "_forward": forward, "_lbfgsb_row": lbfgsb, "_wake": wake}
+    # One Newton iteration leaves rows unconverged, which candidate points
+    # must not mark converged.
+    for batch, options in [(b, o) for b in batches for o in (OPTIONS, FitOptions(max_iterations=1))]:
+        want = bits(oracle_fit_batch(batch, options))
+        # A pass budget of one sample splits every batch of halvings into one
+        # pass per pending row.
+        for pass_samples in (emos._PASS_SAMPLES, 1):
+            with mock.patch.multiple(emos, _PASS_SAMPLES=pass_samples, **spies):
+                assert bits(fit_batch(batch, options)) == want
+    # a third round tries halvings past the first batch
+    assert max(rounds) >= 3
+    assert stalls and any(wakes)
+
+
+@PROPERTY_SETTINGS
+@given(window=windows(2), point=st.tuples(
+    st.floats(-2.0, 2.0), st.floats(0.0, 1.5), st.floats(0.0, 1.5),
+    st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0),
+), order=st.sampled_from([1, 2]))
+def test_evaluate_matches_oracle(window, point, order):
+    stack = _Stack.from_windows([FitTask(as_table(window), ("A", "B"))])
+    theta = np.array([point])
+    got, want = _evaluate(theta, stack, OPTIONS.min_sigma, order), oracle_evaluate(theta, stack, OPTIONS.min_sigma, order)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]

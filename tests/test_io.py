@@ -237,6 +237,40 @@ class TestStore:
             read_store(path)
 
 
+# A header that names a column twice is rejected at line 1, naming the
+# column: a reader would otherwise take the last of the two cells.
+DUPLICATE_HEADERS = [
+    (read_observations, "station_id,valid_time,temp_c,temp_c\nS1,2017-03-01T00:00:00Z,1.5,9.5\n", "temp_c"),
+    (
+        lambda path: read_forecasts(path, "m"),
+        "station_id,init_time,lead_h,member_idx,temp_c,temp_c\nS1,2017-03-01T00:00:00Z,12,0,1.5,9.5\n",
+        "temp_c",
+    ),
+    (
+        read_store,
+        "station_id,lead_h,strategy,issue_date,a,b1,b2,c,d1,d2,n_samples,objective,converged,fallback,a\n"
+        "S1,12,single:hires,2017-03-01,0,1,,0,1,,45,0.1,true,false,5\n",
+        "a",
+    ),
+    (
+        read_stations,
+        "station_id,lat,lon,elev_m,grid_elev_hires,grid_elev_hires\nS1,46,7,100,110,900\n",
+        "grid_elev_hires",
+    ),
+]
+
+
+@pytest.mark.parametrize("reader, text, column", DUPLICATE_HEADERS,
+                         ids=["observations", "forecasts", "store", "stations"])
+def test_duplicate_column_rejected(tmp_path, reader, text, column):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(SchemaError) as err:
+        reader(path)
+    assert (err.value.line_no, err.value.column) == (1, column)
+    assert str(err.value).endswith(": duplicate column")
+
+
 class TestConfig:
     def test_parse(self, tmp_path):
         path = tmp_path / "run.cfg"
