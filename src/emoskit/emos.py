@@ -572,14 +572,14 @@ def fit_batch(tasks: Sequence[FitTask], options: FitOptions = FitOptions()) -> l
         starts, candidates = _starts_and_candidates(task, singles[i], options.min_sigma)
         spans.append(range(len(rows), len(rows) + len(starts) + len(candidates)))
         rows += [(i, p, False) for p in starts] + [(i, p, True) for p in candidates]
-    row_task, points, fixed = (np.array(col) for col in zip(*rows))
+    row_task, points, candidate = (np.array(col) for col in zip(*rows))
     # b, c^2, d^2 >= 0, and the upper bounds on b_1 and d_1^2
     caps = np.array([(np.inf, np.inf) if t.bounds is None else (t.bounds[0], t.bounds[1] ** 2) for t in tasks])
     lower, upper = np.zeros(points.shape), np.full(points.shape, np.inf)
     lower[:, 0] = -np.inf
     upper[:, 1], upper[:, k + 2] = caps[row_task].T
     theta = np.clip(points, lower, upper)
-    lower[fixed] = upper[fixed] = theta[fixed]
+    lower[candidate] = upper[candidate] = theta[candidate]
     solved = _newton(theta, stack.take(row_task), lower, upper, options)
 
     results = []
