@@ -498,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--issue-start", type=_date_arg, default=None)
     p.add_argument("--issue-end", type=_date_arg, default=None)
     p.add_argument(
-        "--jobs", type=int, default=1, help="ignored: each issue date is fitted in one batched solve"
+        "--jobs", type=int, default=1, help="ignored: the fits run in batched solves"
     )
     p.set_defaults(func=cmd_train)
 

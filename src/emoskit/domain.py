@@ -300,7 +300,7 @@ def align(forecasts: Sequence[ForecastCube], obs: ObservationSeries, lead_time: 
     rows = [cube.rows(obs.station_id, lead_time) for cube in forecasts]
     inits = [cube._init_micros[cube.init[r]] for cube, r in zip(forecasts, rows)]  # sorted, distinct
     obs_times, obs_values = obs._lookup
-    common = reduce(np.intersect1d, inits)
+    common = reduce(partial(np.intersect1d, assume_unique=True), inits)  # np.unique would import numpy.ma
     _, at, found = np.intersect1d(common + lead_time * _HOUR, obs_times, assume_unique=True, return_indices=True)
     picked = [r[np.searchsorted(times, common[at])] for r, times in zip(rows, inits)]
     table = SampleTable(
@@ -310,4 +310,4 @@ def align(forecasts: Sequence[ForecastCube], obs: ObservationSeries, lead_time: 
         std=np.column_stack([cube.std[p] for cube, p in zip(forecasts, picked)]),
         observation=obs_values[found],
     )
-    return table, len(reduce(np.union1d, inits)) - len(at)
+    return table, len(set(np.concatenate(inits).tolist())) - len(at)

@@ -6,8 +6,9 @@ forecast-observation pairs. Keys without enough window samples fall back to
 the most recent stored coefficients (up to 10 days old) and finally to
 pass-through identity coefficients; fallback records are flagged. The keys
 of an issue date are fitted together by the batched solver of ``emos``, one
-solve per number of predictors K. A fit that does not converge is recorded
-with its best-so-far coefficients; any other failure aborts the pass.
+solve per number of predictors K (``train`` adds each date's t1 taper refits
+to the next date's solves). A fit that does not converge is recorded with
+its best-so-far coefficients; any other failure aborts the pass.
 
 The drivers run the whole chain over many issue dates on one
 ``domain.ForecastCube`` per model: ``prepare_forecasts`` (lapse correction
@@ -21,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta
+from functools import cache
 
 import numpy as np
 
@@ -75,11 +77,12 @@ def mixed_strategy(model_id1: str, model_id2: str) -> str:
     return f"mixed:{model_id1}+{model_id2}"
 
 
+@cache
 def parse_strategy(strategy: str) -> tuple[str, tuple[str, ...]]:
     """Split a strategy label into its kind and model ids.
 
     Recognized forms: ``raw:<model>``, ``single:<model>``,
-    ``mixed:<model1>+<model2>``.
+    ``mixed:<model1>+<model2>``. Cached per label; a malformed label raises each time.
     """
     kind, _, rest = strategy.partition(":")
     if kind == "raw" and rest:
@@ -182,7 +185,7 @@ def build_archive(
     of dropped (incomplete) init times.
     """
     cubes = [forecasts_by_model[m] for m in sorted(forecasts_by_model)]
-    leads_of = [set(np.unique(cube.lead).tolist()) for cube in cubes]
+    leads_of = [set(cube.lead.tolist()) for cube in cubes]
     covered = set().union(*(cube.station_ids for cube in cubes))
     archive: Archive = {}
     total_dropped = 0
@@ -232,25 +235,36 @@ def fit_for_issue(
     history of the stale-coefficient fallback; it is not modified (merge the
     returned updates yourself).
     """
-    if store is None:
-        store = CoefficientStore()
-    bounds = bounds or {}
-    windows: dict[tuple[str, int], SampleTable | None] = {}
-    updates: dict[CoefficientKey, StoredFit] = {}
-    to_fit: dict[int, list[CoefficientKey]] = {}
     for key in keys:
         if key.issue_date != issue_date:
             raise ValueError(f"key {key} does not belong to issue date {issue_date}")
+    return _fit_keys(archive, keys, spec, options, CoefficientStore() if store is None else store, bounds or {})
+
+
+def _fit_keys(
+    archive: Archive,
+    keys: list[CoefficientKey],
+    spec: RollingWindowSpec,
+    options: FitOptions,
+    store: CoefficientStore,
+    bounds: dict[CoefficientKey, tuple[float, float]],
+) -> dict[CoefficientKey, StoredFit]:
+    """``fit_for_issue`` over keys of any issue dates: each key is fitted on
+    the window of its own date, and each K is solved once for all of them."""
+    windows: dict[tuple[str, int, date], SampleTable | None] = {}
+    updates: dict[CoefficientKey, StoredFit] = {}
+    to_fit: dict[int, list[CoefficientKey]] = {}
+    for key in keys:
         kind, models = parse_strategy(key.strategy)
         if kind == "raw":
             raise ValueError(f"raw strategy {key.strategy!r} takes no coefficients")
-        slot = (key.station_id, key.lead_time)
-        if slot not in windows:
-            windows[slot] = select_window(archive[slot], issue_date, spec) if slot in archive else None
-        window = windows[slot]
+        slot, where = (key.station_id, key.lead_time), (key.station_id, key.lead_time, key.issue_date)
+        if where not in windows:
+            windows[where] = select_window(archive[slot], key.issue_date, spec) if slot in archive else None
+        window = windows[where]
         n_samples = len(window) if window else 0
         if n_samples < spec.min_samples or not set(models) <= set(window.models):
-            prior = store.latest_before(key.station_id, key.lead_time, key.strategy, issue_date, REUSE_WINDOW_DAYS)
+            prior = store.latest_before(key.station_id, key.lead_time, key.strategy, key.issue_date, REUSE_WINDOW_DAYS)
             if prior is not None:
                 updates[key] = replace(prior, n_samples=n_samples, fallback=True)
             else:
@@ -265,7 +279,7 @@ def fit_for_issue(
             models = parse_strategy(key.strategy)[1]
             # Yesterday's coefficients are an excellent starting point on a
             # rolling window that shifts by one day.
-            prior = store.latest_before(key.station_id, key.lead_time, key.strategy, issue_date, 5)
+            prior = store.latest_before(key.station_id, key.lead_time, key.strategy, key.issue_date, 5)
             hints = None
             if k > 1:
                 hints = []
@@ -274,7 +288,7 @@ def fit_for_issue(
                     hints.append(fitted.get(single_key) or _stored_as_fit(store.get(single_key)))
             tasks.append(
                 FitTask(
-                    windows[(key.station_id, key.lead_time)],
+                    windows[(key.station_id, key.lead_time, key.issue_date)],
                     models,
                     start=None if prior is None else prior.coefficients,
                     single_fits=None if hints is None or None in hints else tuple(hints),
@@ -441,11 +455,13 @@ def train(
     each date warm-starts from the fits of the dates before it.
 
     ``taper`` = (spec, combined strategy) selects the t1 scheme: the combined
-    strategy's slots at the taper leads are left out of each date's first
-    solve and refit in a second one, under the upper bounds that
-    ``transition1_bounds`` derives from that date's fit at the anchor lead.
-    Slots without the anchor or taper leads, or a station without an anchor
-    fit, raise ValueError.
+    strategy's slots at the taper leads are left out of each date's own
+    solves and refit under the upper bounds that ``transition1_bounds``
+    derives from that date's fit at the anchor lead. No later date reads
+    those refits, so they ride in the next date's solves (a wave: one solve
+    per K over that date's keys and the previous date's taper keys), and
+    the last date's run alone at the end. Slots without the anchor or taper
+    leads, or a station without an anchor fit, raise ValueError.
     """
     store = CoefficientStore()
     tapered: list[Slot] = []
@@ -459,9 +475,10 @@ def train(
         stations = sorted({sid for sid, _, _ in slots})
     taper_set = set(tapered)
     plain = [slot for slot in slots if slot not in taper_set]
+    bounds: dict[CoefficientKey, tuple[float, float]] = {}  # the previous date's taper refits
     for issue in issue_dates:
         keys = [CoefficientKey(sid, lead, strategy, issue) for sid, lead, strategy in plain]
-        store.update(fit_for_issue(archive, issue, keys, spec, options, store))
+        store.update(_fit_keys(archive, keys + list(bounds), spec, options, store, bounds))
         if taper is None:
             continue
         station_bounds = {}
@@ -471,7 +488,8 @@ def train(
                 raise ValueError(f"no anchor coefficients at lead {tspec.anchor_lead} for {sid} {issue}")
             station_bounds[sid] = transition1_bounds(anchor.coefficients, tspec)
         bounds = {CoefficientKey(sid, lead, s, issue): station_bounds[sid][lead] for sid, lead, s in tapered}
-        store.update(fit_for_issue(archive, issue, list(bounds), spec, options, store, bounds=bounds))
+    if bounds:
+        store.update(_fit_keys(archive, list(bounds), spec, options, store, bounds))
     return store
 
 

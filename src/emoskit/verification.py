@@ -164,7 +164,7 @@ def verify(
             mu, sigma = cases.mu[s], cases.sigma[s]
             z = (cases.y - mu) / sigma
             crps[s], pit[s] = sigma * crps_normal_unit(z), ndtr(z)
-            for lead in np.unique(cases.leads).tolist():
+            for lead in sorted(set(cases.leads.tolist())):
                 at = cases.leads == lead
                 spread, rmse = math.sqrt(np.mean(sigma[at] ** 2)), math.sqrt(np.mean((cases.y[at] - mu[at]) ** 2))
                 calibration[(s, lead)] = (int(at.sum()), float(np.std(z[at])), spread / rmse if rmse else math.inf)
@@ -172,7 +172,7 @@ def verify(
         u = rng.random(n)
         cube, index = raw[s]
         rows = np.array([index[c] for c in keys])
-        for j in np.unique(cube.block[rows]):
+        for j in sorted(set(cube.block[rows].tolist())):
             idx = np.flatnonzero(cube.block[rows] == j)
             x = cube.members[j][cube.row[rows[idx]]]
             crps[s][idx] = ensemble_crps_rows(x, cases.y[idx])

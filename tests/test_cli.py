@@ -399,6 +399,21 @@ def test_simulate_predict_transition_leave_scipy_unimported(seam_run, tmp_path):
     assert preds.read_bytes() == seam_run["preds"].read_bytes()
 
 
+def test_train_and_verify_leave_numpy_ma_unimported(seam_run, tmp_path):
+    # np.unique without return_* arguments imports numpy.ma (about 15 ms of
+    # a stage process under numpy 2.4); neither stage needs it.
+    cfg, data = seam_run["cfg"], str(seam_run["data"])
+    argvs = [["train", "--config", cfg, "--data", data, "--store", str(tmp_path / "coeffs.csv"), "--scheme", "t1"],
+             ["verify", "--config", cfg, "--data", data, "--predictions", str(seam_run["preds"]),
+              "--out", str(tmp_path / "reports"), "--store", str(seam_run["store"])]]
+    code = "\n".join(["import sys", "from emoskit.cli import main", *(f"assert main({a!r}) == 0" for a in argvs),
+                      "print('numpy.ma' in sys.modules)"])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 class TestTransitionCommand:
     def test_scheme_none_is_pure_assembly(self, seam_run):
         out = seam_run["root"] / "seam_none.csv"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emoskit.domain import SampleTable, StationMetadata, ensemble_stats
+from emoskit import pipeline
 from emoskit.emos import EmosCoefficients, identity, predict
 from emoskit.pipeline import (
     CoefficientKey,
@@ -22,7 +23,9 @@ from emoskit.pipeline import (
     prepare_forecasts,
     select_window,
     single_strategy,
+    train,
 )
+from emoskit.transition import TransitionSpec, transition1_bounds
 
 from conftest import T0, forecast_cube, linear_gaussian_samples
 
@@ -45,6 +48,14 @@ class TestStrategies:
         for bad in ("", "single:", "mixed:a", "mixed:a+b+c", "other:x"):
             with pytest.raises(ValueError):
                 parse_strategy(bad)
+
+    def test_parse_is_cached_but_malformed_raises_every_time(self):
+        assert parse_strategy("mixed:a+b") is parse_strategy("mixed:a+b")
+        for _ in range(3):
+            with pytest.raises(ValueError, match="malformed"):
+                parse_strategy("mixed:a")
+            with pytest.raises(ValueError, match="malformed"):
+                CoefficientKey("S1", 12, "mixed:a", issue_on(50))
 
 
 class TestSelectWindow:
@@ -341,3 +352,141 @@ class TestStoreRoundTrip:
         assert hit.coefficients.a == 47.0
         miss = store.latest_before("S1", 12, "single:A", issue_on(60), 10)
         assert miss is None
+
+
+# t1 on a short horizon: anchor lead 10, taper leads 11 and 12.
+TSPEC = TransitionSpec(horizon=12, scheme="t1", weights=(0.6, 0.3))
+COMBINED = "mixed:A+B"
+T1_SPEC = RollingWindowSpec(window_days=45, min_samples=30)
+
+
+def t1_table(n, seed):
+    """n daily samples from T0 of two models whose spreads vary, so that c
+    and the d coefficients are identified and a fit has one minimizer."""
+    rng = np.random.default_rng(seed)
+    mean = rng.normal(0.0, 2.0, (n, 2))
+    mean[:, 1] += mean[:, 0]
+    std = rng.uniform(0.2, 1.5, (n, 2))
+    y = 1.0 + 0.6 * mean[:, 0] + 0.3 * mean[:, 1] + rng.normal(0.0, np.sqrt(0.1 + (std**2).sum(axis=1)))
+    return SampleTable(("A", "B"), T0.date().toordinal() + np.arange(n), mean, std, y)
+
+
+def t1_archive(skips, seed=0):
+    """Tables at leads 10-12 per station, station i starting skips[i] days
+    after T0, so windows ramp up (and fall back) on different dates."""
+    return {(f"S{i}", lead): t1_table(60, seed + 3 * i + lead)[skip:] for i, skip in enumerate(skips) for lead in (10, 11, 12)}
+
+
+def t1_slots(archive):
+    return [(sid, lead, s) for sid, lead in sorted(archive) for s in STRATS]
+
+
+def per_date_train(archive, issue_dates, slots, spec, taper):
+    """The rolling train one date at a time, as it ran before the waves: each
+    date's own keys, then that date's taper refits in a solve of their own."""
+    store = CoefficientStore()
+    tapered = [] if taper is None else [s for s in slots if s[2] == taper[1] and s[1] in taper[0].taper_leads]
+    plain = [s for s in slots if s not in tapered]
+    for issue in issue_dates:
+        store.update(fit_for_issue(archive, issue, [CoefficientKey(*s, issue) for s in plain], spec, store=store))
+        bounds = {}
+        for sid, lead, strategy in tapered:
+            anchor = store.get(CoefficientKey(sid, taper[0].anchor_lead, taper[1], issue))
+            bounds[CoefficientKey(sid, lead, strategy, issue)] = transition1_bounds(anchor.coefficients, taper[0])[lead]
+        store.update(fit_for_issue(archive, issue, list(bounds), spec, store=store, bounds=bounds))
+    return store
+
+
+def bits(record):
+    c = record.coefficients
+    floats = (c.a, *c.b, c.c, *c.d, record.objective)
+    return tuple(map(float.hex, floats)), record.n_samples, record.converged, record.fallback
+
+
+def assert_stores_close(got, want):
+    """The same keys and fit outcomes, objectives within 1e-12 relative. The
+    CRPS is flat to float64 resolution within about sqrt(eps * f / curvature)
+    of its minimizer, up to 1e-7 on a 30-sample window, so coefficients that
+    a different summation order reaches are compared within 1e-6."""
+    assert [key for key, _ in got.items()] == [key for key, _ in want.items()]
+    for (key, a), (_, b) in zip(got.items(), want.items()):
+        assert (a.fallback, a.converged, a.n_samples) == (b.fallback, b.converged, b.n_samples), key
+        assert math.isclose(a.objective, b.objective, rel_tol=1e-12) or (math.isnan(a.objective) and math.isnan(b.objective)), key
+        ca, cb = a.coefficients, b.coefficients
+        np.testing.assert_allclose([ca.a, *ca.b, ca.c, *ca.d], [cb.a, *cb.b, cb.c, *cb.d], rtol=0, atol=1e-6, err_msg=str(key))
+
+
+class TestTrainWaves:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        skips=st.lists(st.integers(0, 12), min_size=1, max_size=2),
+        days=st.lists(st.integers(28, 59), min_size=1, max_size=5, unique=True),
+        seed=st.integers(0, 50),
+    )
+    def test_matches_per_date_schedule(self, skips, days, seed):
+        # Window lengths differ across dates (ramp-up, fallbacks, gaps in the
+        # issue dates); moving each date's taper refits into the next date's
+        # solve may change a fit only by the summation order of padded rows.
+        archive = t1_archive(skips, seed)
+        issues = [issue_on(day) for day in sorted(days)]
+        slots = t1_slots(archive)
+        taper = (TSPEC, COMBINED)
+        assert_stores_close(train(archive, issues, slots, T1_SPEC, taper=taper),
+                            per_date_train(archive, issues, slots, T1_SPEC, taper))
+        # without a taper the solves are composed exactly as before
+        got = train(archive, issues, slots, T1_SPEC)
+        want = per_date_train(archive, issues, slots, T1_SPEC, None)
+        assert [(key, bits(r)) for key, r in got.items()] == [(key, bits(r)) for key, r in want.items()]
+
+    def test_last_date_taper_keys_fitted_under_bounds(self):
+        archive = t1_archive([0, 2])
+        issues = [issue_on(day) for day in range(50, 54)]
+        store = train(archive, issues, t1_slots(archive), T1_SPEC, taper=(TSPEC, COMBINED))
+        for sid in ("S0", "S1"):
+            anchor = store.get(CoefficientKey(sid, TSPEC.anchor_lead, COMBINED, issues[-1]))
+            for lead, (b1_max, d1_max) in transition1_bounds(anchor.coefficients, TSPEC).items():
+                record = store.get(CoefficientKey(sid, lead, COMBINED, issues[-1]))
+                assert not record.fallback and record.converged
+                assert record.coefficients.b[0] <= b1_max and record.coefficients.d[0] <= d1_max
+
+    def test_taper_refits_ride_with_the_next_listed_date(self, monkeypatch):
+        # A gap in the issue dates: 21's refits go with 25's keys, and the
+        # last date's refits run alone.
+        waves = []
+        real = pipeline._fit_keys
+
+        def spy(archive, keys, *args):
+            tapered = {k.issue_date for k in keys if k.strategy == COMBINED and k.lead_time in TSPEC.taper_leads}
+            waves.append(({k.issue_date for k in keys} - tapered, tapered))
+            return real(archive, keys, *args)
+
+        monkeypatch.setattr(pipeline, "_fit_keys", spy)
+        archive = t1_archive([0])
+        days = [50, 51, 55, 56]
+        issues = [issue_on(day) for day in days]
+        store = train(archive, issues, t1_slots(archive), T1_SPEC, taper=(TSPEC, COMBINED))
+        expected = [({50}, set()), ({51}, {50}), ({55}, {51}), ({56}, {55}), (set(), {56})]
+        assert waves == [({issue_on(d) for d in own}, {issue_on(d) for d in rides}) for own, rides in expected]
+        monkeypatch.setattr(pipeline, "_fit_keys", real)
+        assert_stores_close(store, per_date_train(archive, issues, t1_slots(archive), T1_SPEC, (TSPEC, COMBINED)))
+
+    def test_two_solves_per_date_plus_one(self, monkeypatch):
+        ks = []
+        real = pipeline.fit_batch
+
+        def spy(tasks, options):
+            ks.append(len(tasks[0].model_ids))
+            return real(tasks, options)
+
+        monkeypatch.setattr(pipeline, "fit_batch", spy)
+        archive = t1_archive([0, 1])
+        issues = [issue_on(day) for day in range(50, 54)]
+        train(archive, issues, t1_slots(archive), T1_SPEC, taper=(TSPEC, COMBINED))
+        assert ks == [1, 2] * len(issues) + [2]
+
+    def test_missing_anchor_names_its_date(self):
+        archive = t1_archive([0, 0])
+        slots = [slot for slot in t1_slots(archive) if slot != ("S1", TSPEC.anchor_lead, COMBINED)]
+        issues = [issue_on(day) for day in (50, 51)]
+        with pytest.raises(ValueError, match=f"lead {TSPEC.anchor_lead} for S1 {issues[0]}"):
+            train(archive, issues, slots, T1_SPEC, taper=(TSPEC, COMBINED))
