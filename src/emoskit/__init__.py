@@ -24,7 +24,6 @@ from .emos import (
     FitResult,
     FitTask,
     ModelWeights,
-    NonConvergenceError,
     fit_batch,
     fit_mixed,
     fit_single,

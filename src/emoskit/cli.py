@@ -363,9 +363,8 @@ def cmd_predict(args) -> int:
     for message in errors:
         print(f"error: {message}", file=sys.stderr)
 
-    rows = [eio.PredictionRow(*key, pred) for key, pred in predictions.items()]
-    eio.write_predictions(args.out, rows)
-    print(f"wrote {len(rows)} predictions -> {args.out}")
+    eio.write_predictions(args.out, predictions)
+    print(f"wrote {len(predictions)} predictions -> {args.out}")
     return 1 if errors else 0
 
 
@@ -378,20 +377,17 @@ def cmd_transition(args) -> int:
     cfg = eio.parse_config(args.config)
     tspec = _transition_spec(cfg, scheme_override=args.scheme)
     cases: dict[tuple[str, datetime], dict[str, dict[int, GaussianPredictive]]] = {}
-    for r in eio.read_predictions(args.predictions):
-        cases.setdefault((r.station_id, r.init_time), {}).setdefault(r.strategy, {})[r.lead_time] = r.predictive
+    for (sid, init, lead, strategy), pred in eio.read_predictions(args.predictions).items():
+        cases.setdefault((sid, init), {}).setdefault(strategy, {})[lead] = pred
     seam = assemble_seam(
         cases, tspec, _mixed_strategy_name(cfg), _continuing_strategy(cfg), min_sigma=_fit_options(cfg).min_sigma
     )
 
     label = f"seam_{tspec.scheme}"
-    rows = [
-        eio.PredictionRow(sid, init, lead, label, pred)
-        for (sid, init), leads in seam.items()
-        for lead, pred in leads.items()
-    ]
-    eio.write_predictions(args.out, rows)
-    print(f"wrote {len(rows)} seam predictions ({label}) -> {args.out}")
+    predictions = {(sid, init, lead, label): pred for (sid, init), leads in seam.items()
+                   for lead, pred in leads.items()}
+    eio.write_predictions(args.out, predictions)
+    print(f"wrote {len(predictions)} seam predictions ({label}) -> {args.out}")
     return 0
 
 
@@ -413,10 +409,7 @@ def _seam_window(cfg) -> tuple[int, int] | None:
 def cmd_verify(args) -> int:
     cfg = eio.parse_config(args.config)
     seam_window = _seam_window(cfg)
-    predictions = {
-        (r.station_id, r.init_time, r.lead_time, r.strategy): r.predictive
-        for r in eio.read_predictions(*args.predictions)
-    }
+    predictions = eio.read_predictions(*args.predictions)
     gaussian_strategies = sorted({key[3] for key in predictions})
     raw_strategies = [s for s in _strategies(cfg) if parse_strategy(s)[0] == "raw"]
     if args.strategies:

@@ -67,7 +67,6 @@ __all__ = [
     "ModelWeights",
     "FitResult",
     "FitTask",
-    "NonConvergenceError",
     "predict",
     "identity",
     "fit_single",
@@ -145,14 +144,6 @@ class FitResult:
     converged: bool
     n_iterations: int
     n_samples: int
-
-
-class NonConvergenceError(RuntimeError):
-    """Raised when the optimizer exhausts max_iterations; carries best-so-far."""
-
-    def __init__(self, message: str, result: FitResult):
-        super().__init__(message)
-        self.result = result
 
 
 def identity(k: int) -> EmosCoefficients:
@@ -597,15 +588,6 @@ def fit_batch(tasks: Sequence[FitTask], options: FitOptions = FitOptions()) -> l
     return results
 
 
-def _fit_one(task: FitTask, options: FitOptions) -> FitResult:
-    result = fit_batch([task], options)[0]
-    if not result.converged:
-        raise NonConvergenceError(
-            f"fit for {task.model_ids!r} did not converge in {options.max_iterations} iterations", result
-        )
-    return result
-
-
 def fit_single(
     table: SampleTable,
     model_id: str,
@@ -614,19 +596,14 @@ def fit_single(
 ) -> FitResult:
     """Fit K = 1 coefficients by minimizing mean Gaussian CRPS.
 
-    A batch of one task (see ``fit_batch``). ``start`` warm-starts the solver
-    (e.g. from the previous issue date's coefficients). Whatever the starting
-    point, the achieved objective is never above the objective at the
-    default initialization or at the identity (pass-through) coefficients:
-    both are evaluated as candidates.
-
-    Raises
-    ------
-    NonConvergenceError
-        If max_iterations is exhausted before the solver converges; the
-        best-so-far fit rides on the error.
+    A batch of one task (see ``fit_batch``): a fit that does not converge
+    returns its best-so-far coefficients with ``converged`` False. ``start``
+    warm-starts the solver (e.g. from the previous issue date's
+    coefficients). Whatever the starting point, the achieved objective is
+    never above the objective at the default initialization or at the
+    identity (pass-through) coefficients: both are evaluated as candidates.
     """
-    return _fit_one(FitTask(table, (model_id,), start=start), options)
+    return fit_batch([FitTask(table, (model_id,), start=start)], options)[0]
 
 
 def fit_mixed(
@@ -644,7 +621,6 @@ def fit_mixed(
     otherwise they are computed internally. Embedding a single-model optimum
     into the two-predictor space gives the same objective value, so the
     returned objective is never above either single-model optimum.
-    ``start`` warm-starts the solver and skips the multi-start. Raises
-    NonConvergenceError like ``fit_single``.
+    ``start`` warm-starts the solver and skips the multi-start.
     """
-    return _fit_one(FitTask(table, tuple(model_ids), start=start, single_fits=single_fits), options)
+    return fit_batch([FitTask(table, tuple(model_ids), start=start, single_fits=single_fits)], options)[0]

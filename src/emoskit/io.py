@@ -14,6 +14,9 @@ digits, which round-trips losslessly at that precision. Schemas:
 
 Schema violations raise SchemaError naming the file, line and column; a
 repeated key (station, observation, prediction) raises at its second line.
+Predictions are read into, and written from, the (station, init time, lead,
+strategy) -> GaussianPredictive dict that ``pipeline.predict_issues``
+returns and ``verification.verify`` takes.
 Tables are read row by row with the csv module, except forecast files, which
 hold one row per member and are the bulk of every load. Those are read in one
 pass over the lines: the member rows of an ensemble repeat its station,
@@ -63,7 +66,6 @@ from .pipeline import CoefficientKey, CoefficientStore, StoredFit, parse_strateg
 
 __all__ = [
     "SchemaError",
-    "PredictionRow",
     "fmt_float",
     "format_timestamp",
     "parse_timestamp",
@@ -533,30 +535,20 @@ def read_stations(path) -> list[StationMetadata]:
 # -- predictions -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PredictionRow:
-    station_id: str
-    init_time: datetime
-    lead_time: int
-    strategy: str
-    predictive: GaussianPredictive
-
-
-def write_predictions(path, rows: list[PredictionRow]) -> None:
+def write_predictions(path, predictions: dict[tuple[str, datetime, int, str], GaussianPredictive]) -> None:
+    """One row per (station, init time, lead, strategy) key, in key order."""
     cells = (
-        [r.station_id, format_timestamp(r.init_time), r.lead_time, r.strategy, fmt_float(r.predictive.mu),
-         fmt_float(r.predictive.sigma)]
-        for r in sorted(rows, key=lambda r: (r.station_id, r.init_time, r.lead_time, r.strategy))
+        [sid, format_timestamp(init), lead, strategy, fmt_float(pred.mu), fmt_float(pred.sigma)]
+        for (sid, init, lead, strategy), pred in sorted(predictions.items())
     )
     write_table(path, ["station_id", "init_time", "lead_h", "strategy", "mu", "sigma"], cells)
 
 
-def read_predictions(*paths) -> list[PredictionRow]:
-    """The rows of one or more predictions files, file after file. A
-    (station, init time, lead, strategy) that repeats, within a file or
+def read_predictions(*paths) -> dict[tuple[str, datetime, int, str], GaussianPredictive]:
+    """The predictions of one or more files, keyed by (station, init time,
+    lead, strategy), file after file. A key that repeats, within a file or
     across them, raises SchemaError at its second line."""
-    out = []
-    seen = set()
+    out = {}
     for path in paths:
         with _TableReader(path, ["station_id", "init_time", "lead_h", "strategy", "mu", "sigma"]) as reader:
             for line_no, row in reader.rows():
@@ -564,12 +556,11 @@ def read_predictions(*paths) -> list[PredictionRow]:
                 if sigma <= 0.0:
                     raise SchemaError(path, line_no, "sigma", f"sigma must be > 0, got {sigma}")
                 key = (row.str("station_id"), row.timestamp("init_time"), row.int("lead_h"), row.str("strategy"))
-                if key in seen:
+                if key in out:
                     sid, init, lead, strategy = key
                     raise SchemaError(path, line_no, None,
                                       f"duplicate prediction for {sid} {format_timestamp(init)} lead {lead} {strategy}")
-                seen.add(key)
-                out.append(PredictionRow(*key, GaussianPredictive(mu=row.float("mu"), sigma=sigma)))
+                out[key] = GaussianPredictive(mu=row.float("mu"), sigma=sigma)
     return out
 
 

@@ -4,11 +4,12 @@ Coefficients are refit once per issue date, separately for every (station,
 lead time, strategy) key, on the trailing window of aligned
 forecast-observation pairs. Keys without enough window samples fall back to
 the most recent stored coefficients (up to 10 days old) and finally to
-pass-through identity coefficients; fallback records are flagged. The keys
-of an issue date are fitted together by the batched solver of ``emos``, one
-solve per number of predictors K (``train`` adds each date's t1 taper refits
-to the next date's solves). A fit that does not converge is recorded with
-its best-so-far coefficients; any other failure aborts the pass.
+pass-through identity coefficients; fallback records are flagged. Each
+``fit_for_issue`` call fits an issue date's keys, with t1 taper refits of
+earlier dates under their bounds, in one batched ``emos`` solve per number
+of predictors K; ``train`` makes one call per date. A fit that does not
+converge is recorded with its best-so-far coefficients; any other failure
+aborts the pass.
 
 The drivers run the whole chain over many issue dates on one
 ``domain.ForecastCube`` per model: ``prepare_forecasts`` (lapse correction
@@ -221,40 +222,34 @@ def fit_for_issue(
     store: CoefficientStore | None = None,
     bounds: dict[CoefficientKey, tuple[float, float]] | None = None,
 ) -> dict[CoefficientKey, StoredFit]:
-    """Compute store updates for one issue date.
+    """Compute store updates for one issue date: its ``keys``, and the keys of
+    ``bounds``, which map keys of this or earlier dates to (b1_max, d1_max)
+    upper bounds, as the t1 taper refits need. A key in both is fitted once,
+    each key on the window of its own date.
 
     The keys are fitted in one batched solve per number of predictors K, in
     increasing K: the single-model keys first, then the combined keys, each
-    seeded from the single-model fits of its slot on this issue date (fitted
-    in this call or already in ``store``). Keys whose window has fewer than
+    seeded from the single-model fits of its slot and date (fitted in this
+    call or already in ``store``). Keys whose window has fewer than
     ``spec.min_samples`` samples, or lacks one of the key's models, fall back
     to stale or identity coefficients; any other error propagates.
 
-    ``bounds`` maps keys to (b1_max, d1_max) upper bounds, as the t1 taper
-    refits need. ``store`` supplies warm starts, single-model fits and the
-    history of the stale-coefficient fallback; it is not modified (merge the
-    returned updates yourself).
+    ``store`` supplies warm starts, single-model fits and the history of the
+    stale-coefficient fallback; it is not modified (merge the returned
+    updates yourself).
     """
     for key in keys:
         if key.issue_date != issue_date:
             raise ValueError(f"key {key} does not belong to issue date {issue_date}")
-    return _fit_keys(archive, keys, spec, options, CoefficientStore() if store is None else store, bounds or {})
-
-
-def _fit_keys(
-    archive: Archive,
-    keys: list[CoefficientKey],
-    spec: RollingWindowSpec,
-    options: FitOptions,
-    store: CoefficientStore,
-    bounds: dict[CoefficientKey, tuple[float, float]],
-) -> dict[CoefficientKey, StoredFit]:
-    """``fit_for_issue`` over keys of any issue dates: each key is fitted on
-    the window of its own date, and each K is solved once for all of them."""
+    bounds = bounds or {}
+    for key in bounds:
+        if key.issue_date > issue_date:
+            raise ValueError(f"bounds key {key} is dated after issue date {issue_date}")
+    store = CoefficientStore() if store is None else store
     windows: dict[tuple[str, int, date], SampleTable | None] = {}
     updates: dict[CoefficientKey, StoredFit] = {}
     to_fit: dict[int, list[CoefficientKey]] = {}
-    for key in keys:
+    for key in dict.fromkeys([*keys, *bounds]):
         kind, models = parse_strategy(key.strategy)
         if kind == "raw":
             raise ValueError(f"raw strategy {key.strategy!r} takes no coefficients")
@@ -458,9 +453,9 @@ def train(
     strategy's slots at the taper leads are left out of each date's own
     solves and refit under the upper bounds that ``transition1_bounds``
     derives from that date's fit at the anchor lead. No later date reads
-    those refits, so they ride in the next date's solves (a wave: one solve
-    per K over that date's keys and the previous date's taper keys), and
-    the last date's run alone at the end. Slots without the anchor or taper
+    those refits, so they ride in the next date's ``fit_for_issue`` call (a
+    wave: one solve per K over that date's keys and the previous date's
+    taper keys), and the last date's run alone at the end. Slots without the anchor or taper
     leads, or a station without an anchor fit, raise ValueError.
     """
     store = CoefficientStore()
@@ -478,7 +473,7 @@ def train(
     bounds: dict[CoefficientKey, tuple[float, float]] = {}  # the previous date's taper refits
     for issue in issue_dates:
         keys = [CoefficientKey(sid, lead, strategy, issue) for sid, lead, strategy in plain]
-        store.update(_fit_keys(archive, keys + list(bounds), spec, options, store, bounds))
+        store.update(fit_for_issue(archive, issue, keys, spec, options, store, bounds))
         if taper is None:
             continue
         station_bounds = {}
@@ -489,7 +484,7 @@ def train(
             station_bounds[sid] = transition1_bounds(anchor.coefficients, tspec)
         bounds = {CoefficientKey(sid, lead, s, issue): station_bounds[sid][lead] for sid, lead, s in tapered}
     if bounds:
-        store.update(_fit_keys(archive, list(bounds), spec, options, store, bounds))
+        store.update(fit_for_issue(archive, issue_dates[-1], [], spec, options, store, bounds))
     return store
 
 

@@ -315,18 +315,16 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
     return ScenarioData(stations=stations, observations=truth, forecasts=forecasts)
 
 
-def interpolate_leads(forecasts: ForecastCube, source_step: int = 3, target_step: int = 1) -> ForecastCube:
-    """Fill a coarse lead grid to ``target_step`` by member-wise linear
-    interpolation between bracketing leads, (1 - w) * lo + w * hi on each
-    member matrix; native leads pass through unchanged. A gap between
-    consecutive source leads larger than ``source_step``, or a member count
-    that changes across a gap to fill, raises."""
-    if target_step < 1:
-        raise ValueError("target_step must be >= 1")
+def interpolate_leads(forecasts: ForecastCube, source_step: int = 3) -> ForecastCube:
+    """Fill a coarse lead grid hourly by member-wise linear interpolation
+    between bracketing leads, (1 - w) * lo + w * hi on each member matrix;
+    native leads pass through unchanged. A gap between consecutive source
+    leads larger than ``source_step``, or a member count that changes across
+    a gap to fill, raises."""
     f = forecasts
     same_run = (f.station[1:] == f.station[:-1]) & (f.init[1:] == f.init[:-1])
     gap = np.where(same_run, f.lead[1:] - f.lead[:-1], 0)
-    fill = gap > target_step
+    fill = gap > 1
     bad = np.flatnonzero((gap > source_step) | fill & (f.block[1:] != f.block[:-1]))
     if bad.size:
         i = bad[0]
@@ -341,9 +339,9 @@ def interpolate_leads(forecasts: ForecastCube, source_step: int = 3, target_step
         return forecasts
 
     # One new ensemble per interpolated lead, placed after ensemble ``lo``.
-    steps = (gap[fill] - 1) // target_step
+    steps = gap[fill] - 1
     lo = np.repeat(np.flatnonzero(fill), steps)
-    offset = target_step * (np.arange(len(lo)) - np.repeat(np.cumsum(steps) - steps, steps) + 1)
+    offset = np.arange(len(lo)) - np.repeat(np.cumsum(steps) - steps, steps) + 1
     w, place = (offset / gap[lo])[:, None], lo + 0.5
     members = []
     for j, matrix in enumerate(f.members):

@@ -54,9 +54,6 @@ class ElevationGrid:
             raise IndexError(f"cell ({row}, {col}) outside grid")
         return self.values[row * self.n_cols + col]
 
-    def is_nodata(self, row: int, col: int) -> bool:
-        return self.value_at(row, col) == self.nodata
-
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         """Cell containing (x, y); extents are half-open from the origin, so a
         point exactly on a boundary belongs to the cell whose lower-left

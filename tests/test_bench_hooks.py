@@ -74,3 +74,27 @@ def test_tracer_counts_match_the_chain_files(monkeypatch, tmp_path):
     assert tracer.counts["rows"] == loads * rows
     assert tracer.counts["ensembles_out"] == loads * ensembles
     assert tracer.counts["samples"] > 0
+
+
+def test_train_records_one_fit_span_per_issue_date(monkeypatch, tmp_path):
+    # The per-issue fit metrics come from the pipeline.fit_for_issue spans;
+    # they read 0 when train fits its dates without calling it.
+    monkeypatch.syspath_prepend(str(BENCH))
+    traced = importlib.import_module("traced")
+    modules = {name: importlib.import_module(f"emoskit.{name}") for name in traced.LAYERS}
+    cfg, data = tmp_path / "run.cfg", tmp_path / "data"
+    cfg.write_text(CHAIN_CFG)
+    cli = modules["cli"]
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    tracer = traced.Tracer(modules)
+    tracer.install()
+    try:
+        code = cli.main(["train", "--config", str(cfg), "--data", str(data), "--store", str(tmp_path / "store.csv")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    with (data / "forecasts_hires.csv").open(newline="") as fh:
+        issues = sorted({row["init_time"][:10] for row in csv.DictReader(fh)})
+    assert len(issues) == 8
+    assert list(tracer.name_id).count(tracer.names.index("pipeline.fit_for_issue")) == len(issues)
+    assert sorted(d.isoformat() for d in tracer.issue_seconds) == issues

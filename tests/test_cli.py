@@ -151,8 +151,7 @@ class TestTrain:
 
 class TestPredict:
     def test_predictions_cover_strategies(self, basic_run):
-        rows = read_predictions(basic_run["preds"])
-        strategies = {r.strategy for r in rows}
+        strategies = {strategy for _, _, _, strategy in read_predictions(basic_run["preds"])}
         assert strategies == {"single:hires", "single:global", "mixed:hires+global"}
 
     def test_identity_fallback_equals_corrected_ensemble(self, tmp_path):
@@ -166,15 +165,15 @@ class TestPredict:
         stations = {s.station_id: s for s in read_stations(data / "stations.csv")}
         forecasts = read_forecasts(data / "forecasts_hires.csv", "hires")
         lookup = {(f.station_id, f.init_time, f.lead_time): f for f in forecasts}
-        rows = [r for r in read_predictions(preds) if r.strategy == "single:hires"]
-        assert rows
-        for r in rows:
-            fc = lookup[(r.station_id, r.init_time, r.lead_time)]
-            st = stations[r.station_id]
+        hires = {key[:3]: pred for key, pred in read_predictions(preds).items() if key[3] == "single:hires"}
+        assert hires
+        for (sid, init, lead), pred in hires.items():
+            fc = lookup[(sid, init, lead)]
+            st = stations[sid]
             mean, std = ensemble_stats(lapse_correct(fc.members, st.grid_elevation["hires"], st.elevation))
             # predictions.csv carries 9 significant digits
-            assert r.predictive.mu == pytest.approx(mean, rel=1e-8)
-            assert r.predictive.sigma == pytest.approx(max(std, 1e-3), rel=1e-8)
+            assert pred.mu == pytest.approx(mean, rel=1e-8)
+            assert pred.sigma == pytest.approx(max(std, 1e-3), rel=1e-8)
 
     def test_two_init_times_per_day_rejected(self, basic_run, tmp_path, capsys):
         # A 12 UTC run next to the 00 UTC one on the last day: one ensemble per
@@ -414,6 +413,14 @@ def test_train_and_verify_leave_numpy_ma_unimported(seam_run, tmp_path):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+def streams(path):
+    """The mixed:hires+global and single:global predictions of a file, keyed
+    by (station, init time, lead)."""
+    source = read_predictions(path)
+    return [{key[:3]: pred for key, pred in source.items() if key[3] == strategy}
+            for strategy in ("mixed:hires+global", "single:global")]
+
+
 class TestTransitionCommand:
     def test_scheme_none_is_pure_assembly(self, seam_run):
         out = seam_run["root"] / "seam_none.csv"
@@ -424,18 +431,16 @@ class TestTransitionCommand:
             )
             == 0
         )
-        source = read_predictions(seam_run["preds"])
-        mixed = {(r.station_id, r.init_time, r.lead_time): r.predictive for r in source if r.strategy == "mixed:hires+global"}
-        single = {(r.station_id, r.init_time, r.lead_time): r.predictive for r in source if r.strategy == "single:global"}
+        mixed, single = streams(seam_run["preds"])
         seam = read_predictions(out)
         assert seam
-        for r in seam:
-            assert r.strategy == "seam_none"
-            key = (r.station_id, r.init_time, r.lead_time)
-            if r.lead_time <= 120:
-                assert r.predictive == mixed[key]
+        for (sid, init, lead, strategy), pred in seam.items():
+            assert strategy == "seam_none"
+            key = (sid, init, lead)
+            if lead <= 120:
+                assert pred == mixed[key]
             else:
-                assert r.predictive == single[key]
+                assert pred == single[key]
 
     def test_scheme_t2_blends_three_hours(self, seam_run):
         out = seam_run["root"] / "seam_t2.csv"
@@ -446,21 +451,19 @@ class TestTransitionCommand:
             )
             == 0
         )
-        source = read_predictions(seam_run["preds"])
-        mixed = {(r.station_id, r.init_time, r.lead_time): r.predictive for r in source if r.strategy == "mixed:hires+global"}
-        single = {(r.station_id, r.init_time, r.lead_time): r.predictive for r in source if r.strategy == "single:global"}
+        mixed, single = streams(seam_run["preds"])
         weights = {121: 0.75, 122: 0.5, 123: 0.25}
-        for r in read_predictions(out):
-            key = (r.station_id, r.init_time, r.lead_time)
-            if r.lead_time <= 120:
-                assert r.predictive == mixed[key]
-            elif r.lead_time in weights:
-                base_key = (r.station_id, r.init_time, 120)
+        for (sid, init, lead, _), pred in read_predictions(out).items():
+            key = (sid, init, lead)
+            if lead <= 120:
+                assert pred == mixed[key]
+            elif lead in weights:
+                base_key = (sid, init, 120)
                 delta = mixed[base_key].mu - single[base_key].mu
-                expected = single[key].mu + weights[r.lead_time] * delta
-                assert r.predictive.mu == pytest.approx(expected, abs=1e-8)
+                expected = single[key].mu + weights[lead] * delta
+                assert pred.mu == pytest.approx(expected, abs=1e-8)
             else:
-                assert r.predictive == single[key]
+                assert pred == single[key]
 
     def test_t1_bounds_enforced_in_store(self, seam_run):
         store_t1 = seam_run["root"] / "coeffs_t1.csv"

@@ -12,7 +12,6 @@ from emoskit.emos import (
     EmosCoefficients,
     FitOptions,
     FitTask,
-    NonConvergenceError,
     fit_batch,
     fit_mixed,
     fit_single,
@@ -167,10 +166,8 @@ class TestFitSingle:
 
     def test_non_convergence_carries_best_so_far(self):
         samples = linear_gaussian_samples(n=45, seed=8)
-        with pytest.raises(NonConvergenceError) as err:
-            fit_single(samples, "A", FitOptions(max_iterations=1))
-        result = err.value.result
-        assert not result.converged
+        result = fit_single(samples, "A", FitOptions(max_iterations=1))
+        assert result.converged is False
         assert math.isfinite(result.objective)
 
     def test_missing_model_rejected(self):

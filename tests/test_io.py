@@ -8,7 +8,6 @@ import pytest
 from emoskit.domain import EnsembleForecast, GaussianPredictive, ObservationSeries, StationMetadata
 from emoskit.emos import EmosCoefficients
 from emoskit.io import (
-    PredictionRow,
     SchemaError,
     fmt_float,
     format_timestamp,
@@ -164,13 +163,15 @@ class TestStations:
 
 class TestPredictions:
     def test_round_trip(self, tmp_path):
-        rows = [
-            PredictionRow("S1", T0, 12, "single:hires", GaussianPredictive(3.5, 1.25)),
-            PredictionRow("S1", T0, 12, "mixed:hires+global", GaussianPredictive(-4.0, 0.5)),
-        ]
+        predictions = {
+            ("S1", T0, 12, "single:hires"): GaussianPredictive(3.5, 1.25),
+            ("S1", T0, 12, "mixed:hires+global"): GaussianPredictive(-4.0, 0.5),
+        }
         path = tmp_path / "predictions.csv"
-        write_predictions(path, rows)
-        assert read_predictions(path) == sorted(rows, key=lambda r: r.strategy)
+        write_predictions(path, predictions)
+        back = read_predictions(path)
+        assert back == predictions
+        assert list(back) == sorted(predictions)  # the file is in key order
 
     def test_non_positive_sigma_rejected(self, tmp_path):
         path = tmp_path / "predictions.csv"

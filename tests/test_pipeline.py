@@ -162,6 +162,11 @@ class TestFitForIssue:
         with pytest.raises(ValueError):
             fit_for_issue(archive, issue_on(50), keys_for(issue_on(49)))
 
+    def test_bounds_key_must_not_postdate_issue(self):
+        later = CoefficientKey("S1", 12, "mixed:A+B", issue_on(51))
+        with pytest.raises(ValueError, match="dated after issue date"):
+            fit_for_issue(make_archive(60), issue_on(50), keys_for(issue_on(50)), bounds={later: (1.0, 1.0)})
+
     def test_no_leakage(self):
         archive = make_archive(60)
         issue = issue_on(50)
@@ -453,21 +458,25 @@ class TestTrainWaves:
         # A gap in the issue dates: 21's refits go with 25's keys, and the
         # last date's refits run alone.
         waves = []
-        real = pipeline._fit_keys
+        real = pipeline.fit_for_issue
 
-        def spy(archive, keys, *args):
-            tapered = {k.issue_date for k in keys if k.strategy == COMBINED and k.lead_time in TSPEC.taper_leads}
-            waves.append(({k.issue_date for k in keys} - tapered, tapered))
-            return real(archive, keys, *args)
+        def spy(archive, issue_date, keys, spec, options, store, bounds):
+            def tapered(key):
+                return key.strategy == COMBINED and key.lead_time in TSPEC.taper_leads
 
-        monkeypatch.setattr(pipeline, "_fit_keys", spy)
+            assert not any(map(tapered, keys)) and all(map(tapered, bounds))
+            waves.append((issue_date, {k.issue_date for k in keys}, {k.issue_date for k in bounds}))
+            return real(archive, issue_date, keys, spec, options, store, bounds)
+
+        monkeypatch.setattr(pipeline, "fit_for_issue", spy)
         archive = t1_archive([0])
         days = [50, 51, 55, 56]
         issues = [issue_on(day) for day in days]
         store = train(archive, issues, t1_slots(archive), T1_SPEC, taper=(TSPEC, COMBINED))
-        expected = [({50}, set()), ({51}, {50}), ({55}, {51}), ({56}, {55}), (set(), {56})]
-        assert waves == [({issue_on(d) for d in own}, {issue_on(d) for d in rides}) for own, rides in expected]
-        monkeypatch.setattr(pipeline, "_fit_keys", real)
+        expected = [(50, {50}, set()), (51, {51}, {50}), (55, {55}, {51}), (56, {56}, {55}), (56, set(), {56})]
+        assert waves == [(issue_on(d), {issue_on(d) for d in own}, {issue_on(d) for d in rides})
+                         for d, own, rides in expected]
+        monkeypatch.setattr(pipeline, "fit_for_issue", real)
         assert_stores_close(store, per_date_train(archive, issues, t1_slots(archive), T1_SPEC, (TSPEC, COMBINED)))
 
     def test_two_solves_per_date_plus_one(self, monkeypatch):

@@ -186,8 +186,9 @@ class TestInterpolateLeads:
         # Two init times, one with 1 member and one with 2: each run fills
         # from its own ensembles, each member count in its own matrix.
         src = self.cube((0, (0.0,)), (3, (3.0,)), (0, (0.0, 6.0), 1), (3, (3.0, 0.0), 1), (6, (6.0, 3.0), 1))
-        out = interpolate_leads(src, source_step=3, target_step=2)
+        out = interpolate_leads(src, source_step=3)
         got = [((f.init_time - T0).days, f.lead_time, f.members) for f in out]
-        assert got == [(0, 0, (0.0,)), (0, 2, (2.0,)), (0, 3, (3.0,)),
-                       (1, 0, (0.0, 6.0)), (1, 2, (2.0, 2.0)), (1, 3, (3.0, 0.0)), (1, 5, (5.0, 2.0)), (1, 6, (6.0, 3.0))]
-        assert [m.shape for m in out.members] == [(3, 1), (5, 2)]
+        assert got == [(0, 0, (0.0,)), (0, 1, (1.0,)), (0, 2, (2.0,)), (0, 3, (3.0,)),
+                       (1, 0, (0.0, 6.0)), (1, 1, (1.0, 4.0)), (1, 2, (2.0, 2.0)), (1, 3, (3.0, 0.0)),
+                       (1, 4, (4.0, 1.0)), (1, 5, (5.0, 2.0)), (1, 6, (6.0, 3.0))]
+        assert [m.shape for m in out.members] == [(4, 1), (7, 2)]
