@@ -17,22 +17,20 @@ repeated key (station, observation, prediction) raises at its second line.
 Predictions are read into, and written from, the (station, init time, lead,
 strategy) -> GaussianPredictive dict that ``pipeline.predict_issues``
 returns and ``verification.verify`` takes.
-Tables are read row by row with the csv module, except forecast files, which
-hold one row per member and are the bulk of every load. Those are read in one
-pass over the lines: the member rows of an ensemble repeat its station,
-init-time and lead text, so only the first line of each run of such rows is
-split, and each distinct init-time cell is parsed once. The member and value
-cells of the kept rows go to numpy's C tokenizer in chunks of a fixed number
-of lines, member cells through its int64 parser. That parser (numpy >= 2.4;
-older releases read "12.5" as 12) takes a subset of the integer cells ``int``
-takes: it rejects "12.5", "12.0", "1e1", "1_2" and values beyond int64. A read
-holds the numeric arrays, four integers per run and one chunk of text, so
-it peaks below twice the file's size; one sort of the runs groups the members
-into a ``domain.ForecastCube``. A forecast file with a line the pass cannot
-take apart exactly (a quote character, another column order, a cell numpy
-rejects) is read again row by row; that pass reads the cell as ``int`` does
-or raises the SchemaError, so its line and column are the same as a row
-reader's.
+Tables are read and written row by row with the csv module, except forecast
+files (one row per member, the bulk of every load) and the observation file.
+Those two are written one text block per ensemble or station, with the bytes
+of the row writer: each station and init-time label is csv-encoded once, and
+one printf template per member count formats an ensemble's member lines.
+Forecast files are read in one pass that splits only the first line of each
+ensemble's run of member rows and hands the member and value cells of kept
+rows to numpy's C tokenizer in chunks, member cells through its int64 parser.
+That parser (numpy >= 2.4; older releases read "12.5" as 12) rejects "12.5",
+"12.0", "1e1", "1_2" and values beyond int64, a subset of what ``int`` takes.
+A read holds the numeric arrays, four integers per run and one chunk of text,
+so it peaks below twice the file's size. A file the pass cannot split (a quote
+character, another column order, a cell numpy rejects) is read again row by
+row, which reads a cell as ``int`` does or raises a row reader's SchemaError.
 
 Every stage reads forecasts this way. ``train`` keeps every row; ``predict``
 with an issue range and ``verify`` pass ``read_forecasts`` a filter on init
@@ -55,7 +53,7 @@ from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from itertools import chain
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -240,17 +238,29 @@ def write_table(path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
+def _write_blocks(path, header: list[str], blocks) -> None:
+    """Write a table as ``write_table`` does, its body from ``blocks`` of whole csv-encoded lines."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(blocks)
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as ``write_table`` writes it as a cell of a row of several."""
+    csv.writer(buf := StringIO(), lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
 # -- observations -----------------------------------------------------------
 
 
 def write_observations(path, observations: dict[str, ObservationSeries]) -> None:
-    rows = (
-        [sid, format_timestamp(t), fmt_float(v)]
-        for sid in sorted(observations)
-        for t, v in zip(observations[sid].timestamps, observations[sid].values)
-        if not math.isnan(v)  # missing observations are simply absent rows
-    )
-    write_table(path, ["station_id", "valid_time", "temp_c"], rows)
+    def block(sid):  # missing observations (NaN) are simply absent rows
+        head, series = _csv_cell(sid), observations[sid]
+        return "".join(f"{head},{format_timestamp(t)},{fmt_float(v)}\n"
+                       for t, v in zip(series.timestamps, series.values) if not math.isnan(v))
+
+    _write_blocks(path, ["station_id", "valid_time", "temp_c"], map(block, sorted(observations)))
 
 
 def read_observations(path) -> dict[str, ObservationSeries]:
@@ -278,19 +288,24 @@ def read_observations(path) -> dict[str, ObservationSeries]:
 
 
 _FORECAST_COLUMNS = ["station_id", "init_time", "lead_h", "member_idx", "temp_c"]
+_FLOAT_FORMAT = "%.9g"  # fmt_float's format in printf form, which formats many cells in one call
 
 
 def write_forecasts(path, forecasts: ForecastCube) -> None:
-    inits = [format_timestamp(t) for t in forecasts.init_times]
-    values = [matrix.tolist() for matrix in forecasts.members]
-
-    def member_rows(s, t, lead, j, r):
-        sid, init = forecasts.station_ids[s], inits[t]
-        return [[sid, init, lead, idx, fmt_float(v)] for idx, v in enumerate(values[j][r])]
-
     f = forecasts
-    rows = chain.from_iterable(map(member_rows, *(a.tolist() for a in (f.station, f.init, f.lead, f.block, f.row))))
-    write_table(path, _FORECAST_COLUMNS, rows)
+    stations = [_csv_cell(sid) for sid in f.station_ids]
+    inits = [_csv_cell(format_timestamp(t)) for t in f.init_times]
+    values = [matrix.tolist() for matrix in f.members]
+    # An ensemble's lines: "%s0,%.9g\n%s1,%.9g\n..." % (head, v0, head, v1, ...), head its first three cells.
+    templates = ["".join(f"%s{idx},{_FLOAT_FORMAT}\n" for idx in range(matrix.shape[1])) for matrix in f.members]
+
+    def block(s, t, lead, j, r):
+        cells = [f"{stations[s]},{inits[t]},{lead},"] * (2 * len(values[j][r]))
+        cells[1::2] = values[j][r]
+        return templates[j] % tuple(cells)
+
+    keys = (a.tolist() for a in (f.station, f.init, f.lead, f.block, f.row))
+    _write_blocks(path, _FORECAST_COLUMNS, map(block, *keys))
 
 
 _MEMBER_CELLS = {"member_idx": np.int64, "temp_c": np.float64}
