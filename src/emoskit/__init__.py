@@ -35,7 +35,6 @@ from .pipeline import (
     CoefficientKey,
     CoefficientStore,
     RollingWindowSpec,
-    StoredFit,
     build_archive,
     coefficient_slots,
     fit_for_issue,
@@ -58,7 +57,6 @@ from .scoring import (
     diebold_mariano,
     ensemble_crps,
     gaussian_crps,
-    gaussian_crps_gradient,
     pit_histogram,
     pit_value,
     randomized_ensemble_pit,

@@ -100,7 +100,8 @@ class ForecastCube:
     one float64 matrix per member count with rows in ensemble order. ``mean``
     and ``std`` (ddof=0) come from one ``ensemble_stats`` per matrix, and
     ``init_days`` holds the UTC dates (``date.toordinal``) of the init times.
-    Writable input arrays are copied, and all arrays are read-only.
+    Members, means and spreads must be finite. Writable input arrays are
+    copied, and all arrays are read-only.
     """
 
     model_id: str
@@ -145,9 +146,15 @@ class ForecastCube:
             raise ValueError("all member values must be finite")
 
         row, mean, std = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
-        for j, matrix in enumerate(self.members):
-            at = self.block == j
-            row[at], (mean[at], std[at]) = np.arange(len(matrix)), ensemble_stats(matrix)
+        with np.errstate(over="ignore", invalid="ignore"):  # finite members near +-1.8e308 overflow
+            for j, matrix in enumerate(self.members):
+                at = self.block == j
+                row[at], (mean[at], std[at]) = np.arange(len(matrix)), ensemble_stats(matrix)
+        overflow = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+        if overflow.size:
+            i = overflow[0]
+            raise ValueError(f"ensemble at station {self.station_ids[s[i]]}, init time "
+                             f"{self.init_times[t[i]].isoformat()}, lead {lead[i]} h: its mean or spread overflows")
         for name, value in (("row", row), ("mean", mean), ("std", std),
                             ("init_days", [t.date().toordinal() for t in self.init_times])):
             put(name, _read_only(value, None))

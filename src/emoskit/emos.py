@@ -48,6 +48,11 @@ training objective can never end up above a single-model optimum (nesting).
 The objective's Phi is ``scoring.ndtr``, which needs no scipy. scipy is
 imported only when a row falls back to L-BFGS-B (``minimize`` loads
 ``scipy.optimize``), so a batch that never falls back loads no scipy module.
+
+The acceptance tests check ``_forward`` and ``_derivatives``, which every
+fit evaluates, and ``fit_batch``. ``fit_single`` and ``fit_mixed`` are
+batches of one that no stage calls, kept while the benchmark tracer
+(``bench/traced.py``) wraps them.
 """
 
 from __future__ import annotations
@@ -137,13 +142,17 @@ class ModelWeights:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of one coefficient fit."""
+    """One key's coefficients and how they were found: a fit's outcome, and
+    the record the coefficient store keeps. ``fallback`` marks stale or
+    identity coefficients reused in place of a fit; those records, and the
+    records read from a store file, count 0 iterations."""
 
     coefficients: EmosCoefficients
     objective: float
     converged: bool
     n_iterations: int
     n_samples: int
+    fallback: bool = False
 
 
 def identity(k: int) -> EmosCoefficients:
@@ -594,15 +603,7 @@ def fit_single(
     options: FitOptions = FitOptions(),
     start: EmosCoefficients | None = None,
 ) -> FitResult:
-    """Fit K = 1 coefficients by minimizing mean Gaussian CRPS.
-
-    A batch of one task (see ``fit_batch``): a fit that does not converge
-    returns its best-so-far coefficients with ``converged`` False. ``start``
-    warm-starts the solver (e.g. from the previous issue date's
-    coefficients). Whatever the starting point, the achieved objective is
-    never above the objective at the default initialization or at the
-    identity (pass-through) coefficients: both are evaluated as candidates.
-    """
+    """``fit_batch`` of one K = 1 task, warm-started from ``start`` when given."""
     return fit_batch([FitTask(table, (model_id,), start=start)], options)[0]
 
 
@@ -613,14 +614,6 @@ def fit_mixed(
     single_fits: tuple[FitResult, FitResult] | None = None,
     start: EmosCoefficients | None = None,
 ) -> FitResult:
-    """Fit K = 2 coefficients subject to b, d >= 0.
-
-    A batch of one task (see ``fit_batch``; upper bounds go through
-    ``FitTask.bounds``). ``single_fits`` may carry precomputed single-model
-    fits for the two models (in model_ids order) to seed the multi-start;
-    otherwise they are computed internally. Embedding a single-model optimum
-    into the two-predictor space gives the same objective value, so the
-    returned objective is never above either single-model optimum.
-    ``start`` warm-starts the solver and skips the multi-start.
-    """
+    """``fit_batch`` of one K = 2 task; ``single_fits`` and ``start`` are
+    those of ``FitTask``."""
     return fit_batch([FitTask(table, tuple(model_ids), start=start, single_fits=single_fits)], options)[0]

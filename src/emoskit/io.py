@@ -59,8 +59,8 @@ from pathlib import Path
 import numpy as np
 
 from .domain import ForecastCube, GaussianPredictive, ObservationSeries, StationMetadata
-from .emos import EmosCoefficients
-from .pipeline import CoefficientKey, CoefficientStore, StoredFit, parse_strategy
+from .emos import EmosCoefficients, FitResult
+from .pipeline import CoefficientKey, CoefficientStore, parse_strategy
 
 __all__ = [
     "SchemaError",
@@ -645,16 +645,9 @@ def read_store(path) -> CoefficientStore:
                 strategy=strategy,
                 issue_date=row.date("issue_date"),
             )
-            store.put(
-                key,
-                StoredFit(
-                    coefficients=coef,
-                    n_samples=row.int("n_samples"),
-                    objective=row.float("objective"),
-                    converged=row.bool("converged"),
-                    fallback=row.bool("fallback"),
-                ),
-            )
+            fit = FitResult(coef, row.float("objective"), row.bool("converged"), n_iterations=0,
+                            n_samples=row.int("n_samples"), fallback=row.bool("fallback"))
+            store.put(key, fit)
     return store
 
 

@@ -4,7 +4,8 @@ Coefficients are refit once per issue date, separately for every (station,
 lead time, strategy) key, on the trailing window of aligned
 forecast-observation pairs. Keys without enough window samples fall back to
 the most recent stored coefficients (up to 10 days old) and finally to
-pass-through identity coefficients; fallback records are flagged. Each
+pass-through identity coefficients. Fits and fallbacks alike are stored as
+``emos.FitResult`` records, the fallbacks flagged ``fallback``. Each
 ``fit_for_issue`` call fits an issue date's keys, with t1 taper refits of
 earlier dates under their bounds, in one batched ``emos`` solve per number
 of predictors K; ``train`` makes one call per date. A fit that does not
@@ -28,7 +29,7 @@ from functools import cache
 import numpy as np
 
 from .domain import ForecastCube, GaussianPredictive, SampleTable, StationMetadata, align
-from .emos import EmosCoefficients, FitOptions, FitResult, FitTask, fit_batch, identity, predict
+from .emos import FitOptions, FitResult, FitTask, fit_batch, identity, predict
 from .synth import interpolate_leads
 from .terrain import lapse_correct
 from .transition import TransitionSpec, transition1_bounds
@@ -36,7 +37,6 @@ from .transition import TransitionSpec, transition1_bounds
 __all__ = [
     "RollingWindowSpec",
     "CoefficientKey",
-    "StoredFit",
     "CoefficientStore",
     "PredictionOutcome",
     "single_strategy",
@@ -113,20 +113,11 @@ class CoefficientKey:
         return (self.issue_date, self.station_id, self.lead_time, self.strategy)
 
 
-@dataclass(frozen=True)
-class StoredFit:
-    coefficients: EmosCoefficients
-    n_samples: int
-    objective: float
-    converged: bool
-    fallback: bool
-
-
 class CoefficientStore:
-    """In-memory map of CoefficientKey -> StoredFit with history lookups."""
+    """In-memory map of CoefficientKey -> FitResult with history lookups."""
 
-    def __init__(self, records: dict[CoefficientKey, StoredFit] | None = None):
-        self._records: dict[CoefficientKey, StoredFit] = dict(records or {})
+    def __init__(self, records: dict[CoefficientKey, FitResult] | None = None):
+        self._records: dict[CoefficientKey, FitResult] = dict(records or {})
 
     def __len__(self) -> int:
         return len(self._records)
@@ -134,13 +125,13 @@ class CoefficientStore:
     def __contains__(self, key: CoefficientKey) -> bool:
         return key in self._records
 
-    def get(self, key: CoefficientKey) -> StoredFit | None:
+    def get(self, key: CoefficientKey) -> FitResult | None:
         return self._records.get(key)
 
-    def put(self, key: CoefficientKey, record: StoredFit) -> None:
+    def put(self, key: CoefficientKey, record: FitResult) -> None:
         self._records[key] = record
 
-    def update(self, updates: dict[CoefficientKey, StoredFit]) -> None:
+    def update(self, updates: dict[CoefficientKey, FitResult]) -> None:
         self._records.update(updates)
 
     def items(self):
@@ -148,7 +139,7 @@ class CoefficientStore:
 
     def latest_before(
         self, station_id: str, lead_time: int, strategy: str, issue_date: date, max_age_days: int
-    ) -> StoredFit | None:
+    ) -> FitResult | None:
         """Most recent record for the same slot within ``max_age_days`` before
         ``issue_date``."""
         for age in range(1, max_age_days + 1):
@@ -202,15 +193,9 @@ def build_archive(
     return archive, total_dropped
 
 
-def _identity_record(strategy: str, n_samples: int) -> StoredFit:
+def _identity_record(strategy: str, n_samples: int) -> FitResult:
     coef = identity(len(parse_strategy(strategy)[1]))
-    return StoredFit(coefficients=coef, n_samples=n_samples, objective=float("nan"), converged=True, fallback=True)
-
-
-def _stored_as_fit(record: StoredFit | None) -> FitResult | None:
-    if record is None or record.fallback:
-        return None
-    return FitResult(record.coefficients, record.objective, record.converged, 0, record.n_samples)
+    return FitResult(coef, objective=float("nan"), converged=True, n_iterations=0, n_samples=n_samples, fallback=True)
 
 
 def fit_for_issue(
@@ -221,7 +206,7 @@ def fit_for_issue(
     options: FitOptions = FitOptions(),
     store: CoefficientStore | None = None,
     bounds: dict[CoefficientKey, tuple[float, float]] | None = None,
-) -> dict[CoefficientKey, StoredFit]:
+) -> dict[CoefficientKey, FitResult]:
     """Compute store updates for one issue date: its ``keys``, and the keys of
     ``bounds``, which map keys of this or earlier dates to (b1_max, d1_max)
     upper bounds, as the t1 taper refits need. A key in both is fitted once,
@@ -247,7 +232,7 @@ def fit_for_issue(
             raise ValueError(f"bounds key {key} is dated after issue date {issue_date}")
     store = CoefficientStore() if store is None else store
     windows: dict[tuple[str, int, date], SampleTable | None] = {}
-    updates: dict[CoefficientKey, StoredFit] = {}
+    updates: dict[CoefficientKey, FitResult] = {}
     to_fit: dict[int, list[CoefficientKey]] = {}
     for key in dict.fromkeys([*keys, *bounds]):
         kind, models = parse_strategy(key.strategy)
@@ -261,13 +246,12 @@ def fit_for_issue(
         if n_samples < spec.min_samples or not set(models) <= set(window.models):
             prior = store.latest_before(key.station_id, key.lead_time, key.strategy, key.issue_date, REUSE_WINDOW_DAYS)
             if prior is not None:
-                updates[key] = replace(prior, n_samples=n_samples, fallback=True)
+                updates[key] = replace(prior, n_iterations=0, n_samples=n_samples, fallback=True)
             else:
                 updates[key] = _identity_record(key.strategy, n_samples)
         else:
             to_fit.setdefault(len(models), []).append(key)
 
-    fitted: dict[CoefficientKey, FitResult] = {}
     for k in sorted(to_fit):
         tasks = []
         for key in to_fit[k]:
@@ -276,30 +260,19 @@ def fit_for_issue(
             # rolling window that shifts by one day.
             prior = store.latest_before(key.station_id, key.lead_time, key.strategy, key.issue_date, 5)
             hints = None
-            if k > 1:
-                hints = []
-                for m in models:
-                    single_key = replace(key, strategy=single_strategy(m))
-                    hints.append(fitted.get(single_key) or _stored_as_fit(store.get(single_key)))
+            if k > 1:  # the single-model fits of the slot and date: this call's, else the store's
+                singles = [replace(key, strategy=single_strategy(m)) for m in models]
+                hints = [updates.get(s) or store.get(s) for s in singles]
             tasks.append(
                 FitTask(
                     windows[(key.station_id, key.lead_time, key.issue_date)],
                     models,
                     start=None if prior is None else prior.coefficients,
-                    single_fits=None if hints is None or None in hints else tuple(hints),
+                    single_fits=tuple(hints) if hints and all(h and not h.fallback for h in hints) else None,
                     bounds=bounds.get(key),
                 )
             )
-        fitted.update(zip(to_fit[k], fit_batch(tasks, options)))
-
-    for key, result in fitted.items():
-        updates[key] = StoredFit(
-            coefficients=result.coefficients,
-            n_samples=result.n_samples,
-            objective=result.objective,
-            converged=result.converged,
-            fallback=False,
-        )
+        updates.update(zip(to_fit[k], fit_batch(tasks, options)))
     return updates
 
 

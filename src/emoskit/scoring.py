@@ -13,12 +13,18 @@ of the empirical-CDF integral is used:
 
     crps = mean_i |x_i - y| - (1 / (2 m^2)) * sum_ij |x_i - x_j|
 
-The scalar scores take one case; ``crps_normal_unit``,
-``ensemble_crps_rows`` and ``randomized_ensemble_pit`` take arrays of cases
-and give the same numbers bit for bit. Significance is the Diebold-Mariano
-test with the Harvey-Leybourne-Newbold correction on the score differential
-averaged per init date (``dm_test``), so autocorrelated leads and stations
-of one run count as one observation of the differential.
+The stages score arrays of cases: ``crps_normal_unit`` (the EMOS fit
+objective, ``emos._forward``, is the same score in another algebraic form),
+``ensemble_crps_rows`` and ``randomized_ensemble_pit``. The scalar scores
+(``gaussian_crps``, ``ensemble_crps``, ``pit_value``) and the per-series
+``diebold_mariano`` and ``stratified_report`` take one case or one series at
+a time and compute through the same code; no stage calls them, and they stay
+because the benchmark tracer (``bench/traced.py``) wraps them.
+
+Significance is the Diebold-Mariano test with the Harvey-Leybourne-Newbold
+correction on the score differential averaged per init date (``dm_test``),
+so autocorrelated leads and stations of one run count as one observation of
+the differential.
 
 Phi comes from ``ndtr``, a numpy port of the cephes ``ndtr``/``erf``/``erfc``
 that ``scipy.special.ndtr`` evaluates, equal to it bit for bit; the DM
@@ -46,7 +52,6 @@ __all__ = [
     "StratumStat",
     "VerificationReport",
     "gaussian_crps",
-    "gaussian_crps_gradient",
     "ensemble_crps",
     "ensemble_crps_rows",
     "crpss",
@@ -217,42 +222,19 @@ def gaussian_crps(pred: GaussianPredictive, y: float) -> float:
     return float(pred.sigma * crps_normal_unit(z))
 
 
-def gaussian_crps_gradient(pred: GaussianPredictive, y: float) -> tuple[float, float]:
-    """Analytic partial derivatives (d/dmu, d/dsigma) of ``gaussian_crps``.
-
-    d/dmu   = 1 - 2*Phi(z)
-    d/dsigma = 2*phi(z) - 1/sqrt(pi)
-    """
-    if pred.sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {pred.sigma}")
-    z = (y - pred.mu) / pred.sigma
-    d_mu = 1.0 - 2.0 * float(ndtr(z))
-    d_sigma = 2.0 * float(_std_normal_pdf(z)) - _INV_SQRT_PI
-    return d_mu, d_sigma
-
-
 def ensemble_crps(members, y: float) -> float:
-    """CRPS of a raw ensemble, empirical-CDF (kernel) form, biased 1/(2m^2) term.
-
-    Computes mean_i |x_i - y| - (1/(2 m^2)) sum_ij |x_i - x_j|; the pairwise
-    sum uses the exact sorted-order identity sum_ij |x_i - x_j| =
-    2 * sum_i (2i - m + 1) * x_(i), so the cost is O(m log m).
-    """
+    """CRPS of one raw ensemble: ``ensemble_crps_rows`` of a one-row matrix."""
     x = np.asarray(members, dtype=float)
     if x.size == 0:
         raise ValueError("cannot score an empty ensemble")
-    m = x.size
-    term_obs = np.abs(x - y).mean()
-    xs = np.sort(x)
-    weights = 2.0 * np.arange(m) - m + 1.0
-    term_pairs = float(np.dot(weights, xs)) / (m * m)
-    return float(term_obs - term_pairs)
+    return float(ensemble_crps_rows(x.reshape(1, -1), np.array([y], dtype=float))[0])
 
 
 def ensemble_crps_rows(members: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``ensemble_crps`` of each row of an (n, m) member matrix against y[i],
-    bit-identical to it: ``np.vecdot`` runs the dot kernel of ``np.dot`` per
-    row, where a matrix-vector product may round differently."""
+    """CRPS of each row of an (n, m) member matrix against y[i], in the kernel
+    form above, with sum_ij |x_i - x_j| = 2 sum_i (2i - m + 1) x_(i) over the
+    sorted row (O(m log m)). ``np.vecdot`` runs the dot kernel of ``np.dot``
+    per row, where a matrix-vector product may round differently."""
     m = members.shape[1]
     term_obs = np.abs(members - y[:, None]).mean(axis=1)
     weights = 2.0 * np.arange(m) - m + 1.0

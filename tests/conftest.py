@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from emoskit.domain import ForecastCube, SampleTable
+from emoskit.emos import FitTask, _Stack
 
 T0 = datetime(2017, 1, 1, tzinfo=timezone.utc)
 
@@ -51,6 +52,31 @@ def forecast_cube(model_id, ensembles):
                for j, width in enumerate(widths)]
     return ForecastCube(model_id, stations, inits, [stations.index(e[0]) for e in ensembles],
                         [inits.index(e[1]) for e in ensembles], [e[2] for e in ensembles], block.astype(np.int64), members)
+
+
+def one_sample_windows(mu, sigma, y):
+    """A solver stack of one-sample K = 1 windows, one per observation y[i],
+    and the points theta_i = (mu_i, 0, sigma_i^2, 0). There ``emos._forward``
+    gives the CRPS of N(mu_i, sigma_i) at y[i]: b = d = 0 switch the window's
+    ensemble mean and spread (both 1) off."""
+    day = T0.date().toordinal()
+    tasks = [FitTask(SampleTable(("A",), [day], [[1.0]], [[1.0]], [obs]), ("A",)) for obs in np.ravel(y)]
+    theta = np.column_stack([mu, np.zeros_like(mu), np.square(sigma), np.zeros_like(mu)])
+    return _Stack.from_windows(tasks), theta
+
+
+def oracle_ensemble_crps(members, y):
+    """The kernel form of the raw-ensemble CRPS as one ensemble was scored
+    before the scalar score computed through ``ensemble_crps_rows``:
+    mean_i |x_i - y| - (1/(2 m^2)) sum_ij |x_i - x_j|, the pairwise sum by
+    sum_ij |x_i - x_j| = 2 sum_i (2i - m + 1) x_(i)."""
+    x = np.asarray(members, dtype=float)
+    m = x.size
+    term_obs = np.abs(x - y).mean()
+    xs = np.sort(x)
+    weights = 2.0 * np.arange(m) - m + 1.0
+    term_pairs = float(np.dot(weights, xs)) / (m * m)
+    return float(term_obs - term_pairs)
 
 
 @pytest.fixture

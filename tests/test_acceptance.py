@@ -5,9 +5,11 @@ pytest -s). The heavyweight synthetic runs are module-scoped fixtures shared
 by several criteria: the two-model preset (50 stations x 200 days) feeds the
 score-ordering, calibration-note and weight checks; a long-window scenario
 feeds the PIT uniformity check; a seam scenario feeds the transition checks.
+Criteria 1-3 call the arithmetic the stages run: ``crps_normal_unit``,
+``ensemble_crps_rows``, the fit objective and gradient (``emos._forward``,
+``emos._derivatives``) and ``fit_batch``.
 """
 
-import math
 import time
 from dataclasses import dataclass, replace
 from datetime import timedelta
@@ -20,8 +22,7 @@ from scipy.special import ndtr
 from scipy.stats import chisquare
 
 from emoskit.cli import main
-from emoskit.domain import GaussianPredictive
-from emoskit.emos import FitOptions, fit_mixed, fit_single, model_weights
+from emoskit.emos import FitOptions, FitTask, _derivatives, _forward, fit_batch, fit_single, model_weights
 from emoskit.pipeline import (
     CoefficientStore,
     RollingWindowSpec,
@@ -31,13 +32,13 @@ from emoskit.pipeline import (
     prepare_forecasts,
     train,
 )
-from emoskit.scoring import ensemble_crps, gaussian_crps, gaussian_crps_gradient
+from emoskit.scoring import crps_normal_unit, ensemble_crps_rows, gaussian_crps
 from emoskit.synth import ScenarioSpec, TruthSpec, generate_scenario
 from emoskit.terrain import LAPSE_RATE_C_PER_100M, lapse_correct
 from emoskit.transition import DEFAULT_TRANSITION_WEIGHTS, TransitionSpec, assemble_seam, transition1_bounds
 from emoskit.verification import verify
 
-from conftest import linear_gaussian_samples
+from conftest import linear_gaussian_samples, one_sample_windows
 
 
 def report(criterion: int, ok: bool, message: str):
@@ -143,55 +144,72 @@ def ensemble_crps_by_integration(members, y):
 
 
 def test_criterion_1_crps_oracle_equivalence():
+    """The Gaussian CRPS as ``verify`` scores it (sigma * ``crps_normal_unit``)
+    and as every fit minimizes it (``emos._forward`` on one-sample windows)
+    against quadrature, and the raw-ensemble CRPS as ``verify`` scores it
+    (``ensemble_crps_rows``) against the exact piecewise integral."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
-    worst_gauss = 0.0
+    draws = []
     for _ in range(1000):
         mu = rng.uniform(-10, 10)
         sigma = rng.uniform(0.05, 5.0)
-        y = mu + sigma * rng.uniform(-6, 6)
-        closed = gaussian_crps(GaussianPredictive(mu, sigma), y)
-        oracle = crps_by_quadrature(mu, sigma, y)
-        worst_gauss = max(worst_gauss, abs(closed - oracle))
+        draws.append((mu, sigma, mu + sigma * rng.uniform(-6, 6)))
+    mu, sigma, y = np.array(draws).T
+    oracle = np.array([crps_by_quadrature(*draw) for draw in draws])
+    verified = sigma * crps_normal_unit((y - mu) / sigma)
+    stack, theta = one_sample_windows(mu, sigma, y)
+    fitted, state = _forward(theta, stack, FitOptions().min_sigma)
+    assert not state[-1].any()  # no sigma on the floor
+    worst_gauss = max(np.abs(verified - oracle).max(), np.abs(fitted - oracle).max())
     worst_ens = 0.0
     for _ in range(1000):
         m = int(rng.integers(1, 11))
-        members = rng.normal(0, 3, size=m).tolist()
+        members = rng.normal(0, 3, size=m)
         y = float(rng.normal(0, 3))
-        worst_ens = max(worst_ens, abs(ensemble_crps(members, y) - ensemble_crps_by_integration(members, y)))
+        scored = ensemble_crps_rows(members[None, :], np.array([y]))[0]
+        worst_ens = max(worst_ens, abs(scored - ensemble_crps_by_integration(members.tolist(), y)))
     elapsed = time.perf_counter() - t0
     ok = worst_gauss < 1e-8 and worst_ens < 1e-10 and elapsed < 10.0
     report(1, ok, f"gaussian max err {worst_gauss:.2e} (<1e-8), ensemble max err {worst_ens:.2e} (<1e-10), {elapsed:.1f}s (<10s)")
 
 
 def test_criterion_2_gradient_check():
+    """The fit gradient ``emos._derivatives`` in a and c^2, which at
+    theta = (mu, 0, sigma^2, 0) are d/dmu and d/dsigma / (2 sigma) of the
+    Gaussian CRPS, against central differences of ``emos._forward``."""
     rng = np.random.default_rng(202)
-    worst = 0.0
+    draws = []
     for _ in range(1000):
         mu = rng.uniform(-8, 8)
         sigma = rng.uniform(1e-3, 4.0)
-        y = mu + sigma * rng.uniform(-5, 5)
-        a_mu, a_sigma = gaussian_crps_gradient(GaussianPredictive(mu, sigma), y)
-        h_mu = 1e-6 * max(1.0, abs(mu), sigma)
-        h_sig = 1e-6 * sigma
-        f = lambda m, s: gaussian_crps(GaussianPredictive(m, s), y)
-        fd_mu = (f(mu + h_mu, sigma) - f(mu - h_mu, sigma)) / (2 * h_mu)
-        fd_sigma = (f(mu, sigma + h_sig) - f(mu, sigma - h_sig)) / (2 * h_sig)
-        worst = max(
-            worst,
-            abs(a_mu - fd_mu) / max(1.0, abs(fd_mu)),
-            abs(a_sigma - fd_sigma) / max(1.0, abs(fd_sigma)),
-        )
+        draws.append((mu, sigma, mu + sigma * rng.uniform(-5, 5)))
+    mu, sigma, y = np.array(draws).T
+    stack, theta = one_sample_windows(mu, sigma, y)
+    min_sigma = FitOptions().min_sigma
+    _, state = _forward(theta, stack, min_sigma)
+    (g,) = _derivatives(state, stack, order=1)
+    worst = 0.0
+    # a moves mu by h, c^2 moves sigma by about h / (2 sigma)
+    for j, h in ((0, 1e-6 * np.maximum(1.0, np.maximum(np.abs(mu), sigma))), (2, 2e-6 * sigma**2)):
+        up, down = theta.copy(), theta.copy()
+        up[:, j] += h
+        down[:, j] -= h
+        (f_up, up_state), (f_down, down_state) = _forward(up, stack, min_sigma), _forward(down, stack, min_sigma)
+        assert not (state[-1] | up_state[-1] | down_state[-1]).any()  # no sigma on the floor
+        fd = (f_up - f_down) / (2 * h)
+        worst = max(worst, float((np.abs(g[:, j] - fd) / np.maximum(1.0, np.abs(fd))).max()))
     report(2, worst < 1e-6, f"max relative gradient error {worst:.2e} (<1e-6) on 1000 points")
 
 
 def test_criterion_3_nesting():
+    """``fit_batch`` as ``fit_for_issue`` batches it: one K = 1 solve over the
+    single-model tasks of every training set, then one K = 2 solve seeded
+    with their fits."""
     rng = np.random.default_rng(303)
     tol = FitOptions().objective_tolerance
-    violations = 0
-    worst_gap = -math.inf
-    for i in range(100):
-        samples = linear_gaussian_samples(
+    tables = [
+        linear_gaussian_samples(
             n=45,
             a=float(rng.normal(0, 2)),
             b=float(rng.uniform(0.3, 1.5)),
@@ -199,14 +217,14 @@ def test_criterion_3_nesting():
             seed=int(rng.integers(0, 2**31)),
             second_model="informative",
         )
-        f1 = fit_single(samples, "A")
-        f2 = fit_single(samples, "B")
-        mixed = fit_mixed(samples, ("A", "B"), single_fits=(f1, f2))
-        gap = mixed.objective - min(f1.objective, f2.objective)
-        worst_gap = max(worst_gap, gap)
-        if gap > 2 * tol:
-            violations += 1
-    report(3, violations == 0, f"mixed <= best single + 2 tol on 100 training sets (worst gap {worst_gap:.2e})")
+        for _ in range(100)
+    ]
+    singles = fit_batch([FitTask(table, (m,)) for table in tables for m in ("A", "B")])
+    pairs = list(zip(singles[::2], singles[1::2]))
+    mixed = fit_batch([FitTask(table, ("A", "B"), single_fits=pair) for table, pair in zip(tables, pairs)])
+    gaps = [fit.objective - min(f1.objective, f2.objective) for fit, (f1, f2) in zip(mixed, pairs)]
+    violations = sum(gap > 2 * tol for gap in gaps)
+    report(3, violations == 0, f"mixed <= best single + 2 tol on 100 training sets (worst gap {max(gaps):.2e})")
 
 
 def test_criterion_4_coefficient_recovery():

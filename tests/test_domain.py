@@ -1,4 +1,5 @@
 import math
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -259,3 +260,11 @@ class TestForecastCube:
         ]:
             with pytest.raises(ValueError, match=match):
                 ForecastCube("A", *args)
+
+    @pytest.mark.parametrize("members", [(1.7e308, -1.7e308), (1.7e308, 1.7e308)], ids=["spread", "mean"])
+    def test_overflowing_statistics_name_the_ensemble(self, members):
+        # finite members whose std (first) or mean (second) overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(ValueError, match=r"station S2, init time 2017-06-01T00:00:00\+00:00, lead 6 h"):
+                cube([fc([0.0, 2.0]), fc(members, lead=6, station="S2"), fc(members, lead=7, station="S2")])

@@ -23,7 +23,7 @@ from scipy.special import ndtr
 
 import emoskit.emos as emos
 from emoskit.domain import SampleTable
-from emoskit.emos import EmosCoefficients, FitOptions, FitTask, _evaluate, _Stack, fit_batch
+from emoskit.emos import EmosCoefficients, FitOptions, FitTask, _derivatives, _evaluate, _forward, _Stack, fit_batch
 from emoskit.scoring import _INV_SQRT_PI, _std_normal_pdf
 from emoskit.scoring import ndtr as emos_ndtr
 
@@ -184,21 +184,24 @@ def test_batched_objective_not_above_oracle(data, k, size):
 
 
 @PROPERTY_SETTINGS
-@given(window=windows(2), point=st.tuples(
-    st.floats(-2.0, 2.0), st.floats(0.1, 1.5), st.floats(0.0, 1.5),
-    st.floats(0.05, 2.0), st.floats(0.05, 2.0), st.floats(0.0, 2.0),
-))
-def test_hessian_matches_central_differences(window, point):
-    stack = _Stack.from_windows([FitTask(as_table(window), ("A", "B"))])
-    theta = np.array([point])
-    f, g, H = _evaluate(theta, stack, OPTIONS.min_sigma, order=2)
+@given(data=st.data(), k=st.sampled_from([1, 2]))
+def test_hessian_matches_central_differences(data, k):
+    """``_derivatives``' g against central differences of ``_forward``, and
+    its H against central differences of the order-1 g, on drawn K = 1 and
+    K = 2 windows at points where c^2 >= 0.05 keeps every sigma off the floor."""
+    stack = _Stack.from_windows([FitTask(as_table(data.draw(windows(k))), ("A", "B")[:k])])
+    b, d = (data.draw(st.lists(st.floats(0.0, upper), min_size=k, max_size=k)) for upper in (1.5, 2.0))
+    theta = np.array([[data.draw(st.floats(-2.0, 2.0)), *b, data.draw(st.floats(0.05, 2.0)), *d]])
+    f, state = _forward(theta, stack, OPTIONS.min_sigma)
+    g, H = _derivatives(state, stack, order=2)
     for j in range(theta.shape[1]):
         h = 1e-6 * max(1.0, abs(theta[0, j]))
         up, down = theta.copy(), theta.copy()
         up[0, j] += h
         down[0, j] -= h
-        f_up, g_up = _evaluate(up, stack, OPTIONS.min_sigma, order=1)
-        f_down, g_down = _evaluate(down, stack, OPTIONS.min_sigma, order=1)
+        (f_up, up_state), (f_down, down_state) = (_forward(p, stack, OPTIONS.min_sigma) for p in (up, down))
+        assert not (state[-1] | up_state[-1] | down_state[-1]).any()
+        (g_up,), (g_down,) = _derivatives(up_state, stack, order=1), _derivatives(down_state, stack, order=1)
         scale = max(1.0, np.abs(H[0]).max())
         np.testing.assert_allclose((g_up - g_down)[0] / (2 * h), H[0, :, j], rtol=0, atol=1e-6 * scale)
         assert abs((f_up - f_down)[0] / (2 * h) - g[0, j]) <= 1e-6 * max(1.0, np.abs(g).max())

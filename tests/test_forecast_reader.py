@@ -9,6 +9,7 @@ import csv
 import io as textio
 import math
 import tracemalloc
+import warnings
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -306,6 +307,18 @@ def test_single_data_row(tmp_path):
     path.write_text("station_id,init_time,lead_h,member_idx,temp_c\nS1,2017-03-01T00:00:00Z,12,0,1.5\n")
     assert exact(bulk_result(path)) == exact(oracle_read_forecasts(path, "m"))
     assert list(read_forecasts(path, "m")) == [EnsembleForecast("S1", "m", datetime(2017, 3, 1, tzinfo=timezone.utc), 12, (1.5,))]
+
+
+@pytest.mark.parametrize("station", ["S1", '"S1"'], ids=["scan", "row-reader"])
+def test_overflowing_ensemble_is_rejected_by_key(tmp_path, station):
+    path = tmp_path / "forecasts_m.csv"
+    path.write_text("station_id,init_time,lead_h,member_idx,temp_c\n"
+                    f"{station},2017-03-01T00:00:00Z,12,0,1.5\n"
+                    f"{station},2017-03-01T00:00:00Z,18,0,1.7e308\n{station},2017-03-01T00:00:00Z,18,1,-1.7e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"station S1, init time 2017-03-01T00:00:00\+00:00, lead 18 h"):
+            read_forecasts(path, "m")
 
 
 def test_columns_in_any_order(tmp_path):

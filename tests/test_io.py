@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from emoskit.domain import EnsembleForecast, GaussianPredictive, ObservationSeries, StationMetadata
-from emoskit.emos import EmosCoefficients
+from emoskit.emos import EmosCoefficients, FitResult
 from emoskit.io import (
     SchemaError,
     fmt_float,
@@ -24,7 +24,7 @@ from emoskit.io import (
     write_stations,
     write_store,
 )
-from emoskit.pipeline import CoefficientKey, CoefficientStore, StoredFit
+from emoskit.pipeline import CoefficientKey, CoefficientStore
 
 from conftest import forecast_cube
 
@@ -202,11 +202,11 @@ class TestStore:
         issue = T0.date()
         store.put(
             CoefficientKey("S1", 12, "single:hires", issue),
-            StoredFit(EmosCoefficients(0.125, (0.875,), 1.5, (0.25,)), 45, 0.456789123, True, False),
+            FitResult(EmosCoefficients(0.125, (0.875,), 1.5, (0.25,)), 0.456789123, True, 0, 45, False),
         )
         store.put(
             CoefficientKey("S1", 12, "mixed:hires+global", issue),
-            StoredFit(EmosCoefficients(0.1, (0.6, 0.3), 0.2, (0.7, 0.35)), 45, 0.25, False, True),
+            FitResult(EmosCoefficients(0.1, (0.6, 0.3), 0.2, (0.7, 0.35)), 0.25, False, 0, 45, True),
         )
         path = tmp_path / "coeffs.csv"
         write_store(path, store)
@@ -220,7 +220,7 @@ class TestStore:
         store = CoefficientStore()
         store.put(
             CoefficientKey("S1", 12, "single:hires", T0.date()),
-            StoredFit(EmosCoefficients(0, (1,), 0, (1,)), 10, float("nan"), True, True),
+            FitResult(EmosCoefficients(0, (1,), 0, (1,)), float("nan"), True, 0, 10, True),
         )
         path = tmp_path / "coeffs.csv"
         write_store(path, store)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
@@ -8,12 +9,11 @@ from hypothesis import strategies as st
 
 from emoskit.domain import SampleTable, StationMetadata, ensemble_stats
 from emoskit import pipeline
-from emoskit.emos import EmosCoefficients, identity, predict
+from emoskit.emos import EmosCoefficients, FitResult, identity, predict
 from emoskit.pipeline import (
     CoefficientKey,
     CoefficientStore,
     RollingWindowSpec,
-    StoredFit,
     build_archive,
     fit_for_issue,
     lead_coverage,
@@ -127,6 +127,7 @@ class TestFitForIssue:
         for key, record in updates.items():
             assert record.fallback
             assert record.n_samples == 10
+            assert record.n_iterations == 0
             kind, _ = parse_strategy(key.strategy)
             if kind == "single":
                 assert record.coefficients == EmosCoefficients(0.0, (1.0,), 0.0, (1.0,))
@@ -145,6 +146,7 @@ class TestFitForIssue:
             assert record.fallback
             assert record.coefficients == fresh[key.strategy].coefficients
             assert record.n_samples == 5
+            assert (fresh[key.strategy].n_iterations > 0, record.n_iterations) == (True, 0)
 
     def test_stale_reuse_expires_after_ten_days(self):
         archive = make_archive(60)
@@ -156,6 +158,20 @@ class TestFitForIssue:
             assert record.fallback
             if parse_strategy(key.strategy)[0] == "single":
                 assert record.coefficients == EmosCoefficients(0.0, (1.0,), 0.0, (1.0,))
+
+    def test_store_records_seed_combined_refits(self, monkeypatch):
+        # A refit of an earlier date's combined key is seeded with that date's
+        # single-model records from the store, unless one is a fallback.
+        archive = make_archive(60)
+        store = CoefficientStore(fit_for_issue(archive, issue_on(50), keys_for(issue_on(50))))
+        single_a, single_b, mixed = keys_for(issue_on(50))
+        seen, real = [], pipeline.fit_batch
+        monkeypatch.setattr(pipeline, "fit_batch", lambda tasks, options: seen.extend(tasks) or real(tasks, options))
+        fit_for_issue(archive, issue_on(51), [], store=store, bounds={mixed: (1.0, 1.0)})
+        assert seen[0].single_fits[0] is store.get(single_a) and seen[0].single_fits[1] is store.get(single_b)
+        store.put(single_b, replace(store.get(single_b), fallback=True))
+        fit_for_issue(archive, issue_on(51), [], store=store, bounds={mixed: (1.0, 1.0)})
+        assert seen[1].single_fits is None
 
     def test_key_issue_date_must_match(self):
         archive = make_archive(50)
@@ -239,7 +255,7 @@ class TestPredictForIssue:
         issue = issue_on(50)
         store = CoefficientStore()
         key = CoefficientKey("S1", 12, "single:A", issue)
-        store.put(key, StoredFit(identity(1), 45, 0.1, True, False))
+        store.put(key, FitResult(identity(1), 0.1, True, 0, 45, False))
         outcome = predict_for_issue(store, self.forecasts(), issue, [key])
         pred = outcome.predictions[("S1", 12, "single:A")]
         assert pred.mu == pytest.approx(5.0)
@@ -251,7 +267,7 @@ class TestPredictForIssue:
         store = CoefficientStore()
         coef = EmosCoefficients(a=0.3, b=(0.6, 0.35), c=0.2, d=(0.8, 0.4))
         key = CoefficientKey("S1", 12, "mixed:A+B", issue)
-        store.put(key, StoredFit(coef, 45, 0.2, True, False))
+        store.put(key, FitResult(coef, 0.2, True, 0, 45, False))
         outcome = predict_for_issue(store, self.forecasts(), issue, [key])
         mean, std = ensemble_stats(self.MEMBERS)
         assert outcome.predictions[("S1", 12, "mixed:A+B")] == predict(coef, [mean, mean], [std, std])
@@ -262,7 +278,7 @@ class TestPredictForIssue:
         issue = issue_on(50)
         store = CoefficientStore()
         key = CoefficientKey("S1", 12, "single:A", issue)
-        store.put(key, StoredFit(identity(1), 45, 0.1, True, False))
+        store.put(key, FitResult(identity(1), 0.1, True, 0, 45, False))
         ensembles = [("S1", T0 + timedelta(days=day), lead, self.MEMBERS if day == 50 else (float(day),) * 3)
                      for day in (49, 50, 51) for lead in (12, 13)]
         more = {m: forecast_cube(m, ensembles) for m in "AB"}
@@ -274,7 +290,7 @@ class TestPredictForIssue:
         store = CoefficientStore()
         present = CoefficientKey("S1", 12, "single:A", issue)
         absent = CoefficientKey("S1", 12, "single:B", issue)
-        store.put(present, StoredFit(identity(1), 45, 0.1, True, False))
+        store.put(present, FitResult(identity(1), 0.1, True, 0, 45, False))
         outcome = predict_for_issue(store, self.forecasts(), issue, [present, absent])
         assert ("S1", 12, "single:A") in outcome.predictions
         assert ("S1", 12, "single:B") in outcome.errors
@@ -283,7 +299,7 @@ class TestPredictForIssue:
         issue = issue_on(50)
         store = CoefficientStore()
         key = CoefficientKey("S9", 12, "single:A", issue)
-        store.put(key, StoredFit(identity(1), 45, 0.1, True, False))
+        store.put(key, FitResult(identity(1), 0.1, True, 0, 45, False))
         outcome = predict_for_issue(store, self.forecasts(), issue, [key])
         assert ("S9", 12, "single:A") in outcome.errors
 
@@ -342,7 +358,7 @@ class TestStoreRoundTrip:
     def test_put_get_identity(self):
         store = CoefficientStore()
         key = CoefficientKey("S1", 12, "single:A", issue_on(50))
-        record = StoredFit(EmosCoefficients(0.1, (0.9,), 0.3, (1.1,)), 45, 0.23, True, False)
+        record = FitResult(EmosCoefficients(0.1, (0.9,), 0.3, (1.1,)), 0.23, True, 0, 45, False)
         store.put(key, record)
         assert store.get(key) == record
         assert len(store) == 1
@@ -352,7 +368,7 @@ class TestStoreRoundTrip:
         store = CoefficientStore()
         for day in (40, 44, 47):
             key = CoefficientKey("S1", 12, "single:A", issue_on(day))
-            store.put(key, StoredFit(EmosCoefficients(float(day), (1,), 0, (1,)), 45, 0.1, True, False))
+            store.put(key, FitResult(EmosCoefficients(float(day), (1,), 0, (1,)), 0.1, True, 0, 45, False))
         hit = store.latest_before("S1", 12, "single:A", issue_on(50), 10)
         assert hit.coefficients.a == 47.0
         miss = store.latest_before("S1", 12, "single:A", issue_on(60), 10)

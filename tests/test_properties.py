@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emoskit.domain import GaussianPredictive, ObservationSeries
-from emoskit.emos import EmosCoefficients
+from emoskit.emos import EmosCoefficients, FitResult
 from emoskit.io import read_predictions, read_store, write_predictions, write_store
-from emoskit.pipeline import CoefficientKey, CoefficientStore, StoredFit
-from emoskit.scoring import ensemble_crps, gaussian_crps, pit_value
+from emoskit.pipeline import CoefficientKey, CoefficientStore
+from emoskit.scoring import gaussian_crps, pit_value
 from emoskit.terrain import lapse_correct
 from emoskit.verification import verify
 
-from conftest import forecast_cube
+from conftest import forecast_cube, oracle_ensemble_crps
 
 from test_scoring import crps_by_quadrature
 
@@ -46,7 +46,8 @@ def store_records(draw):
         tuple(draw(non_negative) for _ in range(k)),
     )
     objective = draw(st.one_of(st.just(float("nan")), non_negative))
-    record = StoredFit(coef, draw(st.integers(0, 10_000)), objective, draw(st.booleans()), draw(st.booleans()))
+    n_samples = draw(st.integers(0, 10_000))
+    record = FitResult(coef, objective, draw(st.booleans()), 0, n_samples, draw(st.booleans()))
     return key, record
 
 
@@ -134,7 +135,7 @@ def test_verify_scores_equal_the_scalar_scores(cases):
         pred = GaussianPredictive(mu, sigma)
         assert result.crps["single:m"][i].hex() == gaussian_crps(pred, y).hex()
         assert result.pit["single:m"][i].hex() == pit_value(pred, y).hex()
-        assert result.crps["raw:m"][i].hex() == ensemble_crps(members, y).hex()
+        assert result.crps["raw:m"][i].hex() == oracle_ensemble_crps(members, y).hex()
 
 
 # ---------------------------------------------------------------------------

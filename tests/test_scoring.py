@@ -14,6 +14,7 @@ from scipy.stats import chisquare
 from emoskit import scoring
 
 from emoskit.domain import GaussianPredictive
+from emoskit.emos import FitOptions, _derivatives, _forward
 from emoskit.scoring import (
     Conclusion,
     ScoreSeries,
@@ -22,12 +23,14 @@ from emoskit.scoring import (
     diebold_mariano,
     dm_test,
     ensemble_crps,
+    ensemble_crps_rows,
     gaussian_crps,
-    gaussian_crps_gradient,
     pit_histogram,
     pit_value,
     stratified_report,
 )
+
+from conftest import one_sample_windows, oracle_ensemble_crps
 
 T0 = datetime(2017, 1, 1, tzinfo=timezone.utc)
 
@@ -108,7 +111,18 @@ class TestGaussianCrps:
 
 
 class TestGaussianCrpsGradient:
-    def finite_difference(self, mu, sigma, y):
+    """The Gaussian CRPS's gradient as the solver computes it:
+    ``emos._derivatives`` at theta = (mu, 0, sigma^2, 0) of a one-sample
+    window, where d/da is d/dmu and d/dc^2 is d/dsigma / (2 sigma)."""
+
+    @staticmethod
+    def gradient(mu, sigma, y):
+        stack, theta = one_sample_windows(np.array([mu]), np.array([sigma]), np.array([y]))
+        (g,) = _derivatives(_forward(theta, stack, FitOptions().min_sigma)[1], stack, order=1)
+        return g[0, 0], 2.0 * sigma * g[0, 2]
+
+    @staticmethod
+    def finite_difference(mu, sigma, y):
         h_mu = 1e-6 * max(1.0, abs(mu), sigma)
         h_sig = 1e-6 * sigma
         f = lambda m, s: gaussian_crps(GaussianPredictive(m, s), y)
@@ -117,18 +131,18 @@ class TestGaussianCrpsGradient:
         return d_mu, d_sigma
 
     def test_symmetry_at_center(self):
-        d_mu, _ = gaussian_crps_gradient(GaussianPredictive(0.0, 1.0), 0.0)
+        d_mu, _ = self.gradient(0.0, 1.0, 0.0)
         assert d_mu == pytest.approx(0.0, abs=1e-15)
 
     def test_dsigma_at_center_equals_unit_crps(self):
         # the score is linear in sigma at fixed z
         fd = self.finite_difference(0.0, 1.0, 0.0)[1]
-        _, d_sigma = gaussian_crps_gradient(GaussianPredictive(0.0, 1.0), 0.0)
+        _, d_sigma = self.gradient(0.0, 1.0, 0.0)
         assert d_sigma == pytest.approx(fd, abs=1e-9)
         assert d_sigma == pytest.approx(CRPS_STD_NORMAL_AT_CENTER, abs=1e-12)
 
     def test_example_point(self):
-        d_mu, d_sigma = gaussian_crps_gradient(GaussianPredictive(1.0, 2.0), 0.0)
+        d_mu, d_sigma = self.gradient(1.0, 2.0, 0.0)
         fd_mu, fd_sigma = self.finite_difference(1.0, 2.0, 0.0)
         assert d_mu == pytest.approx(fd_mu, abs=1e-6)
         assert d_sigma == pytest.approx(fd_sigma, abs=1e-6)
@@ -139,7 +153,7 @@ class TestGaussianCrpsGradient:
             mu = rng.uniform(-8, 8)
             sigma = rng.uniform(1e-3, 4.0)
             y = mu + sigma * rng.uniform(-5, 5)
-            a_mu, a_sigma = gaussian_crps_gradient(GaussianPredictive(mu, sigma), y)
+            a_mu, a_sigma = self.gradient(mu, sigma, y)
             fd_mu, fd_sigma = self.finite_difference(mu, sigma, y)
             assert abs(a_mu - fd_mu) <= 1e-6 * max(1.0, abs(fd_mu))
             assert abs(a_sigma - fd_sigma) <= 1e-6 * max(1.0, abs(fd_sigma))
@@ -189,6 +203,20 @@ class TestEnsembleCrps:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ensemble_crps([], 0.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60), st.floats(-1e6, 1e6))
+    def test_equals_the_kernel_oracle_bit_for_bit(self, members, y):
+        assert ensemble_crps(members, y).hex() == oracle_ensemble_crps(members, y).hex()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 60).flatmap(lambda m: st.lists(st.lists(st.floats(-1e6, 1e6), min_size=m, max_size=m),
+                                                         min_size=1, max_size=5)))
+    def test_rows_score_as_lone_ensembles(self, rows):
+        members = np.array(rows)
+        y = np.linspace(-3.0, 3.0, len(rows))
+        got = ensemble_crps_rows(members, y)
+        assert [v.hex() for v in got.tolist()] == [oracle_ensemble_crps(r, v).hex() for r, v in zip(rows, y.tolist())]
 
 
 class TestCrpss:
