@@ -1,12 +1,13 @@
 """Core record types shared by all stages: stations, forecast cubes (one per
-model, iterable as ``EnsembleForecast`` records), observations, training
+model, iterable as ``EnsembleForecast`` records), observation series, training
 tables and Gaussian predictive distributions. ``align`` pairs cubes with the
 observations of one station at one lead into a ``SampleTable``.
 
 All records are immutable after construction, arrays included, and every
 operation here is a pure function, so everything in this module is safe to
 share across threads. Timestamps are whole hours, UTC; no time-zone logic
-lives in the core.
+lives in the core. Array lookups take times as int64 microseconds since 1970
+(``_micros``), the form of an observation series' times.
 """
 
 from __future__ import annotations
@@ -187,36 +188,32 @@ class ForecastCube:
         return _micros(self.init_times)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationSeries:
     """Hourly 2-m temperature observations for one station.
 
-    ``values`` may contain NaN entries marking explicitly missing
-    observations; timestamps must be strictly increasing.
+    ``times`` are microseconds since 1970 UTC (``_micros``), strictly
+    increasing; ``values`` are the observations, NaN marking a missing one.
+    Writable input arrays are copied, and both arrays are read-only.
     """
 
     station_id: str
-    timestamps: tuple[datetime, ...]
-    values: tuple[float, ...]
+    times: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.timestamps) != len(self.values):
-            raise ValueError("timestamps and values must have equal length")
-        for a, b in zip(self.timestamps, self.timestamps[1:]):
-            if b <= a:
-                raise ValueError("timestamps must be strictly increasing")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        for name, dtype in (("times", np.int64), ("values", float)):
+            object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
+        if self.times.ndim != 1 or self.values.shape != self.times.shape or (self.times[1:] <= self.times[:-1]).any():
+            raise ValueError("times must be strictly increasing and values of their length")
 
-    def as_mapping(self) -> dict[datetime, float]:
-        """Timestamp -> value for the non-missing entries."""
-        return {t: v for t, v in zip(self.timestamps, self.values) if not math.isnan(v)}
-
-    @cached_property
-    def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
-        """Times (``_micros``) and values of the non-missing entries, in time order."""
-        values = np.array(self.values, dtype=float)
-        present = ~np.isnan(values)
-        return _micros(self.timestamps)[present], values[present]
+    def values_at(self, times) -> np.ndarray:
+        """The values at ``times``, an array of microseconds since 1970 UTC,
+        NaN where the series has none."""
+        if not len(self.times):
+            return np.full(np.shape(times), np.nan)
+        i = np.minimum(np.searchsorted(self.times, times), len(self.times) - 1)
+        return np.where(self.times[i] == times, self.values[i], np.nan)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,15 +303,15 @@ def align(forecasts: Sequence[ForecastCube], obs: ObservationSeries, lead_time: 
         raise ValueError(f"no forecasts for the observations' station {obs.station_id!r}")
     rows = [cube.rows(obs.station_id, lead_time) for cube in forecasts]
     inits = [cube._init_micros[cube.init[r]] for cube, r in zip(forecasts, rows)]  # sorted, distinct
-    obs_times, obs_values = obs._lookup
     common = reduce(partial(np.intersect1d, assume_unique=True), inits)  # np.unique would import numpy.ma
-    _, at, found = np.intersect1d(common + lead_time * _HOUR, obs_times, assume_unique=True, return_indices=True)
+    y = obs.values_at(common + lead_time * _HOUR)
+    at = np.flatnonzero(~np.isnan(y))
     picked = [r[np.searchsorted(times, common[at])] for r, times in zip(rows, inits)]
     table = SampleTable(
         models=tuple(cube.model_id for cube in forecasts),
         init_days=forecasts[0].init_days[forecasts[0].init[picked[0]]],
         mean=np.column_stack([cube.mean[p] for cube, p in zip(forecasts, picked)]),
         std=np.column_stack([cube.std[p] for cube, p in zip(forecasts, picked)]),
-        observation=obs_values[found],
+        observation=y[at],
     )
     return table, len(set(np.concatenate(inits).tolist())) - len(at)

@@ -20,8 +20,10 @@ returns and ``verification.verify`` takes.
 Tables are read and written row by row with the csv module, except forecast
 files (one row per member, the bulk of every load) and the observation file.
 Those two are written one text block per ensemble or station, with the bytes
-of the row writer: each station and init-time label is csv-encoded once, and
-one printf template per member count formats an ensemble's member lines.
+of the row writer: each station and init-time label is csv-encoded once, one
+printf template per member count formats an ensemble's member lines, and one
+``np.datetime_as_string`` call a station's valid times (four-digit years, as
+``format_timestamp`` writes them).
 Forecast files are read in one pass that splits only the first line of each
 ensemble's run of member rows and hands the member and value cells of kept
 rows to numpy's C tokenizer in chunks, member cells through its int64 parser.
@@ -58,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import ForecastCube, GaussianPredictive, ObservationSeries, StationMetadata
+from .domain import ForecastCube, GaussianPredictive, ObservationSeries, StationMetadata, _micros
 from .emos import EmosCoefficients, FitResult
 from .pipeline import CoefficientKey, CoefficientStore, parse_strategy
 
@@ -103,9 +105,10 @@ def fmt_float(x: float) -> str:
 
 
 def format_timestamp(t: datetime) -> str:
-    if t.tzinfo is None:
-        t = t.replace(tzinfo=timezone.utc)
-    return t.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """``t`` (naive taken as UTC) to the second in UTC: "0999-01-01T00:00:00Z"."""
+    if t.tzinfo is not None:
+        t = t.astimezone(timezone.utc).replace(tzinfo=None)
+    return t.isoformat(timespec="seconds") + "Z"
 
 
 def parse_timestamp(s: str) -> datetime:
@@ -257,31 +260,31 @@ def _csv_cell(text: str) -> str:
 def write_observations(path, observations: dict[str, ObservationSeries]) -> None:
     def block(sid):  # missing observations (NaN) are simply absent rows
         head, series = _csv_cell(sid), observations[sid]
-        return "".join(f"{head},{format_timestamp(t)},{fmt_float(v)}\n"
-                       for t, v in zip(series.timestamps, series.values) if not math.isnan(v))
+        kept = ~np.isnan(series.values)
+        times = np.datetime_as_string(series.times[kept].astype("datetime64[us]"), unit="s").tolist()
+        return "".join(f"{head},{t}Z,{fmt_float(v)}\n" for t, v in zip(times, series.values[kept].tolist()))
 
     _write_blocks(path, ["station_id", "valid_time", "temp_c"], map(block, sorted(observations)))
 
 
 def read_observations(path) -> dict[str, ObservationSeries]:
-    collected: dict[str, list[tuple[datetime, int, float]]] = {}
+    codes: dict[str, int] = {}  # station id -> code, in order of first appearance
+    rows = []
     with _TableReader(path, ["station_id", "valid_time", "temp_c"]) as reader:
         for line_no, row in reader.rows():
-            sid = row.str("station_id")
-            t = row.timestamp("valid_time")
-            v = row.float("temp_c")
-            if not math.isfinite(v):
+            rows.append((codes.setdefault(row.str("station_id"), len(codes)), row.timestamp("valid_time"),
+                         row.float("temp_c"), line_no))
+            if not math.isfinite(rows[-1][2]):
                 raise SchemaError(path, line_no, "temp_c", "observation must be finite")
-            collected.setdefault(sid, []).append((t, line_no, v))
-    repeats = []
-    for sid, rows in collected.items():
-        rows.sort()  # by time, then line
-        repeats += [(line_no, sid, t) for (s, _, _), (t, line_no, _) in zip(rows, rows[1:]) if s == t]
-    if repeats:
-        line_no, sid, t = min(repeats)
-        raise SchemaError(path, line_no, None, f"duplicate observation for {sid} {format_timestamp(t)}")
-    return {sid: ObservationSeries(sid, tuple(t for t, _, _ in rows), tuple(v for _, _, v in rows))
-            for sid, rows in collected.items()}
+    station, times = np.array([r[0] for r in rows], dtype=np.int64), _micros(r[1] for r in rows)
+    order = np.lexsort((times, station))  # stable: a repeated time keeps its lines in file order
+    station, times, values = station[order], times[order], np.array([r[2] for r in rows])[order]
+    repeats = order[1:][(station[1:] == station[:-1]) & (times[1:] == times[:-1])]
+    if repeats.size:
+        code, t, _, line_no = rows[repeats.min()]
+        raise SchemaError(path, line_no, None, f"duplicate observation for {list(codes)[code]} {format_timestamp(t)}")
+    bounds = np.searchsorted(station, np.arange(len(codes) + 1)).tolist()
+    return {sid: ObservationSeries(sid, times[lo:hi], values[lo:hi]) for sid, lo, hi in zip(codes, bounds, bounds[1:])}
 
 
 # -- forecasts ---------------------------------------------------------------

@@ -29,7 +29,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .domain import ForecastCube, ObservationSeries, StationMetadata
+from .domain import _HOUR, ForecastCube, ObservationSeries, StationMetadata, _micros
 from .terrain import LAPSE_RATE_C_PER_100M
 
 __all__ = [
@@ -220,7 +220,7 @@ def generate_truth(spec: ScenarioSpec) -> dict[str, ObservationSeries]:
         + spec.truth.seasonal_amplitude * np.sin(2.0 * math.pi * hours / (24.0 * 365.25))
         + spec.truth.diurnal_amplitude * np.sin(2.0 * math.pi * (hour_of_day - 9) / 24.0)
     )
-    timestamps = tuple(t0 + timedelta(hours=int(h)) for h in hours)
+    times = _micros([t0]) + _HOUR * hours
 
     out = {}
     rho = spec.truth.ar1_coefficient
@@ -234,8 +234,7 @@ def generate_truth(spec: ScenarioSpec) -> dict[str, ObservationSeries]:
         innovations = innov_scale * rng.standard_normal(n_hours - 1)
         for t in range(1, n_hours):
             noise[t] = rho * noise[t - 1] + innovations[t - 1]
-        values = base + noise
-        out[sid] = ObservationSeries(station_id=sid, timestamps=timestamps, values=tuple(values))
+        out[sid] = ObservationSeries(station_id=sid, times=times, values=base + noise)
     return out
 
 
@@ -262,10 +261,10 @@ def generate_model_ensemble(
         return ForecastCube(model_id, (), (), [], [], [], [], ())
     rho = model.error_lead_correlation
 
+    valid_times = _micros(spec.init_times)[:, None] + _HOUR * np.array(leads)
     keys, rows = [], []
     for i, sid in enumerate(sorted(truth)):
-        series = truth[sid]
-        obs_map = dict(zip(series.timestamps, series.values))
+        truth_at = truth[sid].values_at(valid_times).tolist()  # (init, lead), NaN where missing
         station = by_id[sid]
         elev_offset = -LAPSE_RATE_C_PER_100M / 100.0 * (station.grid_elevation[model_id] - station.elevation)
         rng = _substream(spec.seed, 2, model_index, i)
@@ -285,17 +284,11 @@ def generate_model_ensemble(
                     carry = shared[j - 1] / prev_std if prev_std > 0 else 0.0
                     shared[j] = std * (r * carry + math.sqrt(max(0.0, 1.0 - r * r)) * shocks[j])
                 prev_lead = lead
-            for j, lead in enumerate(leads):
-                valid = init_time + timedelta(hours=lead)
-                truth_val = obs_map.get(valid)
-                if truth_val is None:
+            for j, (lead, truth_val) in enumerate(zip(leads, truth_at[d])):
+                if math.isnan(truth_val):
                     continue
-                center = (
-                    truth_val
-                    + elev_offset
-                    + eta * model.bias(valid.hour)
-                    + shared[j]
-                )
+                valid = init_time + timedelta(hours=lead)
+                center = truth_val + elev_offset + eta * model.bias(valid.hour) + shared[j]
                 noise_std = model.dispersion * model.error_std(lead)
                 keys.append((i, d, lead))
                 rows.append(center + noise_std * member_noise[j])

@@ -10,7 +10,9 @@ single-model stream. Two smoothing schemes are supported:
   horizon into the following three hours with decaying weights.
 
 Both schemes use the weights 0.75, 0.5, 0.25. ``assemble_seam`` builds the
-seam product of either scheme, or of none, from per-case predictions.
+seam product of either scheme, or of none, from per-case predictions;
+``seam_diagnostics`` measures a product's steps and CRPS lead by lead from
+(case, lead) arrays of its mu, sigma and observations.
 """
 
 from __future__ import annotations
@@ -179,49 +181,23 @@ class SeamDiagnostics:
                     raise ValueError(f"diagnostic at lead {lead} must be >= 0, got {v}")
 
 
-def seam_diagnostics(
-    series: dict[object, dict[int, GaussianPredictive]],
-    observations: dict[object, dict[int, float]],
-    leads: list[int],
-) -> SeamDiagnostics:
+def seam_diagnostics(mu, sigma, y, leads: list[int]) -> SeamDiagnostics:
     """Mean absolute mu/sigma step versus the previous lead plus mean CRPS.
 
-    ``series`` maps a case (e.g. a (station, init time) pair) to its per-lead
-    predictions across the seam window; every case must cover every lead of
-    the hourly window, otherwise the seam statistics would silently mix
-    different case sets.
+    ``mu``, ``sigma`` and ``y`` are (case, lead) arrays of the predictions
+    and observations of cases that cover every lead of the hourly window
+    ``leads``, column j at ``leads[j]``, so that the seam statistics do not
+    mix different case sets. Each mean runs over the cases in row order.
     """
-    leads = sorted(leads)
     for a, b in zip(leads, leads[1:]):
         if b - a != 1:
             raise ValueError(f"seam window must be hourly and contiguous, got gap {a}..{b}")
-    if not series:
+    if not np.size(mu):
         raise ValueError("no cases supplied")
-
-    cases = sorted(series, key=repr)
-    for case in cases:
-        missing = [lead for lead in leads if lead not in series[case]]
-        if missing:
-            raise ValueError(f"case {case!r} is missing leads {missing}")
-        if case not in observations:
-            raise ValueError(f"case {case!r} has no observations")
-
-    mu_steps: dict[int, float] = {}
-    sigma_steps: dict[int, float] = {}
-    mean_crps: dict[int, float] = {}
-    prev_mu = prev_sigma = None
-    for lead in leads:
-        y = [observations[case].get(lead) for case in cases]
-        for case, obs in zip(cases, y):
-            if obs is None:
-                raise ValueError(f"case {case!r} has no observation at lead {lead}")
-        mu = np.array([series[c][lead].mu for c in cases])
-        sigma = np.array([series[c][lead].sigma for c in cases])
-        # per case the same floats as gaussian_crps: scoring's array and
-        # scalar scores agree bit for bit
-        mean_crps[lead] = float(np.mean(sigma * crps_normal_unit((np.array(y, dtype=float) - mu) / sigma)))
-        if prev_mu is not None:
-            mu_steps[lead] = float(np.mean(np.abs(mu - prev_mu)))
-            sigma_steps[lead] = float(np.mean(np.abs(sigma - prev_sigma)))
-        prev_mu, prev_sigma = mu, sigma
-    return SeamDiagnostics(leads=tuple(leads), mu_steps=mu_steps, sigma_steps=sigma_steps, mean_crps=mean_crps)
+    # One contiguous row per lead: each mean then sums its cases as over a vector of them.
+    mu, sigma, y = (np.ascontiguousarray(np.asarray(a, dtype=float).T) for a in (mu, sigma, y))
+    if mu.ndim != 2 or mu.shape != sigma.shape or mu.shape != y.shape or len(mu) != len(leads):
+        raise ValueError(f"mu, sigma and y must be (case, lead) arrays with {len(leads)} leads")
+    crps = (sigma * crps_normal_unit((y - mu) / sigma)).mean(axis=1)
+    mu_steps, sigma_steps = (dict(zip(leads[1:], np.abs(a[1:] - a[:-1]).mean(axis=1).tolist())) for a in (mu, sigma))
+    return SeamDiagnostics(tuple(leads), mu_steps, sigma_steps, dict(zip(leads, crps.tolist())))

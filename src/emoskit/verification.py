@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as eio
-from .domain import ForecastCube, GaussianPredictive, ObservationSeries
+from .domain import _HOUR, ForecastCube, GaussianPredictive, ObservationSeries, _micros
 from .emos import ModelWeights, model_weights
 from .pipeline import CoefficientKey, CoefficientStore, parse_strategy
 from .scoring import (
@@ -83,21 +83,32 @@ class Verification:
     seam: dict[str, SeamDiagnostics] | None
 
 
-def _seam(table, obs, lo: int, hi: int) -> SeamDiagnostics | None:
+def _observed(observations: Mapping[str, ObservationSeries], stations: list[str], valid: np.ndarray) -> np.ndarray:
+    """The observation of station ``stations[i]`` at each time of ``valid[i]``
+    (``domain._micros``), NaN where there is none: one lookup per station."""
+    y = np.full(valid.shape, np.nan)
+    codes = np.array(stations)
+    for sid in observations.keys() & set(stations):
+        at = codes == sid
+        y[at] = observations[sid].values_at(valid[at])
+    return y
+
+
+def _seam(table, observations, lo: int, hi: int) -> SeamDiagnostics | None:
     """Seam diagnostics of one strategy over its (station, init) cases with
     every lead of lo..hi and their observations."""
-    window = list(range(lo, hi + 1))
-    series: dict[tuple[str, datetime], dict[int, GaussianPredictive]] = {}
-    for (sid, init, lead), pred in table.items():
-        if lo <= lead <= hi:
-            series.setdefault((sid, init), {})[lead] = pred
-    complete, obs_per_case = {}, {}
-    for case, leads in sorted(series.items()):
-        obs_vals = {lead: obs.get(case[0], {}).get(case[1] + timedelta(hours=lead)) for lead in window}
-        if all(lead in leads for lead in window) and all(v is not None for v in obs_vals.values()):
-            complete[case] = leads
-            obs_per_case[case] = obs_vals
-    return seam_diagnostics(complete, obs_per_case, window) if complete else None
+    leads = list(range(lo, hi + 1))
+    # Cases in repr order: the summation order of the means in seam_diagnostics.csv.
+    cases = sorted({(sid, init) for sid, init, lead in table if lo <= lead <= hi}, key=repr)
+    preds = [[table.get((sid, init, lead)) for lead in leads] for sid, init in cases]
+    valid = _micros(init for _, init in cases)[:, None] + _HOUR * np.array(leads)
+    y = _observed(observations, [sid for sid, _ in cases], valid)
+    kept = [None not in row and ok for row, ok in zip(preds, (~np.isnan(y).any(axis=1)).tolist())]
+    if not any(kept):
+        return None
+    complete = [row for row, ok in zip(preds, kept) if ok]
+    mu, sigma = (np.array([[getattr(p, name) for p in row] for row in complete]) for name in ("mu", "sigma"))
+    return seam_diagnostics(mu, sigma, y[kept], leads)
 
 
 def verify(
@@ -135,21 +146,20 @@ def verify(
         if s not in tables:
             cube = ensembles.get(parse_strategy(s)[1][0])
             raw[s] = (cube, {} if cube is None else dict(zip(cube.keys(), range(len(cube)))))
-    obs_maps = {sid: series.as_mapping() for sid, series in observations.items()}
-    obs = {}
-    for c in set.intersection(*(set(t) for t in (*tables.values(), *(index for _, index in raw.values())))):
-        y = obs_maps.get(c[0], {}).get(c[1] + timedelta(hours=c[2]))
-        if y is not None and math.isfinite(y):
-            obs[c] = y
-    if not obs:
+    keys = sorted(set.intersection(*(set(t) for t in (*tables.values(), *(index for _, index in raw.values())))))
+    init_micros = {init: int(_micros([init])[0]) for init in {init for _, init, _ in keys}}
+    valid = np.array([init_micros[init] + lead * _HOUR for _, init, lead in keys], dtype=np.int64)
+    y = _observed(observations, [sid for sid, _, _ in keys], valid)
+    finite = np.isfinite(y)
+    keys = [c for c, ok in zip(keys, finite.tolist()) if ok]
+    if not keys:
         raise ValueError("no aligned cases with observations")
-    keys = sorted(obs)
     cases = Cases(
         station_ids=tuple(c[0] for c in keys),
         init_days=np.array([c[1].toordinal() for c in keys], dtype=np.int64),
         leads=np.array([c[2] for c in keys], dtype=np.int64),
         valid_times=tuple(init + timedelta(hours=lead) for _, init, lead in keys),
-        y=np.array([obs[c] for c in keys], dtype=float),
+        y=y[finite],
         mu={s: np.array([t[c].mu for c in keys], dtype=float) for s, t in tables.items()},
         sigma={s: np.array([t[c].sigma for c in keys], dtype=float) for s, t in tables.items()},
     )
@@ -180,7 +190,7 @@ def verify(
 
     seam = None
     if seam_window is not None:
-        diagnostics = {s: _seam(table, obs_maps, *seam_window) for s, table in tables.items()}
+        diagnostics = {s: _seam(table, observations, *seam_window) for s, table in tables.items()}
         seam = {s: diag for s, diag in diagnostics.items() if diag is not None}
     return Verification(
         cases=cases,

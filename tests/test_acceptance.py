@@ -22,6 +22,7 @@ from scipy.special import ndtr
 from scipy.stats import chisquare
 
 from emoskit.cli import main
+from emoskit.domain import _micros
 from emoskit.emos import FitOptions, FitTask, _derivatives, _forward, fit_batch, fit_single, model_weights
 from emoskit.pipeline import (
     CoefficientStore,
@@ -366,11 +367,11 @@ def seam_setup():
     # single-model stream beyond it
     cases = {}
     obs_per_case = {}
-    obs = {sid: series.as_mapping() for sid, series in run.observations.items()}
     for (sid, init, lead, strat), pred in run.predictions.items():
         if strat in (MIXED, "single:global"):
             cases.setdefault((sid, init), {}).setdefault(strat, {})[lead] = pred
-            obs_per_case.setdefault((sid, init), {})[lead] = obs[sid][init + timedelta(hours=lead)]
+            valid = _micros([init + timedelta(hours=lead)])
+            obs_per_case.setdefault((sid, init), {})[lead] = float(run.observations[sid].values_at(valid)[0])
     series = {
         scheme: assemble_seam(cases, TransitionSpec(horizon=120, scheme=scheme), MIXED, "single:global")
         for scheme in ("none", "t2")

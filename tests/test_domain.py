@@ -12,6 +12,7 @@ from emoskit.domain import (
     ObservationSeries,
     SampleTable,
     StationMetadata,
+    _micros,
     align,
     ensemble_stats,
 )
@@ -77,8 +78,8 @@ class TestEnsembleStats:
 def obs_series(hours_and_values, station="S1"):
     return ObservationSeries(
         station_id=station,
-        timestamps=tuple(T0 + timedelta(hours=h) for h, _ in hours_and_values),
-        values=tuple(v for _, v in hours_and_values),
+        times=_micros(T0 + timedelta(hours=h) for h, _ in hours_and_values),
+        values=[v for _, v in hours_and_values],
     )
 
 
@@ -128,7 +129,7 @@ class TestAlign:
         forecasts = cube(ensembles + [fc([5.0], init=T0 + timedelta(days=d), lead=6) for d in range(10)])
         obs = self.obs_for_days(range(10))
         table, _ = align([forecasts], obs, 12)
-        assert len(table) <= min(len(forecasts), len(obs.timestamps))
+        assert len(table) <= min(len(forecasts), len(obs.times))
         days = table.init_days - T0.date().toordinal()
         assert days.tolist() == sorted(days.tolist())
         assert table.observation.tolist() == [15.0 + d for d in days]
@@ -138,8 +139,8 @@ class TestAlign:
         # (UTC) timestamps pair as the datetimes themselves would.
         for t0 in (T0 + timedelta(microseconds=123457), datetime(2017, 6, 1, 0, 0, 0, 999999)):
             inits = [t0 + timedelta(days=d) for d in range(3)]
-            obs = ObservationSeries("S1", tuple(t + timedelta(hours=12, microseconds=m) for t, m in zip(inits, (0, 1, 0))),
-                                    (1.0, 2.0, 3.0))
+            obs = ObservationSeries("S1", _micros(t + timedelta(hours=12, microseconds=m) for t, m in zip(inits, (0, 1, 0))),
+                                    [1.0, 2.0, 3.0])
             table, dropped = align([cube([fc([1.0, 2.0], init=t) for t in inits])], obs, 12)
             assert (table.observation.tolist(), dropped) == ([1.0, 3.0], 1)
 
@@ -217,7 +218,7 @@ class TestInvariants:
 
     def test_observation_series_monotonic(self):
         with pytest.raises(ValueError):
-            ObservationSeries("S1", timestamps=(T0, T0), values=(1.0, 2.0))
+            ObservationSeries("S1", times=_micros([T0, T0]), values=[1.0, 2.0])
 
 
 

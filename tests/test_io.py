@@ -5,7 +5,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from emoskit.domain import EnsembleForecast, GaussianPredictive, ObservationSeries, StationMetadata
+from emoskit.domain import EnsembleForecast, GaussianPredictive, ObservationSeries, StationMetadata, _micros
 from emoskit.emos import EmosCoefficients, FitResult
 from emoskit.io import (
     SchemaError,
@@ -51,15 +51,15 @@ class TestObservations:
     def test_round_trip_skips_missing(self, tmp_path):
         series = ObservationSeries(
             station_id="S1",
-            timestamps=tuple(T0 + timedelta(hours=h) for h in range(4)),
-            values=(1.5, math.nan, -3.25, 10.0),
+            times=_micros(T0 + timedelta(hours=h) for h in range(4)),
+            values=[1.5, math.nan, -3.25, 10.0],
         )
         path = tmp_path / "obs.csv"
         write_observations(path, {"S1": series})
         back = read_observations(path)
         assert list(back) == ["S1"]
-        assert back["S1"].timestamps == (T0, T0 + timedelta(hours=2), T0 + timedelta(hours=3))
-        assert back["S1"].values == (1.5, -3.25, 10.0)
+        assert back["S1"].times.tolist() == _micros([T0, T0 + timedelta(hours=2), T0 + timedelta(hours=3)]).tolist()
+        assert back["S1"].values.tolist() == [1.5, -3.25, 10.0]
 
     def test_malformed_row_cites_line(self, tmp_path):
         path = tmp_path / "obs.csv"

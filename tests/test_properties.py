@@ -8,7 +8,7 @@ from datetime import datetime, timedelta, timezone
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emoskit.domain import GaussianPredictive, ObservationSeries
+from emoskit.domain import GaussianPredictive, ObservationSeries, _micros
 from emoskit.emos import EmosCoefficients, FitResult
 from emoskit.io import read_predictions, read_store, write_predictions, write_store
 from emoskit.pipeline import CoefficientKey, CoefficientStore
@@ -128,8 +128,8 @@ def test_verify_scores_equal_the_scalar_scores(cases):
     inits = [T0 + timedelta(days=i) for i in range(len(cases))]
     predictions = {("S", t, 12, "single:m"): GaussianPredictive(c[0], c[1]) for t, c in zip(inits, cases)}
     ensembles = {"m": forecast_cube("m", [("S", t, 12, c[3]) for t, c in zip(inits, cases)])}
-    valid = tuple(t + timedelta(hours=12) for t in inits)
-    observations = {"S": ObservationSeries("S", valid, tuple(c[2] for c in cases))}
+    valid = _micros(t + timedelta(hours=12) for t in inits)
+    observations = {"S": ObservationSeries("S", valid, [c[2] for c in cases])}
     result = verify(predictions, ensembles, observations, ["single:m", "raw:m"], "single:m")
     for i, (mu, sigma, y, members) in enumerate(cases):
         pred = GaussianPredictive(mu, sigma)

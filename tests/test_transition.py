@@ -115,17 +115,13 @@ class TestTransition2Blend:
 
 class TestSeamDiagnostics:
     def test_constant_series_zero_steps(self):
-        series = {"case": {lead: GaussianPredictive(4.0, 1.0) for lead in (118, 119, 120)}}
-        obs = {"case": {118: 4.0, 119: 4.0, 120: 4.0}}
-        diag = seam_diagnostics(series, obs, [118, 119, 120])
+        diag = seam_diagnostics([[4.0, 4.0, 4.0]], [[1.0, 1.0, 1.0]], [[4.0, 4.0, 4.0]], [118, 119, 120])
         assert all(v == 0.0 for v in diag.mu_steps.values())
         assert all(v == 0.0 for v in diag.sigma_steps.values())
         assert 118 not in diag.mu_steps  # first lead has no predecessor
 
     def test_single_case_step(self):
-        series = {"c": {120: GaussianPredictive(5.0, 1.0), 121: GaussianPredictive(7.0, 1.5)}}
-        obs = {"c": {120: 5.0, 121: 6.0}}
-        diag = seam_diagnostics(series, obs, [120, 121])
+        diag = seam_diagnostics([[5.0, 7.0]], [[1.0, 1.5]], [[5.0, 6.0]], [120, 121])
         assert diag.mu_steps[121] == pytest.approx(2.0)
         assert diag.sigma_steps[121] == pytest.approx(0.5)
 
@@ -133,20 +129,15 @@ class TestSeamDiagnostics:
         from emoskit.scoring import gaussian_crps
 
         pred = GaussianPredictive(5.0, 1.0)
-        series = {"c1": {120: pred, 121: pred}, "c2": {120: pred, 121: pred}}
-        obs = {"c1": {120: 5.0, 121: 5.0}, "c2": {120: 7.0, 121: 7.0}}
-        diag = seam_diagnostics(series, obs, [120, 121])
+        diag = seam_diagnostics([[5.0, 5.0]] * 2, [[1.0, 1.0]] * 2, [[5.0, 5.0], [7.0, 7.0]], [120, 121])
         expected = (gaussian_crps(pred, 5.0) + gaussian_crps(pred, 7.0)) / 2
         assert diag.mean_crps[120] == pytest.approx(expected)
 
     def test_gap_in_series_rejected(self):
-        series = {"c": {120: GaussianPredictive(5, 1), 122: GaussianPredictive(5, 1)}}
-        obs = {"c": {120: 5.0, 122: 5.0}}
         with pytest.raises(ValueError):
-            seam_diagnostics(series, obs, [120, 122])
-        series2 = {"c": {120: GaussianPredictive(5, 1)}}
-        with pytest.raises(ValueError):
-            seam_diagnostics(series2, {"c": {120: 5.0}}, [120, 121])
+            seam_diagnostics([[5.0, 5.0]], [[1.0, 1.0]], [[5.0, 5.0]], [120, 122])
+        with pytest.raises(ValueError):  # a case without every lead of the window
+            seam_diagnostics([[5.0]], [[1.0]], [[5.0]], [120, 121])
 
     def test_negative_diagnostics_rejected(self):
         with pytest.raises(ValueError):

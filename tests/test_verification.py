@@ -7,7 +7,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from emoskit.domain import GaussianPredictive, ObservationSeries
+from emoskit.domain import GaussianPredictive, ObservationSeries, _micros
 from emoskit.scoring import Conclusion, dm_test, ensemble_crps
 from emoskit.verification import verify
 
@@ -17,7 +17,7 @@ T0 = datetime(2017, 1, 1, tzinfo=timezone.utc)
 
 
 def hourly_observations(sid, values):
-    return ObservationSeries(sid, tuple(T0 + timedelta(hours=h) for h in range(len(values))), tuple(values))
+    return ObservationSeries(sid, _micros(T0 + timedelta(hours=h) for h in range(len(values))), values)
 
 
 def test_cases_are_the_common_set_with_observations():

@@ -14,13 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emoskit import io as eio
-from emoskit.domain import ObservationSeries
+from emoskit.domain import ObservationSeries, _micros
 from emoskit.io import _FORECAST_COLUMNS, fmt_float, format_timestamp, write_forecasts, write_observations, write_table
 
 from conftest import forecast_cube
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 T0 = datetime(2017, 1, 1, tzinfo=timezone.utc)
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 # Values at the edges of the 9-digit format: signed zeros, subnormals, and
 # magnitudes where it switches to an exponent.
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1.2345678951e16, 123456789.5,
@@ -29,9 +30,9 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16,
 
 def oracle_write_observations(path, observations: dict[str, ObservationSeries]) -> None:
     rows = (
-        [sid, format_timestamp(t), fmt_float(v)]
+        [sid, format_timestamp(EPOCH + timedelta(microseconds=t)), fmt_float(v)]
         for sid in sorted(observations)
-        for t, v in zip(observations[sid].timestamps, observations[sid].values)
+        for t, v in zip(observations[sid].times.tolist(), observations[sid].values.tolist())
         if not math.isnan(v)  # missing observations are simply absent rows
     )
     write_table(path, ["station_id", "valid_time", "temp_c"], rows)
@@ -79,8 +80,8 @@ def observation_sets(draw):
     for sid in draw(st.lists(station_ids, max_size=3, unique=True)):
         hours = sorted(draw(st.lists(st.integers(0, 24 * 400), max_size=12, unique=True)))
         gappy = values | st.sampled_from([math.nan, -math.nan, math.inf, -math.inf])
-        out[sid] = ObservationSeries(sid, tuple(T0 + timedelta(hours=h) for h in hours),
-                                     tuple(draw(st.lists(gappy, min_size=len(hours), max_size=len(hours)))))
+        out[sid] = ObservationSeries(sid, _micros(T0 + timedelta(hours=h) for h in hours),
+                                     draw(st.lists(gappy, min_size=len(hours), max_size=len(hours))))
     return out
 
 
