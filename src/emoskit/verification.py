@@ -3,8 +3,10 @@
 ``verify`` takes what the drivers produce: Gaussian predictions keyed by
 (station, init time, lead, strategy) as ``pipeline.predict_issues`` returns
 them, each model's ``ForecastCube`` from ``pipeline.prepare_forecasts`` for
-the ``raw:`` strategies, and the observations. It aligns the cases every
-scored strategy covers into arrays once and scores them in one pass:
+the ``raw:`` strategies, and the observation series, each looked up once at
+the valid times of its station's cases (``ObservationSeries.values_at``), as
+is the seam window. It aligns the cases every scored strategy covers into
+arrays once and scores them in one pass:
 closed-form CRPS and PIT for Gaussian strategies, one row-wise kernel CRPS
 and randomized-rank PIT per member matrix of the cube for raw ones. The
 report, PIT histograms, Diebold-Mariano matrix and calibration table derive

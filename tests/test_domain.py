@@ -4,6 +4,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emoskit.domain import (
     EnsembleForecast,
@@ -220,6 +222,23 @@ class TestInvariants:
         with pytest.raises(ValueError):
             ObservationSeries("S1", times=_micros([T0, T0]), values=[1.0, 2.0])
 
+
+
+# Hours near 0 make hits common; the wide range reaches the int64 extremes of the search.
+micros_keys = st.integers(-100, 100) | st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(table=st.dictionaries(micros_keys, st.floats() | st.sampled_from([math.nan, -math.nan, math.inf, -math.inf]),
+                             max_size=20),
+       queries=st.lists(micros_keys, max_size=20))
+def test_values_at_matches_a_dict(table, queries):
+    times = sorted(table)
+    series = ObservationSeries("S1", times, [table[t] for t in times])
+    queries = np.array(queries + times[::-1], dtype=np.int64)
+    want = np.array([table.get(t, math.nan) for t in queries.tolist()])
+    assert series.values_at(queries).tobytes() == want.tobytes()  # bit for bit, signed zeros and NaNs too
+    assert series.values_at(queries.reshape(1, -1)).tobytes() == want.tobytes()
 
 
 class TestForecastCube:

@@ -38,6 +38,22 @@ class TestPrimitives:
         assert format_timestamp(t) == "2019-10-27T13:00:00Z"
         assert parse_timestamp("2019-10-27T13:00:00+00:00") == t
 
+    def test_years_before_1000_round_trip(self, tmp_path):
+        # Four-digit years, as np.datetime_as_string writes them: each file reads back.
+        early = [datetime(1, 1, 1, tzinfo=timezone.utc), datetime(999, 12, 31, 23, tzinfo=timezone.utc)]
+        assert [format_timestamp(t) for t in early] == ["0001-01-01T00:00:00Z", "0999-12-31T23:00:00Z"]
+        fcs = [EnsembleForecast("S1", "m", t, 6, (1.0, 2.0)) for t in early]
+        write_forecasts(tmp_path / "f.csv", forecast_cube("m", [("S1", t, 6, (1.0, 2.0)) for t in early]))
+        assert list(read_forecasts(tmp_path / "f.csv", "m")) == fcs
+        predictions = {("S1", t, 6, "single:m"): GaussianPredictive(1.0, 0.5) for t in early}
+        write_predictions(tmp_path / "p.csv", predictions)
+        assert read_predictions(tmp_path / "p.csv") == predictions
+        write_observations(tmp_path / "o.csv", {"S1": ObservationSeries("S1", _micros(early), [1.5, -2.0])})
+        back = read_observations(tmp_path / "o.csv")["S1"]
+        assert (back.times.tolist(), back.values.tolist()) == (_micros(early).tolist(), [1.5, -2.0])
+        assert (tmp_path / "o.csv").read_text().splitlines()[1:] == ["S1,0001-01-01T00:00:00Z,1.5",
+                                                                     "S1,0999-12-31T23:00:00Z,-2"]
+
     def test_float_round_trip_nine_digits(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
