@@ -243,10 +243,13 @@ _WAKE_C2 = 0.01
 
 
 class _Stack:
-    """Training windows of a batch, padded to a common length.
+    """Training windows of a batch, padded to the longest rounded up to a
+    multiple of 16.
 
     Padding entries carry zero weight and harmless values (x = 0, s^2 = 1,
-    y = 0), so every entry stays finite.
+    y = 0), so every entry stays finite, and add exactly: up to 128 samples
+    (one block of numpy's pairwise sum), a row's fit does not depend on the
+    padded length, so not on its batch.
     """
 
     def __init__(self, U, V, y, w, valid):
@@ -257,7 +260,7 @@ class _Stack:
         """One row per task: its table's columns of the task's models, in
         ``model_ids`` order, with variances std * std."""
         k = len(tasks[0].model_ids)
-        rows, width = len(tasks), max(len(t.table) for t in tasks)
+        rows, width = len(tasks), -(-max(len(t.table) for t in tasks) // 16) * 16
         U = np.zeros((rows, width, k + 1))
         V = np.ones((rows, width, k + 1))
         y = np.zeros((rows, width))

@@ -42,9 +42,10 @@ PROPERTY_SETTINGS = settings(
 
 
 @st.composite
-def windows(draw, k):
-    """(xbar (n, k), std (n, k), y (n,)) of a two-model linear scenario."""
-    n = draw(st.sampled_from([MIN_SAMPLES, MIN_SAMPLES + 1, 45]))
+def windows(draw, k, sizes=st.sampled_from([MIN_SAMPLES, MIN_SAMPLES + 1, 45])):
+    """(xbar (n, k), std (n, k), y (n,)) of a two-model linear scenario, n
+    drawn from ``sizes``."""
+    n = draw(sizes)
     seed = draw(st.integers(0, 2**32 - 1))
     a = draw(st.floats(-3.0, 3.0))
     b = draw(st.floats(-0.5, 1.5))
@@ -362,12 +363,12 @@ def oracle_fit_batch(tasks, options=OPTIONS):
 
 
 @st.composite
-def oracle_tasks(draw, k):
+def oracle_tasks(draw, k, sizes=st.sampled_from([MIN_SAMPLES, MIN_SAMPLES + 1, 45])):
     """A task on a drawn window: some exact (zero noise and spread, whose
     sigma heads for the floor and whose rows stall into L-BFGS-B), some
     warm-started at c = 0 (woken) or with a far from the data (more than
     _HALVING_BATCH halvings), some under t1 upper bounds."""
-    xbar, std, y = draw(windows(k))
+    xbar, std, y = draw(windows(k, sizes))
     if draw(st.booleans()):
         std = np.zeros_like(std)
         y = 0.5 + 0.9 * xbar[:, 0]
@@ -387,6 +388,17 @@ def oracle_tasks(draw, k):
 def test_fit_batch_matches_sequential_halving_oracle(data, k, size):
     tasks = [data.draw(oracle_tasks(k)) for _ in range(size)]
     assert bits(fit_batch(tasks, OPTIONS)) == bits(oracle_fit_batch(tasks))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=12)
+@given(data=st.data(), k=st.sampled_from([1, 2]), size=st.integers(2, 5))
+def test_fit_does_not_depend_on_its_batch(data, k, size):
+    # Windows of up to 128 samples: numpy sums that many in one pairwise block
+    # (ROADMAP item 8), so a wider padding adds only exact zeros.
+    tasks = [data.draw(oracle_tasks(k, st.integers(1, 128))) for _ in range(size)]
+    order = data.draw(st.permutations(range(size)))
+    together = fit_batch([tasks[i] for i in order], OPTIONS)
+    assert bits([together[order.index(i)] for i in range(size)]) == bits([fit_batch([t], OPTIONS)[0] for t in tasks])
 
 
 def test_oracle_cases_cover_long_searches_stalls_and_wakes():
