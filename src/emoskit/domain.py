@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime
 from functools import cached_property, partial, reduce
 
 import numpy as np
@@ -31,15 +31,16 @@ __all__ = [
     "align",
 ]
 
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_EPOCH_DAY = date(1970, 1, 1).toordinal()
 _HOUR = 3_600_000_000  # microseconds
 
 
 def _micros(times) -> np.ndarray:
     """Microseconds since 1970 of each time, naive ones taken as UTC: exact
-    integer keys for array lookups."""
-    utc = (t.replace(tzinfo=t.tzinfo or timezone.utc) for t in times)
-    return np.array([(t - _EPOCH) // timedelta(microseconds=1) for t in utc], dtype=np.int64)
+    integer keys for array lookups, from the fields of the UTC time."""
+    utc = (t if t.tzinfo is None else t - t.utcoffset() for t in times)
+    return np.array([((t.toordinal() - _EPOCH_DAY) * 86_400 + (t.hour * 60 + t.minute) * 60 + t.second) * 1_000_000
+                     + t.microsecond for t in utc], dtype=np.int64)
 
 
 def _read_only(values, dtype) -> np.ndarray:
@@ -208,8 +209,7 @@ class ObservationSeries:
             raise ValueError("times must be strictly increasing and values of their length")
 
     def values_at(self, times) -> np.ndarray:
-        """The values at ``times``, an array of microseconds since 1970 UTC,
-        NaN where the series has none."""
+        """The values at ``times`` (an array of microseconds since 1970 UTC), NaN where the series has none."""
         if not len(self.times):
             return np.full(np.shape(times), np.nan)
         i = np.minimum(np.searchsorted(self.times, times), len(self.times) - 1)
