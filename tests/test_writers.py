@@ -1,9 +1,9 @@
 """Differential tests of the block writers of forecast and observation files
 against the row writers they replaced (``oracle_write_forecasts`` and
 ``oracle_write_observations`` below, the latter fed each series' datetimes):
-every file must be byte-identical, whatever the station ids hold. A forecast file's values are
-formatted by a printf template, so its format must give ``fmt_float``'s text
-for every float."""
+every file must be byte-identical, whatever the station ids hold. A forecast
+file's values are formatted by a printf template, so its format must give
+``fmt_float``'s text for every float."""
 
 import math
 from datetime import date, datetime, timedelta, timezone, tzinfo
