@@ -86,7 +86,6 @@ from .transition import (
     assemble_seam,
     seam_diagnostics,
     transition1_bounds,
-    transition2_blend,
 )
 from .verification import Cases, Verification, verify, write_reports
 

@@ -30,7 +30,7 @@ from functools import partial
 from pathlib import Path
 
 from . import io as eio
-from .domain import ForecastCube, GaussianPredictive
+from .domain import ForecastCube
 from .emos import FitOptions
 from .pipeline import (
     RollingWindowSpec,
@@ -376,18 +376,11 @@ def cmd_predict(args) -> int:
 def cmd_transition(args) -> int:
     cfg = eio.parse_config(args.config)
     tspec = _transition_spec(cfg, scheme_override=args.scheme)
-    cases: dict[tuple[str, datetime], dict[str, dict[int, GaussianPredictive]]] = {}
-    for (sid, init, lead, strategy), pred in eio.read_predictions(args.predictions).items():
-        cases.setdefault((sid, init), {}).setdefault(strategy, {})[lead] = pred
-    seam = assemble_seam(
-        cases, tspec, _mixed_strategy_name(cfg), _continuing_strategy(cfg), min_sigma=_fit_options(cfg).min_sigma
-    )
-
     label = f"seam_{tspec.scheme}"
-    predictions = {(sid, init, lead, label): pred for (sid, init), leads in seam.items()
-                   for lead, pred in leads.items()}
-    eio.write_predictions(args.out, predictions)
-    print(f"wrote {len(predictions)} seam predictions ({label}) -> {args.out}")
+    seam = assemble_seam(eio.read_predictions(args.predictions), tspec, _mixed_strategy_name(cfg),
+                         _continuing_strategy(cfg), label, min_sigma=_fit_options(cfg).min_sigma)
+    eio.write_predictions(args.out, seam)
+    print(f"wrote {len(seam)} seam predictions ({label}) -> {args.out}")
     return 0
 
 

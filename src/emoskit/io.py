@@ -12,8 +12,10 @@ digits, which round-trips losslessly at that precision. Schemas:
                            b2, c, d1, d2, n_samples, objective, converged,
                            fallback   (b2 and d2 are empty for single fits)
 
-Schema violations raise SchemaError naming the file, line and column; a
-repeated key (station, observation, prediction) raises at its second line.
+Schema violations raise SchemaError naming the file, line and column (a
+cell out of its domain too, such as a negative lead or a NaN coefficient);
+a repeated key (station, observation, prediction, store record) raises at
+its second line.
 Predictions are read into, and written from, the (station, init time, lead,
 strategy) -> GaussianPredictive dict that ``pipeline.predict_issues``
 returns and ``verification.verify`` takes.
@@ -199,7 +201,15 @@ class _Row:
         except ValueError:
             raise SchemaError(self.path, self.line_no, column, f"not a number: {raw!r}") from None
 
-    def int(self, column: str) -> int:
+    def finite(self, column: str, low: float = -math.inf, high: float = math.inf) -> float:
+        value = self.float(column)
+        if not math.isfinite(value):
+            raise SchemaError(self.path, self.line_no, column, f"must be finite, got {value}")
+        if not low <= value <= high:
+            raise SchemaError(self.path, self.line_no, column, f"must lie in [{low}, {high}], got {value}")
+        return value
+
+    def int(self, column: str, minimum: int | None = None) -> int:
         raw = self.str(column)
         try:
             value = int(raw)
@@ -207,6 +217,8 @@ class _Row:
             raise SchemaError(self.path, self.line_no, column, f"not an integer: {raw!r}") from None
         if not -(2**63) <= value < 2**63:  # the range of the int64 arrays it may go into
             raise SchemaError(self.path, self.line_no, column, f"integer out of range: {raw!r}")
+        if minimum is not None and value < minimum:
+            raise SchemaError(self.path, self.line_no, column, f"must be >= {minimum}, got {value}")
         return value
 
     def bool(self, column: str) -> bool:
@@ -273,9 +285,7 @@ def read_observations(path) -> dict[str, ObservationSeries]:
     with _TableReader(path, ["station_id", "valid_time", "temp_c"]) as reader:
         for line_no, row in reader.rows():
             rows.append((codes.setdefault(row.str("station_id"), len(codes)), row.timestamp("valid_time"),
-                         row.float("temp_c"), line_no))
-            if not math.isfinite(rows[-1][2]):
-                raise SchemaError(path, line_no, "temp_c", "observation must be finite")
+                         row.finite("temp_c"), line_no))
     station, times = np.array([r[0] for r in rows], dtype=np.int64), _micros(r[1] for r in rows)
     order = np.lexsort((times, station))  # stable: a repeated time keeps its lines in file order
     station, times, values = station[order], times[order], np.array([r[2] for r in rows])[order]
@@ -542,10 +552,10 @@ def read_stations(path) -> list[StationMetadata]:
                 raise SchemaError(path, line_no, "station_id", f"duplicate station {sid}")
             out[sid] = StationMetadata(
                 station_id=sid,
-                latitude=row.float("lat"),
-                longitude=row.float("lon"),
-                elevation=row.float("elev_m"),
-                grid_elevation={m: row.float(f"{prefix}{m}") for m in models},
+                latitude=row.finite("lat", -90, 90),
+                longitude=row.finite("lon", -180, 180),
+                elevation=row.finite("elev_m"),
+                grid_elevation={m: row.finite(f"{prefix}{m}") for m in models},
             )
     return list(out.values())
 
@@ -570,15 +580,15 @@ def read_predictions(*paths) -> dict[tuple[str, datetime, int, str], GaussianPre
     for path in paths:
         with _TableReader(path, ["station_id", "init_time", "lead_h", "strategy", "mu", "sigma"]) as reader:
             for line_no, row in reader.rows():
-                sigma = row.float("sigma")
+                sigma = row.finite("sigma")
                 if sigma <= 0.0:
                     raise SchemaError(path, line_no, "sigma", f"sigma must be > 0, got {sigma}")
-                key = (row.str("station_id"), row.timestamp("init_time"), row.int("lead_h"), row.str("strategy"))
+                key = (row.str("station_id"), row.timestamp("init_time"), row.int("lead_h", 0), row.str("strategy"))
                 if key in out:
                     sid, init, lead, strategy = key
                     raise SchemaError(path, line_no, None,
                                       f"duplicate prediction for {sid} {format_timestamp(init)} lead {lead} {strategy}")
-                out[key] = GaussianPredictive(mu=row.float("mu"), sigma=sigma)
+                out[key] = GaussianPredictive(mu=row.finite("mu"), sigma=sigma)
     return out
 
 
@@ -631,23 +641,29 @@ def read_store(path) -> CoefficientStore:
     with _TableReader(path, _STORE_COLUMNS) as reader:
         for line_no, row in reader.rows():
             strategy = row.str("strategy")
-            k = len(parse_strategy(strategy)[1])
+            try:
+                k = len(parse_strategy(strategy)[1])
+            except ValueError as err:
+                raise SchemaError(path, line_no, "strategy", str(err)) from None
             for j in range(k + 1, _MAX_PREDICTORS + 1):
                 for absent in (f"b{j}", f"d{j}"):
                     if row.optional_float(absent) is not None:
                         raise SchemaError(path, line_no, absent, "must be empty for single-model records")
             coef = EmosCoefficients(
-                a=row.float("a"),
-                b=tuple(row.float(f"b{j}") for j in range(1, k + 1)),
-                c=row.float("c"),
-                d=tuple(row.float(f"d{j}") for j in range(1, k + 1)),
+                a=row.finite("a"),
+                b=tuple(row.finite(f"b{j}", 0) for j in range(1, k + 1)),
+                c=row.finite("c"),
+                d=tuple(row.finite(f"d{j}", 0) for j in range(1, k + 1)),
             )
             key = CoefficientKey(
                 station_id=row.str("station_id"),
-                lead_time=row.int("lead_h"),
+                lead_time=row.int("lead_h", 0),
                 strategy=strategy,
                 issue_date=row.date("issue_date"),
             )
+            if key in store:
+                raise SchemaError(path, line_no, None, f"duplicate record for {key.station_id} lead {key.lead_time} "
+                                                       f"{strategy} {key.issue_date}")
             fit = FitResult(coef, row.float("objective"), row.bool("converged"), n_iterations=0,
                             n_samples=row.int("n_samples"), fallback=row.bool("fallback"))
             store.put(key, fit)

@@ -22,7 +22,7 @@ the t1 taper refits) and ``predict_issues`` (the per-date predictions).
 from __future__ import annotations
 
 from collections.abc import Collection, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta
 from functools import cache
 
@@ -38,7 +38,6 @@ __all__ = [
     "RollingWindowSpec",
     "CoefficientKey",
     "CoefficientStore",
-    "PredictionOutcome",
     "single_strategy",
     "mixed_strategy",
     "parse_strategy",
@@ -276,14 +275,7 @@ def fit_for_issue(
     return updates
 
 
-@dataclass(frozen=True)
-class PredictionOutcome:
-    """Predictions and per-key errors, keyed by (station, lead, strategy),
-    and the init time of each station's forecasts on the issue date."""
-
-    predictions: dict[tuple[str, int, str], GaussianPredictive]
-    errors: dict[tuple[str, int, str], str] = field(default_factory=dict)
-    init_times: dict[str, datetime] = field(default_factory=dict)
+Prediction = tuple[str, datetime, int, str]  # (station, init time, lead, strategy)
 
 
 def predict_for_issue(
@@ -292,14 +284,15 @@ def predict_for_issue(
     issue_date: date,
     keys: list[CoefficientKey],
     min_sigma: float = 1e-3,
-) -> PredictionOutcome:
+) -> tuple[dict[Prediction, GaussianPredictive], dict[CoefficientKey, str]]:
     """Apply stored coefficients to the ensembles initialized on the issue
     date, by their means and spreads.
 
-    Missing coefficients or missing forecasts produce per-key error entries;
-    all other keys are unaffected. Predictions are keyed by station, lead and
-    strategy, so a station with forecasts from more than one init time on
-    the issue date is rejected with ValueError.
+    Returns the predictions, keyed by (station, the station's init time,
+    lead, strategy), and an error message per key without coefficients or
+    forecasts; all other keys are unaffected. A date without forecasts gives
+    neither. A station with forecasts from more than one init time on the
+    issue date is rejected with ValueError.
     """
     stats: dict[tuple[str, str, int], tuple[float, float]] = {}
     init_times: dict[str, set[datetime]] = {}
@@ -309,6 +302,8 @@ def predict_for_issue(
         for s, t, lead, mean, std in zip(*columns):
             init_times.setdefault(cube.station_ids[s], set()).add(cube.init_times[t])
             stats[(cube.station_ids[s], cube.model_id, lead)] = (mean, std)
+    if not init_times:
+        return {}, {}
     for station_id, times in sorted(init_times.items()):
         if len(times) > 1:
             listed = ", ".join(t.strftime("%H:%M") for t in sorted(times))
@@ -317,22 +312,23 @@ def predict_for_issue(
                 "only one run per day is supported"
             )
 
-    predictions: dict[tuple[str, int, str], GaussianPredictive] = {}
-    errors: dict[tuple[str, int, str], str] = {}
+    predictions: dict[Prediction, GaussianPredictive] = {}
+    errors: dict[CoefficientKey, str] = {}
     for key in keys:
-        out_key = (key.station_id, key.lead_time, key.strategy)
         record = store.get(key)
         if record is None:
-            errors[out_key] = f"no coefficients stored for {key}"
+            errors[key] = f"no coefficients stored for {key}"
             continue
         models = parse_strategy(key.strategy)[1]
         missing = [m for m in models if (key.station_id, m, key.lead_time) not in stats]
         if missing:
-            errors[out_key] = f"no forecast for model {missing[0]!r} at {key.station_id} lead {key.lead_time}"
+            errors[key] = f"no forecast for model {missing[0]!r} at {key.station_id} lead {key.lead_time}"
             continue
         mean, std = zip(*(stats[(key.station_id, m, key.lead_time)] for m in models))
-        predictions[out_key] = predict(record.coefficients, mean, std, min_sigma=min_sigma)
-    return PredictionOutcome(predictions, errors, {sid: next(iter(times)) for sid, times in init_times.items()})
+        (init_time,) = init_times[key.station_id]
+        predictions[(key.station_id, init_time, key.lead_time, key.strategy)] = predict(
+            record.coefficients, mean, std, min_sigma=min_sigma)
+    return predictions, errors
 
 
 # ---------------------------------------------------------------------------
@@ -467,21 +463,18 @@ def predict_issues(
     issue_dates: Sequence[date],
     slots: Sequence[Slot],
     min_sigma: float = 1e-3,
-) -> tuple[dict[tuple[str, datetime, int, str], GaussianPredictive], list[str]]:
+) -> tuple[dict[Prediction, GaussianPredictive], list[str]]:
     """Apply stored coefficients to the forecasts of each issue date.
 
     Returns the predictions, keyed by (station, the station's init time,
-    lead, strategy), and the per-key error messages of ``predict_for_issue``
-    in date and key order. Dates without forecasts are skipped.
+    lead, strategy), and the error messages of ``predict_for_issue`` in
+    (date, station, lead, strategy) order.
     """
-    predictions: dict[tuple[str, datetime, int, str], GaussianPredictive] = {}
+    predictions: dict[Prediction, GaussianPredictive] = {}
     errors: list[str] = []
     for issue in issue_dates:
         keys = [CoefficientKey(sid, lead, strategy, issue) for sid, lead, strategy in slots]
-        outcome = predict_for_issue(store, forecasts_by_model, issue, keys, min_sigma=min_sigma)
-        if not outcome.init_times:
-            continue
-        for (sid, lead, strategy), pred in outcome.predictions.items():
-            predictions[(sid, outcome.init_times[sid], lead, strategy)] = pred
-        errors += [message for _, message in sorted(outcome.errors.items())]
+        found, failed = predict_for_issue(store, forecasts_by_model, issue, keys, min_sigma=min_sigma)
+        predictions.update(found)
+        errors += [failed[key] for key in sorted(failed, key=CoefficientKey.sort_key)]
     return predictions, errors

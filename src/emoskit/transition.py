@@ -10,7 +10,7 @@ single-model stream. Two smoothing schemes are supported:
   horizon into the following three hours with decaying weights.
 
 Both schemes use the weights 0.75, 0.5, 0.25. ``assemble_seam`` builds the
-seam product of either scheme, or of none, from per-case predictions;
+seam product of either scheme, or of none, from the flat prediction map;
 ``seam_diagnostics`` measures a product's steps and CRPS lead by lead from
 (case, lead) arrays of its mu, sigma and observations.
 """
@@ -31,7 +31,6 @@ __all__ = [
     "TransitionSpec",
     "SeamDiagnostics",
     "transition1_bounds",
-    "transition2_blend",
     "assemble_seam",
     "seam_diagnostics",
 ]
@@ -91,72 +90,53 @@ def transition1_bounds(
     }
 
 
-def transition2_blend(
-    mixed_at_horizon: GaussianPredictive,
-    single_series: dict[int, GaussianPredictive],
-    spec: TransitionSpec,
-    min_sigma: float = 1e-3,
-) -> dict[int, GaussianPredictive]:
-    """Propagate the horizon-lead difference into the next three hours.
-
-    delta_mu = mu_mixed(horizon) - mu_single(horizon), likewise for sigma;
-    at horizon+k the single-model values gain w_k * delta (sigma floored at
-    ``min_sigma``). All other leads of ``single_series`` pass through
-    unchanged, so callers may feed the whole continuing series.
-    """
-    required = (spec.horizon, *spec.blend_leads)
-    missing = [lead for lead in required if lead not in single_series]
-    if missing:
-        raise ValueError(f"single-model series missing leads {missing}")
-
-    base = single_series[spec.horizon]
-    delta_mu = mixed_at_horizon.mu - base.mu
-    delta_sigma = mixed_at_horizon.sigma - base.sigma
-
-    weight_at = dict(zip(spec.blend_leads, spec.weights))
-    out: dict[int, GaussianPredictive] = {}
-    for lead in sorted(single_series):
-        pred = single_series[lead]
-        w = weight_at.get(lead)
-        if w is None:
-            out[lead] = pred
-        else:
-            out[lead] = GaussianPredictive(
-                mu=pred.mu + w * delta_mu,
-                sigma=max(pred.sigma + w * delta_sigma, min_sigma),
-            )
-    return out
-
-
 def assemble_seam(
-    cases: dict[tuple[str, datetime], dict[str, dict[int, GaussianPredictive]]],
+    predictions: dict[tuple[str, datetime, int, str], GaussianPredictive],
     spec: TransitionSpec,
     combined: str,
     continuing: str,
+    label: str,
     min_sigma: float = 1e-3,
-) -> dict[tuple[str, datetime], dict[int, GaussianPredictive]]:
-    """Seam product per case: the ``combined`` strategy up to the horizon,
-    the ``continuing`` one beyond it, blended under scheme t2.
+) -> dict[tuple[str, datetime, int, str], GaussianPredictive]:
+    """The seam product of every (station, init time) case of ``predictions``
+    (keyed by station, init time, lead and strategy), under strategy ``label``:
+    the ``combined`` strategy up to the horizon, the ``continuing`` one beyond.
 
-    ``cases`` maps a (station, init time) case to its per-lead predictions
-    per strategy. A case without ``continuing`` predictions, or
-    (t2) without a ``combined`` prediction at the horizon, raises ValueError.
-    Schemes none and t1 assemble alike: t1 acts in training.
+    Under scheme t2 the combined-minus-continuing difference of mu and sigma
+    at the horizon carries into the blend leads: the continuing prediction at
+    horizon+k gains w_k times it (sigma floored at ``min_sigma``). Schemes
+    none and t1 assemble alike: t1 acts in training. The first case, in
+    order, without ``continuing`` predictions, or (t2) without the
+    ``combined`` prediction at the horizon or a ``continuing`` one at the
+    horizon and blend leads, raises ValueError.
     """
+    leads: dict[tuple[str, datetime, str], list[int]] = {}
+    for sid, init, lead, strategy in predictions:
+        leads.setdefault((sid, init, strategy), []).append(lead)
+    t2 = spec.scheme == "t2"
+    weight_at = dict(zip(spec.blend_leads, spec.weights)) if t2 else {}
     out = {}
-    for (sid, init_time), per_strategy in sorted(cases.items()):
-        combined_series = per_strategy.get(combined, {})
-        single_series = per_strategy.get(continuing, {})
-        if not single_series:
-            raise ValueError(f"no {continuing!r} predictions for {sid} {init_time}")
-        if spec.scheme == "t2":
-            at_horizon = combined_series.get(spec.horizon)
+    for sid, init in sorted({(sid, init) for sid, init, _ in leads}):
+        if (sid, init, continuing) not in leads:
+            raise ValueError(f"no {continuing!r} predictions for {sid} {init}")
+        if t2:
+            at_horizon = predictions.get((sid, init, spec.horizon, combined))
             if at_horizon is None:
-                raise ValueError(f"no {combined!r} prediction at the horizon for {sid} {init_time}")
-            single_series = transition2_blend(at_horizon, single_series, spec, min_sigma=min_sigma)
-        seam = {lead: pred for lead, pred in sorted(combined_series.items()) if lead <= spec.horizon}
-        seam.update((lead, pred) for lead, pred in sorted(single_series.items()) if lead > spec.horizon)
-        out[(sid, init_time)] = seam
+                raise ValueError(f"no {combined!r} prediction at the horizon for {sid} {init}")
+            missing = [lead for lead in (spec.horizon, *spec.blend_leads)
+                       if (sid, init, lead, continuing) not in predictions]
+            if missing:
+                raise ValueError(f"no {continuing!r} prediction at leads {missing} for {sid} {init}")
+            base = predictions[(sid, init, spec.horizon, continuing)]
+            delta_mu, delta_sigma = at_horizon.mu - base.mu, at_horizon.sigma - base.sigma
+        for lead in leads.get((sid, init, combined), ()):
+            if lead <= spec.horizon:
+                out[(sid, init, lead, label)] = predictions[(sid, init, lead, combined)]
+        for lead in leads[(sid, init, continuing)]:
+            if lead > spec.horizon:
+                pred, w = predictions[(sid, init, lead, continuing)], weight_at.get(lead)
+                out[(sid, init, lead, label)] = pred if w is None else GaussianPredictive(
+                    mu=pred.mu + w * delta_mu, sigma=max(pred.sigma + w * delta_sigma, min_sigma))
     return out
 
 

@@ -363,37 +363,35 @@ def seam_setup():
         if rec.coefficients.b[0] > b1_max + 1e-12 or rec.coefficients.d[0] > d1_max + 1e-12:
             bound_ok = False
 
-    # seam series per scheme: combined stream to the horizon, the continuing
-    # single-model stream beyond it
-    cases = {}
-    obs_per_case = {}
-    for (sid, init, lead, strat), pred in run.predictions.items():
-        if strat in (MIXED, "single:global"):
-            cases.setdefault((sid, init), {}).setdefault(strat, {})[lead] = pred
-            valid = _micros([init + timedelta(hours=lead)])
-            obs_per_case.setdefault((sid, init), {})[lead] = float(run.observations[sid].values_at(valid)[0])
+    # seam product per scheme: combined stream to the horizon, the continuing
+    # single-model stream beyond it, keyed like the predictions
     series = {
-        scheme: assemble_seam(cases, TransitionSpec(horizon=120, scheme=scheme), MIXED, "single:global")
+        scheme: assemble_seam(run.predictions, TransitionSpec(horizon=120, scheme=scheme), MIXED, "single:global",
+                              "seam")
         for scheme in ("none", "t2")
     }
-    return {"series": series, "obs": obs_per_case, "bound_ok": bound_ok, "n_taper": n_taper}
+    obs = {}
+    for sid, init, lead, _ in series["none"]:
+        valid = _micros([init + timedelta(hours=lead)])
+        obs[(sid, init, lead)] = float(run.observations[sid].values_at(valid)[0])
+    return {"series": series, "obs": obs, "bound_ok": bound_ok, "n_taper": n_taper}
 
 
 def test_criterion_8_seam_smoothness(seam_setup):
     series = seam_setup["series"]
     obs = seam_setup["obs"]
-    cases = sorted(series["none"])
+    cases = sorted({(sid, init) for sid, init, _, _ in series["none"]})
     assert cases
 
+    def at(scheme, case, lead):
+        return series[scheme][(*case, lead, "seam")]
+
     def step_at_121(scheme):
-        return float(np.mean([abs(series[scheme][c][121].mu - series[scheme][c][120].mu) for c in cases]))
+        return float(np.mean([abs(at(scheme, c, 121).mu - at(scheme, c, 120).mu) for c in cases]))
 
     def crps_121_123(scheme):
-        values = []
-        for c in cases:
-            for lead in (121, 122, 123):
-                values.append(gaussian_crps(series[scheme][c][lead], obs[c][lead]))
-        return float(np.mean(values))
+        return float(np.mean([gaussian_crps(at(scheme, c, lead), obs[(*c, lead)])
+                              for c in cases for lead in (121, 122, 123)]))
 
     step_none = step_at_121("none")
     step_t2 = step_at_121("t2")

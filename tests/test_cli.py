@@ -10,7 +10,7 @@ import pytest
 from emoskit import randomized_ensemble_pit
 from emoskit.cli import main
 from emoskit.domain import ensemble_stats
-from emoskit.io import read_forecasts, read_predictions, read_stations, read_store
+from emoskit.io import read_forecasts, read_predictions, read_stations, read_store, write_predictions
 from emoskit.terrain import lapse_correct
 
 BASIC_CFG = """
@@ -464,6 +464,16 @@ class TestTransitionCommand:
                 assert pred.mu == pytest.approx(expected, abs=1e-8)
             else:
                 assert pred == single[key]
+
+    def test_t2_missing_leads_name_strategy_and_case(self, seam_run, tmp_path, capsys):
+        cut = {key: pred for key, pred in read_predictions(seam_run["preds"]).items() if key[2] <= 121}
+        write_predictions(tmp_path / "cut.csv", cut)
+        sid, init = min(key[:2] for key in cut)
+        code = main(["transition", "--config", seam_run["cfg"], "--predictions", str(tmp_path / "cut.csv"),
+                     "--out", str(tmp_path / "seam.csv"), "--scheme", "t2"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: no 'single:global' prediction at leads [122, 123] for {sid} {init}\n"
+        assert not (tmp_path / "seam.csv").exists()
 
     def test_t1_bounds_enforced_in_store(self, seam_run):
         store_t1 = seam_run["root"] / "coeffs_t1.csv"

@@ -45,3 +45,13 @@ def test_a_name_used_only_by_itself_counts_as_unused():
     tree = ast.parse("__all__ = ['f']\n\ndef f(n):\n    return f(n - 1) if n else 0\n\ndef g():\n    return 1\n\nx = g()\n")
     assert not used_outside_definition(tree, "f")
     assert used_outside_definition(tree, "g")
+
+
+def test_every_name_in_each_modules_all_resolves():
+    # Nothing star-imports a module, so a stale __all__ string would
+    # otherwise go unnoticed.
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"emoskit.{path.stem}" if path.stem != "__init__" else "emoskit")
+        stale += [f"{module.__name__}.{name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert stale == []

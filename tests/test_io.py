@@ -244,6 +244,20 @@ class TestStore:
         assert math.isnan(got.objective)
         assert got.fallback
 
+    def test_repeated_record_rejected_with_line(self, tmp_path):
+        # The last record of a key used to win silently.
+        path = tmp_path / "coeffs.csv"
+        path.write_text(
+            "station_id,lead_h,strategy,issue_date,a,b1,b2,c,d1,d2,n_samples,objective,converged,fallback\n"
+            "S1,12,single:hires,2017-03-01,0,1,,0,1,,45,0.1,true,false\n"
+            "S1,13,single:hires,2017-03-01,0,1,,0,1,,45,0.1,true,false\n"
+            "S1,12,single:hires,2017-03-01,5,1,,0,1,,45,0.1,true,false\n"
+        )
+        with pytest.raises(SchemaError) as err:
+            read_store(path)
+        assert (err.value.line_no, err.value.column) == (4, None)
+        assert "duplicate record for S1 lead 12 single:hires 2017-03-01" in str(err.value)
+
     def test_mixed_fields_required_empty_for_single(self, tmp_path):
         path = tmp_path / "coeffs.csv"
         path.write_text(
@@ -286,6 +300,73 @@ def test_duplicate_column_rejected(tmp_path, reader, text, column):
         reader(path)
     assert (err.value.line_no, err.value.column) == (1, column)
     assert str(err.value).endswith(": duplicate column")
+
+
+
+# A cell out of its domain raises SchemaError at its line, naming its column,
+# not the unlocated ValueError of the record it would build.
+def table(row: dict[str, str], bad: dict[str, str]) -> str:
+    """The header and the valid ``row``, then at line 3 the row with the ``bad`` cells."""
+    return "\n".join([",".join(row), ",".join(row.values()), ",".join({**row, **bad}.values())]) + "\n"
+
+
+STORE_ROW = {"station_id": "S1", "lead_h": "12", "strategy": "single:hires", "issue_date": "2017-03-01", "a": "0.5",
+             "b1": "1", "b2": "", "c": "0.25", "d1": "1", "d2": "", "n_samples": "45", "objective": "0.1",
+             "converged": "true", "fallback": "false"}
+MIXED = {"strategy": "mixed:hires+global", "b2": "0.5", "d2": "0.5"}
+
+
+@pytest.mark.parametrize("bad, column", [
+    ({"lead_h": "-3"}, "lead_h"),
+    ({"strategy": "mixed:hires"}, "strategy"),
+    ({"a": "nan"}, "a"),
+    ({"c": "inf"}, "c"),
+    ({"b1": "-0.5"}, "b1"),
+    ({"d1": "nan"}, "d1"),
+    ({**MIXED, "d2": "-1"}, "d2"),
+], ids=["negative-lead", "malformed-strategy", "nan-a", "inf-c", "negative-b1", "nan-d1", "negative-d2"])
+def test_store_cell_errors_are_located(tmp_path, bad, column):
+    path = tmp_path / "coeffs.csv"
+    path.write_text(table(STORE_ROW, {"lead_h": "13", **bad}))
+    with pytest.raises(SchemaError) as err:
+        read_store(path)
+    assert (err.value.path, err.value.line_no, err.value.column) == (str(path), 3, column)
+
+
+PREDICTION_ROW = {"station_id": "S1", "init_time": "2017-03-01T00:00:00Z", "lead_h": "12", "strategy": "single:m",
+                  "mu": "1.5", "sigma": "0.5"}
+
+
+@pytest.mark.parametrize("bad, column", [
+    ({"lead_h": "-3"}, "lead_h"),
+    ({"mu": "nan"}, "mu"),
+    ({"mu": "-inf"}, "mu"),
+    ({"sigma": "nan"}, "sigma"),
+], ids=["negative-lead", "nan-mu", "inf-mu", "nan-sigma"])
+def test_prediction_cell_errors_are_located(tmp_path, bad, column):
+    path = tmp_path / "predictions.csv"
+    path.write_text(table(PREDICTION_ROW, {"lead_h": "13", **bad}))
+    with pytest.raises(SchemaError) as err:
+        read_predictions(path)
+    assert (err.value.path, err.value.line_no, err.value.column) == (str(path), 3, column)
+
+
+STATION_ROW = {"station_id": "S1", "lat": "46.5", "lon": "7.25", "elev_m": "1500", "grid_elev_hires": "1450"}
+
+
+@pytest.mark.parametrize("bad, column", [
+    ({"lat": "95"}, "lat"),
+    ({"lat": "nan"}, "lat"),
+    ({"lon": "-181"}, "lon"),
+    ({"elev_m": "nan"}, "elev_m"),
+    ({"grid_elev_hires": "inf"}, "grid_elev_hires"),
+], ids=["latitude-95", "nan-latitude", "longitude-181", "nan-elevation", "inf-grid-elevation"])
+def test_station_cell_errors_are_located(tmp_path, bad, column):
+    path = tmp_path / "stations.csv"
+    path.write_text(table(STATION_ROW, {"station_id": "S2", **bad}))
+    with pytest.raises(SchemaError) as err:
+        read_stations(path)
+    assert (err.value.path, err.value.line_no, err.value.column) == (str(path), 3, column)
 
 
 class TestConfig:

@@ -257,11 +257,11 @@ class TestPredictForIssue:
         store = CoefficientStore()
         key = CoefficientKey("S1", 12, "single:A", issue)
         store.put(key, FitResult(identity(1), 0.1, True, 0, 45, False))
-        outcome = predict_for_issue(store, self.forecasts(), issue, [key])
-        pred = outcome.predictions[("S1", 12, "single:A")]
+        predictions, errors = predict_for_issue(store, self.forecasts(), issue, [key])
+        pred = predictions[("S1", T0 + timedelta(days=50), 12, "single:A")]
         assert pred.mu == pytest.approx(5.0)
         assert pred.sigma == pytest.approx(float((2 * (2.0**2) / 3) ** 0.5))
-        assert outcome.init_times == {"S1": T0 + timedelta(days=50)}
+        assert list(predictions) == [("S1", T0 + timedelta(days=50), 12, "single:A")] and errors == {}
 
     def test_matches_direct_predict_bitwise(self):
         issue = issue_on(50)
@@ -269,9 +269,9 @@ class TestPredictForIssue:
         coef = EmosCoefficients(a=0.3, b=(0.6, 0.35), c=0.2, d=(0.8, 0.4))
         key = CoefficientKey("S1", 12, "mixed:A+B", issue)
         store.put(key, FitResult(coef, 0.2, True, 0, 45, False))
-        outcome = predict_for_issue(store, self.forecasts(), issue, [key])
+        predictions, _ = predict_for_issue(store, self.forecasts(), issue, [key])
         mean, std = ensemble_stats(self.MEMBERS)
-        assert outcome.predictions[("S1", 12, "mixed:A+B")] == predict(coef, [mean, mean], [std, std])
+        assert predictions[("S1", T0 + timedelta(days=50), 12, "mixed:A+B")] == predict(coef, [mean, mean], [std, std])
 
     def test_stats_only_for_forecasts_keys_read(self):
         # Forecasts of other leads and other days are read by no key and
@@ -283,8 +283,7 @@ class TestPredictForIssue:
         ensembles = [("S1", T0 + timedelta(days=day), lead, self.MEMBERS if day == 50 else (float(day),) * 3)
                      for day in (49, 50, 51) for lead in (12, 13)]
         more = {m: forecast_cube(m, ensembles) for m in "AB"}
-        outcome = predict_for_issue(store, more, issue, [key])
-        assert outcome.predictions == predict_for_issue(store, self.forecasts(), issue, [key]).predictions
+        assert predict_for_issue(store, more, issue, [key]) == predict_for_issue(store, self.forecasts(), issue, [key])
 
     def test_missing_key_reported(self):
         issue = issue_on(50)
@@ -292,17 +291,48 @@ class TestPredictForIssue:
         present = CoefficientKey("S1", 12, "single:A", issue)
         absent = CoefficientKey("S1", 12, "single:B", issue)
         store.put(present, FitResult(identity(1), 0.1, True, 0, 45, False))
-        outcome = predict_for_issue(store, self.forecasts(), issue, [present, absent])
-        assert ("S1", 12, "single:A") in outcome.predictions
-        assert ("S1", 12, "single:B") in outcome.errors
+        predictions, errors = predict_for_issue(store, self.forecasts(), issue, [present, absent])
+        assert ("S1", T0 + timedelta(days=50), 12, "single:A") in predictions
+        assert list(errors) == [absent]
 
     def test_missing_forecast_reported(self):
         issue = issue_on(50)
         store = CoefficientStore()
         key = CoefficientKey("S9", 12, "single:A", issue)
         store.put(key, FitResult(identity(1), 0.1, True, 0, 45, False))
-        outcome = predict_for_issue(store, self.forecasts(), issue, [key])
-        assert ("S9", 12, "single:A") in outcome.errors
+        predictions, errors = predict_for_issue(store, self.forecasts(), issue, [key])
+        assert predictions == {} and errors == {key: "no forecast for model 'A' at S9 lead 12"}
+
+    def test_date_without_forecasts_gives_nothing(self):
+        # Neither predictions nor errors, although the key has no coefficients.
+        key = CoefficientKey("S1", 12, "single:A", issue_on(51))
+        assert predict_for_issue(CoefficientStore(), self.forecasts(), issue_on(51), [key]) == ({}, {})
+
+    def test_predict_issues_orders_errors_by_date_station_lead_strategy(self):
+        # Forecasts at leads 12 and 13; coefficients for single:A at lead 12
+        # (the predictions) and single:B at lead 14 (no forecast there). The
+        # slots come in reverse order.
+        issues = [issue_on(50), issue_on(51)]
+        ensembles = [(sid, T0 + timedelta(days=day), lead, self.MEMBERS)
+                     for sid in ("S1", "S2") for day in (50, 51) for lead in (12, 13)]
+        forecasts = {m: forecast_cube(m, ensembles) for m in "AB"}
+        slots = [(sid, lead, strategy) for sid in ("S2", "S1") for lead in (14, 13, 12)
+                 for strategy in ("single:B", "single:A", "mixed:A+B")]
+        store = CoefficientStore()
+        for issue in issues:
+            for sid in ("S1", "S2"):
+                store.put(CoefficientKey(sid, 12, "single:A", issue), FitResult(identity(1), 0.1, True, 0, 45, False))
+                store.put(CoefficientKey(sid, 14, "single:B", issue), FitResult(identity(1), 0.1, True, 0, 45, False))
+
+        def message(issue, sid, lead, strategy):
+            if (lead, strategy) == (14, "single:B"):
+                return f"no forecast for model 'B' at {sid} lead 14"
+            return f"no coefficients stored for {CoefficientKey(sid, lead, strategy, issue)}"
+
+        predictions, errors = pipeline.predict_issues(store, forecasts, issues, slots)
+        failed = sorted((issue, *slot) for issue in issues for slot in slots if slot[1:] != (12, "single:A"))
+        assert len(predictions) == 4
+        assert errors == [message(*key) for key in failed]
 
 
 class TestBuildArchive:
