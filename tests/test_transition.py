@@ -227,9 +227,9 @@ LEADS = frozenset(range(115, 127))
 def seam_inputs(draw):
     """A flat prediction map of 1-3 stations x 1-3 init times, each case with
     drawn subsets of leads 115-126 (most often all of them, or all but a
-    few) of the combined, the continuing and one other strategy. Values come
-    from a drawn seed: mu in [-30, 30], sigma at 1-3 times ``min_sigma`` or
-    in [0.1, 4]."""
+    few; sometimes none) of the combined, the continuing and one other
+    strategy. Values come from a drawn seed: mu in [-30, 30], sigma at 1-3
+    times ``min_sigma`` or in [0.1, 4]."""
     min_sigma = draw(st.sampled_from([1e-3, 0.05]))
     stations = draw(st.lists(st.sampled_from(["S1", "S2", "S3"]), min_size=1, max_size=3, unique=True))
     days = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True))
@@ -237,7 +237,11 @@ def seam_inputs(draw):
 
     def leads():
         kind = draw(st.integers(0, 9))
-        return LEADS if kind < 6 else LEADS - draw(some) if kind < 9 else draw(some)
+        if kind < 5:
+            return LEADS
+        if kind < 8:
+            return LEADS - draw(some)
+        return draw(some) if kind < 9 else ()
 
     keys = [(sid, T0 + timedelta(days=d), lead, strategy)
             for sid in stations for d in days for strategy in (COMBINED, CONTINUING, OTHER) for lead in sorted(leads())]
