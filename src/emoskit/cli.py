@@ -23,10 +23,11 @@ Exit codes: 0 success, 1 input error, 2 at least one fit did not converge
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 from datetime import date, datetime, timezone
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import io as eio
@@ -65,25 +66,6 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _cfg_float(cfg, key, default):
-    raw = cfg.get(key)
-    return default if raw is None or raw == "" else float(raw)
-
-
-def _cfg_int(cfg, key, default):
-    raw = cfg.get(key)
-    return default if raw is None or raw == "" else int(raw)
-
-
-def _cfg_opt_int(cfg, key, default):
-    raw = cfg.get(key)
-    if raw is None:
-        return default
-    if raw == "" or raw.lower() == "none":
-        return None
-    return int(raw)
-
-
 def _parse_leads(raw: str) -> tuple[int, ...]:
     leads: set[int] = set()
     for chunk in raw.split(","):
@@ -102,6 +84,54 @@ def _parse_leads(raw: str) -> tuple[int, ...]:
     return tuple(sorted(leads))
 
 
+# The parser of a config value, by the annotation of the parameter it sets.
+_PARSERS = {int: int, float: float, str: str, int | None: lambda raw: None if raw.lower() == "none" else int(raw),
+            tuple[int, ...]: _parse_leads, tuple[float, ...]: lambda raw: tuple(float(w) for w in raw.split(",")),
+            datetime: lambda raw: datetime.fromisoformat(raw).replace(tzinfo=timezone.utc)}
+
+# Parameter -> config key, per spec class or function that the config sets; a
+# model's keys follow "model.<id>.".
+_MODEL_KEYS = {"member_count": "members", "error_growth_per_hour": "error_growth"} | {name: name for name in (
+    "horizon", "bias_amplitude", "bias_peak_hour", "bias_variability", "error_base_std", "error_lead_correlation",
+    "dispersion", "coarse_after", "coarse_step", "elevation_offset_std")}
+_TRUTH_KEYS = {"level": "truth.level", "diurnal_amplitude": "truth.diurnal_amplitude",
+               "seasonal_amplitude": "truth.seasonal_amplitude", "ar1_coefficient": "truth.ar1",
+               "innovation_std": "truth.innovation_std"}
+_SCENARIO_KEYS = {"seed": "seed", "n_stations": "scenario.n_stations", "n_days": "scenario.n_days",
+                  "lead_hours": "scenario.leads", "start": "scenario.start"}
+_WINDOW_KEYS = {"window_days": "window.days", "min_samples": "window.min_samples"}
+_FIT_KEYS = {"max_iterations": "fit.max_iterations", "objective_tolerance": "fit.tolerance", "min_sigma": "fit.min_sigma"}
+_TRANSITION_KEYS = {"horizon": "transition.horizon", "scheme": "transition.scheme", "weights": "transition.weights"}
+_VERIFY_KEYS = {"pit_bins": "verify.pit_bins", "alpha": "verify.alpha", "seed": "seed"}
+
+
+@cache
+def _parameters(target):
+    return inspect.signature(target, eval_str=True).parameters
+
+
+def _settings(cfg, target, keys: dict[str, str], **flags) -> dict:
+    """Keyword arguments of ``target`` (a spec class or a function): each flag
+    that is not None, and each other parameter in ``keys`` (parameter ->
+    config key) whose key is set, parsed by the parameter's annotation. An
+    absent or empty key leaves the parameter its default; a value that does
+    not parse raises ValueError naming its key."""
+    out = {name: value for name, value in flags.items() if value is not None}
+    for name, key in keys.items():
+        raw = cfg.get(key)
+        if raw and name not in out:
+            try:
+                out[name] = _PARSERS[_parameters(target)[name].annotation](raw)
+            except ValueError as err:
+                raise ValueError(f"config key {key!r}: {err}") from None
+    return out
+
+
+def _setting(cfg, target, name: str, key: str):
+    """One parameter of ``target``: its config ``key`` parsed, or its default."""
+    return _settings(cfg, target, {name: key}).get(name, _parameters(target)[name].default)
+
+
 def _model_ids(cfg) -> list[str]:
     raw = cfg.get("models")
     if raw:
@@ -113,70 +143,26 @@ def _model_ids(cfg) -> list[str]:
 
 
 def _model_spec(cfg, model_id: str) -> ModelErrorSpec:
-    p = f"model.{model_id}."
-    return ModelErrorSpec(
-        member_count=_cfg_int(cfg, p + "members", 21),
-        horizon=_cfg_int(cfg, p + "horizon", 120),
-        bias_amplitude=_cfg_float(cfg, p + "bias_amplitude", 0.0),
-        bias_peak_hour=_cfg_int(cfg, p + "bias_peak_hour", 12),
-        bias_variability=_cfg_float(cfg, p + "bias_variability", 0.45),
-        error_base_std=_cfg_float(cfg, p + "error_base_std", 0.5),
-        error_growth_per_hour=_cfg_float(cfg, p + "error_growth", 0.004),
-        error_lead_correlation=_cfg_float(cfg, p + "error_lead_correlation", 0.98),
-        dispersion=_cfg_float(cfg, p + "dispersion", 1.0),
-        coarse_after=_cfg_opt_int(cfg, p + "coarse_after", None),
-        coarse_step=_cfg_int(cfg, p + "coarse_step", 3),
-        elevation_offset_std=_cfg_float(cfg, p + "elevation_offset_std", 150.0),
-    )
+    keys = {name: f"model.{model_id}.{key}" for name, key in _MODEL_KEYS.items()}
+    return ModelErrorSpec(**_settings(cfg, ModelErrorSpec, keys))
 
 
 def _scenario_spec(cfg, seed_override=None) -> ScenarioSpec:
-    seed = seed_override if seed_override is not None else _cfg_int(cfg, "seed", 0)
-    start_raw = cfg.get("scenario.start", "2017-01-01")
-    start = datetime.fromisoformat(start_raw).replace(tzinfo=timezone.utc)
-    truth = TruthSpec(
-        level=_cfg_float(cfg, "truth.level", 8.0),
-        diurnal_amplitude=_cfg_float(cfg, "truth.diurnal_amplitude", 5.0),
-        seasonal_amplitude=_cfg_float(cfg, "truth.seasonal_amplitude", 8.0),
-        ar1_coefficient=_cfg_float(cfg, "truth.ar1", 0.85),
-        innovation_std=_cfg_float(cfg, "truth.innovation_std", 0.9),
-    )
     models = {m: _model_spec(cfg, m) for m in _model_ids(cfg)}
-    return ScenarioSpec(
-        seed=seed,
-        n_stations=_cfg_int(cfg, "scenario.n_stations", 10),
-        n_days=_cfg_int(cfg, "scenario.n_days", 100),
-        lead_hours=_leads(cfg),
-        start=start,
-        truth=truth,
-        models=models,
-    )
+    truth = TruthSpec(**_settings(cfg, TruthSpec, _TRUTH_KEYS))
+    return ScenarioSpec(**_settings(cfg, ScenarioSpec, _SCENARIO_KEYS, seed=seed_override), truth=truth, models=models)
 
 
 def _window_spec(cfg) -> RollingWindowSpec:
-    return RollingWindowSpec(
-        window_days=_cfg_int(cfg, "window.days", 45),
-        min_samples=_cfg_int(cfg, "window.min_samples", 30),
-    )
+    return RollingWindowSpec(**_settings(cfg, RollingWindowSpec, _WINDOW_KEYS))
 
 
 def _fit_options(cfg) -> FitOptions:
-    return FitOptions(
-        max_iterations=_cfg_int(cfg, "fit.max_iterations", 1000),
-        objective_tolerance=_cfg_float(cfg, "fit.tolerance", 1e-8),
-        min_sigma=_cfg_float(cfg, "fit.min_sigma", 1e-3),
-    )
+    return FitOptions(**_settings(cfg, FitOptions, _FIT_KEYS))
 
 
 def _transition_spec(cfg, scheme_override=None) -> TransitionSpec:
-    scheme = scheme_override or cfg.get("transition.scheme", "none")
-    weights_raw = cfg.get("transition.weights", "0.75,0.5,0.25")
-    weights = tuple(float(w) for w in weights_raw.split(","))
-    return TransitionSpec(
-        horizon=_cfg_int(cfg, "transition.horizon", 120),
-        scheme=scheme,
-        weights=weights,
-    )
+    return TransitionSpec(**_settings(cfg, TransitionSpec, _TRANSITION_KEYS, scheme=scheme_override))
 
 
 def _strategies(cfg) -> list[str]:
@@ -200,7 +186,7 @@ def _continuing_strategy(cfg) -> str:
     if explicit:
         return explicit
     models = _model_ids(cfg)
-    longest = max(models, key=lambda m: _cfg_int(cfg, f"model.{m}.horizon", 120))
+    longest = max(models, key=lambda m: _setting(cfg, ModelErrorSpec, "horizon", f"model.{m}.horizon"))
     return f"single:{longest}"
 
 
@@ -232,7 +218,7 @@ def _load_data(cfg, data_dir: Path, keep=None):
     coverage: dict[str, set[int]] = {}
     for model_id in _model_ids(cfg):
         raw = eio.read_forecasts(data_dir / f"forecasts_{model_id}.csv", model_id, keep)
-        coarse_step = _cfg_int(cfg, f"model.{model_id}.coarse_step", 3)
+        coarse_step = _setting(cfg, ModelErrorSpec, "coarse_step", f"model.{model_id}.coarse_step")
         grid_elevations(model_id, raw.file_station_ids, stations)
         forecasts[model_id] = prepare_forecasts(raw, stations, coarse_step)
         init_dates.update(t.date() for t in raw.file_init_times)
@@ -241,7 +227,7 @@ def _load_data(cfg, data_dir: Path, keep=None):
 
 
 def _leads(cfg) -> tuple[int, ...]:
-    return _parse_leads(cfg.get("scenario.leads", "0-126"))
+    return _setting(cfg, ScenarioSpec, "lead_hours", "scenario.leads")
 
 
 def _slots(cfg, coverage, observations):
@@ -422,8 +408,7 @@ def cmd_verify(args) -> int:
 
     result = verify(
         predictions, forecasts, observations, gaussian_strategies + raw_strategies, reference,
-        pit_bins=_cfg_int(cfg, "verify.pit_bins", 20), alpha=_cfg_float(cfg, "verify.alpha", 0.05),
-        seed=_cfg_int(cfg, "seed", 0), seam_window=seam_window,
+        **_settings(cfg, verify, _VERIFY_KEYS), seam_window=seam_window,
         store=eio.read_store(args.store) if args.store else None,
     )
     out_dir = Path(args.out)

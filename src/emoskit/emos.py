@@ -163,7 +163,7 @@ def identity(k: int) -> EmosCoefficients:
 
 
 def predict(
-    coef: EmosCoefficients, mean: Sequence[float], std: Sequence[float], min_sigma: float = 1e-3
+    coef: EmosCoefficients, mean: Sequence[float], std: Sequence[float], min_sigma: float = FitOptions.min_sigma
 ) -> GaussianPredictive:
     """Apply coefficients to the ensemble means and standard deviations of
     their models, in model order."""

@@ -33,8 +33,11 @@ That parser (numpy >= 2.4; older releases read "12.5" as 12) rejects "12.5",
 "12.0", "1e1", "1_2" and values beyond int64, a subset of what ``int`` takes.
 A read holds the numeric arrays, four integers per run and one chunk of text,
 so it peaks below twice the file's size. A file the pass cannot split (a quote
-character, another column order, a cell numpy rejects) is read again row by
-row, which reads a cell as ``int`` does or raises a row reader's SchemaError.
+character, another column order, a cell numpy rejects, a negative lead, a kept
+member value that is not finite) is read again row by row, which reads a cell
+as ``int`` does or raises a row reader's SchemaError. So a negative lead or a
+NaN or infinite member value raises SchemaError at its file, line and column,
+as any other bad cell does.
 
 Every stage reads forecasts this way. ``train`` keeps every row; ``predict``
 with an issue range and ``verify`` pass ``read_forecasts`` a filter on init
@@ -363,8 +366,8 @@ def _scan_forecasts(reader: _TableReader, keep) -> tuple | None:
     """The runs of ``reader``'s body, in one pass (see ``_forecast_cube``), or
     None when a line cannot be taken apart exactly: a header that does not
     start station_id,init_time,lead_h, a quote character, fewer than four
-    cells, an empty station id, or a cell that the row reader might read
-    otherwise.
+    cells, an empty station id, a cell that the row reader might read
+    otherwise, or a kept member value that is not finite.
 
     The member rows of an ensemble share the text of its station, init-time
     and lead cells, so a line that starts as the last split line did belongs
@@ -410,7 +413,8 @@ def _scan_forecasts(reader: _TableReader, keep) -> tuple | None:
     except (ValueError, OverflowError):  # a cell the row reader must judge
         return None
     table = np.concatenate(parts)
-    if len(table) != done + len(chunk):  # numpy skips a line of no cells
+    # numpy skips a line of no cells; the row reader locates a non-finite value.
+    if len(table) != done + len(chunk) or not np.isfinite(table["temp_c"]).all():
         return None
     heads = np.frombuffer(heads, dtype=np.int64).reshape(-1, 4)
     return list(stations), list(times), heads, table["member_idx"], table["temp_c"]
@@ -426,20 +430,20 @@ def _member_cells(lines: list[str], dtype) -> np.ndarray:
 
 def _read_forecast_rows(path, keep) -> tuple:
     """The runs of ``_scan_forecasts``, one per row, read row by row: the
-    file's first bad cell raises its SchemaError. A negative lead keeps every
-    row, so the cube of every row raises, whatever ``keep`` takes."""
+    file's first bad cell, a negative lead or a non-finite member among them,
+    raises its SchemaError."""
     stations: dict[str, int] = {}
     times: dict[datetime, int] = {}
     heads, member, value = [], [], []
     with _TableReader(path, _FORECAST_COLUMNS) as reader:
         for _, row in reader.rows():
-            sid, t, lead = row.str("station_id"), row.timestamp("init_time"), row.int("lead_h")
+            sid, t, lead = row.str("station_id"), row.timestamp("init_time"), row.int("lead_h", 0)
             heads.append((stations.setdefault(sid, len(stations)), times.setdefault(t, len(times)), lead))
             member.append(row.int("member_idx"))
-            value.append(row.float("temp_c"))
+            value.append(row.finite("temp_c"))
     heads = np.array(heads, dtype=np.int64).reshape(-1, 3)
     taken = np.ones(len(heads), dtype=bool)
-    if keep is not None and (heads[:, 2] >= 0).all():
+    if keep is not None:
         taken = np.array([keep(t.date()) for t in times], dtype=bool)[heads[:, 1]]
     first = np.cumsum(taken) - taken
     return (list(stations), list(times), np.column_stack([heads, first]), np.array(member, dtype=np.int64)[taken],
@@ -486,9 +490,7 @@ def _forecast_cube(path, model_id: str, stations: list, times: list, heads: np.n
     runs, and its members may come in any order.
 
     Members of a (station, init time, lead) not numbered 0..m-1 raise
-    SchemaError, unless an ensemble before them is one the cube rejects (a
-    negative lead, a non-finite member); then the cube raises its ValueError,
-    as a reader that checks each ensemble in turn would.
+    SchemaError.
     """
     station_ids, station = _sorted_codes(stations, heads[:, 0])
     init_times, init = _sorted_codes(times, heads[:, 1])
@@ -516,9 +518,8 @@ def _forecast_cube(path, model_id: str, stations: list, times: list, heads: np.n
     station, init, lead = station[new], init[new], lead[new]
     if misplaced.size:
         first = np.searchsorted(starts, misplaced[0], side="right") - 1
-        if (lead[:first] >= 0).all() and np.isfinite(value[:starts[first]]).all():
-            raise SchemaError(path, None, "member_idx", f"members of {station_ids[station[first]]} "
-                              f"{format_timestamp(init_times[init[first]])} lead {lead[first]} are not contiguous from 0")
+        raise SchemaError(path, None, "member_idx", f"members of {station_ids[station[first]]} "
+                          f"{format_timestamp(init_times[init[first]])} lead {lead[first]} are not contiguous from 0")
     widths, block = np.unique(counts, return_inverse=True)
     members = [value[starts[block == j, None] + np.arange(width)] for j, width in enumerate(widths.tolist())]
     for matrix in members:
@@ -664,8 +665,11 @@ def read_store(path) -> CoefficientStore:
             if key in store:
                 raise SchemaError(path, line_no, None, f"duplicate record for {key.station_id} lead {key.lead_time} "
                                                        f"{strategy} {key.issue_date}")
-            fit = FitResult(coef, row.float("objective"), row.bool("converged"), n_iterations=0,
-                            n_samples=row.int("n_samples"), fallback=row.bool("fallback"))
+            objective = row.float("objective")
+            if not (math.isnan(objective) or 0.0 <= objective < math.inf):  # NaN: an identity record
+                raise SchemaError(path, line_no, "objective", f"must be NaN or finite and >= 0, got {objective}")
+            fit = FitResult(coef, objective, row.bool("converged"), n_iterations=0,
+                            n_samples=row.int("n_samples", 0), fallback=row.bool("fallback"))
             store.put(key, fit)
     return store
 

@@ -283,7 +283,7 @@ def predict_for_issue(
     forecasts: Mapping[str, ForecastCube],
     issue_date: date,
     keys: list[CoefficientKey],
-    min_sigma: float = 1e-3,
+    min_sigma: float = FitOptions.min_sigma,
 ) -> tuple[dict[Prediction, GaussianPredictive], dict[CoefficientKey, str]]:
     """Apply stored coefficients to the ensembles initialized on the issue
     date, by their means and spreads.
@@ -462,7 +462,7 @@ def predict_issues(
     forecasts_by_model: Mapping[str, ForecastCube],
     issue_dates: Sequence[date],
     slots: Sequence[Slot],
-    min_sigma: float = 1e-3,
+    min_sigma: float = FitOptions.min_sigma,
 ) -> tuple[dict[Prediction, GaussianPredictive], list[str]]:
     """Apply stored coefficients to the forecasts of each issue date.
 

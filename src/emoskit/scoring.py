@@ -45,6 +45,7 @@ import numpy as np
 from .domain import GaussianPredictive
 
 __all__ = [
+    "DM_ALPHA",
     "ScoreSeries",
     "PitHistogram",
     "SignificanceResult",
@@ -72,6 +73,8 @@ _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 # Day/night stratification bounds in UTC: day = 07-18, night = 19-06.
 DAY_HOURS = frozenset(range(7, 19))
+
+DM_ALPHA = 0.05  # the default significance level of the Diebold-Mariano test
 
 _SEASON_BY_MONTH = {
     12: "DJF", 1: "DJF", 2: "DJF",
@@ -351,7 +354,7 @@ class ScoreSeries:
         return len(self.crps_values)
 
 
-def diebold_mariano(scores_a: ScoreSeries, scores_b: ScoreSeries, alpha: float = 0.05) -> SignificanceResult:
+def diebold_mariano(scores_a: ScoreSeries, scores_b: ScoreSeries, alpha: float = DM_ALPHA) -> SignificanceResult:
     """``dm_test`` of the score differential a - b; a case's init time is its
     valid time minus its lead time (0 h when the series carry no leads)."""
     if len(scores_a) != len(scores_b):
@@ -364,7 +367,7 @@ def diebold_mariano(scores_a: ScoreSeries, scores_b: ScoreSeries, alpha: float =
     return dm_test(d, np.asarray(init_days), max(leads, default=0), alpha)
 
 
-def dm_test(d: np.ndarray, init_days: np.ndarray, max_lead: int, alpha: float = 0.05) -> SignificanceResult:
+def dm_test(d: np.ndarray, init_days: np.ndarray, max_lead: int, alpha: float = DM_ALPHA) -> SignificanceResult:
     """Diebold-Mariano (1995) test of equal skill with the Harvey, Leybourne
     and Newbold (1997) small-sample correction.
 

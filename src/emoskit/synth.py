@@ -67,8 +67,8 @@ class TruthSpec:
 class ModelErrorSpec:
     """Error structure of one synthetic NWP ensemble."""
 
-    member_count: int
-    horizon: int
+    member_count: int = 21
+    horizon: int = 120
     bias_amplitude: float = 0.0
     bias_peak_hour: int = 12
     bias_variability: float = 0.45
@@ -308,7 +308,7 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
     return ScenarioData(stations=stations, observations=truth, forecasts=forecasts)
 
 
-def interpolate_leads(forecasts: ForecastCube, source_step: int = 3) -> ForecastCube:
+def interpolate_leads(forecasts: ForecastCube, source_step: int = ModelErrorSpec.coarse_step) -> ForecastCube:
     """Fill a coarse lead grid hourly by member-wise linear interpolation
     between bracketing leads, (1 - w) * lo + w * hi on each member matrix;
     native leads pass through unchanged. A gap between consecutive source

@@ -23,7 +23,7 @@ from datetime import datetime
 import numpy as np
 
 from .domain import GaussianPredictive
-from .emos import EmosCoefficients
+from .emos import EmosCoefficients, FitOptions
 from .scoring import crps_normal_unit
 
 __all__ = [
@@ -96,7 +96,7 @@ def assemble_seam(
     combined: str,
     continuing: str,
     label: str,
-    min_sigma: float = 1e-3,
+    min_sigma: float = FitOptions.min_sigma,
 ) -> dict[tuple[str, datetime, int, str], GaussianPredictive]:
     """The seam product of every (station, init time) case of ``predictions``
     (keyed by station, init time, lead and strategy), under strategy ``label``:

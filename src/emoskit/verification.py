@@ -30,6 +30,7 @@ from .domain import _HOUR, ForecastCube, GaussianPredictive, ObservationSeries, 
 from .emos import ModelWeights, model_weights
 from .pipeline import CoefficientKey, CoefficientStore, parse_strategy
 from .scoring import (
+    DM_ALPHA,
     PitHistogram,
     SignificanceResult,
     VerificationReport,
@@ -121,7 +122,7 @@ def verify(
     reference: str,
     *,
     pit_bins: int = 20,
-    alpha: float = 0.05,
+    alpha: float = DM_ALPHA,
     seed: int = 0,
     seam_window: tuple[int, int] | None = None,
     store: CoefficientStore | None = None,

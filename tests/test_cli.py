@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -7,11 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emoskit import randomized_ensemble_pit
+from emoskit import cli, randomized_ensemble_pit
 from emoskit.cli import main
 from emoskit.domain import ensemble_stats
+from emoskit.emos import FitOptions
 from emoskit.io import read_forecasts, read_predictions, read_stations, read_store, write_predictions
+from emoskit.pipeline import RollingWindowSpec
+from emoskit.synth import ModelErrorSpec, ScenarioSpec
 from emoskit.terrain import lapse_correct
+from emoskit.transition import TransitionSpec
+from emoskit.verification import verify
 
 BASIC_CFG = """
 seed = 42
@@ -700,7 +706,7 @@ class TestErrors:
         cfg = write_cfg(tmp_path, BASIC_CFG.replace("scenario.leads = 12,21", "scenario.leads = 12,21-15"))
         code = main(["train", "--config", cfg, "--data", str(basic_run["data"]), "--store", str(tmp_path / "s.csv")])
         assert code == 1
-        assert "error: lead range '21-15'" in capsys.readouterr().err
+        assert "error: config key 'scenario.leads': lead range '21-15'" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
     def test_non_finite_fit_exit_1(self, basic_run, tmp_path, monkeypatch, capsys):
@@ -721,6 +727,92 @@ class TestErrors:
         assert code == 1
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
+
+
+# Every config key the CLI reads, a model's keys under "model.<id>.".
+CONFIG_KEYS = {
+    "models", "strategies", "reference", "seed",
+    "scenario.start", "scenario.n_stations", "scenario.n_days", "scenario.leads",
+    "truth.level", "truth.diurnal_amplitude", "truth.seasonal_amplitude", "truth.ar1", "truth.innovation_std",
+    *(f"model.<id>.{key}" for key in ("members", "horizon", "bias_amplitude", "bias_peak_hour", "bias_variability",
+                                      "error_base_std", "error_growth", "error_lead_correlation", "dispersion",
+                                      "coarse_after", "coarse_step", "elevation_offset_std")),
+    "window.days", "window.min_samples", "fit.max_iterations", "fit.tolerance", "fit.min_sigma",
+    "transition.scheme", "transition.weights", "transition.horizon", "transition.continuing",
+    "verify.pit_bins", "verify.alpha", "verify.seam_window",
+}
+
+
+class RecordingConfig(dict):
+    """A parsed config that notes each key read from it."""
+
+    def __init__(self, items, read: set):
+        super().__init__(items)
+        self.read = read
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+class TestConfigKeys:
+    def test_pipeline_reads_the_pinned_keys(self, tmp_path, monkeypatch):
+        # A new spec field or parameter does not become a config key unnoticed.
+        assert len(CONFIG_KEYS) == 37
+        read: set[str] = set()
+        parse = cli.eio.parse_config
+        monkeypatch.setattr(cli.eio, "parse_config", lambda path: RecordingConfig(parse(path), read))
+        cfg = write_cfg(tmp_path, "models = hires,global\nscenario.n_stations = 1\nscenario.n_days = 3\n"
+                                  "scenario.leads = 12,21\nmodel.hires.members = 3\nmodel.global.members = 3\n")
+        data, store, preds = tmp_path / "data", str(tmp_path / "s.csv"), str(tmp_path / "p.csv")
+        assert main(["simulate", "--config", cfg, "--out", str(data)]) == 0
+        assert main(["train", "--config", cfg, "--data", str(data), "--store", store]) == 0
+        assert main(["predict", "--config", cfg, "--data", str(data), "--store", store, "--out", preds]) == 0
+        assert main(["transition", "--config", cfg, "--predictions", preds, "--out", str(tmp_path / "seam.csv")]) == 0
+        assert main(["verify", "--config", cfg, "--data", str(data), "--predictions", preds,
+                     "--out", str(tmp_path / "r")]) == 0
+        assert {re.sub(r"^model\.[^.]+\.", "model.<id>.", key) for key in read} == CONFIG_KEYS
+
+    @pytest.mark.parametrize("value", [None, ""], ids=["absent", "empty"])
+    def test_unset_keys_keep_the_defaults(self, value):
+        # An empty transition.scheme, transition.weights, scenario.start or
+        # scenario.leads used to raise; now it is unset, as any other key.
+        cfg = {"models": "hires"} if value is None else {key.replace("<id>", "hires"): value for key in CONFIG_KEYS}
+        assert cli._model_spec(cfg, "hires") == ModelErrorSpec()
+        assert cli._scenario_spec(cfg) == ScenarioSpec(models={"hires": ModelErrorSpec()})
+        assert cli._leads(cfg) == ScenarioSpec().lead_hours
+        assert cli._setting(cfg, ModelErrorSpec, "coarse_step", "model.hires.coarse_step") == ModelErrorSpec().coarse_step
+        assert cli._continuing_strategy(cfg) == "single:hires"
+        assert cli._window_spec(cfg) == RollingWindowSpec()
+        assert cli._fit_options(cfg) == FitOptions()
+        assert cli._transition_spec(cfg) == TransitionSpec()
+        assert cli._settings(cfg, verify, cli._VERIFY_KEYS) == {}  # verify keeps its own defaults
+
+    def test_flags_override_keys(self):
+        cfg = {"models": "hires", "seed": "x", "transition.scheme": "t1"}
+        assert cli._scenario_spec(cfg, seed_override=7).seed == 7
+        assert cli._transition_spec(cfg, scheme_override="t2").scheme == "t2"
+
+    @pytest.mark.parametrize(("stage", "key", "value"), [
+        ("simulate", "scenario.n_days", "5x"),
+        ("simulate", "truth.ar1", "0.8.5"),
+        ("simulate", "model.global.coarse_after", "ninety"),
+        ("train", "window.min_samples", "3o"),
+        ("train", "fit.tolerance", "1e-8e"),
+        ("transition", "transition.weights", "0.75,half"),
+        ("verify", "verify.alpha", "5%"),
+    ], ids=["scenario", "truth", "model", "window", "fit", "transition", "verify"])
+    def test_bad_value_names_its_key(self, basic_run, tmp_path, capsys, stage, key, value):
+        cfg = write_cfg(tmp_path, f"{BASIC_CFG}{key} = {value}\n")
+        out = tmp_path / "out"
+        argv = {"simulate": ["--out", str(out)],
+                "train": ["--data", str(basic_run["data"]), "--store", str(out)],
+                "transition": ["--predictions", str(basic_run["preds"]), "--out", str(out)],
+                "verify": ["--data", str(basic_run["data"]), "--predictions", str(basic_run["preds"]),
+                           "--out", str(out)]}[stage]
+        assert main([stage, "--config", cfg, *argv]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config key '{key}': ")
+        assert not out.exists()
 
 
 class TestRandomizedPit:

@@ -324,7 +324,11 @@ MIXED = {"strategy": "mixed:hires+global", "b2": "0.5", "d2": "0.5"}
     ({"b1": "-0.5"}, "b1"),
     ({"d1": "nan"}, "d1"),
     ({**MIXED, "d2": "-1"}, "d2"),
-], ids=["negative-lead", "malformed-strategy", "nan-a", "inf-c", "negative-b1", "nan-d1", "negative-d2"])
+    ({"n_samples": "-45"}, "n_samples"),
+    ({"objective": "-1.5"}, "objective"),
+    ({"objective": "inf"}, "objective"),
+], ids=["negative-lead", "malformed-strategy", "nan-a", "inf-c", "negative-b1", "nan-d1", "negative-d2",
+        "negative-n-samples", "negative-objective", "inf-objective"])
 def test_store_cell_errors_are_located(tmp_path, bad, column):
     path = tmp_path / "coeffs.csv"
     path.write_text(table(STORE_ROW, {"lead_h": "13", **bad}))
