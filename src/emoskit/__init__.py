@@ -13,6 +13,7 @@ from .domain import (
     ForecastCube,
     GaussianPredictive,
     ObservationSeries,
+    PredictionTable,
     SampleTable,
     StationMetadata,
     align,
@@ -23,13 +24,10 @@ from .emos import (
     FitOptions,
     FitResult,
     FitTask,
-    ModelWeights,
     fit_batch,
     fit_mixed,
     fit_single,
     identity,
-    model_weights,
-    predict,
 )
 from .pipeline import (
     CoefficientKey,

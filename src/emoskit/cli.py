@@ -30,6 +30,8 @@ from datetime import date, datetime, timezone
 from functools import cache, partial
 from pathlib import Path
 
+import numpy as np
+
 from . import io as eio
 from .domain import ForecastCube
 from .emos import FitOptions
@@ -84,10 +86,15 @@ def _parse_leads(raw: str) -> tuple[int, ...]:
     return tuple(sorted(leads))
 
 
+def _utc(t: datetime) -> datetime:
+    """``t`` in UTC; a naive time is taken as UTC."""
+    return t.replace(tzinfo=timezone.utc) if t.tzinfo is None else t.astimezone(timezone.utc)
+
+
 # The parser of a config value, by the annotation of the parameter it sets.
 _PARSERS = {int: int, float: float, str: str, int | None: lambda raw: None if raw.lower() == "none" else int(raw),
             tuple[int, ...]: _parse_leads, tuple[float, ...]: lambda raw: tuple(float(w) for w in raw.split(",")),
-            datetime: lambda raw: datetime.fromisoformat(raw).replace(tzinfo=timezone.utc)}
+            datetime: lambda raw: _utc(datetime.fromisoformat(raw))}
 
 # Parameter -> config key, per spec class or function that the config sets; a
 # model's keys follow "model.<id>.".
@@ -323,9 +330,10 @@ def cmd_train(args) -> int:
     slots = _slots(cfg, coverage, observations)
     store = train(archive, issues, slots, _window_spec(cfg), _fit_options(cfg), taper)
     eio.write_store(args.store, store)
-    n_fallback = sum(1 for _, r in store.items() if r.fallback)
-    print(f"trained {len(store)} records over {len(issues)} issue dates ({n_fallback} fallbacks) -> {args.store}")
-    if any(not r.converged for _, r in store.items()):
+    records = store.table()[2]
+    print(f"trained {len(records)} records over {len(issues)} issue dates ({records['fallback'].sum()} fallbacks) "
+          f"-> {args.store}")
+    if not records["converged"].all():
         print("warning: at least one fit did not converge (flagged in store)", file=sys.stderr)
         return 2
     return 0
@@ -389,7 +397,7 @@ def cmd_verify(args) -> int:
     cfg = eio.parse_config(args.config)
     seam_window = _seam_window(cfg)
     predictions = eio.read_predictions(*args.predictions)
-    gaussian_strategies = sorted({key[3] for key in predictions})
+    gaussian_strategies = list(predictions.strategies)
     raw_strategies = [s for s in _strategies(cfg) if parse_strategy(s)[0] == "raw"]
     if args.strategies:
         known = gaussian_strategies + raw_strategies
@@ -401,8 +409,8 @@ def cmd_verify(args) -> int:
         raw_strategies = [s for s in raw_strategies if s in wanted]
     # The cases are those every scored strategy covers, so the raw ensembles
     # needed are those of the init dates the Gaussian strategies predict.
-    scored = set(gaussian_strategies)
-    init_dates = {key[1].date() for key in predictions if key[3] in scored}
+    scored = np.array([s in gaussian_strategies for s in predictions.strategies], dtype=bool)[predictions.strategy]
+    init_dates = {predictions.init_times[t].date() for t in set(predictions.init[scored].tolist())}
     observations, forecasts, _, _ = _load_data(cfg, Path(args.data), init_dates.__contains__ if init_dates else None)
     reference = args.reference or cfg.get("reference") or _strategies(cfg)[0]
 

@@ -1,7 +1,8 @@
 """Core record types shared by all stages: stations, forecast cubes (one per
 model, iterable as ``EnsembleForecast`` records), observation series, training
-tables and Gaussian predictive distributions. ``align`` pairs cubes with the
-observations of one station at one lead into a ``SampleTable``.
+tables, Gaussian predictive distributions and the prediction table that holds
+many of them as columns. ``align`` pairs cubes with the observations of one
+station at one lead into a ``SampleTable``.
 
 All records are immutable after construction, arrays included, and every
 operation here is a pure function, so everything in this module is safe to
@@ -27,6 +28,7 @@ __all__ = [
     "ObservationSeries",
     "SampleTable",
     "GaussianPredictive",
+    "PredictionTable",
     "ensemble_stats",
     "align",
 ]
@@ -270,6 +272,110 @@ class GaussianPredictive:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
 
 
+def relabel(labels, codes) -> tuple[tuple, np.ndarray]:
+    """The ``labels`` that ``codes`` (indices into them) use, sorted and
+    distinct, and the codes into that tuple; equal labels share a code."""
+    used = np.flatnonzero(np.bincount(codes, minlength=len(labels)))
+    names = [labels[i] for i in used.tolist()]
+    ranked = sorted(set(names))
+    rank = {name: r for r, name in enumerate(ranked)}
+    lookup = np.zeros(len(labels), dtype=np.int64)
+    lookup[used] = [rank[name] for name in names]
+    return tuple(ranked), lookup[codes]
+
+
+def lookup(keys, queries) -> np.ndarray:
+    """For each row of ``queries``, the row of ``keys`` that equals it, -1
+    where none does. Both are sequences of int64 key columns of one length
+    each; the rows of ``keys`` are distinct."""
+    n = len(keys[0])
+    columns = [np.concatenate([k, q]) for k, q in zip(keys, queries)]
+    position = np.arange(len(columns[0]))
+    order = np.lexsort([position >= n, *reversed(columns)])  # a query row right after its equal key row
+    before = np.maximum.accumulate(np.where(order < n, position, -1))  # the last key row at or before each
+    hit = order[np.maximum(before, 0)]
+    found = (before >= 0) & np.logical_and.reduce([column[hit] == column[order] for column in columns])
+    out = np.empty(len(position) - n, dtype=np.int64)
+    queried = order >= n
+    out[order[queried] - n] = np.where(found[queried], hit[queried], -1)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class PredictionTable:
+    """Gaussian predictions as columns, one row per (station, init time, lead,
+    strategy), sorted by that key.
+
+    Row i is the prediction N(``mu[i]``, ``sigma[i]``) at station
+    ``station_ids[station[i]]``, init time ``init_times[init[i]]``, lead
+    ``lead[i]`` hours and strategy ``strategies[strategy[i]]``. The constructor
+    takes labels in any order, repeated or unused, and codes into them; it
+    keeps the labels the codes use, sorted and distinct, recodes, and puts the
+    rows in key order. A repeated key, a non-finite mu or sigma, or a sigma
+    <= 0 raises ValueError. All arrays are read-only.
+    """
+
+    station_ids: tuple[str, ...]
+    init_times: tuple[datetime, ...]
+    strategies: tuple[str, ...]
+    station: np.ndarray
+    init: np.ndarray
+    lead: np.ndarray
+    strategy: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
+
+    def __post_init__(self):
+        put = partial(object.__setattr__, self)
+        columns = {name: np.asarray(getattr(self, name), dtype=np.int64) for name in ("station", "init", "lead",
+                                                                                      "strategy")}
+        columns.update(mu=np.asarray(self.mu, dtype=float), sigma=np.asarray(self.sigma, dtype=float))
+        if {c.shape for c in columns.values()} - {(len(columns["lead"]),)}:
+            raise ValueError("station, init, lead, strategy, mu and sigma must be arrays of one length")
+        for labels, name in (("station_ids", "station"), ("init_times", "init"), ("strategies", "strategy")):
+            ranked, columns[name] = relabel(getattr(self, labels), columns[name])
+            put(labels, ranked)
+        keys = [columns[name] for name in ("station", "init", "lead", "strategy")]
+        order = np.lexsort(keys[::-1])
+        for name, column in columns.items():
+            put(name, _read_only(column[order], None))
+        keys = [getattr(self, name) for name in ("station", "init", "lead", "strategy")]
+        repeated = np.flatnonzero(np.logical_and.reduce([k[1:] == k[:-1] for k in keys]))
+        if repeated.size:
+            s, t, lead, strategy = (k[repeated[0]] for k in keys)
+            raise ValueError(f"repeated prediction for {self.station_ids[s]} {self.init_times[t]} lead {lead} "
+                             f"{self.strategies[strategy]}")
+        if not (np.isfinite(self.mu).all() and np.isfinite(self.sigma).all()):
+            raise ValueError("mu and sigma must be finite")
+        if (self.sigma <= 0.0).any():
+            raise ValueError(f"sigma must be > 0, got {self.sigma[self.sigma <= 0.0][0]}")
+
+    def __len__(self) -> int:
+        return len(self.lead)
+
+    def take(self, rows) -> PredictionTable:
+        """The predictions of ``rows`` (a mask or indices)."""
+        return PredictionTable(self.station_ids, self.init_times, self.strategies,
+                               *(getattr(self, name)[rows] for name in _PREDICTION_COLUMNS))
+
+    @staticmethod
+    def concat(tables) -> PredictionTable:
+        """The rows of all ``tables`` in one table; a key in two raises ValueError."""
+        tables = list(tables)
+        if len(tables) == 1:
+            return tables[0]
+        labels = [[label for t in tables for label in getattr(t, name)] for name in _PREDICTION_LABELS]
+        offsets = [np.cumsum([0] + [len(getattr(t, name)) for t in tables])[:-1] for name in _PREDICTION_LABELS]
+        codes = [np.concatenate([getattr(t, name) + offset for t, offset in zip(tables, offset_of)] or [[]])
+                 for name, offset_of in zip(("station", "init", "strategy"), offsets)]
+        values = [np.concatenate([getattr(t, name) for t in tables] or [[]]) for name in ("lead", "mu", "sigma")]
+        return PredictionTable(*labels, codes[0], codes[1], values[0], codes[2], values[1], values[2])
+
+
+_PREDICTION_LABELS = ("station_ids", "init_times", "strategies")
+_PREDICTION_COLUMNS = ("station", "init", "lead", "strategy", "mu", "sigma")
+
+
 def ensemble_stats(members) -> tuple:
     """Mean and population standard deviation (divide by m) along the last
     axis: of one ensemble's members, or of each row of a member matrix.
@@ -303,7 +409,8 @@ def align(forecasts: Sequence[ForecastCube], obs: ObservationSeries, lead_time: 
         raise ValueError(f"no forecasts for the observations' station {obs.station_id!r}")
     rows = [cube.rows(obs.station_id, lead_time) for cube in forecasts]
     inits = [cube._init_micros[cube.init[r]] for cube, r in zip(forecasts, rows)]  # sorted, distinct
-    common = reduce(partial(np.intersect1d, assume_unique=True), inits)  # np.unique would import numpy.ma
+    # np.unique without a return_* argument would import numpy.ma (numpy 2.4).
+    common = reduce(partial(np.intersect1d, assume_unique=True), inits)
     y = obs.values_at(common + lead_time * _HOUR)
     at = np.flatnonzero(~np.isnan(y))
     picked = [r[np.searchsorted(times, common[at])] for r, times in zip(rows, inits)]

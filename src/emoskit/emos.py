@@ -73,6 +73,7 @@ __all__ = [
     "FitResult",
     "FitTask",
     "predict",
+    "predict_columns",
     "identity",
     "fit_single",
     "fit_mixed",
@@ -170,11 +171,22 @@ def predict(
     if not len(mean) == len(std) == len(coef.b):
         raise ValueError(f"{len(coef.b)}-predictor coefficients got statistics of {len(mean)} models")
     mu = coef.a
-    var = coef.c**2
+    var = coef.c * coef.c
     for b, d, m, s in zip(coef.b, coef.d, mean, std):
         mu = mu + b * m
-        var = var + d**2 * s**2
+        var = var + (d * d) * (s * s)
     return GaussianPredictive(mu=mu, sigma=max(math.sqrt(var), min_sigma))
+
+
+def predict_columns(a, b, c, d, mean, std, min_sigma: float = FitOptions.min_sigma) -> tuple[np.ndarray, np.ndarray]:
+    """``predict`` row by row, in the same operations, so bit for bit: ``a``
+    and ``c`` are (n,) arrays, ``b``, ``d`` and the ensemble ``mean`` and
+    ``std`` (n, K) ones, column k for predictor k. Returns (mu, sigma)."""
+    mu, var = a, c * c
+    for k in range(b.shape[1]):
+        mu = mu + b[:, k] * mean[:, k]
+        var = var + (d[:, k] * d[:, k]) * (std[:, k] * std[:, k])
+    return mu, np.maximum(np.sqrt(var), min_sigma)
 
 
 def model_weights(coef: EmosCoefficients) -> ModelWeights:
@@ -446,7 +458,8 @@ def _newton(theta, st: _Stack, lower, upper, options: FitOptions) -> _Solved:
 
 def minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported on the first call: it is needed
-    only for stalled rows, and the import costs every process about 0.5 s."""
+    only for stalled rows, and the import costs a process about 0.2 s
+    (0.20-0.28 s after ``import emoskit.cli``, scipy 1.17)."""
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(*args, **kwargs)

@@ -16,16 +16,27 @@ Schema violations raise SchemaError naming the file, line and column (a
 cell out of its domain too, such as a negative lead or a NaN coefficient);
 a repeated key (station, observation, prediction, store record) raises at
 its second line.
-Predictions are read into, and written from, the (station, init time, lead,
-strategy) -> GaussianPredictive dict that ``pipeline.predict_issues``
-returns and ``verification.verify`` takes.
-Tables are read and written row by row with the csv module, except forecast
-files (one row per member, the bulk of every load) and the observation file.
-Those two are written one text block per ensemble or station, with the bytes
-of the row writer: each station and init-time label is csv-encoded once, one
-printf template per member count formats an ensemble's member lines, and one
-``np.datetime_as_string`` call a station's valid times (four-digit years, as
-``format_timestamp`` writes them).
+Predictions are read into, and written from, the ``domain.PredictionTable``
+that ``pipeline.predict_issues`` returns and ``verification.verify`` takes;
+the coefficient store into and from the columns of a
+``pipeline.CoefficientStore``.
+Station files are read and written row by row with the csv module, and
+observation files read so. Every other table is written in blocks with the bytes of the row
+writer: each label (station, init time, strategy, issue date) is csv-encoded
+once, and one printf template formats a block's lines in one call, per
+ensemble for forecasts (one template per member count), per station for
+observations (its valid times from one ``np.datetime_as_string`` call, with
+four-digit years as ``format_timestamp`` writes them), and per
+``_CHUNK_LINES`` rows for predictions and the store.
+Prediction and store files are read in bulk, ``_CHUNK_LINES`` lines at a
+time: a chunk is split into its columns of cells in one ``str.split``; an id,
+init-time, strategy, issue-date or flag column is factorized, each distinct
+cell parsed once; a numeric column is converted by numpy, which parses each
+cell as ``float`` or ``int`` does; and each domain rule is one array
+operation. A file the bulk pass cannot take apart (a quote, carriage return
+or NUL character, a line of another cell count, a cell that does not parse
+or breaks a rule, a repeated key) is read again row by row, which raises the
+first SchemaError, at its file, line and column, or reads it alike.
 Forecast files are read in one pass that splits only the first line of each
 ensemble's run of member rows and hands the member and value cells of kept
 rows to numpy's C tokenizer in chunks, member cells through its int64 parser.
@@ -61,13 +72,14 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from io import StringIO
+from itertools import compress, islice
 from pathlib import Path
 
 import numpy as np
 
-from .domain import ForecastCube, GaussianPredictive, ObservationSeries, StationMetadata, _micros
+from .domain import ForecastCube, ObservationSeries, PredictionTable, StationMetadata, _micros, relabel
 from .emos import EmosCoefficients, FitResult
-from .pipeline import CoefficientKey, CoefficientStore, parse_strategy
+from .pipeline import _MAX_PREDICTORS, RECORD, CoefficientKey, CoefficientStore, parse_strategy
 
 __all__ = [
     "SchemaError",
@@ -87,6 +99,8 @@ __all__ = [
     "write_store",
     "parse_config",
     "write_table",
+    "write_columns",
+    "csv_cells",
 ]
 
 
@@ -561,36 +575,153 @@ def read_stations(path) -> list[StationMetadata]:
     return list(out.values())
 
 
+# -- bulk tables -------------------------------------------------------------
+
+
+class _NotBulk(Exception):
+    """The bulk pass cannot take a file apart exactly; its row reader reads it."""
+
+
+def _chunks(reader: _TableReader):
+    """The body of ``reader`` in chunks of up to ``_CHUNK_LINES`` lines, each
+    as one list of cells per column, blank lines left out. Raises _NotBulk at
+    a chunk with a line that the csv module might split otherwise (a quote,
+    carriage return or NUL character) or with a line of another cell count."""
+    width = len(reader.header)
+    while lines := list(islice(reader.body, _CHUNK_LINES)):
+        text = "".join(lines).replace("\r\n", "\n")
+        if text.startswith("\n") or "\n\n" in text:  # blank lines
+            lines = [line for line in lines if not line.isspace()]
+            text = "".join(lines).replace("\r\n", "\n")
+            if not text:
+                continue
+        if any(c in text for c in '"\r\0'):
+            raise _NotBulk
+        # A marker cell "\n" after each line's cells: a line of another cell count moves the markers.
+        cells = (text if text.endswith("\n") else text + "\n").replace("\n", ",\n,").split(",")[:-1]
+        if len(cells) != len(lines) * (width + 1) or cells[width::width + 1].count("\n") != len(lines):
+            raise _NotBulk
+        yield [cells[j::width + 1] for j in range(width)]
+
+
+def _numbers(cells: list[str], dtype) -> np.ndarray:
+    """``cells`` parsed by numpy as ``float`` or ``int`` parse a cell, which
+    the row reader calls; _NotBulk where one does not parse, or an integer
+    leaves the int64 range."""
+    try:
+        return np.array(cells, dtype=dtype)
+    except (ValueError, OverflowError):
+        raise _NotBulk from None
+
+
+def _factor(cells: list[str], codes: dict[str, int]) -> np.ndarray:
+    """The code of each cell in ``codes``, which gains the cells new to it:
+    each distinct cell is then parsed once."""
+    for cell in dict.fromkeys(cells):
+        codes.setdefault(cell, len(codes))
+    return np.fromiter(map(codes.__getitem__, cells), dtype=np.int64, count=len(cells))
+
+
+def _labels(codes: dict[str, int], parse) -> list:
+    """``parse`` of each distinct cell of ``codes`` stripped, in code order;
+    _NotBulk where a cell is empty or ``parse`` raises."""
+    labels = []
+    for cell in codes:
+        cell = cell.strip()
+        if not cell:
+            raise _NotBulk
+        try:
+            labels.append(parse(cell))
+        except (ValueError, OverflowError, KeyError):
+            raise _NotBulk from None
+    return labels
+
+
+def write_columns(path, header: list[str], row: str, columns: list) -> None:
+    """Write a table as ``write_table`` does: the header, then each row of
+    ``columns`` by the printf template ``row`` of one line, its cells csv-encoded
+    text (%s) or floats (%.9g), one block of lines per ``_CHUNK_LINES`` rows."""
+    n = len(columns[0]) if columns else 0
+
+    def block(lo):
+        cells = np.empty((min(n - lo, _CHUNK_LINES), len(columns)), dtype=object)
+        for j, column in enumerate(columns):
+            cells[:, j] = column[lo:lo + len(cells)]
+        return row * len(cells) % tuple(cells.ravel().tolist())
+
+    _write_blocks(path, header, map(block, range(0, n, _CHUNK_LINES)))
+
+
+def csv_cells(labels, codes: np.ndarray) -> np.ndarray:
+    """The csv-encoded ``labels`` of ``codes``, as objects."""
+    return np.array([_csv_cell(str(label)) for label in labels] or [""], dtype=object)[codes]
+
+
 # -- predictions -------------------------------------------------------------
 
+_PREDICTION_COLUMNS = ["station_id", "init_time", "lead_h", "strategy", "mu", "sigma"]
 
-def write_predictions(path, predictions: dict[tuple[str, datetime, int, str], GaussianPredictive]) -> None:
+
+def write_predictions(path, predictions: PredictionTable) -> None:
     """One row per (station, init time, lead, strategy) key, in key order."""
-    cells = (
-        [sid, format_timestamp(init), lead, strategy, fmt_float(pred.mu), fmt_float(pred.sigma)]
-        for (sid, init, lead, strategy), pred in sorted(predictions.items())
-    )
-    write_table(path, ["station_id", "init_time", "lead_h", "strategy", "mu", "sigma"], cells)
+    p = predictions
+    inits = [format_timestamp(t) for t in p.init_times]
+    write_columns(path, _PREDICTION_COLUMNS, f"%s,%s,%s,%s,{_FLOAT_FORMAT},{_FLOAT_FORMAT}\n",
+                   [csv_cells(p.station_ids, p.station), csv_cells(inits, p.init), p.lead, csv_cells(p.strategies, p.strategy),
+                    p.mu, p.sigma])
 
 
-def read_predictions(*paths) -> dict[tuple[str, datetime, int, str], GaussianPredictive]:
-    """The predictions of one or more files, keyed by (station, init time,
-    lead, strategy), file after file. A key that repeats, within a file or
-    across them, raises SchemaError at its second line."""
-    out = {}
+def read_predictions(*paths) -> PredictionTable:
+    """The predictions of one or more files, in one table.
+
+    Each file is read in bulk (``_read_predictions_bulk``). A key that
+    repeats, within a file or across them, or a file that the bulk pass
+    cannot take apart, sends every file to the row reader, which raises the
+    first SchemaError, at its file, line and column, or reads them alike."""
+    try:
+        return PredictionTable.concat([_read_predictions_bulk(path) for path in paths])
+    except (_NotBulk, ValueError):  # ValueError: a repeated key
+        return _read_prediction_rows(paths)
+
+
+def _read_predictions_bulk(path) -> PredictionTable:
+    factors = {name: {} for name in ("station_id", "init_time", "strategy")}
+    parts = []
+    with _TableReader(path, _PREDICTION_COLUMNS) as reader:
+        column = {name: j for j, name in enumerate(reader.header)}
+        for cells in _chunks(reader):
+            parts.append([_factor(cells[column[name]], codes) for name, codes in factors.items()]
+                         + [_numbers(cells[column["lead_h"]], np.int64)]
+                         + [_numbers(cells[column[name]], float) for name in ("mu", "sigma")])
+    if not parts:
+        return PredictionTable((), (), (), *[[]] * 6)
+    station, init, strategy, lead, mu, sigma = (np.concatenate(column) for column in zip(*parts))
+    if (lead < 0).any() or not (np.isfinite(mu).all() and np.isfinite(sigma).all()) or (sigma <= 0.0).any():
+        raise _NotBulk
+    labels = [_labels(factors["station_id"], str), _labels(factors["init_time"], parse_timestamp),
+              _labels(factors["strategy"], str)]
+    return PredictionTable(*labels, station, init, lead, strategy, mu, sigma)
+
+
+def _read_prediction_rows(paths) -> PredictionTable:
+    """``read_predictions`` row by row, raising its SchemaErrors."""
+    seen, columns = set(), []
     for path in paths:
-        with _TableReader(path, ["station_id", "init_time", "lead_h", "strategy", "mu", "sigma"]) as reader:
+        with _TableReader(path, _PREDICTION_COLUMNS) as reader:
             for line_no, row in reader.rows():
                 sigma = row.finite("sigma")
                 if sigma <= 0.0:
                     raise SchemaError(path, line_no, "sigma", f"sigma must be > 0, got {sigma}")
                 key = (row.str("station_id"), row.timestamp("init_time"), row.int("lead_h", 0), row.str("strategy"))
-                if key in out:
+                if key in seen:
                     sid, init, lead, strategy = key
                     raise SchemaError(path, line_no, None,
                                       f"duplicate prediction for {sid} {format_timestamp(init)} lead {lead} {strategy}")
-                out[key] = GaussianPredictive(mu=row.finite("mu"), sigma=sigma)
-    return out
+                seen.add(key)
+                columns.append((*key, row.finite("mu"), sigma))
+    sid, init, lead, strategy, mu, sigma = zip(*columns) if columns else [()] * 6
+    return PredictionTable(sid, init, strategy, np.arange(len(sid)), np.arange(len(sid)), lead, np.arange(len(sid)),
+                           mu, sigma)
 
 
 # -- coefficient store -------------------------------------------------------
@@ -611,34 +742,96 @@ _STORE_COLUMNS = [
     "converged",
     "fallback",
 ]
-_MAX_PREDICTORS = 2  # the store has b1, b2, d1, d2 columns
+_BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
 
 
 def write_store(path, store: CoefficientStore) -> None:
     """One record per key, ordered by (issue_date, station, lead, strategy)."""
-
-    def rows():
-        for key, record in store.items():
-            coef = record.coefficients
-            absent = [""] * (_MAX_PREDICTORS - len(parse_strategy(key.strategy)[1]))
-            b, d = [fmt_float(v) for v in coef.b], [fmt_float(v) for v in coef.d]
-            yield [
-                key.station_id,
-                key.lead_time,
-                key.strategy,
-                key.issue_date.isoformat(),
-                fmt_float(coef.a), *b, *absent, fmt_float(coef.c), *d, *absent,
-                record.n_samples,
-                fmt_float(record.objective),
-                "true" if record.converged else "false",
-                "true" if record.fallback else "false",
-            ]
-
-    write_table(path, _STORE_COLUMNS, rows())
+    station_ids, strategies, rows = store.table()
+    days, day = np.unique(rows["day"], return_inverse=True)
+    flags = np.array(["false", "true"], dtype=object)
+    second = []  # the b2 and d2 cells: empty for single-model records
+    for name in ("b", "d"):
+        values = rows[name][:, 1]
+        cells = np.full(len(rows), "", dtype=object)
+        kept = ~np.isnan(values)
+        cells[kept] = (f"{_FLOAT_FORMAT}\n" * int(kept.sum()) % tuple(values[kept].tolist())).split("\n")[:-1]
+        second.append(cells)
+    columns = [csv_cells(station_ids, rows["station"]), rows["lead"], csv_cells(strategies, rows["strategy"]),
+               csv_cells([date.fromordinal(d).isoformat() for d in days.tolist()], day), rows["a"], rows["b"][:, 0],
+               second[0], rows["c"], rows["d"][:, 0], second[1], rows["n_samples"], rows["objective"],
+               flags[rows["converged"].astype(np.int64)], flags[rows["fallback"].astype(np.int64)]]
+    f = _FLOAT_FORMAT
+    write_columns(path, _STORE_COLUMNS, f"%s,%s,%s,%s,{f},{f},%s,{f},{f},%s,%s,{f},%s,%s\n", columns)
 
 
 def read_store(path) -> CoefficientStore:
-    store = CoefficientStore()
+    """The store file's records as a ``CoefficientStore``, read in bulk
+    (``_read_store_bulk``); a file that the bulk pass cannot take apart, or
+    whose cells break a rule, goes to the row reader, which raises the first
+    SchemaError at its line and column."""
+    with _TableReader(path, _STORE_COLUMNS) as reader:
+        try:
+            return _read_store_bulk(reader)
+        except _NotBulk:
+            pass
+    return _read_store_rows(path)
+
+
+def _read_store_bulk(reader: _TableReader) -> CoefficientStore:
+    """The store of ``reader``'s body: the text columns factorized, each
+    distinct cell parsed once, the numeric ones parsed by numpy, and each
+    domain rule one array operation. Raises _NotBulk where the row reader
+    must judge."""
+    factors = {name: {} for name in ("station_id", "strategy", "issue_date", "converged", "fallback")}
+    column = {name: j for j, name in enumerate(reader.header)}
+    parts = []
+    for cells in _chunks(reader):
+        part = {name: _factor(cells[column[name]], codes) for name, codes in factors.items()}
+        part.update({name: _numbers(cells[column[name]], np.int64) for name in ("lead_h", "n_samples")})
+        part.update({name: _numbers(cells[column[name]], float) for name in ("a", "b1", "c", "d1", "objective")})
+        for name in ("b2", "d2"):  # empty, or a number
+            text = cells[column[name]]
+            part[f"{name}_given"] = given = np.fromiter(map(bool, text), dtype=bool, count=len(text))
+            part[name] = np.full(len(text), np.nan)
+            part[name][given] = _numbers(list(compress(text, given.tolist())), float)
+        parts.append(part)
+    if not parts:
+        return CoefficientStore()
+    c = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+    station_ids, issue_days = _labels(factors["station_id"], str), _labels(factors["issue_date"], date.fromisoformat)
+    strategies = _labels(factors["strategy"], str)
+    k = np.array(_labels(factors["strategy"], lambda s: len(parse_strategy(s)[1])))[c["strategy"]]
+    flags = [np.array(_labels(factors[name], lambda s: _BOOLEANS[s.lower()]))[c[name]] for name in ("converged", "fallback")]
+    coefficients = np.column_stack([c["a"], c["b1"], c["b2"], c["c"], c["d1"], c["d2"]])
+    finite = np.isfinite(coefficients)
+    finite[:, [2, 5]] |= (k == 1)[:, None]  # b2 and d2 of single-model records are absent
+    objective = c["objective"]
+    if (not finite.all() or (coefficients[:, [1, 2, 4, 5]] < 0).any()
+            or (c["b2_given"] != (k > 1)).any() or (c["d2_given"] != (k > 1)).any()
+            or (c["lead_h"] < 0).any() or (c["n_samples"] < 0).any()
+            or (objective < 0).any() or np.isinf(objective).any()):
+        raise _NotBulk
+    rows = np.zeros(len(objective), dtype=RECORD)
+    station_ids, rows["station"] = relabel(station_ids, c["station_id"])
+    strategies, rows["strategy"] = relabel(strategies, c["strategy"])
+    rows["day"] = np.array([d.toordinal() for d in issue_days], dtype=np.int64)[c["issue_date"]]
+    rows["lead"], rows["n_samples"], rows["objective"] = c["lead_h"], c["n_samples"], objective
+    rows["a"], rows["c"] = c["a"], c["c"]
+    rows["b"], rows["d"] = coefficients[:, [1, 2]], coefficients[:, [4, 5]]
+    rows["converged"], rows["fallback"] = flags
+    order = np.lexsort([rows[name] for name in ("strategy", "lead", "station", "day")])
+    rows = rows[order]
+    keys = [rows[name] for name in ("day", "station", "lead", "strategy")]
+    if np.logical_and.reduce([key[1:] == key[:-1] for key in keys]).any():
+        raise _NotBulk  # a repeated key
+    rows.flags.writeable = False
+    return CoefficientStore.from_table(station_ids, strategies, rows)
+
+
+def _read_store_rows(path) -> CoefficientStore:
+    """``read_store`` row by row, raising its SchemaErrors."""
+    records = {}
     with _TableReader(path, _STORE_COLUMNS) as reader:
         for line_no, row in reader.rows():
             strategy = row.str("strategy")
@@ -662,16 +855,15 @@ def read_store(path) -> CoefficientStore:
                 strategy=strategy,
                 issue_date=row.date("issue_date"),
             )
-            if key in store:
+            if key in records:
                 raise SchemaError(path, line_no, None, f"duplicate record for {key.station_id} lead {key.lead_time} "
                                                        f"{strategy} {key.issue_date}")
             objective = row.float("objective")
             if not (math.isnan(objective) or 0.0 <= objective < math.inf):  # NaN: an identity record
                 raise SchemaError(path, line_no, "objective", f"must be NaN or finite and >= 0, got {objective}")
-            fit = FitResult(coef, objective, row.bool("converged"), n_iterations=0,
-                            n_samples=row.int("n_samples", 0), fallback=row.bool("fallback"))
-            store.put(key, fit)
-    return store
+            records[key] = FitResult(coef, objective, row.bool("converged"), n_iterations=0,
+                                     n_samples=row.int("n_samples", 0), fallback=row.bool("fallback"))
+    return CoefficientStore(records)
 
 
 # -- config ------------------------------------------------------------------

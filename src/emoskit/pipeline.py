@@ -21,15 +21,17 @@ the t1 taper refits) and ``predict_issues`` (the per-date predictions).
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, replace
-from datetime import date, datetime, timedelta
+from datetime import date
 from functools import cache
 
 import numpy as np
 
-from .domain import ForecastCube, GaussianPredictive, SampleTable, StationMetadata, align
-from .emos import FitOptions, FitResult, FitTask, fit_batch, identity, predict
+from .domain import ForecastCube, PredictionTable, SampleTable, StationMetadata, align, lookup, relabel
+from .emos import EmosCoefficients, FitOptions, FitResult, FitTask, fit_batch, identity, predict_columns
 from .synth import interpolate_leads
 from .terrain import lapse_correct
 from .transition import TransitionSpec, transition1_bounds
@@ -112,41 +114,154 @@ class CoefficientKey:
         return (self.issue_date, self.station_id, self.lead_time, self.strategy)
 
 
+Slot = tuple[str, int, str]  # (station, lead, strategy): a CoefficientKey without its issue date
+_MAX_PREDICTORS = 2  # the b and d columns of a store, b1, b2, d1 and d2 of the store file
+
+# One coefficient record: its key as codes (issue date as ``date.toordinal``,
+# station and strategy as indices into a store's labels), its coefficients
+# (``b`` and ``d`` NaN past the strategy's K predictors) and how they were found.
+RECORD = np.dtype([("day", np.int64), ("station", np.int64), ("lead", np.int64), ("strategy", np.int64),
+                   ("a", float), ("b", float, (2,)), ("c", float), ("d", float, (2,)), ("n_samples", np.int64),
+                   ("objective", float), ("converged", bool), ("fallback", bool)])
+
+
 class CoefficientStore:
-    """In-memory map of CoefficientKey -> FitResult with history lookups."""
+    """Coefficient records as columns, one row per ``CoefficientKey``.
+
+    ``table()`` gives the rows in key order (issue date, station, lead,
+    strategy), the order of the store file. ``get`` and ``latest_before``
+    build the one record they return from its row, through an index of each
+    slot's issue days made at the first lookup; a record given to ``update``
+    is returned as given. ``update`` appends rows, a key's new row replacing
+    its old one.
+    """
 
     def __init__(self, records: dict[CoefficientKey, FitResult] | None = None):
-        self._records: dict[CoefficientKey, FitResult] = dict(records or {})
+        self._codes: tuple[dict[str, int], dict[str, int]] = ({}, {})  # station id, strategy -> code in _rows
+        self._rows = np.empty(0, dtype=RECORD)  # rows[:_n] are in use
+        self._n = 0
+        self._replaced: set[int] = set()  # rows that a later row of their key replaced
+        self._given: dict[int, FitResult] = {}  # row -> the record that update stored there
+        self._slots: dict[Slot, tuple[list[int], list[int]]] | None = None  # slot -> (issue days, rows), by day
+        self._table: tuple | None = None
+        self.update(records or {})
+
+    @classmethod
+    def from_table(cls, station_ids: Sequence[str], strategies: Sequence[str], rows: np.ndarray) -> CoefficientStore:
+        """The store of ``rows`` (``RECORD``, read-only), in key order with
+        distinct keys and codes into the sorted, distinct labels."""
+        store = cls()
+        store._codes = tuple({label: i for i, label in enumerate(labels)} for labels in (station_ids, strategies))
+        store._rows, store._n = rows, len(rows)
+        store._table = tuple(station_ids), tuple(strategies), rows, np.arange(len(rows))
+        return store
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._n - len(self._replaced)
 
-    def __contains__(self, key: CoefficientKey) -> bool:
-        return key in self._records
-
-    def get(self, key: CoefficientKey) -> FitResult | None:
-        return self._records.get(key)
-
-    def put(self, key: CoefficientKey, record: FitResult) -> None:
-        self._records[key] = record
-
-    def update(self, updates: dict[CoefficientKey, FitResult]) -> None:
-        self._records.update(updates)
+    def table(self) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+        """(station ids, strategies, rows): the labels sorted, and the rows
+        (``RECORD``, read-only) in key order with codes into them."""
+        if self._table is None:
+            live = np.ones(self._n, dtype=bool)
+            live[list(self._replaced)] = False
+            rows = self._rows[:self._n][live]
+            station_ids, rows["station"] = relabel(list(self._codes[0]), rows["station"])
+            strategies, rows["strategy"] = relabel(list(self._codes[1]), rows["strategy"])
+            order = np.lexsort([rows[name] for name in ("strategy", "lead", "station", "day")])
+            rows = rows[order]
+            rows.flags.writeable = False
+            self._table = station_ids, strategies, rows, np.flatnonzero(live)[order]
+        return self._table[:3]
 
     def items(self):
-        return sorted(self._records.items(), key=lambda kv: kv[0].sort_key())
+        """(key, record) of every row, in key order: one record per row, for
+        callers that want them all."""
+        station_ids, strategies, rows = self.table()
+        keys = zip(*(rows[name].tolist() for name in ("station", "lead", "strategy", "day")))
+        for (s, lead, k, day), row in zip(keys, self._table[3].tolist()):
+            yield CoefficientKey(station_ids[s], lead, strategies[k], date.fromordinal(day)), self._record(row)
+
+    def _record(self, row: int) -> FitResult:
+        if row in self._given:
+            return self._given[row]
+        _, _, _, strategy, a, b, c, d, n_samples, objective, converged, fallback = self._rows[row].tolist()
+        k = len(parse_strategy(list(self._codes[1])[strategy])[1])
+        coef = EmosCoefficients(a, b.tolist()[:k], c, d.tolist()[:k])
+        return FitResult(coef, objective, converged, n_iterations=0, n_samples=n_samples, fallback=fallback)
+
+    def _index(self) -> dict[Slot, tuple[list[int], list[int]]]:
+        if self._slots is None:
+            self._slots = {}
+            self.table()
+            station_ids, strategies, rows, at = self._table
+            order = np.lexsort([rows[name] for name in ("day", "strategy", "lead", "station")])
+            columns = [rows[name][order].tolist() for name in ("station", "lead", "strategy", "day")]
+            for s, lead, k, day, row in zip(*columns, at[order].tolist()):
+                days, found = self._slots.setdefault((station_ids[s], lead, strategies[k]), ([], []))
+                days.append(day)
+                found.append(row)
+        return self._slots
+
+    def _find(self, station_id: str, lead_time: int, strategy: str, day: int, max_age: int) -> int | None:
+        """The row of the slot's latest issue day in [day - max_age, day]:
+        one bisection of the slot's issue days."""
+        days, rows = self._index().get((station_id, lead_time, strategy), ((), ()))
+        i = bisect_right(days, day) - 1
+        return rows[i] if i >= 0 and day - days[i] <= max_age else None
+
+    def __contains__(self, key: CoefficientKey) -> bool:
+        return self._find(key.station_id, key.lead_time, key.strategy, key.issue_date.toordinal(), 0) is not None
+
+    def get(self, key: CoefficientKey) -> FitResult | None:
+        row = self._find(key.station_id, key.lead_time, key.strategy, key.issue_date.toordinal(), 0)
+        return None if row is None else self._record(row)
+
+    def put(self, key: CoefficientKey, record: FitResult) -> None:
+        self.update({key: record})
+
+    def update(self, updates: dict[CoefficientKey, FitResult]) -> None:
+        """Append a row per record of ``updates``; a key already stored gets
+        the new one."""
+        if not updates:
+            return
+        index = self._index()
+        pad = (math.nan,) * _MAX_PREDICTORS
+        block = []
+        for key, record in updates.items():
+            coef = record.coefficients
+            if len(coef.b) > _MAX_PREDICTORS:
+                raise ValueError(f"a store holds up to {_MAX_PREDICTORS} predictors, got {len(coef.b)}")
+            station, strategy = (code.setdefault(label, len(code)) for code, label in
+                                 zip(self._codes, (key.station_id, key.strategy)))
+            block.append((key.issue_date.toordinal(), station, key.lead_time, strategy, coef.a,
+                          (coef.b + pad)[:_MAX_PREDICTORS], coef.c, (coef.d + pad)[:_MAX_PREDICTORS],
+                          record.n_samples, record.objective, record.converged, record.fallback))
+        if self._n + len(block) > len(self._rows):
+            self._rows = np.concatenate([self._rows[:self._n], np.empty(max(self._n, len(block)), dtype=RECORD)])
+        self._rows[self._n:self._n + len(block)] = np.array(block, dtype=RECORD)
+        for row, (key, record) in enumerate(updates.items(), start=self._n):
+            days, rows = index.setdefault((key.station_id, key.lead_time, key.strategy), ([], []))
+            day = key.issue_date.toordinal()
+            i = bisect_left(days, day)
+            if i < len(days) and days[i] == day:
+                self._replaced.add(rows[i])
+                self._given.pop(rows[i], None)
+                rows[i] = row
+            else:
+                days.insert(i, day)
+                rows.insert(i, row)
+            self._given[row] = record
+        self._n += len(block)
+        self._table = None
 
     def latest_before(
         self, station_id: str, lead_time: int, strategy: str, issue_date: date, max_age_days: int
     ) -> FitResult | None:
         """Most recent record for the same slot within ``max_age_days`` before
         ``issue_date``."""
-        for age in range(1, max_age_days + 1):
-            key = CoefficientKey(station_id, lead_time, strategy, issue_date - timedelta(days=age))
-            record = self._records.get(key)
-            if record is not None:
-                return record
-        return None
+        row = self._find(station_id, lead_time, strategy, issue_date.toordinal() - 1, max_age_days - 1)
+        return None if row is None else self._record(row)
 
 
 def select_window(table: SampleTable, issue_date: date, spec: RollingWindowSpec) -> SampleTable:
@@ -275,35 +390,32 @@ def fit_for_issue(
     return updates
 
 
-Prediction = tuple[str, datetime, int, str]  # (station, init time, lead, strategy)
-
-
 def predict_for_issue(
     store: CoefficientStore,
     forecasts: Mapping[str, ForecastCube],
     issue_date: date,
-    keys: list[CoefficientKey],
+    slots: Sequence[Slot],
     min_sigma: float = FitOptions.min_sigma,
-) -> tuple[dict[Prediction, GaussianPredictive], dict[CoefficientKey, str]]:
-    """Apply stored coefficients to the ensembles initialized on the issue
-    date, by their means and spreads.
+) -> tuple[PredictionTable, dict[Slot, str]]:
+    """Apply the issue date's stored coefficients of each (station, lead,
+    strategy) slot to the means and spreads of the ensembles initialized on
+    that date, one array expression per strategy (``emos.predict_columns``).
 
-    Returns the predictions, keyed by (station, the station's init time,
-    lead, strategy), and an error message per key without coefficients or
-    forecasts; all other keys are unaffected. A date without forecasts gives
-    neither. A station with forecasts from more than one init time on the
-    issue date is rejected with ValueError.
+    Returns the predictions, at each station's init time, and an error
+    message per slot without coefficients or forecasts, in slot order; all
+    other slots are unaffected. A date without forecasts gives neither. A
+    station with forecasts from more than one init time on the issue date is
+    rejected with ValueError.
     """
-    stats: dict[tuple[str, str, int], tuple[float, float]] = {}
-    init_times: dict[str, set[datetime]] = {}
-    for cube in forecasts.values():
-        rows = np.flatnonzero(cube.init_days[cube.init] == issue_date.toordinal())
-        columns = (a[rows].tolist() for a in (cube.station, cube.init, cube.lead, cube.mean, cube.std))
-        for s, t, lead, mean, std in zip(*columns):
+    day = issue_date.toordinal()
+    on_day = {}  # model -> rows of the date's ensembles
+    init_times: dict[str, set] = {}
+    for model, cube in forecasts.items():
+        on_day[model] = rows = np.flatnonzero(cube.init_days[cube.init] == day)
+        for s, t in set(zip(cube.station[rows].tolist(), cube.init[rows].tolist())):
             init_times.setdefault(cube.station_ids[s], set()).add(cube.init_times[t])
-            stats[(cube.station_ids[s], cube.model_id, lead)] = (mean, std)
     if not init_times:
-        return {}, {}
+        return PredictionTable((), (), (), *[[]] * 6), {}
     for station_id, times in sorted(init_times.items()):
         if len(times) > 1:
             listed = ", ".join(t.strftime("%H:%M") for t in sorted(times))
@@ -312,23 +424,51 @@ def predict_for_issue(
                 "only one run per day is supported"
             )
 
-    predictions: dict[Prediction, GaussianPredictive] = {}
-    errors: dict[CoefficientKey, str] = {}
-    for key in keys:
-        record = store.get(key)
-        if record is None:
-            errors[key] = f"no coefficients stored for {key}"
-            continue
-        models = parse_strategy(key.strategy)[1]
-        missing = [m for m in models if (key.station_id, m, key.lead_time) not in stats]
-        if missing:
-            errors[key] = f"no forecast for model {missing[0]!r} at {key.station_id} lead {key.lead_time}"
-            continue
-        mean, std = zip(*(stats[(key.station_id, m, key.lead_time)] for m in models))
-        (init_time,) = init_times[key.station_id]
-        predictions[(key.station_id, init_time, key.lead_time, key.strategy)] = predict(
-            record.coefficients, mean, std, min_sigma=min_sigma)
-    return predictions, errors
+    # The slots as codes: stations and strategies as indices into these labels.
+    labels = [list(dict.fromkeys(column)) for column in zip(*slots)] or [[], [], []]
+    codes = [{label: i for i, label in enumerate(column)} for column in labels]
+    station = np.array([codes[0][sid] for sid, _, _ in slots], dtype=np.int64)
+    lead = np.array([slot[1] for slot in slots], dtype=np.int64)
+    strategy = np.array([codes[2][s] for _, _, s in slots], dtype=np.int64)
+
+    def recode(names, column):  # codes into ``names`` as slot codes, -1 for a label no slot has
+        return np.array([column.get(name, -1) for name in names], dtype=np.int64)
+
+    station_ids, strategies, rows = store.table()
+    rows = rows[np.searchsorted(rows["day"], day):np.searchsorted(rows["day"], day + 1)]
+    stored = lookup([recode(station_ids, codes[0])[rows["station"]], rows["lead"],
+                     recode(strategies, codes[2])[rows["strategy"]]], [station, lead, strategy])
+    ensemble = {model: np.append(on_day[model], -1)[lookup([recode(cube.station_ids, codes[0])[cube.station[on_day[model]]],
+                                                          cube.lead[on_day[model]]], [station, lead])]
+                for model, cube in forecasts.items()}  # model -> the cube row of each slot, -1 for none
+
+    errors: dict[int, str] = {}
+    found, mu, sigma = [], [], []
+    for code, name in enumerate(labels[2]):
+        at = np.flatnonzero(strategy == code)
+        models = parse_strategy(name)[1]
+        columns = [ensemble[m][at] if m in forecasts else np.full(len(at), -1) for m in models]
+        missing = [e < 0 for e in columns]
+        for i in at[stored[at] < 0].tolist():
+            key = CoefficientKey(labels[0][station[i]], int(lead[i]), name, issue_date)
+            errors[i] = f"no coefficients stored for {key}"
+        for m, absent in zip(models, missing):
+            for i in at[absent & (stored[at] >= 0)].tolist():
+                errors.setdefault(i, f"no forecast for model {m!r} at {labels[0][station[i]]} lead {lead[i]}")
+        ok = (stored[at] >= 0) & ~np.logical_or.reduce(missing)
+        record = rows[stored[at[ok]]]
+        mean, std = (np.column_stack([getattr(forecasts[m], stat)[e[ok]] for m, e in zip(models, columns)])
+                     for stat in ("mean", "std"))
+        k = len(models)
+        result = predict_columns(record["a"], record["b"][:, :k], record["c"], record["d"][:, :k], mean, std, min_sigma)
+        found.append(at[ok])
+        mu.append(result[0])
+        sigma.append(result[1])
+    found = np.concatenate(found or [np.empty(0, dtype=np.int64)])
+    inits = [next(iter(init_times.get(sid, {None}))) for sid in labels[0]]
+    predictions = PredictionTable(labels[0], inits, labels[2], station[found], station[found], lead[found],
+                                  strategy[found], np.concatenate(mu or [[]]), np.concatenate(sigma or [[]]))
+    return predictions, {slots[i]: errors[i] for i in sorted(errors)}
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +523,6 @@ def lead_coverage(lead_grids, coarse_step: int | None) -> set[int]:
     if coarse_step is None:
         return {lead for grid in lead_grids for lead in grid}
     return {lead for grid in lead_grids for lead in range(grid[0], grid[-1] + 1)}
-
-
-Slot = tuple[str, int, str]  # (station, lead, strategy): a CoefficientKey without its issue date
 
 
 def coefficient_slots(coverage: Mapping[str, Collection[int]], station_ids, leads, strategies) -> list[Slot]:
@@ -463,18 +600,14 @@ def predict_issues(
     issue_dates: Sequence[date],
     slots: Sequence[Slot],
     min_sigma: float = FitOptions.min_sigma,
-) -> tuple[dict[Prediction, GaussianPredictive], list[str]]:
-    """Apply stored coefficients to the forecasts of each issue date.
-
-    Returns the predictions, keyed by (station, the station's init time,
-    lead, strategy), and the error messages of ``predict_for_issue`` in
-    (date, station, lead, strategy) order.
+) -> tuple[PredictionTable, list[str]]:
+    """Apply stored coefficients to the forecasts of each issue date
+    (``predict_for_issue``). Returns the predictions, and the error messages
+    in (date, station, lead, strategy) order.
     """
-    predictions: dict[Prediction, GaussianPredictive] = {}
-    errors: list[str] = []
+    tables, errors = [], []
     for issue in issue_dates:
-        keys = [CoefficientKey(sid, lead, strategy, issue) for sid, lead, strategy in slots]
-        found, failed = predict_for_issue(store, forecasts_by_model, issue, keys, min_sigma=min_sigma)
-        predictions.update(found)
-        errors += [failed[key] for key in sorted(failed, key=CoefficientKey.sort_key)]
-    return predictions, errors
+        found, failed = predict_for_issue(store, forecasts_by_model, issue, slots, min_sigma=min_sigma)
+        tables.append(found)
+        errors += [failed[slot] for slot in sorted(failed)]
+    return PredictionTable.concat(tables), errors

@@ -30,7 +30,8 @@ Phi comes from ``ndtr``, a numpy port of the cephes ``ndtr``/``erf``/``erfc``
 that ``scipy.special.ndtr`` evaluates, equal to it bit for bit; the DM
 p-value's Student t tail from ``student_t_tail``, a ``math`` series and
 continued fraction. Neither imports scipy, whose ``scipy.special`` import
-costs a stage process about 0.35 s.
+costs a stage process about 0.1 s (0.09-0.10 s after ``import emoskit.cli``,
+numpy 2.4, scipy 1.17).
 """
 
 from __future__ import annotations

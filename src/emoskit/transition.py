@@ -10,7 +10,7 @@ single-model stream. Two smoothing schemes are supported:
   horizon into the following three hours with decaying weights.
 
 Both schemes use the weights 0.75, 0.5, 0.25. ``assemble_seam`` builds the
-seam product of either scheme, or of none, from the flat prediction map;
+seam product of either scheme, or of none, from the prediction table;
 ``seam_diagnostics`` measures a product's steps and CRPS lead by lead from
 (case, lead) arrays of its mu, sigma and observations.
 """
@@ -18,11 +18,10 @@ seam product of either scheme, or of none, from the flat prediction map;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import datetime
 
 import numpy as np
 
-from .domain import GaussianPredictive
+from .domain import PredictionTable
 from .emos import EmosCoefficients, FitOptions
 from .scoring import crps_normal_unit
 
@@ -91,16 +90,16 @@ def transition1_bounds(
 
 
 def assemble_seam(
-    predictions: dict[tuple[str, datetime, int, str], GaussianPredictive],
+    predictions: PredictionTable,
     spec: TransitionSpec,
     combined: str,
     continuing: str,
     label: str,
     min_sigma: float = FitOptions.min_sigma,
-) -> dict[tuple[str, datetime, int, str], GaussianPredictive]:
-    """The seam product of every (station, init time) case of ``predictions``
-    (keyed by station, init time, lead and strategy), under strategy ``label``:
-    the ``combined`` strategy up to the horizon, the ``continuing`` one beyond.
+) -> PredictionTable:
+    """The seam product of every (station, init time) case of
+    ``predictions``, under strategy ``label``: the ``combined`` strategy up to
+    the horizon, the ``continuing`` one beyond.
 
     Under scheme t2 the combined-minus-continuing difference of mu and sigma
     at the horizon carries into the blend leads: the continuing prediction at
@@ -110,34 +109,45 @@ def assemble_seam(
     ``combined`` prediction at the horizon or a ``continuing`` one at the
     horizon and blend leads, raises ValueError.
     """
-    leads: dict[tuple[str, datetime, str], list[int]] = {}
-    for sid, init, lead, strategy in predictions:
-        leads.setdefault((sid, init, strategy), []).append(lead)
-    t2 = spec.scheme == "t2"
-    weight_at = dict(zip(spec.blend_leads, spec.weights)) if t2 else {}
-    out = {}
-    for sid, init in sorted({(sid, init) for sid, init, _ in leads}):
-        if (sid, init, continuing) not in leads:
-            raise ValueError(f"no {continuing!r} predictions for {sid} {init}")
-        if t2:
-            at_horizon = predictions.get((sid, init, spec.horizon, combined))
-            if at_horizon is None:
-                raise ValueError(f"no {combined!r} prediction at the horizon for {sid} {init}")
-            missing = [lead for lead in (spec.horizon, *spec.blend_leads)
-                       if (sid, init, lead, continuing) not in predictions]
-            if missing:
-                raise ValueError(f"no {continuing!r} prediction at leads {missing} for {sid} {init}")
-            base = predictions[(sid, init, spec.horizon, continuing)]
-            delta_mu, delta_sigma = at_horizon.mu - base.mu, at_horizon.sigma - base.sigma
-        for lead in leads.get((sid, init, combined), ()):
-            if lead <= spec.horizon:
-                out[(sid, init, lead, label)] = predictions[(sid, init, lead, combined)]
-        for lead in leads[(sid, init, continuing)]:
-            if lead > spec.horizon:
-                pred, w = predictions[(sid, init, lead, continuing)], weight_at.get(lead)
-                out[(sid, init, lead, label)] = pred if w is None else GaussianPredictive(
-                    mu=pred.mu + w * delta_mu, sigma=max(pred.sigma + w * delta_sigma, min_sigma))
-    return out
+    p = predictions
+    code = {s: i for i, s in enumerate(p.strategies)}
+    of_combined, of_continuing = p.strategy == code.get(combined, -1), p.strategy == code.get(continuing, -1)
+    new = np.ones(len(p), dtype=bool)  # the first row of a case: the rows are in key order
+    new[1:] = (p.station[1:] != p.station[:-1]) | (p.init[1:] != p.init[:-1])
+    first, case = np.flatnonzero(new), np.cumsum(new) - 1
+
+    def row_of(rows):  # each case's row among ``rows`` (a mask), -1 for none
+        out = np.full(len(first), -1)
+        out[case[rows]] = np.flatnonzero(rows)
+        return out
+
+    failing = [row_of(of_continuing) < 0]
+    if spec.scheme == "t2":
+        at_horizon = row_of(of_combined & (p.lead == spec.horizon))
+        needed = {lead: row_of(of_continuing & (p.lead == lead)) for lead in (spec.horizon, *spec.blend_leads)}
+        failing += [at_horizon < 0, np.logical_or.reduce([row < 0 for row in needed.values()])]
+    cases = np.flatnonzero(np.logical_or.reduce(failing))
+    if cases.size:
+        c, row = cases[0], first[cases[0]]
+        where = f"{p.station_ids[p.station[row]]} {p.init_times[p.init[row]]}"
+        if failing[0][c]:
+            raise ValueError(f"no {continuing!r} predictions for {where}")
+        if failing[1][c]:
+            raise ValueError(f"no {combined!r} prediction at the horizon for {where}")
+        missing = [lead for lead, rows in needed.items() if rows[c] < 0]
+        raise ValueError(f"no {continuing!r} prediction at leads {missing} for {where}")
+
+    kept = of_combined & (p.lead <= spec.horizon) | of_continuing & (p.lead > spec.horizon)
+    mu, sigma = p.mu.copy(), p.sigma.copy()
+    if spec.scheme == "t2":
+        base = needed[spec.horizon]
+        delta_mu, delta_sigma = p.mu[at_horizon] - p.mu[base], p.sigma[at_horizon] - p.sigma[base]
+        for lead, w in zip(spec.blend_leads, spec.weights):
+            rows = np.flatnonzero(of_continuing & (p.lead == lead))
+            mu[rows] = p.mu[rows] + w * delta_mu[case[rows]]
+            sigma[rows] = np.maximum(p.sigma[rows] + w * delta_sigma[case[rows]], min_sigma)
+    return PredictionTable(p.station_ids, p.init_times, (label,), p.station[kept], p.init[kept], p.lead[kept],
+                           np.zeros(int(kept.sum()), dtype=np.int64), mu[kept], sigma[kept])
 
 
 @dataclass(frozen=True)

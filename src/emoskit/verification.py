@@ -20,15 +20,14 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 
 from . import io as eio
-from .domain import _HOUR, ForecastCube, GaussianPredictive, ObservationSeries, _micros
-from .emos import ModelWeights, model_weights
-from .pipeline import CoefficientKey, CoefficientStore, parse_strategy
+from .domain import _EPOCH_DAY, _HOUR, ForecastCube, ObservationSeries, PredictionTable, _micros, lookup
+from .pipeline import CoefficientStore, parse_strategy
 from .scoring import (
     DM_ALPHA,
     PitHistogram,
@@ -72,8 +71,10 @@ class Verification:
     Gaussian strategy and lead to (n, z_std, spread_skill): the standard
     deviation of (y - mu) / sigma, and sqrt(mean(sigma^2)) over the RMSE of
     mu. ``seam`` holds the strategies with a complete seam window (None
-    without a window); ``weights`` the store's mixed records (None without
-    a store)."""
+    without a window); ``weights`` the predictor-1 weights of the store's
+    mixed records in store order, as columns (None without a store): station
+    id, issue date (``date.toordinal``), lead, and the weights of the mean and
+    the spread (``emos.model_weights``)."""
 
     cases: Cases
     crps: dict[str, np.ndarray]
@@ -82,40 +83,50 @@ class Verification:
     pit_histograms: dict[str, PitHistogram]
     dm: dict[tuple[str, str], SignificanceResult]
     calibration: dict[tuple[str, int], tuple[int, float, float]]
-    weights: list[tuple[CoefficientKey, ModelWeights]] | None
+    weights: dict[str, np.ndarray] | None
     seam: dict[str, SeamDiagnostics] | None
 
 
-def _observed(observations: Mapping[str, ObservationSeries], stations: list[str], valid: np.ndarray) -> np.ndarray:
-    """The observation of station ``stations[i]`` at each time of ``valid[i]``
-    (``domain._micros``), NaN where there is none: one lookup per station."""
+def _observed(observations: Mapping[str, ObservationSeries], station_ids, station: np.ndarray,
+              valid: np.ndarray) -> np.ndarray:
+    """The observation of station ``station_ids[station[i]]`` at each time of
+    ``valid[i]`` (``domain._micros``), NaN where there is none: one lookup per
+    station."""
     y = np.full(valid.shape, np.nan)
-    codes = np.array(stations)
-    for sid in observations.keys() & set(stations):
-        at = codes == sid
-        y[at] = observations[sid].values_at(valid[at])
+    for code, sid in enumerate(station_ids):
+        at = station == code
+        if sid in observations and at.any():
+            y[at] = observations[sid].values_at(valid[at])
     return y
 
 
-def _seam(table, observations, lo: int, hi: int) -> SeamDiagnostics | None:
-    """Seam diagnostics of one strategy over its (station, init) cases with
-    every lead of lo..hi and their observations."""
+def _seam(p: PredictionTable, rows: np.ndarray, observations, lo: int, hi: int) -> SeamDiagnostics | None:
+    """Seam diagnostics of one strategy's ``rows`` of ``p`` over its (station,
+    init) cases with every lead of lo..hi and their observations."""
     leads = list(range(lo, hi + 1))
+    rows = rows[(p.lead[rows] >= lo) & (p.lead[rows] <= hi)]
+    new = np.ones(len(rows), dtype=bool)  # the rows are in (station, init, lead) order
+    new[1:] = (p.station[rows[1:]] != p.station[rows[:-1]]) | (p.init[rows[1:]] != p.init[rows[:-1]])
+    firsts = rows[new]
     # Cases in repr order: the summation order of the means in seam_diagnostics.csv.
-    cases = sorted({(sid, init) for sid, init, lead in table if lo <= lead <= hi}, key=repr)
-    preds = [[table.get((sid, init, lead)) for lead in leads] for sid, init in cases]
-    valid = _micros(init for _, init in cases)[:, None] + _HOUR * np.array(leads)
-    y = _observed(observations, [sid for sid, _ in cases], valid)
-    kept = [None not in row and ok for row, ok in zip(preds, (~np.isnan(y).any(axis=1)).tolist())]
-    if not any(kept):
+    order = sorted(range(len(firsts)), key=lambda c: repr((p.station_ids[p.station[firsts[c]]],
+                                                           p.init_times[p.init[firsts[c]]])))
+    rank = np.empty(len(firsts), dtype=np.int64)
+    rank[order] = np.arange(len(firsts))
+    case = rank[np.cumsum(new) - 1]
+    mu, sigma = np.full((2, len(firsts), len(leads)), np.nan)
+    mu[case, p.lead[rows] - lo], sigma[case, p.lead[rows] - lo] = p.mu[rows], p.sigma[rows]
+    firsts = firsts[order]
+    valid = _micros(p.init_times)[p.init[firsts]][:, None] + _HOUR * np.array(leads)
+    y = _observed(observations, p.station_ids, p.station[firsts], valid)
+    kept = ~(np.isnan(mu).any(axis=1) | np.isnan(y).any(axis=1))
+    if not kept.any():
         return None
-    complete = [row for row, ok in zip(preds, kept) if ok]
-    mu, sigma = (np.array([[getattr(p, name) for p in row] for row in complete]) for name in ("mu", "sigma"))
-    return seam_diagnostics(mu, sigma, y[kept], leads)
+    return seam_diagnostics(mu[kept], sigma[kept], y[kept], leads)
 
 
 def verify(
-    predictions: Mapping[tuple[str, datetime, int, str], GaussianPredictive],
+    predictions: PredictionTable,
     ensembles: Mapping[str, ForecastCube],
     observations: Mapping[str, ObservationSeries],
     strategies: Sequence[str],
@@ -140,31 +151,45 @@ def verify(
     strategies = list(strategies)
     if reference not in strategies:
         raise ValueError(f"reference strategy {reference!r} is not among scored strategies {strategies}")
-    tables: dict[str, dict] = {s: {} for s in strategies if not s.startswith("raw:")}
-    for (sid, init, lead, strategy), pred in predictions.items():
-        if strategy in tables:
-            tables[strategy][(sid, init, lead)] = pred
-    raw = {}  # strategy -> (cube, case -> ensemble index)
-    for s in strategies:
-        if s not in tables:
-            cube = ensembles.get(parse_strategy(s)[1][0])
-            raw[s] = (cube, {} if cube is None else dict(zip(cube.keys(), range(len(cube)))))
-    keys = sorted(set.intersection(*(set(t) for t in (*tables.values(), *(index for _, index in raw.values())))))
-    init_micros = {init: int(_micros([init])[0]) for init in {init for _, init, _ in keys}}
-    valid = np.array([init_micros[init] + lead * _HOUR for _, init, lead in keys], dtype=np.int64)
-    y = _observed(observations, [sid for sid, _, _ in keys], valid)
+    p = predictions
+    code = {s: i for i, s in enumerate(p.strategies)}
+    tables = {s: np.flatnonzero(p.strategy == code.get(s, -1)) for s in strategies if not s.startswith("raw:")}
+    raw = {s: ensembles.get(parse_strategy(s)[1][0]) for s in strategies if s not in tables}
+    cubes = [cube for cube in raw.values() if cube is not None]
+    # Case keys as codes: stations into these sorted ids, init times as microseconds.
+    station_ids = sorted(set(p.station_ids).union(*(cube.station_ids for cube in cubes)))
+    times = {t: i for labels in (p.init_times, *(cube.init_times for cube in cubes)) for t, i in
+             zip(labels, _micros(labels).tolist())}
+
+    def keys(labels, station, inits, init, lead):
+        index = {sid: i for i, sid in enumerate(station_ids)}
+        codes = np.array([index[sid] for sid in labels], dtype=np.int64)
+        return [codes[station], np.array([times[t] for t in inits], dtype=np.int64)[init], lead]
+
+    sets = {s: [k[rows] for k in keys(p.station_ids, p.station, p.init_times, p.init, p.lead)]
+            for s, rows in tables.items()}
+    sets.update({s: [np.empty(0, dtype=np.int64)] * 3 if cube is None else
+                 keys(cube.station_ids, cube.station, cube.init_times, cube.init, cube.lead) for s, cube in raw.items()})
+    case = next(iter(sets.values()))
+    for other in sets.values():
+        case = [k[lookup(other, case) >= 0] for k in case]
+    order = np.lexsort(case[::-1])
+    station, init, lead = (k[order] for k in case)
+    y = _observed(observations, station_ids, station, init + _HOUR * lead)
     finite = np.isfinite(y)
-    keys = [c for c, ok in zip(keys, finite.tolist()) if ok]
-    if not keys:
+    station, init, lead = station[finite], init[finite], lead[finite]
+    if not len(lead):
         raise ValueError("no aligned cases with observations")
+    at = {s: lookup(sets[s], [station, init, lead]) for s in strategies}
+    label = {i: t for t, i in times.items()}
     cases = Cases(
-        station_ids=tuple(c[0] for c in keys),
-        init_days=np.array([c[1].toordinal() for c in keys], dtype=np.int64),
-        leads=np.array([c[2] for c in keys], dtype=np.int64),
-        valid_times=tuple(init + timedelta(hours=lead) for _, init, lead in keys),
+        station_ids=tuple(np.array(station_ids, dtype=object)[station].tolist()),
+        init_days=init // (24 * _HOUR) + _EPOCH_DAY,
+        leads=lead,
+        valid_times=tuple(label[t] + timedelta(hours=h) for t, h in zip(init.tolist(), lead.tolist())),
         y=y[finite],
-        mu={s: np.array([t[c].mu for c in keys], dtype=float) for s, t in tables.items()},
-        sigma={s: np.array([t[c].sigma for c in keys], dtype=float) for s, t in tables.items()},
+        mu={s: p.mu[rows[at[s]]] for s, rows in tables.items()},
+        sigma={s: p.sigma[rows[at[s]]] for s, rows in tables.items()},
     )
 
     n = len(cases)
@@ -177,14 +202,14 @@ def verify(
             mu, sigma = cases.mu[s], cases.sigma[s]
             z = (cases.y - mu) / sigma
             crps[s], pit[s] = sigma * crps_normal_unit(z), ndtr(z)
-            for lead in sorted(set(cases.leads.tolist())):
-                at = cases.leads == lead
-                spread, rmse = math.sqrt(np.mean(sigma[at] ** 2)), math.sqrt(np.mean((cases.y[at] - mu[at]) ** 2))
-                calibration[(s, lead)] = (int(at.sum()), float(np.std(z[at])), spread / rmse if rmse else math.inf)
+            for h in sorted(set(cases.leads.tolist())):
+                at_lead = cases.leads == h
+                spread = math.sqrt(np.mean(sigma[at_lead] ** 2))
+                rmse = math.sqrt(np.mean((cases.y[at_lead] - mu[at_lead]) ** 2))
+                calibration[(s, h)] = (int(at_lead.sum()), float(np.std(z[at_lead])), spread / rmse if rmse else math.inf)
             continue
         u = rng.random(n)
-        cube, index = raw[s]
-        rows = np.array([index[c] for c in keys])
+        cube, rows = raw[s], at[s]
         for j in sorted(set(cube.block[rows].tolist())):
             idx = np.flatnonzero(cube.block[rows] == j)
             x = cube.members[j][cube.row[rows[idx]]]
@@ -193,7 +218,7 @@ def verify(
 
     seam = None
     if seam_window is not None:
-        diagnostics = {s: _seam(table, observations, *seam_window) for s, table in tables.items()}
+        diagnostics = {s: _seam(p, rows, observations, *seam_window) for s, rows in tables.items()}
         seam = {s: diag for s, diag in diagnostics.items() if diag is not None}
     return Verification(
         cases=cases,
@@ -204,10 +229,22 @@ def verify(
         dm={(a, b): dm_test(crps[a] - crps[b], cases.init_days, int(cases.leads.max()), alpha)
             for i, a in enumerate(strategies) for b in strategies[i + 1:]},
         calibration=calibration,
-        weights=None if store is None else [(key, model_weights(r.coefficients)) for key, r in store.items()
-                                            if parse_strategy(key.strategy)[0] == "mixed"],
+        weights=None if store is None else _weights(store),
         seam=seam,
     )
+
+
+def _weights(store: CoefficientStore) -> dict[str, np.ndarray]:
+    """``Verification.weights`` of the store's mixed records."""
+    station_ids, strategies, rows = store.table()
+    mixed = np.array([parse_strategy(s)[0] == "mixed" for s in strategies], dtype=bool)
+    rows = rows[mixed[rows["strategy"]]]
+    out = {"station_id": np.array(station_ids, dtype=object)[rows["station"]],
+           "issue_day": rows["day"], "lead_h": rows["lead"]}
+    for name, column in (("weight_mean", rows["b"]), ("weight_std", rows["d"])):
+        total = column[:, 0] + column[:, 1]
+        out[name] = np.divide(column[:, 0], total, out=np.full(len(rows), 0.5), where=total > 0.0)
+    return out
 
 
 def _fmt_optional(x) -> str:
@@ -253,12 +290,6 @@ def write_reports(out_dir: Path, result: Verification) -> None:
         ["strategy", "lead_h", "n", "z_std", "spread_skill"],
         [[s, lead, count, f(z_std), f(ratio)] for (s, lead), (count, z_std, ratio) in result.calibration.items()],
     )
-    if result.weights is not None:
-        tables["weights"] = (
-            ["station_id", "init_time", "lead_h", "weight_mean", "weight_std"],
-            [[k.station_id, eio.format_timestamp(datetime.combine(k.issue_date, datetime.min.time(), timezone.utc)),
-              k.lead_time, f(w.weight_mean), f(w.weight_std)] for k, w in result.weights],
-        )
     if result.seam is not None:
         tables["seam_diagnostics"] = (
             ["strategy", "lead_h", "mu_step", "sigma_step", "mean_crps"],
@@ -267,3 +298,10 @@ def write_reports(out_dir: Path, result: Verification) -> None:
         )
     for name, (header, rows) in tables.items():
         eio.write_table(out_dir / f"{name}.csv", header, rows)
+    if result.weights is not None:
+        w = result.weights
+        (stations, station), (days, day) = (np.unique(w[name], return_inverse=True) for name in ("station_id", "issue_day"))
+        inits = [f"{date.fromordinal(d).isoformat()}T00:00:00Z" for d in days.tolist()]  # format_timestamp's form
+        eio.write_columns(out_dir / "weights.csv", ["station_id", "init_time", "lead_h", "weight_mean", "weight_std"],
+                          "%s,%s,%s,%.9g,%.9g\n", [eio.csv_cells(stations.tolist(), station), eio.csv_cells(inits, day),
+                                                  w["lead_h"], w["weight_mean"], w["weight_std"]])

@@ -3,7 +3,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from emoskit.domain import ForecastCube, SampleTable
+from emoskit.domain import ForecastCube, GaussianPredictive, PredictionTable, SampleTable
 from emoskit.emos import FitTask, _Stack
 
 T0 = datetime(2017, 1, 1, tzinfo=timezone.utc)
@@ -52,6 +52,24 @@ def forecast_cube(model_id, ensembles):
                for j, width in enumerate(widths)]
     return ForecastCube(model_id, stations, inits, [stations.index(e[0]) for e in ensembles],
                         [inits.index(e[1]) for e in ensembles], [e[2] for e in ensembles], block.astype(np.int64), members)
+
+
+def prediction_table(predictions) -> PredictionTable:
+    """The table of a (station, init time, lead, strategy) ->
+    GaussianPredictive mapping."""
+    keys = list(predictions)
+    sid, init, lead, strategy = zip(*keys) if keys else [()] * 4
+    rows = np.arange(len(keys))
+    return PredictionTable(sid, init, strategy, rows, rows, lead, rows, [p.mu for p in predictions.values()],
+                           [p.sigma for p in predictions.values()])
+
+
+def prediction_dict(table: PredictionTable) -> dict:
+    """The (station, init time, lead, strategy) -> GaussianPredictive dict of
+    a table, in its key order."""
+    columns = [getattr(table, name).tolist() for name in ("station", "init", "lead", "strategy", "mu", "sigma")]
+    return {(table.station_ids[s], table.init_times[t], lead, table.strategies[k]): GaussianPredictive(mu, sigma)
+            for s, t, lead, k, mu, sigma in zip(*columns)}
 
 
 def one_sample_windows(mu, sigma, y):

@@ -22,7 +22,7 @@ from scipy.special import ndtr
 from scipy.stats import chisquare
 
 from emoskit.cli import main
-from emoskit.domain import _micros
+from emoskit.domain import PredictionTable, _micros
 from emoskit.emos import FitOptions, FitTask, _derivatives, _forward, fit_batch, fit_single, model_weights
 from emoskit.pipeline import (
     CoefficientStore,
@@ -39,7 +39,7 @@ from emoskit.terrain import LAPSE_RATE_C_PER_100M, lapse_correct
 from emoskit.transition import DEFAULT_TRANSITION_WEIGHTS, TransitionSpec, assemble_seam, transition1_bounds
 from emoskit.verification import verify
 
-from conftest import linear_gaussian_samples, one_sample_windows
+from conftest import linear_gaussian_samples, one_sample_windows, prediction_dict
 
 
 def report(criterion: int, ok: bool, message: str):
@@ -60,7 +60,7 @@ class RollingRun:
     store: CoefficientStore
     corrected: dict
     observations: dict
-    predictions: dict  # (sid, init, lead, strategy) -> prediction, as predict_issues returns it
+    predictions: PredictionTable  # as predict_issues returns it
     elapsed_seconds: float
 
 
@@ -366,8 +366,8 @@ def seam_setup():
     # seam product per scheme: combined stream to the horizon, the continuing
     # single-model stream beyond it, keyed like the predictions
     series = {
-        scheme: assemble_seam(run.predictions, TransitionSpec(horizon=120, scheme=scheme), MIXED, "single:global",
-                              "seam")
+        scheme: prediction_dict(assemble_seam(run.predictions, TransitionSpec(horizon=120, scheme=scheme), MIXED,
+                                              "single:global", "seam"))
         for scheme in ("none", "t2")
     }
     obs = {}

@@ -19,6 +19,8 @@ from emoskit.terrain import lapse_correct
 from emoskit.transition import TransitionSpec
 from emoskit.verification import verify
 
+from conftest import prediction_dict, prediction_table
+
 BASIC_CFG = """
 seed = 42
 models = hires,global
@@ -157,7 +159,7 @@ class TestTrain:
 
 class TestPredict:
     def test_predictions_cover_strategies(self, basic_run):
-        strategies = {strategy for _, _, _, strategy in read_predictions(basic_run["preds"])}
+        strategies = set(read_predictions(basic_run["preds"]).strategies)
         assert strategies == {"single:hires", "single:global", "mixed:hires+global"}
 
     def test_identity_fallback_equals_corrected_ensemble(self, tmp_path):
@@ -171,7 +173,7 @@ class TestPredict:
         stations = {s.station_id: s for s in read_stations(data / "stations.csv")}
         forecasts = read_forecasts(data / "forecasts_hires.csv", "hires")
         lookup = {(f.station_id, f.init_time, f.lead_time): f for f in forecasts}
-        hires = {key[:3]: pred for key, pred in read_predictions(preds).items() if key[3] == "single:hires"}
+        hires = {key[:3]: pred for key, pred in prediction_dict(read_predictions(preds)).items() if key[3] == "single:hires"}
         assert hires
         for (sid, init, lead), pred in hires.items():
             fc = lookup[(sid, init, lead)]
@@ -422,7 +424,7 @@ def test_train_and_verify_leave_numpy_ma_unimported(seam_run, tmp_path):
 def streams(path):
     """The mixed:hires+global and single:global predictions of a file, keyed
     by (station, init time, lead)."""
-    source = read_predictions(path)
+    source = prediction_dict(read_predictions(path))
     return [{key[:3]: pred for key, pred in source.items() if key[3] == strategy}
             for strategy in ("mixed:hires+global", "single:global")]
 
@@ -438,7 +440,7 @@ class TestTransitionCommand:
             == 0
         )
         mixed, single = streams(seam_run["preds"])
-        seam = read_predictions(out)
+        seam = prediction_dict(read_predictions(out))
         assert seam
         for (sid, init, lead, strategy), pred in seam.items():
             assert strategy == "seam_none"
@@ -459,7 +461,7 @@ class TestTransitionCommand:
         )
         mixed, single = streams(seam_run["preds"])
         weights = {121: 0.75, 122: 0.5, 123: 0.25}
-        for (sid, init, lead, _), pred in read_predictions(out).items():
+        for (sid, init, lead, _), pred in prediction_dict(read_predictions(out)).items():
             key = (sid, init, lead)
             if lead <= 120:
                 assert pred == mixed[key]
@@ -472,8 +474,8 @@ class TestTransitionCommand:
                 assert pred == single[key]
 
     def test_t2_missing_leads_name_strategy_and_case(self, seam_run, tmp_path, capsys):
-        cut = {key: pred for key, pred in read_predictions(seam_run["preds"]).items() if key[2] <= 121}
-        write_predictions(tmp_path / "cut.csv", cut)
+        cut = {key: pred for key, pred in prediction_dict(read_predictions(seam_run["preds"])).items() if key[2] <= 121}
+        write_predictions(tmp_path / "cut.csv", prediction_table(cut))
         sid, init = min(key[:2] for key in cut)
         code = main(["transition", "--config", seam_run["cfg"], "--predictions", str(tmp_path / "cut.csv"),
                      "--out", str(tmp_path / "seam.csv"), "--scheme", "t2"])

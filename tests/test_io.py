@@ -26,7 +26,7 @@ from emoskit.io import (
 )
 from emoskit.pipeline import CoefficientKey, CoefficientStore
 
-from conftest import forecast_cube
+from conftest import forecast_cube, prediction_dict, prediction_table
 
 T0 = datetime(2017, 3, 1, tzinfo=timezone.utc)
 
@@ -46,8 +46,8 @@ class TestPrimitives:
         write_forecasts(tmp_path / "f.csv", forecast_cube("m", [("S1", t, 6, (1.0, 2.0)) for t in early]))
         assert list(read_forecasts(tmp_path / "f.csv", "m")) == fcs
         predictions = {("S1", t, 6, "single:m"): GaussianPredictive(1.0, 0.5) for t in early}
-        write_predictions(tmp_path / "p.csv", predictions)
-        assert read_predictions(tmp_path / "p.csv") == predictions
+        write_predictions(tmp_path / "p.csv", prediction_table(predictions))
+        assert prediction_dict(read_predictions(tmp_path / "p.csv")) == predictions
         write_observations(tmp_path / "o.csv", {"S1": ObservationSeries("S1", _micros(early), [1.5, -2.0])})
         back = read_observations(tmp_path / "o.csv")["S1"]
         assert (back.times.tolist(), back.values.tolist()) == (_micros(early).tolist(), [1.5, -2.0])
@@ -184,8 +184,8 @@ class TestPredictions:
             ("S1", T0, 12, "mixed:hires+global"): GaussianPredictive(-4.0, 0.5),
         }
         path = tmp_path / "predictions.csv"
-        write_predictions(path, predictions)
-        back = read_predictions(path)
+        write_predictions(path, prediction_table(predictions))
+        back = prediction_dict(read_predictions(path))
         assert back == predictions
         assert list(back) == sorted(predictions)  # the file is in key order
 

@@ -27,11 +27,16 @@ from emoskit.pipeline import (
 )
 from emoskit.transition import TransitionSpec, transition1_bounds
 
-from conftest import T0, forecast_cube, linear_gaussian_samples
+from conftest import T0, forecast_cube, linear_gaussian_samples, prediction_dict
 
 
 def issue_on(day):
     return (T0 + timedelta(days=day)).date()
+
+
+def slot(key):
+    """The (station, lead, strategy) slot of a key."""
+    return key.station_id, key.lead_time, key.strategy
 
 
 class TestStrategies:
@@ -257,7 +262,8 @@ class TestPredictForIssue:
         store = CoefficientStore()
         key = CoefficientKey("S1", 12, "single:A", issue)
         store.put(key, FitResult(identity(1), 0.1, True, 0, 45, False))
-        predictions, errors = predict_for_issue(store, self.forecasts(), issue, [key])
+        predictions, errors = predict_for_issue(store, self.forecasts(), issue, [slot(key)])
+        predictions = prediction_dict(predictions)
         pred = predictions[("S1", T0 + timedelta(days=50), 12, "single:A")]
         assert pred.mu == pytest.approx(5.0)
         assert pred.sigma == pytest.approx(float((2 * (2.0**2) / 3) ** 0.5))
@@ -269,9 +275,10 @@ class TestPredictForIssue:
         coef = EmosCoefficients(a=0.3, b=(0.6, 0.35), c=0.2, d=(0.8, 0.4))
         key = CoefficientKey("S1", 12, "mixed:A+B", issue)
         store.put(key, FitResult(coef, 0.2, True, 0, 45, False))
-        predictions, _ = predict_for_issue(store, self.forecasts(), issue, [key])
+        predictions, _ = predict_for_issue(store, self.forecasts(), issue, [slot(key)])
         mean, std = ensemble_stats(self.MEMBERS)
-        assert predictions[("S1", T0 + timedelta(days=50), 12, "mixed:A+B")] == predict(coef, [mean, mean], [std, std])
+        expected = predict(coef, [mean, mean], [std, std])
+        assert prediction_dict(predictions)[("S1", T0 + timedelta(days=50), 12, "mixed:A+B")] == expected
 
     def test_stats_only_for_forecasts_keys_read(self):
         # Forecasts of other leads and other days are read by no key and
@@ -283,7 +290,9 @@ class TestPredictForIssue:
         ensembles = [("S1", T0 + timedelta(days=day), lead, self.MEMBERS if day == 50 else (float(day),) * 3)
                      for day in (49, 50, 51) for lead in (12, 13)]
         more = {m: forecast_cube(m, ensembles) for m in "AB"}
-        assert predict_for_issue(store, more, issue, [key]) == predict_for_issue(store, self.forecasts(), issue, [key])
+        (found, errors), (expected, expected_errors) = (predict_for_issue(store, cubes, issue, [slot(key)])
+                                                        for cubes in (more, self.forecasts()))
+        assert (prediction_dict(found), errors) == (prediction_dict(expected), expected_errors)
 
     def test_missing_key_reported(self):
         issue = issue_on(50)
@@ -291,22 +300,23 @@ class TestPredictForIssue:
         present = CoefficientKey("S1", 12, "single:A", issue)
         absent = CoefficientKey("S1", 12, "single:B", issue)
         store.put(present, FitResult(identity(1), 0.1, True, 0, 45, False))
-        predictions, errors = predict_for_issue(store, self.forecasts(), issue, [present, absent])
-        assert ("S1", T0 + timedelta(days=50), 12, "single:A") in predictions
-        assert list(errors) == [absent]
+        predictions, errors = predict_for_issue(store, self.forecasts(), issue, [slot(present), slot(absent)])
+        assert ("S1", T0 + timedelta(days=50), 12, "single:A") in prediction_dict(predictions)
+        assert errors == {slot(absent): f"no coefficients stored for {absent}"}
 
     def test_missing_forecast_reported(self):
         issue = issue_on(50)
         store = CoefficientStore()
         key = CoefficientKey("S9", 12, "single:A", issue)
         store.put(key, FitResult(identity(1), 0.1, True, 0, 45, False))
-        predictions, errors = predict_for_issue(store, self.forecasts(), issue, [key])
-        assert predictions == {} and errors == {key: "no forecast for model 'A' at S9 lead 12"}
+        predictions, errors = predict_for_issue(store, self.forecasts(), issue, [slot(key)])
+        assert len(predictions) == 0 and errors == {slot(key): "no forecast for model 'A' at S9 lead 12"}
 
     def test_date_without_forecasts_gives_nothing(self):
         # Neither predictions nor errors, although the key has no coefficients.
         key = CoefficientKey("S1", 12, "single:A", issue_on(51))
-        assert predict_for_issue(CoefficientStore(), self.forecasts(), issue_on(51), [key]) == ({}, {})
+        predictions, errors = predict_for_issue(CoefficientStore(), self.forecasts(), issue_on(51), [slot(key)])
+        assert len(predictions) == 0 and errors == {}
 
     def test_predict_issues_orders_errors_by_date_station_lead_strategy(self):
         # Forecasts at leads 12 and 13; coefficients for single:A at lead 12

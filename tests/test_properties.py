@@ -16,7 +16,7 @@ from emoskit.scoring import gaussian_crps, pit_value
 from emoskit.terrain import lapse_correct
 from emoskit.verification import verify
 
-from conftest import forecast_cube, oracle_ensemble_crps
+from conftest import forecast_cube, oracle_ensemble_crps, prediction_dict, prediction_table
 
 from test_scoring import crps_by_quadrature
 
@@ -76,9 +76,9 @@ def prediction_keys(draw):
 ))
 def test_predictions_round_trip_is_byte_identical(tmp_path_factory, predictions):
     root = tmp_path_factory.mktemp("predictions")
-    write_predictions(root / "a.csv", predictions)
+    write_predictions(root / "a.csv", prediction_table(predictions))
     back = read_predictions(root / "a.csv")
-    assert back.keys() == predictions.keys()
+    assert list(prediction_dict(back)) == sorted(predictions)
     write_predictions(root / "b.csv", back)
     assert (root / "b.csv").read_bytes() == (root / "a.csv").read_bytes()
 
@@ -130,7 +130,7 @@ def test_verify_scores_equal_the_scalar_scores(cases):
     ensembles = {"m": forecast_cube("m", [("S", t, 12, c[3]) for t, c in zip(inits, cases)])}
     valid = _micros(t + timedelta(hours=12) for t in inits)
     observations = {"S": ObservationSeries("S", valid, [c[2] for c in cases])}
-    result = verify(predictions, ensembles, observations, ["single:m", "raw:m"], "single:m")
+    result = verify(prediction_table(predictions), ensembles, observations, ["single:m", "raw:m"], "single:m")
     for i, (mu, sigma, y, members) in enumerate(cases):
         pred = GaussianPredictive(mu, sigma)
         assert result.crps["single:m"][i].hex() == gaussian_crps(pred, y).hex()

@@ -16,7 +16,7 @@ from emoskit.transition import (
     transition1_bounds,
 )
 
-from conftest import T0
+from conftest import T0, prediction_dict, prediction_table
 
 COMBINED, CONTINUING, OTHER = "mixed:A+B", "single:B", "single:A"
 
@@ -72,8 +72,8 @@ def blend(mixed_at_horizon, series, spec, min_sigma=1e-3):
     the horizon and whose continuing stream is ``series``, by lead."""
     predictions = {("S1", T0, lead, CONTINUING): pred for lead, pred in series.items()}
     predictions[("S1", T0, spec.horizon, COMBINED)] = mixed_at_horizon
-    seam = assemble_seam(predictions, spec, COMBINED, CONTINUING, "seam", min_sigma=min_sigma)
-    return {lead: pred for (_, _, lead, _), pred in seam.items()}
+    seam = assemble_seam(prediction_table(predictions), spec, COMBINED, CONTINUING, "seam", min_sigma=min_sigma)
+    return {lead: pred for (_, _, lead, _), pred in prediction_dict(seam).items()}
 
 
 class TestTransition2Blend:
@@ -266,7 +266,7 @@ def test_assemble_seam_matches_the_nested_oracle(drawn):
         expected = hexed(oracle_transition(predictions, spec, COMBINED, CONTINUING, min_sigma))
     except ValueError as err:
         with pytest.raises(type(err)) as got:
-            assemble_seam(predictions, spec, COMBINED, CONTINUING, f"seam_{scheme}", min_sigma)
+            assemble_seam(prediction_table(predictions), spec, COMBINED, CONTINUING, f"seam_{scheme}", min_sigma)
         message = str(err)
         if message.startswith("single-model series missing leads "):  # reworded to name strategy and case
             missing = message.removeprefix("single-model series missing leads ")
@@ -274,4 +274,5 @@ def test_assemble_seam_matches_the_nested_oracle(drawn):
         else:
             assert str(got.value) == message
         return
-    assert hexed(assemble_seam(predictions, spec, COMBINED, CONTINUING, f"seam_{scheme}", min_sigma)) == expected
+    seam = assemble_seam(prediction_table(predictions), spec, COMBINED, CONTINUING, f"seam_{scheme}", min_sigma)
+    assert hexed(prediction_dict(seam)) == expected

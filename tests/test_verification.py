@@ -11,7 +11,7 @@ from emoskit.domain import GaussianPredictive, ObservationSeries, _micros
 from emoskit.scoring import Conclusion, dm_test, ensemble_crps
 from emoskit.verification import verify
 
-from conftest import forecast_cube
+from conftest import forecast_cube, prediction_table
 
 T0 = datetime(2017, 1, 1, tzinfo=timezone.utc)
 
@@ -26,7 +26,7 @@ def test_cases_are_the_common_set_with_observations():
     predictions[("S", T0, 3, "mixed:m+n")] = GaussianPredictive(0.0, 1.0)
     predictions.update({("S", T0, lead, "mixed:m+n"): GaussianPredictive(0.5, 1.0) for lead in (2, 1)})
     ensembles = {"m": forecast_cube("m", [("S", T0, lead, (0.0, 1.0)) for lead in (1, 2, 3)])}
-    result = verify(predictions, ensembles, obs, ["single:m", "mixed:m+n", "raw:m"], "single:m")
+    result = verify(prediction_table(predictions), ensembles, obs, ["single:m", "mixed:m+n", "raw:m"], "single:m")
     # lead 3 lacks single:m, lead 40 has no observation
     assert result.cases.leads.tolist() == [1, 2]
     assert set(result.crps) == {"single:m", "mixed:m+n", "raw:m"}
@@ -47,7 +47,7 @@ def test_calibration_table_by_hand():
         ("T", T0, 1, "single:m"): GaussianPredictive(0.0, 3.0),
         ("S", T0, 2, "single:m"): GaussianPredictive(4.0, 2.0),
     }
-    result = verify(predictions, {}, obs, ["single:m"], "single:m")
+    result = verify(prediction_table(predictions), {}, obs, ["single:m"], "single:m")
     n, z_std, spread_skill = result.calibration[("single:m", 1)]
     assert n == 2
     assert z_std == pytest.approx(np.std([1.0, -1.0 / 3.0]))
@@ -65,12 +65,12 @@ def test_dm_matrix_counts_init_dates():
             y = obs["S"].values[24 * day + lead]
             predictions[("S", init, lead, "single:m")] = GaussianPredictive(y + 0.5 + 0.2 * day, 2.0)
             predictions[("S", init, lead, "mixed:m+n")] = GaussianPredictive(y + 0.1, 1.0)
-    result = verify(predictions, {}, obs, ["mixed:m+n", "single:m"], "single:m")
+    result = verify(prediction_table(predictions), {}, obs, ["mixed:m+n", "single:m"], "single:m")
     test = result.dm[("mixed:m+n", "single:m")]
     d = result.crps["mixed:m+n"] - result.crps["single:m"]
     assert test == dm_test(d, result.cases.init_days, max_lead=30)
     assert (test.n, test.conclusion) == (3, Conclusion.FIRST_BETTER)
 
     first_date = {key: pred for key, pred in predictions.items() if key[1] == T0}
-    test = verify(first_date, {}, obs, ["mixed:m+n", "single:m"], "single:m").dm[("mixed:m+n", "single:m")]
+    test = verify(prediction_table(first_date), {}, obs, ["mixed:m+n", "single:m"], "single:m").dm[("mixed:m+n", "single:m")]
     assert (test.n, test.statistic, test.p_value, test.conclusion) == (1, None, None, Conclusion.INSUFFICIENT)
