@@ -327,19 +327,16 @@ class PredictionTable:
 
     def __post_init__(self):
         put = partial(object.__setattr__, self)
-        columns = {name: np.asarray(getattr(self, name), dtype=np.int64) for name in ("station", "init", "lead",
-                                                                                      "strategy")}
-        columns.update(mu=np.asarray(self.mu, dtype=float), sigma=np.asarray(self.sigma, dtype=float))
-        if {c.shape for c in columns.values()} - {(len(columns["lead"]),)}:
+        columns = {name: np.asarray(getattr(self, name), dtype=dtype) for name, dtype in _PREDICTION_COLUMNS.items()}
+        if {column.shape for column in columns.values()} != {(len(columns["lead"]),)}:
             raise ValueError("station, init, lead, strategy, mu and sigma must be arrays of one length")
-        for labels, name in (("station_ids", "station"), ("init_times", "init"), ("strategies", "strategy")):
+        for labels, name in _PREDICTION_LABELS:
             ranked, columns[name] = relabel(getattr(self, labels), columns[name])
             put(labels, ranked)
-        keys = [columns[name] for name in ("station", "init", "lead", "strategy")]
-        order = np.lexsort(keys[::-1])
+        order = np.lexsort([columns[name] for name in ("strategy", "lead", "init", "station")])
         for name, column in columns.items():
             put(name, _read_only(column[order], None))
-        keys = [getattr(self, name) for name in ("station", "init", "lead", "strategy")]
+        keys = [self.station, self.init, self.lead, self.strategy]
         repeated = np.flatnonzero(np.logical_and.reduce([k[1:] == k[:-1] for k in keys]))
         if repeated.size:
             s, t, lead, strategy = (k[repeated[0]] for k in keys)
@@ -353,27 +350,26 @@ class PredictionTable:
     def __len__(self) -> int:
         return len(self.lead)
 
-    def take(self, rows) -> PredictionTable:
-        """The predictions of ``rows`` (a mask or indices)."""
-        return PredictionTable(self.station_ids, self.init_times, self.strategies,
-                               *(getattr(self, name)[rows] for name in _PREDICTION_COLUMNS))
-
     @staticmethod
     def concat(tables) -> PredictionTable:
         """The rows of all ``tables`` in one table; a key in two raises ValueError."""
         tables = list(tables)
         if len(tables) == 1:
             return tables[0]
-        labels = [[label for t in tables for label in getattr(t, name)] for name in _PREDICTION_LABELS]
-        offsets = [np.cumsum([0] + [len(getattr(t, name)) for t in tables])[:-1] for name in _PREDICTION_LABELS]
-        codes = [np.concatenate([getattr(t, name) + offset for t, offset in zip(tables, offset_of)] or [[]])
-                 for name, offset_of in zip(("station", "init", "strategy"), offsets)]
-        values = [np.concatenate([getattr(t, name) for t in tables] or [[]]) for name in ("lead", "mu", "sigma")]
-        return PredictionTable(*labels, codes[0], codes[1], values[0], codes[2], values[1], values[2])
+        args = {}
+        for labels, name in _PREDICTION_LABELS:
+            args[labels] = [label for t in tables for label in getattr(t, labels)]
+            offsets = np.cumsum([0] + [len(getattr(t, labels)) for t in tables])
+            args[name] = np.concatenate([getattr(t, name) + offset for t, offset in zip(tables, offsets)] or [[]])
+        for name in ("lead", "mu", "sigma"):
+            args[name] = np.concatenate([getattr(t, name) for t in tables] or [[]])
+        return PredictionTable(**args)
 
 
-_PREDICTION_LABELS = ("station_ids", "init_times", "strategies")
-_PREDICTION_COLUMNS = ("station", "init", "lead", "strategy", "mu", "sigma")
+# The columns of a PredictionTable with their dtypes, and its (labels, codes) pairs.
+_PREDICTION_COLUMNS = {"station": np.int64, "init": np.int64, "lead": np.int64, "strategy": np.int64, "mu": float,
+                       "sigma": float}
+_PREDICTION_LABELS = (("station_ids", "station"), ("init_times", "init"), ("strategies", "strategy"))
 
 
 def ensemble_stats(members) -> tuple:

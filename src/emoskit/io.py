@@ -641,7 +641,7 @@ def write_columns(path, header: list[str], row: str, columns: list) -> None:
     """Write a table as ``write_table`` does: the header, then each row of
     ``columns`` by the printf template ``row`` of one line, its cells csv-encoded
     text (%s) or floats (%.9g), one block of lines per ``_CHUNK_LINES`` rows."""
-    n = len(columns[0]) if columns else 0
+    n = len(columns[0])
 
     def block(lo):
         cells = np.empty((min(n - lo, _CHUNK_LINES), len(columns)), dtype=object)
@@ -654,7 +654,7 @@ def write_columns(path, header: list[str], row: str, columns: list) -> None:
 
 def csv_cells(labels, codes: np.ndarray) -> np.ndarray:
     """The csv-encoded ``labels`` of ``codes``, as objects."""
-    return np.array([_csv_cell(str(label)) for label in labels] or [""], dtype=object)[codes]
+    return np.array([_csv_cell(label) for label in labels], dtype=object)[codes]
 
 
 # -- predictions -------------------------------------------------------------
@@ -666,9 +666,9 @@ def write_predictions(path, predictions: PredictionTable) -> None:
     """One row per (station, init time, lead, strategy) key, in key order."""
     p = predictions
     inits = [format_timestamp(t) for t in p.init_times]
-    write_columns(path, _PREDICTION_COLUMNS, f"%s,%s,%s,%s,{_FLOAT_FORMAT},{_FLOAT_FORMAT}\n",
-                   [csv_cells(p.station_ids, p.station), csv_cells(inits, p.init), p.lead, csv_cells(p.strategies, p.strategy),
-                    p.mu, p.sigma])
+    columns = [csv_cells(p.station_ids, p.station), csv_cells(inits, p.init), p.lead,
+               csv_cells(p.strategies, p.strategy), p.mu, p.sigma]
+    write_columns(path, _PREDICTION_COLUMNS, f"%s,%s,%s,%s,{_FLOAT_FORMAT},{_FLOAT_FORMAT}\n", columns)
 
 
 def read_predictions(*paths) -> PredictionTable:
@@ -685,6 +685,9 @@ def read_predictions(*paths) -> PredictionTable:
 
 
 def _read_predictions_bulk(path) -> PredictionTable:
+    """One file's predictions, read as ``_read_store_bulk`` reads a store;
+    _NotBulk where the row reader must judge, and the table's ValueError at a
+    repeated key."""
     factors = {name: {} for name in ("station_id", "init_time", "strategy")}
     parts = []
     with _TableReader(path, _PREDICTION_COLUMNS) as reader:
@@ -802,7 +805,8 @@ def _read_store_bulk(reader: _TableReader) -> CoefficientStore:
     station_ids, issue_days = _labels(factors["station_id"], str), _labels(factors["issue_date"], date.fromisoformat)
     strategies = _labels(factors["strategy"], str)
     k = np.array(_labels(factors["strategy"], lambda s: len(parse_strategy(s)[1])))[c["strategy"]]
-    flags = [np.array(_labels(factors[name], lambda s: _BOOLEANS[s.lower()]))[c[name]] for name in ("converged", "fallback")]
+    flags = [np.array(_labels(factors[name], lambda s: _BOOLEANS[s.lower()]))[c[name]]
+             for name in ("converged", "fallback")]
     coefficients = np.column_stack([c["a"], c["b1"], c["b2"], c["c"], c["d1"], c["d2"]])
     finite = np.isfinite(coefficients)
     finite[:, [2, 5]] |= (k == 1)[:, None]  # b2 and d2 of single-model records are absent

@@ -110,9 +110,6 @@ class CoefficientKey:
             raise ValueError("lead_time must be >= 0")
         parse_strategy(self.strategy)
 
-    def sort_key(self):
-        return (self.issue_date, self.station_id, self.lead_time, self.strategy)
-
 
 Slot = tuple[str, int, str]  # (station, lead, strategy): a CoefficientKey without its issue date
 _MAX_PREDICTORS = 2  # the b and d columns of a store, b1, b2, d1 and d2 of the store file
@@ -438,9 +435,11 @@ def predict_for_issue(
     rows = rows[np.searchsorted(rows["day"], day):np.searchsorted(rows["day"], day + 1)]
     stored = lookup([recode(station_ids, codes[0])[rows["station"]], rows["lead"],
                      recode(strategies, codes[2])[rows["strategy"]]], [station, lead, strategy])
-    ensemble = {model: np.append(on_day[model], -1)[lookup([recode(cube.station_ids, codes[0])[cube.station[on_day[model]]],
-                                                          cube.lead[on_day[model]]], [station, lead])]
-                for model, cube in forecasts.items()}  # model -> the cube row of each slot, -1 for none
+    ensemble = {}  # model -> the cube row of each slot, -1 for none
+    for model, cube in forecasts.items():
+        rows_of_day = on_day[model]
+        keys = [recode(cube.station_ids, codes[0])[cube.station[rows_of_day]], cube.lead[rows_of_day]]
+        ensemble[model] = np.append(rows_of_day, -1)[lookup(keys, [station, lead])]
 
     errors: dict[int, str] = {}
     found, mu, sigma = [], [], []

@@ -158,18 +158,14 @@ def verify(
     cubes = [cube for cube in raw.values() if cube is not None]
     # Case keys as codes: stations into these sorted ids, init times as microseconds.
     station_ids = sorted(set(p.station_ids).union(*(cube.station_ids for cube in cubes)))
-    times = {t: i for labels in (p.init_times, *(cube.init_times for cube in cubes)) for t, i in
-             zip(labels, _micros(labels).tolist())}
+    index = {sid: i for i, sid in enumerate(station_ids)}
 
-    def keys(labels, station, inits, init, lead):
-        index = {sid: i for i, sid in enumerate(station_ids)}
-        codes = np.array([index[sid] for sid in labels], dtype=np.int64)
-        return [codes[station], np.array([times[t] for t in inits], dtype=np.int64)[init], lead]
+    def keys(table):  # of each row of a prediction table or ensemble of a cube
+        codes = np.array([index[sid] for sid in table.station_ids], dtype=np.int64)
+        return [codes[table.station], _micros(table.init_times)[table.init], table.lead]
 
-    sets = {s: [k[rows] for k in keys(p.station_ids, p.station, p.init_times, p.init, p.lead)]
-            for s, rows in tables.items()}
-    sets.update({s: [np.empty(0, dtype=np.int64)] * 3 if cube is None else
-                 keys(cube.station_ids, cube.station, cube.init_times, cube.init, cube.lead) for s, cube in raw.items()})
+    sets = {s: [k[rows] for k in keys(p)] for s, rows in tables.items()}
+    sets.update({s: [np.empty(0, dtype=np.int64)] * 3 if cube is None else keys(cube) for s, cube in raw.items()})
     case = next(iter(sets.values()))
     for other in sets.values():
         case = [k[lookup(other, case) >= 0] for k in case]
@@ -181,7 +177,7 @@ def verify(
     if not len(lead):
         raise ValueError("no aligned cases with observations")
     at = {s: lookup(sets[s], [station, init, lead]) for s in strategies}
-    label = {i: t for t, i in times.items()}
+    label = {m: t for table in (p, *cubes) for t, m in zip(table.init_times, _micros(table.init_times).tolist())}
     cases = Cases(
         station_ids=tuple(np.array(station_ids, dtype=object)[station].tolist()),
         init_days=init // (24 * _HOUR) + _EPOCH_DAY,
@@ -206,7 +202,8 @@ def verify(
                 at_lead = cases.leads == h
                 spread = math.sqrt(np.mean(sigma[at_lead] ** 2))
                 rmse = math.sqrt(np.mean((cases.y[at_lead] - mu[at_lead]) ** 2))
-                calibration[(s, h)] = (int(at_lead.sum()), float(np.std(z[at_lead])), spread / rmse if rmse else math.inf)
+                calibration[(s, h)] = (int(at_lead.sum()), float(np.std(z[at_lead])),
+                                       spread / rmse if rmse else math.inf)
             continue
         u = rng.random(n)
         cube, rows = raw[s], at[s]
@@ -300,7 +297,8 @@ def write_reports(out_dir: Path, result: Verification) -> None:
         eio.write_table(out_dir / f"{name}.csv", header, rows)
     if result.weights is not None:
         w = result.weights
-        (stations, station), (days, day) = (np.unique(w[name], return_inverse=True) for name in ("station_id", "issue_day"))
+        (stations, station), (days, day) = (np.unique(w[name], return_inverse=True)
+                                            for name in ("station_id", "issue_day"))
         inits = [f"{date.fromordinal(d).isoformat()}T00:00:00Z" for d in days.tolist()]  # format_timestamp's form
         eio.write_columns(out_dir / "weights.csv", ["station_id", "init_time", "lead_h", "weight_mean", "weight_std"],
                           "%s,%s,%s,%.9g,%.9g\n", [eio.csv_cells(stations.tolist(), station), eio.csv_cells(inits, day),

@@ -3,6 +3,7 @@ import re
 import shutil
 import subprocess
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -789,6 +790,15 @@ class TestConfigKeys:
         assert cli._fit_options(cfg) == FitOptions()
         assert cli._transition_spec(cfg) == TransitionSpec()
         assert cli._settings(cfg, verify, cli._VERIFY_KEYS) == {}  # verify keeps its own defaults
+
+    @pytest.mark.parametrize(("start", "utc"), [
+        ("2017-01-01T00:00:00+01:00", datetime(2016, 12, 31, 23, tzinfo=timezone.utc)),
+        ("2017-01-01T05:30:00-02:30", datetime(2017, 1, 1, 8, tzinfo=timezone.utc)),
+        ("2017-01-01", datetime(2017, 1, 1, tzinfo=timezone.utc)),  # a naive start is UTC
+    ])
+    def test_scenario_start_is_converted_to_utc(self, start, utc):
+        got = cli._scenario_spec({"models": "hires", "scenario.start": start}).start
+        assert (got, got.tzinfo) == (utc, timezone.utc)
 
     def test_flags_override_keys(self):
         cfg = {"models": "hires", "seed": "x", "transition.scheme": "t1"}

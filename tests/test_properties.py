@@ -57,7 +57,8 @@ def test_store_round_trip_is_byte_identical(tmp_path_factory, records):
     root = tmp_path_factory.mktemp("store")
     write_store(root / "a.csv", CoefficientStore(dict(records)))
     back = read_store(root / "a.csv")
-    assert [key for key, _ in back.items()] == sorted(dict(records), key=CoefficientKey.sort_key)
+    assert [key for key, _ in back.items()] == sorted(dict(records), key=lambda k: (k.issue_date, k.station_id,
+                                                                                    k.lead_time, k.strategy))
     write_store(root / "b.csv", back)
     assert (root / "b.csv").read_bytes() == (root / "a.csv").read_bytes()
 

@@ -7,7 +7,10 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from emoskit import verification
 from emoskit.domain import GaussianPredictive, ObservationSeries, _micros
+from emoskit.emos import EmosCoefficients, FitResult, identity, model_weights
+from emoskit.pipeline import CoefficientKey, CoefficientStore
 from emoskit.scoring import Conclusion, dm_test, ensemble_crps
 from emoskit.verification import verify
 
@@ -74,3 +77,36 @@ def test_dm_matrix_counts_init_dates():
     first_date = {key: pred for key, pred in predictions.items() if key[1] == T0}
     test = verify(prediction_table(first_date), {}, obs, ["mixed:m+n", "single:m"], "single:m").dm[("mixed:m+n", "single:m")]
     assert (test.n, test.statistic, test.p_value, test.conclusion) == (1, None, None, Conclusion.INSUFFICIENT)
+
+
+def test_seam_sums_cases_in_repr_order(monkeypatch):
+    # seam_diagnostics.csv sums the cases in repr order of (station, init
+    # time): Jan 10 comes before Jan 2.
+    inits = [T0 + timedelta(days=d) for d in (1, 9)]
+    predictions = {("S", t, lead, "single:m"): GaussianPredictive(float(t.day), 1.0) for t in inits for lead in (1, 2)}
+    obs = {"S": ObservationSeries("S", _micros(t + timedelta(hours=h) for t in inits for h in (1, 2)), [0.0] * 4)}
+    seen, real = [], verification.seam_diagnostics
+    monkeypatch.setattr(verification, "seam_diagnostics",
+                        lambda mu, *rest: seen.append(mu[:, 0].tolist()) or real(mu, *rest))
+    verify(prediction_table(predictions), {}, obs, ["single:m"], "single:m", seam_window=(1, 2))
+    assert seen == [[10.0, 2.0]]
+
+
+def test_weights_are_the_model_weights_of_the_mixed_records():
+    # The columns of verify --store against emos.model_weights record by
+    # record, zero sums (weight 0.5) included; single-model records give none.
+    store = CoefficientStore()
+    coefficients = [((0.6, 0.2), (0.3, 0.1)), ((0.0, 0.0), (0.0, 0.0)), ((0.0, 1.5), (2.0, 0.0)),
+                    ((1e-300, 3.0), (1.0, 1.0))]
+    for day, (b, d) in enumerate(coefficients):
+        for sid in ("T", "S"):
+            issue = T0.date() + timedelta(days=day)
+            store.put(CoefficientKey(sid, 12 + day, "mixed:m+n", issue),
+                      FitResult(EmosCoefficients(0.1, b, 0.2, d), 0.5, True, 0, 45, False))
+            store.put(CoefficientKey(sid, 12, "single:m", issue), FitResult(identity(1), 0.5, True, 0, 45, True))
+    weights = verification._weights(store)
+    expected = [(key, model_weights(r.coefficients)) for key, r in store.items() if key.strategy == "mixed:m+n"]
+    assert list(zip(weights["station_id"], weights["issue_day"].tolist(), weights["lead_h"].tolist())) == [
+        (key.station_id, key.issue_date.toordinal(), key.lead_time) for key, _ in expected]
+    assert [(m.hex(), s.hex()) for m, s in zip(weights["weight_mean"].tolist(), weights["weight_std"].tolist())] == [
+        (w.weight_mean.hex(), w.weight_std.hex()) for _, w in expected]
