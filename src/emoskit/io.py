@@ -637,24 +637,27 @@ def _labels(codes: dict[str, int], parse) -> list:
     return labels
 
 
-def write_columns(path, header: list[str], row: str, columns: list) -> None:
-    """Write a table as ``write_table`` does: the header, then each row of
-    ``columns`` by the printf template ``row`` of one line, its cells csv-encoded
-    text (%s) or floats (%.9g), one block of lines per ``_CHUNK_LINES`` rows."""
-    n = len(columns[0])
+def write_columns(path, header: list[str], row: str, n: int, columns: Callable[[slice], list]) -> None:
+    """Write a table of ``n`` rows as ``write_table`` does: the header, then
+    one line per row by the printf template ``row``, one block of lines per
+    ``_CHUNK_LINES`` rows. ``columns(rows)`` gives the cells of a block's
+    rows (a slice), column by column: csv-encoded text for %s, numbers for
+    %.9g; a block's cells are all that is held at once."""
 
     def block(lo):
-        cells = np.empty((min(n - lo, _CHUNK_LINES), len(columns)), dtype=object)
-        for j, column in enumerate(columns):
-            cells[:, j] = column[lo:lo + len(cells)]
+        rows = slice(lo, min(lo + _CHUNK_LINES, n))
+        columns_of_block = columns(rows)
+        cells = np.empty((rows.stop - lo, len(columns_of_block)), dtype=object)
+        for j, column in enumerate(columns_of_block):
+            cells[:, j] = column
         return row * len(cells) % tuple(cells.ravel().tolist())
 
     _write_blocks(path, header, map(block, range(0, n, _CHUNK_LINES)))
 
 
-def csv_cells(labels, codes: np.ndarray) -> np.ndarray:
-    """The csv-encoded ``labels`` of ``codes``, as objects."""
-    return np.array([_csv_cell(label) for label in labels], dtype=object)[codes]
+def csv_cells(labels) -> np.ndarray:
+    """Each of ``labels`` csv-encoded, as an object array to index by codes."""
+    return np.array([_csv_cell(label) for label in labels], dtype=object)
 
 
 # -- predictions -------------------------------------------------------------
@@ -665,10 +668,11 @@ _PREDICTION_COLUMNS = ["station_id", "init_time", "lead_h", "strategy", "mu", "s
 def write_predictions(path, predictions: PredictionTable) -> None:
     """One row per (station, init time, lead, strategy) key, in key order."""
     p = predictions
-    inits = [format_timestamp(t) for t in p.init_times]
-    columns = [csv_cells(p.station_ids, p.station), csv_cells(inits, p.init), p.lead,
-               csv_cells(p.strategies, p.strategy), p.mu, p.sigma]
-    write_columns(path, _PREDICTION_COLUMNS, f"%s,%s,%s,%s,{_FLOAT_FORMAT},{_FLOAT_FORMAT}\n", columns)
+    station, strategy = csv_cells(p.station_ids), csv_cells(p.strategies)
+    init = csv_cells([format_timestamp(t) for t in p.init_times])
+    write_columns(path, _PREDICTION_COLUMNS, f"%s,%s,%s,%s,{_FLOAT_FORMAT},{_FLOAT_FORMAT}\n", len(p),
+                  lambda r: [station[p.station[r]], init[p.init[r]], p.lead[r], strategy[p.strategy[r]], p.mu[r],
+                             p.sigma[r]])
 
 
 def read_predictions(*paths) -> PredictionTable:
@@ -751,21 +755,25 @@ _BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
 def write_store(path, store: CoefficientStore) -> None:
     """One record per key, ordered by (issue_date, station, lead, strategy)."""
     station_ids, strategies, rows = store.table()
-    days, day = np.unique(rows["day"], return_inverse=True)
+    station, strategy = csv_cells(station_ids), csv_cells(strategies)
     flags = np.array(["false", "true"], dtype=object)
-    second = []  # the b2 and d2 cells: empty for single-model records
-    for name in ("b", "d"):
-        values = rows[name][:, 1]
-        cells = np.full(len(rows), "", dtype=object)
-        kept = ~np.isnan(values)
-        cells[kept] = (f"{_FLOAT_FORMAT}\n" * int(kept.sum()) % tuple(values[kept].tolist())).split("\n")[:-1]
-        second.append(cells)
-    columns = [csv_cells(station_ids, rows["station"]), rows["lead"], csv_cells(strategies, rows["strategy"]),
-               csv_cells([date.fromordinal(d).isoformat() for d in days.tolist()], day), rows["a"], rows["b"][:, 0],
-               second[0], rows["c"], rows["d"][:, 0], second[1], rows["n_samples"], rows["objective"],
-               flags[rows["converged"].astype(np.int64)], flags[rows["fallback"].astype(np.int64)]]
+
+    def columns(r):
+        block = rows[r]
+        days, day = np.unique(block["day"], return_inverse=True)
+        second = []  # the b2 and d2 cells: empty for single-model records
+        for name in ("b", "d"):
+            values, cells = block[name][:, 1], np.full(len(block), "", dtype=object)
+            kept = ~np.isnan(values)
+            cells[kept] = (f"{_FLOAT_FORMAT}\n" * int(kept.sum()) % tuple(values[kept].tolist())).split("\n")[:-1]
+            second.append(cells)
+        return [station[block["station"]], block["lead"], strategy[block["strategy"]],
+                csv_cells([date.fromordinal(d).isoformat() for d in days.tolist()])[day], block["a"],
+                block["b"][:, 0], second[0], block["c"], block["d"][:, 0], second[1], block["n_samples"],
+                block["objective"], flags[block["converged"].astype(np.int64)], flags[block["fallback"].astype(np.int64)]]
+
     f = _FLOAT_FORMAT
-    write_columns(path, _STORE_COLUMNS, f"%s,%s,%s,%s,{f},{f},%s,{f},{f},%s,%s,{f},%s,%s\n", columns)
+    write_columns(path, _STORE_COLUMNS, f"%s,%s,%s,%s,{f},{f},%s,{f},{f},%s,%s,{f},%s,%s\n", len(rows), columns)
 
 
 def read_store(path) -> CoefficientStore:

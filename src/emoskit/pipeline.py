@@ -4,8 +4,9 @@ Coefficients are refit once per issue date, separately for every (station,
 lead time, strategy) key, on the trailing window of aligned
 forecast-observation pairs. Keys without enough window samples fall back to
 the most recent stored coefficients (up to 10 days old) and finally to
-pass-through identity coefficients. Fits and fallbacks alike are stored as
-``emos.FitResult`` records, the fallbacks flagged ``fallback``. Each
+pass-through identity coefficients. Fits and fallbacks alike come as
+``emos.FitResult`` records, the fallbacks flagged ``fallback``, which a
+``CoefficientStore`` holds as columns. Each
 ``fit_for_issue`` call fits an issue date's keys, with t1 taper refits of
 earlier dates under their bounds, in one batched ``emos`` solve per number
 of predictors K; ``train`` makes one call per date. A fit that does not
@@ -16,7 +17,8 @@ The drivers run the whole chain over many issue dates on one
 ``domain.ForecastCube`` per model: ``prepare_forecasts`` (lapse correction
 and lead interpolation of a loaded cube), ``coefficient_slots`` (the keys to
 fit, from each model's ``lead_coverage``), ``train`` (the rolling fits, with
-the t1 taper refits) and ``predict_issues`` (the per-date predictions).
+the t1 taper refits) and ``predict_issues`` (the per-date predictions, as
+one ``domain.PredictionTable``).
 """
 
 from __future__ import annotations
@@ -162,13 +164,14 @@ class CoefficientStore:
         if self._table is None:
             live = np.ones(self._n, dtype=bool)
             live[list(self._replaced)] = False
-            rows = self._rows[:self._n][live]
-            station_ids, rows["station"] = relabel(list(self._codes[0]), rows["station"])
-            strategies, rows["strategy"] = relabel(list(self._codes[1]), rows["strategy"])
-            order = np.lexsort([rows[name] for name in ("strategy", "lead", "station", "day")])
-            rows = rows[order]
+            used, at = self._rows[:self._n], np.flatnonzero(live)
+            station_ids, station = relabel(list(self._codes[0]), used["station"][at])
+            strategies, strategy = relabel(list(self._codes[1]), used["strategy"][at])
+            order = np.lexsort((strategy, used["lead"][at], station, used["day"][at]))
+            rows = used[at[order]]  # the one copy of the rows
+            rows["station"], rows["strategy"] = station[order], strategy[order]
             rows.flags.writeable = False
-            self._table = station_ids, strategies, rows, np.flatnonzero(live)[order]
+            self._table = station_ids, strategies, rows, at[order]
         return self._table[:3]
 
     def items(self):
@@ -234,8 +237,10 @@ class CoefficientStore:
             block.append((key.issue_date.toordinal(), station, key.lead_time, strategy, coef.a,
                           (coef.b + pad)[:_MAX_PREDICTORS], coef.c, (coef.d + pad)[:_MAX_PREDICTORS],
                           record.n_samples, record.objective, record.converged, record.fallback))
-        if self._n + len(block) > len(self._rows):
-            self._rows = np.concatenate([self._rows[:self._n], np.empty(max(self._n, len(block)), dtype=RECORD)])
+        if self._n + len(block) > len(self._rows):  # double the capacity; rows not yet written take no memory
+            grown = np.empty(max(2 * self._n, self._n + len(block)), dtype=RECORD)
+            grown[:self._n] = self._rows[:self._n]
+            self._rows = grown
         self._rows[self._n:self._n + len(block)] = np.array(block, dtype=RECORD)
         for row, (key, record) in enumerate(updates.items(), start=self._n):
             days, rows = index.setdefault((key.station_id, key.lead_time, key.strategy), ([], []))

@@ -1,8 +1,7 @@
 """Verification of strategies on one aligned case set.
 
-``verify`` takes what the drivers produce: Gaussian predictions keyed by
-(station, init time, lead, strategy) as ``pipeline.predict_issues`` returns
-them, each model's ``ForecastCube`` from ``pipeline.prepare_forecasts`` for
+``verify`` takes what the drivers produce: the ``domain.PredictionTable``
+of Gaussian predictions that ``pipeline.predict_issues`` returns, each model's ``ForecastCube`` from ``pipeline.prepare_forecasts`` for
 the ``raw:`` strategies, and the observation series, each looked up once at
 the valid times of its station's cases (``ObservationSeries.values_at``), as
 is the seam window. It aligns the cases every scored strategy covers into
@@ -299,7 +298,9 @@ def write_reports(out_dir: Path, result: Verification) -> None:
         w = result.weights
         (stations, station), (days, day) = (np.unique(w[name], return_inverse=True)
                                             for name in ("station_id", "issue_day"))
-        inits = [f"{date.fromordinal(d).isoformat()}T00:00:00Z" for d in days.tolist()]  # format_timestamp's form
+        station_cells = eio.csv_cells(stations.tolist())
+        inits = eio.csv_cells([f"{date.fromordinal(d).isoformat()}T00:00:00Z" for d in days.tolist()])
         eio.write_columns(out_dir / "weights.csv", ["station_id", "init_time", "lead_h", "weight_mean", "weight_std"],
-                          "%s,%s,%s,%.9g,%.9g\n", [eio.csv_cells(stations.tolist(), station), eio.csv_cells(inits, day),
-                                                  w["lead_h"], w["weight_mean"], w["weight_std"]])
+                          "%s,%s,%s,%.9g,%.9g\n", len(day), lambda r: [station_cells[station[r]], inits[day[r]],
+                                                                       w["lead_h"][r], w["weight_mean"][r],
+                                                                       w["weight_std"][r]])
