@@ -279,9 +279,9 @@ def relabel(labels, codes) -> tuple[tuple, np.ndarray]:
     names = [labels[i] for i in used.tolist()]
     ranked = sorted(set(names))
     rank = {name: r for r, name in enumerate(ranked)}
-    lookup = np.zeros(len(labels), dtype=np.int64)
-    lookup[used] = [rank[name] for name in names]
-    return tuple(ranked), lookup[codes]
+    code_of = np.zeros(len(labels), dtype=np.int64)
+    code_of[used] = [rank[name] for name in names]
+    return tuple(ranked), code_of[codes]
 
 
 def lookup(keys, queries) -> np.ndarray:

@@ -21,12 +21,12 @@ that ``pipeline.predict_issues`` returns and ``verification.verify`` takes;
 the coefficient store into and from the columns of a
 ``pipeline.CoefficientStore``.
 Station files are read and written row by row with the csv module, and
-observation files read so. Every other table is written in blocks with the bytes of the row
-writer: each label (station, init time, strategy, issue date) is csv-encoded
-once, and one printf template formats a block's lines in one call, per
-ensemble for forecasts (one template per member count), per station for
-observations (its valid times from one ``np.datetime_as_string`` call, with
-four-digit years as ``format_timestamp`` writes them), and per
+observation files read so. Every other table is written in blocks with the
+bytes of the row writer: each label (station, init time, strategy, issue
+date) is csv-encoded once, and one printf template formats a block's lines
+in one call, per ensemble for forecasts (one template per member count), per
+station for observations (its valid times from one ``np.datetime_as_string``
+call, with four-digit years as ``format_timestamp`` writes them), and per
 ``_CHUNK_LINES`` rows for predictions and the store.
 Prediction and store files are read in bulk, ``_CHUNK_LINES`` lines at a
 time: a chunk is split into its columns of cells in one ``str.split``; an id,
