@@ -225,12 +225,13 @@ STORE_CORRUPTIONS = (
     + [("text", c) for c in [1, 4, 7, 10, 11, *B_D]]
     + [("non_finite", c) for c in [4, 7, 11, *B_D]]
     + [("negative", c) for c in [1, 10, 11, *B_D]]
+    + [("filled", c) for c in [6, 9]]
     + [("bad_label", c) for c in [2, 3, 12, 13]]
     + [("fractional_int", c) for c in [1, 10]]
     + [("repeated_key", None), ("extra_field", None), ("missing_field", None)]
 )
 BAD = {"empty": ["", " "], "text": ["x1"], "non_finite": ["nan", "inf", "-inf"], "negative": ["-3", "-0.5"],
-       "fractional_int": ["12.0", "1e1"], "sigma": ["0", "-0.0", "-2.5"],
+       "fractional_int": ["12.0", "1e1"], "filled": ["0.5", "1"], "sigma": ["0", "-0.0", "-2.5"],
        "bad_label": ["mixed:m1", "2017-13-01", "yes", "single:"],
        "bad_timestamp": ["2017-13-01T00:00:00Z", "0001-01-01T00:00:00+01:00"]}
 
