@@ -12,55 +12,28 @@ digits, which round-trips losslessly at that precision. Schemas:
                            b2, c, d1, d2, n_samples, objective, converged,
                            fallback   (b2 and d2 are empty for single fits)
 
-Schema violations raise SchemaError naming the file, line and column (a
-cell out of its domain too, such as a negative lead or a NaN coefficient);
-a repeated key (station, observation, prediction, store record) raises at
-its second line.
-Predictions are read into, and written from, the ``domain.PredictionTable``
-that ``pipeline.predict_issues`` returns and ``verification.verify`` takes;
-the coefficient store into and from the columns of a
+Every table but the forecasts is read by one column reader, ``_read_table``:
+``str.split`` (or, from a line it might cut otherwise, the csv module) cuts
+``_CHUNK_LINES`` lines at a time into columns of cells; label columns are
+factorized, each distinct cell parsed once, and number columns parsed by
+numpy. Each file states its cell kinds and the rules of a row, cells' and
+keys', in the order they are checked. A file that breaks one raises
+SchemaError at the first failing (row, rule) in file order, naming the file,
+line and column; so does a line of another cell count, a cell past the csv
+field limit or, in any file, a byte that is not UTF-8. Predictions are read
+into a ``domain.PredictionTable``, the store into the columns of a
 ``pipeline.CoefficientStore``.
-Station files are read and written row by row with the csv module, and
-observation files read so. Every other table is written in blocks with the
-bytes of the row writer: each label (station, init time, strategy, issue
-date) is csv-encoded once, and one printf template formats a block's lines
-in one call, per ensemble for forecasts (one template per member count), per
-station for observations (its valid times from one ``np.datetime_as_string``
-call, with four-digit years as ``format_timestamp`` writes them), and per
-``_CHUNK_LINES`` rows for predictions and the store.
-Prediction and store files are read in bulk, ``_CHUNK_LINES`` lines at a
-time: a chunk is split into its columns of cells in one ``str.split``; an id,
-init-time, strategy, issue-date or flag column is factorized, each distinct
-cell parsed once; a numeric column is converted by numpy, which parses each
-cell as ``float`` or ``int`` does; and each domain rule is one array
-operation. A file the bulk pass cannot take apart (a quote, carriage return
-or NUL character, a line of another cell count, a cell that does not parse
-or breaks a rule, a repeated key) is read again row by row, which raises the
-first SchemaError, at its file, line and column, or reads it alike.
-Forecast files are read in one pass that splits only the first line of each
-ensemble's run of member rows and hands the member and value cells of kept
-rows to numpy's C tokenizer in chunks, member cells through its int64 parser.
-That parser (numpy >= 2.4; older releases read "12.5" as 12) rejects "12.5",
-"12.0", "1e1", "1_2" and values beyond int64, a subset of what ``int`` takes.
-A read holds the numeric arrays, four integers per run and one chunk of text,
-so it peaks below twice the file's size. A file the pass cannot split (a quote
-character, another column order, a cell numpy rejects, a negative lead, a kept
-member value that is not finite) is read again row by row, which reads a cell
-as ``int`` does or raises a row reader's SchemaError. So a negative lead or a
-NaN or infinite member value raises SchemaError at its file, line and column,
-as any other bad cell does.
+Forecast files are read in one pass (``_scan_forecasts``) that splits only
+the first line of each ensemble's run of member rows and hands the member
+and value cells of kept rows to ``np.loadtxt`` in chunks, so a read peaks
+below twice the file's size; a file it cannot split exactly goes to the
+column reader. ``read_forecasts`` with a filter on init dates parses the
+member and value cells of the kept dates only (``ForecastFile``).
 
-Every stage reads forecasts this way. ``train`` keeps every row; ``predict``
-with an issue range and ``verify`` pass ``read_forecasts`` a filter on init
-dates, and only the rows of kept dates go to numpy. A bad station, init-time
-or lead cell anywhere still raises as without a filter; a bad member or value
-cell, or a broken ensemble (members not numbered 0..m-1, or a lead gap that
-``pipeline``'s lead interpolation cannot fill), on a date that is not kept is
-not seen. The file's stations, init times and lead grids come with the cube
-either way (``ForecastFile``), so the issue dates, lead coverage and station
-check of the stages still take every row.
-Config files are flat "key = value" text with dotted keys; blank lines and
-"#" comments are ignored.
+Station files are written row by row with the csv module; every other table
+in blocks with the bytes of the row writer, each label csv-encoded once and a
+block's lines formatted by one printf template. Config files are flat "key =
+value" text with dotted keys; blank lines and "#" comments are ignored.
 """
 
 from __future__ import annotations
@@ -72,14 +45,13 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from io import StringIO
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from pathlib import Path
 
 import numpy as np
 
 from .domain import ForecastCube, ObservationSeries, PredictionTable, StationMetadata, _micros, relabel
-from .emos import EmosCoefficients, FitResult
-from .pipeline import _MAX_PREDICTORS, RECORD, CoefficientKey, CoefficientStore, parse_strategy
+from .pipeline import RECORD, CoefficientStore, parse_strategy
 
 __all__ = [
     "SchemaError",
@@ -140,125 +112,267 @@ def parse_timestamp(s: str) -> datetime:
     return t.astimezone(timezone.utc)
 
 
-class _TableReader:
-    """CSV reader that validates the header and reports typed cell errors."""
+def _not_utf8(path) -> SchemaError:
+    """The SchemaError of the first byte of ``path`` that is not UTF-8, at its line."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        return SchemaError(path, data.count(b"\n", 0, err.start) + 1, None,
+                           f"not UTF-8: byte 0x{data[err.start]:02x} ({err.reason})")
+    return SchemaError(path, None, None, "not UTF-8")  # the file changed since it was read
 
-    def __init__(self, path, required: list[str], allow_extra: bool = False):
+
+class _TableReader:
+    """CSV reader that validates the header against ``columns`` (a name
+    ending in "*": the columns that start with the rest of it), each
+    header column's name there in ``declared``, and a byte that is not UTF-8
+    in the ``with`` block. ``body`` is the file after the header row."""
+
+    def __init__(self, path, columns: list[str]):
         self.path = Path(path)
-        self.required = required
-        self.allow_extra = allow_extra
+        self.columns = columns
 
     def __enter__(self):
         self._fh = self.path.open("r", encoding="utf-8", newline="")
         try:
-            reader = csv.reader(self._fh)
+            self._reader = csv.reader(self._fh)
             try:
-                header = next(reader)
+                header = [h.strip() for h in next(self._reader)]
             except StopIteration:
                 raise SchemaError(self.path, 1, None, "file is empty, expected a header row") from None
-            header = [h.strip() for h in header]
+            except csv.Error as err:  # a cell past the field limit
+                raise SchemaError(self.path, 1, None, str(err)) from None
             for i, name in enumerate(header):
                 if name in header[:i]:
                     raise SchemaError(self.path, 1, name, "duplicate column")
-            for col in self.required:
-                if col not in header:
+            for col in self.columns:
+                if not col.endswith("*") and col not in header:
                     raise SchemaError(self.path, 1, col, "missing required column")
-            if not self.allow_extra:
-                extra = [h for h in header if h not in self.required]
-                if extra:
-                    raise SchemaError(self.path, 1, extra[0], "unexpected column")
-        except BaseException:
-            self._fh.close()  # __exit__ does not run when __enter__ raises
+            self.declared = [next((c for c in self.columns if c == h or c.endswith("*") and h.startswith(c[:-1])),
+                                  None) for h in header]
+            if None in self.declared:
+                raise SchemaError(self.path, 1, header[self.declared.index(None)], "unexpected column")
+        except BaseException as err:
+            self.__exit__(type(err), err, None)  # which does not run when __enter__ raises
             raise
         self.header = header
         self.body = self._fh  # positioned after the header row
-        self._reader = reader
         return self
 
-    def __exit__(self, *exc):
+    def __exit__(self, kind, error, traceback):
         self._fh.close()
-        return False
+        if isinstance(error, UnicodeDecodeError):
+            raise _not_utf8(self.path) from None
 
-    def rows(self):
-        index = {name: i for i, name in enumerate(self.header)}
-        for line_no, row in enumerate(self._reader, start=2):
+
+# -- the column reader --------------------------------------------------------
+
+# Lines per chunk of a read (and rows per block of a write): the text held at
+# once, whatever the file's size.
+_CHUNK_LINES = 4096
+_EMPTY = "value must not be empty"
+
+
+def _chunks(reader: _TableReader):
+    """The records of ``reader``'s body, numbered from 2, in chunks of up to
+    ``_CHUNK_LINES``: (line numbers, cells of each column), blank records left
+    out. One ``str.split`` cuts a chunk; the csv module cuts the rest of the
+    file from one with a quote, lone carriage return or NUL character, a line
+    past the csv field limit, a blank line or a line of another cell count.
+    Such a line, or a cell past the limit, raises SchemaError after the
+    chunk of the records before it."""
+    width, line_no = len(reader.header), 2
+    while lines := list(islice(reader.body, _CHUNK_LINES)):
+        text = "".join(lines).replace("\r\n", "\n")
+        # A marker cell "\n" after each line's cells: a blank line, or one of another cell count, moves the markers.
+        cells = (text if text.endswith("\n") else text + "\n").replace("\n", ",\n,").split(",")[:-1]
+        if (any(c in text for c in '"\r\0') or max(map(len, lines)) > csv.field_size_limit()
+                or len(cells) != len(lines) * (width + 1) or cells[width::width + 1].count("\n") != len(lines)):
+            break
+        yield np.arange(line_no, line_no + len(lines)), [cells[j::width + 1] for j in range(width)]
+        line_no += len(lines)
+    else:
+        return
+    start, line_no, rows, numbers, error = line_no, line_no - 1, [], [], None
+    try:  # the chunks before were cut as the csv module cuts them, so it can take over at a line
+        for line_no, row in enumerate(csv.reader(chain(lines, reader.body)), start=start):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) != len(self.header):
-                raise SchemaError(self.path, line_no, None, f"expected {len(self.header)} fields, got {len(row)}")
-            yield line_no, _Row(self.path, line_no, index, row)
+            if len(row) != width:
+                error = SchemaError(reader.path, line_no, None, f"expected {width} fields, got {len(row)}")
+                break
+            numbers.append(line_no)
+            rows.append(row)
+            if len(rows) == _CHUNK_LINES:
+                yield np.array(numbers), list(zip(*rows))
+                rows, numbers = [], []
+    except csv.Error as err:  # a cell past the field limit
+        error = SchemaError(reader.path, line_no + 1, None, str(err))
+    if rows:
+        yield np.array(numbers), list(zip(*rows))
+    if error is not None:
+        raise error
 
 
-class _Row:
-    def __init__(self, path, line_no, index, cells):
-        self.path = path
-        self.line_no = line_no
-        self.index = index
-        self.cells = cells
+def _factor(cells, codes: dict[str, int]) -> np.ndarray:
+    """The code of each cell in ``codes``, which gains the cells new to it:
+    each distinct cell is then parsed once."""
+    for cell in dict.fromkeys(cells):
+        codes.setdefault(cell, len(codes))
+    return np.fromiter(map(codes.__getitem__, cells), dtype=np.int64, count=len(cells))
 
-    def str(self, column: str) -> str:
-        value = self.cells[self.index[column]].strip()
-        if not value:
-            raise SchemaError(self.path, self.line_no, column, "value must not be empty")
-        return value
 
-    def float(self, column: str) -> float:
-        raw = self.str(column)
+def _numbers(cells, kind) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+    """``cells`` parsed by numpy as ``kind`` (``float`` or ``int``) parses a
+    cell, NaN or 0 where one does not; the fault of each (0, or 1 where it is
+    empty, 2 where it does not parse or an integer leaves the int64 range);
+    and the messages of the faults, by index."""
+    fault, errors = np.zeros(len(cells), dtype=np.int8), {}
+    try:
+        return np.array(cells, dtype=kind), fault, errors
+    except (ValueError, OverflowError):
+        pass
+    values = np.full(len(cells), math.nan if kind is float else 0, dtype=kind)
+    given = np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
+    fault[~given] = 1
+    try:
+        values[given] = np.array(list(compress(cells, given.tolist())), dtype=kind)
+    except (ValueError, OverflowError):
+        for i in np.flatnonzero(given).tolist():
+            cell = cells[i].strip()
+            try:
+                values[i] = np.array([cell], dtype=kind)[0]
+            except OverflowError:
+                fault[i], errors[i] = 2, f"integer out of range: {cell!r}"
+            except ValueError:
+                fault[i], errors[i] = (2, f"not an integer: {cell!r}" if kind is int else f"not a number: {cell!r}") \
+                    if cell else (1, _EMPTY)
+    return values, fault, errors
+
+
+@dataclass
+class _Column:
+    """A column that ``_read_table`` read: ``values`` (numbers, or codes into
+    ``labels``, in order of first appearance, -1 where a cell is no label);
+    each cell's ``fault`` (0: it parsed, 1: it is empty, 2: it does not) and
+    ``error(row)``, its message."""
+
+    values: np.ndarray
+    fault: np.ndarray
+    error: Callable[[int], str]
+    labels: list | None = None
+
+
+def _column(parts: list, kind, distinct: dict[str, int]) -> _Column:
+    """The column of the parsed chunks ``parts``: number parts of
+    ``_numbers``, or codes of the ``distinct`` label cells, each cell then
+    stripped and parsed once by the label ``kind``; equal labels share a
+    code."""
+    if kind in (float, int):
+        values, fault = (np.concatenate([p[j] for p in parts] or [np.empty(0, dtype)]) for j, dtype in
+                         ((0, kind), (1, np.int8)))
+        starts = np.cumsum([0] + [len(p[0]) for p in parts]).tolist()
+        errors = {start + i: message for start, p in zip(starts, parts) for i, message in p[2].items()}
+        return _Column(values, fault, lambda row: errors.get(row, _EMPTY))
+    (parse, message), labels, code_of, messages = kind, {}, [], []
+    for cell in map(str.strip, distinct):
         try:
-            return float(raw)
-        except ValueError:
-            raise SchemaError(self.path, self.line_no, column, f"not a number: {raw!r}") from None
+            code_of.append(labels.setdefault(parse(cell), len(labels)) if cell else -1)
+            messages.append(None if cell else _EMPTY)
+        except (ValueError, OverflowError, KeyError) as err:  # OverflowError: a time past the datetime range in UTC
+            code_of.append(-1)
+            messages.append(message(cell) if message else str(err))
+    codes = raw = np.concatenate(parts or [np.empty(0, np.int64)])
+    if code_of != list(range(len(code_of))):  # a bad cell, or two cells of one label
+        codes = np.array(code_of, dtype=np.int64)[raw]
+    return _Column(codes, (codes < 0).view(np.int8), lambda row: messages[raw[row]], list(labels))
 
-    def optional_float(self, column: str) -> float | None:
-        raw = self.cells[self.index[column]].strip()
-        if not raw:
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            raise SchemaError(self.path, self.line_no, column, f"not a number: {raw!r}") from None
 
-    def finite(self, column: str, low: float = -math.inf, high: float = math.inf) -> float:
-        value = self.float(column)
-        if not math.isfinite(value):
-            raise SchemaError(self.path, self.line_no, column, f"must be finite, got {value}")
-        if not low <= value <= high:
-            raise SchemaError(self.path, self.line_no, column, f"must lie in [{low}, {high}], got {value}")
-        return value
+def _read_table(paths, kinds: dict, checks: Callable[[dict], list]) -> dict[str, _Column]:
+    """The columns of the files ``paths``, read one after another as one
+    table. ``kinds`` maps each column (a name ending in "*": the columns that
+    start with the rest of it) to its cell kind: ``float`` or ``int``, parsed
+    by numpy, or a label's (parse of a stripped cell, message of a cell it
+    raises at, or None for the error's own). ``checks(columns)`` lists the
+    rules of a row in the order they are checked, as (column, mask of the
+    rows that break it, message of a row), each judged only where those
+    before it hold; the first (row, rule) that fails raises SchemaError, and
+    so, once the rows before it pass, does a file that cannot be read or a
+    record that cannot be cut."""
+    names, chunks, distinct, pending = None, [], {}, None  # chunks: (path, line numbers, {column: parsed cells})
+    try:
+        for path in paths:
+            with _TableReader(path, list(kinds)) as reader:
+                header = {name: kinds[declared] for name, declared in zip(reader.header, reader.declared)}
+                names = names or header
+                for lines, cells in _chunks(reader):
+                    chunks.append((path, lines, {
+                        name: _numbers(column, kind) if kind in (float, int)
+                        else _factor(column, distinct.setdefault(name, {}))
+                        for (name, kind), column in zip(header.items(), cells)}))
+    except (OSError, SchemaError) as err:
+        pending = err
+    if pending is not None and not chunks:
+        raise pending
+    columns = {name: _column([cells[name] for _, _, cells in chunks], kind, distinct.get(name, {}))
+               for name, kind in names.items()}
+    failures = [(mask.argmax(), rank, column, message)
+                for rank, (column, mask, message) in enumerate(checks(columns)) if mask.any()]
+    if failures:
+        row, _, column, message = min(failures, key=lambda failure: failure[:2])
+        message = message(row)
+        for path, lines, _ in chunks:
+            if row < len(lines):
+                raise SchemaError(path, lines.item(row), column, message)
+            row -= len(lines)
+    if pending is not None:
+        raise pending
+    return columns
 
-    def int(self, column: str, minimum: int | None = None) -> int:
-        raw = self.str(column)
-        try:
-            value = int(raw)
-        except ValueError:
-            raise SchemaError(self.path, self.line_no, column, f"not an integer: {raw!r}") from None
-        if not -(2**63) <= value < 2**63:  # the range of the int64 arrays it may go into
-            raise SchemaError(self.path, self.line_no, column, f"integer out of range: {raw!r}")
-        if minimum is not None and value < minimum:
-            raise SchemaError(self.path, self.line_no, column, f"must be >= {minimum}, got {value}")
-        return value
 
-    def bool(self, column: str) -> bool:
-        raw = self.str(column).lower()
-        if raw in ("true", "1"):
-            return True
-        if raw in ("false", "0"):
-            return False
-        raise SchemaError(self.path, self.line_no, column, f"not a boolean: {raw!r}")
+def _strategy(cell: str) -> str:
+    parse_strategy(cell)  # ValueError with its message
+    return cell
 
-    def timestamp(self, column: str) -> datetime:
-        raw = self.str(column)
-        try:
-            return parse_timestamp(raw)
-        except (ValueError, OverflowError):  # OverflowError: past the datetime range in UTC
-            raise SchemaError(self.path, self.line_no, column, f"not an ISO-8601 timestamp: {raw!r}") from None
 
-    def date(self, column: str) -> date:
-        raw = self.str(column)
-        try:
-            return date.fromisoformat(raw)
-        except ValueError:
-            raise SchemaError(self.path, self.line_no, column, f"not an ISO date: {raw!r}") from None
+_BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
+_ID, _STRATEGY = (str, None), (_strategy, None)
+_TIMESTAMP = (parse_timestamp, lambda cell: f"not an ISO-8601 timestamp: {cell!r}")
+_DATE = (date.fromisoformat, lambda cell: f"not an ISO date: {cell!r}")
+_BOOL = (lambda cell: _BOOLEANS[cell.lower()], lambda cell: f"not a boolean: {cell.lower()!r}")
+
+
+def _cell(c: dict, name: str, where=True) -> list:
+    """The rule that the cell of ``name`` parses, in the rows ``where``."""
+    return [(name, (c[name].fault > 0) & where, c[name].error)]
+
+
+def _finite(c: dict, name: str, low=-math.inf, high=math.inf, where=True) -> list:
+    """The rules of a finite number in [low, high], in the rows ``where``."""
+    v = c[name].values
+    return [*_cell(c, name, where), (name, ~np.isfinite(v) & where, lambda row: f"must be finite, got {v.item(row)}"),
+            (name, ~((low <= v) & (v <= high)) & where, lambda row: f"must lie in [{low}, {high}], got {v.item(row)}")]
+
+
+def _integer(c: dict, name: str, minimum: int | None = None) -> list:
+    v = c[name].values
+    return _cell(c, name) + ([] if minimum is None else
+                             [(name, v < minimum, lambda row: f"must be >= {minimum}, got {v.item(row)}")])
+
+
+def _unique(c: dict, names: tuple, message, column: str | None = None) -> tuple:
+    """The rule that a row does not repeat the key (its values of ``names``)
+    of an earlier row; ``message`` of the key's values."""
+    keys = [c[name].values for name in names]
+    order = np.lexsort(keys)  # stable: the rows of a key in file order
+    repeat = np.zeros(len(order), dtype=bool)
+    repeat[order[1:][np.logical_and.reduce([key[order[1:]] == key[order[:-1]] for key in keys])]] = True
+    return column, repeat, lambda row: message(*(c[name].values.item(row) if c[name].labels is None
+                                                 else c[name].labels[c[name].values[row]] for name in names))
+
+
+# -- writers ---------------------------------------------------------------
 
 
 def write_table(path, header: list[str], rows) -> None:
@@ -283,6 +397,29 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
+def write_columns(path, header: list[str], row: str, n: int, columns: Callable[[slice], list]) -> None:
+    """Write a table of ``n`` rows as ``write_table`` does: the header, then
+    one line per row by the printf template ``row``, one block of lines per
+    ``_CHUNK_LINES`` rows. ``columns(rows)`` gives the cells of a block's
+    rows (a slice), column by column: csv-encoded text for %s, numbers for
+    %.9g; a block's cells are all that is held at once."""
+
+    def block(lo):
+        rows = slice(lo, min(lo + _CHUNK_LINES, n))
+        columns_of_block = columns(rows)
+        cells = np.empty((rows.stop - lo, len(columns_of_block)), dtype=object)
+        for j, column in enumerate(columns_of_block):
+            cells[:, j] = column
+        return row * len(cells) % tuple(cells.ravel().tolist())
+
+    _write_blocks(path, header, map(block, range(0, n, _CHUNK_LINES)))
+
+
+def csv_cells(labels) -> np.ndarray:
+    """Each of ``labels`` csv-encoded, as an object array to index by codes."""
+    return np.array([_csv_cell(label) for label in labels], dtype=object)
+
+
 # -- observations -----------------------------------------------------------
 
 
@@ -297,27 +434,22 @@ def write_observations(path, observations: dict[str, ObservationSeries]) -> None
 
 
 def read_observations(path) -> dict[str, ObservationSeries]:
-    codes: dict[str, int] = {}  # station id -> code, in order of first appearance
-    rows = []
-    with _TableReader(path, ["station_id", "valid_time", "temp_c"]) as reader:
-        for line_no, row in reader.rows():
-            rows.append((codes.setdefault(row.str("station_id"), len(codes)), row.timestamp("valid_time"),
-                         row.finite("temp_c"), line_no))
-    station, times = np.array([r[0] for r in rows], dtype=np.int64), _micros(r[1] for r in rows)
-    order = np.lexsort((times, station))  # stable: a repeated time keeps its lines in file order
-    station, times, values = station[order], times[order], np.array([r[2] for r in rows])[order]
-    repeats = order[1:][(station[1:] == station[:-1]) & (times[1:] == times[:-1])]
-    if repeats.size:
-        code, t, _, line_no = rows[repeats.min()]
-        raise SchemaError(path, line_no, None, f"duplicate observation for {list(codes)[code]} {format_timestamp(t)}")
-    bounds = np.searchsorted(station, np.arange(len(codes) + 1)).tolist()
-    return {sid: ObservationSeries(sid, times[lo:hi], values[lo:hi]) for sid, lo, hi in zip(codes, bounds, bounds[1:])}
+    c = _read_table([path], {"station_id": _ID, "valid_time": _TIMESTAMP, "temp_c": float}, lambda c: [
+        *_cell(c, "station_id"), *_cell(c, "valid_time"), *_finite(c, "temp_c"), _unique(
+            c, ("station_id", "valid_time"), lambda sid, t: f"duplicate observation for {sid} {format_timestamp(t)}")])
+    station, times = c["station_id"].values, _micros(c["valid_time"].labels)[c["valid_time"].values]
+    order = np.lexsort((times, station))
+    station, times, values = station[order], times[order], c["temp_c"].values[order]
+    bounds = np.searchsorted(station, np.arange(len(c["station_id"].labels) + 1)).tolist()
+    return {sid: ObservationSeries(sid, times[lo:hi], values[lo:hi])
+            for sid, lo, hi in zip(c["station_id"].labels, bounds, bounds[1:])}
 
 
 # -- forecasts ---------------------------------------------------------------
 
 
-_FORECAST_COLUMNS = ["station_id", "init_time", "lead_h", "member_idx", "temp_c"]
+_FORECAST_KINDS = {"station_id": _ID, "init_time": _TIMESTAMP, "lead_h": int, "member_idx": int, "temp_c": float}
+_FORECAST_COLUMNS = list(_FORECAST_KINDS)
 _FLOAT_FORMAT = "%.9g"  # fmt_float's format in printf form, which formats many cells in one call
 
 
@@ -338,12 +470,6 @@ def write_forecasts(path, forecasts: ForecastCube) -> None:
     _write_blocks(path, _FORECAST_COLUMNS, map(block, *keys))
 
 
-_MEMBER_CELLS = {"member_idx": np.int64, "temp_c": np.float64}
-# Kept lines per np.loadtxt call: the text a read holds at once, whatever the
-# file's size.
-_CHUNK_LINES = 4096
-
-
 @dataclass(frozen=True, eq=False)
 class ForecastFile(ForecastCube):
     """What ``read_forecasts`` returns: the cube of the ensembles it kept, and
@@ -362,9 +488,9 @@ def read_forecasts(path, model_id: str, keep: Callable[[date], bool] | None = No
     One pass over the lines (``_scan_forecasts``) reads the station,
     init-time and lead cells of each run of member rows from its first line,
     and hands the member and value cells of the kept rows to numpy in chunks.
-    A file the scan cannot take apart exactly is read row by row instead
-    (``_read_forecast_rows``), which raises the file's first SchemaError on a
-    cell. Either way ``_forecast_cube`` groups the member rows into the cube.
+    A file the scan cannot take apart exactly is read by the column reader
+    instead (``_forecast_runs``), which raises the file's first SchemaError
+    on a cell. Either way ``_forecast_cube`` groups the member rows into the cube.
 
     ``keep``, a test on the UTC date of an init time (None: every date),
     limits the cube to the ensembles of the dates it takes. The member and
@@ -373,14 +499,14 @@ def read_forecasts(path, model_id: str, keep: Callable[[date], bool] | None = No
     """
     with _TableReader(path, _FORECAST_COLUMNS) as reader:
         runs = _scan_forecasts(reader, keep)
-    return _forecast_cube(path, model_id, *(runs or _read_forecast_rows(path, keep)))
+    return _forecast_cube(path, model_id, *(runs or _forecast_runs(path, keep)))
 
 
 def _scan_forecasts(reader: _TableReader, keep) -> tuple | None:
     """The runs of ``reader``'s body, in one pass (see ``_forecast_cube``), or
     None when a line cannot be taken apart exactly: a header that does not
     start station_id,init_time,lead_h, a quote character, fewer than four
-    cells, an empty station id, a cell that the row reader might read
+    cells, an empty station id, a cell that the column reader might read
     otherwise, or a kept member value that is not finite.
 
     The member rows of an ensemble share the text of its station, init-time
@@ -391,7 +517,7 @@ def _scan_forecasts(reader: _TableReader, keep) -> tuple | None:
     """
     if reader.header[:3] != _FORECAST_COLUMNS[:3]:
         return None
-    dtype = [(name, _MEMBER_CELLS[name]) for name in reader.header[3:]]
+    dtype = [(name, _FORECAST_KINDS[name]) for name in reader.header[3:]]
     stations: dict[str, int] = {}
     times: dict[datetime, int] = {}
     init_cells: dict[str, tuple[int, bool]] = {}  # cell -> (init-time code, kept)
@@ -424,10 +550,10 @@ def _scan_forecasts(reader: _TableReader, keep) -> tuple | None:
                     done += limit
                     chunk.clear()
         parts.append(_member_cells(chunk, dtype))
-    except (ValueError, OverflowError):  # a cell the row reader must judge
+    except (ValueError, OverflowError):  # a cell the column reader must judge
         return None
     table = np.concatenate(parts)
-    # numpy skips a line of no cells; the row reader locates a non-finite value.
+    # numpy skips a line of no cells; the column reader locates a non-finite value.
     if len(table) != done + len(chunk) or not np.isfinite(table["temp_c"]).all():
         return None
     heads = np.frombuffer(heads, dtype=np.int64).reshape(-1, 4)
@@ -442,33 +568,17 @@ def _member_cells(lines: list[str], dtype) -> np.ndarray:
     return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
-def _read_forecast_rows(path, keep) -> tuple:
-    """The runs of ``_scan_forecasts``, one per row, read row by row: the
-    file's first bad cell, a negative lead or a non-finite member among them,
-    raises its SchemaError."""
-    stations: dict[str, int] = {}
-    times: dict[datetime, int] = {}
-    heads, member, value = [], [], []
-    with _TableReader(path, _FORECAST_COLUMNS) as reader:
-        for _, row in reader.rows():
-            sid, t, lead = row.str("station_id"), row.timestamp("init_time"), row.int("lead_h", 0)
-            heads.append((stations.setdefault(sid, len(stations)), times.setdefault(t, len(times)), lead))
-            member.append(row.int("member_idx"))
-            value.append(row.finite("temp_c"))
-    heads = np.array(heads, dtype=np.int64).reshape(-1, 3)
-    taken = np.ones(len(heads), dtype=bool)
-    if keep is not None:
-        taken = np.array([keep(t.date()) for t in times], dtype=bool)[heads[:, 1]]
-    first = np.cumsum(taken) - taken
-    return (list(stations), list(times), np.column_stack([heads, first]), np.array(member, dtype=np.int64)[taken],
-            np.array(value, dtype=float)[taken])
-
-
-def _sorted_codes(labels: list, codes: np.ndarray) -> tuple[list, np.ndarray]:
-    """The distinct ``labels`` sorted, and ``codes`` (indices into ``labels``)
-    as indices into the sorted list."""
-    ranked, rank = np.unique(np.array(labels, dtype=object), return_inverse=True)
-    return ranked.tolist(), rank[codes]
+def _forecast_runs(path, keep) -> tuple:
+    """The runs of ``_scan_forecasts``, one per row, read by the column
+    reader: the file's first bad cell, a negative lead or a non-finite member
+    among them, raises its SchemaError."""
+    c = _read_table([path], _FORECAST_KINDS, lambda c: [*_cell(c, "station_id"), *_cell(c, "init_time"),
+                                                         *_integer(c, "lead_h", 0), *_integer(c, "member_idx"),
+                                                         *_finite(c, "temp_c")])
+    stations, times = c["station_id"], c["init_time"]
+    taken = np.array([keep is None or keep(t.date()) for t in times.labels], dtype=bool)[times.values]
+    heads = np.column_stack([stations.values, times.values, c["lead_h"].values, np.cumsum(taken) - taken])
+    return stations.labels, times.labels, heads, c["member_idx"].values[taken], c["temp_c"].values[taken]
 
 
 def _lead_grids(station: np.ndarray, init: np.ndarray, lead: np.ndarray) -> frozenset[tuple[int, ...]]:
@@ -506,10 +616,10 @@ def _forecast_cube(path, model_id: str, stations: list, times: list, heads: np.n
     Members of a (station, init time, lead) not numbered 0..m-1 raise
     SchemaError.
     """
-    station_ids, station = _sorted_codes(stations, heads[:, 0])
-    init_times, init = _sorted_codes(times, heads[:, 1])
+    station_ids, station = relabel(stations, heads[:, 0])
+    init_times, init = relabel(times, heads[:, 1])
     lead, size = heads[:, 2], np.diff(heads[:, 3], append=len(member))
-    labels = tuple(station_ids), tuple(init_times), _lead_grids(station, init, lead)
+    labels = station_ids, init_times, _lead_grids(station, init, lead)
     kept = size > 0
     used_stations, station = np.unique(station[kept], return_inverse=True)
     used_inits, init = np.unique(init[kept], return_inverse=True)
@@ -554,115 +664,22 @@ def write_stations(path, stations: list[StationMetadata], model_ids: list[str]) 
 
 
 def read_stations(path) -> list[StationMetadata]:
-    prefix = "grid_elev_"
-    with _TableReader(path, ["station_id", "lat", "lon", "elev_m"], allow_extra=True) as reader:
-        models = [h[len(prefix):] for h in reader.header if h.startswith(prefix)]
-        unknown = [h for h in reader.header if h not in ("station_id", "lat", "lon", "elev_m") and not h.startswith(prefix)]
-        if unknown:
-            raise SchemaError(path, 1, unknown[0], "unexpected column")
-        out: dict[str, StationMetadata] = {}
-        for line_no, row in reader.rows():
-            sid = row.str("station_id")
-            if sid in out:
-                raise SchemaError(path, line_no, "station_id", f"duplicate station {sid}")
-            out[sid] = StationMetadata(
-                station_id=sid,
-                latitude=row.finite("lat", -90, 90),
-                longitude=row.finite("lon", -180, 180),
-                elevation=row.finite("elev_m"),
-                grid_elevation={m: row.finite(f"{prefix}{m}") for m in models},
-            )
-    return list(out.values())
-
-
-# -- bulk tables -------------------------------------------------------------
-
-
-class _NotBulk(Exception):
-    """The bulk pass cannot take a file apart exactly; its row reader reads it."""
-
-
-def _chunks(reader: _TableReader):
-    """The body of ``reader`` in chunks of up to ``_CHUNK_LINES`` lines, each
-    as one list of cells per column, blank lines left out. Raises _NotBulk at
-    a chunk with a line that the csv module might split otherwise (a quote,
-    carriage return or NUL character) or with a line of another cell count."""
-    width = len(reader.header)
-    while lines := list(islice(reader.body, _CHUNK_LINES)):
-        text = "".join(lines).replace("\r\n", "\n")
-        if text.startswith("\n") or "\n\n" in text:  # blank lines
-            lines = [line for line in lines if not line.isspace()]
-            text = "".join(lines).replace("\r\n", "\n")
-            if not text:
-                continue
-        if any(c in text for c in '"\r\0'):
-            raise _NotBulk
-        # A marker cell "\n" after each line's cells: a line of another cell count moves the markers.
-        cells = (text if text.endswith("\n") else text + "\n").replace("\n", ",\n,").split(",")[:-1]
-        if len(cells) != len(lines) * (width + 1) or cells[width::width + 1].count("\n") != len(lines):
-            raise _NotBulk
-        yield [cells[j::width + 1] for j in range(width)]
-
-
-def _numbers(cells: list[str], dtype) -> np.ndarray:
-    """``cells`` parsed by numpy as ``float`` or ``int`` parse a cell, which
-    the row reader calls; _NotBulk where one does not parse, or an integer
-    leaves the int64 range."""
-    try:
-        return np.array(cells, dtype=dtype)
-    except (ValueError, OverflowError):
-        raise _NotBulk from None
-
-
-def _factor(cells: list[str], codes: dict[str, int]) -> np.ndarray:
-    """The code of each cell in ``codes``, which gains the cells new to it:
-    each distinct cell is then parsed once."""
-    for cell in dict.fromkeys(cells):
-        codes.setdefault(cell, len(codes))
-    return np.fromiter(map(codes.__getitem__, cells), dtype=np.int64, count=len(cells))
-
-
-def _labels(codes: dict[str, int], parse) -> list:
-    """``parse`` of each distinct cell of ``codes`` stripped, in code order;
-    _NotBulk where a cell is empty or ``parse`` raises."""
-    labels = []
-    for cell in codes:
-        cell = cell.strip()
-        if not cell:
-            raise _NotBulk
-        try:
-            labels.append(parse(cell))
-        except (ValueError, OverflowError, KeyError):
-            raise _NotBulk from None
-    return labels
-
-
-def write_columns(path, header: list[str], row: str, n: int, columns: Callable[[slice], list]) -> None:
-    """Write a table of ``n`` rows as ``write_table`` does: the header, then
-    one line per row by the printf template ``row``, one block of lines per
-    ``_CHUNK_LINES`` rows. ``columns(rows)`` gives the cells of a block's
-    rows (a slice), column by column: csv-encoded text for %s, numbers for
-    %.9g; a block's cells are all that is held at once."""
-
-    def block(lo):
-        rows = slice(lo, min(lo + _CHUNK_LINES, n))
-        columns_of_block = columns(rows)
-        cells = np.empty((rows.stop - lo, len(columns_of_block)), dtype=object)
-        for j, column in enumerate(columns_of_block):
-            cells[:, j] = column
-        return row * len(cells) % tuple(cells.ravel().tolist())
-
-    _write_blocks(path, header, map(block, range(0, n, _CHUNK_LINES)))
-
-
-def csv_cells(labels) -> np.ndarray:
-    """Each of ``labels`` csv-encoded, as an object array to index by codes."""
-    return np.array([_csv_cell(label) for label in labels], dtype=object)
+    kinds = {"station_id": _ID, "lat": float, "lon": float, "elev_m": float, "grid_elev_*": float}
+    c = _read_table([path], kinds, lambda c: [
+        *_cell(c, "station_id"), _unique(c, ("station_id",), lambda sid: f"duplicate station {sid}", "station_id"),
+        *_finite(c, "lat", -90, 90), *_finite(c, "lon", -180, 180), *_finite(c, "elev_m"),
+        *(rule for name in c if name.startswith("grid_elev_") for rule in _finite(c, name))])
+    grids = {name[len("grid_elev_"):]: c[name].values.tolist() for name in c if name.startswith("grid_elev_")}
+    lat, lon, elev = (c[name].values.tolist() for name in ("lat", "lon", "elev_m"))
+    return [StationMetadata(sid, lat[i], lon[i], elev[i], {m: grid[i] for m, grid in grids.items()})
+            for i, sid in enumerate(c["station_id"].labels)]
 
 
 # -- predictions -------------------------------------------------------------
 
-_PREDICTION_COLUMNS = ["station_id", "init_time", "lead_h", "strategy", "mu", "sigma"]
+_PREDICTION_KINDS = {"station_id": _ID, "init_time": _TIMESTAMP, "lead_h": int, "strategy": _ID, "mu": float,
+                     "sigma": float}
+_PREDICTION_COLUMNS = list(_PREDICTION_KINDS)
 
 
 def write_predictions(path, predictions: PredictionTable) -> None:
@@ -676,80 +693,25 @@ def write_predictions(path, predictions: PredictionTable) -> None:
 
 
 def read_predictions(*paths) -> PredictionTable:
-    """The predictions of one or more files, in one table.
-
-    Each file is read in bulk (``_read_predictions_bulk``). A key that
-    repeats, within a file or across them, or a file that the bulk pass
-    cannot take apart, sends every file to the row reader, which raises the
-    first SchemaError, at its file, line and column, or reads them alike."""
-    try:
-        return PredictionTable.concat([_read_predictions_bulk(path) for path in paths])
-    except (_NotBulk, ValueError):  # ValueError: a repeated key
-        return _read_prediction_rows(paths)
-
-
-def _read_predictions_bulk(path) -> PredictionTable:
-    """One file's predictions, read as ``_read_store_bulk`` reads a store;
-    _NotBulk where the row reader must judge, and the table's ValueError at a
-    repeated key."""
-    factors = {name: {} for name in ("station_id", "init_time", "strategy")}
-    parts = []
-    with _TableReader(path, _PREDICTION_COLUMNS) as reader:
-        column = {name: j for j, name in enumerate(reader.header)}
-        for cells in _chunks(reader):
-            parts.append([_factor(cells[column[name]], codes) for name, codes in factors.items()]
-                         + [_numbers(cells[column["lead_h"]], np.int64)]
-                         + [_numbers(cells[column[name]], float) for name in ("mu", "sigma")])
-    if not parts:
-        return PredictionTable((), (), (), *[[]] * 6)
-    station, init, strategy, lead, mu, sigma = (np.concatenate(column) for column in zip(*parts))
-    if (lead < 0).any() or not (np.isfinite(mu).all() and np.isfinite(sigma).all()) or (sigma <= 0.0).any():
-        raise _NotBulk
-    labels = [_labels(factors["station_id"], str), _labels(factors["init_time"], parse_timestamp),
-              _labels(factors["strategy"], str)]
-    return PredictionTable(*labels, station, init, lead, strategy, mu, sigma)
-
-
-def _read_prediction_rows(paths) -> PredictionTable:
-    """``read_predictions`` row by row, raising its SchemaErrors."""
-    seen, columns = set(), []
-    for path in paths:
-        with _TableReader(path, _PREDICTION_COLUMNS) as reader:
-            for line_no, row in reader.rows():
-                sigma = row.finite("sigma")
-                if sigma <= 0.0:
-                    raise SchemaError(path, line_no, "sigma", f"sigma must be > 0, got {sigma}")
-                key = (row.str("station_id"), row.timestamp("init_time"), row.int("lead_h", 0), row.str("strategy"))
-                if key in seen:
-                    sid, init, lead, strategy = key
-                    raise SchemaError(path, line_no, None,
-                                      f"duplicate prediction for {sid} {format_timestamp(init)} lead {lead} {strategy}")
-                seen.add(key)
-                columns.append((*key, row.finite("mu"), sigma))
-    sid, init, lead, strategy, mu, sigma = zip(*columns) if columns else [()] * 6
-    return PredictionTable(sid, init, strategy, np.arange(len(sid)), np.arange(len(sid)), lead, np.arange(len(sid)),
-                           mu, sigma)
+    """The predictions of one or more files, in one table; a key in two
+    files raises at its line in the later one."""
+    c = _read_table(paths, _PREDICTION_KINDS, lambda c: [
+        *_finite(c, "sigma"),
+        ("sigma", c["sigma"].values <= 0.0, lambda row: f"sigma must be > 0, got {c['sigma'].values.item(row)}"),
+        *_cell(c, "station_id"), *_cell(c, "init_time"), *_integer(c, "lead_h", 0), *_cell(c, "strategy"),
+        _unique(c, ("station_id", "init_time", "lead_h", "strategy"), lambda sid, init, lead, strategy:
+                f"duplicate prediction for {sid} {format_timestamp(init)} lead {lead} {strategy}"),
+        *_finite(c, "mu")])
+    return PredictionTable(*(c[name].labels for name in ("station_id", "init_time", "strategy")), *(
+        c[name].values for name in ("station_id", "init_time", "lead_h", "strategy", "mu", "sigma")))
 
 
 # -- coefficient store -------------------------------------------------------
 
-_STORE_COLUMNS = [
-    "station_id",
-    "lead_h",
-    "strategy",
-    "issue_date",
-    "a",
-    "b1",
-    "b2",
-    "c",
-    "d1",
-    "d2",
-    "n_samples",
-    "objective",
-    "converged",
-    "fallback",
-]
-_BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
+_STORE_KINDS = {"station_id": _ID, "lead_h": int, "strategy": _STRATEGY, "issue_date": _DATE, "a": float, "b1": float,
+                "b2": float, "c": float, "d1": float, "d2": float, "n_samples": int, "objective": float,
+                "converged": _BOOL, "fallback": _BOOL}
+_STORE_COLUMNS = list(_STORE_KINDS)
 
 
 def write_store(path, store: CoefficientStore) -> None:
@@ -776,106 +738,41 @@ def write_store(path, store: CoefficientStore) -> None:
     write_columns(path, _STORE_COLUMNS, f"%s,%s,%s,%s,{f},{f},%s,{f},{f},%s,%s,{f},%s,%s\n", len(rows), columns)
 
 
+def _store_checks(c: dict) -> list:
+    """The rules of a store row, in the order they are checked."""
+    strategy, objective = c["strategy"], c["objective"].values
+    # The predictors of each row's strategy; the 0 after them is that of a bad strategy cell (code -1).
+    k = np.array([len(parse_strategy(s)[1]) for s in strategy.labels] + [0], dtype=np.int64)[strategy.values]
+    single, mixed = k == 1, k == 2
+    absent = [(name, single & (c[name].fault != 1), lambda row, name=name: c[name].error(row) if c[name].fault[row]
+               else "must be empty for single-model records") for name in ("b2", "d2")]
+    return [*_cell(c, "strategy"), *absent, *_finite(c, "a"), *_finite(c, "b1", 0), *_finite(c, "b2", 0, where=mixed),
+            *_finite(c, "c"), *_finite(c, "d1", 0), *_finite(c, "d2", 0, where=mixed),
+            *_cell(c, "station_id"), *_integer(c, "lead_h", 0), *_cell(c, "issue_date"),
+            _unique(c, ("station_id", "lead_h", "strategy", "issue_date"), lambda sid, lead, strategy, day:
+                    f"duplicate record for {sid} lead {lead} {strategy} {day}"),
+            *_cell(c, "objective"),  # NaN: an identity record
+            ("objective", ~(np.isnan(objective) | (objective >= 0.0) & (objective < math.inf)),
+             lambda row: f"must be NaN or finite and >= 0, got {objective.item(row)}"),
+            *_cell(c, "converged"), *_integer(c, "n_samples", 0), *_cell(c, "fallback")]
+
+
 def read_store(path) -> CoefficientStore:
-    """The store file's records as a ``CoefficientStore``, read in bulk
-    (``_read_store_bulk``); a file that the bulk pass cannot take apart, or
-    whose cells break a rule, goes to the row reader, which raises the first
-    SchemaError at its line and column."""
-    with _TableReader(path, _STORE_COLUMNS) as reader:
-        try:
-            return _read_store_bulk(reader)
-        except _NotBulk:
-            pass
-    return _read_store_rows(path)
-
-
-def _read_store_bulk(reader: _TableReader) -> CoefficientStore:
-    """The store of ``reader``'s body: the text columns factorized, each
-    distinct cell parsed once, the numeric ones parsed by numpy, and each
-    domain rule one array operation. Raises _NotBulk where the row reader
-    must judge."""
-    factors = {name: {} for name in ("station_id", "strategy", "issue_date", "converged", "fallback")}
-    column = {name: j for j, name in enumerate(reader.header)}
-    parts = []
-    for cells in _chunks(reader):
-        part = {name: _factor(cells[column[name]], codes) for name, codes in factors.items()}
-        part.update({name: _numbers(cells[column[name]], np.int64) for name in ("lead_h", "n_samples")})
-        part.update({name: _numbers(cells[column[name]], float) for name in ("a", "b1", "c", "d1", "objective")})
-        for name in ("b2", "d2"):  # empty, or a number
-            text = cells[column[name]]
-            part[f"{name}_given"] = given = np.fromiter(map(bool, text), dtype=bool, count=len(text))
-            part[name] = np.full(len(text), np.nan)
-            part[name][given] = _numbers(list(compress(text, given.tolist())), float)
-        parts.append(part)
-    if not parts:
-        return CoefficientStore()
-    c = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
-    station_ids, issue_days = _labels(factors["station_id"], str), _labels(factors["issue_date"], date.fromisoformat)
-    strategies = _labels(factors["strategy"], str)
-    k = np.array(_labels(factors["strategy"], lambda s: len(parse_strategy(s)[1])))[c["strategy"]]
-    flags = [np.array(_labels(factors[name], lambda s: _BOOLEANS[s.lower()]))[c[name]]
-             for name in ("converged", "fallback")]
-    coefficients = np.column_stack([c["a"], c["b1"], c["b2"], c["c"], c["d1"], c["d2"]])
-    finite = np.isfinite(coefficients)
-    finite[:, [2, 5]] |= (k == 1)[:, None]  # b2 and d2 of single-model records are absent
-    objective = c["objective"]
-    if (not finite.all() or (coefficients[:, [1, 2, 4, 5]] < 0).any()
-            or (c["b2_given"] != (k > 1)).any() or (c["d2_given"] != (k > 1)).any()
-            or (c["lead_h"] < 0).any() or (c["n_samples"] < 0).any()
-            or (objective < 0).any() or np.isinf(objective).any()):
-        raise _NotBulk
-    rows = np.zeros(len(objective), dtype=RECORD)
-    station_ids, rows["station"] = relabel(station_ids, c["station_id"])
-    strategies, rows["strategy"] = relabel(strategies, c["strategy"])
-    rows["day"] = np.array([d.toordinal() for d in issue_days], dtype=np.int64)[c["issue_date"]]
-    rows["lead"], rows["n_samples"], rows["objective"] = c["lead_h"], c["n_samples"], objective
-    rows["a"], rows["c"] = c["a"], c["c"]
-    rows["b"], rows["d"] = coefficients[:, [1, 2]], coefficients[:, [4, 5]]
-    rows["converged"], rows["fallback"] = flags
-    order = np.lexsort([rows[name] for name in ("strategy", "lead", "station", "day")])
-    rows = rows[order]
-    keys = [rows[name] for name in ("day", "station", "lead", "strategy")]
-    if np.logical_and.reduce([key[1:] == key[:-1] for key in keys]).any():
-        raise _NotBulk  # a repeated key
+    """The store file's records as a ``CoefficientStore``."""
+    c = _read_table([path], _STORE_KINDS, _store_checks)
+    v = {name: column.values for name, column in c.items()}
+    rows = np.zeros(len(v["a"]), dtype=RECORD)
+    station_ids, rows["station"] = relabel(c["station_id"].labels, v["station_id"])
+    strategies, rows["strategy"] = relabel(c["strategy"].labels, v["strategy"])
+    rows["day"] = np.array([d.toordinal() for d in c["issue_date"].labels], dtype=np.int64)[v["issue_date"]]
+    rows["lead"], rows["n_samples"], rows["objective"], rows["a"], rows["c"] = (
+        v[name] for name in ("lead_h", "n_samples", "objective", "a", "c"))
+    rows["b"], rows["d"] = np.column_stack([v["b1"], v["b2"]]), np.column_stack([v["d1"], v["d2"]])
+    rows["converged"], rows["fallback"] = (np.array(c[name].labels, dtype=bool)[v[name]]
+                                           for name in ("converged", "fallback"))
+    rows = rows[np.lexsort([rows[name] for name in ("strategy", "lead", "station", "day")])]
     rows.flags.writeable = False
     return CoefficientStore.from_table(station_ids, strategies, rows)
-
-
-def _read_store_rows(path) -> CoefficientStore:
-    """``read_store`` row by row, raising its SchemaErrors."""
-    records = {}
-    with _TableReader(path, _STORE_COLUMNS) as reader:
-        for line_no, row in reader.rows():
-            strategy = row.str("strategy")
-            try:
-                k = len(parse_strategy(strategy)[1])
-            except ValueError as err:
-                raise SchemaError(path, line_no, "strategy", str(err)) from None
-            for j in range(k + 1, _MAX_PREDICTORS + 1):
-                for absent in (f"b{j}", f"d{j}"):
-                    if row.optional_float(absent) is not None:
-                        raise SchemaError(path, line_no, absent, "must be empty for single-model records")
-            coef = EmosCoefficients(
-                a=row.finite("a"),
-                b=tuple(row.finite(f"b{j}", 0) for j in range(1, k + 1)),
-                c=row.finite("c"),
-                d=tuple(row.finite(f"d{j}", 0) for j in range(1, k + 1)),
-            )
-            key = CoefficientKey(
-                station_id=row.str("station_id"),
-                lead_time=row.int("lead_h", 0),
-                strategy=strategy,
-                issue_date=row.date("issue_date"),
-            )
-            if key in records:
-                raise SchemaError(path, line_no, None, f"duplicate record for {key.station_id} lead {key.lead_time} "
-                                                       f"{strategy} {key.issue_date}")
-            objective = row.float("objective")
-            if not (math.isnan(objective) or 0.0 <= objective < math.inf):  # NaN: an identity record
-                raise SchemaError(path, line_no, "objective", f"must be NaN or finite and >= 0, got {objective}")
-            records[key] = FitResult(coef, objective, row.bool("converged"), n_iterations=0,
-                                     n_samples=row.int("n_samples", 0), fallback=row.bool("fallback"))
-    return CoefficientStore(records)
 
 
 # -- config ------------------------------------------------------------------
@@ -885,17 +782,20 @@ def parse_config(path) -> dict[str, str]:
     """Flat "key = value" config with dotted keys; later keys override earlier."""
     out: dict[str, str] = {}
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise SchemaError(path, line_no, None, f"expected 'key = value', got {stripped!r}")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key:
-                raise SchemaError(path, line_no, None, "empty config key")
-            out[key] = value
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise SchemaError(path, line_no, None, f"expected 'key = value', got {stripped!r}")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not key:
+            raise SchemaError(path, line_no, None, "empty config key")
+        out[key] = value
     return out

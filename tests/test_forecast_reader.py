@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 from emoskit import cli
 from emoskit import io as eio
 from emoskit.domain import EnsembleForecast
-from emoskit.io import SchemaError, _TableReader, format_timestamp, parse_config, read_forecasts
+from emoskit.io import SchemaError, format_timestamp, parse_config, read_forecasts
+
+from row_oracles import _TableReader
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 # More examples where a drawn filter splits them between the line scan and

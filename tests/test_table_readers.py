@@ -1,10 +1,11 @@
-"""The columnar coefficient store and prediction table against the record
-code they replaced.
+"""The columnar tables and the column reader against the record code they
+replaced.
 
-- The bulk readers against the row readers they fall back to
-  (``io._read_store_rows``, ``io._read_prediction_rows``): a valid file must
-  read to an equal table, bit for bit, and a corrupt one must fail alike
-  (exception type, message, line and column).
+- The column reader against the row readers it replaced (``row_oracles``:
+  ``_read_store_rows``, ``_read_prediction_rows``, ``read_observations``,
+  ``read_stations``): a valid file must read to an equal table, bit for bit,
+  and a corrupt one must fail alike (exception type, message, line and
+  column).
 - The block writers against the row writers they replaced
   (``oracle_write_store``, ``oracle_write_predictions``, kept as they were):
   the same bytes.
@@ -16,6 +17,7 @@ code they replaced.
 import csv
 import io as textio
 import math
+from itertools import chain
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -41,6 +43,7 @@ from emoskit.io import (
 from emoskit.pipeline import CoefficientKey, CoefficientStore, parse_strategy
 
 from conftest import prediction_table
+from row_oracles import _read_prediction_rows, _read_store_rows
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 T0 = datetime(2017, 1, 1, tzinfo=timezone.utc)
@@ -189,14 +192,19 @@ def read_alike(bulk, rows):
     return expected, bulk()
 
 
+def split_takes(path, columns) -> bool:
+    """Whether ``str.split`` cuts every chunk of the file: the csv module
+    never takes over the rest of it (by ``chain``)."""
+    handed_over = []
+    with pytest.MonkeyPatch.context() as patch, eio._TableReader(path, columns) as reader:
+        patch.setattr(eio, "chain", lambda *parts: handed_over.append(parts) or chain(*parts))
+        for _ in eio._chunks(reader):
+            pass
+    return not handed_over
+
+
 def bulk_takes_store(path) -> bool:
-    """Whether the bulk pass reads the store file itself."""
-    with eio._TableReader(path, _STORE_COLUMNS) as reader:
-        try:
-            eio._read_store_bulk(reader)
-        except eio._NotBulk:
-            return False
-    return True
+    return split_takes(path, _STORE_COLUMNS)
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +218,9 @@ def test_valid_store_files_read_equal_to_row_reader(tmp_path_factory, rows, blan
     path = tmp_path_factory.mktemp("store") / "coeffs.csv"
     text = to_text(_STORE_COLUMNS, rows, blanks)
     path.write_text(text, encoding="utf-8", newline="")
-    expected, got = read_alike(lambda: read_store(path), lambda: eio._read_store_rows(path))
+    expected, got = read_alike(lambda: read_store(path), lambda: _read_store_rows(path))
     assert store_bits(got) == store_bits(expected)
-    if '"' not in text and "  \n" not in text:  # no quoted id, no blank line of spaces: the bulk pass reads it
+    if '"' not in text and not blanks:  # no quoted id, no blank line: str.split cuts it
         assert bulk_takes_store(path)
 
 
@@ -261,7 +269,7 @@ def test_corrupt_store_files_fail_like_row_reader(tmp_path_factory, kind, column
     row = data.draw(st.integers(0, len(rows) - 1))
     path = tmp_path_factory.mktemp("bad") / "coeffs.csv"
     path.write_text(to_text(_STORE_COLUMNS, corrupt(rows, row, kind, column, data.draw)), encoding="utf-8")
-    result = read_alike(lambda: read_store(path), lambda: eio._read_store_rows(path))
+    result = read_alike(lambda: read_store(path), lambda: _read_store_rows(path))
     if result is not None:  # a corruption the row reader takes: an empty b2 of a single-model record, a NaN objective
         assert store_bits(result[1]) == store_bits(result[0])
 
@@ -277,7 +285,7 @@ def test_store_bulk_read_in_chunks(tmp_path, monkeypatch):
     write_store(path, store)
     monkeypatch.setattr(eio, "_CHUNK_LINES", 2)
     assert bulk_takes_store(path)
-    assert store_bits(read_store(path)) == store_bits(store) == store_bits(eio._read_store_rows(path))
+    assert store_bits(read_store(path)) == store_bits(store) == store_bits(_read_store_rows(path))
 
 
 def test_lines_of_compensating_cell_counts_fail_like_row_reader(tmp_path):
@@ -287,7 +295,7 @@ def test_lines_of_compensating_cell_counts_fail_like_row_reader(tmp_path):
     path.write_text(",".join(_STORE_COLUMNS) + "\n"
                     "S1,12,single:m1,2017-01-01,0,1,,0,1,,45,0.5,true\n"
                     "false,S1,13,single:m1,2017-01-01,0,1,,0,1,,45,0.5,true,false\n")
-    assert read_alike(lambda: read_store(path), lambda: eio._read_store_rows(path)) is None
+    assert read_alike(lambda: read_store(path), lambda: _read_store_rows(path)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +318,11 @@ def write_files(root, rows, parts, blanks=()):
 @given(rows=prediction_rows(), blanks=blank_lines, parts=st.integers(1, 3))
 def test_valid_prediction_files_read_equal_to_row_reader(tmp_path_factory, rows, blanks, parts):
     paths = write_files(tmp_path_factory.mktemp("p"), rows, parts, blanks)
-    expected, got = read_alike(lambda: read_predictions(*paths), lambda: eio._read_prediction_rows(paths))
+    expected, got = read_alike(lambda: read_predictions(*paths), lambda: _read_prediction_rows(paths))
     assert table_bits(got) == table_bits(expected)
-    if not any('"' in p.read_text() or "  \n" in p.read_text() for p in paths):  # the bulk pass reads them
-        assert table_bits(PredictionTable.concat([eio._read_predictions_bulk(p) for p in paths])) == table_bits(got)
+    if not any('"' in p.read_text() for p in paths) and not blanks:  # str.split cuts them
+        assert all(split_takes(p, _PREDICTION_COLUMNS) for p in paths)
+        assert table_bits(PredictionTable.concat([read_predictions(p) for p in paths])) == table_bits(got)
 
 
 PREDICTION_CORRUPTIONS = (
@@ -333,7 +342,7 @@ def test_corrupt_prediction_files_fail_like_row_reader(tmp_path_factory, kind, c
     # Several files: a repeated key may sit in another file than its first line.
     paths = write_files(tmp_path_factory.mktemp("bad"), corrupt(rows, row, kind, column, data.draw),
                         data.draw(st.integers(1, 3)))
-    result = read_alike(lambda: read_predictions(*paths), lambda: eio._read_prediction_rows(paths))
+    result = read_alike(lambda: read_predictions(*paths), lambda: _read_prediction_rows(paths))
     if result is not None:
         assert table_bits(result[1]) == table_bits(result[0])
 
