@@ -12,23 +12,23 @@ digits, which round-trips losslessly at that precision. Schemas:
                            b2, c, d1, d2, n_samples, objective, converged,
                            fallback   (b2 and d2 are empty for single fits)
 
-Every table but the forecasts is read by one column reader, ``_read_table``:
-``str.split`` (or, from a line it might cut otherwise, the csv module) cuts
-``_CHUNK_LINES`` lines at a time into columns of cells; label columns are
-factorized, each distinct cell parsed once, and number columns parsed by
-numpy. Each file states its cell kinds and the rules of a row, cells' and
-keys', in the order they are checked. A file that breaks one raises
-SchemaError at the first failing (row, rule) in file order, naming the file,
-line and column; so does a line of another cell count, a cell past the csv
-field limit or, in any file, a byte that is not UTF-8. Predictions are read
-into a ``domain.PredictionTable``, the store into the columns of a
+Every table but the forecasts is read by one column reader, ``_read_table``,
+``_CHUNK_LINES`` lines at a time: ``str.split`` (the csv module, from a line
+it might cut otherwise) cuts them into columns, label columns are factorized,
+each distinct cell parsed once, and number columns parsed by numpy. Each file
+states its cell kinds and the rules of a row in the order they are checked.
+The first (row, rule) that fails, in file order, raises SchemaError naming
+the file, line and column; so does a line of another cell count, a cell past
+the csv field limit or, in any file, a byte that is not UTF-8. Predictions
+are read into a ``domain.PredictionTable``, the store into the columns of a
 ``pipeline.CoefficientStore``.
 Forecast files are read in one pass (``_scan_forecasts``) that splits only
 the first line of each ensemble's run of member rows and hands the member
-and value cells of kept rows to ``np.loadtxt`` in chunks, so a read peaks
-below twice the file's size; a file it cannot split exactly goes to the
-column reader. ``read_forecasts`` with a filter on init dates parses the
-member and value cells of the kept dates only (``ForecastFile``).
+and value cells of kept rows to ``np.loadtxt`` in chunks (member cells to its
+int64 parser, which rejects "12.5" from numpy 2.4 on); a read peaks below
+twice the file's size. A file it cannot split exactly goes to the column
+reader; with a filter on init dates, only the member and value cells of kept
+dates are parsed (``ForecastFile``).
 
 Station files are written row by row with the csv module; every other table
 in blocks with the bytes of the row writer, each label csv-encoded once and a
@@ -124,10 +124,10 @@ def _not_utf8(path) -> SchemaError:
 
 
 class _TableReader:
-    """CSV reader that validates the header against ``columns`` (a name
-    ending in "*": the columns that start with the rest of it), each
-    header column's name there in ``declared``, and a byte that is not UTF-8
-    in the ``with`` block. ``body`` is the file after the header row."""
+    """CSV reader that validates the header against ``columns`` (a name ending
+    in "*": the columns that start with the rest of it; ``declared`` gives
+    the one each header column matched) and raises SchemaError at a byte that
+    is not UTF-8, in the ``with`` block too. ``body``: the file after the header."""
 
     def __init__(self, path, columns: list[str]):
         self.path = Path(path)
@@ -180,8 +180,8 @@ def _chunks(reader: _TableReader):
     out. One ``str.split`` cuts a chunk; the csv module cuts the rest of the
     file from one with a quote, lone carriage return or NUL character, a line
     past the csv field limit, a blank line or a line of another cell count.
-    Such a line, or a cell past the limit, raises SchemaError after the
-    chunk of the records before it."""
+    A record of another cell count, or a cell past the limit, raises
+    SchemaError after the chunk of the records before it."""
     width, line_no = len(reader.header), 2
     while lines := list(islice(reader.body, _CHUNK_LINES)):
         text = "".join(lines).replace("\r\n", "\n")

@@ -1,3 +1,4 @@
+import csv
 import math
 import warnings
 from datetime import datetime, timedelta, timezone
@@ -5,6 +6,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from emoskit import io as eio
 from emoskit.domain import EnsembleForecast, GaussianPredictive, ObservationSeries, StationMetadata, _micros
 from emoskit.emos import EmosCoefficients, FitResult
 from emoskit.io import (
@@ -119,6 +121,15 @@ class TestObservations:
             read_observations(path)
         # the first line that repeats an earlier one
         assert str(err.value) == f"{path}:5: duplicate observation for S2 2017-03-01T01:00:00Z"
+
+    def test_repeated_observation_reported_before_a_later_bad_cell(self, tmp_path):
+        # Errors come in file order: the repeat on line 3, not the bad value on line 4.
+        path = tmp_path / "obs.csv"
+        path.write_text("station_id,valid_time,temp_c\nS1,2017-03-01T00:00:00Z,1.5\nS1,2017-03-01T00:00:00Z,2.5\n"
+                        "S1,2017-03-01T01:00:00Z,x\n")
+        with pytest.raises(SchemaError) as err:
+            read_observations(path)
+        assert str(err.value) == f"{path}:3: duplicate observation for S1 2017-03-01T00:00:00Z"
 
 
 class TestForecasts:
@@ -371,6 +382,64 @@ def test_station_cell_errors_are_located(tmp_path, bad, column):
     with pytest.raises(SchemaError) as err:
         read_stations(path)
     assert (err.value.path, err.value.line_no, err.value.column) == (str(path), 3, column)
+
+
+# Every reader names the file and line of a byte that is not UTF-8, and of a
+# cell past the csv module's field limit, which stays as it is.
+NOT_UTF8 = [
+    (read_stations, "station_id,lat,lon,elev_m\nS1,46,7,100\nS{},46,7,200\n"),
+    (read_observations, "station_id,valid_time,temp_c\nS1,2017-03-01T00:00:00Z,1.5\nS{},2017-03-01T00:00:00Z,1.5\n"),
+    (lambda path: read_forecasts(path, "m"),
+     "station_id,init_time,lead_h,member_idx,temp_c\nS1,2017-03-01T00:00:00Z,12,0,1.5\nS{},2017-03-01T00:00:00Z,12,0,1\n"),
+    (read_predictions, ",".join(PREDICTION_ROW) + "\n" + ",".join(PREDICTION_ROW.values()) + "\n"
+     + ",".join({**PREDICTION_ROW, "station_id": "S{}"}.values()) + "\n"),
+    (read_store, ",".join(STORE_ROW) + "\n" + ",".join(STORE_ROW.values()) + "\n"
+     + ",".join({**STORE_ROW, "station_id": "S{}"}.values()) + "\n"),
+    (parse_config, "# run\nseed = 7\nname = S{}\n"),
+]
+READER_IDS = ["stations", "observations", "forecasts", "predictions", "store", "config"]
+
+
+@pytest.mark.parametrize("reader, text", NOT_UTF8, ids=READER_IDS)
+def test_byte_that_is_not_utf8_is_located(tmp_path, reader, text):
+    path = tmp_path / "table.csv"
+    path.write_bytes(text.format("\x00").encode().replace(b"\x00", b"\xe9"))
+    with pytest.raises(SchemaError) as err:
+        reader(path)
+    assert (err.value.path, err.value.line_no, err.value.column) == (str(path), 3, None)
+    assert str(err.value) == f"{path}:3: not UTF-8: byte 0xe9 (invalid continuation byte)"
+
+
+TABLES = [NOT_UTF8[j] for j in (0, 1, 3, 4)]  # the forecast scan takes a long cell as it did; config has no cells
+TABLE_IDS = [READER_IDS[j] for j in (0, 1, 3, 4)]
+
+
+@pytest.mark.parametrize("reader, text", TABLES, ids=TABLE_IDS)
+@pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv"])
+def test_cell_past_the_field_limit_is_located(tmp_path, reader, text, quoted):
+    # A quote on line 2 hands the file to the csv module from its first line.
+    path = tmp_path / "table.csv"
+    lines = text.format("1" * 200_000).split("\n")
+    lines[1] = lines[1].replace("S1", '"S1"') if quoted else lines[1]
+    path.write_text("\n".join(lines))
+    with pytest.raises(SchemaError) as err:
+        reader(path)
+    assert (err.value.path, err.value.line_no, err.value.column) == (str(path), 3, None)
+    assert str(err.value).endswith(": field larger than field limit (131072)")
+    assert csv.field_size_limit() == 131072
+
+
+@pytest.mark.parametrize("reader, text", TABLES[1:], ids=TABLE_IDS[1:])
+def test_repeated_key_before_a_bad_cell_in_a_later_chunk(tmp_path, monkeypatch, reader, text):
+    # Chunks of 2 lines: line 3 repeats line 2, and line 4, in the next chunk, has an empty station cell.
+    header, first = text.split("\n")[:2]
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join([header, first, first, first.replace("S1", " ", 1), ""]))
+    monkeypatch.setattr(eio, "_CHUNK_LINES", 2)
+    with pytest.raises(SchemaError) as err:
+        reader(path)
+    assert (err.value.line_no, err.value.column) == (3, None)
+    assert "duplicate" in str(err.value)
 
 
 class TestConfig:

@@ -34,7 +34,9 @@ from emoskit.io import (
     SchemaError,
     fmt_float,
     format_timestamp,
+    read_observations,
     read_predictions,
+    read_stations,
     read_store,
     write_predictions,
     write_store,
@@ -43,7 +45,8 @@ from emoskit.io import (
 from emoskit.pipeline import CoefficientKey, CoefficientStore, parse_strategy
 
 from conftest import prediction_table
-from row_oracles import _read_prediction_rows, _read_store_rows
+from row_oracles import _read_prediction_rows, _read_store_rows, read_observations as oracle_read_observations
+from row_oracles import read_stations as oracle_read_stations
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 T0 = datetime(2017, 1, 1, tzinfo=timezone.utc)
@@ -241,17 +244,18 @@ STORE_CORRUPTIONS = (
 BAD = {"empty": ["", " "], "text": ["x1"], "non_finite": ["nan", "inf", "-inf"], "negative": ["-3", "-0.5"],
        "fractional_int": ["12.0", "1e1"], "filled": ["0.5", "1"], "sigma": ["0", "-0.0", "-2.5"],
        "bad_label": ["mixed:m1", "2017-13-01", "yes", "single:"],
-       "bad_timestamp": ["2017-13-01T00:00:00Z", "0001-01-01T00:00:00+01:00"]}
+       "bad_timestamp": ["2017-13-01T00:00:00Z", "0001-01-01T00:00:00+01:00"],
+       "out_of_range": ["95", "-181", "180.5", "-90"]}
 
 
-def corrupt(rows, row, kind, column, draw):
+def corrupt(rows, row, kind, column, draw, key=4):
     """``rows`` with row ``row`` spoilt: cell ``column`` replaced by a bad
-    value of ``kind``, or the row repeated (its key with another row's
-    values), lengthened or shortened."""
+    value of ``kind``, or the row repeated (its key, the first ``key``
+    cells, with another row's values), lengthened or shortened."""
     rows = [list(r) for r in rows]
     cells = rows[row]
     if kind == "repeated_key":
-        twin = cells[:4] + list(rows[draw(st.integers(0, len(rows) - 1))][4:])  # the key: the first four cells
+        twin = cells[:key] + list(rows[draw(st.integers(0, len(rows) - 1))][key:])
         rows.insert(draw(st.integers(0, len(rows))), twin)
     elif kind == "extra_field":
         cells.append("0")
@@ -345,6 +349,119 @@ def test_corrupt_prediction_files_fail_like_row_reader(tmp_path_factory, kind, c
     result = read_alike(lambda: read_predictions(*paths), lambda: _read_prediction_rows(paths))
     if result is not None:
         assert table_bits(result[1]) == table_bits(result[0])
+
+
+# ---------------------------------------------------------------------------
+# The observation and station readers
+# ---------------------------------------------------------------------------
+
+OBSERVATION_COLUMNS = ["station_id", "valid_time", "temp_c"]
+chunk_lines = st.sampled_from([2, eio._CHUNK_LINES])  # chunks of 2 lines: codes and keys carry over
+
+
+@st.composite
+def observation_rows(draw):
+    """Observation rows of up to 3 stations x 4 valid times, each key once,
+    times in either UTC spelling, some padded; shuffled. Half the files are
+    plain: no quoted ids."""
+    plain = draw(st.booleans())
+    stations = draw(st.lists(plain_station_ids if plain else station_ids, min_size=1, max_size=3,
+                             unique_by=str.strip))
+    hours = draw(st.lists(st.integers(0, 400), min_size=1, max_size=4, unique=True))
+    keys = [(s, h) for s in stations for h in hours]
+    rows = []
+    for sid, hour in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=12, unique=True)):
+        t = T0 + timedelta(hours=hour)
+        pad = draw(st.sampled_from(["", " "]))
+        rows.append([sid, pad + draw(st.sampled_from([format_timestamp(t), t.isoformat()])), number(draw, draw(values))])
+    return draw(st.permutations(rows))
+
+
+@st.composite
+def station_files(draw):
+    """A station header, with grid elevations of up to two models, and rows
+    of up to 4 stations, each once; the columns and rows in any order."""
+    models = draw(st.lists(st.sampled_from(["hires", "global", "m3"]), max_size=2, unique=True))
+    plain = draw(st.booleans())
+    stations = draw(st.lists(plain_station_ids if plain else station_ids, min_size=1, max_size=4,
+                             unique_by=str.strip))
+    header = ["station_id", "lat", "lon", "elev_m", *(f"grid_elev_{m}" for m in models)]
+    rows = [[sid, number(draw, draw(st.floats(-90, 90))), number(draw, draw(st.floats(-180, 180))),
+             *(number(draw, draw(values)) for _ in range(1 + len(models)))] for sid in stations]
+    order = draw(st.permutations(range(len(header))))
+    return [header[j] for j in order], [[row[j] for j in order] for row in rows]
+
+
+def observation_bits(observations):
+    return [(sid, s.station_id, s.times.tobytes(), s.values.tobytes()) for sid, s in observations.items()]
+
+
+@PROPERTY_SETTINGS
+@given(rows=observation_rows(), blanks=blank_lines, chunk=chunk_lines)
+def test_valid_observation_files_read_equal_to_row_reader(tmp_path_factory, rows, blanks, chunk):
+    path = tmp_path_factory.mktemp("obs") / "observations.csv"
+    path.write_text(to_text(OBSERVATION_COLUMNS, rows, blanks), encoding="utf-8", newline="")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eio, "_CHUNK_LINES", chunk)
+        expected, got = read_alike(lambda: read_observations(path), lambda: oracle_read_observations(path))
+    assert observation_bits(got) == observation_bits(expected)
+
+
+@PROPERTY_SETTINGS
+@given(drawn=station_files(), blanks=blank_lines, chunk=chunk_lines)
+def test_valid_station_files_read_equal_to_row_reader(tmp_path_factory, drawn, blanks, chunk):
+    path = tmp_path_factory.mktemp("sta") / "stations.csv"
+    path.write_text(to_text(*drawn, blanks), encoding="utf-8", newline="")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eio, "_CHUNK_LINES", chunk)
+        expected, got = read_alike(lambda: read_stations(path), lambda: oracle_read_stations(path))
+    assert got == expected
+    assert [list(s.grid_elevation) for s in got] == [list(s.grid_elevation) for s in expected]
+
+
+OBSERVATION_CORRUPTIONS = (
+    [("empty", c) for c in range(3)] + [("text", 2), ("non_finite", 2), ("bad_timestamp", 1)]
+    + [("repeated_key", None), ("extra_field", None), ("missing_field", None)]
+)
+
+
+@pytest.mark.parametrize(("kind", "column"), OBSERVATION_CORRUPTIONS)
+@settings(PROPERTY_SETTINGS, max_examples=8)
+@given(rows=observation_rows(), data=st.data())
+def test_corrupt_observation_files_fail_like_row_reader(tmp_path_factory, kind, column, rows, data):
+    row = data.draw(st.integers(0, len(rows) - 1))
+    path = tmp_path_factory.mktemp("bad") / "observations.csv"
+    path.write_text(to_text(OBSERVATION_COLUMNS, corrupt(rows, row, kind, column, data.draw, key=2)), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eio, "_CHUNK_LINES", data.draw(chunk_lines))
+        result = read_alike(lambda: read_observations(path), lambda: oracle_read_observations(path))
+    assert result is None  # every corruption here is an error
+
+
+STATION_CORRUPTIONS = (
+    [("empty", c) for c in range(4)] + [("text", c) for c in range(1, 4)] + [("non_finite", c) for c in range(1, 4)]
+    + [("out_of_range", c) for c in (1, 2)] + [("repeated_key", None), ("extra_field", None), ("missing_field", None)]
+)
+
+
+@pytest.mark.parametrize(("kind", "column"), STATION_CORRUPTIONS)
+@settings(PROPERTY_SETTINGS, max_examples=8)
+@given(drawn=station_files(), data=st.data())
+def test_corrupt_station_files_fail_like_row_reader(tmp_path_factory, kind, column, drawn, data):
+    header, rows = drawn
+    if column is not None:  # the drawn column order: the corrupted cell is that of the column named here
+        column = header.index(["station_id", "lat", "lon", "elev_m"][column])
+    elif kind == "repeated_key":  # the station id first: the key that corrupt repeats
+        first = [header.index("station_id")] + [j for j, name in enumerate(header) if name != "station_id"]
+        header, rows = [header[j] for j in first], [[r[j] for j in first] for r in rows]
+    row = data.draw(st.integers(0, len(rows) - 1))
+    path = tmp_path_factory.mktemp("bad") / "stations.csv"
+    path.write_text(to_text(header, corrupt(rows, row, kind, column, data.draw, key=1)), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eio, "_CHUNK_LINES", data.draw(chunk_lines))
+        result = read_alike(lambda: read_stations(path), lambda: oracle_read_stations(path))
+    if result is not None:  # an "out of range" value inside the range of its column
+        assert kind == "out_of_range" and result[1] == result[0]
 
 
 # ---------------------------------------------------------------------------
