@@ -45,7 +45,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from io import StringIO
-from itertools import chain, compress, islice
+from itertools import chain, compress, filterfalse, islice
 from pathlib import Path
 
 import numpy as np
@@ -136,9 +136,8 @@ class _TableReader:
     def __enter__(self):
         self._fh = self.path.open("r", encoding="utf-8", newline="")
         try:
-            self._reader = csv.reader(self._fh)
             try:
-                header = [h.strip() for h in next(self._reader)]
+                header = [h.strip() for h in next(csv.reader(self._fh))]
             except StopIteration:
                 raise SchemaError(self.path, 1, None, "file is empty, expected a header row") from None
             except csv.Error as err:  # a cell past the field limit
@@ -179,18 +178,21 @@ def _chunks(reader: _TableReader):
     ``_CHUNK_LINES``: (line numbers, cells of each column), blank records left
     out. One ``str.split`` cuts a chunk; the csv module cuts the rest of the
     file from one with a quote, lone carriage return or NUL character, a line
-    past the csv field limit, a blank line or a line of another cell count.
-    A record of another cell count, or a cell past the limit, raises
-    SchemaError after the chunk of the records before it."""
+    past the csv field limit or a line of another cell count. A record of
+    another cell count, or a cell past the limit, raises SchemaError after
+    the chunk of the records before it."""
     width, line_no = len(reader.header), 2
     while lines := list(islice(reader.body, _CHUNK_LINES)):
-        text = "".join(lines).replace("\r\n", "\n")
-        # A marker cell "\n" after each line's cells: a blank line, or one of another cell count, moves the markers.
-        cells = (text if text.endswith("\n") else text + "\n").replace("\n", ",\n,").split(",")[:-1]
+        numbers, kept = np.arange(line_no, line_no + len(lines)), list(filterfalse(str.isspace, lines))
+        if len(kept) < len(lines):  # blank lines, left out
+            numbers = numbers[~np.fromiter(map(str.isspace, lines), dtype=bool, count=len(lines))]
+        text = "".join(kept).replace("\r\n", "\n")
+        # A marker cell "\n" after each line's cells: a line of another cell count moves the markers.
+        cells = (text if text.endswith("\n") or not text else text + "\n").replace("\n", ",\n,").split(",")[:-1]
         if (any(c in text for c in '"\r\0') or max(map(len, lines)) > csv.field_size_limit()
-                or len(cells) != len(lines) * (width + 1) or cells[width::width + 1].count("\n") != len(lines)):
+                or len(cells) != len(kept) * (width + 1) or cells[width::width + 1].count("\n") != len(kept)):
             break
-        yield np.arange(line_no, line_no + len(lines)), [cells[j::width + 1] for j in range(width)]
+        yield numbers, [cells[j::width + 1] for j in range(width)]
         line_no += len(lines)
     else:
         return
@@ -283,9 +285,8 @@ def _column(parts: list, kind, distinct: dict[str, int]) -> _Column:
         except (ValueError, OverflowError, KeyError) as err:  # OverflowError: a time past the datetime range in UTC
             code_of.append(-1)
             messages.append(message(cell) if message else str(err))
-    codes = raw = np.concatenate(parts or [np.empty(0, np.int64)])
-    if code_of != list(range(len(code_of))):  # a bad cell, or two cells of one label
-        codes = np.array(code_of, dtype=np.int64)[raw]
+    raw = np.concatenate(parts or [np.empty(0, np.int64)])
+    codes = np.array(code_of, dtype=np.int64)[raw]
     return _Column(codes, (codes < 0).view(np.int8), lambda row: messages[raw[row]], list(labels))
 
 
@@ -355,10 +356,9 @@ def _finite(c: dict, name: str, low=-math.inf, high=math.inf, where=True) -> lis
             (name, ~((low <= v) & (v <= high)) & where, lambda row: f"must lie in [{low}, {high}], got {v.item(row)}")]
 
 
-def _integer(c: dict, name: str, minimum: int | None = None) -> list:
+def _integer(c: dict, name: str, minimum: int) -> list:
     v = c[name].values
-    return _cell(c, name) + ([] if minimum is None else
-                             [(name, v < minimum, lambda row: f"must be >= {minimum}, got {v.item(row)}")])
+    return [*_cell(c, name), (name, v < minimum, lambda row: f"must be >= {minimum}, got {v.item(row)}")]
 
 
 def _unique(c: dict, names: tuple, message, column: str | None = None) -> tuple:
@@ -573,7 +573,7 @@ def _forecast_runs(path, keep) -> tuple:
     reader: the file's first bad cell, a negative lead or a non-finite member
     among them, raises its SchemaError."""
     c = _read_table([path], _FORECAST_KINDS, lambda c: [*_cell(c, "station_id"), *_cell(c, "init_time"),
-                                                         *_integer(c, "lead_h", 0), *_integer(c, "member_idx"),
+                                                         *_integer(c, "lead_h", 0), *_cell(c, "member_idx"),
                                                          *_finite(c, "temp_c")])
     stations, times = c["station_id"], c["init_time"]
     taken = np.array([keep is None or keep(t.date()) for t in times.labels], dtype=bool)[times.values]

@@ -223,7 +223,7 @@ def test_valid_store_files_read_equal_to_row_reader(tmp_path_factory, rows, blan
     path.write_text(text, encoding="utf-8", newline="")
     expected, got = read_alike(lambda: read_store(path), lambda: _read_store_rows(path))
     assert store_bits(got) == store_bits(expected)
-    if '"' not in text and not blanks:  # no quoted id, no blank line: str.split cuts it
+    if '"' not in text and "  \n" not in text:  # no quoted id, no blank line of spaces: str.split cuts it
         assert bulk_takes_store(path)
 
 
@@ -324,7 +324,7 @@ def test_valid_prediction_files_read_equal_to_row_reader(tmp_path_factory, rows,
     paths = write_files(tmp_path_factory.mktemp("p"), rows, parts, blanks)
     expected, got = read_alike(lambda: read_predictions(*paths), lambda: _read_prediction_rows(paths))
     assert table_bits(got) == table_bits(expected)
-    if not any('"' in p.read_text() for p in paths) and not blanks:  # str.split cuts them
+    if not any('"' in p.read_text() or "  \n" in p.read_text() for p in paths):  # str.split cuts them
         assert all(split_takes(p, _PREDICTION_COLUMNS) for p in paths)
         assert table_bits(PredictionTable.concat([read_predictions(p) for p in paths])) == table_bits(got)
 
