@@ -230,6 +230,7 @@ def _load_data(cfg, data_dir: Path, keep=None):
         forecasts[model_id] = prepare_forecasts(raw, stations, coarse_step)
         init_dates.update(t.date() for t in raw.file_init_times)
         coverage[model_id] = lead_coverage(raw.file_lead_grids, coarse_step)
+        del raw  # before the next file is read
     return observations, forecasts, sorted(init_dates), coverage
 
 

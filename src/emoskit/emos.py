@@ -255,8 +255,10 @@ _WAKE_C2 = 0.01
 
 
 class _Stack:
-    """Training windows of a batch, padded to the longest rounded up to a
-    multiple of 16.
+    """Training windows of a batch, one per task, padded to the longest
+    rounded up to a multiple of 16, and the rows of a solve: row r is the
+    window of task ``task[r]``. ``take`` shares the windows; ``U``, ``V``,
+    ``y``, ``w`` and ``valid`` gather copies of the rows'.
 
     Padding entries carry zero weight and harmless values (x = 0, s^2 = 1,
     y = 0), so every entry stays finite, and add exactly: up to 128 samples
@@ -264,8 +266,8 @@ class _Stack:
     padded length, so not on its batch.
     """
 
-    def __init__(self, U, V, y, w, valid):
-        self.U, self.V, self.y, self.w, self.valid = U, V, y, w, valid
+    def __init__(self, windows, task):
+        self.windows, self.task = windows, task  # windows: (U, V, y, w, valid), one entry per task
 
     @classmethod
     def from_windows(cls, tasks: Sequence[FitTask]):
@@ -288,16 +290,18 @@ class _Stack:
             y[r, :n] = table.observation
             valid[r, :n] = True
         w = valid / valid.sum(axis=1, keepdims=True)
-        return cls(U, V, y, w, valid)
+        return cls((U, V, y, w, valid), np.arange(rows))
 
     def take(self, rows) -> _Stack:
-        return _Stack(self.U[rows], self.V[rows], self.y[rows], self.w[rows], self.valid[rows])
+        return _Stack(self.windows, self.task[rows])
+
+    U, V, y, w, valid = (property(lambda self, i=i: self.windows[i][self.task]) for i in range(5))
 
 
 def _forward(theta, st: _Stack, min_sigma: float):
     """Mean CRPS of every row at ``theta`` (rows, P), and the per-sample state
     (sigma, z, 2 Phi(z) - 1, pdf(z), floored) of its derivatives."""
-    k1 = st.U.shape[2]
+    k1 = theta.shape[1] // 2
     mu = np.matmul(st.U, theta[:, :k1, None])[..., 0]
     s2 = np.matmul(st.V, theta[:, k1:, None])[..., 0]
     sig_raw = np.sqrt(s2)
@@ -316,27 +320,28 @@ def _derivatives(state, st: _Stack, order: int):
     """(g,) for ``order`` 1 and (g, H) for order 2 at a forward pass's state;
     a floored sigma is constant and adds nothing to the C and D derivatives."""
     sig, z, two_cdf_m1, pdf, floored = state
+    U, V, w = st.U, st.V, st.w
     f_sig = 2.0 * pdf - _INV_SQRT_PI
     sig_s = np.where(floored, 0.0, 0.5 / sig)  # d sigma / d S
-    g_mu = st.w * -two_cdf_m1
-    g_s = st.w * f_sig * sig_s
-    g = np.concatenate([np.matmul(g_mu[:, None, :], st.U)[:, 0], np.matmul(g_s[:, None, :], st.V)[:, 0]], axis=1)
+    g_mu = w * -two_cdf_m1
+    g_s = w * f_sig * sig_s
+    g = np.concatenate([np.matmul(g_mu[:, None, :], U)[:, 0], np.matmul(g_s[:, None, :], V)[:, 0]], axis=1)
     if order == 1:
         return (g,)
 
     # d2/dmu2 = 2 pdf/sig, d2/dmu dsig = 2 z pdf/sig, d2/dsig2 = 2 z^2 pdf/sig,
     # chained through sigma = sqrt(S): d2 sigma/dS2 = -1/(4 sig^3).
-    h_mm = st.w * 2.0 * pdf / sig
+    h_mm = w * 2.0 * pdf / sig
     h_ms = h_mm * z * sig_s
-    h_ss = h_mm * (z * sig_s) ** 2 - st.w * f_sig * np.where(floored, 0.0, 0.25 / sig**3)
-    Ut = st.U.transpose(0, 2, 1)
-    Vt = st.V.transpose(0, 2, 1)
+    h_ss = h_mm * (z * sig_s) ** 2 - w * f_sig * np.where(floored, 0.0, 0.25 / sig**3)
+    Ut = U.transpose(0, 2, 1)
+    Vt = V.transpose(0, 2, 1)
     k1 = Ut.shape[1]
     H = np.empty((len(g), 2 * k1, 2 * k1))
-    H[:, :k1, :k1] = np.matmul(Ut * h_mm[:, None, :], st.U)
-    H[:, :k1, k1:] = H_ms = np.matmul(Ut * h_ms[:, None, :], st.V)
+    H[:, :k1, :k1] = np.matmul(Ut * h_mm[:, None, :], U)
+    H[:, :k1, k1:] = H_ms = np.matmul(Ut * h_ms[:, None, :], V)
     H[:, k1:, :k1] = H_ms.transpose(0, 2, 1)
-    H[:, k1:, k1:] = np.matmul(Vt * h_ss[:, None, :], st.V)
+    H[:, k1:, k1:] = np.matmul(Vt * h_ss[:, None, :], V)
     return g, H
 
 
@@ -386,7 +391,7 @@ def _line_search(theta, step, lower, upper, f, st: _Stack, min_sigma: float):
     while pending.size and first < _MAX_HALVINGS:
         j = np.arange(first, min(first + (_HALVING_BATCH if first else 1), _MAX_HALVINGS))  # alpha = 2^-j
         n, failed = j.size, []
-        passes = min(pending.size, -(-pending.size * n * st.y.shape[1] // _PASS_SAMPLES))  # ceil, no empty pass
+        passes = min(pending.size, -(-pending.size * n * st.windows[2].shape[1] // _PASS_SAMPLES))  # ceil, none empty
         for rows in np.array_split(pending, passes) if first else [pending]:
             r = np.repeat(rows, n) if first else slice(None)
             alpha = np.tile(np.ldexp(1.0, -j), rows.size)[:, None] if first else 1.0

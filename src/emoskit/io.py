@@ -506,8 +506,9 @@ def _scan_forecasts(reader: _TableReader, keep) -> tuple | None:
     """The runs of ``reader``'s body, in one pass (see ``_forecast_cube``), or
     None when a line cannot be taken apart exactly: a header that does not
     start station_id,init_time,lead_h, a quote character, fewer than four
-    cells, an empty station id, a cell that the column reader might read
-    otherwise, or a kept member value that is not finite.
+    cells, an empty station id, a first line of a run longer than the csv
+    field limit, a cell that the column reader might read otherwise, or a
+    kept member value that is not finite.
 
     The member rows of an ensemble share the text of its station, init-time
     and lead cells, so a line that starts as the last split line did belongs
@@ -531,7 +532,7 @@ def _scan_forecasts(reader: _TableReader, keep) -> tuple | None:
                 if not line.strip():
                     continue
                 cells = line.split(",", 3)
-                if '"' in line or len(cells) < 4:
+                if '"' in line or len(cells) < 4 or len(line) > csv.field_size_limit():
                     return None
                 sid, init, lead = cells[0].strip(), cells[1], cells[2].strip()
                 if not (sid and lead.isascii() and lead.isdigit()):

@@ -486,21 +486,20 @@ def prepare_forecasts(
     """Lapse-correct one model's members from its grid-point elevation to the
     station elevation, one add per station and member matrix, then fill a
     coarse lead grid of native step ``coarse_step`` hourly by linear
-    interpolation (None: no interpolation).
+    interpolation (None: no interpolation). Both write into the new cube's
+    matrices (``interpolate_leads``): each member is written once.
 
     A station missing from ``stations``, or without a grid elevation for the
     model, raises ValueError (``grid_elevations``).
     """
-    model = forecasts.model_id
-    elevations = grid_elevations(model, forecasts.station_ids, stations)
-    members = []
-    for j, matrix in enumerate(forecasts.members):
-        codes = forecasts.station[forecasts.block == j]  # sorted, as the rows are in ensemble order
-        members.append(np.concatenate([lapse_correct(matrix[codes == code], *elevation)
-                                       for code, elevation in enumerate(elevations)]))
-    corrected = ForecastCube(model, forecasts.station_ids, forecasts.init_times, forecasts.station, forecasts.init,
-                             forecasts.lead, forecasts.block, members)
-    return corrected if coarse_step is None else interpolate_leads(corrected, source_step=coarse_step)
+    elevations = grid_elevations(forecasts.model_id, forecasts.station_ids, stations)
+
+    def correct(matrix, station):  # a station's rows are one range of the matrix
+        bounds = np.searchsorted(station, np.arange(len(elevations) + 1)).tolist()
+        for lo, hi, elevation in zip(bounds, bounds[1:], elevations):
+            lapse_correct(matrix[lo:hi], *elevation, out=matrix[lo:hi])
+
+    return interpolate_leads(forecasts, coarse_step, correct)
 
 
 def grid_elevations(model_id: str, station_ids, stations: Sequence[StationMetadata]) -> list[tuple[float, float]]:

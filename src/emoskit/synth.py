@@ -308,17 +308,25 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
     return ScenarioData(stations=stations, observations=truth, forecasts=forecasts)
 
 
-def interpolate_leads(forecasts: ForecastCube, source_step: int = ModelErrorSpec.coarse_step) -> ForecastCube:
+# Interpolated rows per pass of the fill: the bound of its two temporary matrices.
+_FILL_ROWS = 1024
+
+
+def interpolate_leads(forecasts: ForecastCube, source_step: int | None = ModelErrorSpec.coarse_step,
+                      correct=None) -> ForecastCube:
     """Fill a coarse lead grid hourly by member-wise linear interpolation
     between bracketing leads, (1 - w) * lo + w * hi on each member matrix;
-    native leads pass through unchanged. A gap between consecutive source
-    leads larger than ``source_step``, or a member count that changes across
-    a gap to fill, raises."""
+    native leads pass through unchanged (``source_step`` None: none is
+    filled). A gap between consecutive source leads larger than
+    ``source_step``, or a member count that changes across a gap to fill,
+    raises. ``correct(matrix, station)`` may change the native rows of each
+    new matrix in place before the fill (``station``: each row's code); the
+    matrices are written once, and the cube keeps them read-only."""
     f = forecasts
-    same_run = (f.station[1:] == f.station[:-1]) & (f.init[1:] == f.init[:-1])
+    same_run = (f.station[1:] == f.station[:-1]) & (f.init[1:] == f.init[:-1]) & (source_step is not None)
     gap = np.where(same_run, f.lead[1:] - f.lead[:-1], 0)
     fill = gap > 1
-    bad = np.flatnonzero((gap > source_step) | fill & (f.block[1:] != f.block[:-1]))
+    bad = np.flatnonzero((gap > (source_step or 0)) | fill & (f.block[1:] != f.block[:-1]))
     if bad.size:
         i = bad[0]
         lo, hi = f.lead[i], f.lead[i + 1]
@@ -328,21 +336,33 @@ def interpolate_leads(forecasts: ForecastCube, source_step: int = ModelErrorSpec
             f"lead gap {lo}..{hi} exceeds the native step of {source_step} h "
             f"for station {f.station_ids[f.station[i]]} init {f.init_times[f.init[i]]:%Y-%m-%dT%H}"
         )
-    if not fill.any():
+    if not fill.any() and correct is None:
         return forecasts
 
     # One new ensemble per interpolated lead, placed after ensemble ``lo``.
     steps = gap[fill] - 1
     lo = np.repeat(np.flatnonzero(fill), steps)
     offset = np.arange(len(lo)) - np.repeat(np.cumsum(steps) - steps, steps) + 1
-    w, place = (offset / gap[lo])[:, None], lo + 0.5
-    members = []
-    for j, matrix in enumerate(f.members):
-        at = f.block[lo] == j
-        filled = (1.0 - w[at]) * matrix[f.row[lo[at]]] + w[at] * matrix[f.row[lo[at] + 1]]
-        order = np.argsort(np.concatenate([np.flatnonzero(f.block == j), place[at]]), kind="stable")
-        members.append(np.concatenate([matrix, filled])[order])
-    order = np.argsort(np.concatenate([np.arange(len(f)), place]), kind="stable")
+    w = (offset / gap[lo])[:, None]
+    order = np.argsort(np.concatenate([np.arange(len(f)), lo + 0.5]), kind="stable")
     station, init, lead, block = (np.concatenate(pair)[order] for pair in (
         (f.station, f.station[lo]), (f.init, f.init[lo]), (f.lead, f.lead[lo] + offset), (f.block, f.block[lo])))
+    row = np.empty_like(order)  # the row of each ensemble, the native ones first, in its new matrix
+    members = []
+    for j, matrix in enumerate(f.members):
+        at = block == j
+        row[order[at]] = np.arange(np.count_nonzero(at))
+        out = np.zeros((np.count_nonzero(at), matrix.shape[1]))
+        out[row[:len(f)][f.block == j]] = matrix
+        if correct is not None:
+            correct(out, station[at])
+        new = np.flatnonzero(f.block[lo] == j)
+        for part in (new[i:i + _FILL_ROWS] for i in range(0, len(new), _FILL_ROWS)):  # the expression, in place
+            filled, upper = out[row[lo[part]]], out[row[lo[part] + 1]]
+            filled *= 1.0 - w[part]
+            upper *= w[part]
+            filled += upper
+            out[row[len(f) + part]] = filled
+        out.flags.writeable = False
+        members.append(out)
     return ForecastCube(f.model_id, f.station_ids, f.init_times, station, init, lead, block, members)

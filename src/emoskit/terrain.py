@@ -72,17 +72,20 @@ def lapse_correct(
     grid_elevation: float,
     station_elevation: float,
     lapse_rate: float = LAPSE_RATE_C_PER_100M,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Shift member temperatures from grid-point elevation to station elevation.
 
     Each member gains lapse_rate/100 * (grid_elevation - station_elevation):
     a grid point above the station warms the forecast. ``forecast_members``
-    is any array of members, such as one station's rows of a member matrix.
+    is any array of members, such as one station's rows of a member matrix;
+    ``out`` receives the result when given (the members themselves, to
+    shift them in place).
     """
     if not (math.isfinite(grid_elevation) and math.isfinite(station_elevation)):
         raise ValueError("elevations must be finite")
     offset = lapse_rate / 100.0 * (grid_elevation - station_elevation)
-    return np.asarray(forecast_members, dtype=float) + offset
+    return np.add(np.asarray(forecast_members, dtype=float), offset, out=out)
 
 
 _NEIGHBOR_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))

@@ -410,14 +410,15 @@ def test_byte_that_is_not_utf8_is_located(tmp_path, reader, text):
     assert str(err.value) == f"{path}:3: not UTF-8: byte 0xe9 (invalid continuation byte)"
 
 
-TABLES = [NOT_UTF8[j] for j in (0, 1, 3, 4)]  # the forecast scan takes a long cell as it did; config has no cells
+TABLES = [NOT_UTF8[j] for j in (0, 1, 3, 4)]  # config has no cells
 TABLE_IDS = [READER_IDS[j] for j in (0, 1, 3, 4)]
 
 
-@pytest.mark.parametrize("reader, text", TABLES, ids=TABLE_IDS)
+@pytest.mark.parametrize("reader, text", NOT_UTF8[:5], ids=READER_IDS[:5])
 @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv"])
 def test_cell_past_the_field_limit_is_located(tmp_path, reader, text, quoted):
-    # A quote on line 2 hands the file to the csv module from its first line.
+    # A quote on line 2 hands the file to the csv module from its first line
+    # (forecasts: to the column reader, as a long first line of a run does).
     path = tmp_path / "table.csv"
     lines = text.format("1" * 200_000).split("\n")
     lines[1] = lines[1].replace("S1", '"S1"') if quoted else lines[1]
