@@ -308,8 +308,8 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
     return ScenarioData(stations=stations, observations=truth, forecasts=forecasts)
 
 
-# Interpolated rows per pass of the fill: the bound of its two temporary matrices.
-_FILL_ROWS = 1024
+# Interpolated rows per pass of the fill: the bound of its temporary matrices.
+_FILL_ROWS = 512
 
 
 def interpolate_leads(forecasts: ForecastCube, source_step: int | None = ModelErrorSpec.coarse_step,
@@ -357,12 +357,8 @@ def interpolate_leads(forecasts: ForecastCube, source_step: int | None = ModelEr
         if correct is not None:
             correct(out, station[at])
         new = np.flatnonzero(f.block[lo] == j)
-        for part in (new[i:i + _FILL_ROWS] for i in range(0, len(new), _FILL_ROWS)):  # the expression, in place
-            filled, upper = out[row[lo[part]]], out[row[lo[part] + 1]]
-            filled *= 1.0 - w[part]
-            upper *= w[part]
-            filled += upper
-            out[row[len(f) + part]] = filled
+        for part in (new[i:i + _FILL_ROWS] for i in range(0, len(new), _FILL_ROWS)):
+            out[row[len(f) + part]] = (1.0 - w[part]) * out[row[lo[part]]] + w[part] * out[row[lo[part] + 1]]
         out.flags.writeable = False
         members.append(out)
     return ForecastCube(f.model_id, f.station_ids, f.init_times, station, init, lead, block, members)
