@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -290,6 +291,22 @@ class TestBatch:
         samples = linear_gaussian_samples(n=45)
         with pytest.raises(ValueError):
             fit_batch([FitTask(samples, ("A",)), FitTask(samples, ("A", "B"))])
+
+    def test_batch_holds_each_window_once(self):
+        # 64 single-model tasks of 45 samples, each solved from two starts and
+        # evaluated at two candidate points: 256 rows on 64 windows. The
+        # traced peak, the first forward pass over all rows, is 3.44 MB with
+        # numpy 2.4; with each window copied once per row, and the rows of
+        # every Newton iteration and line search copied again, it was 5.12 MB.
+        tasks = [FitTask(linear_gaussian_samples(seed=i, noise_std=0.5), ("A",)) for i in range(64)]
+        fit_batch(tasks[:2])
+        tracemalloc.start()
+        try:
+            fit_batch(tasks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.2e6
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

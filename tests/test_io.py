@@ -410,11 +410,7 @@ def test_byte_that_is_not_utf8_is_located(tmp_path, reader, text):
     assert str(err.value) == f"{path}:3: not UTF-8: byte 0xe9 (invalid continuation byte)"
 
 
-TABLES = [NOT_UTF8[j] for j in (0, 1, 3, 4)]  # config has no cells
-TABLE_IDS = [READER_IDS[j] for j in (0, 1, 3, 4)]
-
-
-@pytest.mark.parametrize("reader, text", NOT_UTF8[:5], ids=READER_IDS[:5])
+@pytest.mark.parametrize("reader, text", NOT_UTF8[:5], ids=READER_IDS[:5])  # config has no cells
 @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv"])
 def test_cell_past_the_field_limit_is_located(tmp_path, reader, text, quoted):
     # A quote on line 2 hands the file to the csv module from its first line
@@ -430,7 +426,8 @@ def test_cell_past_the_field_limit_is_located(tmp_path, reader, text, quoted):
     assert csv.field_size_limit() == 131072
 
 
-@pytest.mark.parametrize("reader, text", TABLES[1:], ids=TABLE_IDS[1:])
+# The tables with a rule on repeated keys.
+@pytest.mark.parametrize("reader, text", [NOT_UTF8[j] for j in (1, 3, 4)], ids=[READER_IDS[j] for j in (1, 3, 4)])
 def test_repeated_key_before_a_bad_cell_in_a_later_chunk(tmp_path, monkeypatch, reader, text):
     # Chunks of 2 lines: line 3 repeats line 2, and line 4, in the next chunk, has an empty station cell.
     header, first = text.split("\n")[:2]
