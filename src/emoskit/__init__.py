@@ -23,7 +23,6 @@ from .emos import (
     EmosCoefficients,
     FitOptions,
     FitResult,
-    FitTask,
     fit_batch,
     fit_mixed,
     fit_single,

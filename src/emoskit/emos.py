@@ -12,10 +12,14 @@ training window (Gneiting et al. 2005).
 Fits are solved in batches: ``fit_batch`` stacks the training windows of many
 keys into padded, masked arrays and runs one projected Newton solve
 (Bertsekas 1982) over all of them at once. The solver works in the natural
-coordinates (a, b_k, c^2, d_k^2), in which mu is linear in (a, b) and sigma^2
-linear in (c^2, d^2), and every constraint is a box: b_k, c^2, d_k^2 >= 0,
-plus the optional upper bounds on b_1 and d_1 of the pre-horizon transition
-scheme, which become a per-row clip.
+coordinates theta = (a, b_k, c^2, d_k^2), in which mu is linear in (a, b) and
+sigma^2 linear in (c^2, d^2), and every constraint is a box: b_k, c^2, d_k^2
+>= 0, plus the optional upper bounds on b_1 and d_1 of the pre-horizon
+transition scheme, which become a per-row clip. Warm starts, seeds and
+bounds come in as arrays, a row per task, and results go out as theta,
+objective, convergence and iteration arrays; ``_theta_from`` and
+``_coef_from`` convert between theta and the coefficient columns of the
+coefficient store.
 
 * Gradient and Hessian are analytic: the closed-form CRPS derivatives
   d2/dmu2 = 2 phi(z)/sigma, d2/dmu dsigma = 2 z phi(z)/sigma and
@@ -37,7 +41,8 @@ its own, in the squared parametrization b = gamma^2, d = delta^2, run both
 from the row's start and from where the row stalled.
 
 Every key contributes one row per start, and the best row wins; zero-cost
-candidate points are evaluated alongside. A K = 1 fit without a warm start
+candidate points are evaluated alongside. Starts and candidates are built
+for the whole batch at once. A K = 1 fit without a warm start
 starts from the default coefficients (a, b, c, d) = (0, 1, 1, 1) and from
 near-identity ones (c = 0.1); the identity and default coefficients are its
 candidates. A K > 1 fit is multi-started from a symmetric initialization and
@@ -51,8 +56,8 @@ imported only when a row falls back to L-BFGS-B (``minimize`` loads
 
 The acceptance tests check ``_forward`` and ``_derivatives``, which every
 fit evaluates, and ``fit_batch``. ``fit_single`` and ``fit_mixed`` are
-batches of one that no stage calls, kept while the benchmark tracer
-(``bench/traced.py``) wraps them.
+batches of one, taken and returned as records, that no stage calls, kept
+while the benchmark tracer (``bench/traced.py``) wraps them.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,7 +77,6 @@ __all__ = [
     "FitOptions",
     "ModelWeights",
     "FitResult",
-    "FitTask",
     "predict",
     "predict_columns",
     "identity",
@@ -203,29 +208,6 @@ def model_weights(coef: EmosCoefficients) -> ModelWeights:
     )
 
 
-@dataclass(frozen=True)
-class FitTask:
-    """One coefficient fit of a batch: a training window ``table`` and the K
-    predictors ``model_ids``, some of its models. ``start`` warm-starts the
-    solve. ``single_fits`` (K > 1 only) are the K single-model fits on the
-    same window, in ``model_ids`` order; they seed the multi-start and supply
-    the nesting candidates, and are computed when absent. ``bounds`` is
-    (b1_max, d1_max), upper bounds on the first predictor's coefficients.
-    """
-
-    table: SampleTable
-    model_ids: tuple[str, ...]
-    start: EmosCoefficients | None = None
-    single_fits: tuple[FitResult, ...] | None = None
-    bounds: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if len(self.table) == 0:
-            raise ValueError("cannot fit on an empty training set")
-        if self.bounds is not None and min(self.bounds) < 0.0:
-            raise ValueError("upper bounds must be >= 0")
-
-
 # ---------------------------------------------------------------------------
 # Batched solver.
 #
@@ -270,25 +252,23 @@ class _Stack:
         self.windows, self.task = windows, task  # windows: (U, V, y, w, valid), one entry per task
 
     @classmethod
-    def from_windows(cls, tasks: Sequence[FitTask]):
+    def from_windows(cls, tables: Sequence[SampleTable], model_ids: Sequence[tuple[str, ...]]):
         """One row per task: its table's columns of the task's models, in
         ``model_ids`` order, with variances std * std."""
-        k = len(tasks[0].model_ids)
-        rows, width = len(tasks), -(-max(len(t.table) for t in tasks) // 16) * 16
+        k = len(model_ids[0])
+        rows, width = len(tables), -(-max(map(len, tables)) // 16) * 16
         U = np.zeros((rows, width, k + 1))
         V = np.ones((rows, width, k + 1))
         y = np.zeros((rows, width))
-        valid = np.zeros((rows, width), dtype=bool)
+        valid = np.arange(width) < np.array([len(table) for table in tables])[:, None]
         U[:, :, 0] = 1.0
-        for r, task in enumerate(tasks):
-            table = task.table
-            cols = [table.models.index(m) for m in task.model_ids]
+        for r, (table, models) in enumerate(zip(tables, model_ids)):
+            cols = [table.models.index(m) for m in models]
             n = len(table)
             std = table.std[:, cols]
             U[r, :n, 1:] = table.mean[:, cols]
             V[r, :n, 1:] = std * std
             y[r, :n] = table.observation
-            valid[r, :n] = True
         w = valid / valid.sum(axis=1, keepdims=True)
         return cls((U, V, y, w, valid), np.arange(rows))
 
@@ -409,8 +389,7 @@ def _line_search(theta, step, lower, upper, f, st: _Stack, min_sigma: float):
     return tuple(np.concatenate(column) for column in zip(*parts)) or (pending[:0], theta[:0], f[:0])
 
 
-@dataclass
-class _Solved:
+class _Solved(NamedTuple):
     theta: np.ndarray
     f: np.ndarray
     converged: np.ndarray
@@ -512,24 +491,30 @@ def _lbfgsb_row(points, st: _Stack, upper, theta, f, options: FitOptions):
 # ---------------------------------------------------------------------------
 
 
-def _theta_from(coef: EmosCoefficients) -> np.ndarray:
-    return np.array([coef.a, *coef.b, coef.c**2, *(d**2 for d in coef.d)])
+def _theta_from(a, b, c, d) -> np.ndarray:
+    """theta (n, 2K + 2) of coefficient columns: ``a`` and ``c`` (n,), ``b``
+    and ``d`` (n, K). c^2 and d^2 are libm's pow, as ``x ** 2`` of a Python
+    float (``np.square`` may differ by an ulp), so a start or seed keeps the
+    bits it had."""
+    return np.column_stack([a, b, np.float_power(c, 2), np.float_power(d, 2)])
 
 
-def _coef_from(theta, bounds) -> EmosCoefficients:
-    k = len(theta) // 2 - 1
-    d = [math.sqrt(v) for v in theta[k + 2 :]]
-    if bounds is not None:
-        d[0] = min(d[0], bounds[1])  # sqrt(d1_max**2) may round one ulp above d1_max
-    b = tuple(float(v) for v in theta[1 : k + 1])
-    return EmosCoefficients(a=float(theta[0]), b=b, c=math.sqrt(theta[k + 1]), d=tuple(d))
+def _coef_from(theta, d1_max) -> tuple[np.ndarray, ...]:
+    """The coefficient columns (a, b, c, d) of ``theta`` (n, 2K + 2), d_1
+    clamped to ``d1_max`` (inf for none): sqrt(d1_max**2) may round one ulp
+    above it."""
+    if not np.isfinite(theta).all():
+        raise ValueError("fitted coefficients must be finite")
+    k = theta.shape[1] // 2 - 1
+    d = np.sqrt(theta[:, k + 2 :])
+    d[:, 0] = np.minimum(d[:, 0], d1_max)
+    return theta[:, 0], theta[:, 1 : k + 1], np.sqrt(theta[:, k + 1]), d
 
 
 def _wake(theta: np.ndarray, min_sigma: float) -> np.ndarray:
-    k1 = len(theta) // 2
-    if theta[k1] < (2.0 * min_sigma) ** 2:
-        theta = theta.copy()
-        theta[k1] = _WAKE_C2
+    """``theta`` with each c^2 too close to the sigma floor set to _WAKE_C2, in place."""
+    k1 = theta.shape[1] // 2
+    theta[theta[:, k1] < (2.0 * min_sigma) ** 2, k1] = _WAKE_C2
     return theta
 
 
@@ -538,103 +523,102 @@ _NEAR_IDENTITY_SINGLE = np.array([0.0, 1.0, 0.01, 1.0])  # c nudged off zero
 _IDENTITY_SINGLE = np.array([0.0, 1.0, 0.0, 1.0])
 
 
-def _starts_and_candidates(task: FitTask, single_fits, min_sigma):
-    """Natural-coordinate start rows and zero-cost candidate points of a task."""
-    k = len(task.model_ids)
-    warm = None if task.start is None else [_wake(_theta_from(task.start), min_sigma)]
-    if k == 1:
-        return warm or [_DEFAULT_SINGLE, _NEAR_IDENTITY_SINGLE], [_IDENTITY_SINGLE, _DEFAULT_SINGLE]
+def fit_batch(tables: Sequence[SampleTable], model_ids: Sequence[tuple[str, ...]], options: FitOptions = FitOptions(),
+              start: np.ndarray | None = None, seeds: tuple[np.ndarray, np.ndarray] | None = None,
+              caps: np.ndarray | None = None) -> _Solved:
+    """Fit every task, a training window ``tables[i]`` and its K predictors
+    ``model_ids[i]`` (some of its models), in one batched projected-Newton
+    solve. All tasks take the same K.
 
-    # Predictor j's single fit embedded with every other predictor off.
-    embeds = []
-    for j, fit in enumerate(single_fits):
-        embed = np.zeros(2 * k + 2)
-        embed[[0, 1 + j, k + 1, k + 2 + j]] = _theta_from(fit.coefficients)
-        embeds.append(embed)
-    if warm:
-        return warm, embeds
-    # Start from the best single fit with the other predictors switched on a
-    # little, and from a symmetric combination.
-    best = min(range(k), key=lambda j: single_fits[j].objective)
-    perturbed = embeds[best].copy()
-    dormant = np.array([j for j in range(k) if j != best])
-    perturbed[1 + dormant], perturbed[k + 2 + dormant] = 0.09, 0.0081
-    symmetric = np.concatenate([[0.0], np.full(k, 1.0 / k), [1.0], np.full(k, 1.0 / k)])
-    return [_wake(perturbed, min_sigma), symmetric], embeds
+    The optional arrays hold a row per task, NaN (inf for ``caps``) where a
+    task has none. ``start`` (n, 2K + 2) is a theta to warm-start from.
+    ``seeds`` (K > 1 only) = (theta (n, K, 4), objective (n, K)) of the K
+    single-model fits on the same window, in ``model_ids`` order; they seed
+    the multi-start and supply the nesting candidates, and a batched
+    single-model solve fits them where absent. ``caps`` (n, 2) holds
+    (b1_max, d1_max), upper bounds on the first predictor's coefficients.
 
-
-def fit_batch(tasks: Sequence[FitTask], options: FitOptions = FitOptions()) -> list[FitResult]:
-    """Fit every task in one batched projected-Newton solve.
-
-    All tasks take the same number K of predictors. Tasks with K > 1 and
-    without ``single_fits`` first get them from a batched single-model solve.
-    Each task contributes one row per start; its best row wins unless a
-    candidate point scores lower. Results are returned in task order, flagged
-    ``converged`` when any of the task's rows converged; nothing is raised for
-    a fit that did not converge.
+    A task contributes one row per start; its best row wins unless a
+    candidate point scores lower. Returns (theta, f, converged, n_iterations)
+    arrays in task order, converged when any of the task's rows converged;
+    nothing is raised for a fit that did not converge.
     """
-    if not tasks:
-        return []
-    k = len(tasks[0].model_ids)
-    if any(len(t.model_ids) != k for t in tasks):
+    n, k = len(tables), len(model_ids[0])
+    if any(len(m) != k for m in model_ids):
         raise ValueError("a batch takes tasks with one number of predictors")
-    stack = _Stack.from_windows(tasks)
-    singles = [t.single_fits for t in tasks]
-    need = [i for i, fits in enumerate(singles) if k > 1 and fits is None]
-    if need:
-        seeds = fit_batch([FitTask(tasks[i].table, (m,)) for i in need for m in tasks[i].model_ids], options)
-        for j, i in enumerate(need):
-            singles[i] = tuple(seeds[k * j : k * (j + 1)])
+    if not all(map(len, tables)):
+        raise ValueError("cannot fit on an empty training set")
+    p = 2 * k + 2
+    start = np.full((n, p), np.nan) if start is None else np.asarray(start, dtype=float)
+    caps = np.full((n, 2), np.inf) if caps is None else np.asarray(caps, dtype=float)
+    if (caps < 0.0).any():
+        raise ValueError("upper bounds must be >= 0")
+    warm = ~np.isnan(start).any(axis=1)
+    if k == 1:
+        first, second = _DEFAULT_SINGLE, _NEAR_IDENTITY_SINGLE
+        candidates = np.broadcast_to([_IDENTITY_SINGLE, _DEFAULT_SINGLE], (n, 2, p))
+    else:
+        seed_theta, seed_f = (np.array(a, dtype=float) for a in seeds or (np.full((n, k, 4), np.nan), np.zeros((n, k))))
+        need = np.flatnonzero(np.isnan(seed_theta).any(axis=(1, 2)))
+        if need.size:  # through the coefficients and back, as a store hands seeds back
+            fits = fit_batch(*zip(*[(tables[i], (m,)) for i in need for m in model_ids[i]]), options)
+            seed_theta[need] = _theta_from(*_coef_from(fits.theta, np.inf)).reshape(-1, k, 4)
+            seed_f[need] = fits.f.reshape(-1, k)
+        # Predictor j's single fit embedded with every other predictor off.
+        candidates = np.zeros((n, k, p))
+        for j in range(k):
+            candidates[:, j, [0, 1 + j, k + 1, k + 2 + j]] = seed_theta[:, j]
+        # Start from the best single fit with the other predictors switched on
+        # a little, and from a symmetric combination.
+        best = seed_f.argmin(axis=1)
+        first = candidates[np.arange(n), best]
+        dormant = np.arange(k) != best[:, None]
+        first[:, 1 : k + 1][dormant], first[:, k + 2 :][dormant] = 0.09, 0.0081
+        second = np.concatenate([[0.0], np.full(k, 1.0 / k), [1.0], np.full(k, 1.0 / k)])
+    first = _wake(np.where(warm[:, None], start, first), options.min_sigma)  # a warm task's only start
 
-    # A row per start, then per zero-cost candidate point boxed to itself:
-    # evaluated, not solved, it may improve the answer but says nothing of convergence.
-    rows, spans = [], []  # (task, point, candidate) per row; the rows of each task
-    for i, task in enumerate(tasks):
-        starts, candidates = _starts_and_candidates(task, singles[i], options.min_sigma)
-        spans.append(range(len(rows), len(rows) + len(starts) + len(candidates)))
-        rows += [(i, p, False) for p in starts] + [(i, p, True) for p in candidates]
-    row_task, points, candidate = (np.array(col) for col in zip(*rows))
+    # A row per start (one for a warm task), then per zero-cost candidate
+    # point boxed to itself: evaluated, not solved, it may improve the answer
+    # but says nothing of convergence.
+    points = np.concatenate([first[:, None], np.broadcast_to(second, (n, 1, p)), candidates], axis=1)
+    used = (np.arange(points.shape[1]) != 1) | ~warm[:, None]
+    row_task, slot = np.nonzero(used)
+    points, candidate = points[used], slot >= 2
     # b, c^2, d^2 >= 0, and the upper bounds on b_1 and d_1^2
-    caps = np.array([(np.inf, np.inf) if t.bounds is None else (t.bounds[0], t.bounds[1] ** 2) for t in tasks])
     lower, upper = np.zeros(points.shape), np.full(points.shape, np.inf)
     lower[:, 0] = -np.inf
-    upper[:, 1], upper[:, k + 2] = caps[row_task].T
+    upper[:, 1], upper[:, k + 2] = caps[row_task, 0], np.float_power(caps[row_task, 1], 2)
     theta = np.clip(points, lower, upper)
     lower[candidate] = upper[candidate] = theta[candidate]
-    solved = _newton(theta, stack.take(row_task), lower, upper, options)
+    solved = _newton(theta, _Stack.from_windows(tables, model_ids).take(row_task), lower, upper, options)
 
-    results = []
-    for task, span in zip(tasks, spans):
-        best = min(span, key=lambda r: solved.f[r])  # the first of the lowest, starts before candidates
-        results.append(
-            FitResult(
-                coefficients=_coef_from(solved.theta[best], task.bounds),
-                objective=float(solved.f[best]),
-                converged=bool(solved.converged[span].any()),
-                n_iterations=int(solved.n_iterations[best]),
-                n_samples=len(task.table),
-            )
-        )
-    return results
+    f, row, converged = np.full(used.shape, np.inf), np.zeros(used.shape, dtype=int), np.zeros(used.shape, dtype=bool)
+    f[used], row[used], converged[used] = solved.f, np.arange(len(points)), solved.converged
+    best = row[np.arange(n), f.argmin(axis=1)]  # the first of the lowest, starts before candidates
+    return _Solved(solved.theta[best], solved.f[best], converged.any(axis=1), solved.n_iterations[best])
 
 
-def fit_single(
-    table: SampleTable,
-    model_id: str,
-    options: FitOptions = FitOptions(),
-    start: EmosCoefficients | None = None,
-) -> FitResult:
+def _fit_record(table: SampleTable, model_ids: tuple[str, ...], options: FitOptions, start, single_fits) -> FitResult:
+    """``fit_batch`` of one task, given and returned as records."""
+
+    def theta(coefs):
+        return _theta_from(*(np.array([getattr(c, name) for c in coefs]) for name in "abcd"))
+
+    seeds = single_fits and (theta([f.coefficients for f in single_fits])[None], [[f.objective for f in single_fits]])
+    fit = fit_batch([table], [model_ids], options, start and theta([start]), seeds)
+    coef = EmosCoefficients(*(column[0].tolist() for column in _coef_from(fit.theta, np.inf)))
+    return FitResult(coef, float(fit.f[0]), bool(fit.converged[0]), int(fit.n_iterations[0]), len(table))
+
+
+def fit_single(table: SampleTable, model_id: str, options: FitOptions = FitOptions(),
+               start: EmosCoefficients | None = None) -> FitResult:
     """``fit_batch`` of one K = 1 task, warm-started from ``start`` when given."""
-    return fit_batch([FitTask(table, (model_id,), start=start)], options)[0]
+    return _fit_record(table, (model_id,), options, start, None)
 
 
-def fit_mixed(
-    table: SampleTable,
-    model_ids: tuple[str, str],
-    options: FitOptions = FitOptions(),
-    single_fits: tuple[FitResult, FitResult] | None = None,
-    start: EmosCoefficients | None = None,
-) -> FitResult:
-    """``fit_batch`` of one K = 2 task; ``single_fits`` and ``start`` are
-    those of ``FitTask``."""
-    return fit_batch([FitTask(table, tuple(model_ids), start=start, single_fits=single_fits)], options)[0]
+def fit_mixed(table: SampleTable, model_ids: tuple[str, str], options: FitOptions = FitOptions(),
+              single_fits: tuple[FitResult, FitResult] | None = None,
+              start: EmosCoefficients | None = None) -> FitResult:
+    """``fit_batch`` of one K = 2 task, seeded from the ``single_fits`` of
+    its models (fitted when absent) and warm-started from ``start``."""
+    return _fit_record(table, tuple(model_ids), options, start, single_fits)

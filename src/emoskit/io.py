@@ -506,9 +506,10 @@ def _scan_forecasts(reader: _TableReader, keep) -> tuple | None:
     """The runs of ``reader``'s body, in one pass (see ``_forecast_cube``), or
     None when a line cannot be taken apart exactly: a header that does not
     start station_id,init_time,lead_h, a quote character, fewer than four
-    cells, an empty station id, a first line of a run longer than the csv
-    field limit, a cell that the column reader might read otherwise, or a
-    kept member value that is not finite.
+    cells, an empty station id, a first line of a run or a kept line longer
+    than the csv field limit (the latter checked once per chunk), a cell that
+    the column reader might read otherwise, or a kept member value that is
+    not finite.
 
     The member rows of an ensemble share the text of its station, init-time
     and lead cells, so a line that starts as the last split line did belongs
@@ -563,9 +564,13 @@ def _scan_forecasts(reader: _TableReader, keep) -> tuple | None:
 
 def _member_cells(lines: list[str], dtype) -> np.ndarray:
     """The member and value cells of ``lines`` (each from its fourth cell on),
-    by numpy's C tokenizer and its int64 and float64 parsers."""
+    by numpy's C tokenizer and its int64 and float64 parsers. A line longer
+    than the csv field limit raises ValueError: the column reader judges its
+    cells."""
     if not lines:
         return np.empty(0, dtype=dtype)  # numpy warns on input without rows
+    if max(map(len, lines)) > csv.field_size_limit():
+        raise ValueError("a line past the csv field limit")
     return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 

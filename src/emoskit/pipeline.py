@@ -4,14 +4,15 @@ Coefficients are refit once per issue date, separately for every (station,
 lead time, strategy) key, on the trailing window of aligned
 forecast-observation pairs. Keys without enough window samples fall back to
 the most recent stored coefficients (up to 10 days old) and finally to
-pass-through identity coefficients. Fits and fallbacks alike come as
-``emos.FitResult`` records, the fallbacks flagged ``fallback``, which a
-``CoefficientStore`` holds as columns. Each
-``fit_for_issue`` call fits an issue date's keys, with t1 taper refits of
-earlier dates under their bounds, in one batched ``emos`` solve per number
-of predictors K; ``train`` makes one call per date. A fit that does not
-converge is recorded with its best-so-far coefficients; any other failure
-aborts the pass.
+pass-through identity coefficients. Fits and fallbacks alike are rows of a
+``CoefficientStore`` (``RECORD``), the fallbacks flagged ``fallback``: each
+``fit_for_issue`` call reads its warm starts, seeds and stale coefficients
+as store rows, fits an issue date's keys, with t1 taper refits of earlier
+dates under their bounds, in one batched ``emos`` solve per number of
+predictors K, and returns its rows as a store; ``train`` makes one call per
+date and appends each. Records (``emos.FitResult``) are built only for a
+caller that asks for one. A fit that does not converge is recorded with its
+best-so-far coefficients; any other failure aborts the pass.
 
 The drivers run the whole chain over many issue dates on one
 ``domain.ForecastCube`` per model: ``prepare_forecasts`` (lapse correction
@@ -26,14 +27,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Collection, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
 from functools import cache
 
 import numpy as np
 
 from .domain import ForecastCube, PredictionTable, SampleTable, StationMetadata, align, lookup, relabel
-from .emos import EmosCoefficients, FitOptions, FitResult, FitTask, fit_batch, identity, predict_columns
+from .emos import EmosCoefficients, FitOptions, FitResult, _coef_from, _theta_from, fit_batch, identity, predict_columns
 from .synth import interpolate_leads
 from .terrain import lapse_correct
 from .transition import TransitionSpec, transition1_bounds
@@ -115,6 +116,7 @@ class CoefficientKey:
 
 Slot = tuple[str, int, str]  # (station, lead, strategy): a CoefficientKey without its issue date
 _MAX_PREDICTORS = 2  # the b and d columns of a store, b1, b2, d1 and d2 of the store file
+_IDENTITY = {k: identity(k) for k in range(1, _MAX_PREDICTORS + 1)}  # the pass-through fallback of each K
 
 # One coefficient record: its key as codes (issue date as ``date.toordinal``,
 # station and strategy as indices into a store's labels), its coefficients
@@ -124,54 +126,68 @@ RECORD = np.dtype([("day", np.int64), ("station", np.int64), ("lead", np.int64),
                    ("objective", float), ("converged", bool), ("fallback", bool)])
 
 
+def _record_row(codes, key: CoefficientKey, coef: EmosCoefficients, n_samples: int, objective: float,
+                converged: bool, fallback: bool) -> tuple:
+    """The ``RECORD`` row of one record, its station and strategy coded
+    into ``codes`` (a new label takes the next code)."""
+    if len(coef.b) > _MAX_PREDICTORS:
+        raise ValueError(f"a store holds up to {_MAX_PREDICTORS} predictors, got {len(coef.b)}")
+    station, strategy = (c.setdefault(label, len(c)) for c, label in zip(codes, (key.station_id, key.strategy)))
+    pad = (math.nan,) * _MAX_PREDICTORS
+    return (key.issue_date.toordinal(), station, key.lead_time, strategy, coef.a, (coef.b + pad)[:_MAX_PREDICTORS],
+            coef.c, (coef.d + pad)[:_MAX_PREDICTORS], n_samples, objective, converged, fallback)
+
+
 class CoefficientStore:
     """Coefficient records as columns, one row per ``CoefficientKey``.
 
     ``table()`` gives the rows in key order (issue date, station, lead,
-    strategy), the order of the store file. ``get`` and ``latest_before``
-    build the one record they return from its row, through an index of each
-    slot's issue days made at the first lookup; a record given to ``update``
-    is returned as given. ``update`` appends rows, a key's new row replacing
-    its old one.
+    strategy), the order of the store file. ``get``, ``latest_before`` and
+    ``items`` build the records they return from the rows; ``get`` and
+    ``latest_before`` find a row through an index of each slot's issue days
+    made at the first lookup. ``update`` appends the rows of another store,
+    whose keys must be new.
     """
 
-    def __init__(self, records: dict[CoefficientKey, FitResult] | None = None):
+    def __init__(self, records: Mapping[CoefficientKey, FitResult] | None = None):
         self._codes: tuple[dict[str, int], dict[str, int]] = ({}, {})  # station id, strategy -> code in _rows
-        self._rows = np.empty(0, dtype=RECORD)  # rows[:_n] are in use
-        self._n = 0
-        self._replaced: set[int] = set()  # rows that a later row of their key replaced
-        self._given: dict[int, FitResult] = {}  # row -> the record that update stored there
         self._slots: dict[Slot, tuple[list[int], list[int]]] | None = None  # slot -> (issue days, rows), by day
         self._table: tuple | None = None
-        self.update(records or {})
+        self._rows = np.array([_record_row(self._codes, key, r.coefficients, r.n_samples, r.objective, r.converged,
+                                           r.fallback) for key, r in (records or {}).items()], dtype=RECORD)
+        self._n = len(self._rows)  # rows[:_n] are in use
+
+    @classmethod
+    def _of(cls, codes: tuple[dict[str, int], dict[str, int]], rows: np.ndarray) -> CoefficientStore:
+        """The store of ``rows`` (``RECORD``, distinct keys, any order) with
+        codes into ``codes``."""
+        store = cls()
+        store._codes, store._rows, store._n = codes, rows, len(rows)
+        return store
 
     @classmethod
     def from_table(cls, station_ids: Sequence[str], strategies: Sequence[str], rows: np.ndarray) -> CoefficientStore:
         """The store of ``rows`` (``RECORD``, read-only), in key order with
         distinct keys and codes into the sorted, distinct labels."""
-        store = cls()
-        store._codes = tuple({label: i for i, label in enumerate(labels)} for labels in (station_ids, strategies))
-        store._rows, store._n = rows, len(rows)
+        store = cls._of(tuple({name: i for i, name in enumerate(names)} for names in (station_ids, strategies)), rows)
         store._table = tuple(station_ids), tuple(strategies), rows, np.arange(len(rows))
         return store
 
     def __len__(self) -> int:
-        return self._n - len(self._replaced)
+        return self._n
 
     def table(self) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
         """(station ids, strategies, rows): the labels sorted, and the rows
         (``RECORD``, read-only) in key order with codes into them."""
         if self._table is None:
-            live = np.ones(self._n, dtype=bool)
-            live[list(self._replaced)] = False
-            used, at = self._rows[:self._n], np.flatnonzero(live)
-            station_ids, station = relabel(list(self._codes[0]), used["station"][at])
-            strategies, strategy = relabel(list(self._codes[1]), used["strategy"][at])
-            order = np.lexsort((strategy, used["lead"][at], station, used["day"][at]))
-            rows = used[at[order]]  # the one copy of the rows
+            used = self._rows[:self._n]
+            station_ids, station = relabel(list(self._codes[0]), used["station"])
+            strategies, strategy = relabel(list(self._codes[1]), used["strategy"])
+            order = np.lexsort((strategy, used["lead"], station, used["day"]))
+            rows = used[order]  # the one copy of the rows
             rows["station"], rows["strategy"] = station[order], strategy[order]
             rows.flags.writeable = False
-            self._table = station_ids, strategies, rows, at[order]
+            self._table = station_ids, strategies, rows, order
         return self._table[:3]
 
     def items(self):
@@ -183,8 +199,6 @@ class CoefficientStore:
             yield CoefficientKey(station_ids[s], lead, strategies[k], date.fromordinal(day)), self._record(row)
 
     def _record(self, row: int) -> FitResult:
-        if row in self._given:
-            return self._given[row]
         _, _, _, strategy, a, b, c, d, n_samples, objective, converged, fallback = self._rows[row].tolist()
         k = len(parse_strategy(list(self._codes[1])[strategy])[1])
         coef = EmosCoefficients(a, b.tolist()[:k], c, d.tolist()[:k])
@@ -193,68 +207,54 @@ class CoefficientStore:
     def _index(self) -> dict[Slot, tuple[list[int], list[int]]]:
         if self._slots is None:
             self._slots = {}
-            self.table()
-            station_ids, strategies, rows, at = self._table
+            rows, (station_ids, strategies) = self._rows[:self._n], map(list, self._codes)
             order = np.lexsort([rows[name] for name in ("day", "strategy", "lead", "station")])
             columns = [rows[name][order].tolist() for name in ("station", "lead", "strategy", "day")]
-            for s, lead, k, day, row in zip(*columns, at[order].tolist()):
+            for s, lead, k, day, row in zip(*columns, order.tolist()):
                 days, found = self._slots.setdefault((station_ids[s], lead, strategies[k]), ([], []))
                 days.append(day)
                 found.append(row)
         return self._slots
 
-    def _find(self, station_id: str, lead_time: int, strategy: str, day: int, max_age: int) -> int | None:
-        """The row of the slot's latest issue day in [day - max_age, day]:
-        one bisection of the slot's issue days."""
+    def _find(self, station_id: str, lead_time: int, strategy: str, day: int, max_age: int) -> int:
+        """The row of the slot's latest issue day in [day - max_age, day], -1
+        for none: one bisection of the slot's issue days."""
         days, rows = self._index().get((station_id, lead_time, strategy), ((), ()))
         i = bisect_right(days, day) - 1
-        return rows[i] if i >= 0 and day - days[i] <= max_age else None
+        return rows[i] if i >= 0 and day - days[i] <= max_age else -1
 
     def __contains__(self, key: CoefficientKey) -> bool:
-        return self._find(key.station_id, key.lead_time, key.strategy, key.issue_date.toordinal(), 0) is not None
+        return self._find(key.station_id, key.lead_time, key.strategy, key.issue_date.toordinal(), 0) >= 0
 
     def get(self, key: CoefficientKey) -> FitResult | None:
         row = self._find(key.station_id, key.lead_time, key.strategy, key.issue_date.toordinal(), 0)
-        return None if row is None else self._record(row)
+        return None if row < 0 else self._record(row)
 
-    def put(self, key: CoefficientKey, record: FitResult) -> None:
-        self.update({key: record})
-
-    def update(self, updates: dict[CoefficientKey, FitResult]) -> None:
-        """Append a row per record of ``updates``; a key already stored gets
-        the new one."""
-        if not updates:
+    def update(self, other: CoefficientStore) -> None:
+        """Append the rows of ``other``. A key stored already raises
+        ValueError and leaves the store unchanged."""
+        if not len(other):  # a read store's rows are read-only, even where none is added
             return
-        index = self._index()
-        pad = (math.nan,) * _MAX_PREDICTORS
-        block = []
-        for key, record in updates.items():
-            coef = record.coefficients
-            if len(coef.b) > _MAX_PREDICTORS:
-                raise ValueError(f"a store holds up to {_MAX_PREDICTORS} predictors, got {len(coef.b)}")
-            station, strategy = (code.setdefault(label, len(code)) for code, label in
-                                 zip(self._codes, (key.station_id, key.strategy)))
-            block.append((key.issue_date.toordinal(), station, key.lead_time, strategy, coef.a,
-                          (coef.b + pad)[:_MAX_PREDICTORS], coef.c, (coef.d + pad)[:_MAX_PREDICTORS],
-                          record.n_samples, record.objective, record.converged, record.fallback))
-        if self._n + len(block) > len(self._rows):  # double the capacity; rows not yet written take no memory
-            grown = np.empty(max(2 * self._n, self._n + len(block)), dtype=RECORD)
+        rows = other._rows[:other._n].copy()
+        labels = [list(code) for code in other._codes]
+        keys = [(labels[0][s], lead, labels[1][k], day)
+                for s, lead, k, day in zip(*(rows[name].tolist() for name in ("station", "lead", "strategy", "day")))]
+        for sid, lead, strategy, day in keys:
+            if self._find(sid, lead, strategy, day, 0) >= 0:
+                raise ValueError(f"{CoefficientKey(sid, lead, strategy, date.fromordinal(day))} is stored already")
+        for name, code, names in zip(("station", "strategy"), self._codes, labels):
+            rows[name] = np.array([code.setdefault(label, len(code)) for label in names], dtype=np.int64)[rows[name]]
+        if self._n + len(rows) > len(self._rows):  # double the capacity; rows not yet written take no memory
+            grown = np.empty(max(2 * self._n, self._n + len(rows)), dtype=RECORD)
             grown[:self._n] = self._rows[:self._n]
             self._rows = grown
-        self._rows[self._n:self._n + len(block)] = np.array(block, dtype=RECORD)
-        for row, (key, record) in enumerate(updates.items(), start=self._n):
-            days, rows = index.setdefault((key.station_id, key.lead_time, key.strategy), ([], []))
-            day = key.issue_date.toordinal()
+        self._rows[self._n:self._n + len(rows)] = rows
+        for row, (sid, lead, strategy, day) in enumerate(keys, start=self._n):
+            days, found = self._index().setdefault((sid, lead, strategy), ([], []))
             i = bisect_left(days, day)
-            if i < len(days) and days[i] == day:
-                self._replaced.add(rows[i])
-                self._given.pop(rows[i], None)
-                rows[i] = row
-            else:
-                days.insert(i, day)
-                rows.insert(i, row)
-            self._given[row] = record
-        self._n += len(block)
+            days.insert(i, day)
+            found.insert(i, row)
+        self._n += len(rows)
         self._table = None
 
     def latest_before(
@@ -263,7 +263,7 @@ class CoefficientStore:
         """Most recent record for the same slot within ``max_age_days`` before
         ``issue_date``."""
         row = self._find(station_id, lead_time, strategy, issue_date.toordinal() - 1, max_age_days - 1)
-        return None if row is None else self._record(row)
+        return None if row < 0 else self._record(row)
 
 
 def select_window(table: SampleTable, issue_date: date, spec: RollingWindowSpec) -> SampleTable:
@@ -309,9 +309,9 @@ def build_archive(
     return archive, total_dropped
 
 
-def _identity_record(strategy: str, n_samples: int) -> FitResult:
-    coef = identity(len(parse_strategy(strategy)[1]))
-    return FitResult(coef, objective=float("nan"), converged=True, n_iterations=0, n_samples=n_samples, fallback=True)
+def _theta_of(rows: np.ndarray, k: int) -> np.ndarray:
+    """The solver coordinates of ``RECORD`` rows of K = ``k`` predictors."""
+    return _theta_from(rows["a"], rows["b"][:, :k], rows["c"], rows["d"][:, :k])
 
 
 def fit_for_issue(
@@ -322,7 +322,7 @@ def fit_for_issue(
     options: FitOptions = FitOptions(),
     store: CoefficientStore | None = None,
     bounds: dict[CoefficientKey, tuple[float, float]] | None = None,
-) -> dict[CoefficientKey, FitResult]:
+) -> CoefficientStore:
     """Compute store updates for one issue date: its ``keys``, and the keys of
     ``bounds``, which map keys of this or earlier dates to (b1_max, d1_max)
     upper bounds, as the t1 taper refits need. A key in both is fitted once,
@@ -330,14 +330,15 @@ def fit_for_issue(
 
     The keys are fitted in one batched solve per number of predictors K, in
     increasing K: the single-model keys first, then the combined keys, each
-    seeded from the single-model fits of its slot and date (fitted in this
-    call or already in ``store``). Keys whose window has fewer than
+    seeded from the single-model fits of its slot and date (this call's rows,
+    else the rows of ``store``). A key's latest ``store`` row of the 5 days
+    before its date warm-starts its fit. Keys whose window has fewer than
     ``spec.min_samples`` samples, or lacks one of the key's models, fall back
-    to stale or identity coefficients; any other error propagates.
+    to the coefficients of that row within 10 days, else to identity ones;
+    any other error propagates.
 
-    ``store`` supplies warm starts, single-model fits and the history of the
-    stale-coefficient fallback; it is not modified (merge the returned
-    updates yourself).
+    ``store`` is not modified: the updates come back as a store of their
+    own, for ``CoefficientStore.update``.
     """
     for key in keys:
         if key.issue_date != issue_date:
@@ -347,10 +348,10 @@ def fit_for_issue(
         if key.issue_date > issue_date:
             raise ValueError(f"bounds key {key} is dated after issue date {issue_date}")
     store = CoefficientStore() if store is None else store
-    windows: dict[tuple[str, int, date], SampleTable | None] = {}
-    updates: dict[CoefficientKey, FitResult] = {}
-    to_fit: dict[int, list[CoefficientKey]] = {}
-    for key in dict.fromkeys([*keys, *bounds]):
+    every = list(dict.fromkeys([*keys, *bounds]))
+    codes, windows, position = ({}, {}), {}, {}  # position: (station, lead, strategy, day) -> row
+    block, prior, to_fit = [], [], {}
+    for key in every:
         kind, models = parse_strategy(key.strategy)
         if kind == "raw":
             raise ValueError(f"raw strategy {key.strategy!r} takes no coefficients")
@@ -359,37 +360,41 @@ def fit_for_issue(
             windows[where] = select_window(archive[slot], key.issue_date, spec) if slot in archive else None
         window = windows[where]
         n_samples = len(window) if window else 0
-        if n_samples < spec.min_samples or not set(models) <= set(window.models):
-            prior = store.latest_before(key.station_id, key.lead_time, key.strategy, key.issue_date, REUSE_WINDOW_DAYS)
-            if prior is not None:
-                updates[key] = replace(prior, n_iterations=0, n_samples=n_samples, fallback=True)
-            else:
-                updates[key] = _identity_record(key.strategy, n_samples)
-        else:
-            to_fit.setdefault(len(models), []).append(key)
+        short = n_samples < spec.min_samples or not set(models) <= set(window.models)
+        # The slot's latest stored row: a fallback reuses one of the 10 days
+        # before; one of the 5 days before warm-starts a fit (yesterday's
+        # coefficients are an excellent start on a window shifted by a day).
+        day = key.issue_date.toordinal()
+        prior.append(store._find(*slot, key.strategy, day - 1, (REUSE_WINDOW_DAYS if short else 5) - 1))
+        position[(*slot, key.strategy, day)] = len(block)
+        if not short:
+            to_fit.setdefault(len(models), []).append((len(block), window, models, bounds.get(key, (math.inf,) * 2)))
+        block.append(_record_row(codes, key, _IDENTITY[len(models)], n_samples, math.nan, True, short))
+    rows, prior = np.array(block, dtype=RECORD), np.array(prior, dtype=np.int64)
+    stale, reused = rows["fallback"] & (prior >= 0), ["a", "b", "c", "d", "objective", "converged"]
+    rows[reused][stale] = store._rows[reused][prior[stale]]  # the other fallbacks keep identity coefficients
 
     for k in sorted(to_fit):
-        tasks = []
-        for key in to_fit[k]:
-            models = parse_strategy(key.strategy)[1]
-            # Yesterday's coefficients are an excellent starting point on a
-            # rolling window that shifts by one day.
-            prior = store.latest_before(key.station_id, key.lead_time, key.strategy, key.issue_date, 5)
-            hints = None
-            if k > 1:  # the single-model fits of the slot and date: this call's, else the store's
-                singles = [replace(key, strategy=single_strategy(m)) for m in models]
-                hints = [updates.get(s) or store.get(s) for s in singles]
-            tasks.append(
-                FitTask(
-                    windows[(key.station_id, key.lead_time, key.issue_date)],
-                    models,
-                    start=None if prior is None else prior.coefficients,
-                    single_fits=tuple(hints) if hints and all(h and not h.fallback for h in hints) else None,
-                    bounds=bounds.get(key),
-                )
-            )
-        updates.update(zip(to_fit[k], fit_batch(tasks, options)))
-    return updates
+        at, tables, models, caps = (list(column) for column in zip(*to_fit[k]))
+        caps, warm = np.array(caps), prior[at]
+        start = np.full((len(at), 2 * k + 2), math.nan)
+        start[warm >= 0] = _theta_of(store._rows[warm[warm >= 0]], k)
+        seeds = None
+        if k > 1:  # the single-model rows of each slot and date: this call's, else the store's
+            singles, found = np.zeros((len(at), k), dtype=RECORD), np.zeros((len(at), k), dtype=bool)
+            for t, key in enumerate(every[i] for i in at):
+                for j, m in enumerate(models[t]):
+                    single = (key.station_id, key.lead_time, single_strategy(m), key.issue_date.toordinal())
+                    own, kept = position.get(single, -1), store._find(*single, 0)
+                    if max(own, kept) >= 0:
+                        singles[t, j], found[t, j] = rows[own] if own >= 0 else store._rows[kept], True
+            theta = _theta_of(singles.reshape(-1), 1).reshape(-1, k, 4)
+            theta[~found.all(axis=1) | singles["fallback"].any(axis=1)] = math.nan
+            seeds = theta, singles["objective"]
+        fit = fit_batch(tables, models, options, start, seeds, caps)
+        rows["a"][at], rows["b"][at, :k], rows["c"][at], rows["d"][at, :k] = _coef_from(fit.theta, caps[:, 1])
+        rows["objective"][at], rows["converged"][at] = fit.f, fit.converged
+    return CoefficientStore._of(codes, rows)
 
 
 def predict_for_issue(

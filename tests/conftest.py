@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from emoskit.domain import ForecastCube, GaussianPredictive, PredictionTable, SampleTable
-from emoskit.emos import FitTask, _Stack
+from emoskit.emos import _Stack
 
 T0 = datetime(2017, 1, 1, tzinfo=timezone.utc)
 
@@ -78,9 +78,9 @@ def one_sample_windows(mu, sigma, y):
     gives the CRPS of N(mu_i, sigma_i) at y[i]: b = d = 0 switch the window's
     ensemble mean and spread (both 1) off."""
     day = T0.date().toordinal()
-    tasks = [FitTask(SampleTable(("A",), [day], [[1.0]], [[1.0]], [obs]), ("A",)) for obs in np.ravel(y)]
+    tables = [SampleTable(("A",), [day], [[1.0]], [[1.0]], [obs]) for obs in np.ravel(y)]
     theta = np.column_stack([mu, np.zeros_like(mu), np.square(sigma), np.zeros_like(mu)])
-    return _Stack.from_windows(tasks), theta
+    return _Stack.from_windows(tables, [("A",)] * len(tables)), theta
 
 
 def oracle_ensemble_crps(members, y):

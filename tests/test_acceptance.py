@@ -23,7 +23,7 @@ from scipy.stats import chisquare
 
 from emoskit.cli import main
 from emoskit.domain import PredictionTable, _micros
-from emoskit.emos import FitOptions, FitTask, _derivatives, _forward, fit_batch, fit_single, model_weights
+from emoskit.emos import FitOptions, _derivatives, _forward, fit_batch, fit_single, model_weights
 from emoskit.pipeline import (
     CoefficientStore,
     RollingWindowSpec,
@@ -220,12 +220,12 @@ def test_criterion_3_nesting():
         )
         for _ in range(100)
     ]
-    singles = fit_batch([FitTask(table, (m,)) for table in tables for m in ("A", "B")])
-    pairs = list(zip(singles[::2], singles[1::2]))
-    mixed = fit_batch([FitTask(table, ("A", "B"), single_fits=pair) for table, pair in zip(tables, pairs)])
-    gaps = [fit.objective - min(f1.objective, f2.objective) for fit, (f1, f2) in zip(mixed, pairs)]
-    violations = sum(gap > 2 * tol for gap in gaps)
-    report(3, violations == 0, f"mixed <= best single + 2 tol on 100 training sets (worst gap {max(gaps):.2e})")
+    singles = fit_batch([table for table in tables for _ in "AB"], [(m,) for _ in tables for m in "AB"])
+    seeds = singles.theta.reshape(-1, 2, 4), singles.f.reshape(-1, 2)
+    mixed = fit_batch(tables, [("A", "B")] * len(tables), seeds=seeds)
+    gaps = mixed.f - seeds[1].min(axis=1)
+    violations = int((gaps > 2 * tol).sum())
+    report(3, violations == 0, f"mixed <= best single + 2 tol on 100 training sets (worst gap {gaps.max():.2e})")
 
 
 def test_criterion_4_coefficient_recovery():

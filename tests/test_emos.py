@@ -12,7 +12,7 @@ import pytest
 from emoskit.emos import (
     EmosCoefficients,
     FitOptions,
-    FitTask,
+    _coef_from,
     fit_batch,
     fit_mixed,
     fit_single,
@@ -203,23 +203,24 @@ class TestFitMixed:
 
     def test_zero_bounds_reduce_to_other_model(self):
         samples = linear_gaussian_samples(n=45, a=0.5, b=1.2, noise_std=0.3, seed=12, second_model="informative")
-        bounded = fit_batch([FitTask(samples, ("A", "B"), bounds=(0.0, 0.0))])[0]
+        bounded = fit_batch([samples], [("A", "B")], caps=[(0.0, 0.0)])
         single_b = fit_single(samples, "B")
-        assert bounded.converged
-        assert bounded.coefficients.b[0] == 0.0
-        assert bounded.coefficients.d[0] == 0.0
-        assert bounded.objective <= single_b.objective + FitOptions().objective_tolerance
-        assert bounded.objective >= single_b.objective - 1e-6
+        assert bounded.converged[0]
+        assert bounded.theta[0, 1] == 0.0  # b1
+        assert bounded.theta[0, 4] == 0.0  # d1^2
+        assert bounded.f[0] <= single_b.objective + FitOptions().objective_tolerance
+        assert bounded.f[0] >= single_b.objective - 1e-6
 
     def test_upper_bounds_respected(self):
         samples = linear_gaussian_samples(n=45, a=0.0, b=1.0, noise_std=0.2, seed=13, second_model="informative")
         unbounded = fit_mixed(samples, ("A", "B"))
         b1_max = unbounded.coefficients.b[0] * 0.5
         d1_max = max(unbounded.coefficients.d[0] * 0.5, 1e-6)
-        bounded = fit_batch([FitTask(samples, ("A", "B"), bounds=(b1_max, d1_max))])[0]
-        assert bounded.converged
-        assert bounded.coefficients.b[0] <= b1_max + 1e-12
-        assert bounded.coefficients.d[0] <= d1_max + 1e-12
+        bounded = fit_batch([samples], [("A", "B")], caps=[(b1_max, d1_max)])
+        _, b, _, d = _coef_from(bounded.theta, d1_max)
+        assert bounded.converged[0]
+        assert b[0, 0] <= b1_max + 1e-12
+        assert d[0, 0] <= d1_max + 1e-12
 
     def test_nesting_property(self):
         tol = FitOptions().objective_tolerance
@@ -259,7 +260,7 @@ class TestOptionsValidation:
 
     def test_bounds_non_negative(self):
         with pytest.raises(ValueError):
-            FitTask(linear_gaussian_samples(n=10), ("A", "B"), bounds=(-1.0, 0.5))
+            fit_batch([linear_gaussian_samples(n=10)], [("A", "B")], caps=[(-1.0, 0.5)])
 
     def test_mixed_coefficients_non_negative(self):
         with pytest.raises(ValueError):
@@ -290,7 +291,7 @@ class TestBatch:
     def test_mixed_batch_rejected(self):
         samples = linear_gaussian_samples(n=45)
         with pytest.raises(ValueError):
-            fit_batch([FitTask(samples, ("A",)), FitTask(samples, ("A", "B"))])
+            fit_batch([samples, samples], [("A",), ("A", "B")])
 
     def test_batch_holds_each_window_once(self):
         # 64 single-model tasks of 45 samples, each solved from two starts and
@@ -298,11 +299,11 @@ class TestBatch:
         # traced peak, the first forward pass over all rows, is 3.44 MB with
         # numpy 2.4; with each window copied once per row, and the rows of
         # every Newton iteration and line search copied again, it was 5.12 MB.
-        tasks = [FitTask(linear_gaussian_samples(seed=i, noise_std=0.5), ("A",)) for i in range(64)]
-        fit_batch(tasks[:2])
+        tables = [linear_gaussian_samples(seed=i, noise_std=0.5) for i in range(64)]
+        fit_batch(tables[:2], [("A",)] * 2)
         tracemalloc.start()
         try:
-            fit_batch(tasks)
+            fit_batch(tables, [("A",)] * 64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

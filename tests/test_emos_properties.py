@@ -23,7 +23,7 @@ from scipy.special import ndtr
 
 import emoskit.emos as emos
 from emoskit.domain import SampleTable
-from emoskit.emos import EmosCoefficients, FitOptions, FitTask, _derivatives, _evaluate, _forward, _Stack, fit_batch
+from emoskit.emos import FitOptions, _coef_from, _derivatives, _evaluate, _forward, _Stack, fit_batch
 from emoskit.scoring import _INV_SQRT_PI, _std_normal_pdf
 from emoskit.scoring import ndtr as emos_ndtr
 
@@ -76,6 +76,16 @@ def as_table(window):
     xbar, std, y = window
     days = T0.date().toordinal() + np.arange(len(y))
     return SampleTable(("A", "B")[: xbar.shape[1]], days, xbar, std, y)
+
+
+def solve(tasks, options=OPTIONS):
+    """``fit_batch`` of (table, model_ids, start, bounds) tasks: ``start`` a
+    theta row and ``bounds`` (b1_max, d1_max), None where a task has none."""
+    tables, models, starts, bounds = zip(*tasks)
+    p = 2 * len(models[0]) + 2
+    start = np.array([np.full(p, np.nan) if s is None else s for s in starts])
+    caps = np.array([(np.inf, np.inf) if b is None else b for b in bounds])
+    return fit_batch(tables, models, options, start=start, caps=caps)
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +184,14 @@ def single_oracle_fit(window, j):
 def test_batched_objective_not_above_oracle(data, k, size):
     batch = [data.draw(windows(k)) for _ in range(size)]
     bounds = [data.draw(bounds_or_none()) if k == 2 else None for _ in range(size)]
-    tasks = [FitTask(as_table(w), ("A", "B")[:k], bounds=b) for w, b in zip(batch, bounds)]
-    results = fit_batch(tasks, OPTIONS)
-    for window, b, result in zip(batch, bounds, results):
+    fit = solve([(as_table(w), ("A", "B")[:k], None, b) for w, b in zip(batch, bounds)])
+    _, coef_b, _, coef_d = _coef_from(fit.theta, [np.inf if b is None else b[1] for b in bounds])
+    for i, (window, b) in enumerate(zip(batch, bounds)):
         singles = [single_oracle_fit(window, j) for j in range(k)] if k == 2 else None
-        assert result.converged
-        assert result.objective <= oracle(window, b, singles) + 1e-9
+        assert fit.converged[i]
+        assert fit.f[i] <= oracle(window, b, singles) + 1e-9
         if b is not None:
-            assert result.coefficients.b[0] <= b[0] and result.coefficients.d[0] <= b[1]
+            assert coef_b[i, 0] <= b[0] and coef_d[i, 0] <= b[1]
 
 
 @PROPERTY_SETTINGS
@@ -190,7 +200,7 @@ def test_hessian_matches_central_differences(data, k):
     """``_derivatives``' g against central differences of ``_forward``, and
     its H against central differences of the order-1 g, on drawn K = 1 and
     K = 2 windows at points where c^2 >= 0.05 keeps every sigma off the floor."""
-    stack = _Stack.from_windows([FitTask(as_table(data.draw(windows(k))), ("A", "B")[:k])])
+    stack = _Stack.from_windows([as_table(data.draw(windows(k)))], [("A", "B")[:k]])
     b, d = (data.draw(st.lists(st.floats(0.0, upper), min_size=k, max_size=k)) for upper in (1.5, 2.0))
     theta = np.array([[data.draw(st.floats(-2.0, 2.0)), *b, data.draw(st.floats(0.05, 2.0)), *d]])
     f, state = _forward(theta, stack, OPTIONS.min_sigma)
@@ -213,11 +223,11 @@ def test_hessian_matches_central_differences(data, k):
 def test_mixed_nests_singles_within_a_batch(data, size):
     batch = [data.draw(windows(2)) for _ in range(size)]
     samples = [as_table(w) for w in batch]
-    singles = fit_batch([FitTask(s, (m,)) for s in samples for m in ("A", "B")], OPTIONS)
-    pairs = [(singles[2 * i], singles[2 * i + 1]) for i in range(size)]
-    mixed = fit_batch([FitTask(s, ("A", "B"), single_fits=p) for s, p in zip(samples, pairs)], OPTIONS)
-    for (fit_a, fit_b), fit in zip(pairs, mixed):
-        assert fit.objective <= min(fit_a.objective, fit_b.objective) + 3e-8
+    singles = fit_batch([s for s in samples for _ in "AB"], [(m,) for _ in samples for m in "AB"], OPTIONS)
+    seeds = singles.theta.reshape(-1, 2, 4), singles.f.reshape(-1, 2)
+    mixed = fit_batch(samples, [("A", "B")] * size, OPTIONS, seeds=seeds)
+    for fit, pair in zip(mixed.f, seeds[1]):
+        assert fit <= pair.min() + 3e-8
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +358,15 @@ def oracle_solve(theta, st: _Stack, lower, upper, options: FitOptions):
     return out
 
 
-def bits(results):
-    """Every number of a list of fit results, by its float64 bits."""
-    out = []
-    for r in results:
-        c = r.coefficients
-        out.append(([v.hex() for v in (c.a, *c.b, c.c, *c.d, r.objective)], r.converged, r.n_iterations))
-    return out
+def bits(fit):
+    """Every number of each task of a ``fit_batch`` result, by its float64 bits."""
+    return [(fit.theta[i].tobytes(), fit.f[i].hex(), bool(fit.converged[i]), int(fit.n_iterations[i]))
+            for i in range(len(fit.f))]
 
 
 def oracle_fit_batch(tasks, options=OPTIONS):
     with mock.patch.object(emos, "_newton", oracle_solve):
-        return fit_batch(tasks, options)
+        return solve(tasks, options)
 
 
 @st.composite
@@ -374,20 +381,20 @@ def oracle_tasks(draw, k, sizes=st.sampled_from([MIN_SAMPLES, MIN_SAMPLES + 1, 4
         y = 0.5 + 0.9 * xbar[:, 0]
     start = draw(st.one_of(
         st.none(),
-        st.builds(
-            lambda a, c, b: EmosCoefficients(a, (b,) * k, c, (1.0,) * k),
+        st.builds(  # theta of (a, b, c, d) = (a, (b,) * k, c, (1,) * k)
+            lambda a, c, b: np.array([a, *(b,) * k, c**2, *(1.0,) * k]),
             st.sampled_from([0.0, 1.0, 30.0, -200.0]), st.sampled_from([0.0, 1e-4, 0.5]), st.floats(0.1, 1.5),
         ),
     ))
     bounds = draw(bounds_or_none()) if k == 2 else None
-    return FitTask(as_table((xbar, std, y)), ("A", "B")[:k], start=start, bounds=bounds)
+    return as_table((xbar, std, y)), ("A", "B")[:k], start, bounds
 
 
 @PROPERTY_SETTINGS
 @given(data=st.data(), k=st.sampled_from([1, 2]), size=st.integers(1, 4))
 def test_fit_batch_matches_sequential_halving_oracle(data, k, size):
     tasks = [data.draw(oracle_tasks(k)) for _ in range(size)]
-    assert bits(fit_batch(tasks, OPTIONS)) == bits(oracle_fit_batch(tasks))
+    assert bits(solve(tasks)) == bits(oracle_fit_batch(tasks))
 
 
 @settings(PROPERTY_SETTINGS, max_examples=12)
@@ -397,8 +404,8 @@ def test_fit_does_not_depend_on_its_batch(data, k, size):
     # (ROADMAP item 8), so a wider padding adds only exact zeros.
     tasks = [data.draw(oracle_tasks(k, st.integers(1, 128))) for _ in range(size)]
     order = data.draw(st.permutations(range(size)))
-    together = fit_batch([tasks[i] for i in order], OPTIONS)
-    assert bits([together[order.index(i)] for i in range(size)]) == bits([fit_batch([t], OPTIONS)[0] for t in tasks])
+    together = bits(solve([tasks[i] for i in order]))
+    assert [together[order.index(i)] for i in range(size)] == [bits(solve([t]))[0] for t in tasks]
 
 
 def test_oracle_cases_cover_long_searches_stalls_and_wakes():
@@ -415,12 +422,12 @@ def test_oracle_cases_cover_long_searches_stalls_and_wakes():
     exact = as_table((xbar, np.zeros_like(std), 0.5 + 0.9 * xbar[:, 0]))
     noisy = as_table((xbar, std, y))
     batches = [
-        [FitTask(noisy, ("A",), start=EmosCoefficients(30.0, (1.0,), 0.5, (1.0,))),
-         FitTask(noisy, ("B",), start=EmosCoefficients(0.0, (1.0,), 0.0, (1.0,))),
-         FitTask(exact, ("A",))],
-        [FitTask(noisy, ("A", "B"), bounds=(0.5, 0.4)),
-         FitTask(noisy, ("A", "B"), start=EmosCoefficients(-200.0, (0.5, 0.5), 0.0, (0.5, 0.5))),
-         FitTask(exact, ("A", "B"))],
+        [(noisy, ("A",), np.array([30.0, 1.0, 0.25, 1.0]), None),
+         (noisy, ("B",), np.array([0.0, 1.0, 0.0, 1.0]), None),
+         (exact, ("A",), None, None)],
+        [(noisy, ("A", "B"), None, (0.5, 0.4)),
+         (noisy, ("A", "B"), np.array([-200.0, 0.5, 0.5, 0.0, 0.25, 0.25]), None),
+         (exact, ("A", "B"), None, None)],
     ]
     rounds, stalls, wakes, forwards = [], [], [], [0]
     real_search, real_forward, real_lbfgsb, real_wake = emos._line_search, emos._forward, emos._lbfgsb_row, emos._wake
@@ -440,8 +447,9 @@ def test_oracle_cases_cover_long_searches_stalls_and_wakes():
         return real_lbfgsb(*args)
 
     def wake(theta, min_sigma):
+        before = theta.copy()
         woken = real_wake(theta, min_sigma)
-        wakes.append(woken is not theta)
+        wakes.append(not np.array_equal(woken, before, equal_nan=True))
         return woken
 
     spies = {"_line_search": search, "_forward": forward, "_lbfgsb_row": lbfgsb, "_wake": wake}
@@ -453,7 +461,7 @@ def test_oracle_cases_cover_long_searches_stalls_and_wakes():
         # pass per pending row.
         for pass_samples in (emos._PASS_SAMPLES, 1):
             with mock.patch.multiple(emos, _PASS_SAMPLES=pass_samples, **spies):
-                assert bits(fit_batch(batch, options)) == want
+                assert bits(solve(batch, options)) == want
     # a third round tries halvings past the first batch
     assert max(rounds) >= 3
     assert stalls and any(wakes)
@@ -465,7 +473,7 @@ def test_oracle_cases_cover_long_searches_stalls_and_wakes():
     st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0),
 ), order=st.sampled_from([1, 2]))
 def test_evaluate_matches_oracle(window, point, order):
-    stack = _Stack.from_windows([FitTask(as_table(window), ("A", "B"))])
+    stack = _Stack.from_windows([as_table(window)], [("A", "B")])
     theta = np.array([point])
     got, want = _evaluate(theta, stack, OPTIONS.min_sigma, order), oracle_evaluate(theta, stack, OPTIONS.min_sigma, order)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]

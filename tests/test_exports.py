@@ -4,6 +4,7 @@ a second API kept alive only by tests does not grow back unnoticed."""
 
 import ast
 import importlib
+import typing
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,3 +56,21 @@ def test_every_name_in_each_modules_all_resolves():
         module = importlib.import_module(f"emoskit.{path.stem}" if path.stem != "__init__" else "emoskit")
         stale += [f"{module.__name__}.{name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert stale == []
+
+
+def test_type_hints_of_every_public_class_and_function_resolve():
+    # Annotations stay strings (``from __future__ import annotations``), so a
+    # name that a module never imports fails only when a caller resolves them.
+    import emoskit
+
+    unresolved = []
+    for name in exported_names():
+        obj = getattr(emoskit, name)
+        members = [getattr(obj, m) for m in vars(obj) if not m.startswith("_")] if isinstance(obj, type) else []
+        for target in [obj, *members]:
+            if callable(target):
+                try:
+                    typing.get_type_hints(target)
+                except NameError as err:
+                    unresolved.append(f"{name}: {err}")
+    assert unresolved == []

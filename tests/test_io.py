@@ -225,16 +225,13 @@ class TestPredictions:
 
 class TestStore:
     def test_round_trip_single_and_mixed(self, tmp_path):
-        store = CoefficientStore()
         issue = T0.date()
-        store.put(
-            CoefficientKey("S1", 12, "single:hires", issue),
-            FitResult(EmosCoefficients(0.125, (0.875,), 1.5, (0.25,)), 0.456789123, True, 0, 45, False),
-        )
-        store.put(
-            CoefficientKey("S1", 12, "mixed:hires+global", issue),
-            FitResult(EmosCoefficients(0.1, (0.6, 0.3), 0.2, (0.7, 0.35)), 0.25, False, 0, 45, True),
-        )
+        store = CoefficientStore({
+            CoefficientKey("S1", 12, "single:hires", issue):
+                FitResult(EmosCoefficients(0.125, (0.875,), 1.5, (0.25,)), 0.456789123, True, 0, 45, False),
+            CoefficientKey("S1", 12, "mixed:hires+global", issue):
+                FitResult(EmosCoefficients(0.1, (0.6, 0.3), 0.2, (0.7, 0.35)), 0.25, False, 0, 45, True),
+        })
         path = tmp_path / "coeffs.csv"
         write_store(path, store)
         back = read_store(path)
@@ -243,12 +240,23 @@ class TestStore:
             got = back.get(key)
             assert got == record
 
+    def test_read_store_takes_updates(self, tmp_path):
+        # A read store's rows are read-only: an update appends to a copy, and
+        # an empty one adds nothing.
+        key, later = (CoefficientKey("S1", 12, "single:hires", T0.date() + timedelta(days=day)) for day in (0, 1))
+        record = FitResult(EmosCoefficients(0.125, (0.875,), 1.5, (0.25,)), 0.5, True, 0, 45, False)
+        path = tmp_path / "coeffs.csv"
+        write_store(path, CoefficientStore({key: record}))
+        store = read_store(path)
+        store.update(CoefficientStore())
+        store.update(CoefficientStore({later: record}))
+        assert [(k, r) for k, r in store.items()] == [(key, record), (later, record)]
+
     def test_nan_objective_round_trips(self, tmp_path):
-        store = CoefficientStore()
-        store.put(
-            CoefficientKey("S1", 12, "single:hires", T0.date()),
-            FitResult(EmosCoefficients(0, (1,), 0, (1,)), float("nan"), True, 0, 10, True),
-        )
+        store = CoefficientStore({
+            CoefficientKey("S1", 12, "single:hires", T0.date()):
+                FitResult(EmosCoefficients(0, (1,), 0, (1,)), float("nan"), True, 0, 10, True),
+        })
         path = tmp_path / "coeffs.csv"
         write_store(path, store)
         got = next(iter(back_record for _, back_record in read_store(path).items()))
@@ -410,13 +418,19 @@ def test_byte_that_is_not_utf8_is_located(tmp_path, reader, text):
     assert str(err.value) == f"{path}:3: not UTF-8: byte 0xe9 (invalid continuation byte)"
 
 
-@pytest.mark.parametrize("reader, text", NOT_UTF8[:5], ids=READER_IDS[:5])  # config has no cells
+# config has no cells; the last case is a value padded with spaces on a later line of a run.
+FIELD_LIMIT = [(reader, text, "1") for reader, text in NOT_UTF8[:5]] + [
+    (NOT_UTF8[2][0], "station_id,init_time,lead_h,member_idx,temp_c\nS1,2017-03-01T00:00:00Z,12,0,1.5\n"
+                     "S1,2017-03-01T00:00:00Z,12,1,{}1\n", " ")]
+
+
+@pytest.mark.parametrize("reader, text, filler", FIELD_LIMIT, ids=[*READER_IDS[:5], "forecast-value"])
 @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv"])
-def test_cell_past_the_field_limit_is_located(tmp_path, reader, text, quoted):
+def test_cell_past_the_field_limit_is_located(tmp_path, reader, text, filler, quoted):
     # A quote on line 2 hands the file to the csv module from its first line
-    # (forecasts: to the column reader, as a long first line of a run does).
+    # (forecasts: to the column reader, as a long line does).
     path = tmp_path / "table.csv"
-    lines = text.format("1" * 200_000).split("\n")
+    lines = text.format(filler * 200_000).split("\n")
     lines[1] = lines[1].replace("S1", '"S1"') if quoted else lines[1]
     path.write_text("\n".join(lines))
     with pytest.raises(SchemaError) as err:

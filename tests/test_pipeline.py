@@ -112,6 +112,12 @@ def make_archive(n_days=60):
 STRATS = ["single:A", "single:B", "mixed:A+B"]
 
 
+def table_bytes(store):
+    """A store's labels and the bytes of its rows, in key order."""
+    station_ids, strategies, rows = store.table()
+    return station_ids, strategies, rows.tobytes()
+
+
 def keys_for(issue, strategies=STRATS, station="S1", lead=12):
     return [CoefficientKey(station, lead, s, issue) for s in strategies]
 
@@ -151,7 +157,7 @@ class TestFitForIssue:
             assert record.fallback
             assert record.coefficients == fresh[key.strategy].coefficients
             assert record.n_samples == 5
-            assert (fresh[key.strategy].n_iterations > 0, record.n_iterations) == (True, 0)
+            assert (fresh[key.strategy].fallback, record.n_iterations) == (False, 0)
 
     def test_stale_reuse_expires_after_ten_days(self):
         archive = make_archive(60)
@@ -168,15 +174,19 @@ class TestFitForIssue:
         # A refit of an earlier date's combined key is seeded with that date's
         # single-model records from the store, unless one is a fallback.
         archive = make_archive(60)
-        store = CoefficientStore(fit_for_issue(archive, issue_on(50), keys_for(issue_on(50))))
+        store = fit_for_issue(archive, issue_on(50), keys_for(issue_on(50)))
         single_a, single_b, mixed = keys_for(issue_on(50))
         seen, real = [], pipeline.fit_batch
-        monkeypatch.setattr(pipeline, "fit_batch", lambda tasks, options: seen.extend(tasks) or real(tasks, options))
+        monkeypatch.setattr(pipeline, "fit_batch", lambda *args: seen.append(args[4]) or real(*args))
         fit_for_issue(archive, issue_on(51), [], store=store, bounds={mixed: (1.0, 1.0)})
-        assert seen[0].single_fits[0] is store.get(single_a) and seen[0].single_fits[1] is store.get(single_b)
-        store.put(single_b, replace(store.get(single_b), fallback=True))
-        fit_for_issue(archive, issue_on(51), [], store=store, bounds={mixed: (1.0, 1.0)})
-        assert seen[1].single_fits is None
+        singles = [store.get(single_a), store.get(single_b)]
+        theta, objective = seen[0]
+        assert theta[0].tolist() == [[r.coefficients.a, r.coefficients.b[0], r.coefficients.c**2, r.coefficients.d[0]**2]
+                                     for r in singles]
+        assert objective[0].tolist() == [r.objective for r in singles]
+        flagged = CoefficientStore({key: replace(r, fallback=True) if key == single_b else r for key, r in store.items()})
+        fit_for_issue(archive, issue_on(51), [], store=flagged, bounds={mixed: (1.0, 1.0)})
+        assert np.isnan(seen[1][0]).all()
 
     def test_key_issue_date_must_match(self):
         archive = make_archive(50)
@@ -194,13 +204,13 @@ class TestFitForIssue:
         truncated = {slot: table[table.init_days < issue.toordinal()] for slot, table in archive.items()}
         full = fit_for_issue(archive, issue, keys_for(issue))
         cut = fit_for_issue(truncated, issue, keys_for(issue))
-        assert full == cut
+        assert table_bytes(full) == table_bytes(cut)
 
     def test_determinism(self):
         archive = make_archive(60)
         a = fit_for_issue(archive, issue_on(50), keys_for(issue_on(50)))
         b = fit_for_issue(archive, issue_on(50), keys_for(issue_on(50)))
-        assert a == b
+        assert table_bytes(a) == table_bytes(b)
 
     def test_batch_composition(self):
         # Keys share one batched solve per stage; a key's fit must not depend,
@@ -215,7 +225,7 @@ class TestFitForIssue:
             alone = fit_for_issue(archive, issue_on(50), keys_for(issue_on(50), station=station))
             for key, record in alone.items():
                 assert not record.fallback
-                assert repr(together[key]) == repr(record)  # every float to its last bit
+                assert repr(together.get(key)) == repr(record)  # every float to its last bit
 
     def test_missing_model_falls_back(self):
         archive = make_archive(60)
@@ -224,10 +234,10 @@ class TestFitForIssue:
             for slot, t in archive.items()
         }
         updates = fit_for_issue(stripped, issue_on(50), keys_for(issue_on(50)))
-        assert not updates[keys_for(issue_on(50))[0]].fallback
+        assert not updates.get(keys_for(issue_on(50))[0]).fallback
         for key in keys_for(issue_on(50))[1:]:
-            assert updates[key].fallback
-            assert math.isnan(updates[key].objective)
+            assert updates.get(key).fallback
+            assert math.isnan(updates.get(key).objective)
 
     def test_solver_error_propagates(self, monkeypatch):
         # Only too few samples or a missing model may fall back; a solver
@@ -259,9 +269,8 @@ class TestPredictForIssue:
 
     def test_identity_coefficients_pass_through(self):
         issue = issue_on(50)
-        store = CoefficientStore()
         key = CoefficientKey("S1", 12, "single:A", issue)
-        store.put(key, FitResult(identity(1), 0.1, True, 0, 45, False))
+        store = CoefficientStore({key: FitResult(identity(1), 0.1, True, 0, 45, False)})
         predictions, errors = predict_for_issue(store, self.forecasts(), issue, [slot(key)])
         predictions = prediction_dict(predictions)
         pred = predictions[("S1", T0 + timedelta(days=50), 12, "single:A")]
@@ -271,10 +280,9 @@ class TestPredictForIssue:
 
     def test_matches_direct_predict_bitwise(self):
         issue = issue_on(50)
-        store = CoefficientStore()
         coef = EmosCoefficients(a=0.3, b=(0.6, 0.35), c=0.2, d=(0.8, 0.4))
         key = CoefficientKey("S1", 12, "mixed:A+B", issue)
-        store.put(key, FitResult(coef, 0.2, True, 0, 45, False))
+        store = CoefficientStore({key: FitResult(coef, 0.2, True, 0, 45, False)})
         predictions, _ = predict_for_issue(store, self.forecasts(), issue, [slot(key)])
         mean, std = ensemble_stats(self.MEMBERS)
         expected = predict(coef, [mean, mean], [std, std])
@@ -284,9 +292,8 @@ class TestPredictForIssue:
         # Forecasts of other leads and other days are read by no key and
         # change no prediction.
         issue = issue_on(50)
-        store = CoefficientStore()
         key = CoefficientKey("S1", 12, "single:A", issue)
-        store.put(key, FitResult(identity(1), 0.1, True, 0, 45, False))
+        store = CoefficientStore({key: FitResult(identity(1), 0.1, True, 0, 45, False)})
         ensembles = [("S1", T0 + timedelta(days=day), lead, self.MEMBERS if day == 50 else (float(day),) * 3)
                      for day in (49, 50, 51) for lead in (12, 13)]
         more = {m: forecast_cube(m, ensembles) for m in "AB"}
@@ -296,19 +303,17 @@ class TestPredictForIssue:
 
     def test_missing_key_reported(self):
         issue = issue_on(50)
-        store = CoefficientStore()
         present = CoefficientKey("S1", 12, "single:A", issue)
         absent = CoefficientKey("S1", 12, "single:B", issue)
-        store.put(present, FitResult(identity(1), 0.1, True, 0, 45, False))
+        store = CoefficientStore({present: FitResult(identity(1), 0.1, True, 0, 45, False)})
         predictions, errors = predict_for_issue(store, self.forecasts(), issue, [slot(present), slot(absent)])
         assert ("S1", T0 + timedelta(days=50), 12, "single:A") in prediction_dict(predictions)
         assert errors == {slot(absent): f"no coefficients stored for {absent}"}
 
     def test_missing_forecast_reported(self):
         issue = issue_on(50)
-        store = CoefficientStore()
         key = CoefficientKey("S9", 12, "single:A", issue)
-        store.put(key, FitResult(identity(1), 0.1, True, 0, 45, False))
+        store = CoefficientStore({key: FitResult(identity(1), 0.1, True, 0, 45, False)})
         predictions, errors = predict_for_issue(store, self.forecasts(), issue, [slot(key)])
         assert len(predictions) == 0 and errors == {slot(key): "no forecast for model 'A' at S9 lead 12"}
 
@@ -328,11 +333,9 @@ class TestPredictForIssue:
         forecasts = {m: forecast_cube(m, ensembles) for m in "AB"}
         slots = [(sid, lead, strategy) for sid in ("S2", "S1") for lead in (14, 13, 12)
                  for strategy in ("single:B", "single:A", "mixed:A+B")]
-        store = CoefficientStore()
-        for issue in issues:
-            for sid in ("S1", "S2"):
-                store.put(CoefficientKey(sid, 12, "single:A", issue), FitResult(identity(1), 0.1, True, 0, 45, False))
-                store.put(CoefficientKey(sid, 14, "single:B", issue), FitResult(identity(1), 0.1, True, 0, 45, False))
+        store = CoefficientStore({CoefficientKey(sid, lead, strategy, issue): FitResult(identity(1), 0.1, True, 0, 45, False)
+                                  for issue in issues for sid in ("S1", "S2")
+                                  for lead, strategy in ((12, "single:A"), (14, "single:B"))})
 
         def message(issue, sid, lead, strategy):
             if (lead, strategy) == (14, "single:B"):
@@ -369,7 +372,7 @@ class TestBuildArchive:
         issue = issue_on(50)
         updates = fit_for_issue(archive, issue, keys_for(issue), spec)
         expected = len(select_window(archive[("S1", 12)], issue, spec))
-        assert all(r.n_samples == expected for r in updates.values())
+        assert all(r.n_samples == expected for _, r in updates.items())
 
 
 @st.composite
@@ -397,19 +400,29 @@ class TestLeadCoverage:
 
 class TestStoreRoundTrip:
     def test_put_get_identity(self):
-        store = CoefficientStore()
         key = CoefficientKey("S1", 12, "single:A", issue_on(50))
         record = FitResult(EmosCoefficients(0.1, (0.9,), 0.3, (1.1,)), 0.23, True, 0, 45, False)
-        store.put(key, record)
+        store = CoefficientStore()
+        store.update(CoefficientStore({key: record}))
         assert store.get(key) == record
         assert len(store) == 1
         assert key in store
 
+    def test_update_rejects_a_stored_key(self):
+        stored, new = (CoefficientKey("S1", 12, "single:A", issue_on(day)) for day in (50, 51))
+        record = FitResult(identity(1), 0.1, True, 0, 45, False)
+        store = CoefficientStore({stored: record})
+        before = table_bytes(store)
+        with pytest.raises(ValueError, match="is stored already"):
+            store.update(CoefficientStore({new: record, stored: replace(record, objective=0.2)}))
+        assert table_bytes(store) == before and new not in store and store.get(stored) == record
+
     def test_latest_before(self):
-        store = CoefficientStore()
-        for day in (40, 44, 47):
-            key = CoefficientKey("S1", 12, "single:A", issue_on(day))
-            store.put(key, FitResult(EmosCoefficients(float(day), (1,), 0, (1,)), 0.1, True, 0, 45, False))
+        store = CoefficientStore({
+            CoefficientKey("S1", 12, "single:A", issue_on(day)):
+                FitResult(EmosCoefficients(float(day), (1,), 0, (1,)), 0.1, True, 0, 45, False)
+            for day in (40, 44, 47)
+        })
         hit = store.latest_before("S1", 12, "single:A", issue_on(50), 10)
         assert hit.coefficients.a == 47.0
         miss = store.latest_before("S1", 12, "single:A", issue_on(60), 10)
@@ -433,10 +446,19 @@ def t1_table(n, seed):
     return SampleTable(("A", "B"), T0.date().toordinal() + np.arange(n), mean, std, y)
 
 
-def t1_archive(skips, seed=0):
+def t1_archive(skips, seed=0, gap=None):
     """Tables at leads 10-12 per station, station i starting skips[i] days
-    after T0, so windows ramp up (and fall back) on different dates."""
-    return {(f"S{i}", lead): t1_table(60, seed + 3 * i + lead)[skip:] for i, skip in enumerate(skips) for lead in (10, 11, 12)}
+    after T0, so windows ramp up (and fall back) on different dates. ``gap``
+    = (lead, first day, days) cuts those days from S0's table at that lead,
+    so that its windows shrink there and may reuse an earlier fit."""
+    archive = {(f"S{i}", lead): t1_table(60, seed + 3 * i + lead)[skip:]
+               for i, skip in enumerate(skips) for lead in (10, 11, 12)}
+    if gap is not None:
+        lead, first, days = gap
+        table = archive[("S0", lead)]
+        day = table.init_days - T0.date().toordinal()
+        archive[("S0", lead)] = table[(day < first) | (day >= first + days)]
+    return archive
 
 
 def t1_slots(archive):
@@ -478,27 +500,51 @@ def assert_stores_close(got, want):
         np.testing.assert_allclose([ca.a, *ca.b, ca.c, *ca.d], [cb.a, *cb.b, cb.c, *cb.d], rtol=0, atol=1e-6, err_msg=str(key))
 
 
+def check_waves(archive, issues):
+    """``train`` against ``per_date_train`` with and without the t1 taper;
+    returns the store of the taper run."""
+    slots = t1_slots(archive)
+    taper = (TSPEC, COMBINED)
+    store = train(archive, issues, slots, T1_SPEC, taper=taper)
+    assert_stores_close(store, per_date_train(archive, issues, slots, T1_SPEC, taper))
+    # without a taper the solves are composed exactly as before
+    got = train(archive, issues, slots, T1_SPEC)
+    want = per_date_train(archive, issues, slots, T1_SPEC, None)
+    assert [(key, bits(r)) for key, r in got.items()] == [(key, bits(r)) for key, r in want.items()]
+    return store
+
+
 class TestTrainWaves:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(
         skips=st.lists(st.integers(0, 12), min_size=1, max_size=2),
         days=st.lists(st.integers(28, 59), min_size=1, max_size=5, unique=True),
         seed=st.integers(0, 50),
+        gap=st.one_of(st.none(), st.tuples(st.integers(10, 12), st.integers(0, 5))),
     )
-    def test_matches_per_date_schedule(self, skips, days, seed):
-        # Window lengths differ across dates (ramp-up, fallbacks, gaps in the
-        # issue dates); moving each date's taper refits into the next date's
-        # solve may change a fit only by the summation order of padded rows.
-        archive = t1_archive(skips, seed)
-        issues = [issue_on(day) for day in sorted(days)]
-        slots = t1_slots(archive)
-        taper = (TSPEC, COMBINED)
-        assert_stores_close(train(archive, issues, slots, T1_SPEC, taper=taper),
-                            per_date_train(archive, issues, slots, T1_SPEC, taper))
-        # without a taper the solves are composed exactly as before
-        got = train(archive, issues, slots, T1_SPEC)
-        want = per_date_train(archive, issues, slots, T1_SPEC, None)
-        assert [(key, bits(r)) for key, r in got.items()] == [(key, bits(r)) for key, r in want.items()]
+    def test_matches_per_date_schedule(self, skips, days, seed, gap):
+        # Window lengths differ across dates (ramp-up, observation gaps,
+        # identity and stale fallbacks, gaps in the issue dates); moving each
+        # date's taper refits into the next date's solve may change a fit
+        # only by the summation order of padded rows. A gap of (lead, u)
+        # cuts S0's observations from 15 - u days before the second-last
+        # issue date to the last one: a full window keeps 30 + u samples on
+        # the second-last date and fewer than 30 on the last one, if that is
+        # more than u days later, which then reuses the earlier fit.
+        issues = sorted(days)
+        if gap is not None:
+            lead, u = gap
+            first = issues[-2:][0] - 15 + u
+            gap = lead, first, issues[-1] - first
+        check_waves(t1_archive(skips, seed, gap), [issue_on(day) for day in issues])
+
+    def test_waves_reach_stale_and_identity_fallbacks(self):
+        # S0's windows at lead 10 lose days 30-49: 30 samples on day 45 (a
+        # fit), 25 on day 51 (reuses it); S1 starts on day 20 and has 25
+        # samples on day 45 (identity).
+        store = check_waves(t1_archive([0, 20], gap=(10, 30, 20)), [issue_on(45), issue_on(51)])
+        fallbacks = [(key.station_id, key.issue_date, math.isnan(r.objective)) for key, r in store.items() if r.fallback]
+        assert ("S0", issue_on(51), False) in fallbacks and ("S1", issue_on(45), True) in fallbacks
 
     def test_last_date_taper_keys_fitted_under_bounds(self):
         archive = t1_archive([0, 2])
@@ -540,15 +586,29 @@ class TestTrainWaves:
         ks = []
         real = pipeline.fit_batch
 
-        def spy(tasks, options):
-            ks.append(len(tasks[0].model_ids))
-            return real(tasks, options)
+        def spy(tables, model_ids, *args):
+            ks.append(len(model_ids[0]))
+            return real(tables, model_ids, *args)
 
         monkeypatch.setattr(pipeline, "fit_batch", spy)
         archive = t1_archive([0, 1])
         issues = [issue_on(day) for day in range(50, 54)]
         train(archive, issues, t1_slots(archive), T1_SPEC, taper=(TSPEC, COMBINED))
         assert ks == [1, 2] * len(issues) + [2]
+
+    def test_records_built_only_for_anchor_lookups(self, monkeypatch):
+        # The fits read and write store rows; with t1 each station and date
+        # builds the one record of its anchor fit, without a taper none.
+        built = []
+        real = EmosCoefficients.__post_init__
+        monkeypatch.setattr(EmosCoefficients, "__post_init__", lambda coef: built.append(coef) or real(coef))
+        archive = t1_archive([0, 1])
+        issues = [issue_on(day) for day in range(50, 54)]
+        train(archive, issues, t1_slots(archive), T1_SPEC, taper=(TSPEC, COMBINED))
+        assert 0 < len(built) <= 2 * len(issues)
+        built.clear()
+        train(archive, issues, t1_slots(archive), T1_SPEC)
+        assert built == []
 
     def test_missing_anchor_names_its_date(self):
         archive = t1_archive([0, 0])

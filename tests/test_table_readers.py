@@ -539,19 +539,20 @@ def test_predict_columns_equals_predict_bit_for_bit(k, data, min_sigma):
 @given(days=st.lists(st.tuples(st.sampled_from(STRATEGIES), st.integers(0, 40)), min_size=1, max_size=20),
        queries=st.lists(st.tuples(st.sampled_from(STRATEGIES), st.integers(-2, 52), st.integers(0, 12)), max_size=20))
 def test_latest_before_equals_day_probing(tmp_path_factory, days, queries):
-    # Keys put twice keep their last record.
-    store = CoefficientStore()
+    # A key drawn twice keeps its last record.
+    records = {}
     for i, (strategy, day) in enumerate(days):
         k = len(parse_strategy(strategy)[1])
-        store.put(CoefficientKey("S1", 12, strategy, date(2017, 1, 1) + timedelta(days=day)),
-                  FitResult(EmosCoefficients(float(i), (1.0,) * k, 0.0, (1.0,) * k), 0.25, True, 3, 45, False))
+        records[CoefficientKey("S1", 12, strategy, date(2017, 1, 1) + timedelta(days=day))] = FitResult(
+            EmosCoefficients(float(i), (1.0,) * k, 0.0, (1.0,) * k), 0.25, True, 3, 45, False)
+    store = CoefficientStore(records)
     path = tmp_path_factory.mktemp("lb") / "coeffs.csv"
     write_store(path, store)
     read = read_store(path)
     for strategy, day, max_age in queries:
         issue = date(2017, 1, 1) + timedelta(days=day)
         got = store.latest_before("S1", 12, strategy, issue, max_age)
-        assert got is oracle_latest_before(store, "S1", 12, strategy, issue, max_age)
+        assert got == oracle_latest_before(store, "S1", 12, strategy, issue, max_age)
         expected = oracle_latest_before(read, "S1", 12, strategy, issue, max_age)
         assert read.latest_before("S1", 12, strategy, issue, max_age) == expected
         assert (expected is None) == (got is None)

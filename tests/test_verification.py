@@ -95,15 +95,16 @@ def test_seam_sums_cases_in_repr_order(monkeypatch):
 def test_weights_are_the_model_weights_of_the_mixed_records():
     # The columns of verify --store against emos.model_weights record by
     # record, zero sums (weight 0.5) included; single-model records give none.
-    store = CoefficientStore()
     coefficients = [((0.6, 0.2), (0.3, 0.1)), ((0.0, 0.0), (0.0, 0.0)), ((0.0, 1.5), (2.0, 0.0)),
                     ((1e-300, 3.0), (1.0, 1.0))]
+    records = {}
     for day, (b, d) in enumerate(coefficients):
         for sid in ("T", "S"):
             issue = T0.date() + timedelta(days=day)
-            store.put(CoefficientKey(sid, 12 + day, "mixed:m+n", issue),
-                      FitResult(EmosCoefficients(0.1, b, 0.2, d), 0.5, True, 0, 45, False))
-            store.put(CoefficientKey(sid, 12, "single:m", issue), FitResult(identity(1), 0.5, True, 0, 45, True))
+            records[CoefficientKey(sid, 12 + day, "mixed:m+n", issue)] = FitResult(
+                EmosCoefficients(0.1, b, 0.2, d), 0.5, True, 0, 45, False)
+            records[CoefficientKey(sid, 12, "single:m", issue)] = FitResult(identity(1), 0.5, True, 0, 45, True)
+    store = CoefficientStore(records)
     weights = verification._weights(store)
     expected = [(key, model_weights(r.coefficients)) for key, r in store.items() if key.strategy == "mixed:m+n"]
     assert list(zip(weights["station_id"], weights["issue_day"].tolist(), weights["lead_h"].tolist())) == [
