@@ -284,20 +284,23 @@ def relabel(labels, codes) -> tuple[tuple, np.ndarray]:
     return tuple(ranked), code_of[codes]
 
 
-def lookup(keys, queries) -> np.ndarray:
-    """For each row of ``queries``, the row of ``keys`` that equals it, -1
-    where none does. Both are sequences of int64 key columns of one length
-    each; the rows of ``keys`` are distinct."""
-    n = len(keys[0])
+def lookup(keys, queries, within=0) -> np.ndarray:
+    """For each row of ``queries``, the row of ``keys`` that equals it in
+    every column but the last and whose last column is the largest in
+    [q - ``within``, q], q the query's last column; -1 where none is. Both
+    are sequences of int64 key columns of one length each, the rows of
+    ``keys`` distinct; ``within`` is one value or one per query row."""
+    n, low = len(keys[0]), queries[-1] - within
     columns = [np.concatenate([k, q]) for k, q in zip(keys, queries)]
-    position = np.arange(len(columns[0]))
-    order = np.lexsort([position >= n, *reversed(columns)])  # a query row right after its equal key row
-    before = np.maximum.accumulate(np.where(order < n, position, -1))  # the last key row at or before each
-    hit = order[np.maximum(before, 0)]
-    found = (before >= 0) & np.logical_and.reduce([column[hit] == column[order] for column in columns])
-    out = np.empty(len(position) - n, dtype=np.int64)
+    order = np.lexsort(columns[::-1])  # stable: a query row comes right after the key rows not above it
+    before = np.maximum.accumulate(np.where(order < n, np.arange(len(order)), -1))  # the last key row up to each
     queried = order >= n
-    out[order[queried] - n] = np.where(found[queried], hit[queried], -1)
+    query, last = order[queried] - n, before[queried]
+    hit = order[np.maximum(last, 0)]
+    same = [c[hit] == q[query] for c, q in zip(columns[:-1], queries)]
+    found = np.logical_and.reduce([last >= 0, *same, columns[-1][hit] >= low[query]])
+    out = np.empty(len(query), dtype=np.int64)
+    out[query] = np.where(found, hit, -1)
     return out
 
 

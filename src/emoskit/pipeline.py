@@ -3,15 +3,16 @@
 Coefficients are refit once per issue date, separately for every (station,
 lead time, strategy) key, on the trailing window of aligned
 forecast-observation pairs. Keys without enough window samples fall back to
-the most recent stored coefficients (up to 10 days old) and finally to
-pass-through identity coefficients. Fits and fallbacks alike are rows of a
-``CoefficientStore`` (``RECORD``), the fallbacks flagged ``fallback``: each
-``fit_for_issue`` call reads its warm starts, seeds and stale coefficients
-as store rows, fits an issue date's keys, with t1 taper refits of earlier
-dates under their bounds, in one batched ``emos`` solve per number of
-predictors K, and returns its rows as a store; ``train`` makes one call per
-date and appends each. Records (``emos.FitResult``) are built only for a
-caller that asks for one. A fit that does not converge is recorded with its
+the most recent stored fit (up to 10 days old; a stale copy is not reused
+again) and finally to pass-through identity coefficients. Fits and
+fallbacks alike are rows of a ``CoefficientStore`` (``RECORD``), the
+fallbacks flagged ``fallback``: each ``fit_for_issue`` call finds its warm
+starts, seeds and stale coefficients among the store's rows with a few
+``domain.lookup`` calls, fits an issue date's keys, with t1 taper refits of
+earlier dates under their bounds, in one batched ``emos`` solve per number
+of predictors K, and returns its rows as a store; ``train`` makes one call
+per date and appends each. Records (``emos.FitResult``) are built only for
+a caller that asks for one. A fit that does not converge is recorded with its
 best-so-far coefficients; any other failure aborts the pass.
 
 The drivers run the whole chain over many issue dates on one
@@ -25,7 +26,6 @@ one ``domain.PredictionTable``).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 from datetime import date
@@ -124,6 +124,13 @@ _IDENTITY = {k: identity(k) for k in range(1, _MAX_PREDICTORS + 1)}  # the pass-
 RECORD = np.dtype([("day", np.int64), ("station", np.int64), ("lead", np.int64), ("strategy", np.int64),
                    ("a", float), ("b", float, (2,)), ("c", float), ("d", float, (2,)), ("n_samples", np.int64),
                    ("objective", float), ("converged", bool), ("fallback", bool)])
+_KEY = ("station", "lead", "strategy", "day")  # a record's key columns, in the order ``_find`` looks them up
+_LAST_DAY = date.max.toordinal()
+
+
+def _recode(names, codes: Mapping[str, int]) -> np.ndarray:
+    """The code of each of ``names`` in ``codes``, -1 for a name it lacks."""
+    return np.array([codes.get(name, -1) for name in names], dtype=np.int64)
 
 
 def _record_row(codes, key: CoefficientKey, coef: EmosCoefficients, n_samples: int, objective: float,
@@ -143,15 +150,14 @@ class CoefficientStore:
 
     ``table()`` gives the rows in key order (issue date, station, lead,
     strategy), the order of the store file. ``get``, ``latest_before`` and
-    ``items`` build the records they return from the rows; ``get`` and
-    ``latest_before`` find a row through an index of each slot's issue days
-    made at the first lookup. ``update`` appends the rows of another store,
-    whose keys must be new.
+    ``items`` build the records they return from the rows. Every row lookup
+    is one ``domain.lookup`` over the rows whose issue day can match
+    (``_find``). ``update`` appends the rows of another store, whose keys
+    must be new.
     """
 
     def __init__(self, records: Mapping[CoefficientKey, FitResult] | None = None):
         self._codes: tuple[dict[str, int], dict[str, int]] = ({}, {})  # station id, strategy -> code in _rows
-        self._slots: dict[Slot, tuple[list[int], list[int]]] | None = None  # slot -> (issue days, rows), by day
         self._table: tuple | None = None
         self._rows = np.array([_record_row(self._codes, key, r.coefficients, r.n_samples, r.objective, r.converged,
                                            r.fallback) for key, r in (records or {}).items()], dtype=RECORD)
@@ -204,30 +210,30 @@ class CoefficientStore:
         coef = EmosCoefficients(a, b.tolist()[:k], c, d.tolist()[:k])
         return FitResult(coef, objective, converged, n_iterations=0, n_samples=n_samples, fallback=fallback)
 
-    def _index(self) -> dict[Slot, tuple[list[int], list[int]]]:
-        if self._slots is None:
-            self._slots = {}
-            rows, (station_ids, strategies) = self._rows[:self._n], map(list, self._codes)
-            order = np.lexsort([rows[name] for name in ("day", "strategy", "lead", "station")])
-            columns = [rows[name][order].tolist() for name in ("station", "lead", "strategy", "day")]
-            for s, lead, k, day, row in zip(*columns, order.tolist()):
-                days, found = self._slots.setdefault((station_ids[s], lead, strategies[k]), ([], []))
-                days.append(day)
-                found.append(row)
-        return self._slots
+    def _find(self, labels, queries, within=0, fits: bool = False) -> np.ndarray:
+        """The row of each query's slot at its latest issue day in [day -
+        ``within``, day], among fits only (``fallback`` false) if ``fits``;
+        -1 for none. ``queries`` are (station, lead, strategy, day) int64
+        columns, station and strategy as codes into ``labels`` (station ids,
+        strategies)."""
+        rows, day = self._rows[:self._n], queries[3]
+        near = (rows["day"] >= np.min(day - within, initial=_LAST_DAY)) & (rows["day"] <= np.max(day, initial=0))
+        near = np.flatnonzero(near & ~rows["fallback"] if fits else near)
+        if not len(near):
+            return np.full(len(day), -1)
+        station, strategy = (_recode(names, code)[column] for code, names, column in
+                             zip(self._codes, labels, (queries[0], queries[2])))
+        found = lookup([rows[name][near] for name in _KEY], [station, queries[1], strategy, day], within)
+        return np.where(found >= 0, near[found], -1)
 
-    def _find(self, station_id: str, lead_time: int, strategy: str, day: int, max_age: int) -> int:
-        """The row of the slot's latest issue day in [day - max_age, day], -1
-        for none: one bisection of the slot's issue days."""
-        days, rows = self._index().get((station_id, lead_time, strategy), ((), ()))
-        i = bisect_right(days, day) - 1
-        return rows[i] if i >= 0 and day - days[i] <= max_age else -1
+    def _row(self, station_id: str, lead_time: int, strategy: str, day: int, within: int = 0) -> int:
+        return self._find(([station_id], [strategy]), np.array([[0], [lead_time], [0], [day]]), within)[0]
 
     def __contains__(self, key: CoefficientKey) -> bool:
-        return self._find(key.station_id, key.lead_time, key.strategy, key.issue_date.toordinal(), 0) >= 0
+        return self._row(key.station_id, key.lead_time, key.strategy, key.issue_date.toordinal()) >= 0
 
     def get(self, key: CoefficientKey) -> FitResult | None:
-        row = self._find(key.station_id, key.lead_time, key.strategy, key.issue_date.toordinal(), 0)
+        row = self._row(key.station_id, key.lead_time, key.strategy, key.issue_date.toordinal())
         return None if row < 0 else self._record(row)
 
     def update(self, other: CoefficientStore) -> None:
@@ -237,11 +243,11 @@ class CoefficientStore:
             return
         rows = other._rows[:other._n].copy()
         labels = [list(code) for code in other._codes]
-        keys = [(labels[0][s], lead, labels[1][k], day)
-                for s, lead, k, day in zip(*(rows[name].tolist() for name in ("station", "lead", "strategy", "day")))]
-        for sid, lead, strategy, day in keys:
-            if self._find(sid, lead, strategy, day, 0) >= 0:
-                raise ValueError(f"{CoefficientKey(sid, lead, strategy, date.fromordinal(day))} is stored already")
+        stored = np.flatnonzero(self._find(labels, [rows[name] for name in _KEY]) >= 0)
+        if len(stored):
+            s, lead, k, day = (rows[name][stored[0]].item() for name in _KEY)
+            key = CoefficientKey(labels[0][s], lead, labels[1][k], date.fromordinal(day))
+            raise ValueError(f"{key} is stored already")
         for name, code, names in zip(("station", "strategy"), self._codes, labels):
             rows[name] = np.array([code.setdefault(label, len(code)) for label in names], dtype=np.int64)[rows[name]]
         if self._n + len(rows) > len(self._rows):  # double the capacity; rows not yet written take no memory
@@ -249,11 +255,6 @@ class CoefficientStore:
             grown[:self._n] = self._rows[:self._n]
             self._rows = grown
         self._rows[self._n:self._n + len(rows)] = rows
-        for row, (sid, lead, strategy, day) in enumerate(keys, start=self._n):
-            days, found = self._index().setdefault((sid, lead, strategy), ([], []))
-            i = bisect_left(days, day)
-            days.insert(i, day)
-            found.insert(i, row)
         self._n += len(rows)
         self._table = None
 
@@ -262,7 +263,7 @@ class CoefficientStore:
     ) -> FitResult | None:
         """Most recent record for the same slot within ``max_age_days`` before
         ``issue_date``."""
-        row = self._find(station_id, lead_time, strategy, issue_date.toordinal() - 1, max_age_days - 1)
+        row = self._row(station_id, lead_time, strategy, issue_date.toordinal() - 1, max_age_days - 1)
         return None if row < 0 else self._record(row)
 
 
@@ -334,8 +335,9 @@ def fit_for_issue(
     else the rows of ``store``). A key's latest ``store`` row of the 5 days
     before its date warm-starts its fit. Keys whose window has fewer than
     ``spec.min_samples`` samples, or lacks one of the key's models, fall back
-    to the coefficients of that row within 10 days, else to identity ones;
-    any other error propagates.
+    to the coefficients of the slot's latest ``store`` fit (not a fallback)
+    of the 10 days before, else to identity ones; any other error
+    propagates.
 
     ``store`` is not modified: the updates come back as a store of their
     own, for ``CoefficientStore.update``.
@@ -349,8 +351,7 @@ def fit_for_issue(
             raise ValueError(f"bounds key {key} is dated after issue date {issue_date}")
     store = CoefficientStore() if store is None else store
     every = list(dict.fromkeys([*keys, *bounds]))
-    codes, windows, position = ({}, {}), {}, {}  # position: (station, lead, strategy, day) -> row
-    block, prior, to_fit = [], [], {}
+    codes, windows, block, to_fit = ({}, {}), {}, [], {}
     for key in every:
         kind, models = parse_strategy(key.strategy)
         if kind == "raw":
@@ -361,40 +362,48 @@ def fit_for_issue(
         window = windows[where]
         n_samples = len(window) if window else 0
         short = n_samples < spec.min_samples or not set(models) <= set(window.models)
-        # The slot's latest stored row: a fallback reuses one of the 10 days
-        # before; one of the 5 days before warm-starts a fit (yesterday's
-        # coefficients are an excellent start on a window shifted by a day).
-        day = key.issue_date.toordinal()
-        prior.append(store._find(*slot, key.strategy, day - 1, (REUSE_WINDOW_DAYS if short else 5) - 1))
-        position[(*slot, key.strategy, day)] = len(block)
         if not short:
             to_fit.setdefault(len(models), []).append((len(block), window, models, bounds.get(key, (math.inf,) * 2)))
         block.append(_record_row(codes, key, _IDENTITY[len(models)], n_samples, math.nan, True, short))
-    rows, prior = np.array(block, dtype=RECORD), np.array(prior, dtype=np.int64)
-    stale, reused = rows["fallback"] & (prior >= 0), ["a", "b", "c", "d", "objective", "converged"]
-    rows[reused][stale] = store._rows[reused][prior[stale]]  # the other fallbacks keep identity coefficients
+    rows = np.array(block, dtype=RECORD)
+    updates, labels = CoefficientStore._of(codes, rows), [list(code) for code in codes]
+
+    def latest(of, days, fits=False):  # the store row of each row's slot in the ``days`` before its date, -1 for none
+        found = np.full(len(rows), -1)
+        found[of] = store._find(labels, [*(rows[name][of] for name in _KEY[:3]), rows["day"][of] - 1], days - 1, fits)
+        return found
+
+    # A fit warm-starts from the slot's latest row of the 5 days before
+    # (yesterday's coefficients are an excellent start on a window shifted
+    # by a day); a short window reuses the latest fit of the 10 days before,
+    # else keeps identity coefficients.
+    warm, stale = latest(~rows["fallback"], 5), latest(rows["fallback"], REUSE_WINDOW_DAYS, fits=True)
+    reused = ["a", "b", "c", "d", "objective", "converged"]
+    rows[reused][stale >= 0] = store._rows[reused][stale[stale >= 0]]
 
     for k in sorted(to_fit):
         at, tables, models, caps = (list(column) for column in zip(*to_fit[k]))
-        caps, warm = np.array(caps), prior[at]
+        caps, warm_at = np.array(caps), warm[at]
         start = np.full((len(at), 2 * k + 2), math.nan)
-        start[warm >= 0] = _theta_of(store._rows[warm[warm >= 0]], k)
+        start[warm_at >= 0] = _theta_of(store._rows[warm_at[warm_at >= 0]], k)
         seeds = None
-        if k > 1:  # the single-model rows of each slot and date: this call's, else the store's
-            singles, found = np.zeros((len(at), k), dtype=RECORD), np.zeros((len(at), k), dtype=bool)
-            for t, key in enumerate(every[i] for i in at):
-                for j, m in enumerate(models[t]):
-                    single = (key.station_id, key.lead_time, single_strategy(m), key.issue_date.toordinal())
-                    own, kept = position.get(single, -1), store._find(*single, 0)
-                    if max(own, kept) >= 0:
-                        singles[t, j], found[t, j] = rows[own] if own >= 0 else store._rows[kept], True
-            theta = _theta_of(singles.reshape(-1), 1).reshape(-1, k, 4)
-            theta[~found.all(axis=1) | singles["fallback"].any(axis=1)] = math.nan
-            seeds = theta, singles["objective"]
+        if k > 1:  # the single-model rows of each slot, date and model: this call's, else the store's
+            mixed, which = np.unique(rows["strategy"][at], return_inverse=True)
+            singles = [single_strategy(m) for code in mixed.tolist() for m in parse_strategy(labels[1][code])[1]]
+            query = [np.repeat(rows[name][at], k) for name in _KEY]
+            query[2] = (which[:, None] * k + np.arange(k)).ravel()  # codes into ``singles``
+            own, kept = (s._find((labels[0], singles), query) for s in (updates, store))
+            single = np.zeros(len(at) * k, dtype=RECORD)
+            single["fallback"] = True  # a missing seed, like a fallback one, seeds nothing
+            single[kept >= 0] = store._rows[kept[kept >= 0]]
+            single[own >= 0] = rows[own[own >= 0]]
+            theta = _theta_of(single, 1).reshape(-1, k, 4)
+            theta[single["fallback"].reshape(-1, k).any(axis=1)] = math.nan
+            seeds = theta, single["objective"].reshape(-1, k)
         fit = fit_batch(tables, models, options, start, seeds, caps)
         rows["a"][at], rows["b"][at, :k], rows["c"][at], rows["d"][at, :k] = _coef_from(fit.theta, caps[:, 1])
         rows["objective"][at], rows["converged"][at] = fit.f, fit.converged
-    return CoefficientStore._of(codes, rows)
+    return updates
 
 
 def predict_for_issue(
@@ -438,17 +447,11 @@ def predict_for_issue(
     lead = np.array([slot[1] for slot in slots], dtype=np.int64)
     strategy = np.array([codes[2][s] for _, _, s in slots], dtype=np.int64)
 
-    def recode(names, column):  # codes into ``names`` as slot codes, -1 for a label no slot has
-        return np.array([column.get(name, -1) for name in names], dtype=np.int64)
-
-    station_ids, strategies, rows = store.table()
-    rows = rows[np.searchsorted(rows["day"], day):np.searchsorted(rows["day"], day + 1)]
-    stored = lookup([recode(station_ids, codes[0])[rows["station"]], rows["lead"],
-                     recode(strategies, codes[2])[rows["strategy"]]], [station, lead, strategy])
+    stored = store._find((labels[0], labels[2]), [station, lead, strategy, np.full(len(slots), day)])
     ensemble = {}  # model -> the cube row of each slot, -1 for none
     for model, cube in forecasts.items():
         rows_of_day = on_day[model]
-        keys = [recode(cube.station_ids, codes[0])[cube.station[rows_of_day]], cube.lead[rows_of_day]]
+        keys = [_recode(cube.station_ids, codes[0])[cube.station[rows_of_day]], cube.lead[rows_of_day]]
         ensemble[model] = np.append(rows_of_day, -1)[lookup(keys, [station, lead])]
 
     errors: dict[int, str] = {}
@@ -465,7 +468,7 @@ def predict_for_issue(
             for i in at[absent & (stored[at] >= 0)].tolist():
                 errors.setdefault(i, f"no forecast for model {m!r} at {labels[0][station[i]]} lead {lead[i]}")
         ok = (stored[at] >= 0) & ~np.logical_or.reduce(missing)
-        record = rows[stored[at[ok]]]
+        record = store._rows[stored[at[ok]]]
         mean, std = (np.column_stack([getattr(forecasts[m], stat)[e[ok]] for m, e in zip(models, columns)])
                      for stat in ("mean", "std"))
         k = len(models)
@@ -582,20 +585,23 @@ def train(
             raise ValueError(f"transition t1 needs leads {missing} in the configured lead set")
         tapered = [slot for slot in slots if slot[2] == combined and slot[1] in tspec.taper_leads]
         stations = sorted({sid for sid, _, _ in slots})
+        zero = np.zeros(len(stations), dtype=np.int64)
+        anchor_query = [np.arange(len(stations)), zero + tspec.anchor_lead, zero]  # each station's anchor, less its day
     taper_set = set(tapered)
     plain = [slot for slot in slots if slot not in taper_set]
     bounds: dict[CoefficientKey, tuple[float, float]] = {}  # the previous date's taper refits
     for issue in issue_dates:
         keys = [CoefficientKey(sid, lead, strategy, issue) for sid, lead, strategy in plain]
-        store.update(fit_for_issue(archive, issue, keys, spec, options, store, bounds))
+        updates = fit_for_issue(archive, issue, keys, spec, options, store, bounds)
+        store.update(updates)
         if taper is None:
             continue
+        anchors = updates._find((stations, [combined]), [*anchor_query, zero + issue.toordinal()])
         station_bounds = {}
-        for sid in stations:
-            anchor = store.get(CoefficientKey(sid, tspec.anchor_lead, combined, issue))
-            if anchor is None:
+        for sid, row in zip(stations, anchors.tolist()):
+            if row < 0:
                 raise ValueError(f"no anchor coefficients at lead {tspec.anchor_lead} for {sid} {issue}")
-            station_bounds[sid] = transition1_bounds(anchor.coefficients, tspec)
+            station_bounds[sid] = transition1_bounds(updates._record(row).coefficients, tspec)
         bounds = {CoefficientKey(sid, lead, s, issue): station_bounds[sid][lead] for sid, lead, s in tapered}
     if bounds:
         store.update(fit_for_issue(archive, issue_dates[-1], [], spec, options, store, bounds))

@@ -17,6 +17,7 @@ from emoskit.domain import (
     _micros,
     align,
     ensemble_stats,
+    lookup,
 )
 
 from conftest import forecast_cube
@@ -239,6 +240,55 @@ def test_values_at_matches_a_dict(table, queries):
     want = np.array([table.get(t, math.nan) for t in queries.tolist()])
     assert series.values_at(queries).tobytes() == want.tobytes()  # bit for bit, signed zeros and NaNs too
     assert series.values_at(queries.reshape(1, -1)).tobytes() == want.tobytes()
+
+
+@st.composite
+def lookup_cases(draw):
+    """Distinct key rows of 1-3 int64 columns, query rows with codes of -1
+    (labels no key has) among them, and ``within``: one value, or one per
+    query row; negative ones find nothing."""
+    width = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(-1, 2)] * (width - 1), st.integers(0, 9))
+    keys = draw(st.lists(row.filter(lambda r: -1 not in r[:-1]), max_size=12, unique=True))
+    queries = draw(st.lists(row, max_size=12))
+    within = draw(st.integers(-1, 6) | st.lists(st.integers(-1, 6), min_size=len(queries), max_size=len(queries)))
+    return width, keys, queries, within
+
+
+def oracle_lookup(keys, queries, within):
+    """Row by row: the key row with the query's leading columns whose last
+    column is the largest in [q - within, q]."""
+    limits = within if isinstance(within, list) else [within] * len(queries)
+    found = []
+    for (*head, q), w in zip(queries, limits):
+        rows = [i for i, (*h, k) in enumerate(keys) if h == head and q - w <= k <= q]
+        found.append(max(rows, key=lambda i: keys[i][-1], default=-1))
+    return found
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=lookup_cases())
+def test_lookup_matches_a_row_by_row_search(case):
+    width, keys, queries, within = case
+
+    def columns(rows):
+        return [np.array([r[j] for r in rows], dtype=np.int64) for j in range(width)]
+
+    limit = within if isinstance(within, int) else np.array(within, dtype=np.int64)
+    got = lookup(columns(keys), columns(queries), limit)
+    assert got.dtype == np.int64 and got.tolist() == oracle_lookup(keys, queries, within)
+
+
+def test_lookup_cases_cover_every_kind():
+    # The drawn cases include exact and windowed hits, windows per query row,
+    # -1 codes and empty keys and queries; a sample of fixed cases pins each.
+    keys = [np.array([0, 0, 1], dtype=np.int64), np.array([3, 5, 5], dtype=np.int64)]
+    queries = [np.array([0, 0, 0, 1, -1], dtype=np.int64), np.array([5, 4, 9, 5, 5], dtype=np.int64)]
+    assert lookup(keys, queries).tolist() == [1, -1, -1, 2, -1]
+    assert lookup(keys, queries, 1).tolist() == [1, 0, -1, 2, -1]
+    assert lookup(keys, queries, np.array([0, 0, 4, 0, 9])).tolist() == [1, -1, 1, 2, -1]
+    empty = [np.empty(0, dtype=np.int64)] * 2
+    assert lookup(empty, queries, 3).tolist() == [-1] * 5 and lookup(keys, empty).tolist() == []
 
 
 class TestForecastCube:

@@ -170,6 +170,23 @@ class TestFitForIssue:
             if parse_strategy(key.strategy)[0] == "single":
                 assert record.coefficients == EmosCoefficients(0.0, (1.0,), 0.0, (1.0,))
 
+    def test_stale_reuse_reads_fits_only(self):
+        # Short windows on days 51-65, one date after another: days 51-60
+        # reuse the day-50 fit; from day 61 it is more than 10 days old, and
+        # the stale copies of it are not reused again.
+        archive = make_archive(60)
+        store = CoefficientStore()
+        store.update(fit_for_issue(archive, issue_on(50), keys_for(issue_on(50)), store=store))
+        fresh = {k.strategy: v.coefficients for k, v in store.items()}
+        gutted = {("S1", 12): archive[("S1", 12)][48:53]}
+        for day in range(51, 66):
+            updates = fit_for_issue(gutted, issue_on(day), keys_for(issue_on(day)), store=store)
+            store.update(updates)
+            for key, record in updates.items():
+                want = fresh[key.strategy] if day <= 60 else identity(len(parse_strategy(key.strategy)[1]))
+                assert record.fallback and record.coefficients == want, (day, key.strategy)
+                assert math.isnan(record.objective) == (day > 60)
+
     def test_store_records_seed_combined_refits(self, monkeypatch):
         # A refit of an earlier date's combined key is seeded with that date's
         # single-model records from the store, unless one is a fallback.
