@@ -217,7 +217,7 @@ class CoefficientStore:
         columns, station and strategy as codes into ``labels`` (station ids,
         strategies)."""
         rows, day = self._rows[:self._n], queries[3]
-        near = (rows["day"] >= np.min(day - within, initial=_LAST_DAY)) & (rows["day"] <= np.max(day, initial=0))
+        near = (rows["day"] >= (day - within).min(initial=_LAST_DAY)) & (rows["day"] <= day.max(initial=0))
         near = np.flatnonzero(near & ~rows["fallback"] if fits else near)
         if not len(near):
             return np.full(len(day), -1)
