@@ -125,7 +125,7 @@ RECORD = np.dtype([("day", np.int64), ("station", np.int64), ("lead", np.int64),
                    ("a", float), ("b", float, (2,)), ("c", float), ("d", float, (2,)), ("n_samples", np.int64),
                    ("objective", float), ("converged", bool), ("fallback", bool)])
 _KEY = ("station", "lead", "strategy", "day")  # a record's key columns, in the order ``_find`` looks them up
-_LAST_DAY = date.max.toordinal()
+_LAST_DAY = date.max.toordinal()  # above every issue day
 
 
 def _recode(names, codes: Mapping[str, int]) -> np.ndarray:
@@ -200,7 +200,7 @@ class CoefficientStore:
         """(key, record) of every row, in key order: one record per row, for
         callers that want them all."""
         station_ids, strategies, rows = self.table()
-        keys = zip(*(rows[name].tolist() for name in ("station", "lead", "strategy", "day")))
+        keys = zip(*(rows[name].tolist() for name in _KEY))
         for (s, lead, k, day), row in zip(keys, self._table[3].tolist()):
             yield CoefficientKey(station_ids[s], lead, strategies[k], date.fromordinal(day)), self._record(row)
 
