@@ -31,6 +31,7 @@ from .emos import (
 from .pipeline import (
     CoefficientKey,
     CoefficientStore,
+    RollingState,
     RollingWindowSpec,
     build_archive,
     coefficient_slots,

@@ -1,34 +1,37 @@
 """Rolling-archive coefficient estimation and application.
 
 Coefficients are refit once per issue date, separately for every (station,
-lead time, strategy) key, on the trailing window of aligned
-forecast-observation pairs. Keys without enough window samples fall back to
-the most recent stored fit (up to 10 days old; a stale copy is not reused
-again) and finally to pass-through identity coefficients. Fits and
-fallbacks alike are rows of a ``CoefficientStore`` (``RECORD``), the
-fallbacks flagged ``fallback``: each ``fit_for_issue`` call finds its warm
-starts, seeds and stale coefficients among the store's rows with a few
-``domain.lookup`` calls, fits an issue date's keys, with t1 taper refits of
-earlier dates under their bounds, in one batched ``emos`` solve per number
-of predictors K, and returns its rows as a store; ``train`` makes one call
-per date and appends each. Records (``emos.FitResult``) are built only for
-a caller that asks for one. A fit that does not converge is recorded with its
-best-so-far coefficients; any other failure aborts the pass.
+lead time, strategy) slot, on the trailing window of aligned
+forecast-observation pairs. Slots without enough window samples fall back to
+their most recent fit (up to 10 days old; a stale copy is not reused again)
+and finally to pass-through identity coefficients. Fits and fallbacks alike
+are rows of a ``CoefficientStore`` (``RECORD``), the fallbacks flagged
+``fallback``. ``train`` codes its slots once, in a ``RollingState`` that
+carries each slot's latest row and latest fit from date to date; each
+``fit_for_issue`` call takes its warm starts, seeds and stale coefficients
+from that state by index, fits an issue date's slots, with the t1 taper
+refits of the date before under their bounds, in one batched ``emos`` solve
+per number of predictors K, and moves the state on. ``train`` builds its
+store once, from the rows of every call. Records (``emos.FitResult``) are
+built only for a caller that asks for one. A fit that does not converge is
+recorded with its best-so-far coefficients; any other failure aborts the
+pass.
 
 The drivers run the whole chain over many issue dates on one
 ``domain.ForecastCube`` per model: ``prepare_forecasts`` (lapse correction
-and lead interpolation of a loaded cube), ``coefficient_slots`` (the keys to
-fit, from each model's ``lead_coverage``), ``train`` (the rolling fits, with
-the t1 taper refits) and ``predict_issues`` (the per-date predictions, as
-one ``domain.PredictionTable``).
+and lead interpolation of a loaded cube), ``coefficient_slots`` (the slots
+to fit, from each model's ``lead_coverage``), ``train`` (the rolling fits,
+with the t1 taper refits) and ``predict_issues`` (the per-date predictions,
+as one ``domain.PredictionTable``). ``build_archive`` and ``predict_for_issue``
+accept one run (init time) per station and day.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Collection, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from datetime import date
+from datetime import date, datetime
 from functools import cache
 
 import numpy as np
@@ -43,6 +46,7 @@ __all__ = [
     "RollingWindowSpec",
     "CoefficientKey",
     "CoefficientStore",
+    "RollingState",
     "single_strategy",
     "mixed_strategy",
     "parse_strategy",
@@ -133,16 +137,21 @@ def _recode(names, codes: Mapping[str, int]) -> np.ndarray:
     return np.array([codes.get(name, -1) for name in names], dtype=np.int64)
 
 
-def _record_row(codes, key: CoefficientKey, coef: EmosCoefficients, n_samples: int, objective: float,
-                converged: bool, fallback: bool) -> tuple:
+def _record_row(codes, station_id: str, lead: int, strategy: str, day: int, coef: EmosCoefficients, n_samples: int,
+                objective: float, converged: bool, fallback: bool) -> tuple:
     """The ``RECORD`` row of one record, its station and strategy coded
     into ``codes`` (a new label takes the next code)."""
     if len(coef.b) > _MAX_PREDICTORS:
         raise ValueError(f"a store holds up to {_MAX_PREDICTORS} predictors, got {len(coef.b)}")
-    station, strategy = (c.setdefault(label, len(c)) for c, label in zip(codes, (key.station_id, key.strategy)))
+    station, strategy = (c.setdefault(label, len(c)) for c, label in zip(codes, (station_id, strategy)))
     pad = (math.nan,) * _MAX_PREDICTORS
-    return (key.issue_date.toordinal(), station, key.lead_time, strategy, coef.a, (coef.b + pad)[:_MAX_PREDICTORS],
-            coef.c, (coef.d + pad)[:_MAX_PREDICTORS], n_samples, objective, converged, fallback)
+    return (day, station, lead, strategy, coef.a, (coef.b + pad)[:_MAX_PREDICTORS], coef.c,
+            (coef.d + pad)[:_MAX_PREDICTORS], n_samples, objective, converged, fallback)
+
+
+def _coefficients(row, k: int) -> EmosCoefficients:
+    """The coefficients of a ``RECORD`` row of K = ``k`` predictors."""
+    return EmosCoefficients(row["a"].item(), row["b"].tolist()[:k], row["c"].item(), row["d"].tolist()[:k])
 
 
 class CoefficientStore:
@@ -150,25 +159,25 @@ class CoefficientStore:
 
     ``table()`` gives the rows in key order (issue date, station, lead,
     strategy), the order of the store file. ``get``, ``latest_before`` and
-    ``items`` build the records they return from the rows. Every row lookup
-    is one ``domain.lookup`` over the rows whose issue day can match
-    (``_find``). ``update`` appends the rows of another store, whose keys
-    must be new.
+    ``items`` build the records they return from the rows; a row lookup is
+    one ``domain.lookup`` over the rows whose issue day can match
+    (``_find``). A store is built once, from records, from a read table or
+    from the rows of a rolling train, and is not changed after.
     """
 
     def __init__(self, records: Mapping[CoefficientKey, FitResult] | None = None):
         self._codes: tuple[dict[str, int], dict[str, int]] = ({}, {})  # station id, strategy -> code in _rows
         self._table: tuple | None = None
-        self._rows = np.array([_record_row(self._codes, key, r.coefficients, r.n_samples, r.objective, r.converged,
-                                           r.fallback) for key, r in (records or {}).items()], dtype=RECORD)
-        self._n = len(self._rows)  # rows[:_n] are in use
+        self._rows = np.array([_record_row(self._codes, k.station_id, k.lead_time, k.strategy, k.issue_date.toordinal(),
+                                           r.coefficients, r.n_samples, r.objective, r.converged, r.fallback)
+                               for k, r in (records or {}).items()], dtype=RECORD)
 
     @classmethod
     def _of(cls, codes: tuple[dict[str, int], dict[str, int]], rows: np.ndarray) -> CoefficientStore:
         """The store of ``rows`` (``RECORD``, distinct keys, any order) with
         codes into ``codes``."""
         store = cls()
-        store._codes, store._rows, store._n = codes, rows, len(rows)
+        store._codes, store._rows = codes, rows
         return store
 
     @classmethod
@@ -180,17 +189,16 @@ class CoefficientStore:
         return store
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._rows)
 
     def table(self) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
         """(station ids, strategies, rows): the labels sorted, and the rows
         (``RECORD``, read-only) in key order with codes into them."""
         if self._table is None:
-            used = self._rows[:self._n]
-            station_ids, station = relabel(list(self._codes[0]), used["station"])
-            strategies, strategy = relabel(list(self._codes[1]), used["strategy"])
-            order = np.lexsort((strategy, used["lead"], station, used["day"]))
-            rows = used[order]  # the one copy of the rows
+            station_ids, station = relabel(list(self._codes[0]), self._rows["station"])
+            strategies, strategy = relabel(list(self._codes[1]), self._rows["strategy"])
+            order = np.lexsort((strategy, self._rows["lead"], station, self._rows["day"]))
+            rows = self._rows[order]  # the one copy of the rows
             rows["station"], rows["strategy"] = station[order], strategy[order]
             rows.flags.writeable = False
             self._table = station_ids, strategies, rows, order
@@ -205,20 +213,19 @@ class CoefficientStore:
             yield CoefficientKey(station_ids[s], lead, strategies[k], date.fromordinal(day)), self._record(row)
 
     def _record(self, row: int) -> FitResult:
-        _, _, _, strategy, a, b, c, d, n_samples, objective, converged, fallback = self._rows[row].tolist()
-        k = len(parse_strategy(list(self._codes[1])[strategy])[1])
-        coef = EmosCoefficients(a, b.tolist()[:k], c, d.tolist()[:k])
-        return FitResult(coef, objective, converged, n_iterations=0, n_samples=n_samples, fallback=fallback)
+        record = self._rows[row]
+        k = len(parse_strategy(list(self._codes[1])[record["strategy"]])[1])
+        return FitResult(_coefficients(record, k), record["objective"].item(), record["converged"].item(),
+                         n_iterations=0, n_samples=record["n_samples"].item(), fallback=record["fallback"].item())
 
-    def _find(self, labels, queries, within=0, fits: bool = False) -> np.ndarray:
+    def _find(self, labels, queries, within=0) -> np.ndarray:
         """The row of each query's slot at its latest issue day in [day -
-        ``within``, day], among fits only (``fallback`` false) if ``fits``;
-        -1 for none. ``queries`` are (station, lead, strategy, day) int64
-        columns, station and strategy as codes into ``labels`` (station ids,
-        strategies)."""
-        rows, day = self._rows[:self._n], queries[3]
-        near = (rows["day"] >= (day - within).min(initial=_LAST_DAY)) & (rows["day"] <= day.max(initial=0))
-        near = np.flatnonzero(near & ~rows["fallback"] if fits else near)
+        ``within``, day], -1 for none. ``queries`` are (station, lead,
+        strategy, day) int64 columns, station and strategy as codes into
+        ``labels`` (station ids, strategies)."""
+        rows, day = self._rows, queries[3]
+        lo, hi = (day - within).min(initial=_LAST_DAY), day.max(initial=0)
+        near = np.flatnonzero((rows["day"] >= lo) & (rows["day"] <= hi))
         if not len(near):
             return np.full(len(day), -1)
         station, strategy = (_recode(names, code)[column] for code, names, column in
@@ -235,28 +242,6 @@ class CoefficientStore:
     def get(self, key: CoefficientKey) -> FitResult | None:
         row = self._row(key.station_id, key.lead_time, key.strategy, key.issue_date.toordinal())
         return None if row < 0 else self._record(row)
-
-    def update(self, other: CoefficientStore) -> None:
-        """Append the rows of ``other``. A key stored already raises
-        ValueError and leaves the store unchanged."""
-        if not len(other):  # a read store's rows are read-only, even where none is added
-            return
-        rows = other._rows[:other._n].copy()
-        labels = [list(code) for code in other._codes]
-        stored = np.flatnonzero(self._find(labels, [rows[name] for name in _KEY]) >= 0)
-        if len(stored):
-            s, lead, k, day = (rows[name][stored[0]].item() for name in _KEY)
-            key = CoefficientKey(labels[0][s], lead, labels[1][k], date.fromordinal(day))
-            raise ValueError(f"{key} is stored already")
-        for name, code, names in zip(("station", "strategy"), self._codes, labels):
-            rows[name] = np.array([code.setdefault(label, len(code)) for label in names], dtype=np.int64)[rows[name]]
-        if self._n + len(rows) > len(self._rows):  # double the capacity; rows not yet written take no memory
-            grown = np.empty(max(2 * self._n, self._n + len(rows)), dtype=RECORD)
-            grown[:self._n] = self._rows[:self._n]
-            self._rows = grown
-        self._rows[self._n:self._n + len(rows)] = rows
-        self._n += len(rows)
-        self._table = None
 
     def latest_before(
         self, station_id: str, lead_time: int, strategy: str, issue_date: date, max_age_days: int
@@ -281,6 +266,23 @@ def select_window(table: SampleTable, issue_date: date, spec: RollingWindowSpec)
 Archive = dict[tuple[str, int], SampleTable]
 
 
+def _one_run_per_day(cubes: Iterable[ForecastCube], rows: Iterable) -> dict[tuple[int, str], datetime]:
+    """The init time of the forecasts of each (day, station id) among the
+    ``rows`` of each cube, days as ``date.toordinal``. A station with
+    forecasts from more than one init time on a day raises ValueError."""
+    times: dict[tuple[int, str], set[datetime]] = {}
+    for cube, at in zip(cubes, rows):
+        n, days = len(cube.init_times), cube.init_days.tolist()
+        for s, t in (divmod(pair, n) for pair in np.unique(cube.station[at] * n + cube.init[at]).tolist()):
+            times.setdefault((days[t], cube.station_ids[s]), set()).add(cube.init_times[t])
+    for (day, station_id), found in sorted(times.items()):
+        if len(found) > 1:
+            listed = ", ".join(t.strftime("%H:%M") for t in sorted(found))
+            raise ValueError(f"station {station_id} has forecasts from {len(found)} init times on "
+                             f"{date.fromordinal(day)} ({listed}); only one run per day is supported")
+    return {key: found.pop() for key, found in times.items()}
+
+
 def build_archive(
     forecasts_by_model: Mapping[str, ForecastCube],
     observations,
@@ -291,11 +293,13 @@ def build_archive(
     For each lead time, alignment requires every model that provides any
     forecast at that lead; models whose horizon ends earlier simply drop out
     of the samples at longer leads. Returns the archive and the total number
-    of dropped (incomplete) init times.
+    of dropped (incomplete) init times. A station with forecasts from more
+    than one init time on a day raises ValueError, as in ``predict_for_issue``.
     """
     cubes = [forecasts_by_model[m] for m in sorted(forecasts_by_model)]
     leads_of = [set(cube.lead.tolist()) for cube in cubes]
     covered = set().union(*(cube.station_ids for cube in cubes))
+    _one_run_per_day(cubes, [slice(None)] * len(cubes))
     archive: Archive = {}
     total_dropped = 0
     for station_id in sorted(covered.intersection(observations)):
@@ -315,95 +319,127 @@ def _theta_of(rows: np.ndarray, k: int) -> np.ndarray:
     return _theta_from(rows["a"], rows["b"][:, :k], rows["c"], rows["d"][:, :k])
 
 
+_NO_DAY = np.iinfo(np.int64).min  # the day of a state row that holds nothing yet
+
+
+class RollingState:
+    """What a rolling train carries over its slots from one issue date to the
+    next: ``row``, each slot's latest ``RECORD`` row, and ``fit``, its latest
+    fit (not a fallback), both day ``_NO_DAY`` where there is none.
+
+    The slots are coded once: station and strategy into ``codes``, and each
+    slot's models to ``singles``, the single-model slot of the same station
+    and lead per model (-1 for none). A ``raw:`` slot raises ValueError.
+    """
+
+    def __init__(self, slots: Sequence[Slot]):
+        self.slots, self.codes, self.models = list(slots), ({}, {}), []
+        for _, _, strategy in self.slots:
+            kind, models = parse_strategy(strategy)
+            if kind == "raw":
+                raise ValueError(f"raw strategy {strategy!r} takes no coefficients")
+            self.models.append(models)
+        self.k = np.array([len(models) for models in self.models], dtype=np.int64)
+        self._blank = np.array([_record_row(self.codes, *slot, _NO_DAY, _IDENTITY[len(models)], 0, math.nan, True, True)
+                                for slot, models in zip(self.slots, self.models)], dtype=RECORD)
+        self.row, self.fit = self._blank.copy(), self._blank.copy()
+        index = {slot: i for i, slot in enumerate(self.slots)}
+        self.singles = np.full((len(self.slots), _MAX_PREDICTORS), -1)
+        for i, ((sid, lead, _), models) in enumerate(zip(self.slots, self.models)):
+            self.singles[i, :len(models)] = [index.get((sid, lead, single_strategy(m)), -1) for m in models]
+
+    def store(self, blocks: Sequence[np.ndarray]) -> CoefficientStore:
+        """The store of the rows of ``fit_for_issue`` calls over this state."""
+        return CoefficientStore._of(self.codes, np.concatenate([self._blank[:0], *blocks]))
+
+
 def fit_for_issue(
     archive: Archive,
     issue_date: date,
-    keys: list[CoefficientKey],
+    state: RollingState,
+    at: Sequence[int],
     spec: RollingWindowSpec = RollingWindowSpec(),
     options: FitOptions = FitOptions(),
-    store: CoefficientStore | None = None,
-    bounds: dict[CoefficientKey, tuple[float, float]] | None = None,
-) -> CoefficientStore:
-    """Compute store updates for one issue date: its ``keys``, and the keys of
-    ``bounds``, which map keys of this or earlier dates to (b1_max, d1_max)
-    upper bounds, as the t1 taper refits need. A key in both is fitted once,
-    each key on the window of its own date.
+    refits: tuple[date, Sequence[int], np.ndarray] | None = None,
+) -> np.ndarray:
+    """Fit one wave: the slots ``at`` (indices into ``state.slots``) on
+    ``issue_date``, and ``refits`` = (date, slots, caps), t1 taper slots of
+    that or an earlier date under their (b1_max, d1_max) upper bounds (one
+    row of ``caps`` per slot). Each task is fitted on the window of its own
+    date; a slot takes at most one task per call, and its dates increase
+    from call to call.
 
-    The keys are fitted in one batched solve per number of predictors K, in
-    increasing K: the single-model keys first, then the combined keys, each
-    seeded from the single-model fits of its slot and date (this call's rows,
-    else the rows of ``store``). A key's latest ``store`` row of the 5 days
-    before its date warm-starts its fit. Keys whose window has fewer than
-    ``spec.min_samples`` samples, or lacks one of the key's models, fall back
-    to the coefficients of the slot's latest ``store`` fit (not a fallback)
-    of the 10 days before, else to identity ones; any other error
+    The tasks are fitted in one batched solve per number of predictors K, in
+    increasing K. A task warm-starts from its slot's latest row of the 5
+    days before its date. A K = 2 task is seeded with the rows of its
+    single-model slots of the same date: this wave's, else their latest
+    ones. A task whose window has fewer than ``spec.min_samples`` samples,
+    or lacks one of its models, falls back to the coefficients of the slot's
+    latest fit of the 10 days before, else to identity ones; any other error
     propagates.
 
-    ``store`` is not modified: the updates come back as a store of their
-    own, for ``CoefficientStore.update``.
+    Returns the tasks' rows (``RECORD``, codes into ``state.codes``), this
+    date's slots first, and moves ``state`` on to them.
     """
-    for key in keys:
-        if key.issue_date != issue_date:
-            raise ValueError(f"key {key} does not belong to issue date {issue_date}")
-    bounds = bounds or {}
-    for key in bounds:
-        if key.issue_date > issue_date:
-            raise ValueError(f"bounds key {key} is dated after issue date {issue_date}")
-    store = CoefficientStore() if store is None else store
-    every = list(dict.fromkeys([*keys, *bounds]))
-    codes, windows, block, to_fit = ({}, {}), {}, [], {}
-    for key in every:
-        kind, models = parse_strategy(key.strategy)
-        if kind == "raw":
-            raise ValueError(f"raw strategy {key.strategy!r} takes no coefficients")
-        slot, where = (key.station_id, key.lead_time), (key.station_id, key.lead_time, key.issue_date)
-        if where not in windows:
-            windows[where] = select_window(archive[slot], key.issue_date, spec) if slot in archive else None
-        window = windows[where]
-        n_samples = len(window) if window else 0
-        short = n_samples < spec.min_samples or not set(models) <= set(window.models)
-        if not short:
-            to_fit.setdefault(len(models), []).append((len(block), window, models, bounds.get(key, (math.inf,) * 2)))
-        block.append(_record_row(codes, key, _IDENTITY[len(models)], n_samples, math.nan, True, short))
-    rows = np.array(block, dtype=RECORD)
-    updates, labels = CoefficientStore._of(codes, rows), [list(code) for code in codes]
-
-    def latest(of, days, fits=False):  # the store row of each row's slot in the ``days`` before its date, -1 for none
-        found = np.full(len(rows), -1)
-        found[of] = store._find(labels, [*(rows[name][of] for name in _KEY[:3]), rows["day"][of] - 1], days - 1, fits)
-        return found
+    refit_date, refit_at, caps = refits or (issue_date, [], np.empty((0, 2)))
+    if refit_date > issue_date:
+        raise ValueError(f"refits of {refit_date} are dated after issue date {issue_date}")
+    slot = np.concatenate([at, refit_at]).astype(np.int64)
+    dates = [issue_date] * len(at) + [refit_date] * len(refit_at)
+    rows = state._blank[slot]
+    rows["day"] = day = np.repeat([issue_date.toordinal(), refit_date.toordinal()], [len(at), len(refit_at)])
+    late = np.flatnonzero(state.row["day"][slot] >= day)
+    if len(late):
+        raise ValueError(f"slot {state.slots[slot[late[0]]]} has a row on or after {dates[late[0]]}")
+    windows, tables, n_samples, short = {}, [], [], []
+    for s, on in zip(slot.tolist(), dates):
+        sid, lead, _ = state.slots[s]
+        if (sid, lead, on) not in windows:
+            windows[sid, lead, on] = select_window(archive[sid, lead], on, spec) if (sid, lead) in archive else None
+        window = windows[sid, lead, on]
+        tables.append(window)
+        n_samples.append(len(window) if window else 0)
+        short.append(n_samples[-1] < spec.min_samples or not set(state.models[s]) <= set(window.models))
+    rows["n_samples"], rows["fallback"] = n_samples, short
+    short = rows["fallback"]
 
     # A fit warm-starts from the slot's latest row of the 5 days before
     # (yesterday's coefficients are an excellent start on a window shifted
     # by a day); a short window reuses the latest fit of the 10 days before,
     # else keeps identity coefficients.
-    warm, stale = latest(~rows["fallback"], 5), latest(rows["fallback"], REUSE_WINDOW_DAYS, fits=True)
+    warm = state.row["day"][slot] >= day - 5
+    stale = short & (state.fit["day"][slot] >= day - REUSE_WINDOW_DAYS)
     reused = ["a", "b", "c", "d", "objective", "converged"]
-    rows[reused][stale >= 0] = store._rows[reused][stale[stale >= 0]]
+    rows[reused][stale] = state.fit[reused][slot[stale]]
 
-    for k in sorted(to_fit):
-        at, tables, models, caps = (list(column) for column in zip(*to_fit[k]))
-        caps, warm_at = np.array(caps), warm[at]
-        start = np.full((len(at), 2 * k + 2), math.nan)
-        start[warm_at >= 0] = _theta_of(store._rows[warm_at[warm_at >= 0]], k)
+    caps = np.vstack([np.full((len(at), 2), math.inf), caps])
+    position = np.full(len(state.slots), -1)
+    position[slot] = np.arange(len(slot))
+    for k in np.unique(state.k[slot[~short]]).tolist():
+        at_k = np.flatnonzero(~short & (state.k[slot] == k))
+        start = np.full((len(at_k), 2 * k + 2), math.nan)
+        start[warm[at_k]] = _theta_of(state.row[slot[at_k[warm[at_k]]]], k)
         seeds = None
-        if k > 1:  # the single-model rows of each slot, date and model: this call's, else the store's
-            mixed, which = np.unique(rows["strategy"][at], return_inverse=True)
-            singles = [single_strategy(m) for code in mixed.tolist() for m in parse_strategy(labels[1][code])[1]]
-            query = [np.repeat(rows[name][at], k) for name in _KEY]
-            query[2] = (which[:, None] * k + np.arange(k)).ravel()  # codes into ``singles``
-            own, kept = (s._find((labels[0], singles), query) for s in (updates, store))
-            single = np.zeros(len(at) * k, dtype=RECORD)
-            single["fallback"] = True  # a missing seed, like a fallback one, seeds nothing
-            single[kept >= 0] = store._rows[kept[kept >= 0]]
-            single[own >= 0] = rows[own[own >= 0]]
-            theta = _theta_of(single, 1).reshape(-1, k, 4)
-            theta[single["fallback"].reshape(-1, k).any(axis=1)] = math.nan
-            seeds = theta, single["objective"].reshape(-1, k)
-        fit = fit_batch(tables, models, options, start, seeds, caps)
-        rows["a"][at], rows["b"][at, :k], rows["c"][at], rows["d"][at, :k] = _coef_from(fit.theta, caps[:, 1])
-        rows["objective"][at], rows["converged"][at] = fit.f, fit.converged
-    return updates
+        if k > 1:  # the rows of each task's single-model slots on its date: this wave's, else the state's
+            single, on = state.singles[slot[at_k], :k], day[at_k, None]
+            seed = np.zeros(single.shape, dtype=RECORD)
+            seed["fallback"] = True  # a missing seed, like a fallback one, seeds nothing
+            kept = (single >= 0) & (state.row["day"][single] == on)
+            seed[kept] = state.row[single[kept]]
+            own = np.where(single >= 0, position[single], -1)
+            mine = (own >= 0) & (day[own] == on)
+            seed[mine] = rows[own[mine]]
+            theta = _theta_of(seed.ravel(), 1).reshape(-1, k, 4)
+            theta[seed["fallback"].any(axis=1)] = math.nan
+            seeds = theta, seed["objective"]
+        fit = fit_batch([tables[i] for i in at_k], [state.models[s] for s in slot[at_k]], options, start, seeds,
+                        caps[at_k])
+        coef = _coef_from(fit.theta, caps[at_k, 1])
+        rows["a"][at_k], rows["b"][at_k, :k], rows["c"][at_k], rows["d"][at_k, :k] = coef
+        rows["objective"][at_k], rows["converged"][at_k] = fit.f, fit.converged
+    state.row[slot] = rows
+    state.fit[slot[~short]] = rows[~short]
+    return rows
 
 
 def predict_for_issue(
@@ -424,21 +460,10 @@ def predict_for_issue(
     rejected with ValueError.
     """
     day = issue_date.toordinal()
-    on_day = {}  # model -> rows of the date's ensembles
-    init_times: dict[str, set] = {}
-    for model, cube in forecasts.items():
-        on_day[model] = rows = np.flatnonzero(cube.init_days[cube.init] == day)
-        for s, t in set(zip(cube.station[rows].tolist(), cube.init[rows].tolist())):
-            init_times.setdefault(cube.station_ids[s], set()).add(cube.init_times[t])
-    if not init_times:
+    on_day = {model: np.flatnonzero(cube.init_days[cube.init] == day) for model, cube in forecasts.items()}
+    runs = _one_run_per_day(forecasts.values(), on_day.values())
+    if not runs:
         return PredictionTable((), (), (), *[[]] * 6), {}
-    for station_id, times in sorted(init_times.items()):
-        if len(times) > 1:
-            listed = ", ".join(t.strftime("%H:%M") for t in sorted(times))
-            raise ValueError(
-                f"station {station_id} has forecasts from {len(times)} init times on {issue_date} ({listed}); "
-                "only one run per day is supported"
-            )
 
     # The slots as codes: stations and strategies as indices into these labels.
     labels = [list(dict.fromkeys(column)) for column in zip(*slots)] or [[], [], []]
@@ -477,7 +502,7 @@ def predict_for_issue(
         mu.append(result[0])
         sigma.append(result[1])
     found = np.concatenate(found or [np.empty(0, dtype=np.int64)])
-    inits = [next(iter(init_times.get(sid, {None}))) for sid in labels[0]]
+    inits = [runs.get((day, sid)) for sid in labels[0]]
     predictions = PredictionTable(labels[0], inits, labels[2], station[found], station[found], lead[found],
                                   strategy[found], np.concatenate(mu or [[]]), np.concatenate(sigma or [[]]))
     return predictions, {slots[i]: errors[i] for i in sorted(errors)}
@@ -564,48 +589,46 @@ def train(
     taper: tuple[TransitionSpec, str] | None = None,
 ) -> CoefficientStore:
     """Fit every slot on every issue date, in date order, into a new store;
-    each date warm-starts from the fits of the dates before it.
+    each date warm-starts from the fits of the dates before it, which one
+    ``RollingState`` over the slots carries from date to date.
 
     ``taper`` = (spec, combined strategy) selects the t1 scheme: the combined
     strategy's slots at the taper leads are left out of each date's own
     solves and refit under the upper bounds that ``transition1_bounds``
     derives from that date's fit at the anchor lead. No later date reads
     those refits, so they ride in the next date's ``fit_for_issue`` call (a
-    wave: one solve per K over that date's keys and the previous date's
-    taper keys), and the last date's run alone at the end. Slots without the anchor or taper
-    leads, or a station without an anchor fit, raise ValueError.
+    wave: one solve per K over that date's slots and the previous date's
+    taper slots), and the last date's run alone at the end. The calls' rows
+    become the store at the end, in one block. Slots without the anchor or
+    taper leads, or a station without an anchor slot, raise ValueError.
     """
-    store = CoefficientStore()
-    tapered: list[Slot] = []
+    state = RollingState(slots)
+    tapered: list[int] = []
     if taper is not None:
         tspec, combined = taper
         present = {lead for _, lead, _ in slots}
         missing = [t for t in (tspec.anchor_lead, *tspec.taper_leads) if t not in present]
         if missing:
             raise ValueError(f"transition t1 needs leads {missing} in the configured lead set")
-        tapered = [slot for slot in slots if slot[2] == combined and slot[1] in tspec.taper_leads]
+        tapered = [i for i, (_, lead, s) in enumerate(slots) if s == combined and lead in tspec.taper_leads]
+        index = {slot: i for i, slot in enumerate(slots)}
         stations = sorted({sid for sid, _, _ in slots})
-        zero = np.zeros(len(stations), dtype=np.int64)
-        anchor_query = [np.arange(len(stations)), zero + tspec.anchor_lead, zero]  # each station's anchor, less its day
-    taper_set = set(tapered)
-    plain = [slot for slot in slots if slot not in taper_set]
-    bounds: dict[CoefficientKey, tuple[float, float]] = {}  # the previous date's taper refits
+        anchors = [index.get((sid, tspec.anchor_lead, combined), -1) for sid in stations]
+    plain = np.setdiff1d(np.arange(len(slots)), tapered)
+    blocks, refits = [], None
     for issue in issue_dates:
-        keys = [CoefficientKey(sid, lead, strategy, issue) for sid, lead, strategy in plain]
-        updates = fit_for_issue(archive, issue, keys, spec, options, store, bounds)
-        store.update(updates)
+        blocks.append(fit_for_issue(archive, issue, state, plain, spec, options, refits))
         if taper is None:
             continue
-        anchors = updates._find((stations, [combined]), [*anchor_query, zero + issue.toordinal()])
-        station_bounds = {}
-        for sid, row in zip(stations, anchors.tolist()):
-            if row < 0:
+        bounds = {}
+        for sid, anchor in zip(stations, anchors):
+            if anchor < 0:
                 raise ValueError(f"no anchor coefficients at lead {tspec.anchor_lead} for {sid} {issue}")
-            station_bounds[sid] = transition1_bounds(updates._record(row).coefficients, tspec)
-        bounds = {CoefficientKey(sid, lead, s, issue): station_bounds[sid][lead] for sid, lead, s in tapered}
-    if bounds:
-        store.update(fit_for_issue(archive, issue_dates[-1], [], spec, options, store, bounds))
-    return store
+            bounds[sid] = transition1_bounds(_coefficients(state.row[anchor], state.k[anchor]), tspec)
+        refits = issue, tapered, np.array([bounds[slots[i][0]][slots[i][1]] for i in tapered]).reshape(-1, 2)
+    if tapered and issue_dates:
+        blocks.append(fit_for_issue(archive, issue_dates[-1], state, [], spec, options, refits))
+    return state.store(blocks)
 
 
 def predict_issues(
