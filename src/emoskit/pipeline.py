@@ -273,7 +273,7 @@ def _one_run_per_day(cubes: Iterable[ForecastCube], rows: Iterable) -> dict[tupl
     times: dict[tuple[int, str], set[datetime]] = {}
     for cube, at in zip(cubes, rows):
         n, days = len(cube.init_times), cube.init_days.tolist()
-        for s, t in (divmod(pair, n) for pair in np.unique(cube.station[at] * n + cube.init[at]).tolist()):
+        for s, t in (divmod(pair, n) for pair in set((cube.station[at] * n + cube.init[at]).tolist())):
             times.setdefault((days[t], cube.station_ids[s]), set()).add(cube.init_times[t])
     for (day, station_id), found in sorted(times.items()):
         if len(found) > 1:
@@ -415,7 +415,7 @@ def fit_for_issue(
     caps = np.vstack([np.full((len(at), 2), math.inf), caps])
     position = np.full(len(state.slots), -1)
     position[slot] = np.arange(len(slot))
-    for k in np.unique(state.k[slot[~short]]).tolist():
+    for k in sorted(set(state.k[slot[~short]].tolist())):
         at_k = np.flatnonzero(~short & (state.k[slot] == k))
         start = np.full((len(at_k), 2 * k + 2), math.nan)
         start[warm[at_k]] = _theta_of(state.row[slot[at_k[warm[at_k]]]], k)
@@ -614,7 +614,7 @@ def train(
         index = {slot: i for i, slot in enumerate(slots)}
         stations = sorted({sid for sid, _, _ in slots})
         anchors = [index.get((sid, tspec.anchor_lead, combined), -1) for sid in stations]
-    plain = np.setdiff1d(np.arange(len(slots)), tapered)
+    plain = sorted(set(range(len(slots))) - set(tapered))
     blocks, refits = [], None
     for issue in issue_dates:
         blocks.append(fit_for_issue(archive, issue, state, plain, spec, options, refits))
