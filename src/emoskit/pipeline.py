@@ -327,9 +327,10 @@ class RollingState:
     next: ``row``, each slot's latest ``RECORD`` row, and ``fit``, its latest
     fit (not a fallback), both day ``_NO_DAY`` where there is none.
 
-    The slots are coded once: station and strategy into ``codes``, and each
-    slot's models to ``singles``, the single-model slot of the same station
-    and lead per model (-1 for none). A ``raw:`` slot raises ValueError.
+    The slots are coded once: ``index`` maps each slot to its index, station
+    and strategy are coded into ``codes``, and each slot's models map to
+    ``singles``, the single-model slot of the same station and lead per
+    model (-1 for none). A ``raw:`` slot raises ValueError.
     """
 
     def __init__(self, slots: Sequence[Slot]):
@@ -343,14 +344,15 @@ class RollingState:
         self._blank = np.array([_record_row(self.codes, *slot, _NO_DAY, _IDENTITY[len(models)], 0, math.nan, True, True)
                                 for slot, models in zip(self.slots, self.models)], dtype=RECORD)
         self.row, self.fit = self._blank.copy(), self._blank.copy()
-        index = {slot: i for i, slot in enumerate(self.slots)}
+        self.index = {slot: i for i, slot in enumerate(self.slots)}
         self.singles = np.full((len(self.slots), _MAX_PREDICTORS), -1)
         for i, ((sid, lead, _), models) in enumerate(zip(self.slots, self.models)):
-            self.singles[i, :len(models)] = [index.get((sid, lead, single_strategy(m)), -1) for m in models]
+            self.singles[i, :len(models)] = [self.index.get((sid, lead, single_strategy(m)), -1) for m in models]
 
-    def store(self, blocks: Sequence[np.ndarray]) -> CoefficientStore:
-        """The store of the rows of ``fit_for_issue`` calls over this state."""
-        return CoefficientStore._of(self.codes, np.concatenate([self._blank[:0], *blocks]))
+    def store(self, rows: np.ndarray) -> CoefficientStore:
+        """The store of ``rows`` that ``fit_for_issue`` calls over this state
+        returned (distinct keys, any order)."""
+        return CoefficientStore._of(self.codes, rows)
 
 
 def fit_for_issue(
@@ -599,7 +601,7 @@ def train(
     those refits, so they ride in the next date's ``fit_for_issue`` call (a
     wave: one solve per K over that date's slots and the previous date's
     taper slots), and the last date's run alone at the end. The calls' rows
-    become the store at the end, in one block. Slots without the anchor or
+    are written into one array, the store's. Slots without the anchor or
     taper leads, or a station without an anchor slot, raise ValueError.
     """
     state = RollingState(slots)
@@ -611,13 +613,13 @@ def train(
         if missing:
             raise ValueError(f"transition t1 needs leads {missing} in the configured lead set")
         tapered = [i for i, (_, lead, s) in enumerate(slots) if s == combined and lead in tspec.taper_leads]
-        index = {slot: i for i, slot in enumerate(slots)}
         stations = sorted({sid for sid, _, _ in slots})
-        anchors = [index.get((sid, tspec.anchor_lead, combined), -1) for sid in stations]
+        anchors = [state.index.get((sid, tspec.anchor_lead, combined), -1) for sid in stations]
     plain = sorted(set(range(len(slots))) - set(tapered))
-    blocks, refits = [], None
+    rows, n, refits = np.empty(len(issue_dates) * len(slots), dtype=RECORD), 0, None  # one row per slot and date
     for issue in issue_dates:
-        blocks.append(fit_for_issue(archive, issue, state, plain, spec, options, refits))
+        wave = fit_for_issue(archive, issue, state, plain, spec, options, refits)
+        rows[n:n + len(wave)], n = wave, n + len(wave)
         if taper is None:
             continue
         bounds = {}
@@ -627,8 +629,8 @@ def train(
             bounds[sid] = transition1_bounds(_coefficients(state.row[anchor], state.k[anchor]), tspec)
         refits = issue, tapered, np.array([bounds[slots[i][0]][slots[i][1]] for i in tapered]).reshape(-1, 2)
     if tapered and issue_dates:
-        blocks.append(fit_for_issue(archive, issue_dates[-1], state, [], spec, options, refits))
-    return state.store(blocks)
+        rows[n:] = fit_for_issue(archive, issue_dates[-1], state, [], spec, options, refits)
+    return state.store(rows)
 
 
 def predict_issues(
