@@ -208,6 +208,37 @@ class TestPredict:
         assert "S001" in err and "2017-02-27" in err
 
 
+def with_second_run(basic_run, tmp_path, day="2017-02-10", station="S000"):
+    """A copy of the basic run's data with a 12 UTC copy of one station's 00
+    UTC runs of ``day`` in both forecast files."""
+    data = tmp_path / "data"
+    shutil.copytree(basic_run["data"], data)
+    for model in ("hires", "global"):
+        path = data / f"forecasts_{model}.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        extra = [line.replace("T00:00:00Z", "T12:00:00Z", 1) for line in lines[1:]
+                 if line.startswith(f"{station},{day}T00:00:00Z")]
+        assert extra
+        path.write_text("".join(lines + extra))
+    return data
+
+
+TWO_RUNS = ("error: station S000 has forecasts from 2 init times on 2017-02-10 (00:00, 12:00); "
+            "only one run per day is supported\n")
+
+
+@pytest.mark.parametrize("stage", ["train", "predict"])
+def test_two_runs_a_day_rejected_by_train_and_predict(basic_run, tmp_path, capsys, stage):
+    # train counted the second run as more window samples; both stages now
+    # reject it with predict's message.
+    data = with_second_run(basic_run, tmp_path)
+    out = ["--store", str(tmp_path / "store.csv")] if stage == "train" else \
+        ["--store", str(basic_run["store"]), "--out", str(tmp_path / "predictions.csv")]
+    code = main([stage, "--config", basic_run["cfg"], "--data", str(data), *out])
+    assert (code, capsys.readouterr().err) == (1, TWO_RUNS)
+    assert not (tmp_path / "store.csv").exists() and not (tmp_path / "predictions.csv").exists()
+
+
 def last_date_args(store, out):
     return ["--store", str(store), "--out", str(out), "--issue-start", "2017-02-27", "--issue-end", "2017-02-27"]
 

@@ -240,18 +240,6 @@ class TestStore:
             got = back.get(key)
             assert got == record
 
-    def test_read_store_takes_updates(self, tmp_path):
-        # A read store's rows are read-only: an update appends to a copy, and
-        # an empty one adds nothing.
-        key, later = (CoefficientKey("S1", 12, "single:hires", T0.date() + timedelta(days=day)) for day in (0, 1))
-        record = FitResult(EmosCoefficients(0.125, (0.875,), 1.5, (0.25,)), 0.5, True, 0, 45, False)
-        path = tmp_path / "coeffs.csv"
-        write_store(path, CoefficientStore({key: record}))
-        store = read_store(path)
-        store.update(CoefficientStore())
-        store.update(CoefficientStore({later: record}))
-        assert [(k, r) for k, r in store.items()] == [(key, record), (later, record)]
-
     def test_nan_objective_round_trips(self, tmp_path):
         store = CoefficientStore({
             CoefficientKey("S1", 12, "single:hires", T0.date()):

@@ -4,15 +4,17 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from emoskit import domain
 from emoskit.domain import SampleTable, StationMetadata, ensemble_stats
 from emoskit import pipeline
 from emoskit.emos import EmosCoefficients, FitResult, identity, predict
 from emoskit.pipeline import (
     CoefficientKey,
     CoefficientStore,
+    RollingState,
     RollingWindowSpec,
     build_archive,
     fit_for_issue,
@@ -28,6 +30,7 @@ from emoskit.pipeline import (
 from emoskit.transition import TransitionSpec, transition1_bounds
 
 from conftest import T0, forecast_cube, linear_gaussian_samples, prediction_dict
+from train_oracle import rolling_train
 
 
 def issue_on(day):
@@ -122,10 +125,22 @@ def keys_for(issue, strategies=STRATS, station="S1", lead=12):
     return [CoefficientKey(station, lead, s, issue) for s in strategies]
 
 
+def slots_for(strategies=STRATS, station="S1", lead=12):
+    return [(station, lead, s) for s in strategies]
+
+
+def fit_all(archive, issue, state=None, spec=RollingWindowSpec()):
+    """One ``fit_for_issue`` call over every slot of ``state`` (by default a
+    new state over ``slots_for()``): the store of its rows, and the state."""
+    state = RollingState(slots_for()) if state is None else state
+    rows = fit_for_issue(archive, issue, state, np.arange(len(state.slots)), spec)
+    return state.store(rows), state
+
+
 class TestFitForIssue:
     def test_fresh_fit(self):
         archive = make_archive(60)
-        updates = fit_for_issue(archive, issue_on(50), keys_for(issue_on(50)))
+        updates, _ = fit_all(archive, issue_on(50))
         assert len(updates) == 3
         for key, record in updates.items():
             assert not record.fallback
@@ -134,7 +149,7 @@ class TestFitForIssue:
 
     def test_identity_fallback_without_history(self):
         archive = make_archive(10)
-        updates = fit_for_issue(archive, issue_on(10), keys_for(issue_on(10)))
+        updates, _ = fit_all(archive, issue_on(10))
         for key, record in updates.items():
             assert record.fallback
             assert record.n_samples == 10
@@ -147,12 +162,11 @@ class TestFitForIssue:
 
     def test_stale_reuse_within_ten_days(self):
         archive = make_archive(60)
-        store = CoefficientStore()
-        store.update(fit_for_issue(archive, issue_on(50), keys_for(issue_on(50)), store=store))
+        store, state = fit_all(archive, issue_on(50))
         fresh = {k.strategy: v for k, v in store.items()}
         # issue 53 has a gutted archive -> too few samples -> reuse the 3-day-old fits
         gutted = {("S1", 12): archive[("S1", 12)][48:53]}
-        updates = fit_for_issue(gutted, issue_on(53), keys_for(issue_on(53)), store=store)
+        updates, _ = fit_all(gutted, issue_on(53), state)
         for key, record in updates.items():
             assert record.fallback
             assert record.coefficients == fresh[key.strategy].coefficients
@@ -161,10 +175,9 @@ class TestFitForIssue:
 
     def test_stale_reuse_expires_after_ten_days(self):
         archive = make_archive(60)
-        store = CoefficientStore()
-        store.update(fit_for_issue(archive, issue_on(50), keys_for(issue_on(50)), store=store))
+        _, state = fit_all(archive, issue_on(50))
         gutted = {("S1", 12): archive[("S1", 12)][48:53]}
-        updates = fit_for_issue(gutted, issue_on(61), keys_for(issue_on(61)), store=store)
+        updates, _ = fit_all(gutted, issue_on(61), state)
         for key, record in updates.items():
             assert record.fallback
             if parse_strategy(key.strategy)[0] == "single":
@@ -175,58 +188,63 @@ class TestFitForIssue:
         # reuse the day-50 fit; from day 61 it is more than 10 days old, and
         # the stale copies of it are not reused again.
         archive = make_archive(60)
-        store = CoefficientStore()
-        store.update(fit_for_issue(archive, issue_on(50), keys_for(issue_on(50)), store=store))
+        store, state = fit_all(archive, issue_on(50))
         fresh = {k.strategy: v.coefficients for k, v in store.items()}
         gutted = {("S1", 12): archive[("S1", 12)][48:53]}
         for day in range(51, 66):
-            updates = fit_for_issue(gutted, issue_on(day), keys_for(issue_on(day)), store=store)
-            store.update(updates)
+            updates, _ = fit_all(gutted, issue_on(day), state)
             for key, record in updates.items():
                 want = fresh[key.strategy] if day <= 60 else identity(len(parse_strategy(key.strategy)[1]))
                 assert record.fallback and record.coefficients == want, (day, key.strategy)
                 assert math.isnan(record.objective) == (day > 60)
 
     def test_store_records_seed_combined_refits(self, monkeypatch):
-        # A refit of an earlier date's combined key is seeded with that date's
-        # single-model records from the store, unless one is a fallback.
+        # A refit of an earlier date's combined slot is seeded with that
+        # date's single-model rows of the state, unless one is a fallback.
         archive = make_archive(60)
-        store = fit_for_issue(archive, issue_on(50), keys_for(issue_on(50)))
+        state = RollingState(slots_for())
+        store = state.store(fit_for_issue(archive, issue_on(50), state, [0, 1]))
         single_a, single_b, mixed = keys_for(issue_on(50))
         seen, real = [], pipeline.fit_batch
         monkeypatch.setattr(pipeline, "fit_batch", lambda *args: seen.append(args[4]) or real(*args))
-        fit_for_issue(archive, issue_on(51), [], store=store, bounds={mixed: (1.0, 1.0)})
+        flagged = RollingState(slots_for())
+        flagged.row[:], flagged.fit[:] = state.row, state.fit
+        fit_for_issue(archive, issue_on(51), state, [], refits=(issue_on(50), [2], np.ones((1, 2))))
         singles = [store.get(single_a), store.get(single_b)]
         theta, objective = seen[0]
         assert theta[0].tolist() == [[r.coefficients.a, r.coefficients.b[0], r.coefficients.c**2, r.coefficients.d[0]**2]
                                      for r in singles]
         assert objective[0].tolist() == [r.objective for r in singles]
-        flagged = CoefficientStore({key: replace(r, fallback=True) if key == single_b else r for key, r in store.items()})
-        fit_for_issue(archive, issue_on(51), [], store=flagged, bounds={mixed: (1.0, 1.0)})
+        flagged.row["fallback"][1] = True
+        fit_for_issue(archive, issue_on(51), flagged, [], refits=(issue_on(50), [2], np.ones((1, 2))))
         assert np.isnan(seen[1][0]).all()
 
-    def test_key_issue_date_must_match(self):
-        archive = make_archive(50)
-        with pytest.raises(ValueError):
-            fit_for_issue(archive, issue_on(50), keys_for(issue_on(49)))
-
     def test_bounds_key_must_not_postdate_issue(self):
-        later = CoefficientKey("S1", 12, "mixed:A+B", issue_on(51))
+        state = RollingState(slots_for())
         with pytest.raises(ValueError, match="dated after issue date"):
-            fit_for_issue(make_archive(60), issue_on(50), keys_for(issue_on(50)), bounds={later: (1.0, 1.0)})
+            fit_for_issue(make_archive(60), issue_on(50), state, [0, 1], refits=(issue_on(51), [2], np.ones((1, 2))))
+
+    def test_slot_dates_must_increase(self):
+        # The state holds each slot's latest row: a date at or before it
+        # would store a key twice, or out of order.
+        archive = make_archive(60)
+        _, state = fit_all(archive, issue_on(50))
+        for day in (50, 49):
+            with pytest.raises(ValueError, match="has a row on or after"):
+                fit_all(archive, issue_on(day), state)
 
     def test_no_leakage(self):
         archive = make_archive(60)
         issue = issue_on(50)
         truncated = {slot: table[table.init_days < issue.toordinal()] for slot, table in archive.items()}
-        full = fit_for_issue(archive, issue, keys_for(issue))
-        cut = fit_for_issue(truncated, issue, keys_for(issue))
+        full, _ = fit_all(archive, issue)
+        cut, _ = fit_all(truncated, issue)
         assert table_bytes(full) == table_bytes(cut)
 
     def test_determinism(self):
         archive = make_archive(60)
-        a = fit_for_issue(archive, issue_on(50), keys_for(issue_on(50)))
-        b = fit_for_issue(archive, issue_on(50), keys_for(issue_on(50)))
+        a, _ = fit_all(archive, issue_on(50))
+        b, _ = fit_all(archive, issue_on(50))
         assert table_bytes(a) == table_bytes(b)
 
     def test_batch_composition(self):
@@ -236,10 +254,9 @@ class TestFitForIssue:
         samples_a = linear_gaussian_samples(n=60, seed=1, second_model="informative")
         samples_b = linear_gaussian_samples(n=60, seed=2, second_model="informative")[10:]
         archive = {("S1", 12): samples_a, ("S2", 12): samples_b}
-        keys = keys_for(issue_on(50), station="S1") + keys_for(issue_on(50), station="S2")
-        together = fit_for_issue(archive, issue_on(50), keys)
+        together, _ = fit_all(archive, issue_on(50), RollingState(slots_for(station="S1") + slots_for(station="S2")))
         for station in ("S1", "S2"):
-            alone = fit_for_issue(archive, issue_on(50), keys_for(issue_on(50), station=station))
+            alone, _ = fit_all(archive, issue_on(50), RollingState(slots_for(station=station)))
             for key, record in alone.items():
                 assert not record.fallback
                 assert repr(together.get(key)) == repr(record)  # every float to its last bit
@@ -250,7 +267,7 @@ class TestFitForIssue:
             slot: SampleTable(("A",), t.init_days, t.mean[:, :1], t.std[:, :1], t.observation)
             for slot, t in archive.items()
         }
-        updates = fit_for_issue(stripped, issue_on(50), keys_for(issue_on(50)))
+        updates, _ = fit_all(stripped, issue_on(50))
         assert not updates.get(keys_for(issue_on(50))[0]).fallback
         for key in keys_for(issue_on(50))[1:]:
             assert updates.get(key).fallback
@@ -269,12 +286,12 @@ class TestFitForIssue:
         real = emos._newton
         monkeypatch.setattr(emos, "_newton", broken)
         with pytest.raises(ValueError, match="finite"):
-            fit_for_issue(make_archive(60), issue_on(50), keys_for(issue_on(50)))
+            fit_all(make_archive(60), issue_on(50))
 
     def test_raw_strategy_rejected(self):
         archive = make_archive(50)
         with pytest.raises(ValueError):
-            fit_for_issue(archive, issue_on(50), [CoefficientKey("S1", 12, "raw:A", issue_on(50))])
+            fit_all(archive, issue_on(50), RollingState([("S1", 12, "raw:A")]))
 
 
 class TestPredictForIssue:
@@ -387,7 +404,7 @@ class TestBuildArchive:
         archive = make_archive(60)
         spec = RollingWindowSpec()
         issue = issue_on(50)
-        updates = fit_for_issue(archive, issue, keys_for(issue), spec)
+        updates, _ = fit_all(archive, issue, spec=spec)
         expected = len(select_window(archive[("S1", 12)], issue, spec))
         assert all(r.n_samples == expected for _, r in updates.items())
 
@@ -419,20 +436,10 @@ class TestStoreRoundTrip:
     def test_put_get_identity(self):
         key = CoefficientKey("S1", 12, "single:A", issue_on(50))
         record = FitResult(EmosCoefficients(0.1, (0.9,), 0.3, (1.1,)), 0.23, True, 0, 45, False)
-        store = CoefficientStore()
-        store.update(CoefficientStore({key: record}))
+        store = CoefficientStore({key: record})
         assert store.get(key) == record
         assert len(store) == 1
         assert key in store
-
-    def test_update_rejects_a_stored_key(self):
-        stored, new = (CoefficientKey("S1", 12, "single:A", issue_on(day)) for day in (50, 51))
-        record = FitResult(identity(1), 0.1, True, 0, 45, False)
-        store = CoefficientStore({stored: record})
-        before = table_bytes(store)
-        with pytest.raises(ValueError, match="is stored already"):
-            store.update(CoefficientStore({new: record, stored: replace(record, objective=0.2)}))
-        assert table_bytes(store) == before and new not in store and store.get(stored) == record
 
     def test_latest_before(self):
         store = CoefficientStore({
@@ -484,18 +491,21 @@ def t1_slots(archive):
 
 def per_date_train(archive, issue_dates, slots, spec, taper):
     """The rolling train one date at a time, as it ran before the waves: each
-    date's own keys, then that date's taper refits in a solve of their own."""
-    store = CoefficientStore()
-    tapered = [] if taper is None else [s for s in slots if s[2] == taper[1] and s[1] in taper[0].taper_leads]
-    plain = [s for s in slots if s not in tapered]
+    date's own slots, then that date's taper refits in a call of their own."""
+    state, blocks = RollingState(slots), []
+    tapered = [i for i, (_, lead, strategy) in enumerate(slots)
+               if taper is not None and strategy == taper[1] and lead in taper[0].taper_leads]
+    plain = [i for i in range(len(slots)) if i not in tapered]
     for issue in issue_dates:
-        store.update(fit_for_issue(archive, issue, [CoefficientKey(*s, issue) for s in plain], spec, store=store))
-        bounds = {}
-        for sid, lead, strategy in tapered:
+        blocks.append(fit_for_issue(archive, issue, state, plain, spec))
+        if not tapered:
+            continue
+        store, caps = state.store(np.concatenate(blocks)), []
+        for sid, lead, _ in (slots[i] for i in tapered):
             anchor = store.get(CoefficientKey(sid, taper[0].anchor_lead, taper[1], issue))
-            bounds[CoefficientKey(sid, lead, strategy, issue)] = transition1_bounds(anchor.coefficients, taper[0])[lead]
-        store.update(fit_for_issue(archive, issue, list(bounds), spec, store=store, bounds=bounds))
-    return store
+            caps.append(transition1_bounds(anchor.coefficients, taper[0])[lead])
+        blocks.append(fit_for_issue(archive, issue, state, [], spec, refits=(issue, tapered, np.array(caps))))
+    return state.store(np.concatenate(blocks))
 
 
 def bits(record):
@@ -580,13 +590,15 @@ class TestTrainWaves:
         waves = []
         real = pipeline.fit_for_issue
 
-        def spy(archive, issue_date, keys, spec, options, store, bounds):
-            def tapered(key):
-                return key.strategy == COMBINED and key.lead_time in TSPEC.taper_leads
+        def spy(archive, issue_date, state, at, spec, options, refits):
+            def tapered(i):
+                strategy, lead = state.slots[i][2], state.slots[i][1]
+                return strategy == COMBINED and lead in TSPEC.taper_leads
 
-            assert not any(map(tapered, keys)) and all(map(tapered, bounds))
-            waves.append((issue_date, {k.issue_date for k in keys}, {k.issue_date for k in bounds}))
-            return real(archive, issue_date, keys, spec, options, store, bounds)
+            refit_date, refit_at, _ = refits or (None, [], None)
+            assert not any(map(tapered, at)) and all(map(tapered, refit_at))
+            waves.append((issue_date, {issue_date} if len(at) else set(), {refit_date} if len(refit_at) else set()))
+            return real(archive, issue_date, state, at, spec, options, refits)
 
         monkeypatch.setattr(pipeline, "fit_for_issue", spy)
         archive = t1_archive([0])
@@ -633,3 +645,56 @@ class TestTrainWaves:
         issues = [issue_on(day) for day in (50, 51)]
         with pytest.raises(ValueError, match=f"lead {TSPEC.anchor_lead} for S1 {issues[0]}"):
             train(archive, issues, slots, T1_SPEC, taper=(TSPEC, COMBINED))
+
+
+class TestTrainOracle:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        skips=st.lists(st.integers(0, 12), min_size=1, max_size=2),
+        first=st.integers(25, 45),
+        steps=st.lists(st.sampled_from([1, 2, 6, 11]), min_size=1, max_size=5),
+        seed=st.integers(0, 50),
+        gap=st.one_of(st.none(), st.tuples(st.integers(10, 12), st.integers(0, 40), st.integers(1, 30))),
+        min_samples=st.sampled_from([5, 20, 30]),
+    )
+    @example(skips=[0, 20], first=45, steps=[5, 6, 6], seed=0, gap=(10, 30, 30), min_samples=30)
+    def test_train_equals_the_lookup_oracle(self, skips, first, steps, seed, gap, min_samples):
+        # Issue dates up to 11 days apart (past the 5-day warm start and the
+        # 10-day stale reuse), observation gaps of up to 30 days at one lead
+        # of S0 (short windows that reuse a fit, and then identity once the
+        # fit is too old) and windows that ramp up from the stations' skips.
+        # The pinned example: S0 at lead 10 fits on day 45, reuses it on 50
+        # and takes identity on 56 and 62; S1 is short on 45.
+        archive = t1_archive(skips, seed, gap)
+        issues = [issue_on(first + sum(steps[:i])) for i in range(len(steps))]
+        spec = RollingWindowSpec(window_days=45, min_samples=min_samples)
+        for taper in (None, (TSPEC, COMBINED)):
+            got = train(archive, issues, t1_slots(archive), spec, taper=taper)
+            assert table_bytes(got) == table_bytes(rolling_train(archive, issues, t1_slots(archive), spec, taper=taper))
+
+    def test_pinned_example_reaches_stale_reuse_and_its_expiry(self):
+        archive = t1_archive([0, 20], 0, (10, 30, 30))
+        issues = [issue_on(day) for day in (45, 50, 56, 62)]
+        store = rolling_train(archive, issues, t1_slots(archive), T1_SPEC)
+        s0 = [store.get(CoefficientKey("S0", 10, "single:A", issue)) for issue in issues]
+        assert [(r.fallback, math.isnan(r.objective)) for r in s0] == [(False, False), (True, False), (True, True),
+                                                                         (True, True)]
+        assert s0[1].coefficients == s0[0].coefficients
+
+    def test_train_searches_no_store(self, monkeypatch):
+        # Warm starts, stale reuse, seeds and t1 anchors are read from the
+        # per-slot state by index: no store lookup and no CoefficientKey.
+        calls = []
+
+        def forbidden(name):
+            return lambda *args, **kwargs: calls.append(name)
+
+        monkeypatch.setattr(CoefficientStore, "_find", forbidden("_find"))
+        monkeypatch.setattr(domain, "lookup", forbidden("domain.lookup"))
+        monkeypatch.setattr(pipeline, "lookup", forbidden("pipeline.lookup"))
+        monkeypatch.setattr(CoefficientKey, "__post_init__", forbidden("CoefficientKey"))
+        archive = t1_archive([0, 1], gap=(10, 30, 20))
+        issues = [issue_on(day) for day in (45, 50, 51, 57, 60)]
+        store = train(archive, issues, t1_slots(archive), T1_SPEC, taper=(TSPEC, COMBINED))
+        assert calls == []
+        assert len(store) == len(issues) * len(t1_slots(archive))

@@ -29,3 +29,28 @@ def test_failing_property_test_does_not_end_the_session(tmp_path):
     result = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert result.returncode == 1, result.stdout + result.stderr
     assert "1 failed, 1 passed" in result.stdout
+
+
+SAMPLE = '''"""Module docstring,
+two lines."""
+
+import os  # a comment after code
+
+
+# a comment line
+def f(x):
+    """Docstring."""
+    y = (x +
+         1)
+    "a string statement that is no docstring"
+    return y
+'''
+
+
+def test_code_line_counter_skips_comments_docstrings_and_blank_lines(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(SAMPLE)
+    result = subprocess.run([sys.executable, str(ROOT / "tools" / "code_lines.py"), str(path)], capture_output=True,
+                            text=True, check=True, timeout=60)
+    # import, def, the two lines of y, the string statement and return
+    assert result.stdout.splitlines()[-1].split() == ["6", "total"]
