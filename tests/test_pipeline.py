@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
