@@ -331,7 +331,7 @@ def cmd_train(args) -> int:
     slots = _slots(cfg, coverage, observations)
     store = train(archive, issues, slots, _window_spec(cfg), _fit_options(cfg), taper)
     eio.write_store(args.store, store)
-    records = store.table()[2]
+    records = store.rows
     print(f"trained {len(records)} records over {len(issues)} issue dates ({records['fallback'].sum()} fallbacks) "
           f"-> {args.store}")
     if not records["converged"].all():

@@ -172,11 +172,6 @@ class ForecastCube:
         for s, t, lead, j, r in zip(*columns):
             yield EnsembleForecast(self.station_ids[s], self.model_id, self.init_times[t], lead, tuple(values[j][r]))
 
-    def keys(self) -> list[tuple[str, datetime, int]]:
-        """(station id, init time, lead) of each ensemble, in order."""
-        stations = [self.station_ids[s] for s in self.station.tolist()]
-        return list(zip(stations, [self.init_times[t] for t in self.init.tolist()], self.lead.tolist()))
-
     def rows(self, station_id: str, lead_time: int) -> np.ndarray:
         """Indices of the ensembles at ``station_id`` and ``lead_time``, in
         init-time order."""

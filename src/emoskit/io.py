@@ -722,8 +722,8 @@ _STORE_COLUMNS = list(_STORE_KINDS)
 
 def write_store(path, store: CoefficientStore) -> None:
     """One record per key, ordered by (issue_date, station, lead, strategy)."""
-    station_ids, strategies, rows = store.table()
-    station, strategy = csv_cells(station_ids), csv_cells(strategies)
+    rows = store.rows
+    station, strategy = csv_cells(store.station_ids), csv_cells(store.strategies)
     flags = np.array(["false", "true"], dtype=object)
 
     def columns(r):
@@ -768,17 +768,14 @@ def read_store(path) -> CoefficientStore:
     c = _read_table([path], _STORE_KINDS, _store_checks)
     v = {name: column.values for name, column in c.items()}
     rows = np.zeros(len(v["a"]), dtype=RECORD)
-    station_ids, rows["station"] = relabel(c["station_id"].labels, v["station_id"])
-    strategies, rows["strategy"] = relabel(c["strategy"].labels, v["strategy"])
+    rows["station"], rows["strategy"] = v["station_id"], v["strategy"]
     rows["day"] = np.array([d.toordinal() for d in c["issue_date"].labels], dtype=np.int64)[v["issue_date"]]
     rows["lead"], rows["n_samples"], rows["objective"], rows["a"], rows["c"] = (
         v[name] for name in ("lead_h", "n_samples", "objective", "a", "c"))
     rows["b"], rows["d"] = np.column_stack([v["b1"], v["b2"]]), np.column_stack([v["d1"], v["d2"]])
     rows["converged"], rows["fallback"] = (np.array(c[name].labels, dtype=bool)[v[name]]
                                            for name in ("converged", "fallback"))
-    rows = rows[np.lexsort([rows[name] for name in ("strategy", "lead", "station", "day")])]
-    rows.flags.writeable = False
-    return CoefficientStore.from_table(station_ids, strategies, rows)
+    return CoefficientStore(c["station_id"].labels, c["strategy"].labels, rows)
 
 
 # -- config ------------------------------------------------------------------

@@ -6,14 +6,15 @@ forecast-observation pairs. Slots without enough window samples fall back to
 their most recent fit (up to 10 days old; a stale copy is not reused again)
 and finally to pass-through identity coefficients. Fits and fallbacks alike
 are rows of a ``CoefficientStore`` (``RECORD``), the fallbacks flagged
-``fallback``. ``train`` codes its slots once, in a ``RollingState`` that
-carries each slot's latest row and latest fit from date to date; each
-``fit_for_issue`` call takes its warm starts, seeds and stale coefficients
-from that state by index, fits an issue date's slots, with the t1 taper
-refits of the date before under their bounds, in one batched ``emos`` solve
-per number of predictors K, and moves the state on. ``train`` builds its
-store once, from the rows of every call. Records (``emos.FitResult``) are
-built only for a caller that asks for one. A fit that does not converge is
+``fallback``: one table sorted by key, built once by its one constructor.
+``train`` codes its slots once, in a ``RollingState`` that carries each
+slot's latest row and latest fit from date to date; each ``fit_for_issue``
+call takes its warm starts, seeds and stale coefficients from that state by
+index, fits an issue date's slots, with the t1 taper refits of the date
+before under their bounds, in one batched ``emos`` solve per number of
+predictors K, and moves the state on. ``train`` builds its store once, from
+the rows of every call, and ``predict_for_issue`` reads an issue date's rows
+as one run of the store's key order. A fit that does not converge is
 recorded with its best-so-far coefficients; any other failure aborts the
 pass.
 
@@ -37,7 +38,7 @@ from functools import cache
 import numpy as np
 
 from .domain import ForecastCube, PredictionTable, SampleTable, StationMetadata, align, lookup, relabel
-from .emos import EmosCoefficients, FitOptions, FitResult, _coef_from, _theta_from, fit_batch, identity, predict_columns
+from .emos import EmosCoefficients, FitOptions, _coef_from, _theta_from, fit_batch, identity, predict_columns
 from .synth import interpolate_leads
 from .terrain import lapse_correct
 from .transition import TransitionSpec, transition1_bounds
@@ -128,8 +129,6 @@ _IDENTITY = {k: identity(k) for k in range(1, _MAX_PREDICTORS + 1)}  # the pass-
 RECORD = np.dtype([("day", np.int64), ("station", np.int64), ("lead", np.int64), ("strategy", np.int64),
                    ("a", float), ("b", float, (2,)), ("c", float), ("d", float, (2,)), ("n_samples", np.int64),
                    ("objective", float), ("converged", bool), ("fallback", bool)])
-_KEY = ("station", "lead", "strategy", "day")  # a record's key columns, in the order ``_find`` looks them up
-_LAST_DAY = date.max.toordinal()  # above every issue day
 
 
 def _recode(names, codes: Mapping[str, int]) -> np.ndarray:
@@ -137,119 +136,48 @@ def _recode(names, codes: Mapping[str, int]) -> np.ndarray:
     return np.array([codes.get(name, -1) for name in names], dtype=np.int64)
 
 
-def _record_row(codes, station_id: str, lead: int, strategy: str, day: int, coef: EmosCoefficients, n_samples: int,
-                objective: float, converged: bool, fallback: bool) -> tuple:
-    """The ``RECORD`` row of one record, its station and strategy coded
-    into ``codes`` (a new label takes the next code)."""
-    if len(coef.b) > _MAX_PREDICTORS:
-        raise ValueError(f"a store holds up to {_MAX_PREDICTORS} predictors, got {len(coef.b)}")
-    station, strategy = (c.setdefault(label, len(c)) for c, label in zip(codes, (station_id, strategy)))
-    pad = (math.nan,) * _MAX_PREDICTORS
-    return (day, station, lead, strategy, coef.a, (coef.b + pad)[:_MAX_PREDICTORS], coef.c,
-            (coef.d + pad)[:_MAX_PREDICTORS], n_samples, objective, converged, fallback)
-
-
 def _coefficients(row, k: int) -> EmosCoefficients:
     """The coefficients of a ``RECORD`` row of K = ``k`` predictors."""
     return EmosCoefficients(row["a"].item(), row["b"].tolist()[:k], row["c"].item(), row["d"].tolist()[:k])
 
 
+@dataclass(frozen=True, eq=False)
 class CoefficientStore:
-    """Coefficient records as columns, one row per ``CoefficientKey``.
+    """Coefficient records as ``RECORD`` rows, one per ``CoefficientKey``,
+    sorted by key (issue date, station, lead, strategy): the order of the
+    store file.
 
-    ``table()`` gives the rows in key order (issue date, station, lead,
-    strategy), the order of the store file. ``get``, ``latest_before`` and
-    ``items`` build the records they return from the rows; a row lookup is
-    one ``domain.lookup`` over the rows whose issue day can match
-    (``_find``). A store is built once, from records, from a read table or
-    from the rows of a rolling train, and is not changed after.
+    Row i's station is ``station_ids[rows["station"][i]]`` and its strategy
+    ``strategies[rows["strategy"][i]]``. The constructor takes labels in any
+    order, repeated or unused, and rows in any order with codes into them; it
+    keeps the labels the codes use, sorted and distinct, recodes, and puts
+    the rows in key order. A repeated key raises ValueError. ``rows`` is
+    read-only.
     """
 
-    def __init__(self, records: Mapping[CoefficientKey, FitResult] | None = None):
-        self._codes: tuple[dict[str, int], dict[str, int]] = ({}, {})  # station id, strategy -> code in _rows
-        self._table: tuple | None = None
-        self._rows = np.array([_record_row(self._codes, k.station_id, k.lead_time, k.strategy, k.issue_date.toordinal(),
-                                           r.coefficients, r.n_samples, r.objective, r.converged, r.fallback)
-                               for k, r in (records or {}).items()], dtype=RECORD)
+    station_ids: tuple[str, ...]
+    strategies: tuple[str, ...]
+    rows: np.ndarray
 
-    @classmethod
-    def _of(cls, codes: tuple[dict[str, int], dict[str, int]], rows: np.ndarray) -> CoefficientStore:
-        """The store of ``rows`` (``RECORD``, distinct keys, any order) with
-        codes into ``codes``."""
-        store = cls()
-        store._codes, store._rows = codes, rows
-        return store
-
-    @classmethod
-    def from_table(cls, station_ids: Sequence[str], strategies: Sequence[str], rows: np.ndarray) -> CoefficientStore:
-        """The store of ``rows`` (``RECORD``, read-only), in key order with
-        distinct keys and codes into the sorted, distinct labels."""
-        store = cls._of(tuple({name: i for i, name in enumerate(names)} for names in (station_ids, strategies)), rows)
-        store._table = tuple(station_ids), tuple(strategies), rows, np.arange(len(rows))
-        return store
+    def __post_init__(self):
+        rows = np.asarray(self.rows, dtype=RECORD)
+        station_ids, station = relabel(self.station_ids, rows["station"])
+        strategies, strategy = relabel(self.strategies, rows["strategy"])
+        order = np.lexsort((strategy, rows["lead"], station, rows["day"]))
+        rows = rows[order]  # the one copy of the rows
+        rows["station"], rows["strategy"] = station[order], strategy[order]
+        rows.flags.writeable = False
+        keys = [rows[name] for name in ("day", "station", "lead", "strategy")]
+        repeated = np.flatnonzero(np.logical_and.reduce([k[1:] == k[:-1] for k in keys]))
+        if repeated.size:
+            day, s, lead, k = (key[repeated[0]].item() for key in keys)
+            raise ValueError(f"repeated coefficients for {station_ids[s]} lead {lead} {strategies[k]} "
+                             f"{date.fromordinal(day)}")
+        for name, value in (("station_ids", station_ids), ("strategies", strategies), ("rows", rows)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self._rows)
-
-    def table(self) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-        """(station ids, strategies, rows): the labels sorted, and the rows
-        (``RECORD``, read-only) in key order with codes into them."""
-        if self._table is None:
-            station_ids, station = relabel(list(self._codes[0]), self._rows["station"])
-            strategies, strategy = relabel(list(self._codes[1]), self._rows["strategy"])
-            order = np.lexsort((strategy, self._rows["lead"], station, self._rows["day"]))
-            rows = self._rows[order]  # the one copy of the rows
-            rows["station"], rows["strategy"] = station[order], strategy[order]
-            rows.flags.writeable = False
-            self._table = station_ids, strategies, rows, order
-        return self._table[:3]
-
-    def items(self):
-        """(key, record) of every row, in key order: one record per row, for
-        callers that want them all."""
-        station_ids, strategies, rows = self.table()
-        keys = zip(*(rows[name].tolist() for name in _KEY))
-        for (s, lead, k, day), row in zip(keys, self._table[3].tolist()):
-            yield CoefficientKey(station_ids[s], lead, strategies[k], date.fromordinal(day)), self._record(row)
-
-    def _record(self, row: int) -> FitResult:
-        record = self._rows[row]
-        k = len(parse_strategy(list(self._codes[1])[record["strategy"]])[1])
-        return FitResult(_coefficients(record, k), record["objective"].item(), record["converged"].item(),
-                         n_iterations=0, n_samples=record["n_samples"].item(), fallback=record["fallback"].item())
-
-    def _find(self, labels, queries, within=0) -> np.ndarray:
-        """The row of each query's slot at its latest issue day in [day -
-        ``within``, day], -1 for none. ``queries`` are (station, lead,
-        strategy, day) int64 columns, station and strategy as codes into
-        ``labels`` (station ids, strategies)."""
-        rows, day = self._rows, queries[3]
-        lo, hi = (day - within).min(initial=_LAST_DAY), day.max(initial=0)
-        near = np.flatnonzero((rows["day"] >= lo) & (rows["day"] <= hi))
-        if not len(near):
-            return np.full(len(day), -1)
-        station, strategy = (_recode(names, code)[column] for code, names, column in
-                             zip(self._codes, labels, (queries[0], queries[2])))
-        found = lookup([rows[name][near] for name in _KEY], [station, queries[1], strategy, day], within)
-        return np.where(found >= 0, near[found], -1)
-
-    def _row(self, station_id: str, lead_time: int, strategy: str, day: int, within: int = 0) -> int:
-        return self._find(([station_id], [strategy]), np.array([[0], [lead_time], [0], [day]]), within)[0]
-
-    def __contains__(self, key: CoefficientKey) -> bool:
-        return self._row(key.station_id, key.lead_time, key.strategy, key.issue_date.toordinal()) >= 0
-
-    def get(self, key: CoefficientKey) -> FitResult | None:
-        row = self._row(key.station_id, key.lead_time, key.strategy, key.issue_date.toordinal())
-        return None if row < 0 else self._record(row)
-
-    def latest_before(
-        self, station_id: str, lead_time: int, strategy: str, issue_date: date, max_age_days: int
-    ) -> FitResult | None:
-        """Most recent record for the same slot within ``max_age_days`` before
-        ``issue_date``."""
-        row = self._row(station_id, lead_time, strategy, issue_date.toordinal() - 1, max_age_days - 1)
-        return None if row < 0 else self._record(row)
+        return len(self.rows)
 
 
 def select_window(table: SampleTable, issue_date: date, spec: RollingWindowSpec) -> SampleTable:
@@ -327,32 +255,30 @@ class RollingState:
     next: ``row``, each slot's latest ``RECORD`` row, and ``fit``, its latest
     fit (not a fallback), both day ``_NO_DAY`` where there is none.
 
-    The slots are coded once: ``index`` maps each slot to its index, station
-    and strategy are coded into ``codes``, and each slot's models map to
-    ``singles``, the single-model slot of the same station and lead per
-    model (-1 for none). A ``raw:`` slot raises ValueError.
+    The slots are coded once: ``index`` maps each slot to its index, which
+    codes both the station and the strategy of the slot's rows, and each
+    slot's models map to ``singles``, the single-model slot of the same
+    station and lead per model (-1 for none). A ``raw:`` slot raises
+    ValueError.
     """
 
     def __init__(self, slots: Sequence[Slot]):
-        self.slots, self.codes, self.models = list(slots), ({}, {}), []
+        self.slots, self.models = list(slots), []
         for _, _, strategy in self.slots:
             kind, models = parse_strategy(strategy)
             if kind == "raw":
                 raise ValueError(f"raw strategy {strategy!r} takes no coefficients")
             self.models.append(models)
         self.k = np.array([len(models) for models in self.models], dtype=np.int64)
-        self._blank = np.array([_record_row(self.codes, *slot, _NO_DAY, _IDENTITY[len(models)], 0, math.nan, True, True)
-                                for slot, models in zip(self.slots, self.models)], dtype=RECORD)
+        pad, identities = (math.nan,) * _MAX_PREDICTORS, [_IDENTITY[k] for k in self.k.tolist()]
+        blank = [(_NO_DAY, i, lead, i, c.a, (c.b + pad)[:2], c.c, (c.d + pad)[:2], 0, math.nan, True, True)
+                 for i, ((_, lead, _), c) in enumerate(zip(self.slots, identities))]
+        self._blank = np.array(blank, dtype=RECORD)  # each slot's row before its first date: identity, a fallback
         self.row, self.fit = self._blank.copy(), self._blank.copy()
         self.index = {slot: i for i, slot in enumerate(self.slots)}
         self.singles = np.full((len(self.slots), _MAX_PREDICTORS), -1)
         for i, ((sid, lead, _), models) in enumerate(zip(self.slots, self.models)):
             self.singles[i, :len(models)] = [self.index.get((sid, lead, single_strategy(m)), -1) for m in models]
-
-    def store(self, rows: np.ndarray) -> CoefficientStore:
-        """The store of ``rows`` that ``fit_for_issue`` calls over this state
-        returned (distinct keys, any order)."""
-        return CoefficientStore._of(self.codes, rows)
 
 
 def fit_for_issue(
@@ -380,13 +306,18 @@ def fit_for_issue(
     latest fit of the 10 days before, else to identity ones; any other error
     propagates.
 
-    Returns the tasks' rows (``RECORD``, codes into ``state.codes``), this
-    date's slots first, and moves ``state`` on to them.
+    Returns the tasks' rows (``RECORD``, station and strategy coded by slot
+    index), this date's slots first, and moves ``state`` on to them. A slot
+    listed twice raises ValueError before any fit.
     """
     refit_date, refit_at, caps = refits or (issue_date, [], np.empty((0, 2)))
     if refit_date > issue_date:
         raise ValueError(f"refits of {refit_date} are dated after issue date {issue_date}")
     slot = np.concatenate([at, refit_at]).astype(np.int64)
+    ordered = np.sort(slot)
+    twice = ordered[1:][ordered[1:] == ordered[:-1]]
+    if len(twice):
+        raise ValueError(f"slot {state.slots[twice[0]]} is listed twice in one call")
     dates = [issue_date] * len(at) + [refit_date] * len(refit_at)
     rows = state._blank[slot]
     rows["day"] = day = np.repeat([issue_date.toordinal(), refit_date.toordinal()], [len(at), len(refit_at)])
@@ -474,7 +405,11 @@ def predict_for_issue(
     lead = np.array([slot[1] for slot in slots], dtype=np.int64)
     strategy = np.array([codes[2][s] for _, _, s in slots], dtype=np.int64)
 
-    stored = store._find((labels[0], labels[2]), [station, lead, strategy, np.full(len(slots), day)])
+    # The issue date's rows are one run of the store's key order; each slot's row among them, -1 for none.
+    block = store.rows[slice(*store.rows["day"].searchsorted([day, day + 1]))]
+    known = [{label: i for i, label in enumerate(names)} for names in (store.station_ids, store.strategies)]
+    queries = [_recode(labels[0], known[0])[station], lead, _recode(labels[2], known[1])[strategy]]
+    stored = lookup([block["station"], block["lead"], block["strategy"]], queries)
     ensemble = {}  # model -> the cube row of each slot, -1 for none
     for model, cube in forecasts.items():
         rows_of_day = on_day[model]
@@ -495,7 +430,7 @@ def predict_for_issue(
             for i in at[absent & (stored[at] >= 0)].tolist():
                 errors.setdefault(i, f"no forecast for model {m!r} at {labels[0][station[i]]} lead {lead[i]}")
         ok = (stored[at] >= 0) & ~np.logical_or.reduce(missing)
-        record = store._rows[stored[at[ok]]]
+        record = block[stored[at[ok]]]
         mean, std = (np.column_stack([getattr(forecasts[m], stat)[e[ok]] for m, e in zip(models, columns)])
                      for stat in ("mean", "std"))
         k = len(models)
@@ -630,7 +565,7 @@ def train(
         refits = issue, tapered, np.array([bounds[slots[i][0]][slots[i][1]] for i in tapered]).reshape(-1, 2)
     if tapered and issue_dates:
         rows[n:] = fit_for_issue(archive, issue_dates[-1], state, [], spec, options, refits)
-    return state.store(rows)
+    return CoefficientStore([sid for sid, _, _ in slots], [strategy for _, _, strategy in slots], rows)
 
 
 def predict_issues(

@@ -232,10 +232,9 @@ def verify(
 
 def _weights(store: CoefficientStore) -> dict[str, np.ndarray]:
     """``Verification.weights`` of the store's mixed records."""
-    station_ids, strategies, rows = store.table()
-    mixed = np.array([parse_strategy(s)[0] == "mixed" for s in strategies], dtype=bool)
-    rows = rows[mixed[rows["strategy"]]]
-    out = {"station_id": np.array(station_ids, dtype=object)[rows["station"]],
+    mixed = np.array([parse_strategy(s)[0] == "mixed" for s in store.strategies], dtype=bool)
+    rows = store.rows[mixed[store.rows["strategy"]]]
+    out = {"station_id": np.array(store.station_ids, dtype=object)[rows["station"]],
            "issue_day": rows["day"], "lead_h": rows["lead"]}
     for name, column in (("weight_mean", rows["b"]), ("weight_std", rows["d"])):
         total = column[:, 0] + column[:, 1]

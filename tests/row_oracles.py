@@ -23,6 +23,8 @@ from emoskit.emos import EmosCoefficients, FitResult
 from emoskit.io import _PREDICTION_COLUMNS, _STORE_COLUMNS, SchemaError, format_timestamp, parse_timestamp
 from emoskit.pipeline import _MAX_PREDICTORS, CoefficientKey, CoefficientStore, parse_strategy
 
+from store_records import store_of
+
 
 class _TableReader:
     """CSV reader that validates the header and reports typed cell errors."""
@@ -240,4 +242,4 @@ def _read_store_rows(path) -> CoefficientStore:
                 raise SchemaError(path, line_no, "objective", f"must be NaN or finite and >= 0, got {objective}")
             records[key] = FitResult(coef, objective, row.bool("converged"), n_iterations=0,
                                      n_samples=row.int("n_samples", 0), fallback=row.bool("fallback"))
-    return CoefficientStore(records)
+    return store_of(records)

@@ -40,6 +40,7 @@ from emoskit.transition import DEFAULT_TRANSITION_WEIGHTS, TransitionSpec, assem
 from emoskit.verification import verify
 
 from conftest import linear_gaussian_samples, one_sample_windows, prediction_dict
+from store_records import records_of
 
 
 def report(criterion: int, ok: bool, message: str):
@@ -306,7 +307,7 @@ def test_criterion_6_calibration(calibration_run, preset_scores):
 def test_criterion_7_weight_sanity(preset_run):
     day_weights = []
     night_weights = []
-    for key, record in preset_run.store.items():
+    for key, record in records_of(preset_run.store).items():
         if key.strategy != MIXED or record.fallback:
             continue
         w = model_weights(record.coefficients)
@@ -349,15 +350,16 @@ def seam_setup():
     tspec = TransitionSpec(horizon=120, scheme="t1")
     leads = (tspec.anchor_lead, *tspec.taper_leads)
     archive, _ = build_archive(run.corrected, run.observations, leads)
-    issues = sorted({key.issue_date for key, _ in run.store.items()})
+    issues = sorted({key.issue_date for key in records_of(run.store)})
     t1_store = train(archive, issues, coefficient_slots(lead_sets(run.corrected), run.observations, leads, STRATEGIES),
                      taper=(tspec, MIXED))
     n_taper = 0
     bound_ok = True
-    for key, rec in t1_store.items():
+    t1_records = records_of(t1_store)
+    for key, rec in t1_records.items():
         if key.strategy != MIXED or key.lead_time not in tspec.taper_leads or rec.fallback:
             continue
-        anchor = t1_store.get(replace(key, lead_time=tspec.anchor_lead))
+        anchor = t1_records.get(replace(key, lead_time=tspec.anchor_lead))
         b1_max, d1_max = transition1_bounds(anchor.coefficients, tspec)[key.lead_time]
         n_taper += 1
         if rec.coefficients.b[0] > b1_max + 1e-12 or rec.coefficients.d[0] > d1_max + 1e-12:

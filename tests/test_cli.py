@@ -21,6 +21,7 @@ from emoskit.transition import TransitionSpec
 from emoskit.verification import verify
 
 from conftest import prediction_dict, prediction_table
+from store_records import records_of
 
 BASIC_CFG = """
 seed = 42
@@ -142,7 +143,7 @@ class TestSimulate:
 class TestTrain:
     def test_store_contents(self, basic_run):
         store = read_store(basic_run["store"])
-        records = list(store.items())
+        records = list(records_of(store).items())
         assert records
         fresh = [r for _, r in records if not r.fallback]
         fallback = [r for _, r in records if r.fallback]
@@ -522,13 +523,13 @@ class TestTransitionCommand:
              "--store", str(store_t1), "--scheme", "t1"]
         )
         assert code == 0
-        store = read_store(store_t1)
+        records = records_of(read_store(store_t1))
         weights = {118: 0.75, 119: 0.5, 120: 0.25}
         checked = 0
-        for key, record in store.items():
+        for key, record in records.items():
             if key.strategy != "mixed:hires+global" or key.lead_time not in weights or record.fallback:
                 continue
-            anchor = store.get(key.__class__(key.station_id, 117, key.strategy, key.issue_date))
+            anchor = records.get(key.__class__(key.station_id, 117, key.strategy, key.issue_date))
             assert anchor is not None
             w = weights[key.lead_time]
             # the in-memory bound is exact (asserted in the acceptance suite);

@@ -301,7 +301,6 @@ class TestForecastCube:
             EnsembleForecast("S1", "A", later, 12, (3.0, 5.0)),
             EnsembleForecast("S2", "A", T0, 6, (1.0,)),
         ]
-        assert forecasts.keys() == [(f.station_id, f.init_time, f.lead_time) for f in forecasts]
         assert [m.shape for m in forecasts.members] == [(1, 1), (1, 2), (1, 3)]
         assert forecasts.mean.tolist() == [2.0, 4.0, 1.0] and forecasts.std.tolist()[1:] == [1.0, 0.0]
         assert forecasts.init_days.tolist() == [T0.toordinal(), later.toordinal()]

@@ -26,9 +26,10 @@ from emoskit.io import (
     write_stations,
     write_store,
 )
-from emoskit.pipeline import CoefficientKey, CoefficientStore
+from emoskit.pipeline import CoefficientKey
 
 from conftest import forecast_cube, prediction_dict, prediction_table
+from store_records import records_of, store_of
 
 T0 = datetime(2017, 3, 1, tzinfo=timezone.utc)
 
@@ -226,7 +227,7 @@ class TestPredictions:
 class TestStore:
     def test_round_trip_single_and_mixed(self, tmp_path):
         issue = T0.date()
-        store = CoefficientStore({
+        store = store_of({
             CoefficientKey("S1", 12, "single:hires", issue):
                 FitResult(EmosCoefficients(0.125, (0.875,), 1.5, (0.25,)), 0.456789123, True, 0, 45, False),
             CoefficientKey("S1", 12, "mixed:hires+global", issue):
@@ -236,18 +237,18 @@ class TestStore:
         write_store(path, store)
         back = read_store(path)
         assert len(back) == 2
-        for key, record in store.items():
-            got = back.get(key)
+        for key, record in records_of(store).items():
+            got = records_of(back).get(key)
             assert got == record
 
     def test_nan_objective_round_trips(self, tmp_path):
-        store = CoefficientStore({
+        store = store_of({
             CoefficientKey("S1", 12, "single:hires", T0.date()):
                 FitResult(EmosCoefficients(0, (1,), 0, (1,)), float("nan"), True, 0, 10, True),
         })
         path = tmp_path / "coeffs.csv"
         write_store(path, store)
-        got = next(iter(back_record for _, back_record in read_store(path).items()))
+        got = next(iter(records_of(read_store(path)).values()))
         assert math.isnan(got.objective)
         assert got.fallback
 

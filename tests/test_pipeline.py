@@ -1,5 +1,6 @@
 import math
-from datetime import timedelta
+import re
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from emoskit import domain
 from emoskit.domain import SampleTable, StationMetadata, ensemble_stats
 from emoskit import pipeline
 from emoskit.emos import EmosCoefficients, FitResult, identity, predict
+from emoskit.io import write_store
 from emoskit.pipeline import (
+    RECORD,
     CoefficientKey,
     CoefficientStore,
     RollingState,
@@ -29,6 +32,7 @@ from emoskit.pipeline import (
 from emoskit.transition import TransitionSpec, transition1_bounds
 
 from conftest import T0, forecast_cube, linear_gaussian_samples, prediction_dict
+from store_records import records_of, store_of, table_bytes
 from train_oracle import rolling_train
 
 
@@ -114,10 +118,9 @@ def make_archive(n_days=60):
 STRATS = ["single:A", "single:B", "mixed:A+B"]
 
 
-def table_bytes(store):
-    """A store's labels and the bytes of its rows, in key order."""
-    station_ids, strategies, rows = store.table()
-    return station_ids, strategies, rows.tobytes()
+def state_store(state, rows):
+    """The store of ``rows`` that ``fit_for_issue`` calls over ``state`` returned."""
+    return CoefficientStore([sid for sid, _, _ in state.slots], [strategy for _, _, strategy in state.slots], rows)
 
 
 def keys_for(issue, strategies=STRATS, station="S1", lead=12):
@@ -133,13 +136,13 @@ def fit_all(archive, issue, state=None, spec=RollingWindowSpec()):
     new state over ``slots_for()``): the store of its rows, and the state."""
     state = RollingState(slots_for()) if state is None else state
     rows = fit_for_issue(archive, issue, state, np.arange(len(state.slots)), spec)
-    return state.store(rows), state
+    return state_store(state, rows), state
 
 
 class TestFitForIssue:
     def test_fresh_fit(self):
         archive = make_archive(60)
-        updates, _ = fit_all(archive, issue_on(50))
+        updates = records_of(fit_all(archive, issue_on(50))[0])
         assert len(updates) == 3
         for key, record in updates.items():
             assert not record.fallback
@@ -148,7 +151,7 @@ class TestFitForIssue:
 
     def test_identity_fallback_without_history(self):
         archive = make_archive(10)
-        updates, _ = fit_all(archive, issue_on(10))
+        updates = records_of(fit_all(archive, issue_on(10))[0])
         for key, record in updates.items():
             assert record.fallback
             assert record.n_samples == 10
@@ -162,10 +165,10 @@ class TestFitForIssue:
     def test_stale_reuse_within_ten_days(self):
         archive = make_archive(60)
         store, state = fit_all(archive, issue_on(50))
-        fresh = {k.strategy: v for k, v in store.items()}
+        fresh = {k.strategy: v for k, v in records_of(store).items()}
         # issue 53 has a gutted archive -> too few samples -> reuse the 3-day-old fits
         gutted = {("S1", 12): archive[("S1", 12)][48:53]}
-        updates, _ = fit_all(gutted, issue_on(53), state)
+        updates = records_of(fit_all(gutted, issue_on(53), state)[0])
         for key, record in updates.items():
             assert record.fallback
             assert record.coefficients == fresh[key.strategy].coefficients
@@ -176,7 +179,7 @@ class TestFitForIssue:
         archive = make_archive(60)
         _, state = fit_all(archive, issue_on(50))
         gutted = {("S1", 12): archive[("S1", 12)][48:53]}
-        updates, _ = fit_all(gutted, issue_on(61), state)
+        updates = records_of(fit_all(gutted, issue_on(61), state)[0])
         for key, record in updates.items():
             assert record.fallback
             if parse_strategy(key.strategy)[0] == "single":
@@ -188,10 +191,10 @@ class TestFitForIssue:
         # the stale copies of it are not reused again.
         archive = make_archive(60)
         store, state = fit_all(archive, issue_on(50))
-        fresh = {k.strategy: v.coefficients for k, v in store.items()}
+        fresh = {k.strategy: v.coefficients for k, v in records_of(store).items()}
         gutted = {("S1", 12): archive[("S1", 12)][48:53]}
         for day in range(51, 66):
-            updates, _ = fit_all(gutted, issue_on(day), state)
+            updates = records_of(fit_all(gutted, issue_on(day), state)[0])
             for key, record in updates.items():
                 want = fresh[key.strategy] if day <= 60 else identity(len(parse_strategy(key.strategy)[1]))
                 assert record.fallback and record.coefficients == want, (day, key.strategy)
@@ -202,14 +205,14 @@ class TestFitForIssue:
         # date's single-model rows of the state, unless one is a fallback.
         archive = make_archive(60)
         state = RollingState(slots_for())
-        store = state.store(fit_for_issue(archive, issue_on(50), state, [0, 1]))
+        records = records_of(state_store(state, fit_for_issue(archive, issue_on(50), state, [0, 1])))
         single_a, single_b, mixed = keys_for(issue_on(50))
         seen, real = [], pipeline.fit_batch
         monkeypatch.setattr(pipeline, "fit_batch", lambda *args: seen.append(args[4]) or real(*args))
         flagged = RollingState(slots_for())
         flagged.row[:], flagged.fit[:] = state.row, state.fit
         fit_for_issue(archive, issue_on(51), state, [], refits=(issue_on(50), [2], np.ones((1, 2))))
-        singles = [store.get(single_a), store.get(single_b)]
+        singles = [records.get(single_a), records.get(single_b)]
         theta, objective = seen[0]
         assert theta[0].tolist() == [[r.coefficients.a, r.coefficients.b[0], r.coefficients.c**2, r.coefficients.d[0]**2]
                                      for r in singles]
@@ -222,6 +225,17 @@ class TestFitForIssue:
         state = RollingState(slots_for())
         with pytest.raises(ValueError, match="dated after issue date"):
             fit_for_issue(make_archive(60), issue_on(50), state, [0, 1], refits=(issue_on(51), [2], np.ones((1, 2))))
+
+    def test_slot_listed_twice_rejected_before_any_fit(self, monkeypatch):
+        # In ``at``, in the refits, or across the two: two rows of one key
+        # in one call would give a store that no file reads back.
+        monkeypatch.setattr(pipeline, "fit_batch", lambda *args: pytest.fail("a fit ran"))
+        for at, refit_at, twice in (([0, 0], [], 0), ([1], [2, 2], 2), ([2, 1], [1], 1)):
+            state = RollingState(slots_for())
+            refits = issue_on(49), refit_at, np.ones((len(refit_at), 2))
+            with pytest.raises(ValueError, match=re.escape(f"slot {slots_for()[twice]} is listed twice")):
+                fit_for_issue(make_archive(60), issue_on(50), state, at, refits=refits)
+            assert (state.row["day"] == RollingState(slots_for()).row["day"]).all()
 
     def test_slot_dates_must_increase(self):
         # The state holds each slot's latest row: a date at or before it
@@ -253,9 +267,10 @@ class TestFitForIssue:
         samples_a = linear_gaussian_samples(n=60, seed=1, second_model="informative")
         samples_b = linear_gaussian_samples(n=60, seed=2, second_model="informative")[10:]
         archive = {("S1", 12): samples_a, ("S2", 12): samples_b}
-        together, _ = fit_all(archive, issue_on(50), RollingState(slots_for(station="S1") + slots_for(station="S2")))
+        together = records_of(fit_all(archive, issue_on(50),
+                                      RollingState(slots_for(station="S1") + slots_for(station="S2")))[0])
         for station in ("S1", "S2"):
-            alone, _ = fit_all(archive, issue_on(50), RollingState(slots_for(station=station)))
+            alone = records_of(fit_all(archive, issue_on(50), RollingState(slots_for(station=station)))[0])
             for key, record in alone.items():
                 assert not record.fallback
                 assert repr(together.get(key)) == repr(record)  # every float to its last bit
@@ -266,7 +281,7 @@ class TestFitForIssue:
             slot: SampleTable(("A",), t.init_days, t.mean[:, :1], t.std[:, :1], t.observation)
             for slot, t in archive.items()
         }
-        updates, _ = fit_all(stripped, issue_on(50))
+        updates = records_of(fit_all(stripped, issue_on(50))[0])
         assert not updates.get(keys_for(issue_on(50))[0]).fallback
         for key in keys_for(issue_on(50))[1:]:
             assert updates.get(key).fallback
@@ -303,7 +318,7 @@ class TestPredictForIssue:
     def test_identity_coefficients_pass_through(self):
         issue = issue_on(50)
         key = CoefficientKey("S1", 12, "single:A", issue)
-        store = CoefficientStore({key: FitResult(identity(1), 0.1, True, 0, 45, False)})
+        store = store_of({key: FitResult(identity(1), 0.1, True, 0, 45, False)})
         predictions, errors = predict_for_issue(store, self.forecasts(), issue, [slot(key)])
         predictions = prediction_dict(predictions)
         pred = predictions[("S1", T0 + timedelta(days=50), 12, "single:A")]
@@ -315,7 +330,7 @@ class TestPredictForIssue:
         issue = issue_on(50)
         coef = EmosCoefficients(a=0.3, b=(0.6, 0.35), c=0.2, d=(0.8, 0.4))
         key = CoefficientKey("S1", 12, "mixed:A+B", issue)
-        store = CoefficientStore({key: FitResult(coef, 0.2, True, 0, 45, False)})
+        store = store_of({key: FitResult(coef, 0.2, True, 0, 45, False)})
         predictions, _ = predict_for_issue(store, self.forecasts(), issue, [slot(key)])
         mean, std = ensemble_stats(self.MEMBERS)
         expected = predict(coef, [mean, mean], [std, std])
@@ -326,7 +341,7 @@ class TestPredictForIssue:
         # change no prediction.
         issue = issue_on(50)
         key = CoefficientKey("S1", 12, "single:A", issue)
-        store = CoefficientStore({key: FitResult(identity(1), 0.1, True, 0, 45, False)})
+        store = store_of({key: FitResult(identity(1), 0.1, True, 0, 45, False)})
         ensembles = [("S1", T0 + timedelta(days=day), lead, self.MEMBERS if day == 50 else (float(day),) * 3)
                      for day in (49, 50, 51) for lead in (12, 13)]
         more = {m: forecast_cube(m, ensembles) for m in "AB"}
@@ -338,7 +353,7 @@ class TestPredictForIssue:
         issue = issue_on(50)
         present = CoefficientKey("S1", 12, "single:A", issue)
         absent = CoefficientKey("S1", 12, "single:B", issue)
-        store = CoefficientStore({present: FitResult(identity(1), 0.1, True, 0, 45, False)})
+        store = store_of({present: FitResult(identity(1), 0.1, True, 0, 45, False)})
         predictions, errors = predict_for_issue(store, self.forecasts(), issue, [slot(present), slot(absent)])
         assert ("S1", T0 + timedelta(days=50), 12, "single:A") in prediction_dict(predictions)
         assert errors == {slot(absent): f"no coefficients stored for {absent}"}
@@ -346,14 +361,26 @@ class TestPredictForIssue:
     def test_missing_forecast_reported(self):
         issue = issue_on(50)
         key = CoefficientKey("S9", 12, "single:A", issue)
-        store = CoefficientStore({key: FitResult(identity(1), 0.1, True, 0, 45, False)})
+        store = store_of({key: FitResult(identity(1), 0.1, True, 0, 45, False)})
         predictions, errors = predict_for_issue(store, self.forecasts(), issue, [slot(key)])
         assert len(predictions) == 0 and errors == {slot(key): "no forecast for model 'A' at S9 lead 12"}
+
+    def test_rows_of_the_days_around_the_issue_date_are_not_its_own(self):
+        # single:A has rows on the days before and after the issue date but
+        # none on it; single:B has one on it. A block one day off either way
+        # would find single:A coefficients, or lose single:B's.
+        issue = issue_on(50)
+        records = {CoefficientKey("S1", 12, strategy, issue_on(day)): FitResult(identity(1), 0.1, True, 0, 45, False)
+                   for strategy, day in (("single:A", 49), ("single:A", 51), ("single:B", 50))}
+        slots = [("S1", 12, "single:A"), ("S1", 12, "single:B")]
+        predictions, errors = predict_for_issue(store_of(records), self.forecasts(), issue, slots)
+        assert list(prediction_dict(predictions)) == [("S1", T0 + timedelta(days=50), 12, "single:B")]
+        assert errors == {slots[0]: f"no coefficients stored for {CoefficientKey('S1', 12, 'single:A', issue)}"}
 
     def test_date_without_forecasts_gives_nothing(self):
         # Neither predictions nor errors, although the key has no coefficients.
         key = CoefficientKey("S1", 12, "single:A", issue_on(51))
-        predictions, errors = predict_for_issue(CoefficientStore(), self.forecasts(), issue_on(51), [slot(key)])
+        predictions, errors = predict_for_issue(store_of({}), self.forecasts(), issue_on(51), [slot(key)])
         assert len(predictions) == 0 and errors == {}
 
     def test_predict_issues_orders_errors_by_date_station_lead_strategy(self):
@@ -366,7 +393,7 @@ class TestPredictForIssue:
         forecasts = {m: forecast_cube(m, ensembles) for m in "AB"}
         slots = [(sid, lead, strategy) for sid in ("S2", "S1") for lead in (14, 13, 12)
                  for strategy in ("single:B", "single:A", "mixed:A+B")]
-        store = CoefficientStore({CoefficientKey(sid, lead, strategy, issue): FitResult(identity(1), 0.1, True, 0, 45, False)
+        store = store_of({CoefficientKey(sid, lead, strategy, issue): FitResult(identity(1), 0.1, True, 0, 45, False)
                                   for issue in issues for sid in ("S1", "S2")
                                   for lead, strategy in ((12, "single:A"), (14, "single:B"))})
 
@@ -403,7 +430,7 @@ class TestBuildArchive:
         archive = make_archive(60)
         spec = RollingWindowSpec()
         issue = issue_on(50)
-        updates, _ = fit_all(archive, issue, spec=spec)
+        updates = records_of(fit_all(archive, issue, spec=spec)[0])
         expected = len(select_window(archive[("S1", 12)], issue, spec))
         assert all(r.n_samples == expected for _, r in updates.items())
 
@@ -435,21 +462,51 @@ class TestStoreRoundTrip:
     def test_put_get_identity(self):
         key = CoefficientKey("S1", 12, "single:A", issue_on(50))
         record = FitResult(EmosCoefficients(0.1, (0.9,), 0.3, (1.1,)), 0.23, True, 0, 45, False)
-        store = CoefficientStore({key: record})
-        assert store.get(key) == record
+        store = store_of({key: record})
+        assert records_of(store).get(key) == record
         assert len(store) == 1
-        assert key in store
+        assert key in records_of(store)
 
-    def test_latest_before(self):
-        store = CoefficientStore({
-            CoefficientKey("S1", 12, "single:A", issue_on(day)):
-                FitResult(EmosCoefficients(float(day), (1,), 0, (1,)), 0.1, True, 0, 45, False)
-            for day in (40, 44, 47)
-        })
-        hit = store.latest_before("S1", 12, "single:A", issue_on(50), 10)
-        assert hit.coefficients.a == 47.0
-        miss = store.latest_before("S1", 12, "single:A", issue_on(60), 10)
-        assert miss is None
+
+STORE_STATIONS = ["S1", "S10", "S2", 'a "b"', "z,1"]
+STORE_STRATEGIES = STRATS + ["single:C"]
+
+
+class TestCoefficientStore:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_any_order_gives_the_sorted_table(self, tmp_path_factory, data):
+        # Rows shuffled, labels in any order, repeated or unused: the same
+        # labels, rows and store file as the sorted input. A key given twice
+        # raises, naming it.
+        keys = sorted(data.draw(st.lists(st.tuples(st.integers(736_000, 736_003), st.sampled_from(STORE_STATIONS),
+                                                   st.integers(0, 240), st.sampled_from(STORE_STRATEGIES)),
+                                         unique=True, max_size=16)))  # in key order
+        labels = [sorted({key[j] for key in keys}) for j in (1, 3)]
+        rows = np.zeros(len(keys), dtype=RECORD)
+        for i, (day, sid, lead, strategy) in enumerate(keys):
+            k = len(parse_strategy(strategy)[1])
+            b = [0.5 * i, 1.0][:k] + [math.nan] * (2 - k)
+            rows[i] = (day, labels[0].index(sid), lead, labels[1].index(strategy), i - 3.0, b, 0.25, b, i,
+                       [math.nan, 0.25][i % 2], i % 3 > 0, i % 2 > 0)
+        shuffled, mixed = rows[data.draw(st.permutations(range(len(rows))))], []
+        for name, pool, known in (("station", STORE_STATIONS, labels[0]), ("strategy", STORE_STRATEGIES, labels[1])):
+            mixed.append(data.draw(st.permutations(known + data.draw(st.lists(st.sampled_from(pool), max_size=4)))))
+            shuffled[name] = [data.draw(st.sampled_from([j for j, label in enumerate(mixed[-1]) if label == known[c]]))
+                              for c in shuffled[name]]
+        given_bytes = shuffled.tobytes()
+        got, want = CoefficientStore(*mixed, shuffled), CoefficientStore(*labels, rows)
+        assert table_bytes(got) == table_bytes(want) == (*map(tuple, labels), rows.tobytes())
+        assert shuffled.tobytes() == given_bytes and not got.rows.flags.writeable
+        paths = [tmp_path_factory.mktemp("store") / "coeffs.csv" for _ in "ab"]
+        for store, path in zip((got, want), paths):
+            write_store(path, store)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        if keys:
+            i = data.draw(st.integers(0, len(keys) - 1))
+            day, sid, lead, strategy = keys[i]
+            with pytest.raises(ValueError, match=re.escape(f"{sid} lead {lead} {strategy} {date.fromordinal(day)}")):
+                CoefficientStore(*labels, np.concatenate([rows, rows[i:i + 1]]))
 
 
 # t1 on a short horizon: anchor lead 10, taper leads 11 and 12.
@@ -499,12 +556,12 @@ def per_date_train(archive, issue_dates, slots, spec, taper):
         blocks.append(fit_for_issue(archive, issue, state, plain, spec))
         if not tapered:
             continue
-        store, caps = state.store(np.concatenate(blocks)), []
+        records, caps = records_of(state_store(state, np.concatenate(blocks))), []
         for sid, lead, _ in (slots[i] for i in tapered):
-            anchor = store.get(CoefficientKey(sid, taper[0].anchor_lead, taper[1], issue))
+            anchor = records.get(CoefficientKey(sid, taper[0].anchor_lead, taper[1], issue))
             caps.append(transition1_bounds(anchor.coefficients, taper[0])[lead])
         blocks.append(fit_for_issue(archive, issue, state, [], spec, refits=(issue, tapered, np.array(caps))))
-    return state.store(np.concatenate(blocks))
+    return state_store(state, np.concatenate(blocks))
 
 
 def bits(record):
@@ -518,7 +575,8 @@ def assert_stores_close(got, want):
     CRPS is flat to float64 resolution within about sqrt(eps * f / curvature)
     of its minimizer, up to 1e-7 on a 30-sample window, so coefficients that
     a different summation order reaches are compared within 1e-6."""
-    assert [key for key, _ in got.items()] == [key for key, _ in want.items()]
+    got, want = records_of(got), records_of(want)
+    assert list(got) == list(want)
     for (key, a), (_, b) in zip(got.items(), want.items()):
         assert (a.fallback, a.converged, a.n_samples) == (b.fallback, b.converged, b.n_samples), key
         assert math.isclose(a.objective, b.objective, rel_tol=1e-12) or (math.isnan(a.objective) and math.isnan(b.objective)), key
@@ -536,6 +594,7 @@ def check_waves(archive, issues):
     # without a taper the solves are composed exactly as before
     got = train(archive, issues, slots, T1_SPEC)
     want = per_date_train(archive, issues, slots, T1_SPEC, None)
+    got, want = records_of(got), records_of(want)
     assert [(key, bits(r)) for key, r in got.items()] == [(key, bits(r)) for key, r in want.items()]
     return store
 
@@ -568,18 +627,18 @@ class TestTrainWaves:
         # S0's windows at lead 10 lose days 30-49: 30 samples on day 45 (a
         # fit), 25 on day 51 (reuses it); S1 starts on day 20 and has 25
         # samples on day 45 (identity).
-        store = check_waves(t1_archive([0, 20], gap=(10, 30, 20)), [issue_on(45), issue_on(51)])
+        store = records_of(check_waves(t1_archive([0, 20], gap=(10, 30, 20)), [issue_on(45), issue_on(51)]))
         fallbacks = [(key.station_id, key.issue_date, math.isnan(r.objective)) for key, r in store.items() if r.fallback]
         assert ("S0", issue_on(51), False) in fallbacks and ("S1", issue_on(45), True) in fallbacks
 
     def test_last_date_taper_keys_fitted_under_bounds(self):
         archive = t1_archive([0, 2])
         issues = [issue_on(day) for day in range(50, 54)]
-        store = train(archive, issues, t1_slots(archive), T1_SPEC, taper=(TSPEC, COMBINED))
+        records = records_of(train(archive, issues, t1_slots(archive), T1_SPEC, taper=(TSPEC, COMBINED)))
         for sid in ("S0", "S1"):
-            anchor = store.get(CoefficientKey(sid, TSPEC.anchor_lead, COMBINED, issues[-1]))
+            anchor = records.get(CoefficientKey(sid, TSPEC.anchor_lead, COMBINED, issues[-1]))
             for lead, (b1_max, d1_max) in transition1_bounds(anchor.coefficients, TSPEC).items():
-                record = store.get(CoefficientKey(sid, lead, COMBINED, issues[-1]))
+                record = records.get(CoefficientKey(sid, lead, COMBINED, issues[-1]))
                 assert not record.fallback and record.converged
                 assert record.coefficients.b[0] <= b1_max and record.coefficients.d[0] <= d1_max
 
@@ -674,8 +733,8 @@ class TestTrainOracle:
     def test_pinned_example_reaches_stale_reuse_and_its_expiry(self):
         archive = t1_archive([0, 20], 0, (10, 30, 30))
         issues = [issue_on(day) for day in (45, 50, 56, 62)]
-        store = rolling_train(archive, issues, t1_slots(archive), T1_SPEC)
-        s0 = [store.get(CoefficientKey("S0", 10, "single:A", issue)) for issue in issues]
+        records = records_of(rolling_train(archive, issues, t1_slots(archive), T1_SPEC))
+        s0 = [records.get(CoefficientKey("S0", 10, "single:A", issue)) for issue in issues]
         assert [(r.fallback, math.isnan(r.objective)) for r in s0] == [(False, False), (True, False), (True, True),
                                                                          (True, True)]
         assert s0[1].coefficients == s0[0].coefficients
@@ -688,7 +747,6 @@ class TestTrainOracle:
         def forbidden(name):
             return lambda *args, **kwargs: calls.append(name)
 
-        monkeypatch.setattr(CoefficientStore, "_find", forbidden("_find"))
         monkeypatch.setattr(domain, "lookup", forbidden("domain.lookup"))
         monkeypatch.setattr(pipeline, "lookup", forbidden("pipeline.lookup"))
         monkeypatch.setattr(CoefficientKey, "__post_init__", forbidden("CoefficientKey"))

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from emoskit.domain import GaussianPredictive, ObservationSeries, _micros
 from emoskit.emos import EmosCoefficients, FitResult
 from emoskit.io import read_predictions, read_store, write_predictions, write_store
-from emoskit.pipeline import CoefficientKey, CoefficientStore
+from emoskit.pipeline import CoefficientKey
 from emoskit.scoring import gaussian_crps, pit_value
 from emoskit.terrain import lapse_correct
 from emoskit.verification import verify
 
 from conftest import forecast_cube, oracle_ensemble_crps, prediction_dict, prediction_table
+from store_records import records_of, store_of
 
 from test_scoring import crps_by_quadrature
 
@@ -55,10 +56,10 @@ def store_records(draw):
 @given(records=st.lists(store_records(), min_size=1, max_size=8))
 def test_store_round_trip_is_byte_identical(tmp_path_factory, records):
     root = tmp_path_factory.mktemp("store")
-    write_store(root / "a.csv", CoefficientStore(dict(records)))
+    write_store(root / "a.csv", store_of(dict(records)))
     back = read_store(root / "a.csv")
-    assert [key for key, _ in back.items()] == sorted(dict(records), key=lambda k: (k.issue_date, k.station_id,
-                                                                                    k.lead_time, k.strategy))
+    assert list(records_of(back)) == sorted(dict(records), key=lambda k: (k.issue_date, k.station_id,
+                                                                          k.lead_time, k.strategy))
     write_store(root / "b.csv", back)
     assert (root / "b.csv").read_bytes() == (root / "a.csv").read_bytes()
 

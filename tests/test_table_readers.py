@@ -10,15 +10,13 @@ replaced.
   (``oracle_write_store``, ``oracle_write_predictions``, kept as they were):
   the same bytes.
 - ``emos.predict_columns`` against ``emos.predict``, bit for bit.
-- ``CoefficientStore.latest_before`` against the day-by-day probing it
-  replaced (``oracle_latest_before``).
 """
 
 import csv
 import io as textio
 import math
 from itertools import chain
-from datetime import date, datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -47,6 +45,7 @@ from emoskit.pipeline import CoefficientKey, CoefficientStore, parse_strategy
 from conftest import prediction_table
 from row_oracles import _read_prediction_rows, _read_store_rows, read_observations as oracle_read_observations
 from row_oracles import read_stations as oracle_read_stations
+from store_records import records_of, store_of, table_bytes
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 T0 = datetime(2017, 1, 1, tzinfo=timezone.utc)
@@ -60,7 +59,7 @@ STRATEGIES = ["single:m1", "single:m2", "mixed:m1+m2"]
 
 def oracle_write_store(path, store: CoefficientStore) -> None:
     def rows():
-        for key, record in store.items():
+        for key, record in records_of(store).items():
             coef = record.coefficients
             absent = [""] * (2 - len(parse_strategy(key.strategy)[1]))
             b, d = [fmt_float(v) for v in coef.b], [fmt_float(v) for v in coef.d]
@@ -85,14 +84,6 @@ def oracle_write_predictions(path, predictions: dict) -> None:
         for (sid, init, lead, strategy), pred in sorted(predictions.items())
     )
     write_table(path, _PREDICTION_COLUMNS, cells)
-
-
-def oracle_latest_before(store, station_id, lead_time, strategy, issue_date, max_age_days):
-    for age in range(1, max_age_days + 1):
-        record = store.get(CoefficientKey(station_id, lead_time, strategy, issue_date - timedelta(days=age)))
-        if record is not None:
-            return record
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +162,6 @@ def prediction_rows(draw):
 blank_lines = st.lists(st.tuples(st.integers(0, 12), st.sampled_from(["\n", "  \n", "\r\n"])), max_size=2)
 
 
-def store_bits(store: CoefficientStore):
-    station_ids, strategies, rows = store.table()
-    return station_ids, strategies, rows.tobytes()
-
-
 def table_bits(table):
     return (table.station_ids, table.init_times, table.strategies,
             *(getattr(table, name).tobytes() for name in ("station", "init", "lead", "strategy", "mu", "sigma")))
@@ -222,7 +208,7 @@ def test_valid_store_files_read_equal_to_row_reader(tmp_path_factory, rows, blan
     text = to_text(_STORE_COLUMNS, rows, blanks)
     path.write_text(text, encoding="utf-8", newline="")
     expected, got = read_alike(lambda: read_store(path), lambda: _read_store_rows(path))
-    assert store_bits(got) == store_bits(expected)
+    assert table_bytes(got) == table_bytes(expected)
     if '"' not in text and "  \n" not in text:  # no quoted id, no blank line of spaces: str.split cuts it
         assert bulk_takes_store(path)
 
@@ -275,12 +261,12 @@ def test_corrupt_store_files_fail_like_row_reader(tmp_path_factory, kind, column
     path.write_text(to_text(_STORE_COLUMNS, corrupt(rows, row, kind, column, data.draw)), encoding="utf-8")
     result = read_alike(lambda: read_store(path), lambda: _read_store_rows(path))
     if result is not None:  # a corruption the row reader takes: an empty b2 of a single-model record, a NaN objective
-        assert store_bits(result[1]) == store_bits(result[0])
+        assert table_bytes(result[1]) == table_bytes(result[0])
 
 
 def test_store_bulk_read_in_chunks(tmp_path, monkeypatch):
     # Chunks of 2 lines: labels and codes carry over from chunk to chunk.
-    store = CoefficientStore({
+    store = store_of({
         CoefficientKey(sid, lead, strategy, T0.date() + timedelta(days=day)): FitResult(
             EmosCoefficients(0.5 * lead, (1.0,) * k, 0.25, (0.75,) * k), 0.125, True, 0, 45, day % 2 == 0)
         for sid in ("S2", "S1") for lead in (3, 1) for day in (2, 0)
@@ -289,7 +275,7 @@ def test_store_bulk_read_in_chunks(tmp_path, monkeypatch):
     write_store(path, store)
     monkeypatch.setattr(eio, "_CHUNK_LINES", 2)
     assert bulk_takes_store(path)
-    assert store_bits(read_store(path)) == store_bits(store) == store_bits(_read_store_rows(path))
+    assert table_bytes(read_store(path)) == table_bytes(store) == table_bytes(_read_store_rows(path))
 
 
 def test_lines_of_compensating_cell_counts_fail_like_row_reader(tmp_path):
@@ -488,7 +474,7 @@ def store_records(draw):
 @given(records=st.lists(store_records(), min_size=0, max_size=10), chunk=st.sampled_from([1, 3, eio._CHUNK_LINES]))
 def test_store_writer_bytes_equal_the_row_writer(tmp_path_factory, records, chunk):
     root = tmp_path_factory.mktemp("w")
-    store = CoefficientStore(dict(records))
+    store = store_of(dict(records))
     with pytest.MonkeyPatch.context() as patch:  # blocks of 1 and 3 rows too
         patch.setattr(eio, "_CHUNK_LINES", chunk)
         write_store(root / "blocks.csv", store)
@@ -516,7 +502,7 @@ def test_prediction_writer_bytes_equal_the_row_writer(tmp_path_factory, predicti
 
 
 # ---------------------------------------------------------------------------
-# The vector predictor and latest_before
+# The vector predictor
 # ---------------------------------------------------------------------------
 
 
@@ -533,27 +519,3 @@ def test_predict_columns_equals_predict_bit_for_bit(k, data, min_sigma):
         coef = EmosCoefficients(a[i].item(), b[i].tolist(), c[i].item(), d[i].tolist())
         pred = predict(coef, mean[i].tolist(), std[i].tolist(), min_sigma)
         assert (mu[i].hex(), sigma[i].hex()) == (pred.mu.hex(), pred.sigma.hex())
-
-
-@PROPERTY_SETTINGS
-@given(days=st.lists(st.tuples(st.sampled_from(STRATEGIES), st.integers(0, 40)), min_size=1, max_size=20),
-       queries=st.lists(st.tuples(st.sampled_from(STRATEGIES), st.integers(-2, 52), st.integers(0, 12)), max_size=20))
-def test_latest_before_equals_day_probing(tmp_path_factory, days, queries):
-    # A key drawn twice keeps its last record.
-    records = {}
-    for i, (strategy, day) in enumerate(days):
-        k = len(parse_strategy(strategy)[1])
-        records[CoefficientKey("S1", 12, strategy, date(2017, 1, 1) + timedelta(days=day))] = FitResult(
-            EmosCoefficients(float(i), (1.0,) * k, 0.0, (1.0,) * k), 0.25, True, 3, 45, False)
-    store = CoefficientStore(records)
-    path = tmp_path_factory.mktemp("lb") / "coeffs.csv"
-    write_store(path, store)
-    read = read_store(path)
-    for strategy, day, max_age in queries:
-        issue = date(2017, 1, 1) + timedelta(days=day)
-        got = store.latest_before("S1", 12, strategy, issue, max_age)
-        assert got == oracle_latest_before(store, "S1", 12, strategy, issue, max_age)
-        expected = oracle_latest_before(read, "S1", 12, strategy, issue, max_age)
-        assert read.latest_before("S1", 12, strategy, issue, max_age) == expected
-        assert (expected is None) == (got is None)
-        assert got is None or got.coefficients == expected.coefficients

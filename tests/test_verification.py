@@ -10,11 +10,12 @@ import pytest
 from emoskit import verification
 from emoskit.domain import GaussianPredictive, ObservationSeries, _micros
 from emoskit.emos import EmosCoefficients, FitResult, identity, model_weights
-from emoskit.pipeline import CoefficientKey, CoefficientStore
+from emoskit.pipeline import CoefficientKey
 from emoskit.scoring import Conclusion, dm_test, ensemble_crps
 from emoskit.verification import verify
 
 from conftest import forecast_cube, prediction_table
+from store_records import records_of, store_of
 
 T0 = datetime(2017, 1, 1, tzinfo=timezone.utc)
 
@@ -104,9 +105,10 @@ def test_weights_are_the_model_weights_of_the_mixed_records():
             records[CoefficientKey(sid, 12 + day, "mixed:m+n", issue)] = FitResult(
                 EmosCoefficients(0.1, b, 0.2, d), 0.5, True, 0, 45, False)
             records[CoefficientKey(sid, 12, "single:m", issue)] = FitResult(identity(1), 0.5, True, 0, 45, True)
-    store = CoefficientStore(records)
+    store = store_of(records)
     weights = verification._weights(store)
-    expected = [(key, model_weights(r.coefficients)) for key, r in store.items() if key.strategy == "mixed:m+n"]
+    records = records_of(store)
+    expected = [(key, model_weights(r.coefficients)) for key, r in records.items() if key.strategy == "mixed:m+n"]
     assert list(zip(weights["station_id"], weights["issue_day"].tolist(), weights["lead_h"].tolist())) == [
         (key.station_id, key.issue_date.toordinal(), key.lead_time) for key, _ in expected]
     assert [(m.hex(), s.hex()) for m, s in zip(weights["weight_mean"].tolist(), weights["weight_std"].tolist())] == [

@@ -13,13 +13,14 @@ from emoskit.emos import EmosCoefficients, FitOptions, FitResult, _coef_from, _t
 from emoskit.pipeline import (
     REUSE_WINDOW_DAYS,
     CoefficientKey,
-    CoefficientStore,
     RollingWindowSpec,
     parse_strategy,
     select_window,
     single_strategy,
 )
 from emoskit.transition import transition1_bounds
+
+from store_records import store_of
 
 WARM_DAYS = 5  # a fit warm-starts from its slot's latest record of this many days before
 
@@ -99,5 +100,5 @@ def rolling_train(archive, issue_dates, slots, spec=RollingWindowSpec(), options
             refits.append(((sid, lead, strategy), issue, transition1_bounds(anchor.coefficients, taper[0])[lead]))
     if refits:
         records.update(wave(archive, refits, records, spec, options))
-    return CoefficientStore({CoefficientKey(sid, lead, strategy, date.fromordinal(day)): record
-                             for (sid, lead, strategy, day), record in records.items()})
+    return store_of({CoefficientKey(sid, lead, strategy, date.fromordinal(day)): record
+                     for (sid, lead, strategy, day), record in records.items()})
