@@ -3,10 +3,11 @@ as they were to serve the tests as oracles: ``_TableReader`` with its
 ``rows()`` and ``_Row``, ``_read_store_rows``, ``_read_prediction_rows``,
 ``read_observations`` and ``read_stations``.
 
-One change: ``read_observations`` checks for a repeated observation in its
+Two changes: ``read_observations`` checks for a repeated observation in its
 loop over the rows, so that it raises the first error in file order, where
 it used to check after the loop and so raise a bad cell on a later line
-first.
+first; and ``_read_store_rows`` builds its store from its records with
+``store_records.store_of``, as the store no longer takes records.
 """
 
 from __future__ import annotations
